@@ -1,8 +1,9 @@
 // Benchmarks: one testing.B target per table/figure of the thesis'
-// evaluation (DESIGN.md §3 maps ids to figures). Each benchmark exercises
-// the figure's query configuration against shared fixtures of moderate
-// size; the full parameter sweeps with all competitor series are produced
-// by cmd/rankbench (see EXPERIMENTS.md).
+// evaluation, named after the figure id the harness registers it under
+// (internal/bench.Registry; TestHarnessRegistryComplete pins the list). Each
+// benchmark exercises the figure's query configuration against shared
+// fixtures of moderate size; the full parameter sweeps with all competitor
+// series are produced by cmd/rankbench (`rankbench -all`).
 package rankcube_test
 
 import (

@@ -4,7 +4,12 @@
 // dense and sparse variants, selected adaptively per node.
 package bitvec
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"rankcube/internal/errs"
+)
 
 // Bits is a growable bit array.
 type Bits struct {
@@ -32,6 +37,12 @@ func (b *Bits) Set(i int, v bool) {
 	} else {
 		b.words[i/64] &^= 1 << (uint(i) % 64)
 	}
+}
+
+// setField ors v, at most 32 bits wide, into the positions from i on, i a
+// multiple of 32 — how decoders fill an array a chunk at a time.
+func (b *Bits) setField(i int, v uint64) {
+	b.words[i/64] |= v << (uint(i) % 64)
 }
 
 // Ones reports the number of set bits.
@@ -74,6 +85,56 @@ func (b *Bits) LastZero() int {
 	return -1
 }
 
+// NextOne returns the index of the first set bit at or after i, or -1 when
+// none remains — the word-at-a-time enumeration of a node's marked slots:
+//
+//	for i := b.NextOne(0); i >= 0; i = b.NextOne(i + 1) { … }
+func (b *Bits) NextOne(i int) int {
+	if i >= b.n {
+		return -1
+	}
+	w := i / 64
+	if word := b.words[w] >> (uint(i) % 64); word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(b.words); w++ {
+		if b.words[w] != 0 {
+			return w*64 + bits.TrailingZeros64(b.words[w])
+		}
+	}
+	return -1
+}
+
+// SetAll resizes b to n bits, all set, reusing its storage.
+func (b *Bits) SetAll(n int) {
+	nw := (n + 63) / 64
+	if cap(b.words) < nw {
+		b.words = make([]uint64, nw)
+	}
+	b.words = b.words[:nw]
+	for i := range b.words {
+		b.words[i] = ^uint64(0)
+	}
+	b.n = n
+	b.trim()
+}
+
+// trim clears the unused high bits of the last word; every operation keeps
+// them clear so word-level And, Any and NextOne need no length checks.
+func (b *Bits) trim() {
+	if r := uint(b.n) % 64; r != 0 {
+		b.words[len(b.words)-1] &= 1<<r - 1
+	}
+}
+
+// Not flips every bit in place.
+func (b *Bits) Not() {
+	for i := range b.words {
+		b.words[i] = ^b.words[i]
+	}
+	b.trim()
+}
+
 // Or sets b to b | o. Lengths must match.
 func (b *Bits) Or(o *Bits) {
 	for i := range b.words {
@@ -81,10 +142,16 @@ func (b *Bits) Or(o *Bits) {
 	}
 }
 
-// And sets b to b & o. Lengths must match.
+// And sets b to b & o, keeping b's length. Positions beyond o's length
+// count as clear, so a signature node narrower than its index node (slots
+// appended since the cell was last written) masks the extra slots out.
 func (b *Bits) And(o *Bits) {
 	for i := range b.words {
-		b.words[i] &= o.words[i]
+		if i < len(o.words) {
+			b.words[i] &= o.words[i]
+		} else {
+			b.words[i] = 0
+		}
 	}
 }
 
@@ -174,16 +241,53 @@ type Reader struct {
 // NewReader reads from buf starting at bit offset 0.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
-// ReadBits consumes width bits and returns them as an integer (LSB-first).
+// ReadBits consumes width bits (at most 64) and returns them as an integer
+// (LSB-first). The buffer is a stored page: running off its end means the
+// bytes are corrupt, and aborts with a typed errs.ErrPageCorrupt.
 func (r *Reader) ReadBits(width int) uint64 {
+	if width > r.Remaining() {
+		r.overrun(width)
+	}
+	i, off := r.pos/8, uint(r.pos)%8
+	if width <= 56 && i+8 <= len(r.buf) {
+		// The field lies within the eight bytes at i: one load, no loop.
+		r.pos += width
+		return binary.LittleEndian.Uint64(r.buf[i:]) >> off & (1<<uint(width) - 1)
+	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		if r.buf[r.pos/8]&(1<<(uint(r.pos)%8)) != 0 {
-			v |= 1 << uint(i)
+	for got := 0; got < width; {
+		off := uint(r.pos) % 8
+		take := 8 - int(off)
+		if take > width-got {
+			take = width - got
 		}
-		r.pos++
+		chunk := uint64(r.buf[r.pos/8]>>off) & (1<<uint(take) - 1)
+		v |= chunk << uint(got)
+		got += take
+		r.pos += take
 	}
 	return v
+}
+
+func (r *Reader) overrun(width int) {
+	errs.Abortf(errs.ErrPageCorrupt, "bitvec: %d-bit field at bit %d runs past the %d-byte page",
+		width, r.pos, len(r.buf))
+}
+
+// ReadUnary consumes a run of 1 bits and the 0 that ends it, and returns the
+// run's length, which must not exceed limit (at most 55).
+func (r *Reader) ReadUnary(limit int) int {
+	width := limit + 1
+	if rem := r.Remaining(); width > rem {
+		width = rem
+	}
+	pos := r.pos
+	ones := bits.TrailingZeros64(^r.ReadBits(width))
+	if ones >= width {
+		errs.Abortf(errs.ErrPageCorrupt, "bitvec: unary run at bit %d has no end within %d bits", pos, width)
+	}
+	r.pos = pos + ones + 1
+	return ones
 }
 
 // ReadBit consumes one bit.
@@ -192,11 +296,46 @@ func (r *Reader) ReadBit() bool { return r.ReadBits(1) == 1 }
 // Pos reports the current bit offset.
 func (r *Reader) Pos() int { return r.pos }
 
-// Seek sets the bit offset.
-func (r *Reader) Seek(pos int) { r.pos = pos }
-
 // Remaining reports how many bits remain.
 func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }
+
+// Arena hands out bit arrays carved from shared slabs, so decoding the
+// hundreds of nodes of a partial signature costs a few allocations instead
+// of two per node. Arrays stay valid for the arena's lifetime; nothing is
+// ever handed out twice. A nil *Arena allocates each array on its own.
+type Arena struct {
+	vals  []Bits
+	words []uint64
+}
+
+// Slab sizes: 256 headers and 1024 words are 8 KB each, about what one
+// partial signature (one page) decodes into.
+const (
+	arenaVals  = 256
+	arenaWords = 1024
+)
+
+// New returns a zeroed bit array of length n.
+func (a *Arena) New(n int) *Bits {
+	if a == nil {
+		return NewBits(n)
+	}
+	nw := (n + 63) / 64
+	if len(a.words)+nw > cap(a.words) {
+		size := arenaWords
+		if nw > size {
+			size = nw
+		}
+		a.words = make([]uint64, 0, size)
+	}
+	lo := len(a.words)
+	a.words = a.words[:lo+nw]
+	if len(a.vals) == cap(a.vals) {
+		a.vals = make([]Bits, 0, arenaVals)
+	}
+	a.vals = append(a.vals, Bits{words: a.words[lo : lo+nw : lo+nw], n: n})
+	return &a.vals[len(a.vals)-1]
+}
 
 // BitsFor returns the number of bits needed to represent values in [0, n)
 // (at least 1).

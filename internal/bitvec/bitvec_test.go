@@ -1,9 +1,12 @@
 package bitvec
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rankcube/internal/errs"
 )
 
 func TestBitsBasics(t *testing.T) {
@@ -222,6 +225,220 @@ func TestGammaRoundtrip(t *testing.T) {
 		r := NewReader(w.Bytes())
 		if got := c.readGamma(r); got != i {
 			t.Fatalf("gamma roundtrip %d -> %d", i, got)
+		}
+	}
+}
+
+func TestNextOneSetAllNot(t *testing.T) {
+	var b Bits
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 200} {
+		b.SetAll(n)
+		if b.Len() != n || b.Ones() != n {
+			t.Fatalf("SetAll(%d): Len=%d Ones=%d", n, b.Len(), b.Ones())
+		}
+		count := 0
+		for i := b.NextOne(0); i >= 0; i = b.NextOne(i + 1) {
+			if i != count {
+				t.Fatalf("SetAll(%d): NextOne skipped from %d to %d", n, count, i)
+			}
+			count++
+		}
+		if count != n {
+			t.Fatalf("SetAll(%d): NextOne enumerated %d bits", n, count)
+		}
+		b.Not()
+		if b.Any() || b.NextOne(0) != -1 {
+			t.Fatalf("Not of all-ones (%d) left bits set", n)
+		}
+	}
+	// Shrinking reuses storage without leaking the old tail.
+	b.SetAll(200)
+	b.SetAll(3)
+	if b.Ones() != 3 || b.NextOne(3) != -1 {
+		t.Fatalf("SetAll(3) after SetAll(200): Ones=%d", b.Ones())
+	}
+	s := NewBits(150)
+	for _, i := range []int{0, 63, 64, 149} {
+		s.Set(i, true)
+	}
+	var got []int
+	for i := s.NextOne(0); i >= 0; i = s.NextOne(i + 1) {
+		got = append(got, i)
+	}
+	if len(got) != 4 || got[0] != 0 || got[1] != 63 || got[2] != 64 || got[3] != 149 {
+		t.Fatalf("NextOne enumeration = %v", got)
+	}
+}
+
+func TestAndAcrossWidths(t *testing.T) {
+	wide := NewBits(130)
+	for _, i := range []int{1, 64, 70, 129} {
+		wide.Set(i, true)
+	}
+	narrow := NewBits(66)
+	narrow.Set(1, true)
+	narrow.Set(64, true)
+	narrow.Set(65, true)
+
+	w := wide.Clone()
+	w.And(narrow) // positions past narrow's end count as clear
+	if got := w.OnesPositions(); len(got) != 2 || got[0] != 1 || got[1] != 64 || w.Len() != 130 {
+		t.Fatalf("wide&narrow = %v (len %d)", got, w.Len())
+	}
+	n := narrow.Clone()
+	n.And(wide) // a longer operand cannot set bits past the receiver's end
+	if got := n.OnesPositions(); len(got) != 2 || got[0] != 1 || got[1] != 64 || n.Len() != 66 {
+		t.Fatalf("narrow&wide = %v (len %d)", got, n.Len())
+	}
+	w.And(NewBits(0))
+	if w.Any() {
+		t.Fatal("And with an empty array left bits set")
+	}
+}
+
+func TestArenaHandsOutDistinctZeroedArrays(t *testing.T) {
+	var a Arena
+	var all []*Bits
+	for i := 0; i < 3*arenaVals; i++ {
+		b := a.New(1 + i%200)
+		if b.Len() != 1+i%200 || b.Any() {
+			t.Fatalf("array %d: Len=%d Any=%v", i, b.Len(), b.Any())
+		}
+		b.Set(b.Len()-1, true)
+		all = append(all, b)
+	}
+	for i, b := range all {
+		if b.Ones() != 1 || !b.Get(b.Len()-1) {
+			t.Fatalf("array %d was overwritten by a later one", i)
+		}
+	}
+	if big := a.New(100 * 64 * arenaWords / 64); big.Len() != 100*arenaWords || big.Any() {
+		t.Fatal("array larger than a slab")
+	}
+	var none *Arena
+	if b := none.New(7); b.Len() != 7 {
+		t.Fatal("nil arena")
+	}
+}
+
+// abortOf runs fn and returns the error of the typed abort it raised.
+func abortOf(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = errs.IsAbort(r); !ok {
+				panic(r)
+			}
+		}
+	}()
+	fn()
+	return nil
+}
+
+func TestReaderFastAndSlowPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var w Writer
+	type field struct {
+		v     uint64
+		width int
+	}
+	var fields []field
+	for i := 0; i < 400; i++ {
+		width := 1 + rng.Intn(64)
+		v := rng.Uint64()
+		if width < 64 {
+			v &= 1<<uint(width) - 1
+		}
+		fields = append(fields, field{v, width})
+		w.WriteBits(v, width)
+	}
+	r := NewReader(w.Bytes())
+	for i, f := range fields {
+		if got := r.ReadBits(f.width); got != f.v {
+			t.Fatalf("field %d (%d bits at the %d-byte buffer's bit %d): read %x, wrote %x", i, f.width, len(w.Bytes()), r.Pos()-f.width, got, f.v)
+		}
+	}
+	if err := abortOf(func() { r.ReadBits(9) }); !errors.Is(err, errs.ErrPageCorrupt) {
+		t.Fatalf("reading past the end: %v", err)
+	}
+}
+
+func TestReadUnary(t *testing.T) {
+	for _, ones := range []int{0, 1, 7, 8, 9, 31} {
+		var w Writer
+		w.WriteBits(0b101, 3) // misalign
+		for i := 0; i < ones; i++ {
+			w.WriteBit(true)
+		}
+		w.WriteBit(false)
+		w.WriteBits(0x5a, 8)
+		r := NewReader(w.Bytes())
+		r.ReadBits(3)
+		if got := r.ReadUnary(31); got != ones {
+			t.Fatalf("run of %d read as %d", ones, got)
+		}
+		if got := r.ReadBits(8); got != 0x5a {
+			t.Fatalf("after a run of %d the next field reads %x", ones, got)
+		}
+	}
+	for name, buf := range map[string][]byte{"over the limit": {0xff, 0xff, 0xff, 0xff, 0xff, 0}, "off the end": {0xff}, "empty": {}} {
+		if err := abortOf(func() { NewReader(buf).ReadUnary(31) }); !errors.Is(err, errs.ErrPageCorrupt) {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsWhatNoEncoderWrites: each malformed node aborts with
+// ErrPageCorrupt instead of indexing out of range or decoding garbage.
+func TestDecodeRejectsWhatNoEncoderWrites(t *testing.T) {
+	c := NewCodec(20) // nbits 5
+	node := func(scheme, region int, fields ...[2]int) []byte {
+		var w Writer
+		w.WriteBits(uint64(scheme), 3)
+		w.WriteBits(uint64(region-1), c.lenBits)
+		for _, f := range fields {
+			w.WriteBits(uint64(f[0]), f[1])
+		}
+		return w.Bytes()
+	}
+	for name, buf := range map[string][]byte{
+		"unknown scheme":          node(0b001, 6, [2]int{3, 5}, [2]int{0, 1}),
+		"length over the fanout":  node(SchemeBL, 5+32, [2]int{31, 5}, [2]int{0, 32}),
+		"PI position past length": node(SchemePISparse, 10, [2]int{3, 5}, [2]int{9, 5}),
+		"RL run past length":      node(SchemeRLSparse, 5+5, [2]int{3, 5}, [2]int{0b00110, 5}),
+		"region shorter than BL":  node(SchemeBL, 6, [2]int{3, 5}, [2]int{0b1111, 4}),
+		"region past the page":    node(SchemePISparse, 60, [2]int{3, 5}, [2]int{1, 5}),
+		"truncated header":        {0x02},
+	} {
+		err := abortOf(func() { c.Decode(NewReader(buf)) })
+		if !errors.Is(err, errs.ErrPageCorrupt) {
+			t.Errorf("%s: got %v, want ErrPageCorrupt", name, err)
+		}
+	}
+}
+
+func TestDecodeInMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := NewCodec(204)
+	var arena Arena
+	for trial := 0; trial < 300; trial++ {
+		b := NewBits(1 + rng.Intn(204))
+		density := rng.Float64()
+		for i := 0; i < b.Len(); i++ {
+			b.Set(i, rng.Float64() < density)
+		}
+		for _, scheme := range allSchemes {
+			if _, ok := c.regionBits(b, scheme); !ok {
+				continue
+			}
+			var w Writer
+			c.EncodeWith(&w, b, scheme)
+			if got := c.DecodeIn(NewReader(w.Bytes()), &arena); !got.Equal(b) {
+				t.Fatalf("%s: arena decode of %s gives %s", SchemeName(scheme), b, got)
+			}
+			if got := c.Decode(NewReader(w.Bytes())); !got.Equal(b) {
+				t.Fatalf("%s: decode of %s gives %s", SchemeName(scheme), b, got)
+			}
 		}
 	}
 }

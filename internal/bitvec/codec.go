@@ -138,37 +138,48 @@ func (c *Codec) EncodeWith(w *Writer, b *Bits, scheme int) {
 	}
 }
 
-// Decode reads one node array.
-func (c *Codec) Decode(r *Reader) *Bits {
+// Decode reads one node array into storage of its own.
+func (c *Codec) Decode(r *Reader) *Bits { return c.DecodeIn(r, nil) }
+
+// DecodeIn reads one node array, taking its storage from a (nil allocates).
+// The bytes come off a stored page: a field no encoder writes — an unknown
+// scheme, a length over M, a position past the array, a region that does not
+// end where its header says — aborts with a typed errs.ErrPageCorrupt.
+func (c *Codec) DecodeIn(r *Reader, a *Arena) *Bits {
 	scheme := int(r.ReadBits(3))
 	region := int(r.ReadBits(c.lenBits)) + 1
 	end := r.Pos() + region
 	blen := int(r.ReadBits(c.nbits)) + 1
-	out := NewBits(blen)
-	dense := scheme&1 == 1
+	if blen > c.m {
+		errs.Abortf(errs.ErrPageCorrupt, "bitvec: node of %d slots exceeds fanout %d", blen, c.m)
+	}
+	out := a.New(blen)
 	switch scheme {
 	case SchemeBL:
-		for i := 0; i < blen; i++ {
-			out.Set(i, r.ReadBit())
+		for i := 0; i < blen; i += 32 {
+			n := blen - i
+			if n > 32 {
+				n = 32
+			}
+			out.setField(i, r.ReadBits(n))
 		}
 	case SchemePISparse, SchemePIDense:
 		for r.Pos() < end {
 			pos := int(r.ReadBits(c.nbits))
+			if pos >= blen {
+				badPosition(scheme, pos, blen)
+			}
 			out.Set(pos, true)
-		}
-		if dense {
-			c.complement(out)
 		}
 	case SchemeRLSparse, SchemeRLDense:
 		i := 0
 		for r.Pos() < end {
-			run := c.readGamma(r)
-			i += run
+			i += c.readGamma(r)
+			if i >= blen {
+				badPosition(scheme, i, blen)
+			}
 			out.Set(i, true)
 			i++
-		}
-		if dense {
-			c.complement(out)
 		}
 	case SchemePCSparse, SchemePCDense:
 		p := c.prefixBits()
@@ -177,29 +188,27 @@ func (c *Codec) Decode(r *Reader) *Bits {
 			prefix := int(r.ReadBits(p))
 			count := int(r.ReadBits(sbits)) + 1
 			for j := 0; j < count; j++ {
-				suffix := int(r.ReadBits(sbits))
-				out.Set(prefix<<uint(sbits)|suffix, true)
+				pos := prefix<<uint(sbits) | int(r.ReadBits(sbits))
+				if pos >= blen {
+					badPosition(scheme, pos, blen)
+				}
+				out.Set(pos, true)
 			}
 		}
-		if dense {
-			c.complement(out)
-		}
 	default:
-		// The scheme header came off a stored page: an unknown value means
-		// the page bytes are corrupt, not that the caller erred.
 		errs.Abortf(errs.ErrPageCorrupt, "bitvec: unknown scheme %d", scheme)
 	}
 	if r.Pos() != end {
-		r.Seek(end)
+		errs.Abortf(errs.ErrPageCorrupt, "bitvec: %s region ends at bit %d, header says %d", SchemeName(scheme), r.Pos(), end)
+	}
+	if scheme != SchemeBL && scheme&1 == 1 {
+		out.Not() // dense codings mark the 0 positions
 	}
 	return out
 }
 
-// complement flips every bit in place (dense decodings mark 0 positions).
-func (c *Codec) complement(b *Bits) {
-	for i := 0; i < b.Len(); i++ {
-		b.Set(i, !b.Get(i))
-	}
+func badPosition(scheme, pos, blen int) {
+	errs.Abortf(errs.ErrPageCorrupt, "bitvec: %s position %d past a %d-slot node", SchemeName(scheme), pos, blen)
 }
 
 // regionBits computes the coding-region size of b under scheme, and whether
@@ -336,15 +345,11 @@ func (c *Codec) writeGamma(w *Writer, i int) {
 	w.WriteBits(uint64(g)&(1<<uint(l-1)-1), l-1)
 }
 
-// readGamma reads one run value.
+// readGamma reads one run value. The unary prefix is capped at 31 bits — no
+// node has 2^31 slots — so corrupt bytes cannot overflow the value.
 func (c *Codec) readGamma(r *Reader) int {
-	l := 1
-	for r.ReadBit() {
-		l++
-	}
-	low := r.ReadBits(l - 1)
-	g := uint64(1)<<uint(l-1) | low
-	return int(g) - 1
+	l := r.ReadUnary(31)
+	return int(uint64(1)<<uint(l)|r.ReadBits(l)) - 1
 }
 
 // gammaBits sizes writeGamma's output.

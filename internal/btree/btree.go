@@ -27,6 +27,7 @@ type Tree struct {
 	rdims  int // total ranking dimensions of the relation
 	fanout int
 	domain ranking.Box // full-width domain
+	center []float64   // domain midpoint: what a point holds in uncovered dimensions
 
 	nodes  []*node
 	root   hindex.NodeID
@@ -94,6 +95,7 @@ func Build(t *table.Table, dim int, domain ranking.Box, cfg Config) *Tree {
 		rdims:  t.Schema().R(),
 		fanout: fanout,
 		domain: domain,
+		center: domain.Center(),
 		store:  pager.NewStore(stats.StructBTree, ps),
 		root:   hindex.InvalidNode,
 	}
@@ -234,11 +236,26 @@ func (tr *Tree) Children(id hindex.NodeID) []hindex.ChildRef {
 		//lint:invariant hindex contract: Children is only defined on internal nodes
 		panic(fmt.Sprintf("btree: Children on leaf node %d", id))
 	}
-	out := make([]hindex.ChildRef, len(nd.kids))
-	for i, kid := range nd.kids {
-		out[i] = hindex.ChildRef{ID: kid, Box: tr.entryBox(nd, i)}
-	}
-	return out
+	return hindex.ChildrenOf(tr, id)
+}
+
+// EntryBox implements hindex.Index.
+func (tr *Tree) EntryBox(id hindex.NodeID, slot int, box ranking.Box) hindex.NodeID {
+	nd := tr.nodes[id]
+	copy(box.Lo, tr.domain.Lo)
+	copy(box.Hi, tr.domain.Hi)
+	box.Lo[tr.dim] = nd.lo[slot]
+	box.Hi[tr.dim] = nd.hi[slot]
+	return nd.kids[slot]
+}
+
+// EntryPoint implements hindex.Index. Uncovered dimensions hold the domain
+// midpoint.
+func (tr *Tree) EntryPoint(id hindex.NodeID, slot int, pt []float64) table.TID {
+	nd := tr.nodes[id]
+	copy(pt, tr.center)
+	pt[tr.dim] = nd.lo[slot]
+	return nd.tids[slot]
 }
 
 // ChildAt implements hindex.Index.
@@ -253,13 +270,7 @@ func (tr *Tree) LeafEntries(id hindex.NodeID) []hindex.LeafEntry {
 		//lint:invariant hindex contract: LeafEntries is only defined on leaves
 		panic(fmt.Sprintf("btree: LeafEntries on internal node %d", id))
 	}
-	out := make([]hindex.LeafEntry, len(nd.tids))
-	for i, tid := range nd.tids {
-		pt := tr.domain.Center()
-		pt[tr.dim] = nd.lo[i]
-		out[i] = hindex.LeafEntry{TID: tid, Point: pt}
-	}
-	return out
+	return hindex.LeafEntriesOf(tr, id)
 }
 
 // NodeBox implements hindex.Index.
@@ -270,13 +281,6 @@ func (tr *Tree) NodeBox(id hindex.NodeID) ranking.Box {
 		box.Lo[tr.dim] = nd.lo[0]
 		box.Hi[tr.dim] = nd.hi[len(nd.hi)-1]
 	}
-	return box
-}
-
-func (tr *Tree) entryBox(nd *node, i int) ranking.Box {
-	box := tr.domain.Clone()
-	box.Lo[tr.dim] = nd.lo[i]
-	box.Hi[tr.dim] = nd.hi[i]
 	return box
 }
 

@@ -423,16 +423,16 @@ func (r *run) faultLoop(ctx context.Context) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed * 7919))
 	for round := 0; time.Now().Before(r.stop) && ctx.Err() == nil; round++ {
 		if round%2 == 0 {
-			r.faultRound(ctx, rng, r.sig.Stores(), func(c context.Context) ([]rankcube.StoreRepair, error) { return r.sig.Repair(c) }, sigQuerier{r.sig})
+			r.faultRound(ctx, rng, r.sig.Stores(), func(c context.Context) ([]rankcube.StoreRepair, error) { return r.sig.Repair(c) }, sigQuerier{r.sig}, &r.sigMu)
 		} else {
-			r.faultRound(ctx, rng, r.grid.Stores(), func(c context.Context) ([]rankcube.StoreRepair, error) { return r.grid.Repair(c) }, gridQuerier{r.grid})
+			r.faultRound(ctx, rng, r.grid.Stores(), func(c context.Context) ([]rankcube.StoreRepair, error) { return r.grid.Repair(c) }, gridQuerier{r.grid}, &r.gridMu)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 func (r *run) faultRound(ctx context.Context, rng *rand.Rand, stores []*pager.Store,
-	repair func(context.Context) ([]rankcube.StoreRepair, error), q querier) {
+	repair func(context.Context) ([]rankcube.StoreRepair, error), q querier, mu *sync.RWMutex) {
 	r.tal.faultRounds.Add(1)
 	rot := &pager.ScriptedFaults{CorruptAll: true}
 	for _, st := range stores {
@@ -440,7 +440,11 @@ func (r *run) faultRound(ctx context.Context, rng *rand.Rand, stores []*pager.St
 	}
 	// Trip quarantine: with every payload page rotting, the first query that
 	// reads one degrades to the baseline — and must still answer correctly.
+	// The degraded answer and its crosscheck hold the consistency lock like
+	// any checked query: a mutation landing between the two is a mismatch of
+	// the harness's making.
 	cond := rankcube.Cond{0: int32(rng.Intn(r.card))}
+	mu.RLock()
 	got, err := q.query(ctx, cond, r.f, 5)
 	if r.record(err, false) {
 		want, berr := q.baseline(ctx, cond, r.f, 5)
@@ -452,6 +456,7 @@ func (r *run) faultRound(ctx context.Context, rng *rand.Rand, stores []*pager.St
 			}
 		}
 	}
+	mu.RUnlock()
 
 	// Lift the rot and repair. The probe can be shed by the admission gate
 	// (inconclusive, store stays half-open), so retry within the run budget.

@@ -71,6 +71,7 @@ type Tree struct {
 	dims   []int
 	rdims  int
 	domain ranking.Box
+	center []float64 // domain midpoint: what a point holds in uncovered dimensions
 	fanout int
 	group  int // bins merged per dimension per level: ⌊M^(1/n)⌋
 
@@ -97,6 +98,7 @@ func Build(t *table.Table, dims []int, domain ranking.Box, cfg Config) *Tree {
 		dims:   append([]int(nil), dims...),
 		rdims:  t.Schema().R(),
 		domain: domain,
+		center: domain.Center(),
 		fanout: fanout,
 		group:  group,
 		root:   hindex.InvalidNode,
@@ -295,12 +297,29 @@ func (tr *Tree) NumChildren(id hindex.NodeID) int {
 
 // Children implements hindex.Index.
 func (tr *Tree) Children(id hindex.NodeID) []hindex.ChildRef {
-	nd := tr.nodes[id]
-	out := make([]hindex.ChildRef, len(nd.kids))
-	for i, kid := range nd.kids {
-		out[i] = hindex.ChildRef{ID: kid, Box: tr.nodes[kid].box.Clone()}
+	if tr.nodes[id].leaf {
+		return nil
 	}
-	return out
+	return hindex.ChildrenOf(tr, id)
+}
+
+// EntryBox implements hindex.Index.
+func (tr *Tree) EntryBox(id hindex.NodeID, slot int, box ranking.Box) hindex.NodeID {
+	kid := tr.nodes[id].kids[slot]
+	copy(box.Lo, tr.nodes[kid].box.Lo)
+	copy(box.Hi, tr.nodes[kid].box.Hi)
+	return kid
+}
+
+// EntryPoint implements hindex.Index. Uncovered dimensions hold the domain
+// midpoint.
+func (tr *Tree) EntryPoint(id hindex.NodeID, slot int, pt []float64) table.TID {
+	nd := tr.nodes[id]
+	copy(pt, tr.center)
+	for j, dim := range tr.dims {
+		pt[dim] = nd.pts[slot][j]
+	}
+	return nd.tids[slot]
 }
 
 // ChildAt implements hindex.Index.
@@ -310,16 +329,10 @@ func (tr *Tree) ChildAt(id hindex.NodeID, slot int) hindex.NodeID {
 
 // LeafEntries implements hindex.Index.
 func (tr *Tree) LeafEntries(id hindex.NodeID) []hindex.LeafEntry {
-	nd := tr.nodes[id]
-	out := make([]hindex.LeafEntry, len(nd.tids))
-	for i, tid := range nd.tids {
-		pt := tr.domain.Center()
-		for j, dim := range tr.dims {
-			pt[dim] = nd.pts[i][j]
-		}
-		out[i] = hindex.LeafEntry{TID: tid, Point: pt}
+	if !tr.nodes[id].leaf {
+		return nil
 	}
-	return out
+	return hindex.LeafEntriesOf(tr, id)
 }
 
 // NodeBox implements hindex.Index.

@@ -61,6 +61,14 @@ type Index interface {
 	ChildAt(id NodeID, slot int) NodeID
 	// LeafEntries returns the tuples of leaf node id in slot order.
 	LeafEntries(id NodeID) []LeafEntry
+	// EntryBox writes the full-width bounding box of the entry in the given
+	// 0-based slot of internal node id into box, whose Lo and Hi the caller
+	// sized to the relation's ranking width, and returns the child node. It
+	// allocates nothing: a search scores a node's entries through one box.
+	EntryBox(id NodeID, slot int, box ranking.Box) NodeID
+	// EntryPoint is EntryBox for the tuple in the given slot of leaf node id:
+	// it writes the full-width point into pt and returns the tuple.
+	EntryPoint(id NodeID, slot int, pt []float64) table.TID
 	// NodeBox returns the full-width bounding box of node id.
 	NodeBox(id NodeID) ranking.Box
 	// Page returns the storage page holding node id, for I/O accounting.
@@ -71,6 +79,36 @@ type Index interface {
 	// §4.2.1): the root has an empty path; a level-l node has l positions,
 	// 1-based as in the thesis.
 	Path(id NodeID) []int
+}
+
+// ChildrenOf materializes the entries of internal node id through EntryBox —
+// the Children every Index serves to callers that keep the whole list. All
+// boxes share one backing array, so a caller holding one box past the call
+// pins the others.
+func ChildrenOf(idx Index, id NodeID) []ChildRef {
+	n, w := idx.NumChildren(id), idx.Domain().Dims()
+	out := make([]ChildRef, n)
+	backing := make([]float64, 2*w*n)
+	for i := range out {
+		lo, hi := backing[:w:w], backing[w:2*w:2*w]
+		backing = backing[2*w:]
+		out[i].Box = ranking.NewBox(lo, hi)
+		out[i].ID = idx.EntryBox(id, i, out[i].Box)
+	}
+	return out
+}
+
+// LeafEntriesOf is ChildrenOf for the tuples of leaf node id, through
+// EntryPoint.
+func LeafEntriesOf(idx Index, id NodeID) []LeafEntry {
+	n, w := idx.NumChildren(id), idx.Domain().Dims()
+	out := make([]LeafEntry, n)
+	backing := make([]float64, w*n)
+	for i := range out {
+		out[i].Point = backing[i*w : (i+1)*w : (i+1)*w]
+		out[i].TID = idx.EntryPoint(id, i, out[i].Point)
+	}
+	return out
 }
 
 // TupleLocator is implemented by indexes that can resolve a tuple to the
@@ -117,11 +155,40 @@ type Accessor struct {
 	Idx Index
 	buf *pager.Buffer
 	c   *stats.Counters
+	// box and pt are the scratch Child and Tuple decode entries into.
+	box ranking.Box
+	pt  []float64
 }
 
 // NewAccessor returns an accessor charging idx reads to c.
 func NewAccessor(idx Index, c *stats.Counters) *Accessor {
-	return &Accessor{Idx: idx, buf: pager.NewBuffer(idx.Store()), c: c}
+	r := idx.Domain().Dims()
+	scratch := make([]float64, 3*r)
+	return &Accessor{
+		Idx: idx, buf: pager.NewBuffer(idx.Store()), c: c,
+		box: ranking.NewBox(scratch[:r:r], scratch[r:2*r:2*r]),
+		pt:  scratch[2*r:],
+	}
+}
+
+// Visit charges node id's page and reports how many entries it holds; the
+// entries are then read one slot at a time with Child or Tuple.
+func (a *Accessor) Visit(id NodeID) int {
+	a.buf.Touch(a.Idx.Page(id), a.c)
+	return a.Idx.NumChildren(id)
+}
+
+// Child returns the child node and bounding box in one slot of a visited
+// internal node. The box is the accessor's scratch, overwritten by the next
+// Child call.
+func (a *Accessor) Child(id NodeID, slot int) (NodeID, ranking.Box) {
+	return a.Idx.EntryBox(id, slot, a.box), a.box
+}
+
+// Tuple returns the tuple and point in one slot of a visited leaf. The point
+// is the accessor's scratch, overwritten by the next Tuple call.
+func (a *Accessor) Tuple(id NodeID, slot int) (table.TID, []float64) {
+	return a.Idx.EntryPoint(id, slot, a.pt), a.pt
 }
 
 // Children fetches internal node entries, charging the node's page.
@@ -153,6 +220,21 @@ func SID(path []int, maxFanout int) uint64 {
 		sid = sid*base + uint64(p)
 	}
 	return sid
+}
+
+// PathOf decodes sid back into the path it encodes, appended to dst[:0].
+// Positions are 1-based, so no radix-(M+1) digit of a SID is zero and the
+// path's length is the digit count.
+func PathOf(dst []int, sid uint64, maxFanout int) []int {
+	base := uint64(maxFanout + 1)
+	dst = dst[:0]
+	for ; sid != 0; sid /= base {
+		dst = append(dst, int(sid%base))
+	}
+	for i, j := 0, len(dst)-1; i < j; i, j = i+1, j-1 {
+		dst[i], dst[j] = dst[j], dst[i]
+	}
+	return dst
 }
 
 // PathKey encodes a path for use as a map key.

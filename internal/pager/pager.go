@@ -18,7 +18,7 @@
 // pluggable FaultInjector makes corruption, transient read errors (retried
 // with exponential backoff), and added latency deterministically testable.
 //
-// A Store is safe for concurrent readers; page-table growth (Append,
+// A Store is safe for concurrent readers; page-table changes (Append, Free,
 // Overwrite, Resize, Reset) and the mutable configuration (SetFaultInjector,
 // SetRetryPolicy) are serialized internally, so configuration may change
 // while queries run. Structure-level consistency between a store's pages and
@@ -78,10 +78,11 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Store is an append-only collection of pages belonging to one storage
-// structure. Page payloads are opaque to the pager; structures typically
-// store encoded bytes or, for structures whose size experiments do not need
-// byte-exact encoding, record only a logical payload size.
+// Store is a collection of pages belonging to one storage structure,
+// append-only but for the pages their owner explicitly frees. Page payloads
+// are opaque to the pager; structures typically store encoded bytes or, for
+// structures whose size experiments do not need byte-exact encoding, record
+// only a logical payload size.
 type Store struct {
 	kind     stats.Structure
 	pageSize int
@@ -94,6 +95,9 @@ type Store struct {
 	// sums holds the crc32c checksum of each payload page (0 for
 	// payload-free logical pages, which have nothing to verify).
 	sums []uint32
+	// free lists the ids released by Free, which Append hands out again
+	// before growing the tables. A freed page has size freedSize.
+	free []PageID
 
 	// cfgMu guards the mutable read-path configuration so injectors and
 	// retry schedules may be swapped while queries run (the chaos harness
@@ -220,17 +224,44 @@ func (s *Store) Kind() stats.Structure { return s.kind }
 // PageSize reports the configured page size in bytes.
 func (s *Store) PageSize() int { return s.pageSize }
 
-// Append writes data as a new page and returns its id. Payloads larger than
-// the page size are permitted; they count as multiple blocks on read
-// (ceil(len/pageSize)), modelling multi-page overflow records.
+// freedSize marks a page released by Free: it holds nothing and occupies no
+// block until Append reuses its id.
+const freedSize = -1
+
+// Append writes data as a new page and returns its id, reusing a freed id
+// when there is one. Payloads larger than the page size are permitted; they
+// count as multiple blocks on read (ceil(len/pageSize)), modelling
+// multi-page overflow records.
 func (s *Store) Append(data []byte) PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sum := crc32.Checksum(data, crcTable)
+	if n := len(s.free); n > 0 {
+		id := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.pages[id], s.sizes[id], s.sums[id] = data, len(data), sum
+		return id
+	}
 	id := PageID(len(s.pages))
 	s.pages = append(s.pages, data)
 	s.sizes = append(s.sizes, len(data))
-	s.sums = append(s.sums, crc32.Checksum(data, crcTable))
+	s.sums = append(s.sums, sum)
 	return id
+}
+
+// Free releases page id: its payload and checksum are dropped, it stops
+// counting towards Bytes and Blocks, and a later Append reuses the id. The
+// owner must hold no reference to the page any more — maintenance frees a
+// cell's old pages once the rewritten cell is installed, under the exclusive
+// guard that keeps queries out.
+func (s *Store) Free(id PageID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sizes[id] == freedSize {
+		return
+	}
+	s.pages[id], s.sizes[id], s.sums[id] = nil, freedSize, 0
+	s.free = append(s.free, id)
 }
 
 // AppendLogical records a page holding size logical bytes without storing a
@@ -275,6 +306,7 @@ func (s *Store) Reset() {
 	s.pages = s.pages[:0]
 	s.sizes = s.sizes[:0]
 	s.sums = s.sums[:0]
+	s.free = s.free[:0]
 }
 
 // VerifyPages re-verifies every payload page's checksum — the first step of
@@ -369,7 +401,7 @@ func (s *Store) ReadRaw(id PageID) []byte {
 	return s.pages[id]
 }
 
-// NumPages reports how many pages have been appended.
+// NumPages reports the size of the page table, freed pages included.
 func (s *Store) NumPages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -382,7 +414,9 @@ func (s *Store) Bytes() int64 {
 	defer s.mu.RUnlock()
 	var t int64
 	for _, sz := range s.sizes {
-		t += int64(sz)
+		if sz != freedSize {
+			t += int64(sz)
+		}
 	}
 	return t
 }
@@ -392,8 +426,10 @@ func (s *Store) Blocks() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var t int64
-	for id := range s.pages {
-		t += s.blocksOfLocked(PageID(id))
+	for id, sz := range s.sizes {
+		if sz != freedSize {
+			t += s.blocksOfLocked(PageID(id))
+		}
 	}
 	return t
 }

@@ -83,3 +83,53 @@ func TestNilCountersSafe(t *testing.T) {
 	s.Read(id, nil) // must not panic
 	s.Touch(id, nil)
 }
+
+func TestFreeReusesIDAndStopsCounting(t *testing.T) {
+	s := NewStore(stats.StructSignature, 64)
+	a := s.Append([]byte("first page"))
+	b := s.Append(make([]byte, 100)) // two blocks
+	if s.Bytes() != 110 || s.Blocks() != 3 {
+		t.Fatalf("before Free: Bytes=%d Blocks=%d", s.Bytes(), s.Blocks())
+	}
+	s.Free(b)
+	s.Free(b) // freeing twice must not list the id twice
+	if s.Bytes() != 10 || s.Blocks() != 1 || s.NumPages() != 2 {
+		t.Fatalf("after Free: Bytes=%d Blocks=%d NumPages=%d", s.Bytes(), s.Blocks(), s.NumPages())
+	}
+	if bad := s.VerifyPages(); len(bad) != 0 {
+		t.Fatalf("VerifyPages flags %v with a freed page present", bad)
+	}
+
+	// The next Append takes the freed id, with the new payload's checksum.
+	c := s.Append([]byte("second tenant"))
+	if c != b {
+		t.Fatalf("Append returned id %d, want the freed id %d", c, b)
+	}
+	if got := string(s.Read(c, stats.New())); got != "second tenant" {
+		t.Fatalf("reused page reads %q", got)
+	}
+	if bad := s.VerifyPages(); len(bad) != 0 {
+		t.Fatalf("VerifyPages flags %v after reuse", bad)
+	}
+	// The free list is empty again: the table grows.
+	if d := s.Append([]byte("x")); d != 2 {
+		t.Fatalf("Append with an empty free list returned id %d, want 2", d)
+	}
+	if s.Bytes() != 10+13+1 {
+		t.Fatalf("Bytes=%d after reuse", s.Bytes())
+	}
+	_ = a
+}
+
+func TestResetClearsFreeList(t *testing.T) {
+	s := NewStore(stats.StructSignature, 64)
+	s.Append([]byte("a"))
+	s.Free(s.Append([]byte("b")))
+	s.Reset()
+	if id := s.Append([]byte("c")); id != 0 {
+		t.Fatalf("first Append after Reset returned id %d: a stale free id survived", id)
+	}
+	if s.NumPages() != 1 || s.Bytes() != 1 {
+		t.Fatalf("after Reset+Append: NumPages=%d Bytes=%d", s.NumPages(), s.Bytes())
+	}
+}

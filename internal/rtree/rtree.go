@@ -91,6 +91,7 @@ type Tree struct {
 	d      int
 	rdims  int
 	domain ranking.Box
+	center []float64 // domain midpoint: what a point holds in uncovered dimensions
 
 	fanout  int
 	minFill int
@@ -153,6 +154,7 @@ func New(dims []int, rdims int, domain ranking.Box, cfg Config) *Tree {
 		d:       d,
 		rdims:   rdims,
 		domain:  domain,
+		center:  domain.Center(),
 		fanout:  fanout,
 		minFill: minFill,
 		root:    hindex.InvalidNode,
@@ -380,11 +382,31 @@ func (tr *Tree) Children(id hindex.NodeID) []hindex.ChildRef {
 		//lint:invariant hindex contract: Children is only defined on internal nodes
 		panic(fmt.Sprintf("rtree: Children on leaf node %d", id))
 	}
-	out := make([]hindex.ChildRef, len(nd.kids))
-	for i, kid := range nd.kids {
-		out[i] = hindex.ChildRef{ID: kid, Box: tr.widen(nd.rects[i])}
+	return hindex.ChildrenOf(tr, id)
+}
+
+// EntryBox implements hindex.Index.
+func (tr *Tree) EntryBox(id hindex.NodeID, slot int, box ranking.Box) hindex.NodeID {
+	nd := tr.nodes[id]
+	copy(box.Lo, tr.domain.Lo)
+	copy(box.Hi, tr.domain.Hi)
+	r := nd.rects[slot]
+	for j, dim := range tr.dims {
+		box.Lo[dim] = r.lo[j]
+		box.Hi[dim] = r.hi[j]
 	}
-	return out
+	return nd.kids[slot]
+}
+
+// EntryPoint implements hindex.Index. Uncovered dimensions hold the domain
+// midpoint.
+func (tr *Tree) EntryPoint(id hindex.NodeID, slot int, pt []float64) table.TID {
+	nd := tr.nodes[id]
+	copy(pt, tr.center)
+	for j, dim := range tr.dims {
+		pt[dim] = nd.rects[slot].lo[j]
+	}
+	return nd.tids[slot]
 }
 
 // ChildAt implements hindex.Index.
@@ -399,15 +421,7 @@ func (tr *Tree) LeafEntries(id hindex.NodeID) []hindex.LeafEntry {
 		//lint:invariant hindex contract: LeafEntries is only defined on leaves
 		panic(fmt.Sprintf("rtree: LeafEntries on internal node %d", id))
 	}
-	out := make([]hindex.LeafEntry, len(nd.tids))
-	for i, tid := range nd.tids {
-		pt := tr.domain.Center()
-		for j, dim := range tr.dims {
-			pt[dim] = nd.rects[i].lo[j]
-		}
-		out[i] = hindex.LeafEntry{TID: tid, Point: pt}
-	}
-	return out
+	return hindex.LeafEntriesOf(tr, id)
 }
 
 // NodeBox implements hindex.Index.

@@ -5,7 +5,6 @@ import (
 	"rankcube/internal/core"
 	"rankcube/internal/hindex"
 	"rankcube/internal/pager"
-	"rankcube/internal/ranking"
 	"rankcube/internal/signature"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -91,34 +90,15 @@ func (c *Cube) lossyTesterFor(cond map[int]int32, ctr *stats.Counters) (signatur
 	return testers, true
 }
 
-// lossyVerifier re-checks full tuple paths against the relation (random
-// access, charged); internal nodes pass through.
-type lossyVerifier struct {
-	c    *Cube
-	cond map[int]int32
-	ctr  *stats.Counters
-}
-
-// Test implements signature.Tester.
-func (v lossyVerifier) Test(path []int) bool {
-	if len(path) < v.c.rt.Height() {
-		return true
+// verifier returns the tuple-level re-verification hook of a lossy cube:
+// the bloom measure may pass non-matching tuples, which a charged random
+// access to the relation then rejects. Exact cubes need none.
+func (c *Cube) verifier(cond core.Cond, ctr *stats.Counters) func(table.TID) bool {
+	if !c.cfg.LossySignatures {
+		return nil
 	}
-	tid, ok := v.c.rt.TIDAt(path)
-	if !ok {
-		return false
-	}
-	v.ctr.Read(stats.StructTable, 1)
-	return v.c.t.Matches(tid, v.cond)
-}
-
-// verifyingSearch runs Alg. 3 with a tuple-level re-verification hook: the
-// lossy measure may pass non-matching tuples, which are then rejected by a
-// charged random access to the relation.
-func (c *Cube) verifyingSearch(tester signature.Tester, cond map[int]int32, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	verify := func(tid table.TID) bool {
+	return func(tid table.TID) bool {
 		ctr.Read(stats.StructTable, 1)
 		return c.t.Matches(tid, cond)
 	}
-	return searchTopK(c.rt, tester, verify, f, k, ctr)
 }

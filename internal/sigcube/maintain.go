@@ -122,7 +122,13 @@ func (c *Cube) applyUpdates(updates []pathUpdate, ctr *stats.Counters) {
 			if sig != nil && !sig.Bits.Any() {
 				sig = nil
 			}
+			// Install the rewritten cell before releasing the old pages:
+			// an abort while encoding leaves the old cell in place for
+			// quarantine and RebuildStore to deal with.
 			cb.cells[key] = c.enc.Encode(sig)
+			if stored != nil {
+				stored.Free(c.store)
+			}
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
 	"rankcube/internal/guard"
-	"rankcube/internal/heap"
 	"rankcube/internal/hindex"
 	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
@@ -325,95 +324,14 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 		return nil, nil
 	}
 	defer ctr.StartSpan("search")()
-	if c.cfg.LossySignatures {
-		return c.verifyingSearch(tester, cond, f, k, ctr), nil
-	}
-	return SearchTopK(c.rt, tester, f, k, ctr), nil
+	return newScanner(c.rt, tester, c.verifier(cond, ctr), f, ctr).take(k), nil
 }
 
 // SearchTopK is Alg. 3 over any hierarchical index: progressive best-first
 // retrieval with ranking pruning (node lower bounds vs. the current kth
-// score) and boolean pruning (signature tests on node paths). It is exposed
-// package-level so chapter 7's skyline processing and the baselines can
-// share it.
+// score) and boolean pruning (the tester's bits for the children of each
+// expanded node). It is exposed package-level so chapter 7's skyline
+// processing and the baselines can share it.
 func SearchTopK(idx hindex.Index, tester signature.Tester, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	return searchTopK(idx, tester, nil, f, k, ctr)
-}
-
-// searchTopK is SearchTopK with an optional tuple-level verification hook
-// (lossy measures re-check candidates against the relation, §4.5).
-func searchTopK(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	if idx.Root() == hindex.InvalidNode || k <= 0 {
-		return nil
-	}
-	acc := hindex.NewAccessor(idx, ctr)
-	topk := heap.NewBounded[core.Result](k, core.WorseResult)
-
-	type entry struct {
-		score   float64
-		isTuple bool
-		node    hindex.NodeID
-		tid     table.TID
-		path    []int
-	}
-	less := func(a, b entry) bool {
-		if a.score != b.score {
-			return a.score < b.score
-		}
-		// Tuples ahead of nodes at equal score so exact results settle the
-		// stop condition sooner.
-		return a.isTuple && !b.isTuple
-	}
-	cheap := heap.New[entry](less)
-	cheap.Push(entry{score: f.LowerBound(idx.NodeBox(idx.Root())), node: idx.Root()})
-
-	for cheap.Len() > 0 {
-		ctr.ObserveHeap(cheap.Len())
-		e := cheap.Pop()
-		ctr.StatesExamined++
-		if topk.Full() && topk.Worst().Score <= e.score {
-			break
-		}
-		if !tester.Test(e.path) {
-			ctr.Pruned++
-			continue
-		}
-		if e.isTuple {
-			if verify != nil && !verify(e.tid) {
-				ctr.Pruned++
-				continue
-			}
-			topk.Offer(core.Result{TID: e.tid, Score: e.score})
-			continue
-		}
-		if idx.IsLeaf(e.node) {
-			for slot, le := range acc.LeafEntries(e.node) {
-				score := f.Eval(le.Point)
-				cheap.Push(entry{
-					score:   score,
-					isTuple: true,
-					tid:     le.TID,
-					path:    childPath(e.path, slot),
-				})
-				ctr.StatesGenerated++
-			}
-			continue
-		}
-		for slot, ch := range acc.Children(e.node) {
-			cheap.Push(entry{
-				score: f.LowerBound(ch.Box),
-				node:  ch.ID,
-				path:  childPath(e.path, slot),
-			})
-			ctr.StatesGenerated++
-		}
-	}
-	return topk.Sorted()
-}
-
-func childPath(parent []int, slot int) []int {
-	out := make([]int, len(parent)+1)
-	copy(out, parent)
-	out[len(parent)] = slot + 1
-	return out
+	return newScanner(idx, tester, nil, f, ctr).take(k)
 }

@@ -345,3 +345,79 @@ func TestMaintainOnGridPartitionAborts(t *testing.T) {
 	cube.Insert([]int32{0, 0}, []float64{0.5, 0.5}, stats.New())
 	t.Fatal("unreachable: Insert returned")
 }
+
+// TestMaintenanceFreesRewrittenPages: a rewritten cell's old partial pages go
+// back to the store, so after any amount of churn the store holds exactly the
+// live cells' bytes.
+func TestMaintenanceFreesRewrittenPages(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 2000, S: 2, R: 2, Card: 4, Seed: 77})
+	cube := Build(tb, Config{PageSize: 256, RTree: rtree.Config{Fanout: 8}})
+	liveBytes := func() int64 {
+		var total int64
+		for _, cb := range cube.cuboids {
+			for _, stored := range cb.cells {
+				total += stored.EncodedBytes(cube.store)
+			}
+		}
+		return total
+	}
+	if got, want := cube.SizeBytes(), liveBytes(); got != want {
+		t.Fatalf("after build the store holds %d bytes, cells %d", got, want)
+	}
+	rng := rand.New(rand.NewSource(78))
+	for i := 0; i < 300; i++ {
+		if i%2 == 0 {
+			cube.Insert([]int32{int32(rng.Intn(4)), int32(rng.Intn(4))}, []float64{rng.Float64(), rng.Float64()}, stats.New())
+		} else {
+			cube.Delete(table.TID(rng.Intn(tb.Len())), stats.New())
+		}
+	}
+	if got, want := cube.SizeBytes(), liveBytes(); got != want {
+		t.Fatalf("after churn the store holds %d bytes, live cells %d: rewritten pages leaked", got, want)
+	}
+	if bad := cube.store.VerifyPages(); len(bad) != 0 {
+		t.Fatalf("pages %v fail verification after churn", bad)
+	}
+	f := ranking.Sum(0, 1)
+	got, err := cube.TopK(core.Cond{0: 1, 1: 2}, f, 10, stats.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameScores(t, got, bruteTopK(tb, core.Cond{0: 1, 1: 2}, f, 10, cube.Alive))
+}
+
+// TestBloomCellChargesItsPageOnce: a filter has no per-node bit vector, so a
+// lossy cube's tester is opaque and asked about one path at a time; however
+// many paths a search puts to it, each cell's filter page is read once.
+func TestBloomCellChargesItsPageOnce(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 3000, S: 2, R: 2, Card: 5, Seed: 79})
+	lossy := Build(tb, Config{RTree: rtree.Config{Fanout: 8}, LossySignatures: true})
+	ctr := stats.New()
+	cond := core.Cond{0: 1, 1: 3}
+	tester, any, err := lossy.TesterFor(cond, ctr)
+	if err != nil || !any {
+		t.Fatalf("TesterFor: any=%v err=%v", any, err)
+	}
+	if _, ok := signature.Stages(tester); ok {
+		t.Fatal("bloom cells claim to have bit vectors to probe")
+	}
+	f := ranking.Sum(0, 1)
+	got := SearchTopK(lossy.Tree(), tester, f, 3000, ctr)
+	if ctr.StatesExamined < 100 {
+		t.Fatalf("search examined %d states: too few to show anything", ctr.StatesExamined)
+	}
+	if reads := ctr.Reads(stats.StructSignature); reads != 2 {
+		t.Fatalf("two filters charged %d page reads", reads)
+	}
+	// Unverified, the answer is a superset of the truth: no false negatives.
+	want := bruteTopK(tb, cond, f, 3000, lossy.Alive)
+	found := make(map[table.TID]bool, len(got))
+	for _, r := range got {
+		found[r.TID] = true
+	}
+	for _, r := range want {
+		if !found[r.TID] {
+			t.Fatalf("matching tuple %d missing from the lossy search", r.TID)
+		}
+	}
+}

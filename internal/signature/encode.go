@@ -15,20 +15,16 @@ import (
 // around αP (α < 1)").
 const DefaultAlpha = 0.75
 
-// partialRef locates one stored partial signature.
-type partialRef struct {
-	path []int
-	page pager.PageID
-}
-
 // Stored is one cell's signature in compressed, decomposed form: a set of
 // partial signatures, each a BFS-encoded subtree referenced by the SID of
 // the subtree's root (§4.2.3).
 type Stored struct {
 	height int
 	fanout int
-	// refs maps ref SIDs to partials; iteration helpers keep ancestor order.
-	refs map[uint64]partialRef
+	// refs maps the SID of each partial's root node to the partial's page.
+	// An ancestor's SID is smaller than its descendants', so ascending SID
+	// order is a valid load order.
+	refs map[uint64]pager.PageID
 }
 
 // Encoder writes cell signatures into a shared page store.
@@ -80,7 +76,7 @@ type bfsItem struct {
 // Encode compresses and decomposes sig, appending pages to the encoder's
 // store. A nil signature encodes to an empty Stored (every Test is false).
 func (e *Encoder) Encode(sig *Node) *Stored {
-	st := &Stored{height: e.height, fanout: e.fanout, refs: make(map[uint64]partialRef)}
+	st := &Stored{height: e.height, fanout: e.fanout, refs: make(map[uint64]pager.PageID)}
 	if sig == nil {
 		return st
 	}
@@ -131,10 +127,7 @@ func (e *Encoder) Encode(sig *Node) *Stored {
 		}
 		patchCount(w.Bytes(), countPos, uint32(count))
 		page := e.store.Append(append([]byte(nil), w.Bytes()...))
-		st.refs[hindex.SID(path, e.fanout)] = partialRef{
-			path: append([]int(nil), path...),
-			page: page,
-		}
+		st.refs[hindex.SID(path, e.fanout)] = page
 
 		if len(remaining) == 0 {
 			return
@@ -191,6 +184,14 @@ func patchCount(buf []byte, pos int, v uint32) {
 // NumPartials reports how many partial signatures the cell decomposed into.
 func (s *Stored) NumPartials() int { return len(s.refs) }
 
+// Free releases the cell's partial pages back to store — what maintenance
+// does with the encoding a rewrite has just replaced.
+func (s *Stored) Free(store *pager.Store) {
+	for _, page := range s.refs {
+		store.Free(page)
+	}
+}
+
 // View is a per-query lazy decoder over a stored signature: partial
 // signatures are loaded (and charged as block reads) only when the query
 // requests a node they encode (§4.2.3).
@@ -199,8 +200,21 @@ type View struct {
 	codec  *bitvec.Codec
 	buf    *pager.Buffer
 	ctr    *stats.Counters
-	nodes  map[string]*bitvec.Bits
+	// base is the SID radix M+1: a child's SID is parent·base + position.
+	base uint64
+	// nodes holds the decoded signature nodes by SID, their storage in arena.
+	nodes  map[uint64]*bitvec.Bits
+	arena  bitvec.Arena
 	loaded map[uint64]bool
+	// queue is loadPartial's BFS scratch.
+	queue []bfsNode
+}
+
+// bfsNode is an internal signature node during a BFS replay.
+type bfsNode struct {
+	sid   uint64
+	depth int
+	bits  *bitvec.Bits
 }
 
 // NewView opens a view charging signature loads to ctr.
@@ -210,7 +224,7 @@ func NewView(s *Stored, codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 		codec:  codec,
 		buf:    pager.NewBuffer(store),
 		ctr:    ctr,
-		nodes:  make(map[string]*bitvec.Bits),
+		base:   uint64(s.fanout + 1),
 		loaded: make(map[uint64]bool),
 	}
 }
@@ -224,33 +238,45 @@ func (v *View) Test(path []int) bool {
 	if len(path) == 0 {
 		return true // a non-empty stored signature has a non-empty root
 	}
-	parent := path[:len(path)-1]
+	bits := v.node(path[:len(path)-1])
+	pos := path[len(path)-1] - 1
+	return bits != nil && pos < bits.Len() && bits.Get(pos)
+}
+
+// Probe implements Prober: the children of the node at parent that hold a
+// tuple of the cell are the set bits of its signature node, fetched through
+// the same lazy loads as Test.
+func (v *View) Probe(parent []int, live *bitvec.Bits) {
 	bits := v.node(parent)
 	if bits == nil {
-		return false
+		bits = noBits
 	}
-	pos := path[len(path)-1] - 1
-	return pos < bits.Len() && bits.Get(pos)
+	live.And(bits)
 }
 
 // node resolves the decoded bits of the signature node at path, loading
 // ancestor-referenced partials in root-to-leaf order.
 func (v *View) node(path []int) *bitvec.Bits {
+	sid := hindex.SID(path, v.stored.fanout)
 	for {
-		if bits, ok := v.nodes[hindex.PathKey(path)]; ok {
+		if bits, ok := v.nodes[sid]; ok {
 			return bits
 		}
+		// Load the first partial not yet loaded among those rooted at a
+		// prefix of path, then look again.
 		loadedOne := false
-		for i := 0; i <= len(path); i++ {
-			sid := hindex.SID(path[:i], v.stored.fanout)
-			ref, exists := v.stored.refs[sid]
-			if !exists || v.loaded[sid] {
-				continue
+		prefix := uint64(0)
+		for i := 0; ; i++ {
+			if page, exists := v.stored.refs[prefix]; exists && !v.loaded[prefix] {
+				v.loadPartial(prefix, page)
+				v.loaded[prefix] = true
+				loadedOne = true
+				break
 			}
-			v.loadPartial(ref)
-			v.loaded[sid] = true
-			loadedOne = true
-			break
+			if i == len(path) {
+				break
+			}
+			prefix = prefix*v.base + uint64(path[i])
 		}
 		if !loadedOne {
 			return nil
@@ -258,46 +284,61 @@ func (v *View) node(path []int) *bitvec.Bits {
 	}
 }
 
-// loadPartial decodes one partial signature into the view's node map,
-// replaying the encoder's BFS with already-known nodes skipped.
-func (v *View) loadPartial(ref partialRef) {
-	data := v.buf.Read(ref.page, v.ctr)
-	r := bitvec.NewReader(data)
-	plen := int(r.ReadBits(8))
-	path := make([]int, plen)
-	for i := range path {
-		path[i] = int(r.ReadBits(16))
+// loadPartial decodes the partial signature rooted at sid into the view's
+// node map, replaying the encoder's BFS with already-known nodes skipped.
+// Everything read here came off a stored page: a header that disagrees with
+// the reference or with the nodes that follow is corruption, not a bug.
+func (v *View) loadPartial(sid uint64, page pager.PageID) {
+	r := bitvec.NewReader(v.buf.Read(page, v.ctr))
+	depth := int(r.ReadBits(8))
+	root := uint64(0)
+	for i := 0; i < depth; i++ {
+		root = root*v.base + r.ReadBits(16)
+	}
+	if root != sid {
+		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d is headed as partial %d", sid, root)
 	}
 	count := int(r.ReadBits(32))
+	if v.nodes == nil {
+		// Size the node map for this partial. The count is an on-page field:
+		// cap it by what the page could possibly encode.
+		hint := r.Remaining() / v.codec.HeaderBits()
+		if count < hint {
+			hint = count
+		}
+		v.nodes = make(map[uint64]*bitvec.Bits, hint)
+	}
 
-	type qitem struct{ path []int }
-	queue := []qitem{{path: path}}
+	// Replay the BFS. The queue holds the internal nodes whose children are
+	// still to be visited; a visit decodes the node unless an ancestor's
+	// partial already did.
+	leaf := leafDepth(v.stored.height)
+	queue := v.queue[:0]
 	decoded := 0
-	for qi := 0; qi < len(queue) && decoded < count; qi++ {
-		item := queue[qi]
-		key := hindex.PathKey(item.path)
-		bits, known := v.nodes[key]
+	visit := func(sid uint64, depth int) {
+		bits, known := v.nodes[sid]
 		if !known {
-			bits = v.codec.Decode(r)
-			v.nodes[key] = bits
+			bits = v.codec.DecodeIn(r, &v.arena)
+			v.nodes[sid] = bits
 			decoded++
 		}
-		if len(item.path) >= leafDepth(v.stored.height) {
-			continue
-		}
-		for i := 0; i < bits.Len(); i++ {
-			if !bits.Get(i) {
-				continue
-			}
-			kidPath := append(append([]int(nil), item.path...), i+1)
-			queue = append(queue, qitem{path: kidPath})
+		if depth < leaf {
+			queue = append(queue, bfsNode{sid, depth, bits})
 		}
 	}
+	if count > 0 {
+		visit(sid, depth)
+	}
+	for qi := 0; qi < len(queue) && decoded < count; qi++ {
+		p := queue[qi]
+		for i := p.bits.NextOne(0); i >= 0 && decoded < count; i = p.bits.NextOne(i + 1) {
+			visit(p.sid*v.base+uint64(i+1), p.depth+1)
+		}
+	}
+	v.queue = queue[:0]
 	if decoded != count {
-		// The node count came from the partial's on-page header: a mismatch
-		// means the stored bytes are corrupt.
-		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %v decoded %d nodes, header says %d",
-			ref.path, decoded, count)
+		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d decoded %d nodes, header says %d",
+			sid, decoded, count)
 	}
 }
 
@@ -309,51 +350,40 @@ func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 	}
 	v := NewView(s, codec, store, ctr)
 	// Load every partial, ancestors first.
-	refs := make([]partialRef, 0, len(s.refs))
-	for _, ref := range s.refs {
-		refs = append(refs, ref)
+	sids := make([]uint64, 0, len(s.refs))
+	for sid := range s.refs {
+		sids = append(sids, sid)
 	}
-	sort.Slice(refs, func(a, b int) bool {
-		if len(refs[a].path) != len(refs[b].path) {
-			return len(refs[a].path) < len(refs[b].path)
-		}
-		return lexLess(refs[a].path, refs[b].path)
-	})
-	for _, ref := range refs {
-		sid := hindex.SID(ref.path, s.fanout)
-		if !v.loaded[sid] {
-			v.loadPartial(ref)
-			v.loaded[sid] = true
-		}
+	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
+	for _, sid := range sids {
+		v.loadPartial(sid, s.refs[sid])
 	}
 	// Rebuild the tree from the flat node map.
-	var build func(path []int) *Node
-	build = func(path []int) *Node {
-		bits := v.nodes[hindex.PathKey(path)]
+	var build func(sid uint64, depth int) *Node
+	build = func(sid uint64, depth int) *Node {
+		bits := v.nodes[sid]
 		if bits == nil {
 			return nil
 		}
 		n := &Node{Bits: bits.Clone()}
-		if len(path) >= leafDepth(s.height) {
+		if depth >= leafDepth(s.height) {
 			return n
 		}
 		n.Kids = make([]*Node, bits.Len())
-		for i := 0; i < bits.Len(); i++ {
-			if bits.Get(i) {
-				n.Kids[i] = build(append(append([]int(nil), path...), i+1))
-			}
+		for i := bits.NextOne(0); i >= 0; i = bits.NextOne(i + 1) {
+			n.Kids[i] = build(sid*v.base+uint64(i+1), depth+1)
 		}
 		return n
 	}
-	return build(nil)
+	return build(0, 0)
 }
 
 // EncodedBytes reports the total encoded size of the cell across partials.
 func (s *Stored) EncodedBytes(store *pager.Store) int64 {
 	var total int64
-	for _, ref := range s.refs {
+	for _, page := range s.refs {
 		//lint:ungoverned size accounting inspects stored bytes without simulating a read
-		total += int64(len(store.ReadRaw(ref.page)))
+		total += int64(len(store.ReadRaw(page)))
 	}
 	return total
 }

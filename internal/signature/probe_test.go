@@ -1,0 +1,293 @@
+package signature
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"rankcube/internal/bitvec"
+	"rankcube/internal/errs"
+	"rankcube/internal/hindex"
+	"rankcube/internal/pager"
+	"rankcube/internal/stats"
+	"rankcube/internal/table"
+)
+
+// probeAll runs every stage of t over the children of the node at parent,
+// whose index node holds width entries, and returns the surviving slots.
+func probeAll(tb testing.TB, t Tester, parent []int, width int) *bitvec.Bits {
+	tb.Helper()
+	stages, ok := Stages(t)
+	if !ok {
+		tb.Fatalf("%T%v has no stages", t, t)
+	}
+	var live bitvec.Bits
+	live.SetAll(width)
+	for _, st := range stages {
+		st.Probe(parent, &live)
+	}
+	return &live
+}
+
+// checkProbeMatchesTest holds the bulk probe to the per-path test on every
+// node of the index: a child survives all stages iff Test passes its path.
+func checkProbeMatchesTest(t *testing.T, name string, idx hindex.Index, tester Tester) {
+	t.Helper()
+	var walk func(id hindex.NodeID, path []int)
+	walk = func(id hindex.NodeID, path []int) {
+		width := idx.NumChildren(id)
+		live := probeAll(t, tester, path, width)
+		for slot := 0; slot < width; slot++ {
+			child := append(append([]int(nil), path...), slot+1)
+			if got, want := live.Get(slot), tester.Test(child); got != want {
+				t.Fatalf("%s: probe of %v says %v, Test says %v", name, child, got, want)
+			}
+			if !idx.IsLeaf(id) && live.Get(slot) {
+				walk(idx.ChildAt(id, slot), child)
+			}
+		}
+	}
+	walk(idx.Root(), nil)
+}
+
+func TestProbeMatchesTestOnEveryTester(t *testing.T) {
+	rt, pathsA, _ := fixture(t, 600, func(tid table.TID) bool { return tid%2 == 0 })
+	_, pathsB, _ := fixture(t, 600, func(tid table.TID) bool { return tid%3 == 0 })
+	a, b := Generate(rt, pathsA), Generate(rt, pathsB)
+
+	store := pager.NewStore(stats.StructSignature, 128)
+	enc := NewEncoder(rt.MaxFanout(), rt.Height(), store, 0)
+	sa, sb := enc.Encode(a), enc.Encode(b)
+	view := func(s *Stored) *View { return NewView(s, enc.Codec(), store, stats.New()) }
+
+	for name, tester := range map[string]Tester{
+		"True":       True{},
+		"Node":       a,
+		"View":       view(sa),
+		"And/nodes":  And{a, b},
+		"And/views":  And{view(sa), view(sb)},
+		"And/True":   And{True{}, view(sb)},
+		"empty view": view(enc.Encode(nil)),
+	} {
+		checkProbeMatchesTest(t, name, rt, tester)
+	}
+}
+
+// testOnly hides everything but Test, as a timing or filtering wrapper does.
+type testOnly struct{ Tester }
+
+// TestStages: a conjunction contributes its members' stages in order; a
+// tester with a part that offers only Test has none and is reported opaque.
+func TestStages(t *testing.T) {
+	n := &Node{Bits: bitvec.NewBits(4)}
+	for _, c := range []struct {
+		t      Tester
+		want   int
+		opaque bool
+	}{
+		{True{}, 0, false},
+		{n, 1, false},
+		{And{}, 0, false},
+		{And{True{}, n}, 1, false},
+		{And{n, And{n, n}}, 3, false},
+		{Or{n, n}, 0, true},
+		{Not{T: n, Height: 2}, 0, true},
+		{testOnly{n}, 0, true},
+		{And{n, testOnly{n}}, 0, true},
+		{And{n, And{n, Not{T: n, Height: 2}}}, 0, true},
+	} {
+		stages, ok := Stages(c.t)
+		if len(stages) != c.want || ok == c.opaque {
+			t.Errorf("%T%v: %d stages, ok=%v; want %d, opaque=%v", c.t, c.t, len(stages), ok, c.want, c.opaque)
+		}
+	}
+}
+
+// TestAndProbeWidths: members whose signature nodes differ in width — one
+// written before its index node gained entries — mask the slots they lack.
+func TestAndProbeWidths(t *testing.T) {
+	narrow := &Node{Bits: bitvec.NewBits(3)}
+	narrow.Bits.Set(0, true)
+	narrow.Bits.Set(2, true)
+	wide := &Node{Bits: bitvec.NewBits(70)}
+	for _, i := range []int{0, 2, 5, 69} {
+		wide.Bits.Set(i, true)
+	}
+	for name, tester := range map[string]Tester{"narrow first": And{narrow, wide}, "wide first": And{wide, narrow}} {
+		live := probeAll(t, tester, nil, 70)
+		if got := live.OnesPositions(); fmt.Sprint(got) != "[0 2]" {
+			t.Errorf("%s: survivors %v, want [0 2]", name, got)
+		}
+	}
+	if got := probeAll(t, wide, nil, 70).OnesPositions(); fmt.Sprint(got) != "[0 2 5 69]" {
+		t.Errorf("wide alone: survivors %v", got)
+	}
+	// A stage only narrows: slots already ruled out stay out.
+	var live bitvec.Bits
+	live.SetAll(70)
+	live.Set(2, false)
+	wide.Probe(nil, &live)
+	if live.Get(2) {
+		t.Error("probe revived a slot an earlier stage had cleared")
+	}
+}
+
+// TestAndProbeIsLazyPerStage: stage j consults member j only, so the second
+// cell's partials are not read until its stage runs.
+func TestAndProbeIsLazyPerStage(t *testing.T) {
+	rt, _, sa, enc, store := encodeFixture(t, 600, func(tid table.TID) bool { return tid%2 == 0 }, 128)
+	_, pathsB, _ := fixture(t, 600, func(tid table.TID) bool { return tid%3 == 0 })
+	sb := enc.Encode(Generate(rt, pathsB))
+	ca, cb := stats.New(), stats.New()
+	stages, _ := Stages(And{NewView(sa, enc.Codec(), store, ca), NewView(sb, enc.Codec(), store, cb)})
+	if len(stages) != 2 {
+		t.Fatalf("two views give %d stages", len(stages))
+	}
+
+	var live bitvec.Bits
+	live.SetAll(rt.NumChildren(rt.Root()))
+	stages[0].Probe(nil, &live)
+	if ca.Reads(stats.StructSignature) == 0 || cb.Reads(stats.StructSignature) != 0 {
+		t.Fatalf("after stage 0: member reads %d and %d, want >0 and 0",
+			ca.Reads(stats.StructSignature), cb.Reads(stats.StructSignature))
+	}
+	stages[1].Probe(nil, &live)
+	if cb.Reads(stats.StructSignature) == 0 {
+		t.Fatal("stage 1 did not load the second member")
+	}
+	// Probing a resident node again charges nothing.
+	before := ca.Reads(stats.StructSignature) + cb.Reads(stats.StructSignature)
+	stages[0].Probe(nil, &live)
+	stages[1].Probe(nil, &live)
+	if after := ca.Reads(stats.StructSignature) + cb.Reads(stats.StructSignature); after != before {
+		t.Fatalf("re-probing charged %d more reads", after-before)
+	}
+}
+
+// corruptAbort runs fn and returns the error of the typed abort it raised,
+// nil if it returned. Anything else — a runtime panic — propagates.
+func corruptAbort(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = errs.IsAbort(r); !ok {
+				panic(r)
+			}
+		}
+	}()
+	fn()
+	return nil
+}
+
+// fuzzFanout and fuzzHeight fix the shape the fuzzed pages are read against.
+const (
+	fuzzFanout = 8
+	fuzzHeight = 3
+)
+
+// FuzzViewDecode feeds arbitrary bytes to the partial-signature decoder as a
+// stored page (Append checksums whatever it is given, so the CRC does not
+// stand in the way): as the root partial, and as a child partial under a
+// well-formed root. View.Test, View.Probe and Stored.Decode must each return
+// a value or abort with a typed ErrPageCorrupt — never a raw panic, and never
+// run or allocate past what the page's own length allows.
+func FuzzViewDecode(f *testing.F) {
+	seeds, rootOnly := fuzzSeeds()
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	codec := bitvec.NewCodec(fuzzFanout)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store := pager.NewStore(stats.StructSignature, 256)
+		page, rootPage := store.Append(data), store.Append(rootOnly)
+		for _, refs := range []map[uint64]pager.PageID{
+			{0: page},
+			{0: rootPage, hindex.SID([]int{1}, fuzzFanout): page},
+		} {
+			stored := &Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}
+			for _, run := range []func(){
+				func() {
+					v := NewView(stored, codec, store, stats.New())
+					for _, p := range [][]int{{1}, {1, 1}, {1, 1, 1}, {2, 3, 4}, {8, 8, 8}} {
+						v.Test(p)
+					}
+					var live bitvec.Bits
+					live.SetAll(fuzzFanout)
+					v.Probe([]int{1, 2}, &live)
+				},
+				func() {
+					if n := stored.Decode(codec, store, stats.New()); n != nil {
+						n.Tuples(fuzzHeight)
+					}
+				},
+			} {
+				if err := corruptAbort(run); err != nil && !errors.Is(err, errs.ErrPageCorrupt) {
+					t.Fatalf("abort is not ErrPageCorrupt: %v", err)
+				}
+			}
+		}
+	})
+}
+
+// fuzzSeeds returns well-formed pages — a small signature's single partial
+// under adaptive and under baseline node coding, and its two leaf-level nodes
+// as a child partial headed by the path [1] — and the root partial that goes
+// with the latter: the root and the node at [1], nothing below.
+func fuzzSeeds() (seeds [][]byte, rootOnly []byte) {
+	var full bitvec.Bits
+	full.SetAll(fuzzFanout)
+	sparse := bitvec.NewBits(fuzzFanout)
+	sparse.Set(0, true)
+	sparse.Set(5, true)
+	leafA, leafB := &Node{Bits: &full}, &Node{Bits: sparse}
+	mid := &Node{Bits: bitvec.NewBits(3), Kids: []*Node{leafA, nil, leafB}}
+	mid.Bits.Set(0, true)
+	mid.Bits.Set(2, true)
+	root := &Node{Bits: bitvec.NewBits(2), Kids: []*Node{mid, nil}}
+	root.Bits.Set(0, true)
+
+	for _, baseline := range []bool{false, true} {
+		store := pager.NewStore(stats.StructSignature, 256)
+		enc := NewEncoder(fuzzFanout, fuzzHeight, store, 0)
+		enc.SetBaselineOnly(baseline)
+		for _, page := range enc.Encode(root).refs {
+			seeds = append(seeds, store.ReadRaw(page))
+		}
+	}
+	codec := bitvec.NewCodec(fuzzFanout)
+	partial := func(path []int, nodes ...*Node) []byte {
+		var w bitvec.Writer
+		w.WriteBits(uint64(len(path)), 8)
+		for _, p := range path {
+			w.WriteBits(uint64(p), 16)
+		}
+		w.WriteBits(uint64(len(nodes)), 32)
+		for _, n := range nodes {
+			codec.Encode(&w, n.Bits)
+		}
+		return w.Bytes()
+	}
+	return append(seeds, partial([]int{1}, leafA, leafB)), partial(nil, root, mid)
+}
+
+// TestFuzzSeedsAreWellFormed: the corpus starts from pages that decode, so
+// the fuzzer mutates its way out of the valid format rather than into it.
+func TestFuzzSeedsAreWellFormed(t *testing.T) {
+	seeds, rootOnly := fuzzSeeds()
+	codec := bitvec.NewCodec(fuzzFanout)
+	for i, seed := range seeds {
+		store := pager.NewStore(stats.StructSignature, 256)
+		refs := map[uint64]pager.PageID{0: store.Append(seed)}
+		if i == len(seeds)-1 {
+			refs = map[uint64]pager.PageID{0: store.Append(rootOnly), hindex.SID([]int{1}, fuzzFanout): refs[0]}
+		}
+		stored := &Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}
+		var tuples int
+		if err := corruptAbort(func() { tuples = len(stored.Decode(codec, store, stats.New()).Tuples(fuzzHeight)) }); err != nil {
+			t.Fatalf("seed %d does not decode: %v", i, err)
+		}
+		if tuples != fuzzFanout+2 {
+			t.Fatalf("seed %d decodes to %d tuples, want %d", i, tuples, fuzzFanout+2)
+		}
+	}
+}

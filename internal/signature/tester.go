@@ -1,10 +1,52 @@
 package signature
 
+import "rankcube/internal/bitvec"
+
 // Tester answers boolean-pruning probes during query processing: does the
 // node/tuple at this partition path contain (or constitute) a tuple
-// satisfying the boolean predicate?
+// satisfying the boolean predicate? Test is the whole contract — a wrapper
+// that times, counts or filters a tester needs nothing more — and the one
+// skyline processing and index merging use.
 type Tester interface {
 	Test(path []int) bool
+}
+
+// Prober is a Tester backed by per-node bit vectors, which can therefore
+// answer for every child of a node at once: Probe clears from live — one bit
+// per child slot of the partition node at parent — each slot whose child
+// fails Test. It performs the loads (and charges the reads) that a Test of
+// one of those children would perform; probing a resident node again charges
+// nothing. The branch-and-bound search qualifies an expanded node's children
+// this way instead of testing them one heap entry at a time.
+type Prober interface {
+	Tester
+	Probe(parent []int, live *bitvec.Bits)
+}
+
+// Stages flattens a tester into the probers that qualify a node's children
+// in sequence: none for True, one for a Prober, the members' stages in order
+// for an And — so that a member is consulted only over the survivors of the
+// members before it, which is where the short-circuit of And.Test first
+// reaches it. A child passes t iff it survives every stage. ok is false when
+// some part of t offers only Test; such a tester is opaque and has to be
+// asked about one path at a time.
+func Stages(t Tester) (stages []Prober, ok bool) {
+	switch t := t.(type) {
+	case True:
+		return nil, true
+	case And:
+		for _, m := range t {
+			ms, ok := Stages(m)
+			if !ok {
+				return nil, false
+			}
+			stages = append(stages, ms...)
+		}
+		return stages, true
+	case Prober:
+		return []Prober{t}, true
+	}
+	return nil, false
 }
 
 // True is the no-predicate tester: everything passes.
@@ -64,6 +106,6 @@ var (
 	_ Tester = And(nil)
 	_ Tester = Or(nil)
 	_ Tester = Not{}
-	_ Tester = (*View)(nil)
-	_ Tester = (*Node)(nil)
+	_ Prober = (*View)(nil)
+	_ Prober = (*Node)(nil)
 )

@@ -107,6 +107,27 @@ func (n *Node) Test(path []int) bool {
 	return pos < cur.Bits.Len() && cur.Bits.Get(pos)
 }
 
+// Probe implements Prober: the children of the node at parent that hold a
+// tuple of the cell are the set bits of its signature node.
+func (n *Node) Probe(parent []int, live *bitvec.Bits) {
+	cur := n
+	for _, p := range parent {
+		if cur == nil || p > cur.Bits.Len() || !cur.Bits.Get(p-1) || cur.Kids == nil {
+			cur = nil
+			break
+		}
+		cur = cur.Kids[p-1]
+	}
+	if cur == nil {
+		live.And(noBits)
+		return
+	}
+	live.And(cur.Bits)
+}
+
+// noBits masks every slot out.
+var noBits = bitvec.NewBits(0)
+
 // Set marks the tuple at path present, growing nodes as needed; width gives
 // the current index-node width at each prefix depth (so freshly split nodes
 // get correctly sized bit arrays). Set implements the "set bits to 1

@@ -245,6 +245,9 @@ func (g *GridCube) Repair(ctx context.Context) ([]StoreRepair, error) {
 	}
 	var reports []StoreRepair
 	var probes []probe
+	// The schema outlives a Repartition; the table pointer it is read
+	// through does not, so take it under the control.
+	var schema Schema
 
 	// As in (*SignatureCube).Repair: the rebuild span gets its own frame so
 	// the release is deferred against aborts inside VerifyPages/RebuildCuboid.
@@ -252,6 +255,7 @@ func (g *GridCube) Repair(ctx context.Context) ([]StoreRepair, error) {
 	func() {
 		ctl.Lock()
 		defer ctl.Unlock()
+		schema = g.c.Table().Schema()
 		for _, cb := range g.c.Cuboids() {
 			st := cb.Store()
 			rep := StoreRepair{Kind: st.Kind()}
@@ -276,12 +280,12 @@ func (g *GridCube) Repair(ctx context.Context) ([]StoreRepair, error) {
 	}()
 
 	var probeErr error
-	f := sumAllRanks(g.c.Table().Schema().R())
+	f := sumAllRanks(schema.R())
 	for _, p := range probes {
 		// Target the repaired cuboid: a condition over exactly its
 		// dimensions makes the planner read its cells. Sweep the first
 		// dimension's values until a cube-store read is charged.
-		card := g.c.Table().Schema().SelCard[p.dims[0]]
+		card := schema.SelCard[p.dims[0]]
 		var err error
 		for v := 0; v < card; v++ {
 			cond := Cond{}
