@@ -82,8 +82,9 @@ bench:
 
 # Perf-trajectory snapshot: run the canonical root benchmarks and record
 # them as BENCH_<short-hash>.json so future PRs can diff against this
-# commit. Override the set with BENCH_PATTERN='Fig5_|PublicAPI' etc.
-BENCH_PATTERN ?= Fig4_12|PublicAPI
+# commit. Override the set with BENCH_PATTERN='Fig5_|PublicAPI' etc. The
+# skyline rows also carry reads/op, states-generated/op and peak-heap.
+BENCH_PATTERN ?= Fig4_12|Fig7_03|Fig7_05|PublicAPI
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \

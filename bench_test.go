@@ -7,6 +7,7 @@
 package rankcube_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -558,15 +559,29 @@ func BenchmarkFig6_04_JoinDatabaseSize(b *testing.B) {
 // Chapter 7 — skylines
 // ---------------------------------------------------------------------------
 
+// reportSearch adds a search's I/O and heap counters, summed over the run in
+// total, to a benchmark's row: time alone does not say whether a change moved
+// work or block reads.
+func reportSearch(b *testing.B, total *stats.Counters) {
+	b.Helper()
+	b.ReportMetric(float64(total.TotalReads())/float64(b.N), "reads/op")
+	b.ReportMetric(float64(total.StatesGenerated)/float64(b.N), "states-generated/op")
+	b.ReportMetric(float64(total.PeakHeap), "peak-heap")
+}
+
 func benchSkyline(b *testing.B, q skyline.Query) {
 	b.Helper()
 	sigFixture()
+	total := stats.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := skylEng.Skyline(q, stats.New()); err != nil {
+		ctr := stats.New()
+		if _, _, err := skylEng.Skyline(q, ctr); err != nil {
 			b.Fatal(err)
 		}
+		total.Merge(ctr)
 	}
+	reportSearch(b, total)
 }
 
 func BenchmarkFig7_03_SkylineTime(b *testing.B) {
@@ -686,6 +701,34 @@ func BenchmarkPublicAPI_SignatureTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPublicAPI_SkylineSession is one OLAP navigation through the
+// canonical entry points: a skyline over an anti-correlated relation, a
+// drill-down that re-constructs its candidate heap, and a roll-up seeded with
+// the drill-down's skyline.
+func BenchmarkPublicAPI_SkylineSession(b *testing.B) {
+	rel := rankcube.GenerateRelation(50_000, 3, 3, 10, rankcube.AntiCorrelated, 9)
+	eng := rankcube.NewSkylineEngine(rankcube.BuildSignatureCube(rel, rankcube.SigOptions{}))
+	ctx := context.Background()
+	dims := []int{0, 1, 2}
+	total := stats.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := rankcube.NewMetrics()
+		_, snap, err := eng.Query(ctx, rankcube.Cond{0: int32(i % 10)}, dims, nil, rankcube.WithMetrics(m))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, snap, err = eng.DrillDownQuery(ctx, snap, rankcube.Cond{1: int32(i / 10 % 10)}, rankcube.WithMetrics(m)); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err = eng.RollUpQuery(ctx, snap, []int{0}, rankcube.WithMetrics(m)); err != nil {
+			b.Fatal(err)
+		}
+		total.Merge(m)
+	}
+	reportSearch(b, total)
 }
 
 // TestHarnessRegistryComplete pins the experiment inventory: every thesis

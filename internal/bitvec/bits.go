@@ -105,6 +105,26 @@ func (b *Bits) NextOne(i int) int {
 	return -1
 }
 
+// NextZero is NextOne for clear bits.
+func (b *Bits) NextZero(i int) int {
+	if i >= b.n {
+		return -1
+	}
+	w := i / 64
+	word := ^b.words[w] >> (uint(i) % 64)
+	for word == 0 {
+		if w++; w == len(b.words) {
+			return -1
+		}
+		i, word = w*64, ^b.words[w]
+	}
+	// The unused high bits of the last word are clear, and not positions.
+	if i += bits.TrailingZeros64(word); i < b.n {
+		return i
+	}
+	return -1
+}
+
 // SetAll resizes b to n bits, all set, reusing its storage.
 func (b *Bits) SetAll(n int) {
 	nw := (n + 63) / 64

@@ -1,7 +1,9 @@
 package bitvec
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,8 +118,9 @@ func roundtrip(t *testing.T, c *Codec, b *Bits) {
 	}
 }
 
-func TestCodecRoundtripHandPicked(t *testing.T) {
-	c := NewCodec(32)
+// handPicked is the edge-case half of the codec corpus: arrays for a codec
+// of fanout 32.
+func handPicked() []*Bits {
 	patterns := []string{
 		"1",
 		"0",
@@ -131,11 +134,34 @@ func TestCodecRoundtripHandPicked(t *testing.T) {
 		"00000000000000001111111111111111",
 		"10101010101010101010101010101010",
 	}
-	for _, p := range patterns {
-		b := NewBits(len(p))
+	out := make([]*Bits, len(patterns))
+	for k, p := range patterns {
+		out[k] = NewBits(len(p))
 		for i, ch := range p {
-			b.Set(i, ch == '1')
+			out[k].Set(i, ch == '1')
 		}
+	}
+	return out
+}
+
+// randomArrays is the other half: 200 arrays of random length up to m and
+// random density.
+func randomArrays(rng *rand.Rand, m int) []*Bits {
+	out := make([]*Bits, 200)
+	for k := range out {
+		n := 1 + rng.Intn(m)
+		out[k] = NewBits(n)
+		density := rng.Float64()
+		for i := 0; i < n; i++ {
+			out[k].Set(i, rng.Float64() < density)
+		}
+	}
+	return out
+}
+
+func TestCodecRoundtripHandPicked(t *testing.T) {
+	c := NewCodec(32)
+	for _, b := range handPicked() {
 		roundtrip(t, c, b)
 	}
 }
@@ -144,14 +170,70 @@ func TestCodecRoundtripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, m := range []int{8, 32, 204} {
 		c := NewCodec(m)
-		for trial := 0; trial < 200; trial++ {
-			n := 1 + rng.Intn(m)
-			b := NewBits(n)
-			density := rng.Float64()
-			for i := 0; i < n; i++ {
-				b.Set(i, rng.Float64() < density)
-			}
+		for _, b := range randomArrays(rng, m) {
 			roundtrip(t, c, b)
+		}
+	}
+}
+
+// TestCodecGoldenBytes pins the encoder's output: the digest, per scheme and
+// for adaptive selection, of every encoding of the corpus above, taken from
+// the encoder that materialized marked positions into slices. An encoder that
+// walks them in place has to write the same bytes.
+func TestCodecGoldenBytes(t *testing.T) {
+	type item struct {
+		c *Codec
+		b *Bits
+	}
+	var corpus []item
+	c32 := NewCodec(32)
+	for _, b := range handPicked() {
+		corpus = append(corpus, item{c32, b})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, m := range []int{8, 32, 204} {
+		c := NewCodec(m)
+		for _, b := range randomArrays(rng, m) {
+			corpus = append(corpus, item{c, b})
+		}
+	}
+	const adaptive = -1
+	golden := []struct {
+		scheme int
+		n      int
+		digest string
+	}{
+		{SchemeBL, 611, "339f2febe2d2877b"},
+		{SchemePISparse, 450, "5bbb98d29146a965"},
+		{SchemePIDense, 457, "51db12b0f919bf42"},
+		{SchemeRLSparse, 611, "0ea2fa494937e3ad"},
+		{SchemeRLDense, 611, "f949b1609cb01bab"},
+		{SchemePCSparse, 501, "ec36f55eeedd53b8"},
+		{SchemePCDense, 501, "415424147da99902"},
+		{adaptive, 611, "13dd108aac844852"},
+	}
+	for _, g := range golden {
+		h := sha256.New()
+		n := 0
+		for _, it := range corpus {
+			var w Writer
+			if g.scheme == adaptive {
+				it.c.Encode(&w, it.b)
+			} else {
+				if _, ok := it.c.regionBits(it.b, g.scheme); !ok {
+					continue
+				}
+				it.c.EncodeWith(&w, it.b, g.scheme)
+			}
+			fmt.Fprintf(h, "%d:%x;", w.Len(), w.Bytes())
+			n++
+		}
+		name := "adaptive"
+		if g.scheme != adaptive {
+			name = SchemeName(g.scheme)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); n != g.n || got != g.digest {
+			t.Errorf("%s: %d encodings digest %s, golden %d encodings digest %s", name, n, got, g.n, g.digest)
 		}
 	}
 }
@@ -246,9 +328,22 @@ func TestNextOneSetAllNot(t *testing.T) {
 		if count != n {
 			t.Fatalf("SetAll(%d): NextOne enumerated %d bits", n, count)
 		}
+		if z := b.NextZero(0); z != -1 {
+			t.Fatalf("SetAll(%d): NextZero found a clear bit at %d", n, z)
+		}
 		b.Not()
 		if b.Any() || b.NextOne(0) != -1 {
 			t.Fatalf("Not of all-ones (%d) left bits set", n)
+		}
+		zeros := 0
+		for i := b.NextZero(0); i >= 0; i = b.NextZero(i + 1) {
+			if i != zeros {
+				t.Fatalf("all-zeros (%d): NextZero skipped from %d to %d", n, zeros, i)
+			}
+			zeros++
+		}
+		if zeros != n {
+			t.Fatalf("all-zeros (%d): NextZero enumerated %d bits", n, zeros)
 		}
 	}
 	// Shrinking reuses storage without leaking the old tail.
@@ -267,6 +362,14 @@ func TestNextOneSetAllNot(t *testing.T) {
 	}
 	if len(got) != 4 || got[0] != 0 || got[1] != 63 || got[2] != 64 || got[3] != 149 {
 		t.Fatalf("NextOne enumeration = %v", got)
+	}
+	s.Not()
+	got = got[:0]
+	for i := s.NextZero(0); i >= 0; i = s.NextZero(i + 1) {
+		got = append(got, i)
+	}
+	if len(got) != 4 || got[0] != 0 || got[1] != 63 || got[2] != 64 || got[3] != 149 {
+		t.Fatalf("NextZero enumeration of the complement = %v", got)
 	}
 }
 

@@ -244,43 +244,41 @@ func (c *Codec) writeRegion(w *Writer, b *Bits, scheme int) {
 			w.WriteBit(b.Get(i))
 		}
 	case SchemePISparse, SchemePIDense:
-		for _, pos := range c.positions(b, dense) {
+		for pos := nextMarked(b, 0, dense); pos >= 0; pos = nextMarked(b, pos+1, dense) {
 			w.WriteBits(uint64(pos), c.nbits)
 		}
 	case SchemeRLSparse, SchemeRLDense:
 		prev := -1
-		for _, pos := range c.positions(b, dense) {
+		for pos := nextMarked(b, 0, dense); pos >= 0; pos = nextMarked(b, pos+1, dense) {
 			c.writeGamma(w, pos-prev-1)
 			prev = pos
 		}
 	case SchemePCSparse, SchemePCDense:
 		p := c.prefixBits()
-		sbits := c.nbits - p
-		positions := c.positions(b, dense)
-		for i := 0; i < len(positions); {
-			prefix := positions[i] >> uint(sbits)
-			j := i
-			for j < len(positions) && positions[j]>>uint(sbits) == prefix {
-				j++
+		sbits := uint(c.nbits - p)
+		for pos := nextMarked(b, 0, dense); pos >= 0; {
+			// A group is the marked positions sharing a prefix: its size goes
+			// ahead of its suffixes, so the group is walked twice.
+			prefix, size := pos>>sbits, 0
+			for q := pos; q >= 0 && q>>sbits == prefix; q = nextMarked(b, q+1, dense) {
+				size++
 			}
 			w.WriteBits(uint64(prefix), p)
-			w.WriteBits(uint64(j-i-1), sbits)
-			for ; i < j; i++ {
-				w.WriteBits(uint64(positions[i]&(1<<uint(sbits)-1)), sbits)
+			w.WriteBits(uint64(size-1), int(sbits))
+			for ; pos >= 0 && pos>>sbits == prefix; pos = nextMarked(b, pos+1, dense) {
+				w.WriteBits(uint64(pos&(1<<sbits-1)), int(sbits))
 			}
 		}
 	}
 }
 
-// positions lists marked positions: the 1s (sparse) or the 0s (dense).
-func (c *Codec) positions(b *Bits, dense bool) []int {
-	out := make([]int, 0, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		if b.Get(i) != dense {
-			out = append(out, i)
-		}
+// nextMarked returns the first marked position of b at or after i — a 1 under
+// a sparse scheme, a 0 under a dense one — or -1 when none remains.
+func nextMarked(b *Bits, i int, dense bool) int {
+	if dense {
+		return b.NextZero(i)
 	}
-	return out
+	return b.NextOne(i)
 }
 
 func (c *Codec) count(b *Bits, dense bool) int {
@@ -294,27 +292,26 @@ func (c *Codec) count(b *Bits, dense bool) int {
 func (c *Codec) runBits(b *Bits, dense bool) int {
 	total := 0
 	prev := -1
-	for _, pos := range c.positions(b, dense) {
+	for pos := nextMarked(b, 0, dense); pos >= 0; pos = nextMarked(b, pos+1, dense) {
 		total += gammaBits(pos - prev - 1)
 		prev = pos
 	}
 	return total
 }
 
-// pcBits sizes the PC payload.
+// pcBits sizes the PC payload: a prefix and a size per group, a suffix per
+// marked position.
 func (c *Codec) pcBits(b *Bits, dense bool) int {
 	p := c.prefixBits()
 	sbits := c.nbits - p
-	positions := c.positions(b, dense)
 	total := 0
-	for i := 0; i < len(positions); {
-		prefix := positions[i] >> uint(sbits)
-		j := i
-		for j < len(positions) && positions[j]>>uint(sbits) == prefix {
-			j++
+	last := -1
+	for pos := nextMarked(b, 0, dense); pos >= 0; pos = nextMarked(b, pos+1, dense) {
+		if prefix := pos >> uint(sbits); prefix != last {
+			total += p + sbits
+			last = prefix
 		}
-		total += p + sbits + (j-i)*sbits
-		i = j
+		total += sbits
 	}
 	return total
 }

@@ -29,7 +29,7 @@ func (e *Engine) ScanSkyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot,
 		if !e.cube.Alive(tid) || !t.Matches(tid, q.Cond) {
 			continue
 		}
-		pt := q.point(t.RankRow(tid, buf), nil)
+		pt := q.appendPoint(nil, t.RankRow(tid, buf))
 		cands = append(cands, Result{TID: tid, Coord: pt})
 	}
 	var sky []Result

@@ -13,11 +13,11 @@ package skyline
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
-	"rankcube/internal/heap"
-	"rankcube/internal/hindex"
 	"rankcube/internal/ranking"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/signature"
@@ -34,59 +34,44 @@ type Query struct {
 	Target []float64
 }
 
-// transform maps a raw coordinate into preference space.
-func (q Query) transform(d int, v float64) float64 {
-	if q.Target == nil {
-		return v
-	}
-	t := v - q.Target[d]
-	if t < 0 {
-		return -t
-	}
-	return t
-}
-
-// lowerCorner computes the per-dimension minima of a box in preference
+// appendCorner appends to dst the per-dimension minima of a box in preference
 // space — the point BBS sorts and prunes by.
-func (q Query) lowerCorner(box ranking.Box, out []float64) []float64 {
-	out = out[:0]
+func (q Query) appendCorner(dst []float64, box ranking.Box) []float64 {
 	for i, d := range q.Dims {
 		if q.Target == nil {
-			out = append(out, box.Lo[d])
+			dst = append(dst, box.Lo[d])
 			continue
 		}
 		t := q.Target[i]
 		switch {
 		case t < box.Lo[d]:
-			out = append(out, box.Lo[d]-t)
+			dst = append(dst, box.Lo[d]-t)
 		case t > box.Hi[d]:
-			out = append(out, t-box.Hi[d])
+			dst = append(dst, t-box.Hi[d])
 		default:
-			out = append(out, 0)
+			dst = append(dst, 0)
 		}
 	}
-	return out
+	return dst
 }
 
 // Point extracts a tuple's preference-space coordinates (identity for
-// static skylines, |x−target| for dynamic ones). Exposed for reference
-// implementations and the benchmark harness.
+// static skylines, |x−target| for dynamic ones) into out[:0]. Exposed for
+// reference implementations and the benchmark harness.
 func (q Query) Point(vals []float64, out []float64) []float64 {
-	return q.point(vals, out)
+	return q.appendPoint(out[:0], vals)
 }
 
-// point extracts a tuple's preference-space coordinates.
-func (q Query) point(vals []float64, out []float64) []float64 {
-	out = out[:0]
+// appendPoint appends a tuple's preference-space coordinates to dst.
+func (q Query) appendPoint(dst, vals []float64) []float64 {
 	for i, d := range q.Dims {
 		v := vals[d]
 		if q.Target != nil {
-			v = q.transform(i, v)
-			_ = i
+			v = math.Abs(v - q.Target[i])
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
 // dominates reports whether a strictly dominates b (≤ everywhere, < once).
@@ -120,27 +105,13 @@ type Result struct {
 	Coord []float64 // preference-space coordinates
 }
 
-// entry is a candidate heap element: an index node or a tuple with its
-// preference-space lower corner and mindist key.
-type entry struct {
-	mindist float64
-	isTuple bool
-	node    hindex.NodeID
-	tid     table.TID
-	path    []int
-	corner  []float64
-}
-
-func lessEntry(a, b entry) bool {
-	if a.mindist != b.mindist {
-		return a.mindist < b.mindist
-	}
-	return a.isTuple && !b.isTuple
-}
-
 // Engine runs skyline queries over a signature ranking-cube.
 type Engine struct {
 	cube *sigcube.Cube
+	// arenas recycles the candidate storage of finished searches: a query
+	// fills about a megabyte of it, and growing that from nothing every time
+	// cost as much as the search itself.
+	arenas sync.Pool
 }
 
 // NewEngine wraps a built cube.
@@ -151,19 +122,40 @@ func NewEngine(cube *sigcube.Cube) *Engine { return &Engine{cube: cube} }
 // lock + admission gate).
 func (e *Engine) Cube() *sigcube.Cube { return e.cube }
 
-// Snapshot preserves a finished query's pruned-but-boolean-passing
-// candidates and skyline so OLAP navigation (drill-down/roll-up) can
-// re-construct its candidate heap instead of restarting (fig. 7.2).
+// Snapshot preserves a finished query's skyline and the candidates it pruned
+// by domination so OLAP navigation (drill-down/roll-up) can re-construct its
+// candidate heap instead of restarting (fig. 7.2).
 type Snapshot struct {
 	query   Query
 	skyline []Result
-	// pruned holds entries discarded by domination (not by boolean
-	// pruning): under a tightened predicate their dominators may vanish.
-	pruned []entry
+	// pruned holds the nodes and tuples the search discarded because a skyline
+	// member dominated them and that it did not know to fail the boolean
+	// test: under a tightened predicate their dominators may vanish. Some were
+	// never put to the signature at all; a child whose bit the search had seen
+	// clear is not here, since no tighter predicate can revive it. The i-th
+	// entry's corner is corners[i*len(query.Dims):][:len(query.Dims)] — the
+	// snapshot's own storage, not the finished search's.
+	pruned  []prunedEntry
+	corners []float64
 	// degraded marks snapshots produced by the fallback scan: they carry
 	// no pruned-candidate basis, so navigation restarts from scratch
 	// instead of re-constructing the heap.
 	degraded bool
+}
+
+// prunedEntry is one domination-pruned candidate: a node or tuple of the
+// partition, its SID and its mindist.
+type prunedEntry struct {
+	mindist float64
+	sid     uint64
+	ref     int32
+	isTuple bool
+}
+
+// keep records a domination-pruned candidate.
+func (s *Snapshot) keep(en prunedEntry, corner []float64) {
+	s.pruned = append(s.pruned, en)
+	s.corners = append(s.corners, corner...)
 }
 
 // Degraded reports whether this snapshot came from the fallback scan
@@ -213,16 +205,10 @@ func (e *Engine) SkylineWithTester(q Query, tester signature.Tester, ctr *stats.
 		return nil, nil, err
 	}
 	snap := &Snapshot{query: q}
-	rt := e.cube.Tree()
-	if rt.Root() == hindex.InvalidNode {
-		return nil, snap, nil
-	}
-	h := heap.New[entry](lessEntry)
-	rootCorner := q.lowerCorner(rt.NodeBox(rt.Root()), nil)
-	h.Push(entry{mindist: sum(rootCorner), node: rt.Root(), corner: rootCorner})
-	sky := e.run(q, tester, h, nil, snap, ctr)
-	snap.skyline = sky
-	return sky, snap, nil
+	s := e.newSearch(q, tester, nil, snap, ctr)
+	s.pushRoot()
+	snap.skyline = s.run()
+	return snap.skyline, snap, nil
 }
 
 // Skyline answers q from scratch.
@@ -230,98 +216,21 @@ func (e *Engine) Skyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot, err
 	if err := e.validate(q); err != nil {
 		return nil, nil, err
 	}
-	endTester := ctr.StartSpan("tester")
-	tester, any, err := e.cube.TesterFor(q.Cond, ctr)
-	endTester()
+	tester, any, err := e.testerFor(q, ctr)
 	if err != nil {
 		return nil, nil, err
 	}
-	snap := &Snapshot{query: q}
 	if !any {
-		return nil, snap, nil
+		return nil, &Snapshot{query: q}, nil
 	}
-	rt := e.cube.Tree()
-	if rt.Root() == hindex.InvalidNode {
-		return nil, snap, nil
-	}
-	h := heap.New[entry](lessEntry)
-	rootCorner := q.lowerCorner(rt.NodeBox(rt.Root()), nil)
-	h.Push(entry{mindist: sum(rootCorner), node: rt.Root(), corner: rootCorner})
-	sky := e.run(q, tester, h, nil, snap, ctr)
-	snap.skyline = sky
-	return sky, snap, nil
+	return e.SkylineWithTester(q, tester, ctr)
 }
 
-// run is the BBS loop shared by fresh queries and heap re-construction.
-func (e *Engine) run(q Query, tester signature.Tester, h *heap.Heap[entry], sky []Result, snap *Snapshot, ctr *stats.Counters) []Result {
-	defer ctr.StartSpan("search")()
-	rt := e.cube.Tree()
-	acc := hindex.NewAccessor(rt, ctr)
-	var corner []float64
-	for h.Len() > 0 {
-		ctr.ObserveHeap(h.Len())
-		en := h.Pop()
-		ctr.StatesExamined++
-		// Domination pruning (fig. 7.1): a candidate whose best corner is
-		// weakly dominated by a skyline point cannot contribute.
-		if prunedBy(sky, en) {
-			ctr.DominationPruned++
-			if snap != nil {
-				snap.pruned = append(snap.pruned, en)
-			}
-			continue
-		}
-		// Boolean pruning through the signature.
-		if !tester.Test(en.path) {
-			ctr.Pruned++
-			continue
-		}
-		if en.isTuple {
-			sky = append(sky, Result{TID: en.tid, Coord: en.corner})
-			continue
-		}
-		if rt.IsLeaf(en.node) {
-			for slot, le := range acc.LeafEntries(en.node) {
-				pt := q.point(le.Point, nil)
-				h.Push(entry{
-					mindist: sum(pt),
-					isTuple: true,
-					tid:     le.TID,
-					path:    childPath(en.path, slot),
-					corner:  pt,
-				})
-				ctr.StatesGenerated++
-			}
-			continue
-		}
-		for slot, ch := range acc.Children(en.node) {
-			corner = q.lowerCorner(ch.Box, corner)
-			cc := append([]float64(nil), corner...)
-			h.Push(entry{
-				mindist: sum(cc),
-				node:    ch.ID,
-				path:    childPath(en.path, slot),
-				corner:  cc,
-			})
-			ctr.StatesGenerated++
-		}
-	}
-	return sky
-}
-
-// prunedBy applies the domination test against the current skyline: strict
-// domination for tuples, weak domination of the best corner for nodes.
-func prunedBy(sky []Result, en entry) bool {
-	for i := range sky {
-		if en.isTuple {
-			if dominates(sky[i].Coord, en.corner) {
-				return true
-			}
-		} else if weaklyDominates(sky[i].Coord, en.corner) {
-			return true
-		}
-	}
-	return false
+// testerFor assembles the cube's tester for q's predicate under a span of its
+// own; any is false when the predicate's cell is empty.
+func (e *Engine) testerFor(q Query, ctr *stats.Counters) (tester signature.Tester, any bool, err error) {
+	defer ctr.StartSpan("tester")()
+	return e.cube.TesterFor(q.Cond, ctr)
 }
 
 // DrillDown answers the previous query tightened with extra predicates by
@@ -338,9 +247,7 @@ func (e *Engine) DrillDown(prev *Snapshot, extra core.Cond, ctr *stats.Counters)
 	if prev.degraded {
 		return e.Skyline(q, ctr)
 	}
-	endTester := ctr.StartSpan("tester")
-	tester, any, err := e.cube.TesterFor(q.Cond, ctr)
-	endTester()
+	tester, any, err := e.testerFor(q, ctr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -362,21 +269,27 @@ func (e *Engine) DrillDown(prev *Snapshot, extra core.Cond, ctr *stats.Counters)
 		}
 	}
 	// Domination-pruned entries re-enter only when every dominator they had
-	// may have vanished: entries still weakly dominated by a survivor stay
-	// pruned (and stay recorded for further drill-downs).
-	h := heap.New[entry](lessEntry)
-	for _, en := range prev.pruned {
-		if prunedBy(survivors, en) {
+	// may have vanished: entries still dominated by a survivor stay pruned
+	// (and stay recorded for further drill-downs). The others are put to the
+	// tightened predicate's signature when their turn comes.
+	s := e.newSearch(q, tester, survivors, snap, ctr)
+	d := len(q.Dims)
+	var back []int
+	for i, en := range prev.pruned {
+		switch corner := prev.corners[i*d : (i+1)*d]; {
+		case s.dominated(corner, en.isTuple):
 			ctr.DominationPruned++
-			snap.pruned = append(snap.pruned, en)
-			continue
+			snap.keep(en, corner)
+		case en.sid == 0:
+			s.pushRoot()
+		default:
+			back = append(back, i)
 		}
-		h.Push(en)
 	}
+	s.reenter(prev, back)
 	endReheap()
-	sky := e.run(q, tester, h, survivors, snap, ctr)
-	snap.skyline = sky
-	return sky, snap, nil
+	snap.skyline = s.run()
+	return snap.skyline, snap, nil
 }
 
 // RollUp answers the previous query with the predicates on the given
@@ -389,9 +302,7 @@ func (e *Engine) RollUp(prev *Snapshot, removeDims []int, ctr *stats.Counters) (
 	if prev.degraded {
 		return e.Skyline(q, ctr)
 	}
-	endTester := ctr.StartSpan("tester")
-	tester, any, err := e.cube.TesterFor(q.Cond, ctr)
-	endTester()
+	tester, any, err := e.testerFor(q, ctr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -399,17 +310,14 @@ func (e *Engine) RollUp(prev *Snapshot, removeDims []int, ctr *stats.Counters) (
 	if !any {
 		return nil, snap, nil
 	}
-	rt := e.cube.Tree()
-	h := heap.New[entry](lessEntry)
-	rootCorner := q.lowerCorner(rt.NodeBox(rt.Root()), nil)
-	h.Push(entry{mindist: sum(rootCorner), node: rt.Root(), corner: rootCorner})
 	// Seeding: the previous skyline members all satisfy the relaxed
 	// predicate, so they are legitimate pruners from the first pop — the
 	// payoff of heap/skyline reuse. They may themselves be dominated by
 	// newly admitted tuples, so the result is cleaned afterwards.
 	seeds := append([]Result(nil), prev.skyline...)
-	sky := e.run(q, tester, h, seeds, snap, ctr)
-	snap.skyline = cleanDominated(dedupe(sky))
+	s := e.newSearch(q, tester, seeds, snap, ctr)
+	s.pushRoot()
+	snap.skyline = cleanDominated(dedupe(s.run()))
 	return snap.skyline, snap, nil
 }
 
@@ -467,11 +375,4 @@ func sum(v []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-func childPath(parent []int, slot int) []int {
-	out := make([]int, len(parent)+1)
-	copy(out, parent)
-	out[len(parent)] = slot + 1
-	return out
 }

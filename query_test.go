@@ -2,6 +2,9 @@ package rankcube_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -205,5 +208,86 @@ func TestSlowQueryLogEndToEnd(t *testing.T) {
 	rankcube.WriteSlowQueryLog(&sb)
 	if !strings.Contains(sb.String(), "sig.topk") {
 		t.Fatalf("WriteSlowQueryLog output missing the entry:\n%s", sb.String())
+	}
+}
+
+// skylineIDs renders a skyline as its sorted (tuple, coordinates) set.
+func skylineIDs(res []rankcube.SkylineResult) []string {
+	out := make([]string, len(res))
+	for i, r := range res {
+		out[i] = fmt.Sprint(r.TID, r.Coord)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func unionCond(parts ...rankcube.Cond) rankcube.Cond {
+	out := rankcube.Cond{}
+	for _, part := range parts {
+		for d, v := range part {
+			out[d] = v
+		}
+	}
+	return out
+}
+
+func condDims(c rankcube.Cond) []int {
+	var dims []int
+	for d := range c {
+		dims = append(dims, d)
+	}
+	return dims
+}
+
+// TestSkylineNavigationChains pins the metamorphic relations of OLAP
+// navigation on hard (anti-correlated, 3-d) skylines, through the canonical
+// entry points: drilling down twice equals the skyline of the conjunction —
+// the second hop re-constructs its heap from a snapshot a drill-down wrote —
+// and rolling a drill-down's predicate up again equals the query it started
+// from.
+func TestSkylineNavigationChains(t *testing.T) {
+	ctx := context.Background()
+	rel := rankcube.GenerateRelation(8000, 3, 3, 4, rankcube.AntiCorrelated, 131)
+	dims := []int{0, 1, 2}
+	for name, opts := range map[string]rankcube.SigOptions{
+		"atomic":  {Fanout: 12},
+		"cell":    {Fanout: 12, Cuboids: [][]int{{0}, {1}, {2}, {0, 1}}},
+		"default": {},
+	} {
+		eng := rankcube.NewSkylineEngine(rankcube.BuildSignatureCube(rel, opts))
+		for _, c := range []struct{ cond, a, b rankcube.Cond }{
+			{rankcube.Cond{0: 1}, rankcube.Cond{1: 2}, rankcube.Cond{2: 3}},
+			{rankcube.Cond{2: 0}, rankcube.Cond{0: 3}, rankcube.Cond{1: 1}},
+			{rankcube.Cond{}, rankcube.Cond{1: 0}, rankcube.Cond{0: 2}},
+		} {
+			what := fmt.Sprintf("%s %v+%v+%v", name, c.cond, c.a, c.b)
+			check := func(step string, got []rankcube.SkylineResult, err error, want []rankcube.SkylineResult) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %s: %v", what, step, err)
+				}
+				if g, w := skylineIDs(got), skylineIDs(want); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s: %s gives %v, want %v", what, step, g, w)
+				}
+			}
+			fresh := func(cond rankcube.Cond) []rankcube.SkylineResult {
+				t.Helper()
+				res, _, err := eng.Query(ctx, cond, dims, nil)
+				if err != nil {
+					t.Fatalf("%s: %v: %v", what, cond, err)
+				}
+				return res
+			}
+			base, s0, err := eng.Query(ctx, c.cond, dims, nil)
+			check("query", base, err, base)
+			one, s1, err := eng.DrillDownQuery(ctx, s0, c.a)
+			check("drill-down", one, err, fresh(unionCond(c.cond, c.a)))
+			two, s2, err := eng.DrillDownQuery(ctx, s1, c.b)
+			check("second drill-down", two, err, fresh(unionCond(c.cond, c.a, c.b)))
+			up, _, err := eng.RollUpQuery(ctx, s1, condDims(c.a))
+			check("roll-up of the drill-down", up, err, base)
+			upTwo, _, err := eng.RollUpQuery(ctx, s2, condDims(c.b))
+			check("roll-up of the second drill-down", upTwo, err, one)
+		}
 	}
 }
