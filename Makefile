@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race chaos fuzz bench-check check bench bench-json clean
+.PHONY: all build vet fmt-check lint lint-json test race chaos fuzz bench-check check bench bench-json clean
 
 all: check
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over the whole tree, the nested benchmark module included, must have
+# nothing to say.
+fmt-check:
+	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # rankvet (cmd/rankvet, analyzers in internal/analysis) mechanically
 # enforces the engine safety invariants: no raw panics, threaded contexts
@@ -74,7 +79,7 @@ bench-check:
 			|| { echo "traced pass of $$w does not reproduce the public path"; exit 1; }; \
 	done
 
-check: build vet lint race chaos fuzz bench-check
+check: build vet fmt-check lint race chaos fuzz bench-check
 
 # Quick smoke of the benchmark harness (full runs via cmd/rankbench).
 bench:
@@ -83,8 +88,9 @@ bench:
 # Perf-trajectory snapshot: run the canonical root benchmarks and record
 # them as BENCH_<short-hash>.json so future PRs can diff against this
 # commit. Override the set with BENCH_PATTERN='Fig5_|PublicAPI' etc. The
-# skyline rows also carry reads/op, states-generated/op and peak-heap.
-BENCH_PATTERN ?= Fig4_12|Fig7_03|Fig7_05|PublicAPI
+# skyline rows also carry reads/op, states-generated/op and peak-heap, the
+# churn row the signature pages read per write and the store's pages.
+BENCH_PATTERN ?= Fig4_11|Fig4_12|Fig7_03|Fig7_05|PublicAPI
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \

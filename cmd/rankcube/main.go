@@ -50,10 +50,10 @@ import (
 
 func main() {
 	var (
-		gen    = flag.Int("gen", 0, "generate a synthetic relation with this many rows")
-		csvIn  = flag.String("csv", "", "load a relation from this CSV file (header row required)")
-		selN   = flag.Int("sel", 2, "number of leading CSV columns treated as selection dimensions")
-		seed   = flag.Int64("seed", 1, "generator seed")
+		gen     = flag.Int("gen", 0, "generate a synthetic relation with this many rows")
+		csvIn   = flag.String("csv", "", "load a relation from this CSV file (header row required)")
+		selN    = flag.Int("sel", 2, "number of leading CSV columns treated as selection dimensions")
+		seed    = flag.Int64("seed", 1, "generator seed")
 		selDim  = flag.Int("seldims", 3, "selection dimensions for -gen")
 		rnkDim  = flag.Int("rankdims", 2, "ranking dimensions for -gen")
 		card    = flag.Int("card", 10, "selection cardinality for -gen")

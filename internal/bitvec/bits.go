@@ -45,6 +45,20 @@ func (b *Bits) setField(i int, v uint64) {
 	b.words[i/64] |= v << (uint(i) % 64)
 }
 
+// field returns the n ≤ 32 bits from position i on, i a multiple of 32 —
+// setField's inverse, for encoders.
+func (b *Bits) field(i, n int) uint64 {
+	return b.words[i/64] >> (uint(i) % 64) & (1<<uint(n) - 1)
+}
+
+// Grow widens b to n bits, the new positions clear.
+func (b *Bits) Grow(n int) {
+	for len(b.words) < (n+63)/64 {
+		b.words = append(b.words, 0)
+	}
+	b.n = n
+}
+
 // Ones reports the number of set bits.
 func (b *Bits) Ones() int {
 	c := 0
@@ -63,26 +77,6 @@ func (b *Bits) OnesPositions() []int {
 		}
 	}
 	return out
-}
-
-// LastOne returns the index of the highest set bit, or -1 when none.
-func (b *Bits) LastOne() int {
-	for i := b.n - 1; i >= 0; i-- {
-		if b.Get(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// LastZero returns the index of the highest clear bit, or -1 when none.
-func (b *Bits) LastZero() int {
-	for i := b.n - 1; i >= 0; i-- {
-		if !b.Get(i) {
-			return i
-		}
-	}
-	return -1
 }
 
 // NextOne returns the index of the first set bit at or after i, or -1 when
@@ -224,26 +218,37 @@ type Writer struct {
 	nbit int
 }
 
-// WriteBits appends the low width bits of v.
+// Reset empties the writer, keeping its buffer for the next encoding.
+func (w *Writer) Reset() { w.buf, w.nbit = w.buf[:0], 0 }
+
+// WriteBits appends the low width bits of v (at most 64): the open bits of
+// the last byte first, then the rest as one little-endian word cut to
+// length — the mirror of the Reader's eight-byte load.
 func (w *Writer) WriteBits(v uint64, width int) {
-	for i := 0; i < width; i++ {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		if v&(1<<uint(i)) != 0 {
-			w.buf[w.nbit/8] |= 1 << (uint(w.nbit) % 8)
-		}
-		w.nbit++
+	if width < 64 {
+		v &= 1<<uint(width) - 1
+	}
+	off := uint(w.nbit) % 8
+	w.nbit += width
+	if off != 0 {
+		w.buf[len(w.buf)-1] |= byte(v << off)
+		v >>= 8 - off
+		width -= int(8 - off)
+	}
+	if width > 0 {
+		n := len(w.buf) + (width+7)/8
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)[:n]
 	}
 }
 
-// WriteBit appends a single bit.
-func (w *Writer) WriteBit(v bool) {
-	if v {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
+// Copy appends the n bits of buf from bit offset off on: an encoding lifted
+// verbatim from the page it was read from.
+func (w *Writer) Copy(buf []byte, off, n int) {
+	r := Reader{buf: buf, pos: off}
+	for ; n > 56; n -= 56 {
+		w.WriteBits(r.ReadBits(56), 56)
 	}
+	w.WriteBits(r.ReadBits(n), n)
 }
 
 // Len reports the number of bits written.
@@ -309,9 +314,6 @@ func (r *Reader) ReadUnary(limit int) int {
 	r.pos = pos + ones + 1
 	return ones
 }
-
-// ReadBit consumes one bit.
-func (r *Reader) ReadBit() bool { return r.ReadBits(1) == 1 }
 
 // Pos reports the current bit offset.
 func (r *Reader) Pos() int { return r.pos }

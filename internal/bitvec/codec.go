@@ -68,6 +68,7 @@ type Codec struct {
 	m       int
 	nbits   int // position width: bits to address [0, M)
 	lenBits int // width of the Len field
+	pbits   int // PC prefix width
 }
 
 // NewCodec returns a codec for node arrays of length at most m (m ≥ 2).
@@ -80,7 +81,7 @@ func NewCodec(m int) *Codec {
 	// Coding regions are capped at nbits + 2m bits; BL (nbits + b ≤ nbits+m)
 	// always fits, so adaptive selection can always fall back.
 	regionCap := nbits + 2*m
-	return &Codec{m: m, nbits: nbits, lenBits: BitsFor(regionCap + 1)}
+	return &Codec{m: m, nbits: nbits, lenBits: BitsFor(regionCap + 1), pbits: prefixBits(nbits)}
 }
 
 // M reports the maximum array length.
@@ -94,31 +95,37 @@ func (c *Codec) regionCap() int { return c.nbits + 2*c.m }
 // Encode writes b with the scheme yielding the smallest region ("adaptively
 // choose the best coding scheme", §4.2.2) and returns the scheme used.
 func (c *Codec) Encode(w *Writer, b *Bits) int {
-	best, bestBits := SchemeBL, math.MaxInt
+	best, n := c.choose(b)
+	c.encode(w, b, best, n)
+	return best
+}
+
+// choose sizes b under each scheme and returns the first with the smallest
+// region, and that size. A scheme that spends at least a bit (RL), a suffix
+// (PC) or a position (PI) on every marked slot is not walked when that alone
+// cannot beat the best so far.
+func (c *Codec) choose(b *Bits) (best, bestBits int) {
+	best, bestBits = SchemeBL, math.MaxInt
+	per := [4]int{0, c.nbits, 1, c.nbits - c.pbits} // by method: BL, PI, RL, PC
+	marked := [2]int{b.Ones(), b.Len() - b.Ones()}  // sparse, dense
 	for _, s := range allSchemes {
+		if c.nbits+marked[s&1]*per[s>>1] >= bestBits {
+			continue
+		}
 		if n, ok := c.regionBits(b, s); ok && n < bestBits {
 			best, bestBits = s, n
 		}
 	}
-	c.EncodeWith(w, b, best)
-	return best
+	if bestBits == math.MaxInt {
+		//lint:invariant BL fits every array of 1..M slots; a miss is a node the partition cannot have
+		panic(fmt.Sprintf("bitvec: no coding for a %d-slot array under fanout %d", b.Len(), c.m))
+	}
+	return best, bestBits
 }
 
 // EncodeBaseline writes b with the baseline scheme only (the "Baseline"
 // series of thesis fig. 4.10).
 func (c *Codec) EncodeBaseline(w *Writer, b *Bits) { c.EncodeWith(w, b, SchemeBL) }
-
-// EncodedBits reports the total encoded size in bits (header + region) of b
-// under adaptive selection, without writing.
-func (c *Codec) EncodedBits(b *Bits) int {
-	bestBits := math.MaxInt
-	for _, s := range allSchemes {
-		if n, ok := c.regionBits(b, s); ok && n < bestBits {
-			bestBits = n
-		}
-	}
-	return c.HeaderBits() + bestBits
-}
 
 // EncodeWith writes b under an explicit scheme. It panics if the region
 // exceeds the codec's cap (callers select schemes via Encode).
@@ -128,6 +135,11 @@ func (c *Codec) EncodeWith(w *Writer, b *Bits, scheme int) {
 		//lint:invariant Encode pre-selects a scheme that fits; a miss is a codec bug
 		panic(fmt.Sprintf("bitvec: %s region for %d-bit array exceeds cap", SchemeName(scheme), b.Len()))
 	}
+	c.encode(w, b, scheme, n)
+}
+
+// encode writes b under scheme, whose region regionBits sized at n bits.
+func (c *Codec) encode(w *Writer, b *Bits, scheme, n int) {
 	w.WriteBits(uint64(scheme), 3)
 	w.WriteBits(uint64(n-1), c.lenBits)
 	start := w.Len()
@@ -182,7 +194,7 @@ func (c *Codec) DecodeIn(r *Reader, a *Arena) *Bits {
 			i++
 		}
 	case SchemePCSparse, SchemePCDense:
-		p := c.prefixBits()
+		p := c.pbits
 		sbits := c.nbits - p
 		for r.Pos() < end {
 			prefix := int(r.ReadBits(p))
@@ -240,8 +252,9 @@ func (c *Codec) writeRegion(w *Writer, b *Bits, scheme int) {
 	dense := scheme&1 == 1
 	switch scheme {
 	case SchemeBL:
-		for i := 0; i < b.Len(); i++ {
-			w.WriteBit(b.Get(i))
+		for i := 0; i < b.Len(); i += 32 {
+			n := min(b.Len()-i, 32)
+			w.WriteBits(b.field(i, n), n)
 		}
 	case SchemePISparse, SchemePIDense:
 		for pos := nextMarked(b, 0, dense); pos >= 0; pos = nextMarked(b, pos+1, dense) {
@@ -254,7 +267,7 @@ func (c *Codec) writeRegion(w *Writer, b *Bits, scheme int) {
 			prev = pos
 		}
 	case SchemePCSparse, SchemePCDense:
-		p := c.prefixBits()
+		p := c.pbits
 		sbits := uint(c.nbits - p)
 		for pos := nextMarked(b, 0, dense); pos >= 0; {
 			// A group is the marked positions sharing a prefix: its size goes
@@ -302,7 +315,7 @@ func (c *Codec) runBits(b *Bits, dense bool) int {
 // pcBits sizes the PC payload: a prefix and a size per group, a suffix per
 // marked position.
 func (c *Codec) pcBits(b *Bits, dense bool) int {
-	p := c.prefixBits()
+	p := c.pbits
 	sbits := c.nbits - p
 	total := 0
 	last := -1
@@ -316,30 +329,21 @@ func (c *Codec) pcBits(b *Bits, dense bool) int {
 	return total
 }
 
-// prefixBits computes the PC prefix length p = log2(2^n / (n ln 2)) (thesis
-// §4.2.2, from [31]), clamped to keep both prefix and suffix non-empty.
-func (c *Codec) prefixBits() int {
-	n := float64(c.nbits)
+// prefixBits computes the PC prefix length p = log2(2^n / (n ln 2)) for
+// n-bit positions (thesis §4.2.2, from [31]), clamped to keep both prefix and
+// suffix non-empty.
+func prefixBits(nbits int) int {
+	n := float64(nbits)
 	p := int(math.Round(math.Log2(math.Exp2(n) / (n * math.Ln2))))
-	if p < 1 {
-		p = 1
-	}
-	if p > c.nbits-1 {
-		p = c.nbits - 1
-	}
-	return p
+	return max(1, min(p, nbits-1))
 }
 
 // writeGamma emits run value i ≥ 0 as Elias-γ of g = i+1: (len(g)−1) 1s, a
 // 0 terminator, then the low len(g)−1 bits of g.
 func (c *Codec) writeGamma(w *Writer, i int) {
-	g := uint(i + 1)
-	l := bits.Len(g)
-	for k := 0; k < l-1; k++ {
-		w.WriteBit(true)
-	}
-	w.WriteBit(false)
-	w.WriteBits(uint64(g)&(1<<uint(l-1)-1), l-1)
+	g := uint64(i + 1)
+	l := uint(bits.Len64(g))
+	w.WriteBits(1<<(l-1)-1|(g&(1<<(l-1)-1))<<l, int(2*l-1))
 }
 
 // readGamma reads one run value. The unary prefix is capped at 31 bits — no

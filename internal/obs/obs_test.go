@@ -129,13 +129,13 @@ func TestTraceEventsWithoutSpan(t *testing.T) {
 // rendered form.
 func TestHistogramGoldenBuckets(t *testing.T) {
 	h := &Histogram{}
-	h.Observe(0)                      // bucket 0: <1µs
-	h.Observe(900 * time.Nanosecond)  // bucket 0
-	h.Observe(1 * time.Microsecond)   // bucket 1: <2µs
-	h.Observe(3 * time.Microsecond)   // bucket 2: <4µs
-	h.Observe(1 * time.Millisecond)   // 1000µs → bucket 10: <1.024ms
-	h.Observe(100 * time.Hour)        // absorbed by the last bucket
-	h.Observe(-5 * time.Microsecond)  // clamped to bucket 0
+	h.Observe(0)                     // bucket 0: <1µs
+	h.Observe(900 * time.Nanosecond) // bucket 0
+	h.Observe(1 * time.Microsecond)  // bucket 1: <2µs
+	h.Observe(3 * time.Microsecond)  // bucket 2: <4µs
+	h.Observe(1 * time.Millisecond)  // 1000µs → bucket 10: <1.024ms
+	h.Observe(100 * time.Hour)       // absorbed by the last bucket
+	h.Observe(-5 * time.Microsecond) // clamped to bucket 0
 
 	if got := h.Count(); got != 7 {
 		t.Fatalf("count = %d, want 7", got)

@@ -187,7 +187,7 @@ const (
 // and latency histogram per kind, block reads per structure, retry and
 // downgrade totals.
 func (r *Registry) RecordQuery(kind string, o Outcome, d time.Duration, reads map[stats.Structure]int64, retries, downgrades int64) {
-	r.Counter("queries."+kind+"."+string(o)).Add(1)
+	r.Counter("queries." + kind + "." + string(o)).Add(1)
 	r.Histogram("latency." + kind).Observe(d)
 	for s, n := range reads {
 		if n > 0 {

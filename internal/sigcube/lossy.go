@@ -68,6 +68,27 @@ func (c *Cube) buildBloomCell(paths [][]int) *bloomCell {
 	return &bloomCell{filter: f, page: page, fanout: fanout}
 }
 
+// addToBloomCell maintains a lossy cell under Alg. 2's update set: every
+// prefix SID of each new path joins the filter, and nothing ever leaves it. A
+// stale SID costs a false positive, never an answer — tuple hits are verified
+// against the relation and a deleted tuple is no longer in the tree to be
+// reached — and RebuildStore is what sheds them.
+func (c *Cube) addToBloomCell(cb *Cuboid, us []pathUpdate) {
+	bc := cb.blooms[us[0].cell]
+	for _, u := range us {
+		switch {
+		case u.new == nil:
+		case bc == nil: // the cell's first tuple
+			bc = c.buildBloomCell([][]int{u.new})
+			cb.blooms[u.cell] = bc
+		default:
+			for i := 1; i <= len(u.new); i++ {
+				bc.filter.Add(hindex.SID(u.new[:i], bc.fanout))
+			}
+		}
+	}
+}
+
 // lossyTesterFor assembles the bloom tester for a conjunctive condition.
 // The bool result is false when a required cell is absent (no tuple can
 // match).

@@ -1,6 +1,8 @@
 package sigcube
 
 import (
+	"sort"
+
 	"rankcube/internal/errs"
 	"rankcube/internal/hindex"
 	"rankcube/internal/signature"
@@ -14,6 +16,8 @@ import (
 type pathUpdate struct {
 	tid      table.TID
 	old, new []int
+	// cell is the update's target cell in the cuboid being maintained.
+	cell uint64
 }
 
 // Insert appends a tuple to the relation, inserts it into the partition
@@ -24,16 +28,7 @@ func (c *Cube) Insert(sel []int32, rank []float64, ctr *stats.Counters) table.TI
 	tid := c.t.Append(sel, rank)
 	affected := mt.Insert(tid, rank)
 	defer c.quarantineOnAbort()
-	updates := make([]pathUpdate, 0, len(affected))
-	for _, a := range affected {
-		newPath := c.rt.TuplePath(a)
-		oldPath := c.paths[a]
-		if a != tid && hindex.PathKey(oldPath) == hindex.PathKey(newPath) {
-			continue // split kept this tuple's slot: nothing to flip
-		}
-		updates = append(updates, pathUpdate{tid: a, old: oldPath, new: newPath})
-	}
-	c.applyUpdates(updates, ctr)
+	c.applyUpdates(c.moved(nil, affected), ctr)
 	return tid
 }
 
@@ -46,25 +41,28 @@ func (c *Cube) Delete(tid table.TID, ctr *stats.Counters) bool {
 		return false
 	}
 	defer c.quarantineOnAbort()
-	updates := []pathUpdate{{tid: tid, old: c.paths[tid], new: nil}}
-	for _, a := range affected {
-		if a == tid {
-			continue
-		}
-		newPath := c.rt.TuplePath(a)
-		oldPath := c.paths[a]
-		if hindex.PathKey(oldPath) == hindex.PathKey(newPath) {
-			continue
-		}
-		updates = append(updates, pathUpdate{tid: a, old: oldPath, new: newPath})
-	}
-	c.applyUpdates(updates, ctr)
+	c.applyUpdates(c.moved([]pathUpdate{{tid: tid, old: c.paths[tid]}}, affected), ctr)
 	return true
+}
+
+// moved appends to updates the tuples of affected that the tree holds at
+// another path than the cube knows — none yet, for a tuple just inserted. A
+// split or a swap can leave a tuple in its slot: nothing to flip.
+func (c *Cube) moved(updates []pathUpdate, affected []table.TID) []pathUpdate {
+	for _, a := range affected {
+		old, cur := c.paths[a], c.rt.TuplePath(a)
+		if cur != nil && hindex.PathKey(old) != hindex.PathKey(cur) {
+			updates = append(updates, pathUpdate{tid: a, old: old, new: cur})
+		}
+	}
+	return updates
 }
 
 // applyUpdates routes the update set into each cuboid: group the updates by
 // target cell, load that cell's signature, clear old paths and set new ones,
-// and write the signature back (Alg. 2 lines 2–8).
+// and write the signature back (Alg. 2 lines 2–8) — cuboids and cells in
+// ascending order, so the rewritten partials land on the same freed pages
+// from run to run.
 func (c *Cube) applyUpdates(updates []pathUpdate, ctr *stats.Counters) {
 	// Sync the path map BEFORE touching stored cells: the partition tree has
 	// already mutated, and c.paths is what RebuildStore reconstructs the
@@ -81,55 +79,63 @@ func (c *Cube) applyUpdates(updates []pathUpdate, ctr *stats.Counters) {
 	}
 	// A root split deepens every path; keep the encoder's height current.
 	c.enc.SetHeight(c.rt.Height())
-	widthFn := func(prefix []int) int { return c.nodeWidth(prefix) }
-	for _, cb := range c.cuboids {
+	var vals []int32
+	for _, cb := range c.order {
 		// Sort updates into cells of this cuboid (Alg. 2 line 3).
-		byCell := make(map[uint64][]pathUpdate)
-		vals := make([]int32, len(cb.dims))
-		for _, u := range updates {
-			for j, d := range cb.dims {
-				vals[j] = c.t.Sel(u.tid, d)
+		for i := range updates {
+			vals = vals[:0]
+			for _, d := range cb.dims {
+				vals = append(vals, c.t.Sel(updates[i].tid, d))
 			}
-			k := cb.cellKey(vals)
-			byCell[k] = append(byCell[k], u)
+			updates[i].cell = cb.cellKey(vals)
 		}
-		for key, us := range byCell {
-			stored := cb.cells[key]
-			var sig *signature.Node
-			if stored != nil {
-				sig = stored.Decode(c.enc.Codec(), c.store, ctr)
+		sort.Slice(updates, func(a, b int) bool { return updates[a].cell < updates[b].cell })
+		for lo, hi := 0, 0; lo < len(updates); lo = hi {
+			for hi = lo; hi < len(updates) && updates[hi].cell == updates[lo].cell; hi++ {
 			}
-			// Two phases: clear every old path first, then set every new
-			// one. Interleaving would corrupt the tree when a structural
-			// change (e.g. a root split) moves all paths at once.
-			for _, u := range us {
-				if u.old != nil && sig != nil {
-					if sig.Clear(u.old) {
-						sig = nil
-					}
-				}
-			}
-			for _, u := range us {
-				if u.new == nil {
-					continue
-				}
-				if sig == nil {
-					sig = signature.Generate(c.rt, [][]int{u.new})
-				} else {
-					sig.Set(u.new, widthFn, c.rt.Height())
-				}
-			}
-			if sig != nil && !sig.Bits.Any() {
-				sig = nil
-			}
-			// Install the rewritten cell before releasing the old pages:
-			// an abort while encoding leaves the old cell in place for
-			// quarantine and RebuildStore to deal with.
-			cb.cells[key] = c.enc.Encode(sig)
-			if stored != nil {
-				stored.Free(c.store)
+			if c.cfg.LossySignatures {
+				c.addToBloomCell(cb, updates[lo:hi])
+			} else {
+				c.rewriteCell(cb, updates[lo:hi], ctr)
 			}
 		}
+	}
+}
+
+// rewriteCell applies one cell's updates to its stored signature: decode,
+// flip, and encode again — the nodes no flip touched are copied as stored.
+func (c *Cube) rewriteCell(cb *Cuboid, us []pathUpdate, ctr *stats.Counters) {
+	key := us[0].cell
+	stored := cb.cells[key]
+	var sig *signature.Node
+	if stored != nil {
+		sig = stored.Decode(c.enc.Codec(), c.store, ctr)
+	}
+	// Two phases: clear every old path first, then set every new one.
+	// Interleaving would corrupt the tree when a structural change (e.g. a
+	// root split) moves all paths at once.
+	for _, u := range us {
+		if u.old != nil && sig != nil && sig.Clear(u.old) {
+			sig = nil
+		}
+	}
+	for _, u := range us {
+		if u.new == nil {
+			continue
+		}
+		if sig == nil {
+			sig = signature.Generate(c.rt, [][]int{u.new})
+		} else {
+			sig.Set(u.new, c.nodeWidth, c.rt.Height())
+		}
+	}
+	// Install the rewritten cell before releasing the old pages: an abort
+	// while encoding leaves the old cell in place for quarantine and
+	// RebuildStore to deal with, and the encoder copies clean nodes out of
+	// the old pages' bytes.
+	cb.cells[key] = c.enc.Encode(sig)
+	if stored != nil {
+		stored.Free(c.store)
 	}
 }
 

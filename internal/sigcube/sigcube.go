@@ -76,6 +76,9 @@ type Cube struct {
 	enc     *signature.Encoder
 	store   *pager.Store
 	cuboids map[string]*Cuboid
+	// order lists the cuboids by ascending dimsKey: the order cells are
+	// written in, so that a store's page layout repeats from run to run.
+	order []*Cuboid
 	// paths tracks each tuple's current partition path, the bookkeeping
 	// incremental maintenance diffs against.
 	paths map[table.TID][]int
@@ -95,18 +98,12 @@ func Build(t *table.Table, cfg Config) *Cube {
 	for i := range dims {
 		dims[i] = i
 	}
-	domain := dataDomain(t)
-	rt := rtree.Bulk(t, dims, domain, cfg.RTree)
-	return buildOn(t, rt, cfg)
+	return BuildOnTree(t, rtree.Bulk(t, dims, dataDomain(t), cfg.RTree), cfg)
 }
 
 // BuildOnTree builds the cube over an existing partition tree — the R-tree
 // or the merged-grid hierarchy, the two implementations of §4.1.2.
 func BuildOnTree(t *table.Table, rt hindex.PartitionTree, cfg Config) *Cube {
-	return buildOn(t, rt, cfg)
-}
-
-func buildOn(t *table.Table, rt hindex.PartitionTree, cfg Config) *Cube {
 	c := &Cube{
 		t:       t,
 		rt:      rt,
@@ -116,24 +113,32 @@ func buildOn(t *table.Table, rt hindex.PartitionTree, cfg Config) *Cube {
 		cfg:     cfg,
 		ctl:     guard.New(),
 	}
-	c.enc = signature.NewEncoder(rt.MaxFanout(), rt.Height(), c.store, cfg.Alpha)
-	c.enc.SetBaselineOnly(cfg.BaselineCoding)
-
 	// Line 2 of Alg. 1: generate paths for all tuples.
 	for i := 0; i < t.Len(); i++ {
 		tid := table.TID(i)
 		c.paths[tid] = rt.TuplePath(tid)
 	}
 
+	schema := t.Schema()
 	cuboids := cfg.Cuboids
 	if cuboids == nil {
-		for d := 0; d < t.Schema().S(); d++ {
+		for d := 0; d < schema.S(); d++ {
 			cuboids = append(cuboids, []int{d})
 		}
 	}
 	for _, dims := range cuboids {
-		c.buildCuboid(dims)
+		cb := &Cuboid{dims: append([]int(nil), dims...), cards: make([]int, len(dims))}
+		sort.Ints(cb.dims)
+		if key := dimsKey(cb.dims); c.cuboids[key] == nil {
+			for i, d := range cb.dims {
+				cb.cards[i] = schema.SelCard[d]
+			}
+			c.cuboids[key] = cb
+			c.order = append(c.order, cb)
+		}
 	}
+	sort.Slice(c.order, func(a, b int) bool { return dimsKey(c.order[a].dims) < dimsKey(c.order[b].dims) })
+	c.RebuildStore()
 	return c
 }
 
@@ -158,45 +163,6 @@ func dimsKey(dims []int) string {
 	return string(b)
 }
 
-func (c *Cube) buildCuboid(dims []int) {
-	sorted := append([]int(nil), dims...)
-	sort.Ints(sorted)
-	key := dimsKey(sorted)
-	if _, ok := c.cuboids[key]; ok {
-		return
-	}
-	schema := c.t.Schema()
-	cb := &Cuboid{dims: sorted, cards: make([]int, len(sorted))}
-	for i, d := range sorted {
-		cb.cards[i] = schema.SelCard[d]
-	}
-	// Lines 4–6: sort tuples by the cuboid dimensions (bucketing by cell
-	// key) and generate one signature per cell from tuple paths.
-	buckets := make(map[uint64][][]int)
-	vals := make([]int32, len(sorted))
-	for i := 0; i < c.t.Len(); i++ {
-		tid := table.TID(i)
-		for j, d := range sorted {
-			vals[j] = c.t.Sel(tid, d)
-		}
-		k := cb.cellKey(vals)
-		buckets[k] = append(buckets[k], c.paths[tid])
-	}
-	if c.cfg.LossySignatures {
-		cb.blooms = make(map[uint64]*bloomCell, len(buckets))
-		for k, paths := range buckets {
-			cb.blooms[k] = c.buildBloomCell(paths)
-		}
-	} else {
-		cb.cells = make(map[uint64]*signature.Stored, len(buckets))
-		for k, paths := range buckets {
-			sig := signature.Generate(c.rt, paths)
-			cb.cells[k] = c.enc.Encode(sig)
-		}
-	}
-	c.cuboids[key] = cb
-}
-
 // Cuboid returns the cuboid over exactly dims, or nil.
 func (c *Cube) Cuboid(dims []int) *Cuboid {
 	sorted := append([]int(nil), dims...)
@@ -216,52 +182,50 @@ func (c *Cube) Store() *pager.Store { return c.store }
 // Ctl returns the cube's serving control block.
 func (c *Cube) Ctl() *guard.RW { return c.ctl }
 
-// RebuildStore re-materializes the signature store from the cube's
-// maintained state — the quarantine repair path after page corruption. The
-// store is reset in place (its identity, fault-injection attachments, and
-// lifecycle state survive), a fresh encoder replaces the old one (whose
-// partial-page layout referenced the discarded pages), and every cuboid's
-// cells are regenerated from the tuple paths incremental maintenance keeps
-// current, so inserts and deletes applied since Build are reflected. The
-// caller must hold the cube's control exclusively. It returns the number of
-// pages the rebuild materialized.
+// RebuildStore materializes the signature store from the cube's maintained
+// state: Build's last step (lines 4–6 of Alg. 1) and the quarantine repair
+// path after page corruption. The store is reset in place (its identity,
+// fault-injection attachments, and lifecycle state survive), a fresh encoder
+// replaces the old one (whose partial-page layout referenced the discarded
+// pages), and every cuboid's cells are generated from the tuple paths
+// incremental maintenance keeps current, so inserts and deletes applied since
+// Build are reflected. The caller must hold the cube's control exclusively.
+// It returns the number of pages the rebuild materialized.
 func (c *Cube) RebuildStore() int {
 	c.store.Reset()
 	c.enc = signature.NewEncoder(c.rt.MaxFanout(), c.rt.Height(), c.store, c.cfg.Alpha)
 	c.enc.SetBaselineOnly(c.cfg.BaselineCoding)
 
-	// Deterministic rebuild order: sorted tuple ids within sorted cuboids.
-	tids := make([]table.TID, 0, len(c.paths))
-	for tid := range c.paths {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(a, b int) bool { return tids[a] < tids[b] })
-	keys := make([]string, 0, len(c.cuboids))
-	for key := range c.cuboids {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-
-	for _, key := range keys {
-		cb := c.cuboids[key]
+	for _, cb := range c.order {
+		// Sort the live tuples by the cuboid dimensions (bucketing by cell
+		// key), then write one signature per cell, ascending.
 		buckets := make(map[uint64][][]int)
 		vals := make([]int32, len(cb.dims))
-		for _, tid := range tids {
+		for i := 0; i < c.t.Len(); i++ {
+			path, live := c.paths[table.TID(i)]
+			if !live {
+				continue
+			}
 			for j, d := range cb.dims {
-				vals[j] = c.t.Sel(tid, d)
+				vals[j] = c.t.Sel(table.TID(i), d)
 			}
 			k := cb.cellKey(vals)
-			buckets[k] = append(buckets[k], c.paths[tid])
+			buckets[k] = append(buckets[k], path)
 		}
+		keys := make([]uint64, 0, len(buckets))
+		for k := range buckets {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 		if c.cfg.LossySignatures {
-			cb.blooms = make(map[uint64]*bloomCell, len(buckets))
-			for k, paths := range buckets {
-				cb.blooms[k] = c.buildBloomCell(paths)
+			cb.blooms = make(map[uint64]*bloomCell, len(keys))
+			for _, k := range keys {
+				cb.blooms[k] = c.buildBloomCell(buckets[k])
 			}
 		} else {
-			cb.cells = make(map[uint64]*signature.Stored, len(buckets))
-			for k, paths := range buckets {
-				cb.cells[k] = c.enc.Encode(signature.Generate(c.rt, paths))
+			cb.cells = make(map[uint64]*signature.Stored, len(keys))
+			for _, k := range keys {
+				cb.cells[k] = c.enc.Encode(signature.Generate(c.rt, buckets[k]))
 			}
 		}
 	}

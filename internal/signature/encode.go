@@ -1,6 +1,7 @@
 package signature
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"rankcube/internal/bitvec"
@@ -38,6 +39,10 @@ type Encoder struct {
 	// baselineOnly disables adaptive node compression (the "Baseline"
 	// series of fig. 4.10).
 	baselineOnly bool
+	// w and queue are one partial's scratch, reused from partial to partial;
+	// the queue, which points into the tree, is let go at the end of a cell.
+	w     bitvec.Writer
+	queue []bfsItem
 }
 
 // SetBaselineOnly toggles baseline-only node coding.
@@ -67,116 +72,95 @@ func NewEncoder(fanout, height int, store *pager.Store, alpha float64) *Encoder 
 // Codec exposes the node codec (shared with views).
 func (e *Encoder) Codec() *bitvec.Codec { return e.codec }
 
-// bfsItem pairs a signature node with its path.
+// bfsItem is a signature node on a partial's BFS queue; top is the slot of
+// the partial root's child it lies under (0 for the root itself).
 type bfsItem struct {
-	path []int
-	n    *Node
+	top int
+	n   *Node
 }
 
 // Encode compresses and decomposes sig, appending pages to the encoder's
 // store. A nil signature encodes to an empty Stored (every Test is false).
+// A node that still has the encoding Decode found it in is copied, not coded
+// again: node coding is a function of the bits alone, so the pages are the
+// same either way.
 func (e *Encoder) Encode(sig *Node) *Stored {
 	st := &Stored{height: e.height, fanout: e.fanout, refs: make(map[uint64]pager.PageID)}
-	if sig == nil {
-		return st
+	if sig != nil {
+		e.partial(st, nil, sig)
+		e.queue = nil
 	}
-	coded := make(map[*Node]bool)
-
-	var rec func(path []int, n *Node)
-	rec = func(path []int, n *Node) {
-		var w bitvec.Writer
-		// Partial header: ref path then a node-count placeholder patched at
-		// the end (count is written into a fixed 32-bit field).
-		w.WriteBits(uint64(len(path)), 8)
-		for _, p := range path {
-			w.WriteBits(uint64(p), 16)
-		}
-		countPos := w.Len()
-		w.WriteBits(0, 32)
-
-		count := 0
-		queue := []bfsItem{{path: path, n: n}}
-		var remaining []bfsItem
-		for qi := 0; qi < len(queue); qi++ {
-			item := queue[qi]
-			if !coded[item.n] {
-				if count > 0 && w.Len()-countPos > e.targetBits {
-					// Cut: everything from here on belongs to descendant
-					// partials.
-					remaining = queue[qi:]
-					break
-				}
-				if e.baselineOnly {
-					e.codec.EncodeBaseline(&w, item.n.Bits)
-				} else {
-					e.codec.Encode(&w, item.n.Bits)
-				}
-				coded[item.n] = true
-				count++
-			}
-			if item.n.Kids == nil {
-				continue
-			}
-			for i, kid := range item.n.Kids {
-				if kid == nil {
-					continue
-				}
-				kidPath := append(append([]int(nil), item.path...), i+1)
-				queue = append(queue, bfsItem{path: kidPath, n: kid})
-			}
-		}
-		patchCount(w.Bytes(), countPos, uint32(count))
-		page := e.store.Append(append([]byte(nil), w.Bytes()...))
-		st.refs[hindex.SID(path, e.fanout)] = page
-
-		if len(remaining) == 0 {
-			return
-		}
-		// Recurse into the children of this partial's root that still hold
-		// uncoded nodes, in slot order (§4.2.3).
-		depth := len(path)
-		pending := make(map[int]bool)
-		for _, item := range remaining {
-			if !coded[item.n] {
-				pending[item.path[depth]] = true
-			}
-		}
-		slots := make([]int, 0, len(pending))
-		for p := range pending {
-			slots = append(slots, p)
-		}
-		sort.Ints(slots)
-		for _, p := range slots {
-			kid := n.Kids[p-1]
-			if kid != nil && hasUncoded(kid, coded) {
-				rec(append(append([]int(nil), path...), p), kid)
-			}
-		}
-	}
-	rec(nil, sig)
 	return st
 }
 
-func hasUncoded(n *Node, coded map[*Node]bool) bool {
-	if !coded[n] {
-		return true
+// partial writes the partial signature rooted at root, the node at path: the
+// nodes of its subtree no ancestor's partial has coded, in BFS order up to the
+// αP cut, then one partial per child of root with nodes still left over.
+func (e *Encoder) partial(st *Stored, path []int, root *Node) {
+	w := &e.w
+	w.Reset()
+	// Partial header: ref path then a node-count placeholder patched at
+	// the end (a fixed 32-bit field; what precedes it is whole bytes).
+	w.WriteBits(uint64(len(path)), 8)
+	for _, p := range path {
+		w.WriteBits(uint64(p), 16)
 	}
-	for _, k := range n.Kids {
-		if k != nil && hasUncoded(k, coded) {
-			return true
+	countPos := w.Len()
+	w.WriteBits(0, 32)
+
+	count := 0
+	queue := append(e.queue[:0], bfsItem{n: root})
+	cut := -1
+	for qi := 0; qi < len(queue); qi++ {
+		item := queue[qi]
+		if item.n.coded != st {
+			if count > 0 && w.Len()-countPos > e.targetBits {
+				// Cut: everything from here on belongs to descendant
+				// partials.
+				cut = qi
+				break
+			}
+			switch {
+			case item.n.page != nil:
+				w.Copy(item.n.page, item.n.off, item.n.size)
+			case e.baselineOnly:
+				e.codec.EncodeBaseline(w, item.n.Bits)
+			default:
+				e.codec.Encode(w, item.n.Bits)
+			}
+			item.n.coded = st
+			count++
+		}
+		for i, kid := range item.n.Kids {
+			if kid == nil {
+				continue
+			}
+			top := item.top
+			if qi == 0 {
+				top = i + 1
+			}
+			queue = append(queue, bfsItem{top, kid})
 		}
 	}
-	return false
-}
-
-// patchCount rewrites the 32-bit count field at bit offset pos in buf.
-func patchCount(buf []byte, pos int, v uint32) {
-	for i := 0; i < 32; i++ {
-		bit := pos + i
-		if v&(1<<uint(i)) != 0 {
-			buf[bit/8] |= 1 << (uint(bit) % 8)
-		} else {
-			buf[bit/8] &^= 1 << (uint(bit) % 8)
+	binary.LittleEndian.PutUint32(w.Bytes()[countPos/8:], uint32(count))
+	st.refs[hindex.SID(path, e.fanout)] = e.store.Append(append([]byte(nil), w.Bytes()...))
+	e.queue = queue[:0]
+	if cut < 0 {
+		return
+	}
+	// Recurse into the children of this partial's root that still hold
+	// uncoded nodes, in slot order (§4.2.3). Every uncoded node whose parent
+	// is coded is on the queue past the cut, so those are the slots; they are
+	// noted before the recursion takes the queue over.
+	pending := make([]bool, len(root.Kids)+1)
+	for _, item := range queue[cut:] {
+		if item.n.coded != st {
+			pending[item.top] = true
+		}
+	}
+	for p := 1; p < len(pending); p++ {
+		if pending[p] {
+			e.partial(st, append(path[:len(path):len(path)], p), root.Kids[p-1])
 		}
 	}
 }
@@ -184,12 +168,27 @@ func patchCount(buf []byte, pos int, v uint32) {
 // NumPartials reports how many partial signatures the cell decomposed into.
 func (s *Stored) NumPartials() int { return len(s.refs) }
 
+// Partials maps the SID of each partial's root to its page, for inspection;
+// the map is the cell's own.
+func (s *Stored) Partials() map[uint64]pager.PageID { return s.refs }
+
 // Free releases the cell's partial pages back to store — what maintenance
-// does with the encoding a rewrite has just replaced.
+// does with the encoding a rewrite has just replaced — in SID order, so that
+// the store hands them out again in the same order run after run.
 func (s *Stored) Free(store *pager.Store) {
-	for _, page := range s.refs {
-		store.Free(page)
+	for _, sid := range s.sids() {
+		store.Free(s.refs[sid])
 	}
+}
+
+// sids lists the cell's partials by ascending SID: ancestors first.
+func (s *Stored) sids() []uint64 {
+	sids := make([]uint64, 0, len(s.refs))
+	for sid := range s.refs {
+		sids = append(sids, sid)
+	}
+	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
+	return sids
 }
 
 // View is a per-query lazy decoder over a stored signature: partial
@@ -342,40 +341,76 @@ func (v *View) loadPartial(sid uint64, page pager.PageID) {
 	}
 }
 
-// Decode fully decodes a stored signature (used by incremental maintenance,
-// which rewrites whole cells). Charges reads to ctr.
+// Decode fully decodes a stored signature for incremental maintenance,
+// charging the reads to ctr. The partials are replayed, ancestors first,
+// straight into the tree — a child slot already filled is a node an
+// ancestor's partial held — and every node keeps the place of its encoding
+// for Encode to copy. A page that does not replay (a header at odds with its
+// reference, a root that hangs from no set bit, a count the nodes do not
+// bear out) is corrupt.
 func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Counters) *Node {
-	if len(s.refs) == 0 {
-		return nil
-	}
-	v := NewView(s, codec, store, ctr)
-	// Load every partial, ancestors first.
-	sids := make([]uint64, 0, len(s.refs))
-	for sid := range s.refs {
-		sids = append(sids, sid)
-	}
-	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
-	for _, sid := range sids {
-		v.loadPartial(sid, s.refs[sid])
-	}
-	// Rebuild the tree from the flat node map.
-	var build func(sid uint64, depth int) *Node
-	build = func(sid uint64, depth int) *Node {
-		bits := v.nodes[sid]
-		if bits == nil {
-			return nil
+	var (
+		root    *Node
+		arena   bitvec.Arena
+		queue   []bfsItem // internal nodes whose children are still to visit; top is their depth
+		page    []byte
+		r       *bitvec.Reader
+		slab    []Node
+		decoded int
+	)
+	leaf, base := leafDepth(s.height), uint64(s.fanout+1)
+	// visit decodes the node for the slot at, unless it is there already.
+	visit := func(at **Node, depth int) {
+		n := *at
+		if n == nil {
+			slab = append(slab, Node{page: page, off: r.Pos()})
+			n = &slab[len(slab)-1]
+			n.Bits = codec.DecodeIn(r, &arena)
+			n.size = r.Pos() - n.off
+			if depth < leaf {
+				n.Kids = make([]*Node, n.Bits.Len())
+			}
+			*at = n
+			decoded++
 		}
-		n := &Node{Bits: bits.Clone()}
-		if depth >= leafDepth(s.height) {
-			return n
+		if depth < leaf {
+			queue = append(queue, bfsItem{depth, n})
 		}
-		n.Kids = make([]*Node, bits.Len())
-		for i := bits.NextOne(0); i >= 0; i = bits.NextOne(i + 1) {
-			n.Kids[i] = build(sid*v.base+uint64(i+1), depth+1)
-		}
-		return n
 	}
-	return build(0, 0)
+	for _, sid := range s.sids() {
+		page = store.Read(s.refs[sid], ctr)
+		r = bitvec.NewReader(page)
+		depth, headed, at := int(r.ReadBits(8)), uint64(0), &root
+		for i := 0; i < depth; i++ {
+			p, n := int(r.ReadBits(16)), *at
+			if n == nil || p < 1 || p > len(n.Kids) || !n.Bits.Get(p-1) {
+				errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d hangs from no marked slot", sid)
+			}
+			headed, at = headed*base+uint64(p), &n.Kids[p-1]
+		}
+		if headed != sid {
+			errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d is headed as partial %d", sid, headed)
+		}
+		count := int(r.ReadBits(32))
+		// The count is an on-page field: cap the slab by what the page could
+		// possibly encode (a node takes at least its header, so it never grows).
+		slab = make([]Node, 0, min(count, r.Remaining()/codec.HeaderBits()))
+		decoded, queue = 0, queue[:0]
+		if count > 0 {
+			visit(at, depth)
+		}
+		for qi := 0; qi < len(queue) && decoded < count; qi++ {
+			p := queue[qi]
+			for i := p.n.Bits.NextOne(0); i >= 0 && decoded < count; i = p.n.Bits.NextOne(i + 1) {
+				visit(&p.n.Kids[i], p.top+1)
+			}
+		}
+		if decoded != count {
+			errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d decoded %d nodes, header says %d",
+				sid, decoded, count)
+		}
+	}
+	return root
 }
 
 // EncodedBytes reports the total encoded size of the cell across partials.

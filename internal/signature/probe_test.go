@@ -185,12 +185,14 @@ const (
 	fuzzHeight = 3
 )
 
-// FuzzViewDecode feeds arbitrary bytes to the partial-signature decoder as a
+// FuzzViewDecode feeds arbitrary bytes to the partial-signature decoders as a
 // stored page (Append checksums whatever it is given, so the CRC does not
 // stand in the way): as the root partial, and as a child partial under a
 // well-formed root. View.Test, View.Probe and Stored.Decode must each return
 // a value or abort with a typed ErrPageCorrupt — never a raw panic, and never
-// run or allocate past what the page's own length allows.
+// run or allocate past what the page's own length allows — and when the lazy
+// decoder and the maintenance decoder both take the bytes, they hold the same
+// tuples.
 func FuzzViewDecode(f *testing.F) {
 	seeds, rootOnly := fuzzSeeds()
 	for _, seed := range seeds {
@@ -205,7 +207,8 @@ func FuzzViewDecode(f *testing.F) {
 			{0: rootPage, hindex.SID([]int{1}, fuzzFanout): page},
 		} {
 			stored := &Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}
-			for _, run := range []func(){
+			var viewed, decoded [][]int
+			runs := []func(){
 				func() {
 					v := NewView(stored, codec, store, stats.New())
 					for _, p := range [][]int{{1}, {1, 1}, {1, 1, 1}, {2, 3, 4}, {8, 8, 8}} {
@@ -214,19 +217,41 @@ func FuzzViewDecode(f *testing.F) {
 					var live bitvec.Bits
 					live.SetAll(fuzzFanout)
 					v.Probe([]int{1, 2}, &live)
+					viewed = viewTuples(v, nil)
 				},
-				func() {
-					if n := stored.Decode(codec, store, stats.New()); n != nil {
-						n.Tuples(fuzzHeight)
-					}
-				},
-			} {
-				if err := corruptAbort(run); err != nil && !errors.Is(err, errs.ErrPageCorrupt) {
+				func() { decoded = stored.Decode(codec, store, stats.New()).Tuples(fuzzHeight) },
+			}
+			accepted := 0
+			for _, run := range runs {
+				if err := corruptAbort(run); err == nil {
+					accepted++
+				} else if !errors.Is(err, errs.ErrPageCorrupt) {
 					t.Fatalf("abort is not ErrPageCorrupt: %v", err)
 				}
 			}
+			if accepted == len(runs) && fmt.Sprint(viewed) != fmt.Sprint(decoded) {
+				t.Fatalf("the view holds tuples %v, Decode %v", viewed, decoded)
+			}
 		}
 	})
+}
+
+// viewTuples enumerates the tuples under prefix the way a search meets them:
+// top-down, through the marked slots only, in Node.Tuples' order.
+func viewTuples(v *View, prefix []int) [][]int {
+	var out [][]int
+	var live bitvec.Bits
+	live.SetAll(fuzzFanout)
+	v.Probe(prefix, &live)
+	for i := live.NextOne(0); i >= 0; i = live.NextOne(i + 1) {
+		path := append(append([]int(nil), prefix...), i+1)
+		if len(path) == fuzzHeight {
+			out = append(out, path)
+		} else {
+			out = append(out, viewTuples(v, path)...)
+		}
+	}
+	return out
 }
 
 // fuzzSeeds returns well-formed pages — a small signature's single partial

@@ -1,0 +1,138 @@
+package signature
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"rankcube/internal/pager"
+	"rankcube/internal/stats"
+	"rankcube/internal/table"
+)
+
+// samePartials holds two encodings to the same partial SIDs and page bytes.
+func samePartials(t *testing.T, what string, got *Stored, gotStore *pager.Store, want *Stored, wantStore *pager.Store) {
+	t.Helper()
+	if len(got.refs) != len(want.refs) {
+		t.Fatalf("%s: %d partials, want %d", what, len(got.refs), len(want.refs))
+	}
+	for sid, page := range want.refs {
+		gotPage, ok := got.refs[sid]
+		if !ok {
+			t.Fatalf("%s: no partial %d", what, sid)
+		}
+		if !bytes.Equal(gotStore.ReadRaw(gotPage), wantStore.ReadRaw(page)) {
+			t.Fatalf("%s: partial %d differs:\n got %x\nwant %x", what, sid, gotStore.ReadRaw(gotPage), wantStore.ReadRaw(page))
+		}
+	}
+}
+
+// countSpans reports how many nodes of the tree still carry a stored encoding.
+func countSpans(n *Node) int {
+	if n == nil {
+		return 0
+	}
+	c := 0
+	if n.page != nil {
+		c = 1
+	}
+	for _, k := range n.Kids {
+		c += countSpans(k)
+	}
+	return c
+}
+
+// TestEncodeCopiesOnlyWhatDidNotChange: a decoded tree re-encodes to the bytes
+// a span-free copy of it does — untouched, and after every kind of change
+// maintenance makes to it: a bit set in an existing node, a node widened, a
+// subtree added, a bit cleared, a clear that cascades to the parent.
+func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
+	for _, baseline := range []bool{false, true} {
+		rt, paths, _ := fixture(t, 900, func(tid table.TID) bool { return tid%3 != 0 })
+		store := pager.NewStore(stats.StructSignature, 48)
+		enc := NewEncoder(rt.MaxFanout(), rt.Height(), store, 0)
+		enc.SetBaselineOnly(baseline)
+		stored := enc.Encode(Generate(rt, paths))
+		if stored.NumPartials() < 8 {
+			t.Fatalf("%d partials: too few to cross partial cuts", stored.NumPartials())
+		}
+		width := func(prefix []int) int {
+			id := rt.Root()
+			for _, p := range prefix {
+				id = rt.ChildAt(id, p-1)
+			}
+			return rt.NumChildren(id)
+		}
+		check := func(what string, tree *Node) {
+			t.Helper()
+			scratch := pager.NewStore(stats.StructSignature, 48)
+			fresh := NewEncoder(rt.MaxFanout(), rt.Height(), scratch, 0)
+			fresh.SetBaselineOnly(baseline)
+			want := fresh.Encode(cloneNode(tree)) // a clone has no spans: every node is coded
+			samePartials(t, what, enc.Encode(tree), store, want, scratch)
+		}
+
+		tree := stored.Decode(enc.Codec(), store, stats.New())
+		total := tree.CountNodes()
+		if got := countSpans(tree); got != total {
+			t.Fatalf("decoded tree: %d of %d nodes carry their encoding", got, total)
+		}
+		check("untouched", tree)
+
+		rng := rand.New(rand.NewSource(5))
+		for round := 0; round < 40; round++ {
+			tree = stored.Decode(enc.Codec(), store, stats.New())
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				p := rt.TuplePath(table.TID(rng.Intn(900)))
+				if rng.Intn(2) == 0 {
+					tree.Set(p, width, rt.Height())
+				} else if tree.Clear(p) {
+					t.Fatal("cleared the whole tree")
+				}
+			}
+			if countSpans(tree) == total {
+				continue // every pick was a no-op
+			}
+			check("after maintenance", tree)
+			stored = enc.Encode(tree)
+			total = tree.CountNodes()
+		}
+
+		// Clearing every tuple under a node cascades: the subtree goes, its
+		// parent's bit with it, and the parent has to be coded again.
+		tree = stored.Decode(enc.Codec(), store, stats.New())
+		var leafPaths [][]int
+		for _, p := range tree.Tuples(rt.Height()) {
+			if p[0] == 1 && p[1] == 1 {
+				leafPaths = append(leafPaths, p)
+			}
+		}
+		for _, p := range leafPaths {
+			tree.Clear(p)
+		}
+		if len(leafPaths) == 0 || tree.Test([]int{1, 1}) {
+			t.Fatalf("cleared the %d tuples under [1 1], its bit still set: %v", len(leafPaths), tree.Test([]int{1, 1}))
+		}
+		check("after a cascading clear", tree)
+
+		// Widening alone changes the encoding (the length field).
+		tree = stored.Decode(enc.Codec(), store, stats.New())
+		leaf := tree.Kids[tree.Bits.NextOne(0)]
+		for leaf.Kids != nil {
+			leaf = leaf.Kids[leaf.Bits.NextOne(0)]
+		}
+		if leaf.Bits.Len() >= rt.MaxFanout() {
+			t.Fatalf("first leaf is full (%d slots): nothing to widen", leaf.Bits.Len())
+		}
+		leaf.grow(leaf.Bits.Len() + 1)
+		check("after grow", tree)
+
+		// Union, Intersect and clones are new bits: none may carry a span.
+		tree = stored.Decode(enc.Codec(), store, stats.New())
+		for what, n := range map[string]*Node{"Union": Union(tree, tree), "Union/nil": Union(tree, nil), "Intersect": Intersect(tree, tree)} {
+			if got := countSpans(n); got != 0 {
+				t.Fatalf("%s: %d nodes carry an encoding they did not earn", what, got)
+			}
+		}
+	}
+}

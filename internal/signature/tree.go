@@ -19,9 +19,23 @@ import (
 // the corresponding index node. Kids is slot-aligned for internal levels
 // (nil entries under 0 bits) and nil at the leaf level, where bits mark
 // tuple slots.
+//
+// A node that Stored.Decode read off a page also remembers where its
+// encoding sits there, so that the encoder of the same store can copy it in
+// place of coding the bits again. Only Decode records that, and whatever
+// changes the node's bits or width (Set, Clear and its cascade, grow) drops
+// it; a node built from new bits — Generate, Union, Intersect, a clone — has
+// none.
 type Node struct {
 	Bits *bitvec.Bits
 	Kids []*Node
+	// page, off and size locate the stored encoding: size bits from bit off of
+	// page, a payload the governed read that decoded it returned. page is nil
+	// when the node has none.
+	page      []byte
+	off, size int
+	// coded is the encoding in progress that has written this node.
+	coded *Stored
 }
 
 // leafDepth reports the tree depth (path length) of leaf-level signature
@@ -137,7 +151,7 @@ func (n *Node) Set(path []int, width func(prefix []int) int, height int) {
 	for d := 0; d < len(path); d++ {
 		pos := path[d] - 1
 		cur.grow(pos + 1)
-		cur.Bits.Set(pos, true)
+		cur.flip(pos, true)
 		if d == len(path)-1 {
 			return
 		}
@@ -171,27 +185,33 @@ func (n *Node) clear(path []int) bool {
 		return !n.Bits.Any()
 	}
 	if len(path) == 1 {
-		n.Bits.Set(pos, false)
+		n.flip(pos, false)
 	} else if n.Kids != nil && n.Kids[pos] != nil {
 		if n.Kids[pos].clear(path[1:]) {
 			n.Kids[pos] = nil
-			n.Bits.Set(pos, false)
+			n.flip(pos, false)
 		}
 	}
 	return !n.Bits.Any()
 }
 
+// flip sets bit pos to v; a node it changes no longer matches its stored
+// encoding.
+func (n *Node) flip(pos int, v bool) {
+	if n.Bits.Get(pos) != v {
+		n.Bits.Set(pos, v)
+		n.page = nil
+	}
+}
+
 // grow widens the node to at least w slots (index nodes gain entries as
-// tuples are inserted).
+// tuples are inserted); the width is part of the encoding.
 func (n *Node) grow(w int) {
 	if n.Bits.Len() >= w {
 		return
 	}
-	nb := bitvec.NewBits(w)
-	for i := 0; i < n.Bits.Len(); i++ {
-		nb.Set(i, n.Bits.Get(i))
-	}
-	n.Bits = nb
+	n.Bits.Grow(w)
+	n.page = nil
 	if n.Kids != nil {
 		for len(n.Kids) < w {
 			n.Kids = append(n.Kids, nil)

@@ -3,6 +3,7 @@ package rankcube_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -288,6 +289,70 @@ func TestSkylineNavigationChains(t *testing.T) {
 			check("roll-up of the drill-down", up, err, base)
 			upTwo, _, err := eng.RollUpQuery(ctx, s2, condDims(c.b))
 			check("roll-up of the second drill-down", upTwo, err, one)
+		}
+	}
+}
+
+// TestLossyCubeMaintenance: a cube of bloom-filter cells takes writes like an
+// exact one. Inserts add the new path's SIDs to the cells' filters (a value no
+// tuple had at build time gets its filter then), deletes leave the filters
+// alone, and the answers stay those of the baseline scan; nothing quarantines
+// the store. With 8-entry leaves bulk-loaded full, the first inserts already
+// split some.
+func TestLossyCubeMaintenance(t *testing.T) {
+	ctx := context.Background()
+	rel, err := rankcube.NewRelation([]string{"a", "b"}, []int{5, 6}, []string{"x", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(83))
+	for i := 0; i < 2000; i++ {
+		rel.Append([]int32{int32(rng.Intn(5)), int32(rng.Intn(5))}, []float64{rng.Float64(), rng.Float64()})
+	}
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 8, LossySignatures: true})
+	f := rankcube.Linear([]int{0, 1}, []float64{1, 2})
+	agree := func(when string) {
+		t.Helper()
+		for _, cond := range []rankcube.Cond{{0: 1}, {1: 3}, {0: 2, 1: 4}, {1: 5}, {0: 3, 1: 5}} {
+			got, err := cube.Query(ctx, cond, f, 25)
+			if err != nil {
+				t.Fatalf("%s: query %v: %v", when, cond, err)
+			}
+			want, err := cube.BaselineQuery(ctx, cond, f, 25)
+			if err != nil {
+				t.Fatalf("%s: baseline %v: %v", when, cond, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %v returned %d results, the scan %d", when, cond, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Score != want[i].Score {
+					t.Fatalf("%s: %v result %d scores %v, the scan's %v", when, cond, i, got[i].Score, want[i].Score)
+				}
+			}
+		}
+	}
+	agree("before any write")
+	for i := 0; i < 200; i++ {
+		if i%3 == 2 {
+			if _, err := cube.DeleteTuple(ctx, rankcube.TID(rng.Intn(2000))); err != nil {
+				t.Fatalf("write %d: delete: %v", i, err)
+			}
+			continue
+		}
+		// b = 5 first appears here.
+		sel := []int32{int32(rng.Intn(5)), int32(rng.Intn(6))}
+		if _, err := cube.InsertTuple(ctx, sel, []float64{rng.Float64(), rng.Float64()}); err != nil {
+			t.Fatalf("write %d: insert: %v", i, err)
+		}
+	}
+	agree("after 200 writes")
+	if got, _ := cube.Query(ctx, rankcube.Cond{1: 5}, f, 25); len(got) == 0 {
+		t.Fatal("no tuple with b = 5 was inserted: the new-cell path did not run")
+	}
+	for _, h := range cube.Health() {
+		if h.State != "healthy" {
+			t.Fatalf("store %v is %s after maintenance", h.Kind, h.State)
 		}
 	}
 }
