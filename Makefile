@@ -46,13 +46,16 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos$$' ./internal/chaos -v
 
-# A few seconds of the native fuzz target over the partial-signature decoder
-# (View.loadPartial / Stored.Decode on arbitrary page bytes): a typed
-# ErrPageCorrupt or a value, never a raw panic. The checked-in corpus under
-# internal/signature/testdata/fuzz runs with the ordinary tests as well.
+# A few seconds of each native fuzz target over a page decoder — the
+# partial-signature ones (View.loadPartial / Stored.Decode) and the grid
+# cube's compressed cell lists (decodeEntries / decodeBlock) — on arbitrary
+# page bytes: a typed ErrPageCorrupt or a value, never a raw panic. The seed
+# corpora (internal/signature/testdata/fuzz, f.Add in the grid target) run
+# with the ordinary tests as well.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzViewDecode$$' -fuzztime $(FUZZTIME) ./internal/signature
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntries$$' -fuzztime $(FUZZTIME) ./internal/gridcube
 
 # The benchmark is a nested module (benchmark/go.mod), so ./... above does
 # not descend into it and an internal change that stops it compiling would
@@ -68,12 +71,11 @@ fuzz:
 # benchmark/ is not this repository's to edit outside a benchmark change.
 # What that test is for — the traced twin answers every request like the
 # public path and charges the same reads — is checked at full scale instead
-# by running the tracer itself on the three workloads that cross the
-# signature cube.
+# by running the tracer itself on all four workloads.
 bench-check:
 	cd benchmark && $(GO) build -o /dev/null . && $(GO) build -o /dev/null ./layertrace
 	cd benchmark && $(GO) vet ./... && $(GO) test -skip '^TestTracedPassReproducesUntraced$$' ./...
-	@for w in sig-topk sig-churn analytic-mix; do \
+	@for w in sig-topk grid-serve sig-churn analytic-mix; do \
 		echo "traced pass: $$w"; \
 		bash benchmark/run.sh --workload $$w --seed 1 --trace 1 | grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,' \
 			|| { echo "traced pass of $$w does not reproduce the public path"; exit 1; }; \
@@ -89,8 +91,9 @@ bench:
 # them as BENCH_<short-hash>.json so future PRs can diff against this
 # commit. Override the set with BENCH_PATTERN='Fig5_|PublicAPI' etc. The
 # skyline rows also carry reads/op, states-generated/op and peak-heap, the
-# churn row the signature pages read per write and the store's pages.
-BENCH_PATTERN ?= Fig4_11|Fig4_12|Fig7_03|Fig7_05|PublicAPI
+# churn row the signature pages read per write and the store's pages, the
+# grid row its cuboid and base-block-table reads per query.
+BENCH_PATTERN ?= Fig3_04|Fig3_10|Fig4_11|Fig4_12|Fig7_03|Fig7_05|PublicAPI
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \

@@ -8,6 +8,7 @@ package rankcube_test
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -732,6 +733,55 @@ func BenchmarkPublicAPI_SignatureChurn(b *testing.B) {
 	}
 	b.ReportMetric(float64(total.Reads(stats.StructSignature))/float64(b.N), "sigreads/op")
 	b.ReportMetric(float64(cube.Health()[0].Pages), "sigpages")
+}
+
+// BenchmarkPublicAPI_GridTopK is the grid cube's read path through the public
+// boundary under the repo benchmark's grid-serve shape: a 200k-row relation
+// with Zipf-skewed selection values of cardinality 20, predicates over one to
+// three dimensions with Zipf-drawn values, and the 50/40/10 mix of linear,
+// squared-distance and general (no declared convexity → exhaustive search)
+// functions. Beside time and allocations it reports the cuboid and base block
+// table reads per query, which a change to the search kernel must not move.
+func BenchmarkPublicAPI_GridTopK(b *testing.B) {
+	rel := table.Generate(table.GenSpec{T: 200_000, S: 3, R: 2, Card: 20, SelZipf: 1.2, Seed: 9})
+	cube := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
+	rng := rand.New(rand.NewSource(9))
+	zipf := rand.NewZipf(rng, 1.2, 1, 19)
+	type query struct {
+		cond rankcube.Cond
+		f    rankcube.Func
+		k    int
+	}
+	queries := make([]query, 1000)
+	for i := range queries {
+		q := query{cond: rankcube.Cond{}, k: []int{1, 10, 10, 10, 100}[rng.Intn(5)]}
+		for _, d := range rng.Perm(3)[:1+rng.Intn(3)] {
+			q.cond[d] = int32(zipf.Uint64())
+		}
+		p := []float64{rng.Float64(), rng.Float64()}
+		switch kind := i % 10; {
+		case kind < 5:
+			q.f = rankcube.Linear([]int{0, 1}, p)
+		case kind < 9:
+			q.f = rankcube.SqDist([]int{0, 1}, p)
+		default:
+			q.f = rankcube.General(rankcube.Sqr(rankcube.Sub(rankcube.Scale(0.5+p[0], rankcube.Var(0)), rankcube.Var(1))))
+		}
+		queries[i] = q
+	}
+	ctx := context.Background()
+	total := stats.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		m := rankcube.NewMetrics()
+		if _, err := cube.Query(ctx, q.cond, q.f, q.k, rankcube.WithMetrics(m)); err != nil {
+			b.Fatal(err)
+		}
+		total.Merge(m)
+	}
+	b.ReportMetric(float64(total.Reads(stats.StructCube))/float64(b.N), "cubereads/op")
+	b.ReportMetric(float64(total.Reads(stats.StructBlockTab))/float64(b.N), "blocktabreads/op")
 }
 
 // BenchmarkPublicAPI_SkylineSession is one OLAP navigation through the

@@ -33,7 +33,11 @@ type Limits struct {
 // use; each query owns one governor, matching stats.Counters' contract.
 type Governor struct {
 	//lint:ctxfield per-query carrier: one governor serves exactly one query, so the stash cannot outlive its caller's ctx
-	ctx    context.Context
+	ctx context.Context
+	// done is ctx.Done(), taken once: polling it is a lock-free receive,
+	// where ctx.Err() takes the context's mutex, which every query running
+	// under that context would contend for at every block read.
+	done   <-chan struct{}
 	lim    Limits
 	blocks int64
 }
@@ -44,7 +48,7 @@ func New(ctx context.Context, lim Limits) *Governor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Governor{ctx: ctx, lim: lim}
+	return &Governor{ctx: ctx, done: ctx.Done(), lim: lim}
 }
 
 // Blocks reports the block reads charged so far.
@@ -77,8 +81,10 @@ func (g *Governor) OnHeap(size int) {
 func (g *Governor) OnCheckpoint() { g.checkCtx() }
 
 func (g *Governor) checkCtx() {
-	if err := g.ctx.Err(); err != nil {
-		errs.Abort(&canceledError{cause: err})
+	select {
+	case <-g.done:
+		errs.Abort(&canceledError{cause: g.ctx.Err()})
+	default: // still running, or a context that cannot be canceled (nil channel)
 	}
 }
 

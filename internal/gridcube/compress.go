@@ -3,6 +3,7 @@ package gridcube
 import (
 	"encoding/binary"
 
+	"rankcube/internal/errs"
 	"rankcube/internal/table"
 )
 
@@ -33,22 +34,62 @@ func encodeEntries(entries []Entry) []byte {
 }
 
 // decodeEntries reverses encodeEntries into dst (reused when capacity
-// allows).
+// allows). Bytes that do not hold n entries abort the query with a typed
+// errs.ErrPageCorrupt.
 func decodeEntries(buf []byte, n int, dst []Entry) []Entry {
+	r := newEntryReader(buf, n)
 	if cap(dst) < n {
 		dst = make([]Entry, n)
 	}
 	dst = dst[:n]
-	prevTID := int64(0)
-	pos := 0
-	for i := 0; i < n; i++ {
-		d, w := binary.Uvarint(buf[pos:])
-		pos += w
-		prevTID += int64(d)
-		dst[i].TID = table.TID(prevTID)
-		b, w := binary.Uvarint(buf[pos:])
-		pos += w
-		dst[i].BID = BID(b)
+	for i := range dst {
+		dst[i] = r.next()
 	}
 	return dst
+}
+
+// decodeBlock appends to dst the tids of the cell's n entries that lie in
+// base block bid, ascending, without materializing the entries: a compressed
+// cell stays tid-major (ordering it by bid would cost the delta code its
+// small deltas), so one block's tuples are filtered out while decoding.
+func decodeBlock(buf []byte, n int, bid BID, dst []table.TID) []table.TID {
+	r := newEntryReader(buf, n)
+	for i := 0; i < n; i++ {
+		if en := r.next(); en.BID == bid {
+			dst = append(dst, en.TID)
+		}
+	}
+	return dst
+}
+
+// entryReader walks an encoded cell list entry by entry.
+type entryReader struct {
+	buf []byte
+	pos int
+	tid int64
+}
+
+// newEntryReader rejects an entry count the bytes cannot hold (an entry is
+// at least two bytes) before anything is sized by it.
+func newEntryReader(buf []byte, n int) entryReader {
+	if n < 0 || n > len(buf)/2 {
+		errs.Abortf(errs.ErrPageCorrupt, "gridcube: cell list of %d bytes cannot hold %d entries", len(buf), n)
+	}
+	return entryReader{buf: buf}
+}
+
+func (r *entryReader) next() Entry {
+	r.tid += int64(r.uvarint())
+	return Entry{TID: table.TID(r.tid), BID: BID(r.uvarint())}
+}
+
+// uvarint reads the next varint; a truncated or overflowing one is a corrupt
+// page.
+func (r *entryReader) uvarint() uint64 {
+	v, w := binary.Uvarint(r.buf[r.pos:])
+	if w <= 0 {
+		errs.Abortf(errs.ErrPageCorrupt, "gridcube: cell list varint at byte %d truncated or overflowing", r.pos)
+	}
+	r.pos += w
+	return v
 }

@@ -1,8 +1,10 @@
 package gridcube
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rankcube/internal/guard"
@@ -26,10 +28,13 @@ type Cuboid struct {
 	cards []int // cardinalities of dims
 	sf    int   // pseudo-block scale factor (§3.2.3)
 	pbins int   // pseudo bins per ranking dimension
+	numP  int   // pseudo blocks: pbins^R
 	meta  Meta
 	cells map[uint64]cellRef
-	// data holds uncompressed cell payloads, contiguous, grouped by cell;
-	// nil when lists are delta-compressed (cell bytes live in the store).
+	// data holds uncompressed cell payloads, contiguous, grouped by cell and
+	// ordered by (bid, tid) inside one: a base block's tids are one
+	// ascending run of its cell. nil when lists are delta-compressed (cell
+	// bytes live in the store, tid-major).
 	data       []Entry
 	compressed bool
 	// extra holds per-cell overflow entries appended by incremental
@@ -39,9 +44,12 @@ type Cuboid struct {
 	tuples int
 }
 
+// cellRef locates a cell's materialized run: n entries on page, at data[off:]
+// when uncompressed, taking bytes there (8 per entry, or the length of the
+// compressed payload). Overflow entries extend the page run 8 bytes each.
 type cellRef struct {
-	off, n int32
-	page   pager.PageID
+	off, n, bytes int32
+	page          pager.PageID
 }
 
 // Dims reports the cuboid's selection dimensions.
@@ -52,10 +60,11 @@ func (cb *Cuboid) ScaleFactor() int { return cb.sf }
 
 // PseudoOf maps a base block to its pseudo block id.
 func (cb *Cuboid) PseudoOf(bid BID) int {
-	coords := cb.meta.Coords(bid, nil)
-	pid := 0
-	for _, c := range coords {
-		pid = pid*cb.pbins + c/cb.sf
+	pid, mul := 0, 1
+	for v, d := int(bid), 0; d < cb.meta.R; d++ {
+		pid += v % cb.meta.Bins / cb.sf * mul
+		mul *= cb.pbins
+		v /= cb.meta.Bins
 	}
 	return pid
 }
@@ -67,16 +76,13 @@ func (cb *Cuboid) cellKey(vals []int32, pid int) uint64 {
 	for i, v := range vals {
 		key = key*uint64(cb.cards[i]) + uint64(v)
 	}
-	numP := 1
-	for d := 0; d < cb.meta.R; d++ {
-		numP *= cb.pbins
-	}
-	return key*uint64(numP) + uint64(pid)
+	return key*uint64(cb.numP) + uint64(pid)
 }
 
 // GetPseudoBlock implements the get_pseudo_block access method (§3.3.1):
 // given the cuboid cell identified by selection values and pid, it returns
-// the cell's tid/bid list, charging reads through buf.
+// the cell's tid/bid list (overflow entries last), charging reads through
+// buf.
 func (cb *Cuboid) GetPseudoBlock(vals []int32, pid int, buf *pager.Buffer, c *stats.Counters) []Entry {
 	key := cb.cellKey(vals, pid)
 	ref, ok := cb.cells[key]
@@ -88,17 +94,37 @@ func (cb *Cuboid) GetPseudoBlock(vals []int32, pid int, buf *pager.Buffer, c *st
 		base = decodeEntries(buf.Read(ref.page, c), int(ref.n), nil)
 	} else {
 		buf.Touch(ref.page, c)
-		base = cb.data[ref.off : ref.off+ref.n]
+		base = cb.data[ref.off : ref.off+ref.n : ref.off+ref.n]
 	}
-	overflow := cb.extra[key]
-	if len(overflow) == 0 {
-		return base
+	return append(base, cb.extra[key]...)
+}
+
+// blockTIDs is get_pseudo_block narrowed to one base block, the retrieve
+// step's unit of work: it appends to dst, ascending, the tids of bid's tuples
+// in the cell that holds them, with the same access to the same page as
+// GetPseudoBlock.
+func (cb *Cuboid) blockTIDs(vals []int32, bid BID, buf *pager.Buffer, c *stats.Counters, dst []table.TID) []table.TID {
+	key := cb.cellKey(vals, cb.PseudoOf(bid))
+	ref, ok := cb.cells[key]
+	if !ok {
+		return dst
 	}
-	// Fresh tids are always larger than materialized ones, so the merged
-	// list stays tid-ascending (the intersection step relies on it).
-	merged := make([]Entry, 0, len(base)+len(overflow))
-	merged = append(merged, base...)
-	return append(merged, overflow...)
+	if cb.compressed {
+		dst = decodeBlock(buf.Read(ref.page, c), int(ref.n), bid, dst)
+	} else {
+		buf.Touch(ref.page, c)
+		run := cb.data[ref.off : ref.off+ref.n]
+		for i := sort.Search(len(run), func(i int) bool { return run[i].BID >= bid }); i < len(run) && run[i].BID == bid; i++ {
+			dst = append(dst, run[i].TID)
+		}
+	}
+	// Fresh tids are larger than materialized ones, so dst stays ascending.
+	for _, en := range cb.extra[key] {
+		if en.BID == bid {
+			dst = append(dst, en.TID)
+		}
+	}
+	return dst
 }
 
 // Store exposes the cuboid's page store for space accounting.
@@ -257,12 +283,18 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 		cards:      cards,
 		sf:         sf,
 		pbins:      (c.meta.Bins + sf - 1) / sf,
+		numP:       1,
 		meta:       c.meta,
 		compressed: c.cfg.CompressLists,
 		store:      store,
 	}
+	for d := 0; d < c.meta.R; d++ {
+		cb.numP *= cb.pbins
+	}
 
-	// Assemble entries sorted by cell key so each cell is one contiguous run.
+	// Assemble entries sorted by cell key so each cell is one contiguous
+	// run, by (bid, tid) inside it — or by tid alone when the run is stored
+	// delta-compressed, which lives off small tid deltas.
 	n := c.t.Len()
 	type keyed struct {
 		key uint64
@@ -280,11 +312,14 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 		bid := c.meta.BlockOf(rank)
 		rows[i] = keyed{key: cb.cellKey(vals, cb.PseudoOf(bid)), e: Entry{TID: tid, BID: bid}}
 	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].key != rows[b].key {
-			return rows[a].key < rows[b].key
+	slices.SortFunc(rows, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return rows[a].e.TID < rows[b].e.TID
+		if c := cmp.Compare(a.e.BID, b.e.BID); c != 0 && !cb.compressed {
+			return c
+		}
+		return cmp.Compare(a.e.TID, b.e.TID)
 	})
 	cb.cells = make(map[uint64]cellRef)
 	if !cb.compressed {
@@ -299,18 +334,20 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 			}
 			j++
 		}
-		var page pager.PageID
+		ref := cellRef{off: int32(i), n: int32(j - i)}
 		if cb.compressed {
 			scratch = scratch[:0]
 			for k := i; k < j; k++ {
 				scratch = append(scratch, rows[k].e)
 			}
-			page = cb.store.Append(encodeEntries(scratch))
+			payload := encodeEntries(scratch)
+			ref.bytes, ref.page = int32(len(payload)), cb.store.Append(payload)
 		} else {
 			// Each cell occupies its own page run: 8 bytes per entry.
-			page = cb.store.AppendLogical((j - i) * 8)
+			ref.bytes = ref.n * 8
+			ref.page = cb.store.AppendLogical(int(ref.bytes))
 		}
-		cb.cells[rows[i].key] = cellRef{off: int32(i), n: int32(j - i), page: page}
+		cb.cells[rows[i].key] = ref
 		i = j
 	}
 	cb.tuples = n

@@ -82,9 +82,9 @@ func TestMetaEquiDepth(t *testing.T) {
 	bt := NewBlockTable(tb, m, 4096)
 	// Equi-depth: block occupancies should be within a few x of the target.
 	max := 0
-	for _, entries := range bt.blocks {
-		if len(entries) > max {
-			max = len(entries)
+	for _, b := range bt.blocks {
+		if len(b.tids) > max {
+			max = len(b.tids)
 		}
 	}
 	if max > 4*200 {
@@ -441,6 +441,49 @@ func TestInsertIntoCompressedCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, got, bruteTopK(cube.Table(), q))
+}
+
+// TestCompressedCubeInsertAccounting pins what an insert costs a compressed
+// cube on paper: a cell's page run is its stored payload plus 8 bytes per
+// overflow entry, not its entry count re-priced as uncompressed. Cells here
+// hold ~600 entries — under 2 KB of payload, 4.8 KB uncompressed — and gain a
+// handful of overflow entries each, so every cell stays on the single page a
+// cube freshly built over the same relation and partition keeps it on.
+func TestCompressedCubeInsertAccounting(t *testing.T) {
+	tb := testTable(20000, 2, 2, 4, 58)
+	cube := Build(tb, Config{BlockSize: 600, CompressLists: true})
+	before := cube.SizeBytes()
+	rng := rand.New(rand.NewSource(59))
+	for i := 0; i < 300; i++ {
+		cube.Insert([]int32{int32(rng.Intn(4)), int32(rng.Intn(4))},
+			[]float64{rng.Float64(), rng.Float64()})
+	}
+	rowBytes := int64(4 + 8*cube.meta.R)
+	if got, want := cube.SizeBytes()-before, 300*(rowBytes+8*int64(len(cube.cuboids))); got != want {
+		t.Fatalf("300 inserts grew the cube by %d bytes, want %d", got, want)
+	}
+
+	fresh := &Cube{t: cube.t, meta: cube.meta, blocks: NewBlockTable(cube.t, cube.meta, cube.cfg.pageSize()),
+		cuboids: make(map[string]*Cuboid), cfg: cube.cfg}
+	for _, cb := range cube.Cuboids() {
+		fresh.buildCuboid(cb.dims)
+	}
+	for trial := 0; trial < 20; trial++ {
+		q := Query{Cond: map[int]int32{trial % 2: int32(rng.Intn(4))}, F: ranking.Sum(0, 1), K: 1 + rng.Intn(50)}
+		gotCtr, wantCtr := stats.New(), stats.New()
+		got, err := cube.TopK(q, gotCtr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.TopK(q, wantCtr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want)
+		if g, w := gotCtr.Reads(stats.StructCube), wantCtr.Reads(stats.StructCube); g != w {
+			t.Fatalf("query %v: %d cuboid reads after inserts, %d on a fresh build", q.Cond, g, w)
+		}
+	}
 }
 
 func TestTopKEmptyCondition(t *testing.T) {

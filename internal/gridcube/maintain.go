@@ -16,20 +16,22 @@ import (
 // table and every cuboid, using the pre-computed partition boundaries.
 func (c *Cube) Insert(sel []int32, rank []float64) table.TID {
 	tid := c.t.Append(sel, rank)
-	rankCopy := append([]float64(nil), rank...)
-	bid := c.meta.BlockOf(rankCopy)
+	bid := c.meta.BlockOf(rank)
 
 	// Base block table: append and grow the block's page run.
 	bt := c.blocks
-	bt.blocks[bid] = append(bt.blocks[bid], blockEntry{tid: tid, rank: rankCopy})
+	b := &bt.blocks[bid]
+	b.tids = append(b.tids, tid)
+	b.ranks = append(b.ranks, rank...)
 	rowBytes := 4 + 8*c.meta.R
-	if page, ok := bt.pages[bid]; ok {
-		bt.store.Resize(page, len(bt.blocks[bid])*rowBytes)
+	if len(b.tids) > 1 {
+		bt.store.Resize(b.page, len(b.tids)*rowBytes)
 	} else {
-		bt.pages[bid] = bt.store.AppendLogical(rowBytes)
+		b.page = bt.store.AppendLogical(rowBytes)
 	}
 
-	// Cuboids: append to the overflow list of the affected cell.
+	// Cuboids: append to the overflow list of the affected cell, which
+	// grows its page run by one entry beyond the materialized bytes.
 	for _, cb := range c.cuboids {
 		vals := make([]int32, len(cb.dims))
 		for j, d := range cb.dims {
@@ -41,9 +43,9 @@ func (c *Cube) Insert(sel []int32, rank []float64) table.TID {
 		}
 		cb.extra[key] = append(cb.extra[key], Entry{TID: tid, BID: bid})
 		if ref, ok := cb.cells[key]; ok {
-			cb.store.Resize(ref.page, int(ref.n)*8+len(cb.extra[key])*8)
+			cb.store.Resize(ref.page, int(ref.bytes)+len(cb.extra[key])*8)
 		} else {
-			cb.cells[key] = cellRef{off: 0, n: 0, page: cb.store.AppendLogical(8)}
+			cb.cells[key] = cellRef{page: cb.store.AppendLogical(8)}
 		}
 	}
 	c.inserted++

@@ -132,14 +132,21 @@ func (m Meta) BlockOfCoords(coords []int) BID {
 
 // BlockBox returns the full-width box covered by block bid.
 func (m Meta) BlockBox(bid BID) ranking.Box {
-	coords := m.Coords(bid, nil)
-	lo := make([]float64, m.R)
-	hi := make([]float64, m.R)
-	for d, c := range coords {
-		lo[d] = m.Bounds[d][c]
-		hi[d] = m.Bounds[d][c+1]
+	box := ranking.NewBox(make([]float64, m.R), make([]float64, m.R))
+	m.boxInto(bid, box)
+	return box
+}
+
+// boxInto overwrites box (R wide) with the extent of block bid; the search
+// loop bounds every block through one box it owns.
+func (m Meta) boxInto(bid BID, box ranking.Box) {
+	v := int(bid)
+	for d := m.R - 1; d >= 0; d-- {
+		c := v % m.Bins
+		v /= m.Bins
+		box.Lo[d] = m.Bounds[d][c]
+		box.Hi[d] = m.Bounds[d][c+1]
 	}
-	return ranking.NewBox(lo, hi)
 }
 
 // Domain returns the full data domain box.
@@ -154,44 +161,49 @@ func (m Meta) Domain() ranking.Box {
 }
 
 // Neighbors appends the Moore neighborhood of bid (all blocks differing by
-// at most one bin per dimension) to dst. The thesis' Lemma 1 drives the
-// neighborhood search over these.
+// at most one bin per dimension) to dst, in no particular order. The thesis'
+// Lemma 1 drives the neighborhood search over these.
 func (m Meta) Neighbors(bid BID, dst []BID) []BID {
-	coords := m.Coords(bid, nil)
-	work := make([]int, m.R)
-	var rec func(d int, moved bool)
-	rec = func(d int, moved bool) {
-		if d == m.R {
-			if moved {
-				dst = append(dst, m.BlockOfCoords(work))
+	// Grown in dst itself one dimension at a time: every partial block id
+	// spawns its two moved variants at the tail and then takes the unmoved
+	// bin in place, so the slot that started the list ends as bid itself.
+	self := len(dst)
+	dst = append(dst, 0)
+	stride := m.NumBlocks()
+	for rest, d := int(bid), 0; d < m.R; d++ {
+		stride /= m.Bins
+		c := rest / stride
+		rest -= c * stride
+		for i, n := self, len(dst); i < n; i++ {
+			if c > 0 {
+				dst = append(dst, dst[i]+BID((c-1)*stride))
 			}
-			return
-		}
-		for delta := -1; delta <= 1; delta++ {
-			c := coords[d] + delta
-			if c < 0 || c >= m.Bins {
-				continue
+			if c < m.Bins-1 {
+				dst = append(dst, dst[i]+BID((c+1)*stride))
 			}
-			work[d] = c
-			rec(d+1, moved || delta != 0)
+			dst[i] += BID(c * stride)
 		}
 	}
-	rec(0, false)
-	return dst
+	last := len(dst) - 1
+	dst[self] = dst[last]
+	return dst[:last]
 }
 
-// blockEntry is one tuple in the base block table: tid plus its full
-// ranking vector (§3.2.2 Table 3.2's right-hand decomposition).
-type blockEntry struct {
-	tid  table.TID
-	rank []float64
+// block is one base block of the table: its tuples' ids, ascending, their
+// ranking vectors flattened R values per tuple in the same order (§3.2.2
+// Table 3.2's right-hand decomposition), and the page run that holds them.
+// A block without tuples has no page.
+type block struct {
+	tids  []table.TID
+	ranks []float64
+	page  pager.PageID
 }
 
-// BlockTable is the base block table T of the ranking cube triple ⟨T, C, M⟩.
+// BlockTable is the base block table T of the ranking cube triple ⟨T, C, M⟩,
+// dense over the bids.
 type BlockTable struct {
 	meta   Meta
-	blocks map[BID][]blockEntry
-	pages  map[BID]pager.PageID
+	blocks []block
 	store  *pager.Store
 }
 
@@ -199,34 +211,50 @@ type BlockTable struct {
 func NewBlockTable(t *table.Table, meta Meta, pageSize int) *BlockTable {
 	bt := &BlockTable{
 		meta:   meta,
-		blocks: make(map[BID][]blockEntry),
-		pages:  make(map[BID]pager.PageID),
+		blocks: make([]block, meta.NumBlocks()),
 		store:  pager.NewStore(stats.StructBlockTab, pageSize),
 	}
-	r := t.Schema().R()
-	for i := 0; i < t.Len(); i++ {
-		tid := table.TID(i)
-		rank := t.RankRow(tid, make([]float64, r))
-		bid := meta.BlockOf(rank)
-		bt.blocks[bid] = append(bt.blocks[bid], blockEntry{tid: tid, rank: rank})
+	r, n := meta.R, t.Len()
+	bids := make([]BID, n)
+	counts := make([]int, len(bt.blocks))
+	rank := make([]float64, r)
+	for i := range bids {
+		bids[i] = meta.BlockOf(t.RankRow(table.TID(i), rank))
+		counts[bids[i]]++
 	}
-	// One page run per base block: tid (4) + R values (8 each).
-	rowBytes := 4 + 8*r
-	for bid, entries := range bt.blocks {
-		bt.pages[bid] = bt.store.AppendLogical(len(entries) * rowBytes)
+	// Every block is carved from two slabs with its capacity clipped to its
+	// own tuples, so an Insert's append moves that block alone instead of
+	// overwriting its neighbour. One page run per occupied block: tid (4) +
+	// R values (8 each) per tuple.
+	tids, ranks := make([]table.TID, n), make([]float64, n*r)
+	off := 0
+	for bid, cnt := range counts {
+		if cnt == 0 {
+			continue
+		}
+		bt.blocks[bid] = block{
+			tids:  tids[off : off : off+cnt],
+			ranks: ranks[off*r : off*r : (off+cnt)*r],
+			page:  bt.store.AppendLogical(cnt * (4 + 8*r)),
+		}
+		off += cnt
+	}
+	for i, bid := range bids {
+		b := &bt.blocks[bid]
+		b.tids = append(b.tids, table.TID(i))
+		b.ranks = append(b.ranks, t.RankRow(table.TID(i), rank)...)
 	}
 	return bt
 }
 
-// Get implements the get_base_block access method (§3.3.1), charging block
-// reads through the per-query buffer.
-func (bt *BlockTable) Get(bid BID, buf *pager.Buffer, c *stats.Counters) []blockEntry {
-	entries, ok := bt.blocks[bid]
-	if !ok {
-		return nil
+// get implements the get_base_block access method (§3.3.1), charging block
+// reads through the per-query buffer. An unoccupied block costs nothing.
+func (bt *BlockTable) get(bid BID, buf *pager.Buffer, c *stats.Counters) *block {
+	b := &bt.blocks[bid]
+	if len(b.tids) > 0 {
+		buf.Touch(b.page, c)
 	}
-	buf.Touch(bt.pages[bid], c)
-	return entries
+	return b
 }
 
 // NewBuffer returns a per-query buffer over the block table's store.
@@ -239,8 +267,16 @@ func (bt *BlockTable) Store() *pager.Store { return bt.store }
 func (bt *BlockTable) Meta() Meta { return bt.meta }
 
 // NumOccupied reports how many base blocks hold at least one tuple.
-func (bt *BlockTable) NumOccupied() int { return len(bt.blocks) }
+func (bt *BlockTable) NumOccupied() int {
+	n := 0
+	for i := range bt.blocks {
+		if len(bt.blocks[i].tids) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 func (bt *BlockTable) String() string {
-	return fmt.Sprintf("BlockTable{bins=%d occupied=%d}", bt.meta.Bins, len(bt.blocks))
+	return fmt.Sprintf("BlockTable{bins=%d occupied=%d}", bt.meta.Bins, bt.NumOccupied())
 }

@@ -159,10 +159,10 @@ func (c *Cube) TopK(q Query, ctr *stats.Counters) ([]Result, error) {
 		cover:    cover,
 		condVals: condVals,
 		f:        q.F,
-		k:        q.K,
 		ctr:      ctr,
 		blockBuf: c.blocks.NewBuffer(),
 		topk:     heap.NewBounded[Result](q.K, core.WorseResult),
+		box:      c.meta.BlockBox(0),
 	}
 	exec.cubeBufs = make([]*pager.Buffer, len(cover))
 	for i, cb := range cover {
@@ -181,17 +181,23 @@ func (c *Cube) TopK(q Query, ctr *stats.Counters) ([]Result, error) {
 	return exec.topk.Sorted(), nil
 }
 
+// gridExec is one query's execution state. Everything the block loop needs
+// from one block to the next — the bounding box, the tid lists — is scratch
+// owned here, so processing a block allocates nothing once the lists have
+// grown to a cell's width.
 type gridExec struct {
 	cube     *Cube
 	cover    []*Cuboid
 	condVals [][]int32
 	f        ranking.Func
-	k        int
 	ctr      *stats.Counters
 
 	blockBuf *pager.Buffer
 	cubeBufs []*pager.Buffer
 	topk     *heap.Bounded[Result]
+
+	box        ranking.Box // the block being bounded
+	cand, tids []table.TID // a block's surviving candidates; one cuboid's list
 }
 
 type scoredBlock struct {
@@ -206,9 +212,26 @@ func lessBlock(a, b scoredBlock) bool {
 	return a.bid < b.bid
 }
 
+// bidSet is a bitset over the base blocks.
+type bidSet []uint64
+
+// add puts b in the set and reports whether it was missing.
+func (s bidSet) add(b BID) bool {
+	word, bit := &s[b>>6], uint64(1)<<(b&63)
+	fresh := *word&bit == 0
+	*word |= bit
+	return fresh
+}
+
 // done reports whether the stop condition Sk ≤ Sunseen holds.
 func (e *gridExec) done(unseen float64) bool {
 	return e.topk.Full() && e.topk.Worst().Score <= unseen
+}
+
+// bound computes f's lower bound over base block bid.
+func (e *gridExec) bound(bid BID) scoredBlock {
+	e.cube.meta.boxInto(bid, e.box)
+	return scoredBlock{bid: bid, bound: e.f.LowerBound(e.box)}
 }
 
 // neighborhoodSearch implements the convex-function search of §3.3.2: start
@@ -216,12 +239,12 @@ func (e *gridExec) done(unseen float64) bool {
 // neighbor list H ordered by block lower bounds (Lemma 1).
 func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 	meta := e.cube.meta
-	domain := meta.Domain()
-	start := meta.BlockOf(min.ArgMin(domain))
+	start := meta.BlockOf(min.ArgMin(meta.Domain()))
 
 	h := heap.New[scoredBlock](lessBlock)
-	inserted := map[BID]bool{start: true}
-	h.Push(scoredBlock{bid: start, bound: e.f.LowerBound(meta.BlockBox(start))})
+	inserted := make(bidSet, (meta.NumBlocks()+63)/64)
+	inserted.add(start)
+	h.Push(e.bound(start))
 
 	var neighbors []BID
 	for h.Len() > 0 {
@@ -233,11 +256,9 @@ func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 		e.processBlock(top.bid)
 		neighbors = meta.Neighbors(top.bid, neighbors[:0])
 		for _, nb := range neighbors {
-			if inserted[nb] {
-				continue
+			if inserted.add(nb) {
+				h.Push(e.bound(nb))
 			}
-			inserted[nb] = true
-			h.Push(scoredBlock{bid: nb, bound: e.f.LowerBound(meta.BlockBox(nb))})
 		}
 	}
 }
@@ -247,14 +268,17 @@ func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 // processed best-first. Correct for any lower-boundable function (§3.6.1's
 // ad hoc case with one convex sub-domain).
 func (e *gridExec) exhaustiveSearch() {
-	meta := e.cube.meta
-	h := heap.New[scoredBlock](lessBlock)
-	for bid := range e.cube.blocks.blocks {
-		bound := e.f.LowerBound(meta.BlockBox(bid))
-		if !math.IsInf(bound, 1) {
-			h.Push(scoredBlock{bid: bid, bound: bound})
+	blocks := e.cube.blocks.blocks
+	bounds := make([]scoredBlock, 0, len(blocks))
+	for bid := range blocks {
+		if len(blocks[bid].tids) == 0 {
+			continue
+		}
+		if sb := e.bound(BID(bid)); !math.IsInf(sb.bound, 1) {
+			bounds = append(bounds, sb)
 		}
 	}
+	h := heap.From(bounds, lessBlock)
 	for h.Len() > 0 {
 		e.ctr.ObserveHeap(h.Len())
 		top := h.Pop()
@@ -266,52 +290,51 @@ func (e *gridExec) exhaustiveSearch() {
 }
 
 // processBlock runs the retrieve and evaluate steps of §3.3.2 for one base
-// block: fetch the covering cells' tid lists, intersect, then fetch the base
-// block and score the surviving tuples.
+// block: fetch the block's tids from the covering cells, intersect, then
+// fetch the base block and score the surviving tuples. Every list involved
+// is tid-ascending, so both steps are merges.
 func (e *gridExec) processBlock(bid BID) {
-	// An unconditioned query (no covering cuboids) evaluates every tuple of
-	// the block straight from the base block table.
-	if len(e.cover) == 0 {
-		for _, be := range e.cube.blocks.Get(bid, e.blockBuf, e.ctr) {
-			if e.cube.tombstones[be.tid] {
-				continue
-			}
-			e.topk.Offer(Result{TID: be.tid, Score: e.f.Eval(be.rank)})
-		}
-		return
-	}
-	// Retrieve: intersect cell lists across covering cuboids, filtered to
-	// this bid. Lists are tid-ascending, so a k-way merge intersection works.
-	var candidates []table.TID
+	var cand []table.TID
 	for i, cb := range e.cover {
-		entries := cb.GetPseudoBlock(e.condVals[i], cb.PseudoOf(bid), e.cubeBufs[i], e.ctr)
-		var tids []table.TID
-		for _, en := range entries {
-			if en.BID == bid {
-				tids = append(tids, en.TID)
-			}
-		}
 		if i == 0 {
-			candidates = tids
+			e.cand = cb.blockTIDs(e.condVals[i], bid, e.cubeBufs[i], e.ctr, e.cand[:0])
+			cand = e.cand
 		} else {
-			candidates = intersectSorted(candidates, tids)
+			e.tids = cb.blockTIDs(e.condVals[i], bid, e.cubeBufs[i], e.ctr, e.tids[:0])
+			cand = intersectSorted(cand, e.tids)
 		}
-		if len(candidates) == 0 {
+		if len(cand) == 0 {
 			return
 		}
 	}
 
-	// Evaluate: fetch real values from the base block table and score.
-	want := make(map[table.TID]bool, len(candidates))
-	for _, tid := range candidates {
-		want[tid] = true
-	}
-	for _, be := range e.cube.blocks.Get(bid, e.blockBuf, e.ctr) {
-		if !want[be.tid] || e.cube.tombstones[be.tid] {
-			continue
+	blk := e.cube.blocks.get(bid, e.blockBuf, e.ctr)
+	// An unconditioned query (no covering cuboids) evaluates every tuple of
+	// the block straight from the base block table.
+	if len(e.cover) == 0 {
+		for i := range blk.tids {
+			e.offer(blk, i)
 		}
-		e.topk.Offer(Result{TID: be.tid, Score: e.f.Eval(be.rank)})
+		return
 	}
+	i := 0
+	for _, tid := range cand {
+		for i < len(blk.tids) && blk.tids[i] < tid {
+			i++
+		}
+		if i < len(blk.tids) && blk.tids[i] == tid {
+			e.offer(blk, i)
+		}
+	}
+}
+
+// offer scores the i-th tuple of blk unless it is tombstoned.
+func (e *gridExec) offer(blk *block, i int) {
+	tid, r := blk.tids[i], e.cube.meta.R
+	if len(e.cube.tombstones) > 0 && e.cube.tombstones[tid] {
+		return
+	}
+	e.topk.Offer(Result{TID: tid, Score: e.f.Eval(blk.ranks[i*r : (i+1)*r])})
 }
 
 func intersectSorted(a, b []table.TID) []table.TID {

@@ -1,0 +1,395 @@
+package gridcube
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"rankcube/internal/core"
+	"rankcube/internal/heap"
+	"rankcube/internal/pager"
+	"rankcube/internal/ranking"
+	"rankcube/internal/stats"
+	"rankcube/internal/table"
+)
+
+// The reference implementation: chapter 3's four-step loop as it was written
+// before the kernel was rebuilt — a pseudo-block cell fetched whole and
+// filtered per base block, a map of wanted tids, one ranking vector per
+// tuple, a box and a coordinate slice allocated per neighbour. This was the
+// production loop; it stays here as the oracle the kernel's answers, block
+// reads and peak heap are held to, over structures of its own: cells
+// tid-major and base blocks as entry lists, both assembled from the relation
+// and not from the cube's (bid, tid) runs and slabs.
+
+type refBlockEntry struct {
+	tid  table.TID
+	rank []float64
+}
+
+// refCube is the old layout of one cube's content at one moment of its life.
+type refCube struct {
+	cells  map[*Cuboid]map[uint64][]Entry
+	blocks map[BID][]refBlockEntry
+}
+
+func newRefCube(c *Cube) *refCube {
+	rc := &refCube{cells: make(map[*Cuboid]map[uint64][]Entry), blocks: make(map[BID][]refBlockEntry)}
+	for _, cb := range c.cuboids {
+		rc.cells[cb] = make(map[uint64][]Entry)
+	}
+	for i := 0; i < c.t.Len(); i++ {
+		tid := table.TID(i)
+		rank := c.t.RankRow(tid, make([]float64, c.meta.R))
+		bid := c.meta.BlockOf(rank)
+		rc.blocks[bid] = append(rc.blocks[bid], refBlockEntry{tid: tid, rank: rank})
+		for _, cb := range c.cuboids {
+			vals := make([]int32, len(cb.dims))
+			for j, d := range cb.dims {
+				vals[j] = c.t.Sel(tid, d)
+			}
+			key := cb.cellKey(vals, refPseudoOf(cb, bid))
+			rc.cells[cb][key] = append(rc.cells[cb][key], Entry{TID: tid, BID: bid})
+		}
+	}
+	return rc
+}
+
+func refPseudoOf(cb *Cuboid, bid BID) int {
+	coords := cb.meta.Coords(bid, nil)
+	pid := 0
+	for _, c := range coords {
+		pid = pid*cb.pbins + c/cb.sf
+	}
+	return pid
+}
+
+func refNeighbors(m Meta, bid BID, dst []BID) []BID {
+	coords := m.Coords(bid, nil)
+	work := make([]int, m.R)
+	var rec func(d int, moved bool)
+	rec = func(d int, moved bool) {
+		if d == m.R {
+			if moved {
+				dst = append(dst, m.BlockOfCoords(work))
+			}
+			return
+		}
+		for delta := -1; delta <= 1; delta++ {
+			c := coords[d] + delta
+			if c < 0 || c >= m.Bins {
+				continue
+			}
+			work[d] = c
+			rec(d+1, moved || delta != 0)
+		}
+	}
+	rec(0, false)
+	return dst
+}
+
+// getPseudoBlock is the old get_pseudo_block: the whole cell, tid-ascending,
+// for one access to the page the cube keeps it on.
+func (rc *refCube) getPseudoBlock(cb *Cuboid, vals []int32, pid int, buf *pager.Buffer, c *stats.Counters) []Entry {
+	key := cb.cellKey(vals, pid)
+	ref, ok := cb.cells[key]
+	if !ok {
+		return nil
+	}
+	if cb.compressed {
+		buf.Read(ref.page, c)
+	} else {
+		buf.Touch(ref.page, c)
+	}
+	return rc.cells[cb][key]
+}
+
+// getBlock is the old get_base_block.
+func (rc *refCube) getBlock(bt *BlockTable, bid BID, buf *pager.Buffer, c *stats.Counters) []refBlockEntry {
+	entries, ok := rc.blocks[bid]
+	if !ok {
+		return nil
+	}
+	buf.Touch(bt.blocks[bid].page, c)
+	return entries
+}
+
+type refExec struct {
+	cube     *Cube
+	rc       *refCube
+	cover    []*Cuboid
+	condVals [][]int32
+	f        ranking.Func
+	ctr      *stats.Counters
+
+	blockBuf *pager.Buffer
+	cubeBufs []*pager.Buffer
+	topk     *heap.Bounded[Result]
+}
+
+func refTopK(c *Cube, rc *refCube, q Query, ctr *stats.Counters) []Result {
+	condDims := make([]int, 0, len(q.Cond))
+	for d := range q.Cond {
+		condDims = append(condDims, d)
+	}
+	cover, err := c.CoveringCuboids(condDims)
+	if err != nil {
+		panic(err)
+	}
+	e := &refExec{cube: c, rc: rc, cover: cover, f: q.F, ctr: ctr,
+		blockBuf: c.blocks.NewBuffer(), topk: heap.NewBounded[Result](q.K, core.WorseResult)}
+	for _, cb := range cover {
+		vals := make([]int32, len(cb.dims))
+		for j, d := range cb.dims {
+			vals[j] = q.Cond[d]
+		}
+		e.condVals = append(e.condVals, vals)
+		e.cubeBufs = append(e.cubeBufs, pager.NewBuffer(cb.store))
+	}
+	if min, ok := q.F.(ranking.Minimizer); ok && ranking.IsConvexFunc(q.F) {
+		e.neighborhoodSearch(min)
+	} else {
+		e.exhaustiveSearch()
+	}
+	return e.topk.Sorted()
+}
+
+func (e *refExec) done(unseen float64) bool {
+	return e.topk.Full() && e.topk.Worst().Score <= unseen
+}
+
+func (e *refExec) neighborhoodSearch(min ranking.Minimizer) {
+	meta := e.cube.meta
+	domain := meta.Domain()
+	start := meta.BlockOf(min.ArgMin(domain))
+
+	h := heap.New[scoredBlock](lessBlock)
+	inserted := map[BID]bool{start: true}
+	h.Push(scoredBlock{bid: start, bound: e.f.LowerBound(meta.BlockBox(start))})
+
+	var neighbors []BID
+	for h.Len() > 0 {
+		e.ctr.ObserveHeap(h.Len())
+		top := h.Pop()
+		if e.done(top.bound) {
+			return
+		}
+		e.processBlock(top.bid)
+		neighbors = refNeighbors(meta, top.bid, neighbors[:0])
+		for _, nb := range neighbors {
+			if inserted[nb] {
+				continue
+			}
+			inserted[nb] = true
+			h.Push(scoredBlock{bid: nb, bound: e.f.LowerBound(meta.BlockBox(nb))})
+		}
+	}
+}
+
+func (e *refExec) exhaustiveSearch() {
+	meta := e.cube.meta
+	h := heap.New[scoredBlock](lessBlock)
+	for bid := range e.rc.blocks {
+		bound := e.f.LowerBound(meta.BlockBox(bid))
+		if !math.IsInf(bound, 1) {
+			h.Push(scoredBlock{bid: bid, bound: bound})
+		}
+	}
+	for h.Len() > 0 {
+		e.ctr.ObserveHeap(h.Len())
+		top := h.Pop()
+		if e.done(top.bound) {
+			return
+		}
+		e.processBlock(top.bid)
+	}
+}
+
+func (e *refExec) processBlock(bid BID) {
+	if len(e.cover) == 0 {
+		for _, be := range e.rc.getBlock(e.cube.blocks, bid, e.blockBuf, e.ctr) {
+			if e.cube.tombstones[be.tid] {
+				continue
+			}
+			e.topk.Offer(Result{TID: be.tid, Score: e.f.Eval(be.rank)})
+		}
+		return
+	}
+	var candidates []table.TID
+	for i, cb := range e.cover {
+		entries := e.rc.getPseudoBlock(cb, e.condVals[i], refPseudoOf(cb, bid), e.cubeBufs[i], e.ctr)
+		var tids []table.TID
+		for _, en := range entries {
+			if en.BID == bid {
+				tids = append(tids, en.TID)
+			}
+		}
+		if i == 0 {
+			candidates = tids
+		} else {
+			candidates = intersectSorted(candidates, tids)
+		}
+		if len(candidates) == 0 {
+			return
+		}
+	}
+
+	want := make(map[table.TID]bool, len(candidates))
+	for _, tid := range candidates {
+		want[tid] = true
+	}
+	for _, be := range e.rc.getBlock(e.cube.blocks, bid, e.blockBuf, e.ctr) {
+		if !want[be.tid] || e.cube.tombstones[be.tid] {
+			continue
+		}
+		e.topk.Offer(Result{TID: be.tid, Score: e.f.Eval(be.rank)})
+	}
+}
+
+// refFuncs draws one function of each family over r ranking dimensions.
+func refFuncs(rng *rand.Rand, r int) map[string]ranking.Func {
+	attrs := make([]int, r)
+	w, p := make([]float64, r), make([]float64, r)
+	rest := make([]ranking.Expr, 0, r-1)
+	for d := range attrs {
+		attrs[d] = d
+		w[d], p[d] = rng.Float64(), rng.Float64()
+		if d > 0 {
+			rest = append(rest, ranking.Var(d))
+		}
+	}
+	return map[string]ranking.Func{
+		"linear": ranking.Linear(attrs, w),
+		"sqdist": ranking.SqDist(attrs, p),
+		"general": ranking.General(ranking.Sqr(ranking.Sub(
+			ranking.Scale(0.5+rng.Float64(), ranking.Var(0)), ranking.Add(rest...)))),
+	}
+}
+
+// absentCombo finds selection values no tuple of tb carries together, so the
+// cuboid over all its dimensions has no cell for them.
+func absentCombo(t *testing.T, tb *table.Table) []int32 {
+	t.Helper()
+	s, card := tb.Schema().S(), tb.Schema().SelCard
+	present := make(map[string]bool)
+	for i := 0; i < tb.Len(); i++ {
+		present[fmt.Sprint(tb.SelRow(table.TID(i), make([]int32, s)))] = true
+	}
+	vals := make([]int32, s)
+	for {
+		if !present[fmt.Sprint(vals)] {
+			return vals
+		}
+		d := s - 1
+		for ; d >= 0 && int(vals[d]) == card[d]-1; d-- {
+			vals[d] = 0
+		}
+		if d < 0 {
+			t.Fatal("every value combination is present; no absent cell to query")
+		}
+		vals[d]++
+	}
+}
+
+// checkAgainstReference replays one request mix on the kernel and on the old
+// loop and holds the kernel to the same results and the same cost, request by
+// request.
+func checkAgainstReference(t *testing.T, what string, c *Cube, rng *rand.Rand) {
+	t.Helper()
+	rc := newRefCube(c)
+	tb := c.t
+	s := tb.Schema().S()
+	some := tb.SelRow(table.TID(rng.Intn(tb.Len())), make([]int32, s))
+	conds := map[string]core.Cond{"empty": {}, "absent": {}}
+	for d, v := range absentCombo(t, tb) {
+		conds["absent"][d] = v
+	}
+	for n := 1; n <= s; n++ {
+		cond := core.Cond{}
+		for _, d := range rng.Perm(s)[:n] {
+			cond[d] = some[d]
+		}
+		conds[fmt.Sprintf("%d-dim", n)] = cond
+	}
+	for fname, f := range refFuncs(rng, c.meta.R) {
+		for cname, cond := range conds {
+			for _, k := range []int{1, 10, 100, tb.Len() + 1} {
+				q := Query{Cond: cond, F: f, K: k}
+				name := fmt.Sprintf("%s %s/%s/k=%d", what, cname, fname, k)
+				gotCtr, wantCtr := stats.New(), stats.New()
+				got, err := c.TopK(q, gotCtr)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want := refTopK(c, rc, q, wantCtr)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d results, reference %d", name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: result %d = %v, reference %v", name, i, got[i], want[i])
+					}
+				}
+				for _, st := range []stats.Structure{stats.StructCube, stats.StructBlockTab, stats.StructTable} {
+					if g, w := gotCtr.Reads(st), wantCtr.Reads(st); g != w {
+						t.Fatalf("%s: %s reads = %d, reference %d", name, st, g, w)
+					}
+				}
+				if gotCtr.PeakHeap != wantCtr.PeakHeap {
+					t.Fatalf("%s: peak heap = %d, reference %d", name, gotCtr.PeakHeap, wantCtr.PeakHeap)
+				}
+				if cname == "absent" && len(got) != 0 {
+					t.Fatalf("%s: %d results from a cell that does not exist", name, len(got))
+				}
+			}
+		}
+	}
+}
+
+// TestKernelMatchesReference runs the differential over the layouts the
+// kernel distinguishes — full cube and fragments (a cover of several cuboids,
+// hence the intersection), cells as (bid, tid) runs and delta-compressed —
+// with two and three ranking dimensions, zipfian and uniform selection
+// values; fresh, after maintenance has left overflow entries in old and in
+// brand-new cells beside tombstones, and after a repartition folded them in.
+func TestKernelMatchesReference(t *testing.T) {
+	for _, frag := range []int{0, 1, 2} {
+		for _, packed := range []bool{false, true} {
+			for _, r := range []int{2, 3} {
+				for _, zipf := range []float64{0, 1.2} {
+					name := fmt.Sprintf("F=%d/packed=%v/R=%d/zipf=%v", frag, packed, r, zipf)
+					t.Run(name, func(t *testing.T) {
+						const rows, s, card = 6000, 3, 12
+						tb := table.Generate(table.GenSpec{T: rows, S: s, R: r, Card: card, SelZipf: zipf, Seed: 61})
+						fresh := absentCombo(t, tb)
+						c := Build(tb, Config{BlockSize: 50, FragmentSize: frag, CompressLists: packed})
+						rng := rand.New(rand.NewSource(62))
+						checkAgainstReference(t, "built", c, rng)
+
+						sel, rank := make([]int32, s), make([]float64, r)
+						for i := 0; i < 300; i++ {
+							copy(sel, fresh) // every tenth insert opens or extends a brand-new cell
+							if i%10 != 0 {
+								sel = tb.SelRow(table.TID(rng.Intn(rows)), sel)
+							}
+							for d := range rank {
+								rank[d] = rng.Float64()
+							}
+							c.Insert(sel, rank)
+						}
+						for deleted := 0; deleted < 200; {
+							if c.Delete(table.TID(rng.Intn(c.t.Len()))) {
+								deleted++
+							}
+						}
+						checkAgainstReference(t, "maintained", c, rng)
+
+						c.Repartition()
+						checkAgainstReference(t, "repartitioned", c, rng)
+					})
+				}
+			}
+		}
+	}
+}

@@ -153,3 +153,31 @@ func TestBoundedWorstIsKthBest(t *testing.T) {
 		t.Fatalf("final Worst = %d, want 4", b.Worst())
 	}
 }
+
+func TestFromMatchesPushes(t *testing.T) {
+	less := func(a, b int) bool { return a < b }
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
+		vals := make([]int, n)
+		for i := range vals {
+			vals[i] = rng.Intn(n/2 + 1) // duplicates included
+		}
+		pushed := New[int](less)
+		for _, v := range vals {
+			pushed.Push(v)
+		}
+		built := From(append([]int(nil), vals...), less)
+		if built.Len() != n || built.Peak() != n {
+			t.Fatalf("n=%d: From has Len %d, Peak %d", n, built.Len(), built.Peak())
+		}
+		for i := 0; i < n; i++ {
+			if got, want := built.Pop(), pushed.Pop(); got != want {
+				t.Fatalf("n=%d: pop %d = %d, want %d", n, i, got, want)
+			}
+		}
+		built.Push(1)
+		if built.Peak() != max(n, 1) {
+			t.Fatalf("n=%d: Peak %d after draining and one Push", n, built.Peak())
+		}
+	}
+}
