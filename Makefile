@@ -47,15 +47,17 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos$$' ./internal/chaos -v
 
 # A few seconds of each native fuzz target over a page decoder — the
-# partial-signature ones (View.loadPartial / Stored.Decode) and the grid
-# cube's compressed cell lists (decodeEntries / decodeBlock) — on arbitrary
+# partial-signature ones (View.loadPartial / Stored.Decode), the grid
+# cube's compressed cell lists (decodeEntries / decodeBlock) and the node
+# array codec under them all (bitvec.Codec.Decode / DecodeIn) — on arbitrary
 # page bytes: a typed ErrPageCorrupt or a value, never a raw panic. The seed
-# corpora (internal/signature/testdata/fuzz, f.Add in the grid target) run
-# with the ordinary tests as well.
+# corpora (internal/signature/testdata/fuzz, f.Add in the other two targets)
+# run with the ordinary tests as well.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzViewDecode$$' -fuzztime $(FUZZTIME) ./internal/signature
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntries$$' -fuzztime $(FUZZTIME) ./internal/gridcube
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 
 # The benchmark is a nested module (benchmark/go.mod), so ./... above does
 # not descend into it and an internal change that stops it compiling would
@@ -92,8 +94,9 @@ bench:
 # commit. Override the set with BENCH_PATTERN='Fig5_|PublicAPI' etc. The
 # skyline rows also carry reads/op, states-generated/op and peak-heap, the
 # churn row the signature pages read per write and the store's pages, the
-# grid row its cuboid and base-block-table reads per query.
-BENCH_PATTERN ?= Fig3_04|Fig3_10|Fig4_11|Fig4_12|Fig7_03|Fig7_05|PublicAPI
+# grid row its cuboid and base-block-table reads per query, the merge row its
+# reads, states generated and peak heap.
+BENCH_PATTERN ?= Fig3_04|Fig3_10|Fig4_11|Fig4_12|Table5_1|Fig5_07|Fig5_10|Fig5_14|Fig7_03|Fig7_05|PublicAPI
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \

@@ -784,6 +784,33 @@ func BenchmarkPublicAPI_GridTopK(b *testing.B) {
 	b.ReportMetric(float64(total.Reads(stats.StructBlockTab))/float64(b.N), "blocktabreads/op")
 }
 
+// BenchmarkPublicAPI_MergeTopK is the index-merge request of the repo
+// benchmark's analytic-mix sessions through the public boundary: 100k
+// anti-correlated rows over three ranking dimensions, B+-trees on the first
+// two, the top 100 under squared distance to a random target. Beside time and
+// allocations it reports block reads and states generated per query and the
+// peak heap, which a change to the merge loop must not move.
+func BenchmarkPublicAPI_MergeTopK(b *testing.B) {
+	rel := rankcube.GenerateRelation(100_000, 3, 3, 10, rankcube.AntiCorrelated, 9)
+	indices := []rankcube.Index{rankcube.BuildBTree(rel, 0), rankcube.BuildBTree(rel, 1)}
+	rng := rand.New(rand.NewSource(9))
+	funcs := make([]rankcube.Func, 1000)
+	for i := range funcs {
+		funcs[i] = rankcube.SqDist([]int{0, 1}, []float64{rng.Float64(), rng.Float64()})
+	}
+	ctx := context.Background()
+	total := stats.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := rankcube.NewMetrics()
+		if _, err := rankcube.MergeQuery(ctx, rel, indices, funcs[i%len(funcs)], 100, rankcube.MergeOptions{}, rankcube.WithMetrics(m)); err != nil {
+			b.Fatal(err)
+		}
+		total.Merge(m)
+	}
+	reportSearch(b, total)
+}
+
 // BenchmarkPublicAPI_SkylineSession is one OLAP navigation through the
 // canonical entry points: a skyline over an anti-correlated relation, a
 // drill-down that re-constructs its candidate heap, and a roll-up seeded with

@@ -18,7 +18,7 @@
 //
 // Output is one aligned table per experiment, with the same series the
 // thesis plots. Absolute numbers depend on hardware and scale; the shapes
-// are the reproduction target (see EXPERIMENTS.md).
+// are the reproduction target.
 package main
 
 import (

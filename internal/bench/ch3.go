@@ -342,7 +342,7 @@ func fig3_15(cfg Config) *Report {
 	env := newCh3Env(tb, gridcube.Config{FragmentSize: 3})
 	rep := &Report{ID: "fig3.15", Title: "Query Execution Time on Real Data",
 		XLabel: "k", Metric: "ms/query",
-		Notes: []string{"synthetic CoverType clone (DESIGN.md substitution table)"}}
+		Notes: []string{"synthetic CoverType clone (internal/dataset.ForestCover)"}}
 	points := map[string][]Point{}
 	for _, k := range []int{5, 10, 15, 20} {
 		queries := ch3Workload(cfg.rng(int64(k)), tb, cfg.Queries, 3, 3, 1, k)

@@ -8,7 +8,7 @@
 //
 // Experiments accept a Config whose Scale multiplies the thesis' row
 // counts; the default of 0.1 keeps the full suite in laptop territory while
-// preserving the comparative behaviour. EXPERIMENTS.md records a full run.
+// preserving the comparative behaviour.
 package bench
 
 import (

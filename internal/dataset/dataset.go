@@ -27,8 +27,7 @@ var forestRankCards = []int{1989, 5787, 5827}
 // properties the experiments exploit — the cardinality profile of the
 // selection dimensions (including the many binary soil-type columns, which
 // drive boolean selectivity) and quantized, mildly correlated ranking
-// attributes (terrain variables correlate in the original). Substitution
-// documented in DESIGN.md.
+// attributes (terrain variables correlate in the original).
 func ForestCover(n int, seed int64) *table.Table {
 	schema := table.Schema{
 		SelNames: []string{

@@ -28,11 +28,6 @@ type Pruner interface {
 	Load(paths [][]int, ctr *stats.Counters) (ComboTester, bool)
 }
 
-// allowAll passes every combo (used when a member set has no signature).
-type allowAll struct{}
-
-func (allowAll) MayContain([]int) bool { return true }
-
 // stateSig is one state-signature: a bit array over child combos when the
 // combo space fits a page, a bloom filter otherwise (§5.3.1).
 type stateSig struct {
@@ -43,21 +38,14 @@ type stateSig struct {
 	n      int // occupied combos
 }
 
-func (ss *stateSig) comboKey(slots []int) (uint64, bool) {
+// MayContain implements ComboTester.
+func (ss *stateSig) MayContain(slots []int) bool {
 	key := uint64(0)
 	for i, s := range slots {
 		if s < 0 || s >= ss.widths[i] {
-			return 0, false
+			return false
 		}
 		key = key*uint64(ss.widths[i]) + uint64(s)
-	}
-	return key, true
-}
-
-func (ss *stateSig) mayContain(slots []int) bool {
-	key, ok := ss.comboKey(slots)
-	if !ok {
-		return false
 	}
 	if ss.bitmap != nil {
 		return ss.bitmap.Get(int(key))
@@ -201,7 +189,11 @@ func (js *JoinSignature) build(nodes []hindex.NodeID, paths [][][]int, tids []in
 		}
 		ss.page = js.store.AppendLogical((ss.filter.Bits() + 7) / 8)
 	}
-	js.states[js.stateKey(nodes)] = ss
+	nodePaths := make([][]int, len(nodes))
+	for i, idx := range js.indices {
+		nodePaths[i] = idx.Path(nodes[i])
+	}
+	js.states[pathsKey(nodePaths)] = ss
 
 	// Recurse into each occupied combo.
 	for key, bucket := range combos {
@@ -227,18 +219,7 @@ func (js *JoinSignature) build(nodes []hindex.NodeID, paths [][][]int, tids []in
 	}
 }
 
-// stateKey derives the lookup key of a state from its member node paths.
-func (js *JoinSignature) stateKey(nodes []hindex.NodeID) string {
-	var b strings.Builder
-	for i, idx := range js.indices {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(hindex.PathKey(idx.Path(nodes[i])))
-	}
-	return b.String()
-}
-
+// pathsKey derives the lookup key of a state from its member node paths.
 func pathsKey(paths [][]int) string {
 	var b strings.Builder
 	for i, p := range paths {
@@ -260,8 +241,6 @@ func (js *JoinSignature) Load(paths [][]int, ctr *stats.Counters) (ComboTester, 
 	return ss, true
 }
 
-func (ss *stateSig) MayContain(slots []int) bool { return ss.mayContain(slots) }
-
 // SizeBytes reports the total signature footprint.
 func (js *JoinSignature) SizeBytes() int64 { return js.store.Bytes() }
 
@@ -277,7 +256,7 @@ type PairwisePruner struct {
 	Pairs map[[2]int]*JoinSignature
 }
 
-// pairTester tests each pair's signature.
+// pairTester tests each pair's signature; with none, it passes every combo.
 type pairTester struct {
 	members []pairMember
 }
@@ -300,16 +279,13 @@ func (pp *PairwisePruner) Load(paths [][]int, ctr *stats.Counters) (ComboTester,
 		js.store.Touch(ss.page, ctr)
 		t.members = append(t.members, pairMember{i: pair[0], j: pair[1], ss: ss})
 	}
-	if len(t.members) == 0 {
-		return allowAll{}, true
-	}
 	return t, true
 }
 
 // MayContain implements ComboTester.
 func (t pairTester) MayContain(slots []int) bool {
 	for _, m := range t.members {
-		if !m.ss.mayContain([]int{slots[m.i], slots[m.j]}) {
+		if !m.ss.MayContain([]int{slots[m.i], slots[m.j]}) {
 			return false
 		}
 	}

@@ -3,6 +3,8 @@ package indexmerge
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
@@ -35,26 +37,68 @@ type Options struct {
 	DisableNeighborhood bool
 }
 
-// Merger executes one top-k query over m merged indices.
+// Merger executes one top-k query over n merged indices of ranking width r.
+// Everything that grows with the search lives in flat arenas that states,
+// expansions and pendings point into by offset (a box is 2r floats, lows then
+// highs), and a Merger goes from one query to the next with them.
 type Merger struct {
+	// The query, forgotten when it ends.
 	indices []hindex.Index
 	acc     []*hindex.Accessor
+	dims    [][]int // indices[i].Dims()
 	f       ranking.Func
-	k       int
 	opts    Options
-	pruner  Pruner
 	ctr     *stats.Counters
+	topk    *heap.Bounded[core.Result]
 
-	gheap *heap.Heap[*state]
-	topk  *heap.Bounded[core.Result]
-	// partial holds partially merged tuples (the sort-merge hashtable h of
-	// §5.1.2).
-	partial map[table.TID]*partialTuple
+	n, r  int // indices merged, ranking dimensions
+	gheap *heap.Heap[entry]
+	// lsum is the occupancy of the local heaps of the states on the global
+	// heap; with gheap.Len() it makes the peak-heap metric of figs. 5.12/5.16.
+	lsum   int
+	states []state
+	exps   []expansion
+	nodes  []hindex.NodeID // n per state
+	boxes  []float64       // a box per state and per child of an expanded member
+	kids   []kid
+	spans  []span  // n per expansion
+	ints   []int32 // n per pending: its combo
+	ts     []int32 // n per threshold expansion
+	// lheaps are the local heaps ever made; the first used of them are out
+	// with this query's expansions.
+	lheaps []*heap.Heap[pending]
+	used   int
+	tuples tupleTable
+
+	// Scratch of one step: a joint box, a combo and the limits it runs to,
+	// what the pruner is asked.
+	box          []float64
+	combo, limit []int32
+	slots        []int
+	paths        [][]int
 }
 
-type partialTuple struct {
-	point []float64
-	got   int // bitmask of contributing indices
+// mergers holds the Mergers between queries: TopK is a free function, with no
+// engine to own one.
+var mergers = sync.Pool{New: func() any { return &Merger{gheap: heap.New[entry](lessEntry)} }}
+
+// release empties the Merger and hands it back. Nothing a result holds points
+// into it, and nothing of the query — its indices and their paths, its
+// pruner's testers, its counters — stays referenced from it.
+func (m *Merger) release() {
+	m.gheap.Reset()
+	clear(m.exps)
+	clear(m.paths)
+	t := &m.tuples
+	clear(t.index)
+	*m = Merger{
+		gheap: m.gheap, lheaps: m.lheaps,
+		tuples: tupleTable{index: t.index, tids: t.tids[:0], got: t.got[:0], points: t.points[:0]},
+		states: m.states[:0], exps: m.exps[:0], nodes: m.nodes[:0], boxes: m.boxes[:0],
+		kids: m.kids[:0], spans: m.spans[:0], ints: m.ints[:0], ts: m.ts[:0],
+		box: m.box, combo: m.combo, limit: m.limit, slots: m.slots, paths: m.paths,
+	}
+	mergers.Put(m)
 }
 
 // TopK merges the indices and returns the k lowest-scoring tuples. The
@@ -62,31 +106,23 @@ type partialTuple struct {
 // dimensions covered by no index hold the domain midpoint, so f should only
 // reference indexed dimensions (thesis data model, §5.1.1).
 func TopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *stats.Counters) ([]core.Result, error) {
-	if len(indices) == 0 {
+	n := len(indices)
+	if n == 0 {
 		return nil, fmt.Errorf("indexmerge: no indices: %w", errs.ErrInvalidArgument)
 	}
-	covered := make(map[int]bool)
-	for _, idx := range indices {
-		for _, d := range idx.Dims() {
-			covered[d] = true
-		}
+	m := mergers.Get().(*Merger)
+	defer m.release()
+	dom := indices[0].Domain()
+	m.indices, m.f, m.opts, m.ctr, m.n, m.r = indices, f, opts, ctr, n, dom.Dims()
+	m.acc, m.dims = make([]*hindex.Accessor, n), make([][]int, n)
+	m.topk = heap.NewBounded[core.Result](k, core.WorseResult)
+	for i, idx := range indices {
+		m.dims[i] = idx.Dims()
 	}
 	for _, a := range f.Attrs() {
-		if !covered[a] {
+		if !slices.ContainsFunc(m.dims, func(dims []int) bool { return slices.Contains(dims, a) }) {
 			return nil, fmt.Errorf("indexmerge: ranking dimension %d not covered by any index: %w", a, errs.ErrInvalidArgument)
 		}
-	}
-	m := &Merger{
-		indices: indices,
-		acc:     make([]*hindex.Accessor, len(indices)),
-		f:       f,
-		k:       k,
-		opts:    opts,
-		ctr:     ctr,
-		pruner:  opts.Pruner,
-		gheap:   heap.New[*state](lessState),
-		topk:    heap.NewBounded[core.Result](k, core.WorseResult),
-		partial: make(map[table.TID]*partialTuple),
 	}
 	for i, idx := range indices {
 		if idx.Root() == hindex.InvalidNode {
@@ -95,11 +131,28 @@ func TopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *stat
 		m.acc[i] = hindex.NewAccessor(idx, ctr)
 	}
 	defer ctr.StartSpan("merge")()
+	m.combo, m.limit, m.slots, m.paths = sized(m.combo, n), sized(m.limit, n), sized(m.slots, n), sized(m.paths, n)
+	m.box = sized(m.box, 2*m.r)
+	m.tuples.center = dom.Center()
 	m.run()
 	return m.topk.Sorted(), nil
 }
 
-func lessState(a, b *state) bool {
+// sized returns s with length n, reallocated only if it has to grow; what it
+// holds is whatever the last use left.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// entry is one joint state on the global heap, at the bound of its next child.
+type entry struct {
+	bound float64
+	state int32
+	leaf  bool // all members are leaves
+}
+
+// lessEntry leaves ties between states of one kind to the heap: the loop
+// pushes and pops in the order Alg. 4/5 state, so they fall as they always
+// have.
+func lessEntry(a, b entry) bool {
 	if a.bound != b.bound {
 		return a.bound < b.bound
 	}
@@ -107,131 +160,162 @@ func lessState(a, b *state) bool {
 	return a.leaf && !b.leaf
 }
 
-// heapSize reports combined global + local heap occupancy (the peak heap
-// metric of figs. 5.12/5.16).
-func (m *Merger) heapSize() int {
-	n := m.gheap.Len()
-	for _, it := range m.gheap.Items() {
-		if it.exp != nil {
-			n += it.exp.lheap.Len()
-		}
+// observe reports the combined global + local heap occupancy.
+func (m *Merger) observe() { m.ctr.ObserveHeap(m.gheap.Len() + m.lsum) }
+
+// pushState puts a state on the global heap at bound.
+func (m *Merger) pushState(st int32, bound float64, leaf bool) {
+	m.gheap.Push(entry{bound: bound, state: st, leaf: leaf})
+	if e := m.states[st].exp; e >= 0 {
+		m.lsum += m.exps[e].lheap.Len()
 	}
-	return n
 }
 
-// rootState builds the joint root (I1.root, …, Im.root).
-func (m *Merger) rootState() *state {
-	nodes := make([]hindex.NodeID, len(m.indices))
-	box := m.indices[0].NodeBox(m.indices[0].Root())
+// newState reserves a state, its m nodes and its box for the caller to fill.
+func (m *Merger) newState() (int32, []hindex.NodeID, []float64) {
+	st, at, box := len(m.states), len(m.nodes), len(m.boxes)
+	m.states = append(m.states, state{box: int32(box), exp: -1})
+	m.nodes = slices.Grow(m.nodes, m.n)[:at+m.n]
+	m.boxes = slices.Grow(m.boxes, 2*m.r)[:box+2*m.r]
+	return int32(st), m.nodes[at:], m.boxes[box:]
+}
+
+// pushRoot pushes the joint root (I1.root, …, Im.root).
+func (m *Merger) pushRoot() {
+	st, nodes, box := m.newState()
 	leaf := true
 	for i, idx := range m.indices {
 		nodes[i] = idx.Root()
-		if i > 0 {
-			box = composeBox(box, idx.NodeBox(idx.Root()))
+		nb := idx.NodeBox(idx.Root())
+		if i == 0 {
+			copy(box, nb.Lo)
+			copy(box[m.r:], nb.Hi)
+		} else {
+			m.intersect(box, nb.Lo, nb.Hi)
 		}
-		if !idx.IsLeaf(idx.Root()) {
-			leaf = false
+		leaf = leaf && idx.IsLeaf(idx.Root())
+	}
+	m.pushState(st, m.lowerBound(box), leaf)
+	m.ctr.StatesGenerated++
+}
+
+// intersect narrows box to its intersection with [lo, hi], per dimension.
+func (m *Merger) intersect(box, lo, hi []float64) {
+	for d := 0; d < m.r; d++ {
+		if lo[d] > box[d] {
+			box[d] = lo[d]
+		}
+		if hi[d] < box[m.r+d] {
+			box[m.r+d] = hi[d]
 		}
 	}
-	return &state{nodes: nodes, box: box, bound: m.f.LowerBound(box), leaf: leaf}
+}
+
+// lowerBound is f's lower bound over a box of the arena.
+func (m *Merger) lowerBound(box []float64) float64 {
+	return m.f.LowerBound(ranking.NewBox(box[:m.r:m.r], box[m.r:2*m.r:2*m.r]))
 }
 
 // run is the query-processing loop: Alg. 4 for StrategyBL (each popped state
 // fully expands), Alg. 5 for StrategyPE (each popped state yields its next
 // best child and re-enters the heap).
 func (m *Merger) run() {
-	m.gheap.Push(m.rootState())
-	m.ctr.StatesGenerated++
+	m.pushRoot()
 	for m.gheap.Len() > 0 {
-		m.ctr.ObserveHeap(m.heapSize())
-		s := m.gheap.Pop()
+		m.observe()
+		e := m.gheap.Pop()
+		if x := m.states[e.state].exp; x >= 0 {
+			m.lsum -= m.exps[x].lheap.Len()
+		}
 		m.ctr.StatesExamined++
-		if m.topk.Full() && m.topk.Worst().Score <= s.bound {
+		if m.topk.Full() && m.topk.Worst().Score <= e.bound {
 			return
 		}
-		if s.leaf {
-			m.processLeafState(s)
+		if e.leaf {
+			m.processLeafState(e.state)
 			continue
 		}
+		if m.states[e.state].exp < 0 && !m.initExpansion(e.state, e.bound) {
+			continue
+		}
+		x := &m.exps[m.states[e.state].exp]
 		if m.opts.Strategy == StrategyBL {
-			m.expandFully(s)
+			m.expandFully(x)
 			continue
 		}
-		if s.exp == nil {
-			m.initExpansion(s)
+		// S.get_next of §5.2.1: the state's next best child goes on the global
+		// heap, and the state back beside it at the bound of the one after.
+		if x.ts < 0 {
+			m.nextNeighborhood(x)
+		} else {
+			m.nextThreshold(x)
 		}
-		if child := m.getNext(s); child != nil {
-			m.gheap.Push(child)
-		}
-		if next := s.exp.peekBound(); !math.IsInf(next, 1) {
-			s.bound = next
-			m.gheap.Push(s)
-		}
-	}
-}
-
-// expandFully is Alg. 4's full Cartesian expansion.
-func (m *Merger) expandFully(s *state) {
-	if s.exp == nil {
-		m.initExpansion(s)
-	}
-	if s.exp.dead {
-		return
-	}
-	combo := make([]int, len(s.exp.members))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(combo) {
-			bound := s.exp.comboBound(m, combo)
-			if math.IsInf(bound, 1) {
-				return
-			}
-			if s.exp.combos != nil {
-				slots := make([]int, len(combo))
-				for j, pos := range combo {
-					slots[j] = s.exp.members[j][pos].slot
-				}
-				if !s.exp.combos.MayContain(slots) {
-					m.ctr.Pruned++
-					return
-				}
-			}
-			m.gheap.Push(m.buildChild(s, pending{combo: combo, bound: bound}))
-			m.ctr.StatesGenerated++
-			return
-		}
-		for p := range s.exp.members[i] {
-			combo[i] = p
-			rec(i + 1)
+		if next := m.peekBound(x); !math.IsInf(next, 1) {
+			m.pushState(e.state, next, false)
 		}
 	}
-	rec(0)
-	m.ctr.ObserveHeap(m.heapSize())
 }
 
 // processLeafState retrieves the member leaves of a leaf state and merges
-// their tuples through the partial-tuple hashtable. Members already
-// retrieved are skipped — redundant states (§5.1.3) thereby cost nothing.
-func (m *Merger) processLeafState(s *state) {
-	for i, idx := range m.indices {
-		if m.acc[i].Retrieved(s.nodes[i]) {
+// their tuples through the partial-tuple table. Members already retrieved are
+// skipped — redundant states (§5.1.3) thereby cost nothing.
+func (m *Merger) processLeafState(st int32) {
+	t, full := &m.tuples, uint64(1)<<uint(m.n)-1
+	for i, nid := range m.nodes[int(st)*m.n:][:m.n] {
+		if m.acc[i].Retrieved(nid) {
 			continue
 		}
-		dims := idx.Dims()
-		for _, le := range m.acc[i].LeafEntries(s.nodes[i]) {
-			pt, ok := m.partial[le.TID]
-			if !ok {
-				pt = &partialTuple{point: m.indices[0].Domain().Center()}
-				m.partial[le.TID] = pt
+		for slot, n := 0, m.acc[i].Visit(nid); slot < n; slot++ {
+			tid, pt := m.acc[i].Tuple(nid, slot)
+			at := t.find(tid)
+			point := t.points[at*m.r:][:m.r]
+			for _, d := range m.dims[i] {
+				point[d] = pt[d]
 			}
-			for _, d := range dims {
-				pt.point[d] = le.Point[d]
-			}
-			pt.got |= 1 << uint(i)
-			if pt.got == 1<<uint(len(m.indices))-1 {
-				m.topk.Offer(core.Result{TID: le.TID, Score: m.f.Eval(pt.point)})
-				delete(m.partial, le.TID)
+			t.got[at] |= 1 << uint(i)
+			if t.got[at] == full {
+				m.topk.Offer(core.Result{TID: tid, Score: m.f.Eval(point)})
 			}
 		}
 	}
+}
+
+// tupleTable holds the partially merged tuples (the sort-merge hashtable h of
+// §5.1.2): an open-addressed TID index over dense per-tuple columns. A tuple
+// every index has contributed to stays, complete: each index holds it in one
+// leaf and a leaf is retrieved once, so it is never looked up again.
+type tupleTable struct {
+	// index is probed linearly from a TID's hash; a cell holds 1 + the
+	// tuple's position in the columns, 0 while free. Its length is a power of
+	// two at least twice the tuples held.
+	index  []int32
+	tids   []table.TID
+	got    []uint64  // the indices that have contributed to the tuple
+	points []float64 // r per tuple; dimensions not yet contributed hold center's
+	center []float64 // the domain midpoint
+}
+
+// find returns the position of tid in the columns, adding it if it is new.
+func (t *tupleTable) find(tid table.TID) int {
+	if 2*(len(t.tids)+1) > len(t.index) {
+		t.index = make([]int32, max(2*len(t.index), 1024))
+		for at, held := range t.tids {
+			t.index[t.cell(held)] = int32(at + 1)
+		}
+	}
+	c := t.cell(tid)
+	if t.index[c] == 0 {
+		t.tids, t.got, t.points = append(t.tids, tid), append(t.got, 0), append(t.points, t.center...)
+		t.index[c] = int32(len(t.tids))
+	}
+	return int(t.index[c] - 1)
+}
+
+// cell returns the index cell holding tid, or the free one it belongs in.
+func (t *tupleTable) cell(tid table.TID) uint32 {
+	mask := uint32(len(t.index) - 1)
+	c := uint32(tid) * 0x9E3779B1
+	for c = (c ^ c>>15) & mask; t.index[c] != 0 && t.tids[t.index[c]-1] != tid; c = (c + 1) & mask {
+	}
+	return c
 }

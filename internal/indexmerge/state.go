@@ -7,153 +7,145 @@
 package indexmerge
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"rankcube/internal/heap"
 	"rankcube/internal/hindex"
 	"rankcube/internal/ranking"
 )
 
-// childRef is one expansion candidate of a state member: either a child of
-// a non-leaf member node or the member itself when it is already a leaf
-// ("If Ii.ni is a leaf node, Ii.ni itself is used in the Cartesian
-// products", §5.1.1).
-type childRef struct {
-	id       hindex.NodeID
-	slot     int // 0-based slot in the member node (0 for leaf-self)
-	leafSelf bool
-	box      ranking.Box // composed with the state box
-	bound    float64     // f'(e): lower bound with other members at state box
+// state is one joint state (n1, …, nm): its box in the arena, and its
+// expansion once it has been popped (-1 before). State st's nodes are
+// nodes[st·n:][:n].
+type state struct {
+	box, exp int32
 }
 
-// state is one joint state (n1, …, nm).
-type state struct {
-	nodes []hindex.NodeID
-	box   ranking.Box
-	bound float64
-	leaf  bool // all members are leaves
-	exp   *expansion
+// kid is one expansion candidate of a state member: either a child of a
+// non-leaf member node or the member itself when it is already a leaf ("If
+// Ii.ni is a leaf node, Ii.ni itself is used in the Cartesian products",
+// §5.1.1).
+type kid struct {
+	bound float64 // f'(e): lower bound with other members at state box
+	id    hindex.NodeID
+	slot  int32 // 0-based slot in the member node (0 for leaf-self)
+}
+
+// span is one member's candidates, kids[at:at+n] in expansion order. The box
+// of the candidate in slot s, composed with the state box, is the 2r floats at
+// boxes + s·2r.
+type span struct {
+	at, n, boxes int32
 }
 
 // expansion holds a state's progressive get_next machinery (§5.2).
 type expansion struct {
-	members  [][]childRef
-	lheap    *heap.Heap[pending]
-	strategy expandKind
-	// threshold positions, one per member (next list index to introduce).
-	ts []int
+	members int32 // spans[members:members+n]
+	lheap   *heap.Heap[pending]
+	// ts[ts:ts+n] are threshold expansion's positions, one per member (next
+	// list index to introduce); -1 under neighborhood expansion.
+	ts int32
 	// pruner combo tester for this state (nil = no pruning).
 	combos ComboTester
-	// dead marks a state whose signature lookup failed: a bloom false
-	// positive being corrected (§5.3.3).
-	dead bool
 }
 
-type expandKind int
-
-const (
-	expandThreshold expandKind = iota
-	expandNeighborhood
-)
-
-// pending is one generated-but-not-returned child combo in a local heap.
+// pending is one generated-but-not-returned child combo in a local heap; the
+// combo, a position per member's candidates, is ints[combo:combo+n].
 type pending struct {
-	combo []int
 	bound float64
+	combo int32
 	empty bool // known-empty (kept for neighborhood traversal only)
 }
 
-func lessPending(a, b pending) bool {
+// lessPending is a total order — a state generates a combo once — so a local
+// heap pops the same pending whatever order its pushes came in.
+func (m *Merger) lessPending(a, b pending) bool {
 	if a.bound != b.bound {
 		return a.bound < b.bound
 	}
 	// Deterministic tie-break on combo lexicographic order.
-	for i := range a.combo {
-		if a.combo[i] != b.combo[i] {
-			return a.combo[i] < b.combo[i]
-		}
-	}
-	return false
+	return slices.Compare(m.ints[a.combo:][:m.n], m.ints[b.combo:][:m.n]) < 0
 }
 
-// composeBox intersects the state box with a child's box (per dimension).
-func composeBox(stateBox, childBox ranking.Box) ranking.Box {
-	out := stateBox.Clone()
-	for d := range out.Lo {
-		if childBox.Lo[d] > out.Lo[d] {
-			out.Lo[d] = childBox.Lo[d]
-		}
-		if childBox.Hi[d] < out.Hi[d] {
-			out.Hi[d] = childBox.Hi[d]
-		}
-	}
-	return out
-}
+// members returns the candidate lists of expansion x.
+func (m *Merger) members(x *expansion) []span { return m.spans[x.members:][:m.n] }
 
-// init prepares a state for progressive expansion: member child lists with
-// f' bounds, the expansion strategy, and the state's signature tester.
-func (m *Merger) initExpansion(s *state) {
-	exp := &expansion{lheap: heap.New[pending](lessPending)}
-	s.exp = exp
+// kid returns the candidate at position pos of a member's list.
+func (m *Merger) kid(sp span, pos int32) kid { return m.kids[sp.at+pos] }
 
-	if m.pruner != nil {
-		paths := make([][]int, len(m.indices))
+// initExpansion prepares a state popped at bound for progressive expansion:
+// member child lists with f' bounds, the expansion strategy, and the state's
+// signature tester. It reports false, and prepares nothing, for a state the
+// signature does not know: one reached through a bloom false positive, which
+// is empty (§5.3.3) and produces no children.
+func (m *Merger) initExpansion(st int32, bound float64) bool {
+	nodes := m.nodes[int(st)*m.n:][:m.n]
+	var x expansion
+	if m.opts.Pruner != nil {
 		for i, idx := range m.indices {
-			paths[i] = idx.Path(s.nodes[i])
+			m.paths[i] = idx.Path(nodes[i])
 		}
-		tester, known := m.pruner.Load(paths, m.ctr)
-		if !known {
-			// The state was reached through a bloom false positive; it is
-			// empty (§5.3.3) and produces no children.
-			exp.dead = true
-			return
+		known := false
+		if x.combos, known = m.opts.Pruner.Load(m.paths, m.ctr); !known {
+			return false
 		}
-		exp.combos = tester
 	}
+	if m.used == len(m.lheaps) {
+		m.lheaps = append(m.lheaps, heap.New[pending](m.lessPending))
+	}
+	x.lheap = m.lheaps[m.used]
+	x.lheap.Reset()
+	m.used++
 
-	exp.members = make([][]childRef, len(m.indices))
+	x.members = int32(len(m.spans))
 	for i, idx := range m.indices {
-		nid := s.nodes[i]
+		nid, sp := nodes[i], span{at: int32(len(m.kids)), n: 1, boxes: m.states[st].box}
 		if idx.IsLeaf(nid) {
-			exp.members[i] = []childRef{{
-				id: nid, slot: 0, leafSelf: true, box: s.box,
-				bound: s.bound,
-			}}
+			m.kids = append(m.kids, kid{id: nid, bound: bound})
+			m.spans = append(m.spans, sp)
 			continue
 		}
-		children := m.acc[i].Children(nid)
-		refs := make([]childRef, len(children))
-		for slot, ch := range children {
-			box := composeBox(s.box, ch.Box)
-			refs[slot] = childRef{
-				id:    ch.ID,
-				slot:  slot,
-				box:   box,
-				bound: m.f.LowerBound(box),
-			}
+		sp.n, sp.boxes = int32(m.acc[i].Visit(nid)), int32(len(m.boxes))
+		m.boxes = slices.Grow(m.boxes, int(sp.n)*2*m.r)
+		sbox := m.boxes[m.states[st].box:][:2*m.r]
+		for slot := int32(0); slot < sp.n; slot++ {
+			id, cb := m.acc[i].Child(nid, int(slot))
+			m.boxes = append(m.boxes, sbox...)
+			box := m.boxes[len(m.boxes)-2*m.r:]
+			m.intersect(box, cb.Lo, cb.Hi)
+			m.kids = append(m.kids, kid{id: id, slot: slot, bound: m.lowerBound(box)})
 		}
-		exp.members[i] = refs
+		// Sorted by f' (ties by value order): threshold expansion's sorted
+		// lists (§5.2.3), and neighborhood expansion's sequence of non-decreasing
+		// f' — attribute order for monotone functions, distance-from-extreme
+		// order for semi-monotone ones, f' coming from box lower bounds.
+		slices.SortFunc(m.kids[sp.at:], func(a, b kid) int {
+			return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.slot, b.slot))
+		})
+		m.spans = append(m.spans, sp)
 	}
 
-	if m.useNeighborhood(s) {
-		exp.strategy = expandNeighborhood
-		m.orderForNeighborhood(exp)
-		exp.seedNeighborhood(m)
-	} else {
-		exp.strategy = expandThreshold
-		m.orderByBound(exp)
-		exp.ts = make([]int, len(exp.members))
-		for i := range exp.ts {
-			exp.ts[i] = 1
+	x.ts = -1
+	if !m.useNeighborhood(nodes) {
+		x.ts = int32(len(m.ts))
+		for range m.n {
+			m.ts = append(m.ts, 1)
 		}
-		exp.push(m, make([]int, len(exp.members)))
 	}
+	m.states[st].exp = int32(len(m.exps))
+	m.exps = append(m.exps, x)
+	// The seed: all members at sequence position 0.
+	clear(m.combo)
+	m.push(&m.exps[len(m.exps)-1], m.combo)
+	return true
 }
 
 // useNeighborhood decides whether neighborhood expansion applies: the
 // function must be monotone or semi-monotone and every non-leaf member must
 // come from a value-ordered (B+-tree) index (§5.2.2).
-func (m *Merger) useNeighborhood(s *state) bool {
+func (m *Merger) useNeighborhood(nodes []hindex.NodeID) bool {
 	if m.opts.DisableNeighborhood {
 		return false
 	}
@@ -163,7 +155,7 @@ func (m *Merger) useNeighborhood(s *state) bool {
 		return false
 	}
 	for i, idx := range m.indices {
-		if idx.IsLeaf(s.nodes[i]) {
+		if idx.IsLeaf(nodes[i]) {
 			continue
 		}
 		vo, ok := idx.(hindex.ValueOrdered)
@@ -174,238 +166,185 @@ func (m *Merger) useNeighborhood(s *state) bool {
 	return true
 }
 
-// orderByBound sorts each member's children ascending by f' (threshold
-// expansion's sorted lists, §5.2.3).
-func (m *Merger) orderByBound(exp *expansion) {
-	for i := range exp.members {
-		refs := exp.members[i]
-		insertionSortBy(refs, func(a, b childRef) bool {
-			if a.bound != b.bound {
-				return a.bound < b.bound
-			}
-			return a.slot < b.slot
-		})
+// mayContain puts a combo to the state's signature tester.
+func (m *Merger) mayContain(x *expansion, combo []int32) bool {
+	if x.combos == nil {
+		return true
 	}
-}
-
-// orderForNeighborhood sorts each member's children so that f' is
-// non-decreasing along the sequence: ascending or descending attribute order
-// for monotone functions, distance-from-extreme order for semi-monotone
-// ones. Since f' itself is computed from box lower bounds, sorting by f'
-// (ties by value order) realizes both cases.
-func (m *Merger) orderForNeighborhood(exp *expansion) {
-	m.orderByBound(exp)
-}
-
-// seedNeighborhood pushes the initial state (all members at sequence
-// position 0).
-func (exp *expansion) seedNeighborhood(m *Merger) {
-	exp.push(m, make([]int, len(exp.members)))
+	for i, sp := range m.members(x) {
+		m.slots[i] = int(m.kid(sp, combo[i]).slot)
+	}
+	return x.combos.MayContain(m.slots)
 }
 
 // push creates a pending child combo, consulting the pruner. Empty combos
 // are dropped under threshold expansion and kept (marked) under
 // neighborhood expansion, where they are still needed to reach their
 // neighbors (§5.3.3).
-func (exp *expansion) push(m *Merger, combo []int) {
-	empty := false
-	if exp.combos != nil {
-		slots := make([]int, len(combo))
-		for i, pos := range combo {
-			slots[i] = exp.members[i][pos].slot
-		}
-		if !exp.combos.MayContain(slots) {
-			if exp.strategy == expandThreshold {
-				m.ctr.Pruned++
-				return
-			}
-			empty = true
-			m.ctr.Pruned++
+func (m *Merger) push(x *expansion, combo []int32) {
+	empty := !m.mayContain(x, combo)
+	if empty {
+		m.ctr.Pruned++
+		if x.ts >= 0 {
+			return
 		}
 	}
-	bound := exp.comboBound(m, combo)
+	bound := m.lowerBound(m.joint(x, combo, m.box))
 	if math.IsInf(bound, 1) {
 		return
 	}
-	c := append([]int(nil), combo...)
-	exp.lheap.Push(pending{combo: c, bound: bound, empty: empty})
+	m.ints = append(m.ints, combo...)
+	x.lheap.Push(pending{combo: int32(len(m.ints) - m.n), bound: bound, empty: empty})
 	m.ctr.StatesGenerated++
-	m.ctr.ObserveHeap(m.heapSize())
+	m.observe()
 }
 
-// comboBound computes f over the joint box of a child combo.
-func (exp *expansion) comboBound(m *Merger, combo []int) float64 {
-	box := exp.members[0][combo[0]].box
-	if len(combo) > 1 {
-		box = box.Clone()
-		for i := 1; i < len(combo); i++ {
-			box = composeBox(box, exp.members[i][combo[i]].box)
+// joint composes the joint box of a child combo into box, and returns it.
+func (m *Merger) joint(x *expansion, combo []int32, box []float64) []float64 {
+	for i, sp := range m.members(x) {
+		b := m.boxes[int(sp.boxes)+int(m.kid(sp, combo[i]).slot)*2*m.r:][:2*m.r]
+		if i == 0 {
+			copy(box, b)
+		} else {
+			m.intersect(box, b[:m.r], b[m.r:])
 		}
 	}
-	return m.f.LowerBound(box)
+	return box
 }
 
-// getNext produces the state's next best child, or nil when exhausted
-// (§5.2.1's S.get_next interface).
-func (m *Merger) getNext(s *state) *state {
-	exp := s.exp
-	if exp.dead {
-		return nil
+// advance steps combo to the next in lexicographic order with every
+// coordinate below its limit, leaving coordinate hold alone; it reports false,
+// with the others back at 0, after the last.
+func advance(combo, limit []int32, hold int) bool {
+	for i := len(combo) - 1; i >= 0; i-- {
+		if i == hold {
+			continue
+		}
+		if combo[i]++; combo[i] < limit[i] {
+			return true
+		}
+		combo[i] = 0
 	}
-	switch exp.strategy {
-	case expandNeighborhood:
-		return m.nextNeighborhood(s)
-	default:
-		return m.nextThreshold(s)
-	}
+	return false
 }
 
 // nextNeighborhood pops the best pending combo and pushes its staircase
 // neighbors: coordinate c may advance only when all later coordinates are
 // at their start, which enumerates every combo exactly once without a
 // duplicate hash table.
-func (m *Merger) nextNeighborhood(s *state) *state {
-	exp := s.exp
-	for exp.lheap.Len() > 0 {
-		p := exp.lheap.Pop()
-		for c := 0; c < len(p.combo); c++ {
-			if p.combo[c]+1 >= len(exp.members[c]) {
-				continue
-			}
-			ok := true
-			for j := c + 1; j < len(p.combo); j++ {
-				if p.combo[j] != 0 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			p.combo[c]++
-			exp.push(m, p.combo)
-			p.combo[c]--
+func (m *Merger) nextNeighborhood(x *expansion) {
+	members, combo := m.members(x), m.combo
+	for x.lheap.Len() > 0 {
+		p := x.lheap.Pop()
+		copy(combo, m.ints[p.combo:])
+		// The last coordinate off its start, and those after it, may advance.
+		c := m.n - 1
+		for c > 0 && combo[c] == 0 {
+			c--
 		}
-		if p.empty {
-			continue
+		for ; c < m.n; c++ {
+			if combo[c]+1 < members[c].n {
+				combo[c]++
+				m.push(x, combo)
+				combo[c]--
+			}
 		}
-		return m.buildChild(s, p)
+		if !p.empty {
+			m.buildChild(x, combo, p.bound)
+			return
+		}
 	}
-	return nil
 }
 
 // nextThreshold runs the sort-merge search of §5.2.3: it returns the local
 // heap root once no future combo can beat it, advancing the member with the
 // best threshold bound otherwise.
-func (m *Merger) nextThreshold(s *state) *state {
-	exp := s.exp
+func (m *Merger) nextThreshold(x *expansion) {
+	ts := m.ts[x.ts:][:m.n]
 	for {
-		thr := math.Inf(1)
-		best := -1
-		for i, t := range exp.ts {
-			if t >= len(exp.members[i]) {
-				continue
-			}
-			if b := exp.members[i][t].bound; b < thr {
-				thr, best = b, i
-			}
-		}
-		if exp.lheap.Len() > 0 && exp.lheap.Min().bound <= thr {
-			p := exp.lheap.Pop()
-			return m.buildChild(s, p)
+		thr, best := m.threshold(x)
+		if x.lheap.Len() > 0 && (best < 0 || x.lheap.Min().bound <= thr) {
+			p := x.lheap.Pop()
+			m.buildChild(x, m.ints[p.combo:][:m.n], p.bound)
+			return
 		}
 		if best < 0 {
-			if exp.lheap.Len() == 0 {
-				return nil
-			}
-			p := exp.lheap.Pop()
-			return m.buildChild(s, p)
+			return
 		}
 		// Advance member best: generate the Cartesian band
-		// [0..t_j−1] × … × [t_best] × … (§5.2.3).
-		m.generateBand(exp, best)
-		exp.ts[best]++
+		// [0..t_j−1] × … × [t_best] × … (§5.2.3) — all combos whose coordinate
+		// at best equals its threshold and whose others are below theirs. A
+		// threshold never passes the end of its list, so it is the limit.
+		clear(m.combo)
+		m.combo[best] = ts[best]
+		for more := true; more; more = advance(m.combo, ts, best) {
+			m.push(x, m.combo)
+		}
+		ts[best]++
 	}
 }
 
-// generateBand pushes all combos whose coordinate at member s equals
-// ts[s] and whose other coordinates are below their thresholds.
-func (m *Merger) generateBand(exp *expansion, s int) {
-	combo := make([]int, len(exp.members))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(exp.members) {
-			exp.push(m, combo)
-			return
-		}
-		if i == s {
-			combo[i] = exp.ts[s]
-			rec(i + 1)
-			return
-		}
-		limit := exp.ts[i]
-		if limit > len(exp.members[i]) {
-			limit = len(exp.members[i])
-		}
-		for p := 0; p < limit; p++ {
-			combo[i] = p
-			rec(i + 1)
+// threshold reports the least f' among the members' next candidates to
+// introduce and the member it belongs to (-1 once every list is exhausted):
+// no combo still to be generated can score below it.
+func (m *Merger) threshold(x *expansion) (float64, int) {
+	thr, best := math.Inf(1), -1
+	for i, sp := range m.members(x) {
+		if t := m.ts[int(x.ts)+i]; t < sp.n {
+			if b := m.kid(sp, t).bound; b < thr {
+				thr, best = b, i
+			}
 		}
 	}
-	rec(0)
+	return thr, best
 }
 
 // peekBound reports the bound of the state's next child (+Inf when
 // exhausted for neighborhood; threshold states may still surface future
 // combos bounded by the threshold value).
-func (exp *expansion) peekBound() float64 {
+func (m *Merger) peekBound(x *expansion) float64 {
 	bound := math.Inf(1)
-	if exp.dead {
-		return bound
+	if x.lheap.Len() > 0 {
+		bound = x.lheap.Min().bound
 	}
-	if exp.lheap.Len() > 0 {
-		bound = exp.lheap.Min().bound
-	}
-	if exp.strategy == expandThreshold {
-		for i, t := range exp.ts {
-			if t < len(exp.members[i]) {
-				if b := exp.members[i][t].bound; b < bound {
-					bound = b
-				}
-			}
-		}
+	if x.ts >= 0 {
+		thr, _ := m.threshold(x)
+		bound = min(bound, thr)
 	}
 	return bound
 }
 
-// buildChild materializes a state from a pending combo.
-func (m *Merger) buildChild(parent *state, p pending) *state {
-	exp := parent.exp
-	nodes := make([]hindex.NodeID, len(p.combo))
-	box := exp.members[0][p.combo[0]].box
-	if len(p.combo) > 1 {
-		box = box.Clone()
-	}
+// buildChild materializes the state of a child combo and pushes it on the
+// global heap at bound.
+func (m *Merger) buildChild(x *expansion, combo []int32, bound float64) {
+	st, nodes, box := m.newState()
+	m.joint(x, combo, box)
 	leaf := true
-	for i, pos := range p.combo {
-		ref := exp.members[i][pos]
-		nodes[i] = ref.id
-		if i > 0 {
-			box = composeBox(box, ref.box)
-		}
-		if !m.indices[i].IsLeaf(ref.id) {
-			leaf = false
-		}
+	for i, sp := range m.members(x) {
+		nodes[i] = m.kid(sp, combo[i]).id
+		leaf = leaf && m.indices[i].IsLeaf(nodes[i])
 	}
-	return &state{nodes: nodes, box: box, bound: p.bound, leaf: leaf}
+	m.pushState(st, bound, leaf)
 }
 
-// insertionSortBy sorts small slices in place (member lists are at most the
-// fanout; avoids sort.Slice's interface allocations on the hot path).
-func insertionSortBy(refs []childRef, less func(a, b childRef) bool) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && less(refs[j], refs[j-1]); j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
+// expandFully is Alg. 4's full Cartesian expansion.
+func (m *Merger) expandFully(x *expansion) {
+	members, combo, limit := m.members(x), m.combo, m.limit
+	clear(combo)
+	for i, sp := range members {
+		limit[i] = sp.n
 	}
+	for more := true; more; more = advance(combo, limit, -1) {
+		bound := m.lowerBound(m.joint(x, combo, m.box))
+		if math.IsInf(bound, 1) {
+			continue
+		}
+		if !m.mayContain(x, combo) {
+			m.ctr.Pruned++
+			continue
+		}
+		m.buildChild(x, combo, bound)
+		m.ctr.StatesGenerated++
+	}
+	m.observe()
 }

@@ -242,7 +242,8 @@ func (tr *Tree) collectSubtree(id hindex.NodeID, set map[table.TID]struct{}) {
 
 // Delete removes tuple tid, returning the set of tuples whose paths changed
 // (swap-removal relocates the last entry of the leaf; emptied nodes are
-// unlinked, relocating their parent's last entry). The second result is
+// unlinked, relocating their parent's last entry; a root left with one entry
+// collapses into it, shortening every path). The second result is
 // false when tid is not present. Underflowed (but non-empty) nodes are left
 // in place — a simplification relative to Guttman's CondenseTree that never
 // affects correctness, only packing.
@@ -307,12 +308,14 @@ func (tr *Tree) unlink(id hindex.NodeID, affected map[table.TID]struct{}) {
 		tr.unlink(parent, affected)
 		return
 	}
-	// Collapse a root with a single child to keep height tight.
+	// Collapse a root with a single child to keep height tight. Every path
+	// that remains loses its first position.
 	if parent == tr.root && len(p.kids) == 1 {
 		tr.root = p.kids[0]
 		tr.nodes[tr.root].parent = hindex.InvalidNode
 		tr.nodes[tr.root].posInParent = 0
 		tr.height--
+		tr.collectSubtree(tr.root, affected)
 		return
 	}
 	tr.adjustUp(parent)

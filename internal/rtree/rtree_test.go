@@ -150,9 +150,37 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestDeleteAffectedSetSound(t *testing.T) {
-	tb := genTable(300, 25)
-	tr := New([]int{0, 1}, 3, ranking.UnitBox(3), Config{Fanout: 5})
+// deleteSound deletes tid and holds Delete's affected set to the paths the
+// tree served before it: a tuple the set leaves out is where it was. paths is
+// brought up to date.
+func deleteSound(t *testing.T, tr *Tree, paths map[table.TID]string, tid table.TID) {
+	t.Helper()
+	affected, ok := tr.Delete(tid)
+	if !ok {
+		return
+	}
+	aset := map[table.TID]bool{tid: true}
+	for _, a := range affected {
+		aset[a] = true
+	}
+	for old, p := range paths {
+		if aset[old] {
+			continue
+		}
+		if got := hindex.PathKey(tr.TuplePath(old)); got != p {
+			t.Fatalf("delete %d silently moved tuple %d: path %v, was %q", tid, old, tr.TuplePath(old), p)
+		}
+	}
+	delete(paths, tid)
+	for _, a := range affected {
+		if a != tid {
+			paths[a] = hindex.PathKey(tr.TuplePath(a))
+		}
+	}
+}
+
+func insertAll(tb *table.Table, cfg Config) (*Tree, map[table.TID]string) {
+	tr := New([]int{0, 1}, 3, ranking.UnitBox(3), cfg)
 	for i := 0; i < tb.Len(); i++ {
 		tr.Insert(table.TID(i), tb.RankRow(table.TID(i), nil))
 	}
@@ -160,32 +188,42 @@ func TestDeleteAffectedSetSound(t *testing.T) {
 	for i := 0; i < tb.Len(); i++ {
 		paths[table.TID(i)] = hindex.PathKey(tr.TuplePath(table.TID(i)))
 	}
+	return tr, paths
+}
+
+func TestDeleteAffectedSetSound(t *testing.T) {
+	tb := genTable(300, 25)
+	tr, paths := insertAll(tb, Config{Fanout: 5})
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 200; i++ {
-		tid := table.TID(rng.Intn(tb.Len()))
-		affected, ok := tr.Delete(tid)
-		if !ok {
-			continue
-		}
-		aset := map[table.TID]bool{tid: true}
-		for _, a := range affected {
-			aset[a] = true
-		}
-		for old, p := range paths {
-			if aset[old] {
-				continue
-			}
-			if got := hindex.PathKey(tr.TuplePath(old)); got != p {
-				t.Fatalf("delete %d silently moved tuple %d", tid, old)
-			}
-		}
-		delete(paths, tid)
-		for _, a := range affected {
-			if a != tid {
-				paths[a] = hindex.PathKey(tr.TuplePath(a))
-			}
+		deleteSound(t, tr, paths, table.TID(rng.Intn(tb.Len())))
+	}
+}
+
+// TestDeleteRootCollapseReportsSurvivors empties the root's last entry, again
+// and again: with two entries left, the root collapses into the other one and
+// every surviving tuple's path loses its first position — whichever slot the
+// emptied child sat in, and here it is the last, where no sibling is moved
+// into its place.
+func TestDeleteRootCollapseReportsSurvivors(t *testing.T) {
+	tb := genTable(120, 27)
+	tr, paths := insertAll(tb, Config{Fanout: 4})
+	height := tr.Height()
+	if height < 3 {
+		t.Fatalf("height %d, want a root above internal nodes", height)
+	}
+	for tr.Height() == height {
+		root := tr.nodes[tr.root]
+		under := map[table.TID]struct{}{}
+		tr.collectSubtree(root.kids[len(root.kids)-1], under)
+		for _, tid := range keys(under) {
+			deleteSound(t, tr, paths, tid)
 		}
 	}
+	if tr.Height() != height-1 || len(paths) == 0 {
+		t.Fatalf("height %d → %d with %d tuples left, want one level less over some", height, tr.Height(), len(paths))
+	}
+	checkInvariants(t, tr, len(paths))
 }
 
 func TestTuplePathResolves(t *testing.T) {

@@ -111,10 +111,12 @@ func (c *Cube) lossyTesterFor(cond map[int]int32, ctr *stats.Counters) (signatur
 	return testers, true
 }
 
-// verifier returns the tuple-level re-verification hook of a lossy cube:
+// Verifier returns the tuple-level re-verification hook of a lossy cube:
 // the bloom measure may pass non-matching tuples, which a charged random
-// access to the relation then rejects. Exact cubes need none.
-func (c *Cube) verifier(cond core.Cond, ctr *stats.Counters) func(table.TID) bool {
+// access to the relation then rejects. Exact cubes need none. A search runs it
+// on a tuple it is about to answer with — the top-k scanner at pop, the
+// skyline search at emit.
+func (c *Cube) Verifier(cond core.Cond, ctr *stats.Counters) func(table.TID) bool {
 	if !c.cfg.LossySignatures {
 		return nil
 	}

@@ -176,7 +176,7 @@ func checkAgainstReference(t *testing.T, rc refCase, rng *rand.Rand) {
 				}
 				var want []core.Result
 				if any {
-					want = refTopK(rt, tester, rc.cube.verifier(cond, wantCtr), f, k, wantCtr)
+					want = refTopK(rt, tester, rc.cube.Verifier(cond, wantCtr), f, k, wantCtr)
 				}
 				if !(len(res) == 0 && len(want) == 0) && !reflect.DeepEqual(res, want) {
 					t.Fatalf("%s: results\n got %v\nwant %v", what, res, want)
@@ -203,7 +203,7 @@ func checkAgainstReference(t *testing.T, rc refCase, rng *rand.Rand) {
 				}
 				continue
 			}
-			ref := newRefScanner(rt, tester, rc.cube.verifier(cond, wantCtr), f, wantCtr)
+			ref := newRefScanner(rt, tester, rc.cube.Verifier(cond, wantCtr), f, wantCtr)
 			// Stop part-way on some scans: a rank join rarely drains its source.
 			limit := matches + 1
 			if rng.Intn(2) == 0 {

@@ -137,7 +137,7 @@ func (c *Cube) Scan(cond core.Cond, f ranking.Func, ctr *stats.Counters) (*Scann
 	if !any {
 		return &Scanner{done: true}, nil
 	}
-	return newScanner(c.rt, tester, c.verifier(cond, ctr), f, ctr), nil
+	return newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr), nil
 }
 
 // Next returns the next matching tuple in ascending score order; ok is

@@ -288,7 +288,7 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 		return nil, nil
 	}
 	defer ctr.StartSpan("search")()
-	return newScanner(c.rt, tester, c.verifier(cond, ctr), f, ctr).take(k), nil
+	return newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr).take(k), nil
 }
 
 // SearchTopK is Alg. 3 over any hierarchical index: progressive best-first

@@ -230,6 +230,71 @@ func TestDeleteMaintainsSignatures(t *testing.T) {
 	}
 }
 
+// TestDeleteThroughRootCollapse deletes the tuples under the root's last
+// entry until the root, down to two, collapses into the other one: every
+// surviving path loses its first position, and the maintained cube must know
+// it — it answers like a cube built from the surviving rows.
+func TestDeleteThroughRootCollapse(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 120, S: 2, R: 2, Card: 3, Seed: 73})
+	cube := Build(tb, Config{RTree: rtree.Config{Fanout: 4}})
+	rt, height := cube.rt, cube.rt.Height()
+	if height < 3 {
+		t.Fatalf("height %d, want a root above internal nodes", height)
+	}
+	var under func(id hindex.NodeID, tids []table.TID) []table.TID
+	under = func(id hindex.NodeID, tids []table.TID) []table.TID {
+		if rt.IsLeaf(id) {
+			for _, le := range rt.LeafEntries(id) {
+				tids = append(tids, le.TID)
+			}
+			return tids
+		}
+		for _, ch := range rt.Children(id) {
+			tids = under(ch.ID, tids)
+		}
+		return tids
+	}
+	deleted := make(map[table.TID]bool)
+	for rt.Height() == height {
+		for _, tid := range under(rt.ChildAt(rt.Root(), rt.NumChildren(rt.Root())-1), nil) {
+			if !cube.Delete(tid, stats.New()) {
+				t.Fatalf("tuple %d under the root is not in the cube", tid)
+			}
+			deleted[tid] = true
+		}
+	}
+	rebuilt, err := table.New(tb.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tb.Len(); i++ {
+		if tid := table.TID(i); !deleted[tid] {
+			rebuilt.Append(tb.SelRow(tid, nil), tb.RankRow(tid, nil))
+			if got, want := hindex.PathKey(cube.paths[tid]), hindex.PathKey(rt.TuplePath(tid)); got != want {
+				t.Fatalf("tuple %d: the cube holds path %v, the tree %v", tid, cube.paths[tid], rt.TuplePath(tid))
+			}
+		}
+	}
+	if rebuilt.Len() == 0 || rt.Height() != height-1 {
+		t.Fatalf("height %d → %d over %d rows, want one level less over some", height, rt.Height(), rebuilt.Len())
+	}
+	fresh := Build(rebuilt, Config{RTree: rtree.Config{Fanout: 4}})
+	f := ranking.Sum(0, 1)
+	for d := 0; d < 2; d++ {
+		for v := int32(0); v < 3; v++ {
+			got, err := cube.TopK(core.Cond{d: v}, f, 10, stats.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.TopK(core.Cond{d: v}, f, 10, stats.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameScores(t, got, want)
+		}
+	}
+}
+
 func TestBaselineCodingBigger(t *testing.T) {
 	tb := table.Generate(table.GenSpec{T: 5000, S: 1, R: 2, Card: 20, Seed: 71})
 	adaptive := Build(tb, Config{RTree: rtree.Config{Fanout: 32}})

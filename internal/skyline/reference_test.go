@@ -113,6 +113,7 @@ func refRoot(q Query, rt hindex.Index) *heap.Heap[refEntry] {
 func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry], sky []Result, snap *refSnapshot, ctr *stats.Counters) []Result {
 	rt := e.cube.Tree()
 	acc := hindex.NewAccessor(rt, ctr)
+	verify := e.cube.Verifier(q.Cond, ctr)
 	for h.Len() > 0 {
 		ctr.ObserveHeap(h.Len())
 		en := h.Pop()
@@ -127,6 +128,12 @@ func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry],
 			continue
 		}
 		if en.isTuple {
+			// Not in the old loop, which let a lossy cube's false positives into
+			// the skyline: the bug was its own as much as the search's.
+			if verify != nil && !verify(en.tid) {
+				ctr.Pruned++
+				continue
+			}
 			sky = append(sky, Result{TID: en.tid, Coord: en.corner})
 			continue
 		}

@@ -47,6 +47,11 @@ type search struct {
 	opaque bool
 	// fanout is the index's M: SIDs are radix M+1.
 	fanout int
+	// verify re-checks a tuple against the relation before it enters the
+	// skyline (lossy measures, §4.5: a bloom cell passes tuples that do not
+	// match, and one let in would also shadow true members); nil on exact
+	// cubes.
+	verify func(table.TID) bool
 	ctr    *stats.Counters
 	cheap  *heap.Heap[entry]
 	sky    []Result
@@ -136,6 +141,7 @@ func (e *Engine) newSearch(q Query, tester signature.Tester, sky []Result, snap 
 		stages: stages,
 		opaque: !ok,
 		fanout: idx.MaxFanout(),
+		verify: e.cube.Verifier(q.Cond, ctr),
 		ctr:    ctr,
 		cheap:  heap.New[entry](lessEntry),
 		sky:    sky,
@@ -228,10 +234,12 @@ func (s *search) run() []Result {
 		case !s.passes(&e, c):
 		default:
 			s.kids[e.at].ref = settled
-			if e.tupleLevel {
-				s.sky = append(s.sky, Result{TID: table.TID(c.ref), Coord: slices.Clone(corner)})
-			} else {
+			if !e.tupleLevel {
 				s.expand(hindex.NodeID(c.ref), e.sid*uint64(s.fanout+1)+uint64(c.slot+1))
+			} else if tid := table.TID(c.ref); s.verify != nil && !s.verify(tid) {
+				s.ctr.Pruned++
+			} else {
+				s.sky = append(s.sky, Result{TID: tid, Coord: slices.Clone(corner)})
 			}
 		}
 		s.moveOn(e)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -355,4 +356,73 @@ func TestLossyCubeMaintenance(t *testing.T) {
 			t.Fatalf("store %v is %s after maintenance", h.Kind, h.State)
 		}
 	}
+}
+
+// modelSkyline is the skyline by definition: the rows of rel matching cond
+// that no other matching row dominates (no worse on every dimension, better on
+// one), as sorted tuple ids.
+func modelSkyline(rel *rankcube.Relation, cond rankcube.Cond, dims []int) []rankcube.TID {
+	var match []rankcube.TID
+	for i := 0; i < rel.Len(); i++ {
+		if rel.Matches(rankcube.TID(i), cond) {
+			match = append(match, rankcube.TID(i))
+		}
+	}
+	dominates := func(a, b []float64) bool {
+		strict := false
+		for _, d := range dims {
+			if a[d] > b[d] {
+				return false
+			}
+			strict = strict || a[d] < b[d]
+		}
+		return strict
+	}
+	var sky []rankcube.TID
+	for _, tid := range match {
+		row := rel.RankRow(tid, nil)
+		if !slices.ContainsFunc(match, func(o rankcube.TID) bool { return dominates(rel.RankRow(o, nil), row) }) {
+			sky = append(sky, tid)
+		}
+	}
+	return sky
+}
+
+// TestLossySkylineVerifiesTuples: a bloom-filter cell passes tuples that do not
+// match the predicate (each cell here holds thousands of SIDs in a filter capped
+// at a page), so a skyline search over a lossy cube must verify a tuple against
+// the relation before it lets it into the skyline — where it would also shadow
+// true members. Fresh query, drill-down and roll-up against the definition.
+func TestLossySkylineVerifiesTuples(t *testing.T) {
+	ctx := context.Background()
+	rel := rankcube.GenerateRelation(20000, 2, 2, 2, rankcube.AntiCorrelated, 137)
+	eng := rankcube.NewSkylineEngine(rankcube.BuildSignatureCube(rel, rankcube.SigOptions{LossySignatures: true}))
+	dims := []int{0, 1}
+	check := func(step string, got []rankcube.SkylineResult, err error, cond rankcube.Cond) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		ids := make([]rankcube.TID, len(got))
+		for i, r := range got {
+			ids[i] = r.TID
+		}
+		slices.Sort(ids)
+		if want := modelSkyline(rel, cond, dims); !slices.Equal(ids, want) {
+			t.Fatalf("%s %v: skyline %v, by definition %v", step, cond, ids, want)
+		}
+	}
+	m := rankcube.NewMetrics()
+	base, s0, err := eng.Query(ctx, rankcube.Cond{0: 1}, dims, nil, rankcube.WithMetrics(m))
+	check("query", base, err, rankcube.Cond{0: 1})
+	// Every tuple let in was verified by a charged access to the relation, and
+	// so was every false positive that got that far.
+	if rejected := m.Reads(rankcube.StructTable) - int64(len(base)); rejected <= 0 {
+		t.Fatalf("%d table reads for %d members: the filters passed no tuple they should not have, the test shows nothing",
+			m.Reads(rankcube.StructTable), len(base))
+	}
+	one, s1, err := eng.DrillDownQuery(ctx, s0, rankcube.Cond{1: 0})
+	check("drill-down", one, err, rankcube.Cond{0: 1, 1: 0})
+	up, _, err := eng.RollUpQuery(ctx, s1, []int{0})
+	check("roll-up", up, err, rankcube.Cond{1: 0})
 }
