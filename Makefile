@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-json test race chaos fuzz bench-check check bench bench-json clean
+.PHONY: all build vet fmt-check no-deprecated loc lint lint-json test race chaos fuzz bench-check check bench bench-json clean
 
 all: check
 
@@ -16,6 +16,22 @@ vet:
 # nothing to say.
 fmt-check:
 	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
+# One generation of API: nothing outside the benchmark is marked deprecated,
+# because a superseded form is deleted, not kept beside its successor.
+no-deprecated:
+	@! git grep -n 'Deprecated:' -- '*.go' ':!benchmark' || { echo "delete the deprecated form instead of marking it"; exit 1; }
+
+# Non-test lines of Go outside the benchmark module: the number ROADMAP aim 2
+# ("the least code") is held to, in total, for the root package, and per
+# top-level package. A PR under ROADMAP item 1 quotes it before and after.
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*'
+loc:
+	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
+	@echo "root  $$(ls *.go | grep -v _test.go | xargs cat | wc -l)"
+	@for d in cmd examples internal/*/; do \
+		printf '%-28s %s\n' "$${d%/}" "$$($(LOC_FILES) -path "./$${d%/}/*" | xargs cat | wc -l)"; \
+	done
 
 # rankvet (cmd/rankvet, analyzers in internal/analysis) mechanically
 # enforces the engine safety invariants: no raw panics, threaded contexts
@@ -83,7 +99,7 @@ bench-check:
 			|| { echo "traced pass of $$w does not reproduce the public path"; exit 1; }; \
 	done
 
-check: build vet fmt-check lint race chaos fuzz bench-check
+check: build vet fmt-check no-deprecated lint race chaos fuzz bench-check
 
 # Quick smoke of the benchmark harness (full runs via cmd/rankbench).
 bench:

@@ -696,9 +696,10 @@ func BenchmarkFig7_14_RollUp(b *testing.B) {
 func BenchmarkPublicAPI_SignatureTopK(b *testing.B) {
 	rel := rankcube.GenerateRelation(20_000, 3, 2, 10, rankcube.Uniform, 9)
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.TopK(rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, nil); err != nil {
+		if _, err := cube.Query(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,7 +99,7 @@ func TestSignatureCubeConcurrentQueryMaintain(t *testing.T) {
 }
 
 // TestGridCubeConcurrentQueryMaintain storms a grid cube with concurrent
-// queries while Insert/Delete/Repartition run under the cube's
+// queries while InsertTuple/DeleteTuple/Repartition run under the cube's
 // single-writer discipline.
 func TestGridCubeConcurrentQueryMaintain(t *testing.T) {
 	const (
@@ -128,15 +128,21 @@ func TestGridCubeConcurrentQueryMaintain(t *testing.T) {
 				case 0: // mutator: insert, with an occasional repartition
 					consistent.Lock()
 					sel := []int32{int32(rng.Intn(card)), int32(rng.Intn(card))}
-					cube.Insert(sel, []float64{rng.Float64(), rng.Float64()})
-					if i%10 == 9 {
-						cube.Repartition()
+					_, err := cube.InsertTuple(ctx, sel, []float64{rng.Float64(), rng.Float64()})
+					if err == nil && i%10 == 9 {
+						_, err = cube.Repartition(ctx)
 					}
 					consistent.Unlock()
+					if err != nil {
+						t.Errorf("grid maintenance: %v", err)
+					}
 				case 1: // mutator: tombstone
 					consistent.Lock()
-					cube.Delete(rankcube.TID(rng.Intn(n)))
+					_, err := cube.DeleteTuple(ctx, rankcube.TID(rng.Intn(n)))
 					consistent.Unlock()
+					if err != nil {
+						t.Errorf("grid delete: %v", err)
+					}
 				case 2: // checked query
 					consistent.RLock()
 					got, err := cube.Query(ctx, cond, f, k)

@@ -38,20 +38,28 @@ func TestCrossEngineProperty(t *testing.T) {
 				rankcube.Var(0), rankcube.Sqr(rankcube.Var(1))))),
 		}
 		for _, f := range funcs {
-			want := rankcube.TableScanTopK(rel, cond, f, k, nil)
-			g, err := grid.TopK(cond, f, k, nil)
+			want, err := rankcube.TableScanQuery(bg, rel, cond, f, k)
+			if err != nil {
+				t.Logf("scan: err=%v", err)
+				return false
+			}
+			g, err := grid.Query(bg, cond, f, k)
 			if err != nil || !scoresEqual(g, want) {
 				t.Logf("grid mismatch: err=%v", err)
 				return false
 			}
-			sg, err := sig.TopK(cond, f, k, nil)
+			sg, err := sig.Query(bg, cond, f, k)
 			if err != nil || !scoresEqual(sg, want) {
 				t.Logf("sig mismatch: err=%v", err)
 				return false
 			}
 			// Index merge answers the no-condition variant.
-			wantAll := rankcube.TableScanTopK(rel, nil, f, k, nil)
-			mg, err := rankcube.MergeTopK(rel, indices, f, k, rankcube.MergeOptions{}, nil)
+			wantAll, err := rankcube.TableScanQuery(bg, rel, nil, f, k)
+			if err != nil {
+				t.Logf("scan: err=%v", err)
+				return false
+			}
+			mg, err := rankcube.MergeQuery(bg, rel, indices, f, k, rankcube.MergeOptions{})
 			if err != nil || !scoresEqual(mg, wantAll) {
 				t.Logf("merge mismatch: err=%v", err)
 				return false
@@ -91,11 +99,11 @@ func TestSkylineContainsTopKProperty(t *testing.T) {
 		w2 := 0.1 + float64(w2Raw)/64
 		f := rankcube.Linear([]int{0, 1}, []float64{w1, w2})
 
-		top, err := cube.TopK(cond, f, 1, nil)
+		top, err := cube.Query(bg, cond, f, 1)
 		if err != nil || len(top) == 0 {
 			return true // empty cell: nothing to check
 		}
-		sky, _, err := eng.Skyline(cond, []int{0, 1}, nil, nil)
+		sky, _, err := eng.Query(bg, cond, []int{0, 1}, nil)
 		if err != nil {
 			return false
 		}

@@ -14,9 +14,10 @@
 // documented nil-fallback, a plain assignment to an existing context
 // variable (`if ctx == nil { ctx = context.Background() }`): it replaces a
 // context the caller declined to provide rather than discarding one.
-// Library packages (rankcube/internal/...) may not mint fresh contexts at
-// all outside that shape; the public root package's legacy wrappers (TopK
-// delegating to TopKCtx) are the documented bridge and remain allowed.
+// Library packages — the public root package rankcube, every entry point of
+// which takes the caller's ctx, and rankcube/internal/... — may not mint
+// fresh contexts at all outside that shape; only programs (commands,
+// examples), which own their root context, may.
 //
 // A third bug shape hides a context in a struct: a context.Context struct
 // field outlives the call that stored it, so cancellation silently follows
@@ -53,10 +54,13 @@ var Analyzer = &framework.Analyzer{
 // field whose lifetime is argued sound (e.g. a strictly per-query carrier).
 const FieldMarker = "ctxfield"
 
-const libraryPrefix = "rankcube/internal/"
+const (
+	rootPath      = "rankcube"
+	libraryPrefix = rootPath + "/internal/"
+)
 
 func run(pass *framework.Pass) error {
-	library := strings.HasPrefix(pass.Pkg.Path(), libraryPrefix)
+	library := pass.Pkg.Path() == rootPath || strings.HasPrefix(pass.Pkg.Path(), libraryPrefix)
 	for _, file := range pass.Files {
 		checkMints(pass, file, library)
 		checkDroppedParams(pass, file)

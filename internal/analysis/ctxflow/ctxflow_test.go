@@ -10,6 +10,7 @@ import (
 func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), ctxflow.Analyzer,
 		"rankcube/internal/ctxa",
+		"rankcube",
 		"ctxpub",
 	)
 }

@@ -1,6 +1,6 @@
-// Package ctxpub exercises ctxflow outside the library prefix: the public
-// package may run legacy wrappers on a background context (the documented
-// bridge), but still may not discard an in-scope caller context.
+// Package ctxpub exercises ctxflow outside the library (a command or an
+// example): a program owns its root context and may mint one, but still may
+// not discard an in-scope caller context.
 package ctxpub
 
 import "context"
@@ -10,9 +10,9 @@ func Run(ctx context.Context, n int) error {
 	return ctx.Err()
 }
 
-// Legacy delegates with a background context; no caller ctx is in scope
-// and this is not a library package, so it is allowed.
-func Legacy(n int) error {
+// Main runs on a background context; no caller ctx is in scope and this is
+// not a library package, so it is allowed.
+func Main(n int) error {
 	return Run(context.Background(), n)
 }
 

@@ -7,15 +7,15 @@
 //     travel as typed aborts (errs.Abort/Abortf) so the public API boundary
 //     can convert them to errors; programmer-error assertions that should
 //     crash carry a //lint:invariant <reason> marker.
-//   - ctxflow: context flows down from the caller. Library packages
-//     (rankcube/internal/...) must not mint context.Background() or
-//     context.TODO(), and neither may any function that already has a
-//     context in scope — except the blessed nil-fallback assignment
-//     `ctx = context.Background()`. A named context parameter that the
-//     body never consults is flagged (rename it _ if truly unused), as is
-//     a context stashed in a struct field without a //lint:ctxfield
-//     <reason> marker, or read back from a field while a live caller ctx
-//     is in scope.
+//   - ctxflow: context flows down from the caller. Library packages (the
+//     root package rankcube and rankcube/internal/...) must not mint
+//     context.Background() or context.TODO(), and neither may any function
+//     that already has a context in scope — except the blessed
+//     nil-fallback assignment `ctx = context.Background()`. A named context
+//     parameter that the body never consults is flagged (rename it _ if
+//     truly unused), as is a context stashed in a struct field without a
+//     //lint:ctxfield <reason> marker, or read back from a field while a
+//     live caller ctx is in scope.
 //   - governedio: every page read is charged to the query governor.
 //     Store.ReadRaw, and governed accessors called with a nil counter,
 //     bypass budget/cancellation enforcement and are flagged unless marked

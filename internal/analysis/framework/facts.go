@@ -20,7 +20,7 @@ import (
 	"reflect"
 )
 
-// A Fact is an analyzer-defined datum attached to an object or package.
+// A Fact is an analyzer-defined datum attached to an object.
 // Concrete fact types must be pointers, and implement AFact as a marker.
 // Each analyzer sees only its own facts: the driver gives every analyzer a
 // private FactStore.
@@ -31,25 +31,16 @@ type objFactKey struct {
 	typ reflect.Type
 }
 
-type pkgFactKey struct {
-	pkg *types.Package
-	typ reflect.Type
-}
-
 // A FactStore carries one analyzer's facts across the packages of a run.
 // It is not safe for concurrent use; the driver runs packages serially (in
 // dependency order) per analyzer.
 type FactStore struct {
 	obj map[objFactKey]Fact
-	pkg map[pkgFactKey]Fact
 }
 
 // NewFactStore returns an empty fact store.
 func NewFactStore() *FactStore {
-	return &FactStore{
-		obj: make(map[objFactKey]Fact),
-		pkg: make(map[pkgFactKey]Fact),
-	}
+	return &FactStore{obj: make(map[objFactKey]Fact)}
 }
 
 // factType validates a fact's dynamic type (a non-nil pointer) and returns
@@ -80,28 +71,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	stored, ok := p.Facts.obj[objFactKey{obj, factType(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-// ExportPackageFact associates fact with the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.Pkg == nil || p.Facts == nil {
-		return
-	}
-	p.Facts.pkg[pkgFactKey{p.Pkg, factType(fact)}] = fact
-}
-
-// ImportPackageFact copies the fact of fact's type previously exported for
-// pkg into fact and reports whether one existed.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if pkg == nil || p.Facts == nil {
-		return false
-	}
-	stored, ok := p.Facts.pkg[pkgFactKey{pkg, factType(fact)}]
 	if !ok {
 		return false
 	}

@@ -4,7 +4,7 @@
 //
 // The build environment of this repository is hermetic — no module proxy —
 // so x/tools cannot be vendored; this package mirrors its API shape
-// (Analyzer, Pass, Reportf, object/package facts) closely enough that the
+// (Analyzer, Pass, Reportf, object facts) closely enough that the
 // analyzers in the sibling packages can be ported to the real framework
 // mechanically if the dependency ever becomes available. Beyond the
 // original subset, the framework now carries in-memory facts (facts.go)

@@ -8,7 +8,7 @@
 // exclusive maintenance starves.
 //
 // The analyzer tracks every value of type *rankcube.GovernedScanner
-// produced by a call (OpenScan, ScanCtx, or any future constructor) and
+// produced by a call (OpenScan, or any future constructor) and
 // requires, within the creating function, one of:
 //
 //   - a deferred Close (safe on every return and panic path);

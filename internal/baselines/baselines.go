@@ -68,11 +68,6 @@ func (h *HeapFile) NumPages() int { return h.store.NumPages() }
 // SizeBytes reports the heap file footprint.
 func (h *HeapFile) SizeBytes() int64 { return h.store.Bytes() }
 
-// ScanAll charges a full sequential scan.
-func (h *HeapFile) ScanAll(ctr *stats.Counters) {
-	ctr.Read(stats.StructTable, int64(h.store.NumPages()))
-}
-
 // TableScan is the TS baseline: read every page, keep the best k matches.
 type TableScan struct {
 	heap *HeapFile
@@ -81,25 +76,9 @@ type TableScan struct {
 // NewTableScan wraps a heap file.
 func NewTableScan(h *HeapFile) *TableScan { return &TableScan{heap: h} }
 
-// TopK scans the relation.
+// TopK scans the relation: one pass over the heap file's pages.
 func (ts *TableScan) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	defer ctr.StartSpan("scan")()
-	ts.heap.ScanAll(ctr)
-	t := ts.heap.t
-	topk := heap.NewBounded[core.Result](k, core.WorseResult)
-	buf := make([]float64, t.Schema().R())
-	for i := 0; i < t.Len(); i++ {
-		tid := table.TID(i)
-		if !t.Matches(tid, cond) {
-			continue
-		}
-		score := f.Eval(t.RankRow(tid, buf))
-		if math.IsInf(score, 1) {
-			continue
-		}
-		topk.Offer(core.Result{TID: tid, Score: score})
-	}
-	return topk.Sorted()
+	return core.ScanTopK(ts.heap.t, ts.heap.NumPages(), nil, cond, f, k, ctr)
 }
 
 // BooleanFirst evaluates boolean predicates through per-dimension inverted

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"rankcube/internal/core"
@@ -50,41 +49,18 @@ func (e *ch6Env) query(cfg Config, qi, k int) joinquery.Query {
 // joinThenRank is the conventional plan: filter both relations, hash-join
 // completely, then rank — the comparison shape for the SPJR executor.
 func joinThenRank(q joinquery.Query, ctr *stats.Counters) []joinquery.Result {
-	// Charge full scans of both relations.
-	for _, p := range q.Parts {
-		rowBytes := p.Rel.T.RowBytes()
-		pages := (p.Rel.T.Len()*rowBytes + 4095) / 4096
-		ctr.Read(stats.StructTable, int64(pages))
-	}
 	p1, p2 := q.Parts[0], q.Parts[1]
-	buf := make([]float64, p1.Rel.T.Schema().R())
 	build := make(map[int32][]core.Result)
-	for i := 0; i < p1.Rel.T.Len(); i++ {
-		tid := table.TID(i)
-		if !p1.Rel.T.Matches(tid, p1.Cond) {
-			continue
-		}
-		s := p1.F.Eval(p1.Rel.T.RankRow(tid, buf))
-		if math.IsInf(s, 1) {
-			continue
-		}
-		key := p1.Rel.Keys[tid]
-		build[key] = append(build[key], core.Result{TID: tid, Score: s})
-	}
+	p1.Scan(ctr, func(r core.Result) {
+		key := p1.Rel.Keys[r.TID]
+		build[key] = append(build[key], r)
+	})
 	var all []joinquery.Result
-	for i := 0; i < p2.Rel.T.Len(); i++ {
-		tid := table.TID(i)
-		if !p2.Rel.T.Matches(tid, p2.Cond) {
-			continue
+	p2.Scan(ctr, func(r core.Result) {
+		for _, m := range build[p2.Rel.Keys[r.TID]] {
+			all = append(all, joinquery.Result{TIDs: []table.TID{m.TID, r.TID}, Score: m.Score + r.Score})
 		}
-		s := p2.F.Eval(p2.Rel.T.RankRow(tid, buf))
-		if math.IsInf(s, 1) {
-			continue
-		}
-		for _, m := range build[p2.Rel.Keys[tid]] {
-			all = append(all, joinquery.Result{TIDs: []table.TID{m.TID, tid}, Score: m.Score + s})
-		}
-	}
+	})
 	sort.Slice(all, func(a, b int) bool { return all[a].Score < all[b].Score })
 	if len(all) > q.K {
 		all = all[:q.K]

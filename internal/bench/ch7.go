@@ -53,17 +53,10 @@ func newCh7Env(tb *table.Table, fanout int) *ch7Env {
 
 // booleanSkyline: scan + filter + BNL skyline (the Boolean baseline).
 func (e *ch7Env) booleanSkyline(q skyline.Query, ctr *stats.Counters) int {
-	e.heap.ScanAll(ctr)
 	type pt struct{ coord []float64 }
 	var window []pt
-	buf := make([]float64, e.tb.Schema().R())
 	scratch := make([]float64, 0, len(q.Dims))
-	for i := 0; i < e.tb.Len(); i++ {
-		tid := table.TID(i)
-		if !e.tb.Matches(tid, q.Cond) {
-			continue
-		}
-		row := e.tb.RankRow(tid, buf)
+	core.Scan(e.tb, e.heap.NumPages(), nil, q.Cond, ctr, func(_ table.TID, row []float64) {
 		coord := append([]float64(nil), q.Point(row, scratch)...)
 		dominated := false
 		out := window[:0]
@@ -81,7 +74,7 @@ func (e *ch7Env) booleanSkyline(q skyline.Query, ctr *stats.Counters) int {
 		if !dominated {
 			window = append(window, pt{coord})
 		}
-	}
+	})
 	return len(window)
 }
 

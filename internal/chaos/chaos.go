@@ -257,7 +257,7 @@ func (r *run) storm(ctx context.Context, w int) {
 				r.sigMu.Unlock()
 			} else {
 				r.gridMu.Lock()
-				r.mutateGrid(rng, i)
+				r.mutateGrid(ctx, rng, i)
 				r.gridMu.Unlock()
 			}
 		case op < 6: // checked query under the consistency lock
@@ -364,19 +364,28 @@ func (r *run) recordMaint(op string, err error) {
 	}
 }
 
-func (r *run) mutateGrid(rng *rand.Rand, i int) {
+func (r *run) mutateGrid(ctx context.Context, rng *rand.Rand, i int) {
 	switch rng.Intn(4) {
 	case 0:
-		r.grid.Delete(rankcube.TID(rng.Intn(r.cfg.Tuples)))
+		if _, err := r.grid.DeleteTuple(ctx, rankcube.TID(rng.Intn(r.cfg.Tuples))); err != nil {
+			r.recordMaint("grid delete", err)
+			return
+		}
 		r.tal.deletes.Add(1)
 	case 1:
 		if i%7 == 6 {
-			r.grid.Repartition()
+			if _, err := r.grid.Repartition(ctx); err != nil {
+				r.recordMaint("grid repartition", err)
+				return
+			}
 			r.tal.repartitions.Add(1)
 		}
 	default:
 		sel := []int32{int32(rng.Intn(r.card)), int32(rng.Intn(r.card))}
-		r.grid.Insert(sel, []float64{rng.Float64(), rng.Float64()})
+		if _, err := r.grid.InsertTuple(ctx, sel, []float64{rng.Float64(), rng.Float64()}); err != nil {
+			r.recordMaint("grid insert", err)
+			return
+		}
 		r.tal.inserts.Add(1)
 	}
 }

@@ -55,9 +55,6 @@ type cellRef struct {
 // Dims reports the cuboid's selection dimensions.
 func (cb *Cuboid) Dims() []int { return cb.dims }
 
-// ScaleFactor reports the pseudo-block scale factor.
-func (cb *Cuboid) ScaleFactor() int { return cb.sf }
-
 // PseudoOf maps a base block to its pseudo block id.
 func (cb *Cuboid) PseudoOf(bid BID) int {
 	pid, mul := 0, 1

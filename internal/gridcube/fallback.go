@@ -1,11 +1,7 @@
 package gridcube
 
 import (
-	"math"
-
 	"rankcube/internal/core"
-	"rankcube/internal/heap"
-	"rankcube/internal/pager"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
@@ -16,30 +12,6 @@ import (
 // the base block table entirely (their pages may be quarantined), respects
 // tombstones, and charges one sequential pass over the relation's pages.
 func (c *Cube) ScanTopK(q Query, ctr *stats.Counters) []Result {
-	if q.K <= 0 {
-		return nil
-	}
-	defer ctr.StartSpan("scan")()
-	rowBytes := c.t.RowBytes()
-	pageSize := c.cfg.pageSize()
-	if pageSize <= 0 {
-		pageSize = pager.PageSize
-	}
-	pages := (c.t.Len()*rowBytes + pageSize - 1) / pageSize
-	ctr.Read(stats.StructTable, int64(pages))
-
-	topk := heap.NewBounded[Result](q.K, core.WorseResult)
-	buf := make([]float64, c.t.Schema().R())
-	for i := 0; i < c.t.Len(); i++ {
-		tid := table.TID(i)
-		if c.tombstones[tid] || !c.t.Matches(tid, core.Cond(q.Cond)) {
-			continue
-		}
-		score := q.F.Eval(c.t.RankRow(tid, buf))
-		if math.IsInf(score, 1) {
-			continue
-		}
-		topk.Offer(Result{TID: tid, Score: score})
-	}
-	return topk.Sorted()
+	alive := func(tid table.TID) bool { return !c.tombstones[tid] }
+	return core.ScanTopK(c.t, core.SeqPages(c.t, c.cfg.pageSize()), alive, q.Cond, q.F, q.K, ctr)
 }

@@ -66,9 +66,6 @@ func (c *Cube) Delete(tid table.TID) bool {
 	return true
 }
 
-// Deleted reports whether a tuple is tombstoned.
-func (c *Cube) Deleted(tid table.TID) bool { return c.tombstones[tid] }
-
 // PendingMaintenance reports how much drift has accumulated: tuples
 // inserted since the last repartition plus tombstones. Callers repartition
 // when this grows past their threshold (the thesis' "periodically").

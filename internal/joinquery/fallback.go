@@ -2,7 +2,6 @@ package joinquery
 
 import (
 	"fmt"
-	"math"
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
@@ -27,24 +26,11 @@ func BruteForce(q Query, ctr *stats.Counters) ([]Result, error) {
 	}
 	buckets := make([]map[int32][]core.Result, len(q.Parts))
 	for i, p := range q.Parts {
-		t := p.Rel.T
-		rowBytes := t.RowBytes()
-		pages := (t.Len()*rowBytes + 4095) / 4096
-		ctr.Read(stats.StructTable, int64(pages))
 		buckets[i] = make(map[int32][]core.Result)
-		buf := make([]float64, t.Schema().R())
-		for j := 0; j < t.Len(); j++ {
-			tid := table.TID(j)
-			if !p.Rel.Cube.Alive(tid) || !t.Matches(tid, p.Cond) {
-				continue
-			}
-			score := p.F.Eval(t.RankRow(tid, buf))
-			if math.IsInf(score, 1) {
-				continue
-			}
-			key := p.Rel.Keys[tid]
-			buckets[i][key] = append(buckets[i][key], core.Result{TID: tid, Score: score})
-		}
+		p.Scan(ctr, func(r core.Result) {
+			key := p.Rel.Keys[r.TID]
+			buckets[i][key] = append(buckets[i][key], r)
+		})
 	}
 
 	topk := heap.NewBounded[Result](q.K, worseJoined)

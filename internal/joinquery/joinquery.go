@@ -14,8 +14,10 @@
 package joinquery
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
@@ -238,7 +240,7 @@ func (e *executor) plan(p Part) (source, error) {
 		est /= float64(t.Schema().SelCard[d])
 	}
 	if int(est) <= e.opts.scanThreshold() {
-		items := materialize(t, p, e.ctr)
+		items := materialize(p, e.ctr)
 		return &materializedSource{items: items}, nil
 	}
 	sc, err := p.Rel.Cube.Scan(p.Cond, p.F, e.ctr)
@@ -248,39 +250,24 @@ func (e *executor) plan(p Part) (source, error) {
 	return cubeSource{s: sc}, nil
 }
 
-// materialize scans the relation for matches and sorts them (charged as a
-// sequential pass over the relation's pages).
-func materialize(t *table.Table, p Part, ctr *stats.Counters) []core.Result {
-	rowBytes := t.RowBytes()
-	pages := (t.Len()*rowBytes + 4095) / 4096
-	ctr.Read(stats.StructTable, int64(pages))
-	var items []core.Result
-	buf := make([]float64, t.Schema().R())
-	for i := 0; i < t.Len(); i++ {
-		tid := table.TID(i)
-		if !t.Matches(tid, p.Cond) {
-			continue
+// Scan makes one sequential pass over the part's relation (live tuples
+// only, charged once) and hands visit every match with a finite score.
+func (p Part) Scan(ctr *stats.Counters, visit func(core.Result)) {
+	p.Rel.Cube.SeqScan(p.Cond, ctr, func(tid table.TID, rank []float64) {
+		if score := p.F.Eval(rank); !math.IsInf(score, 1) {
+			visit(core.Result{TID: tid, Score: score})
 		}
-		score := p.F.Eval(t.RankRow(tid, buf))
-		if math.IsInf(score, 1) {
-			continue
-		}
-		items = append(items, core.Result{TID: tid, Score: score})
-	}
-	h := heap.New[core.Result](func(a, b core.Result) bool {
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.TID < b.TID
 	})
-	for _, it := range items {
-		h.Push(it)
-	}
-	out := items[:0]
-	for h.Len() > 0 {
-		out = append(out, h.Pop())
-	}
-	return out
+}
+
+// materialize scans the relation for matches and sorts them.
+func materialize(p Part, ctr *stats.Counters) []core.Result {
+	var items []core.Result
+	p.Scan(ctr, func(r core.Result) { items = append(items, r) })
+	slices.SortFunc(items, func(a, b core.Result) int {
+		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.TID, b.TID))
+	})
+	return items
 }
 
 // run is the multi-way rank join (§6.3.2): pull adaptively from the source

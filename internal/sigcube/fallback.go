@@ -1,10 +1,7 @@
 package sigcube
 
 import (
-	"math"
-
 	"rankcube/internal/core"
-	"rankcube/internal/heap"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -18,32 +15,18 @@ func (c *Cube) Alive(tid table.TID) bool {
 	return ok
 }
 
+// SeqScan makes one sequential pass over the base relation's live tuples
+// matching cond (core.Scan at the cube's page size). It touches none of
+// the cube's stores (which may be quarantined); the skyline and rank-join
+// fallbacks and the join's materialized access path are built on it.
+func (c *Cube) SeqScan(cond core.Cond, ctr *stats.Counters, visit func(tid table.TID, rank []float64)) {
+	core.Scan(c.t, core.SeqPages(c.t, c.cfg.pageSize()), c.Alive, cond, ctr, visit)
+}
+
 // ScanTopK answers a top-k query with a full sequential scan of the base
 // relation — the exact-answer fallback used when signatures or the
-// partition tree fault mid-search. It touches none of the cube's stores
-// (which may be quarantined) and charges one sequential pass over the
+// partition tree fault mid-search — charging one sequential pass over the
 // relation's pages.
 func (c *Cube) ScanTopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	if k <= 0 {
-		return nil
-	}
-	defer ctr.StartSpan("scan")()
-	rowBytes := c.t.RowBytes()
-	pages := (c.t.Len()*rowBytes + c.cfg.pageSize() - 1) / c.cfg.pageSize()
-	ctr.Read(stats.StructTable, int64(pages))
-
-	topk := heap.NewBounded[core.Result](k, core.WorseResult)
-	buf := make([]float64, c.t.Schema().R())
-	for i := 0; i < c.t.Len(); i++ {
-		tid := table.TID(i)
-		if !c.Alive(tid) || !c.t.Matches(tid, cond) {
-			continue
-		}
-		score := f.Eval(c.t.RankRow(tid, buf))
-		if math.IsInf(score, 1) {
-			continue
-		}
-		topk.Offer(core.Result{TID: tid, Score: score})
-	}
-	return topk.Sorted()
+	return core.ScanTopK(c.t, core.SeqPages(c.t, c.cfg.pageSize()), c.Alive, cond, f, k, ctr)
 }

@@ -17,21 +17,10 @@ func (e *Engine) ScanSkyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot,
 	if err := e.validate(q); err != nil {
 		return nil, nil, err
 	}
-	t := e.cube.Table()
-	rowBytes := t.RowBytes()
-	pages := (t.Len()*rowBytes + 4095) / 4096
-	ctr.Read(stats.StructTable, int64(pages))
-
 	var cands []Result
-	buf := make([]float64, t.Schema().R())
-	for i := 0; i < t.Len(); i++ {
-		tid := table.TID(i)
-		if !e.cube.Alive(tid) || !t.Matches(tid, q.Cond) {
-			continue
-		}
-		pt := q.appendPoint(nil, t.RankRow(tid, buf))
-		cands = append(cands, Result{TID: tid, Coord: pt})
-	}
+	e.cube.SeqScan(q.Cond, ctr, func(tid table.TID, rank []float64) {
+		cands = append(cands, Result{TID: tid, Coord: q.appendPoint(nil, rank)})
+	})
 	var sky []Result
 	for i := range cands {
 		dominated := false

@@ -1,0 +1,105 @@
+package skyline
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"rankcube/internal/core"
+	"rankcube/internal/errs"
+	"rankcube/internal/governor"
+	"rankcube/internal/pager"
+	"rankcube/internal/stats"
+	"rankcube/internal/table"
+)
+
+// governedSkyline runs q under a governor over ctx and lim, returning the
+// typed abort that stopped it, if any.
+func governedSkyline(ctx context.Context, e *Engine, q Query, lim governor.Limits, ctr *stats.Counters) (res []Result, err error) {
+	ctr.SetGovernor(governor.New(ctx, lim))
+	defer func() {
+		if r := recover(); r != nil {
+			abort, ok := errs.IsAbort(r)
+			if !ok {
+				panic(r)
+			}
+			err = abort
+		}
+	}()
+	res, _, err = e.Skyline(q, ctr)
+	return res, err
+}
+
+// TestGovernorBoundsOnSkyline holds the governor to its two bounds on the
+// skyline search: a query canceled in the middle of a node access is charged
+// that access and nothing after, and a read budget is overshot by less than
+// one page. A context that cannot be canceled never stops a query. Every
+// R-tree node and every partial signature of the fixture is one block, so
+// both bounds are exact.
+func TestGovernorBoundsOnSkyline(t *testing.T) {
+	_, e := buildEngine(20000, 2, 4, table.AntiCorrelated, 171)
+	tree, sigs := e.cube.Tree().Store(), e.cube.Store()
+	for _, st := range []*pager.Store{tree, sigs} {
+		if st.Blocks() != int64(st.NumPages()) {
+			t.Fatalf("%s: %d blocks over %d pages: a page is not one block", st.Kind(), st.Blocks(), st.NumPages())
+		}
+	}
+	q := Query{Cond: core.Cond{0: 1}, Dims: []int{0, 1, 2}}
+	clean := stats.New()
+	want, _, err := e.Skyline(q, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.TotalReads() < 20 {
+		t.Fatalf("query reads %d blocks, too few to show a bound", clean.TotalReads())
+	}
+
+	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
+		ctr := stats.New()
+		got, err := governedSkyline(ctx, e, q, governor.Limits{}, ctr)
+		if err != nil {
+			t.Fatalf("%s context: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) || ctr.TotalReads() != clean.TotalReads() {
+			t.Fatalf("%s context: %d members and %d reads, ungoverned %d and %d",
+				name, len(got), ctr.TotalReads(), len(want), clean.TotalReads())
+		}
+	}
+
+	// Cancel from inside the fifth node access: the hook runs before that
+	// access is charged, the governor sees the cancellation when it is.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctr := stats.New()
+	accesses, atCancel := 0, int64(-1)
+	tree.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
+		if accesses++; accesses == 5 {
+			atCancel = ctr.TotalReads()
+			cancel()
+		}
+	}})
+	_, err = governedSkyline(ctx, e, q, governor.Limits{}, ctr)
+	tree.SetFaultInjector(nil)
+	if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if over := ctr.TotalReads() - atCancel; atCancel < 0 || over != 1 {
+		t.Fatalf("canceled at %d reads, stopped at %d: want the one access in flight and nothing after", atCancel, ctr.TotalReads())
+	}
+
+	for _, limit := range []int64{1, 3, clean.TotalReads() / 2, clean.TotalReads() - 1} {
+		ctr := stats.New()
+		_, err := governedSkyline(context.Background(), e, q, governor.Limits{MaxBlockReads: limit}, ctr)
+		if !errors.Is(err, errs.ErrBudgetExceeded) {
+			t.Fatalf("limit %d: err = %v, want ErrBudgetExceeded", limit, err)
+		}
+		if over := ctr.TotalReads() - limit; over != 1 {
+			t.Fatalf("limit %d overshot by %d blocks, want the one page that tripped it", limit, over)
+		}
+	}
+	ctr = stats.New()
+	if _, err := governedSkyline(context.Background(), e, q, governor.Limits{MaxBlockReads: clean.TotalReads()}, ctr); err != nil {
+		t.Fatalf("a budget of exactly the query's reads tripped: %v", err)
+	}
+}

@@ -88,19 +88,23 @@ func (t *Table) Schema() Schema { return t.schema }
 // Len reports the number of tuples.
 func (t *Table) Len() int { return t.n }
 
-// Append adds one tuple and returns its tid. sel and rank are copied.
+// Append adds one tuple and returns its tid. sel and rank are copied. A row
+// that does not fit the schema — wrong arity, a selection value outside
+// [0, SelCard[d]) — is refused whole with a typed ErrInvalidArgument abort
+// before any column is touched, so a rejected row leaves the relation as
+// it was and governed callers receive the error.
 func (t *Table) Append(sel []int32, rank []float64) TID {
 	if len(sel) != t.schema.S() || len(rank) != t.schema.R() {
-		//lint:invariant documented precondition: rows must match the schema arity
-		panic(fmt.Sprintf("table: Append arity mismatch: got %d/%d want %d/%d",
-			len(sel), len(rank), t.schema.S(), t.schema.R()))
+		errs.Abortf(errs.ErrInvalidArgument, "table: Append arity mismatch: got %d/%d want %d/%d",
+			len(sel), len(rank), t.schema.S(), t.schema.R())
 	}
 	for d, v := range sel {
 		if v < 0 || int(v) >= t.schema.SelCard[d] {
-			//lint:invariant documented precondition: values lie in [0, SelCard[d])
-			panic(fmt.Sprintf("table: selection value %d out of range for dimension %d (card %d)",
-				v, d, t.schema.SelCard[d]))
+			errs.Abortf(errs.ErrInvalidArgument, "table: selection value %d out of range for dimension %d (card %d)",
+				v, d, t.schema.SelCard[d])
 		}
+	}
+	for d, v := range sel {
 		t.sel[d] = append(t.sel[d], v)
 	}
 	for d, v := range rank {

@@ -1,10 +1,10 @@
 package rankcube
 
-// Canonical ctx-first query API. Every engine exposes one Query-shaped
-// entry point taking a context and variadic Options; the legacy TopK /
-// TopKCtx forms are thin wrappers over these. All entry points funnel
-// through runQuery, the single boundary that attaches tracing, enforces
-// the budget, applies the degradation policy, records the query into the
+// The ctx-first API. Every operation of every engine is one entry point
+// taking a context and variadic Options, and every one of them crosses the
+// same boundary — begin / finish, with runQuery between them for the batch
+// forms — which admits and locks, attaches tracing, enforces the budget,
+// applies the degradation policy, records the operation into the
 // process-wide metrics registry, and feeds the slow-query log.
 
 import (
@@ -21,6 +21,7 @@ import (
 	"rankcube/internal/indexmerge"
 	"rankcube/internal/joinquery"
 	"rankcube/internal/obs"
+	"rankcube/internal/sigcube"
 	"rankcube/internal/skyline"
 )
 
@@ -34,7 +35,7 @@ type queryConfig struct {
 	budget  Budget
 	metrics *Metrics
 	trace   *Trace
-	slowNS  int64 // -1 = inherit DefaultSlowLog's threshold
+	slow    time.Duration // negative = inherit DefaultSlowLog's threshold
 
 	// ctls are the serving controls of every structure the operation
 	// touches, set by the entry point (not an Option): queries are admitted
@@ -46,9 +47,10 @@ type queryConfig struct {
 	write bool
 }
 
-// applyOptions folds opts into a config. Nil options are ignored.
-func applyOptions(opts []Option) queryConfig {
-	cfg := queryConfig{slowNS: -1}
+// applyOptions folds opts into the config of an operation over the given
+// serving controls. Nil options are ignored.
+func applyOptions(opts []Option, ctls ...*guard.RW) queryConfig {
+	cfg := queryConfig{slow: -1, ctls: ctls}
 	for _, o := range opts {
 		if o != nil {
 			o(&cfg)
@@ -83,12 +85,7 @@ func WithTrace(tr *Trace) Option {
 // logging for the query; a positive d admits it into the slow-query log
 // when its wall time reaches d.
 func WithSlowLogThreshold(d time.Duration) Option {
-	return func(c *queryConfig) {
-		if d < 0 {
-			d = 0
-		}
-		c.slowNS = int64(d)
-	}
+	return func(c *queryConfig) { c.slow = max(d, 0) }
 }
 
 // classifyOutcome maps a query's final state onto the registry's
@@ -121,99 +118,135 @@ func readsDelta(before, after map[Structure]int64) map[Structure]int64 {
 	return delta
 }
 
-// runQuery is the one boundary every canonical entry point passes
-// through. It resolves options, attaches the trace (creating a private
-// one when only the slow log needs it), runs attempt under the budget's
-// governor, degrades to fallback per the Budget policy, seals the trace,
-// records the query into the default registry, and admits offenders into
-// the slow-query log. fallback may be nil for operations that never
-// degrade (maintenance, baselines).
-func runQuery[T any](ctx context.Context, kind string, cfg queryConfig,
-	attempt func(m *Metrics) (T, error),
-	fallback func(m *Metrics) (T, error),
-) (T, error) {
-	// Admission and locking come first: a shed query must cost nothing but
-	// its rejection, and the locks must span the attempt and the fallback
-	// alike so a degraded answer reads the same consistent structures.
+// operation is the open half of the boundary: what an admitted operation
+// holds from begin until finish. Batch entry points hold it for one
+// runQuery call; a GovernedScanner holds it until Close.
+type operation struct {
+	kind    string
+	m       *Metrics
+	tr      *Trace // the caller's, or a private one the slow log dumps
+	slow    time.Duration
+	release func() // the serving locks and admission slots; nil when none
+
+	start               time.Time
+	retries, downgrades int64
+	endRoot             func()
+}
+
+// begin admits the operation and opens its books. Admission and locking
+// come first: a shed query must cost nothing but its rejection, and the
+// locks must span the attempt and the fallback alike so a degraded answer
+// reads the same consistent structures. Then it resolves the metrics
+// collector, attaches the trace (creating a private one when only the slow
+// log needs it), snapshots the collector and opens the root span. The
+// returned context carries the trace.
+func begin(ctx context.Context, kind string, cfg queryConfig) (operation, context.Context, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var release func()
 	if len(cfg.ctls) > 0 {
 		if cfg.write {
-			defer guard.LockExclusive(cfg.ctls)()
+			release = guard.LockExclusive(cfg.ctls)
 		} else {
-			release, err := guard.AcquireShared(ctx, cfg.ctls)
-			if err != nil {
+			var err error
+			if release, err = guard.AcquireShared(ctx, cfg.ctls); err != nil {
 				obs.Default().RecordQuery(kind, classifyOutcome(err, false), 0, nil, 0, 0)
-				var zero T
-				return zero, err
+				return operation{}, ctx, err
 			}
-			defer release()
 		}
 	}
-
-	m := ensureMetrics(cfg.metrics)
-
-	slowThreshold := obs.DefaultSlowLog().Threshold()
-	if cfg.slowNS >= 0 {
-		slowThreshold = time.Duration(cfg.slowNS)
+	op := operation{kind: kind, m: cfg.metrics, tr: cfg.trace, slow: cfg.slow, release: release}
+	if op.m == nil {
+		op.m = NewMetrics() // the engines require a collector: a throwaway
 	}
-	tr := cfg.trace
-	if tr == nil && slowThreshold > 0 {
-		tr = obs.NewTrace() // private trace so the slow log can dump a tree
+	if op.slow < 0 {
+		op.slow = obs.DefaultSlowLog().Threshold()
 	}
-	if tr != nil {
-		m.SetObserver(tr)
-		defer m.DetachObserver(tr)
-		ctx = obs.ContextWithTrace(ctx, tr)
+	if op.tr == nil && op.slow > 0 {
+		op.tr = obs.NewTrace()
 	}
-
-	readsBefore := m.ReadsSnapshot()
-	retriesBefore, downgradesBefore := m.Retries, m.Downgrades
-	start := time.Now()
-
-	endRoot := m.StartSpan(kind)
-	out, err := runGoverned(ctx, cfg.budget.limits(), m, func() (T, error) {
-		return attempt(m)
-	})
-	degraded := false
-	if fallback != nil && cfg.budget.shouldDegrade(err) {
-		degraded = true
-		endFallback := m.StartSpan("fallback")
-		m.AddDowngrade()
-		out, err = runGoverned(ctx, governor.Limits{}, m, func() (T, error) {
-			return fallback(m)
-		})
-		endFallback()
+	if op.tr != nil {
+		op.m.SetObserver(op.tr)
+		ctx = obs.ContextWithTrace(ctx, op.tr)
 	}
-	endRoot()
-	if tr != nil {
-		tr.Finish()
+	op.retries, op.downgrades = op.m.Retries, op.m.Downgrades
+	op.start = time.Now()
+	op.endRoot = op.m.StartSpan(kind)
+	return op, ctx, nil
+}
+
+// finish is the closing half: it seals the root span and the trace, records
+// the operation — kind, outcome, latency, what it read — into the default
+// registry, admits an offender into the slow-query log, and lets go of the
+// trace, the locks and the admission slots.
+func (op *operation) finish(err error, readsBefore map[Structure]int64) {
+	if op.release != nil {
+		defer op.release()
 	}
+	op.endRoot()
+	if op.tr != nil {
+		defer op.m.DetachObserver(op.tr)
+		op.tr.Finish()
+	}
+	dur := time.Since(op.start)
+	downgrades := op.m.Downgrades - op.downgrades
+	outcome := classifyOutcome(err, downgrades > 0)
+	obs.Default().RecordQuery(op.kind, outcome, dur,
+		readsDelta(readsBefore, op.m.ReadsSnapshot()), op.m.Retries-op.retries, downgrades)
 
-	dur := time.Since(start)
-	outcome := classifyOutcome(err, degraded)
-	obs.Default().RecordQuery(kind, outcome, dur,
-		readsDelta(readsBefore, m.ReadsSnapshot()),
-		m.Retries-retriesBefore, m.Downgrades-downgradesBefore)
-
-	if slowThreshold > 0 && dur >= slowThreshold {
+	if op.slow > 0 && dur >= op.slow {
 		var errText string
 		if err != nil {
 			errText = err.Error()
 		}
-		var tree string
-		if tr != nil {
-			tree = tr.Render()
-		}
 		obs.DefaultSlowLog().Record(obs.SlowEntry{
-			At: time.Now(), Kind: kind, Dur: dur,
-			Outcome: outcome, Err: errText, Tree: tree,
+			At: time.Now(), Kind: op.kind, Dur: dur,
+			Outcome: outcome, Err: errText, Tree: op.tr.Render(),
 		})
 		obs.Default().RecordSlowQuery()
+	}
+}
+
+// runQuery is the one boundary every batch entry point passes through:
+// begin, attempt under the budget's governor, degrade to fallback per the
+// Budget policy, finish. fallback may be nil for operations that never
+// degrade (maintenance, baselines).
+func runQuery[T any](ctx context.Context, kind string, cfg queryConfig,
+	attempt func(m *Metrics) (T, error),
+	fallback func(m *Metrics) (T, error),
+) (out T, err error) {
+	op, ctx, err := begin(ctx, kind, cfg)
+	if err != nil {
+		return out, err
+	}
+	m := op.m
+	readsBefore := m.ReadsSnapshot() // here, not in begin: it stays on this frame's stack
+	defer func() { op.finish(err, readsBefore) }()
+
+	out, err = runGoverned(ctx, cfg.budget.limits(), m, func() (T, error) {
+		return attempt(m)
+	})
+	if fallback != nil && cfg.budget.shouldDegrade(err) {
+		defer m.StartSpan("fallback")()
+		m.AddDowngrade()
+		out, err = runGoverned(ctx, governor.Limits{}, m, func() (T, error) {
+			return fallback(m)
+		})
 	}
 	return out, err
 }
 
+// maintain takes one maintenance operation through runQuery with ctl held
+// exclusively. Maintenance never degrades: no baseline could apply a write.
+func maintain[T any](ctx context.Context, kind string, ctl *guard.RW, opts []Option, apply func(m *Metrics) T) (T, error) {
+	cfg := applyOptions(opts, ctl)
+	cfg.write = true
+	return runQuery(ctx, kind, cfg, func(m *Metrics) (T, error) { return apply(m), nil }, nil)
+}
+
 // ---------------------------------------------------------------------------
-// Canonical entry points
+// Entry points
 // ---------------------------------------------------------------------------
 
 // Query answers a multi-dimensional top-k query under ctx. On storage
@@ -221,10 +254,8 @@ func runQuery[T any](ctx context.Context, kind string, cfg queryConfig,
 // transparently re-answers from a tombstone-aware sequential scan,
 // recording the downgrade.
 func (g *GridCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{g.c.Ctl()}
 	q := gridcube.Query{Cond: cond, F: f, K: k}
-	return runQuery(ctx, "grid.topk", cfg,
+	return runQuery(ctx, "grid.topk", applyOptions(opts, g.ctl),
 		func(m *Metrics) ([]Result, error) { return g.c.TopK(q, m) },
 		func(m *Metrics) ([]Result, error) { return g.c.ScanTopK(q, m), nil })
 }
@@ -235,21 +266,41 @@ func (g *GridCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...
 // cube answers against ground truth under the same admission gate and
 // shared lock. It never degrades further.
 func (g *GridCube) BaselineQuery(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{g.c.Ctl()}
 	q := gridcube.Query{Cond: cond, F: f, K: k}
-	return runQuery(ctx, "grid.baseline", cfg,
+	return runQuery(ctx, "grid.baseline", applyOptions(opts, g.ctl),
 		func(m *Metrics) ([]Result, error) { return g.c.ScanTopK(q, m), nil },
 		nil)
+}
+
+// InsertTuple adds a tuple into the cube using the pre-computed partition
+// (thesis §1.3.1); call Repartition periodically to restore balance.
+// Maintenance is single-writer: it holds the cube's serving control
+// exclusively, waiting out in-flight queries and excluding new ones, and
+// never degrades — a row that does not fit the schema is refused with
+// ErrInvalidArgument and leaves the cube as it was.
+func (g *GridCube) InsertTuple(ctx context.Context, sel []int32, rank []float64, opts ...Option) (TID, error) {
+	return maintain(ctx, "grid.insert", g.ctl, opts, func(*Metrics) TID { return g.c.Insert(sel, rank) })
+}
+
+// DeleteTuple tombstones a tuple until the next Repartition, with the same
+// single-writer discipline as InsertTuple. It reports whether the tuple
+// existed and was not already deleted.
+func (g *GridCube) DeleteTuple(ctx context.Context, tid TID, opts ...Option) (bool, error) {
+	return maintain(ctx, "grid.delete", g.ctl, opts, func(*Metrics) bool { return g.c.Delete(tid) })
+}
+
+// Repartition rebuilds the cube over the surviving tuples, returning the
+// old-to-new tuple id mapping when deletions compacted the relation. It
+// holds the serving control exclusively for the whole rebuild.
+func (g *GridCube) Repartition(ctx context.Context, opts ...Option) (map[TID]TID, error) {
+	return maintain(ctx, "grid.repartition", g.ctl, opts, func(*Metrics) map[TID]TID { return g.c.Repartition() })
 }
 
 // Query answers a multi-dimensional top-k query under ctx, degrading to
 // a delete-aware sequential scan on storage faults as GridCube.Query
 // does.
 func (s *SignatureCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{s.c.Ctl()}
-	return runQuery(ctx, "sig.topk", cfg,
+	return runQuery(ctx, "sig.topk", applyOptions(opts, s.ctl),
 		func(m *Metrics) ([]Result, error) { return s.c.TopK(cond, f, k, m) },
 		func(m *Metrics) ([]Result, error) { return s.c.ScanTopK(cond, f, k, m), nil })
 }
@@ -258,9 +309,7 @@ func (s *SignatureCube) Query(ctx context.Context, cond Cond, f Func, k int, opt
 // delete-aware sequential scan — ground truth for crosschecking, under the
 // same admission gate and shared lock. It never degrades further.
 func (s *SignatureCube) BaselineQuery(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{s.c.Ctl()}
-	return runQuery(ctx, "sig.baseline", cfg,
+	return runQuery(ctx, "sig.baseline", applyOptions(opts, s.ctl),
 		func(m *Metrics) ([]Result, error) { return s.c.ScanTopK(cond, f, k, m), nil },
 		nil)
 }
@@ -268,73 +317,46 @@ func (s *SignatureCube) BaselineQuery(ctx context.Context, cond Cond, f Func, k 
 // InsertTuple appends a tuple and incrementally maintains all signatures
 // under ctx. Maintenance never degrades — there is no baseline that
 // could maintain the cube — so faults surface as typed errors:
-// ErrStructureUnavailable when the partition does not support
-// incremental maintenance, storage errors when maintenance I/O faults.
+// ErrInvalidArgument for a row that does not fit the schema (the cube is
+// left as it was), ErrStructureUnavailable when the partition does not
+// support incremental maintenance, storage errors when maintenance I/O
+// faults.
 func (s *SignatureCube) InsertTuple(ctx context.Context, sel []int32, rank []float64, opts ...Option) (TID, error) {
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{s.c.Ctl()}
-	cfg.write = true
-	return runQuery(ctx, "sig.insert", cfg,
-		func(m *Metrics) (TID, error) { return s.c.Insert(sel, rank, m), nil },
-		nil)
+	return maintain(ctx, "sig.insert", s.ctl, opts, func(m *Metrics) TID { return s.c.Insert(sel, rank, m) })
 }
 
 // DeleteTuple removes a tuple from the partition and signatures under
 // ctx, with the same no-degradation error contract as InsertTuple.
 func (s *SignatureCube) DeleteTuple(ctx context.Context, tid TID, opts ...Option) (bool, error) {
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{s.c.Ctl()}
-	cfg.write = true
-	return runQuery(ctx, "sig.delete", cfg,
-		func(m *Metrics) (bool, error) { return s.c.Delete(tid, m), nil },
-		nil)
+	return maintain(ctx, "sig.delete", s.ctl, opts, func(m *Metrics) bool { return s.c.Delete(tid, m) })
 }
 
 // OpenScan opens a governed, panic-contained score-ascending iterator
 // over tuples matching cond — the rank-aware selection operator rank
 // joins pull from. Unlike the batch entry points a stream cannot
 // transparently degrade (it cannot restart without re-emitting), so
-// faults surface as typed errors from Next. The budget's governor — and
-// the trace, when WithTrace is given — stay attached to the metrics for
-// the scanner's lifetime; Close releases both, so open a fresh Metrics
-// per scan when running scans concurrently.
+// faults surface as typed errors from Next. The scanner reads the cube
+// progressively until Close, so it holds the open half of the boundary for
+// its whole lifetime: admitted through the gate, the shared lock held —
+// maintenance waits for open scans to finish — and the budget's governor
+// and the trace attached to the metrics. Close runs the closing half, so
+// open a fresh Metrics per scan when running scans concurrently.
 func (s *SignatureCube) OpenScan(ctx context.Context, cond Cond, f Func, opts ...Option) (*GovernedScanner, error) {
-	cfg := applyOptions(opts)
-	// The scanner reads the cube progressively until Close, so it is
-	// admitted through the gate and holds the shared lock for its whole
-	// lifetime — maintenance waits for open scans to finish. Close releases
-	// both.
-	unlock, err := guard.AcquireShared(ctx, []*guard.RW{s.c.Ctl()})
+	cfg := applyOptions(opts, s.ctl)
+	op, ctx, err := begin(ctx, "sig.scan", cfg)
 	if err != nil {
-		obs.Default().Counter("queries.sig.scan." + string(classifyOutcome(err, false))).Add(1)
 		return nil, err
 	}
-	m := ensureMetrics(cfg.metrics)
-	if cfg.trace != nil {
-		m.SetObserver(cfg.trace)
-	}
+	readsBefore := op.m.ReadsSnapshot()
 	gov := governor.New(ctx, cfg.budget.limits())
-	m.SetGovernor(gov)
-	sc, err := func() (sc *Scanner, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = errs.FromPanic(r)
-				sc = nil
-			}
-		}()
-		return s.c.Scan(cond, f, m)
-	}()
+	op.m.SetGovernor(gov)
+	sc, err := contained(func() (*sigcube.Scanner, error) { return s.c.Scan(cond, f, op.m) })
 	if err != nil {
-		m.DetachGovernor(gov)
-		if cfg.trace != nil {
-			m.DetachObserver(cfg.trace)
-		}
-		unlock()
-		obs.Default().Counter("queries.sig.scan." + string(classifyOutcome(err, false))).Add(1)
+		op.m.DetachGovernor(gov)
+		op.finish(err, readsBefore)
 		return nil, err
 	}
-	obs.Default().Counter("queries.sig.scan.ok").Add(1)
-	return &GovernedScanner{s: sc, m: m, g: gov, tr: cfg.trace, unlock: unlock}, nil
+	return &GovernedScanner{s: sc, g: gov, op: op, readsBefore: readsBefore}, nil
 }
 
 // MergeQuery answers a top-k query whose function spans several
@@ -345,8 +367,7 @@ func (s *SignatureCube) OpenScan(ctx context.Context, cond Cond, f Func, opts ..
 // table scan, which is exact because index-merge queries carry no
 // boolean predicate.
 func MergeQuery(ctx context.Context, rel *Relation, indices []Index, f Func, k int, mopts MergeOptions, opts ...Option) ([]Result, error) {
-	cfg := applyOptions(opts)
-	return runQuery(ctx, "merge.topk", cfg,
+	return runQuery(ctx, "merge.topk", applyOptions(opts),
 		func(m *Metrics) ([]Result, error) {
 			var mo indexmerge.Options
 			if mopts.JoinSignature {
@@ -360,10 +381,7 @@ func MergeQuery(ctx context.Context, rel *Relation, indices []Index, f Func, k i
 			}
 			return indexmerge.TopK(indices, f, k, mo, m)
 		},
-		func(m *Metrics) ([]Result, error) {
-			h := baselines.NewHeapFile(rel, 0)
-			return baselines.NewTableScan(h).TopK(Cond{}, f, k, m), nil
-		})
+		func(m *Metrics) ([]Result, error) { return tableScan(rel, Cond{}, f, k, m) })
 }
 
 // JoinQuery answers a multi-relational top-k query under ctx: equality
@@ -388,6 +406,24 @@ func JoinQuery(ctx context.Context, parts []JoinPart, k int, opts ...Option) ([]
 		func(m *Metrics) ([]JoinResult, error) { return joinquery.BruteForce(q, m) })
 }
 
+// skyOut bundles the skyline result pair through runQuery.
+type skyOut struct {
+	res  []SkylineResult
+	snap *SkylineSnapshot
+}
+
+func sky(res []SkylineResult, snap *SkylineSnapshot, err error) (skyOut, error) {
+	return skyOut{res, snap}, err
+}
+
+// run takes one skyline operation through the boundary, under the shared
+// lock of the engine's cube.
+func (s *SkylineEngine) run(ctx context.Context, kind string, opts []Option,
+	attempt, fallback func(m *Metrics) (skyOut, error)) ([]SkylineResult, *SkylineSnapshot, error) {
+	out, err := runQuery(ctx, kind, applyOptions(opts, s.e.Cube().Ctl()), attempt, fallback)
+	return out.res, out.snap, err
+}
+
 // Query computes the skyline of the tuples matching cond under ctx,
 // minimizing the given ranking dimensions. A non-nil target asks for the
 // dynamic skyline in |x−target| space. On storage faults it degrades to
@@ -395,19 +431,10 @@ func JoinQuery(ctx context.Context, parts []JoinPart, k int, opts ...Option) ([]
 // degraded and navigation (drill-down/roll-up) restarts from scratch
 // instead of reusing the candidate basis.
 func (s *SkylineEngine) Query(ctx context.Context, cond Cond, dims []int, target []float64, opts ...Option) ([]SkylineResult, *SkylineSnapshot, error) {
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{s.e.Cube().Ctl()}
 	q := skyline.Query{Cond: cond, Dims: dims, Target: target}
-	out, err := runQuery(ctx, "skyline", cfg,
-		func(m *Metrics) (skyOut, error) {
-			res, snap, err := s.e.Skyline(q, m)
-			return skyOut{res, snap}, err
-		},
-		func(m *Metrics) (skyOut, error) {
-			res, snap, err := s.e.ScanSkyline(q, m)
-			return skyOut{res, snap}, err
-		})
-	return out.res, out.snap, err
+	return s.run(ctx, "skyline", opts,
+		func(m *Metrics) (skyOut, error) { return sky(s.e.Skyline(q, m)) },
+		func(m *Metrics) (skyOut, error) { return sky(s.e.ScanSkyline(q, m)) })
 }
 
 // DrillDownQuery tightens the previous query with extra predicates,
@@ -417,22 +444,15 @@ func (s *SkylineEngine) DrillDownQuery(ctx context.Context, prev *SkylineSnapsho
 	if prev == nil {
 		return nil, nil, fmt.Errorf("rankcube: drill-down requires a previous snapshot: %w", errs.ErrInvalidArgument)
 	}
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{s.e.Cube().Ctl()}
-	out, err := runQuery(ctx, "skyline.drilldown", cfg,
-		func(m *Metrics) (skyOut, error) {
-			res, snap, err := s.e.DrillDown(prev, extra, m)
-			return skyOut{res, snap}, err
-		},
+	return s.run(ctx, "skyline.drilldown", opts,
+		func(m *Metrics) (skyOut, error) { return sky(s.e.DrillDown(prev, extra, m)) },
 		func(m *Metrics) (skyOut, error) {
 			q, qerr := prev.DrillQuery(extra)
 			if qerr != nil {
 				return skyOut{}, qerr
 			}
-			res, snap, err := s.e.ScanSkyline(q, m)
-			return skyOut{res, snap}, err
+			return sky(s.e.ScanSkyline(q, m))
 		})
-	return out.res, out.snap, err
 }
 
 // RollUpQuery relaxes the previous query by removing predicates on the
@@ -442,18 +462,9 @@ func (s *SkylineEngine) RollUpQuery(ctx context.Context, prev *SkylineSnapshot, 
 	if prev == nil {
 		return nil, nil, fmt.Errorf("rankcube: roll-up requires a previous snapshot: %w", errs.ErrInvalidArgument)
 	}
-	cfg := applyOptions(opts)
-	cfg.ctls = []*guard.RW{s.e.Cube().Ctl()}
-	out, err := runQuery(ctx, "skyline.rollup", cfg,
-		func(m *Metrics) (skyOut, error) {
-			res, snap, err := s.e.RollUp(prev, removeDims, m)
-			return skyOut{res, snap}, err
-		},
-		func(m *Metrics) (skyOut, error) {
-			res, snap, err := s.e.ScanSkyline(prev.RollQuery(removeDims), m)
-			return skyOut{res, snap}, err
-		})
-	return out.res, out.snap, err
+	return s.run(ctx, "skyline.rollup", opts,
+		func(m *Metrics) (skyOut, error) { return sky(s.e.RollUp(prev, removeDims, m)) },
+		func(m *Metrics) (skyOut, error) { return sky(s.e.ScanSkyline(prev.RollQuery(removeDims), m)) })
 }
 
 // TableScanQuery answers a query by a governed scan of rel — the
@@ -461,11 +472,12 @@ func (s *SkylineEngine) RollUpQuery(ctx context.Context, prev *SkylineSnapshot, 
 // to. It never degrades further (the scan is already the floor), so
 // budget trips and faults surface as typed errors.
 func TableScanQuery(ctx context.Context, rel *Relation, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
-	cfg := applyOptions(opts)
-	return runQuery(ctx, "scan.topk", cfg,
-		func(m *Metrics) ([]Result, error) {
-			h := baselines.NewHeapFile(rel, 0)
-			return baselines.NewTableScan(h).TopK(cond, f, k, m), nil
-		},
+	return runQuery(ctx, "scan.topk", applyOptions(opts),
+		func(m *Metrics) ([]Result, error) { return tableScan(rel, cond, f, k, m) },
 		nil)
+}
+
+// tableScan is the thesis' TS baseline over rel paged as a heap file.
+func tableScan(rel *Relation, cond Cond, f Func, k int, m *Metrics) ([]Result, error) {
+	return baselines.NewTableScan(baselines.NewHeapFile(rel, 0)).TopK(cond, f, k, m), nil
 }

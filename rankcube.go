@@ -14,69 +14,68 @@
 //     incremental maintenance.
 //
 // plus the chapter 5-7 extensions: index-merge for many ranking dimensions
-// (MergeTopK), SPJR rank joins over multiple relations (Join), and skyline
-// queries with boolean predicates (SkylineEngine).
+// (MergeQuery), SPJR rank joins over multiple relations (JoinQuery), and
+// skyline queries with boolean predicates (SkylineEngine).
 //
 // All query engines score ascending: lower is better. Express
 // higher-is-better preferences by negating the function.
 //
-// # Canonical query API
+// # One generation of API
 //
-// Every engine's canonical entry point is ctx-first with variadic
-// options:
+// Every operation on every engine is one ctx-first entry point with
+// variadic options:
 //
 //	res, err := cube.Query(ctx, cond, f, k,
 //	    rankcube.WithBudget(rankcube.Budget{MaxBlockReads: 10_000}),
 //	    rankcube.WithMetrics(m),
 //	    rankcube.WithTrace(tr))
 //
-// (GridCube.Query, SignatureCube.Query, MergeQuery, JoinQuery,
-// SkylineEngine.Query / DrillDownQuery / RollUpQuery, TableScanQuery,
-// and for maintenance InsertTuple / DeleteTuple / OpenScan.) Options:
-// WithBudget, WithMetrics, WithTrace, WithSlowLogThreshold. The legacy
-// bare and *Ctx forms remain as thin wrappers. Every canonical query is
-// also recorded — kind, outcome, latency histogram, block reads — into
-// the process-wide registry (DefaultRegistry, MetricsHandler,
-// PublishExpvar), and queries crossing SetSlowQueryThreshold land in the
-// slow-query log with their span trees (WriteSlowQueryLog).
+// Queries: GridCube.Query, SignatureCube.Query, MergeQuery, JoinQuery,
+// SkylineEngine.Query / DrillDownQuery / RollUpQuery, TableScanQuery, the
+// cubes' BaselineQuery, and the progressive SignatureCube.OpenScan.
+// Maintenance: InsertTuple / DeleteTuple on both cubes and
+// GridCube.Repartition. Options: WithBudget, WithMetrics, WithTrace,
+// WithSlowLogThreshold. All of them pass through one boundary, which admits
+// the operation through the cube's gate (SetAdmission), takes its serving
+// lock (shared for queries, exclusive for maintenance), attaches the
+// governor and trace, contains panics, applies the degradation policy, and
+// records kind, outcome, latency and block reads into the process-wide
+// registry (DefaultRegistry, MetricsHandler, PublishExpvar); operations
+// crossing SetSlowQueryThreshold land in the slow-query log with their span
+// trees (WriteSlowQueryLog).
 //
 // # Robustness & degradation policy
 //
-// Every query entry point has a context-aware variant (TopKCtx, JoinCtx,
-// SkylineCtx, …) taking a context.Context and a Budget. Queries run under a
-// governor enforced in the pager at block-access granularity, so
-// cancellation latency and budget overshoot are bounded in pages. Storage
-// pages carry checksums; faults can be injected for testing via
-// pager.FaultInjector. The degradation rules, in order:
+// Operations run under a governor enforced in the pager at block-access
+// granularity, so cancellation latency and budget overshoot are bounded in
+// pages. Storage pages carry checksums; faults can be injected for testing
+// via pager.FaultInjector. The degradation rules, in order:
 //
 //   - Cancellation (context canceled or deadline exceeded) always aborts
 //     with ErrCanceled. It never degrades: the caller asked to stop.
 //   - Storage faults (ErrPageCorrupt, ErrReadFailed,
 //     ErrStructureUnavailable) and contained engine panics (ErrInternal)
 //     degrade by default: the query is transparently re-answered by the
-//     matching baseline scan — exact, cube-free — and the Metrics'
-//     Downgrades counter records it. Budget.DisableFallback surfaces the
-//     typed error instead.
+//     matching baseline scan — exact, cube-free, one sequential pass over
+//     the relation's pages — and the Metrics' Downgrades counter records it.
+//     Budget.DisableFallback surfaces the typed error instead.
 //   - Budget trips (ErrBudgetExceeded) fail by default with partial
 //     statistics intact; Budget.FallbackOnBudget opts into degrading them
 //     like storage faults.
+//   - Malformed requests (ErrInvalidArgument: a row that does not fit the
+//     schema, a missing snapshot) and shed load (ErrOverloaded) never
+//     degrade, and maintenance has no baseline to degrade to.
 //
-// The legacy non-context methods delegate to the context variants with a
-// background context and a zero Budget, so they inherit panic containment
-// and fault degradation. The one exception is the progressive Scan
-// iterator: a stream cannot transparently restart, so only ScanCtx
-// contains faults (as typed errors from Next) while the legacy Scan
-// propagates engine panics as-is.
+// A progressive scan cannot transparently restart, so OpenScan surfaces
+// faults as typed errors from Next instead of degrading.
 //
-// No panic escapes the context-aware API: engine faults and bugs alike
-// surface as errors matching ErrInternal at worst.
+// No panic escapes the package: engine faults and bugs alike surface as
+// errors matching ErrInternal at worst.
 package rankcube
 
 import (
-	"context"
 	"fmt"
 
-	"rankcube/internal/baselines"
 	"rankcube/internal/btree"
 	"rankcube/internal/core"
 	"rankcube/internal/dataset"
@@ -155,15 +154,6 @@ type Metrics = stats.Counters
 
 // NewMetrics returns an empty metrics collector.
 func NewMetrics() *Metrics { return stats.New() }
-
-// ensureMetrics lets callers pass a nil *Metrics to skip instrumentation;
-// the engines require a collector, so nil is replaced with a throwaway.
-func ensureMetrics(m *Metrics) *Metrics {
-	if m == nil {
-		return stats.New()
-	}
-	return m
-}
 
 // ---------------------------------------------------------------------------
 // Ranking functions
@@ -245,46 +235,26 @@ type GridOptions struct {
 	CompressLists bool
 }
 
-// GridCube is the chapter-3 engine.
+// GridCube is the chapter-3 engine. It supports maintenance against the
+// pre-computed partition (InsertTuple, DeleteTuple) with a periodic
+// Repartition, and carries the serving shell: SetAdmission, AdmissionStats,
+// Drain, Health, Repair.
 type GridCube struct {
 	c *gridcube.Cube
+	serving
 }
 
 // BuildGridCube materializes a grid ranking cube (or ranking fragments)
 // over rel.
 func BuildGridCube(rel *Relation, opts GridOptions) *GridCube {
-	return &GridCube{c: gridcube.Build(rel, gridcube.Config{
+	g := &GridCube{c: gridcube.Build(rel, gridcube.Config{
 		BlockSize:     opts.BlockSize,
 		FragmentSize:  opts.FragmentSize,
 		Groups:        opts.Groups,
 		CompressLists: opts.CompressLists,
 	})}
-}
-
-// TopK answers a multi-dimensional top-k query. It is Query with a
-// background context and no budget (faults still degrade to a scan).
-//
-// Deprecated: use GridCube.Query.
-func (g *GridCube) TopK(cond Cond, f Func, k int, m *Metrics) ([]Result, error) {
-	return g.Query(context.Background(), cond, f, k, WithMetrics(m))
-}
-
-// Insert adds a tuple into the cube using the pre-computed partition
-// (thesis §1.3.1); call Repartition periodically to restore balance.
-// Maintenance is single-writer: it holds the cube's serving control
-// exclusively, waiting out in-flight queries and excluding new ones.
-func (g *GridCube) Insert(sel []int32, rank []float64) TID {
-	g.c.Ctl().Lock()
-	defer g.c.Ctl().Unlock()
-	return g.c.Insert(sel, rank)
-}
-
-// Delete tombstones a tuple until the next Repartition, with the same
-// single-writer discipline as Insert.
-func (g *GridCube) Delete(tid TID) bool {
-	g.c.Ctl().Lock()
-	defer g.c.Ctl().Unlock()
-	return g.c.Delete(tid)
+	g.serving = serving{ctl: g.c.Ctl(), gateName: "grid", stores: g.Stores, targets: g.repairTargets}
+	return g
 }
 
 // PendingMaintenance reports accumulated inserts plus tombstones.
@@ -292,15 +262,6 @@ func (g *GridCube) PendingMaintenance() int {
 	g.c.Ctl().RLock()
 	defer g.c.Ctl().RUnlock()
 	return g.c.PendingMaintenance()
-}
-
-// Repartition rebuilds the cube over the surviving tuples, returning the
-// old-to-new tuple id mapping when deletions compacted the relation. It
-// holds the serving control exclusively for the whole rebuild.
-func (g *GridCube) Repartition() map[TID]TID {
-	g.c.Ctl().Lock()
-	defer g.c.Ctl().Unlock()
-	return g.c.Repartition()
 }
 
 // GroupsFromWorkload derives a fragment grouping from a query history
@@ -342,61 +303,24 @@ type SigOptions struct {
 }
 
 // SignatureCube is the chapter-4 engine. It additionally supports
-// incremental maintenance and score-ordered scans.
+// incremental maintenance and score-ordered scans, and carries the same
+// serving shell as GridCube.
 type SignatureCube struct {
 	c *sigcube.Cube
+	serving
 }
 
 // BuildSignatureCube partitions rel with an R-tree and materializes
 // signature cuboids.
 func BuildSignatureCube(rel *Relation, opts SigOptions) *SignatureCube {
-	return &SignatureCube{c: sigcube.Build(rel, sigcube.Config{
+	s := &SignatureCube{c: sigcube.Build(rel, sigcube.Config{
 		RTree:           rtree.Config{Fanout: opts.Fanout},
 		Cuboids:         opts.Cuboids,
 		LossySignatures: opts.LossySignatures,
 	})}
+	s.serving = serving{ctl: s.c.Ctl(), gateName: "sig", stores: s.Stores, targets: s.repairTargets}
+	return s
 }
-
-// TopK answers a multi-dimensional top-k query. It is Query with a
-// background context and no budget (faults still degrade to a scan).
-//
-// Deprecated: use SignatureCube.Query.
-func (s *SignatureCube) TopK(cond Cond, f Func, k int, m *Metrics) ([]Result, error) {
-	return s.Query(context.Background(), cond, f, k, WithMetrics(m))
-}
-
-// Insert appends a tuple and incrementally maintains all signatures. It
-// fails with ErrStructureUnavailable when the cube's partition does not
-// support incremental maintenance (rebuild instead), and with storage
-// errors when maintenance I/O faults. It is InsertTuple with a
-// background context and no budget.
-//
-// Deprecated: use SignatureCube.InsertTuple.
-func (s *SignatureCube) Insert(sel []int32, rank []float64, m *Metrics) (TID, error) {
-	return s.InsertTuple(context.Background(), sel, rank, WithMetrics(m))
-}
-
-// Delete removes a tuple from the partition and signatures, with the same
-// error contract as Insert. It is DeleteTuple with a background context
-// and no budget.
-//
-// Deprecated: use SignatureCube.DeleteTuple.
-func (s *SignatureCube) Delete(tid TID, m *Metrics) (bool, error) {
-	return s.DeleteTuple(context.Background(), tid, WithMetrics(m))
-}
-
-// Scan opens a score-ascending iterator over tuples matching cond — the
-// rank-aware selection operator rank joins pull from. Unlike OpenScan it
-// is neither governed nor panic-contained: engine faults propagate as
-// panics.
-//
-// Deprecated: use SignatureCube.OpenScan.
-func (s *SignatureCube) Scan(cond Cond, f Func, m *Metrics) (*Scanner, error) {
-	return s.c.Scan(cond, f, ensureMetrics(m))
-}
-
-// Scanner iterates matching tuples in ascending score order.
-type Scanner = sigcube.Scanner
 
 // SizeBytes reports the signature footprint.
 func (s *SignatureCube) SizeBytes() int64 { return s.c.SizeBytes() }
@@ -419,21 +343,11 @@ func BuildRTree(rel *Relation, dims []int) Index {
 	return rtree.Bulk(rel, dims, relationDomain(rel), rtree.Config{})
 }
 
-// MergeOptions configures MergeTopK.
+// MergeOptions configures MergeQuery.
 type MergeOptions struct {
 	// JoinSignature enables empty-state pruning via an m-way join-signature
 	// built over the indices (PE+SIG).
 	JoinSignature bool
-}
-
-// MergeTopK answers a top-k query whose function spans several indices by
-// progressive index-merge. rel provides the tuple count for signature
-// construction when requested. It is MergeQuery with a background context
-// and no budget (faults still degrade to a table scan).
-//
-// Deprecated: use MergeQuery.
-func MergeTopK(rel *Relation, indices []Index, f Func, k int, opts MergeOptions, m *Metrics) ([]Result, error) {
-	return MergeQuery(context.Background(), rel, indices, f, k, opts, WithMetrics(m))
 }
 
 // ---------------------------------------------------------------------------
@@ -455,15 +369,6 @@ type JoinPart = joinquery.Part
 
 // JoinResult is one joined, scored answer.
 type JoinResult = joinquery.Result
-
-// Join answers a multi-relational top-k query: equality join on the shared
-// key domain, per-relation boolean conditions, combined score = sum of
-// per-relation scores.
-//
-// Deprecated: use JoinQuery.
-func Join(parts []JoinPart, k int, m *Metrics) ([]JoinResult, error) {
-	return JoinQuery(context.Background(), parts, k, WithMetrics(m))
-}
 
 // ---------------------------------------------------------------------------
 // Skylines (chapter 7)
@@ -487,47 +392,9 @@ func NewSkylineEngine(cube *SignatureCube) *SkylineEngine {
 	return &SkylineEngine{e: skyline.NewEngine(cube.c)}
 }
 
-// Skyline computes the skyline of the tuples matching cond, minimizing the
-// given ranking dimensions. A non-nil target asks for the dynamic skyline
-// in |x−target| space.
-//
-// Deprecated: use SkylineEngine.Query.
-func (s *SkylineEngine) Skyline(cond Cond, dims []int, target []float64, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.Query(context.Background(), cond, dims, target, WithMetrics(m))
-}
-
-// DrillDown tightens the previous query with extra predicates, reusing its
-// candidate basis.
-//
-// Deprecated: use SkylineEngine.DrillDownQuery.
-func (s *SkylineEngine) DrillDown(prev *SkylineSnapshot, extra Cond, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.DrillDownQuery(context.Background(), prev, extra, WithMetrics(m))
-}
-
-// RollUp relaxes the previous query by removing predicates on the given
-// dimensions, seeding the search with the previous skyline.
-//
-// Deprecated: use SkylineEngine.RollUpQuery.
-func (s *SkylineEngine) RollUp(prev *SkylineSnapshot, removeDims []int, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.RollUpQuery(context.Background(), prev, removeDims, WithMetrics(m))
-}
-
-// ---------------------------------------------------------------------------
-// Baselines (for benchmarking and sanity checks)
-// ---------------------------------------------------------------------------
-
-// TableScanTopK answers a query by scanning rel (the thesis' baseline).
-// It is ungoverned; TableScanQuery is the canonical governed form.
-//
-// Deprecated: use TableScanQuery.
-func TableScanTopK(rel *Relation, cond Cond, f Func, k int, m *Metrics) []Result {
-	h := baselines.NewHeapFile(rel, 0)
-	return baselines.NewTableScan(h).TopK(cond, f, k, ensureMetrics(m))
-}
-
-// helpers
-
-func relationDomain(rel *Relation) rankingBox {
+// relationDomain is the observed ranking domain the index builders
+// partition, widened where a dimension is constant.
+func relationDomain(rel *Relation) ranking.Box {
 	r := rel.Schema().R()
 	lo := make([]float64, r)
 	hi := make([]float64, r)
@@ -539,5 +406,3 @@ func relationDomain(rel *Relation) rankingBox {
 	}
 	return ranking.NewBox(lo, hi)
 }
-
-type rankingBox = ranking.Box

@@ -1,12 +1,17 @@
 package rankcube_test
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
 
 	"rankcube"
 )
+
+// bg is the context of tests that exercise neither cancellation nor
+// deadlines.
+var bg = context.Background()
 
 // buildDemo creates a small relation through the public API.
 func buildDemo(t testing.TB, n int) *rankcube.Relation {
@@ -70,17 +75,20 @@ func TestEnginesAgreeThroughPublicAPI(t *testing.T) {
 	}
 	for i, q := range queries {
 		want := apiBrute(rel, q.cond, q.f, q.k)
-		g, err := grid.TopK(q.cond, q.f, q.k, nil)
+		g, err := grid.Query(bg, q.cond, q.f, q.k)
 		if err != nil {
 			t.Fatalf("query %d grid: %v", i, err)
 		}
 		checkScores(t, g, want)
-		s, err := sig.TopK(q.cond, q.f, q.k, nil)
+		s, err := sig.Query(bg, q.cond, q.f, q.k)
 		if err != nil {
 			t.Fatalf("query %d sig: %v", i, err)
 		}
 		checkScores(t, s, want)
-		ts := rankcube.TableScanTopK(rel, q.cond, q.f, q.k, nil)
+		ts, err := rankcube.TableScanQuery(bg, rel, q.cond, q.f, q.k)
+		if err != nil {
+			t.Fatalf("query %d scan: %v", i, err)
+		}
 		checkScores(t, ts, want)
 	}
 }
@@ -93,7 +101,7 @@ func TestMergeTopKPublicAPI(t *testing.T) {
 	}
 	f := rankcube.SqDist([]int{0, 1}, []float64{0.2, 0.8})
 	for _, js := range []bool{false, true} {
-		got, err := rankcube.MergeTopK(rel, indices, f, 15, rankcube.MergeOptions{JoinSignature: js}, nil)
+		got, err := rankcube.MergeQuery(bg, rel, indices, f, 15, rankcube.MergeOptions{JoinSignature: js})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +116,7 @@ func TestRTreeMergePublicAPI(t *testing.T) {
 		rankcube.BuildRTree(rel, []int{2, 3}),
 	}
 	f := rankcube.SqDist([]int{0, 1, 2, 3}, []float64{0.1, 0.2, 0.3, 0.4})
-	got, err := rankcube.MergeTopK(rel, indices, f, 10, rankcube.MergeOptions{}, nil)
+	got, err := rankcube.MergeQuery(bg, rel, indices, f, 10, rankcube.MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,21 +126,21 @@ func TestRTreeMergePublicAPI(t *testing.T) {
 func TestInsertDeleteThroughPublicAPI(t *testing.T) {
 	rel := buildDemo(t, 2000)
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
-	tid, err := cube.Insert([]int32{1, 1, 1}, []float64{0.001, 0.001}, nil)
+	tid, err := cube.InsertTuple(bg, []int32{1, 1, 1}, []float64{0.001, 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cube.TopK(rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 1, nil)
+	res, err := cube.Query(bg, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].TID != tid {
 		t.Fatalf("inserted near-zero tuple not top-1: %v", res)
 	}
-	if ok, err := cube.Delete(tid, nil); err != nil || !ok {
+	if ok, err := cube.DeleteTuple(bg, tid); err != nil || !ok {
 		t.Fatalf("delete failed: ok=%v err=%v", ok, err)
 	}
-	res, err = cube.TopK(rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 1, nil)
+	res, err = cube.Query(bg, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +152,18 @@ func TestInsertDeleteThroughPublicAPI(t *testing.T) {
 func TestScannerOrdered(t *testing.T) {
 	rel := buildDemo(t, 3000)
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
-	sc, err := cube.Scan(rankcube.Cond{0: 2}, rankcube.Sum(0, 1), nil)
+	sc, err := cube.OpenScan(bg, rankcube.Cond{0: 2}, rankcube.Sum(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sc.Close()
 	prev := math.Inf(-1)
 	count := 0
 	for {
-		r, ok := sc.Next()
+		r, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
@@ -176,7 +188,7 @@ func TestSkylinePublicAPI(t *testing.T) {
 	rel := buildDemo(t, 4000)
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
 	eng := rankcube.NewSkylineEngine(cube)
-	sky, snap, err := eng.Skyline(rankcube.Cond{0: 1}, []int{0, 1}, nil, nil)
+	sky, snap, err := eng.Query(bg, rankcube.Cond{0: 1}, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +207,11 @@ func TestSkylinePublicAPI(t *testing.T) {
 		}
 	}
 	// Drill down and roll up round-trip.
-	sub, snap2, err := eng.DrillDown(snap, rankcube.Cond{1: 2}, nil)
+	sub, snap2, err := eng.DrillDownQuery(bg, snap, rankcube.Cond{1: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := eng.RollUp(snap2, []int{1}, nil)
+	back, _, err := eng.RollUpQuery(bg, snap2, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +249,10 @@ func TestJoinPublicAPI(t *testing.T) {
 	}
 	j1 := rankcube.NewJoinRelation("r1", r1, c1, keys1, 50)
 	j2 := rankcube.NewJoinRelation("r2", r2, c2, keys2, 50)
-	res, err := rankcube.Join([]rankcube.JoinPart{
+	res, err := rankcube.JoinQuery(bg, []rankcube.JoinPart{
 		{Rel: j1, Cond: rankcube.Cond{0: 1}, F: rankcube.Sum(0, 1)},
 		{Rel: j2, Cond: rankcube.Cond{}, F: rankcube.Sum(0, 1)},
-	}, 5, nil)
+	}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,18 +289,24 @@ func TestForestCoverShape(t *testing.T) {
 func TestGridCubeMaintenanceAPI(t *testing.T) {
 	rel := buildDemo(t, 2000)
 	cube := rankcube.BuildGridCube(rel, rankcube.GridOptions{BlockSize: 100})
-	tid := cube.Insert([]int32{1, 1, 1}, []float64{0.0001, 0.0001})
-	res, err := cube.TopK(rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 1, nil)
+	tid, err := cube.InsertTuple(bg, []int32{1, 1, 1}, []float64{0.0001, 0.0001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cube.Query(bg, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 1)
 	if err != nil || len(res) != 1 || res[0].TID != tid {
 		t.Fatalf("inserted tuple not found: %v %v", res, err)
 	}
-	if !cube.Delete(tid) {
-		t.Fatal("delete failed")
+	if ok, err := cube.DeleteTuple(bg, tid); err != nil || !ok {
+		t.Fatalf("delete failed: ok=%v err=%v", ok, err)
 	}
 	if cube.PendingMaintenance() != 2 {
 		t.Fatalf("PendingMaintenance = %d", cube.PendingMaintenance())
 	}
-	remap := cube.Repartition()
+	remap, err := cube.Repartition(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cube.PendingMaintenance() != 0 {
 		t.Fatal("maintenance not folded")
 	}
@@ -301,7 +319,7 @@ func TestGroupingHelpersAPI(t *testing.T) {
 	rel := rankcube.GenerateRelation(3000, 6, 2, 5, rankcube.Uniform, 80)
 	groups := rankcube.GroupsFromWorkload([][]int{{0, 5}, {0, 5}, {2, 3}}, 6, 2)
 	cube := rankcube.BuildGridCube(rel, rankcube.GridOptions{Groups: groups, BlockSize: 100})
-	res, err := cube.TopK(rankcube.Cond{0: 1, 5: 2}, rankcube.Sum(0, 1), 5, nil)
+	res, err := cube.Query(bg, rankcube.Cond{0: 1, 5: 2}, rankcube.Sum(0, 1), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,8 @@ package rankcube
 // Robustness & degradation layer: typed query errors, per-query budgets,
 // panic containment at the API boundary, and transparent fallback to exact
 // baseline scans when cube structures fault. See the package documentation
-// ("Robustness & degradation policy") for the rules. The legacy *Ctx entry
-// points here are thin wrappers over the canonical Option-based forms in
-// query.go, which own the boundary logic.
+// ("Robustness & degradation policy") for the rules; the boundary every
+// entry point passes through is in query.go.
 
 import (
 	"context"
@@ -13,35 +12,11 @@ import (
 
 	"rankcube/internal/errs"
 	"rankcube/internal/governor"
-	"rankcube/internal/obs"
-	"rankcube/internal/pager"
+	"rankcube/internal/sigcube"
 )
 
-// PageStore is a block-granular page store backing a cube structure. It is
-// the attachment point for fault injection (SetFaultInjector, with e.g.
-// pager.ScriptedFaults), retry-policy tuning, and quarantine inspection.
-type PageStore = pager.Store
-
-// Stores returns the cube's page stores (one per materialized cuboid, plus
-// the base block table) for fault injection and quarantine management.
-func (g *GridCube) Stores() []*PageStore {
-	g.c.Ctl().RLock()
-	defer g.c.Ctl().RUnlock()
-	var out []*PageStore
-	for _, cb := range g.c.Cuboids() {
-		out = append(out, cb.Store())
-	}
-	return append(out, g.c.Blocks().Store())
-}
-
-// Stores returns the cube's page stores (the signature store) for fault
-// injection and quarantine management.
-func (s *SignatureCube) Stores() []*PageStore {
-	return []*PageStore{s.c.Store()}
-}
-
-// Typed query errors. Every error returned by the context-aware query
-// methods matches exactly one of these under errors.Is.
+// Typed errors. Every error the package returns matches exactly one of
+// these under errors.Is.
 var (
 	// ErrCanceled: the query's context was canceled or timed out.
 	ErrCanceled = errs.ErrCanceled
@@ -102,125 +77,46 @@ func (b Budget) shouldDegrade(err error) bool {
 	return errs.Degradable(err)
 }
 
-// runGoverned executes fn with a query governor attached to m, converting
-// typed aborts (cancellation, budget trips, storage faults) and any other
-// panic into errors. No panic escapes it. Detachment is ownership-guarded:
-// only the governor this call attached is removed, so nested or stale
-// runners cannot strip a successor's.
-func runGoverned[T any](ctx context.Context, lim governor.Limits, m *Metrics, fn func() (T, error)) (out T, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	gov := governor.New(ctx, lim)
-	m.SetGovernor(gov)
-	defer m.DetachGovernor(gov)
+// contained runs fn, converting typed aborts (cancellation, budget trips,
+// storage faults, malformed rows) and any other panic into errors. No panic
+// escapes it.
+func contained[T any](fn func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = errs.FromPanic(r)
-			var zero T
-			out = zero
+			out, err = *new(T), errs.FromPanic(r)
 		}
 	}()
-	gov.OnCheckpoint() // fail fast on an already-canceled context
 	return fn()
 }
 
-// ---------------------------------------------------------------------------
-// Legacy context-aware entry points (thin wrappers over query.go)
-// ---------------------------------------------------------------------------
-
-// TopKCtx is Query with an explicit Budget and Metrics.
-//
-// Deprecated: use GridCube.Query with WithBudget / WithMetrics.
-func (g *GridCube) TopKCtx(ctx context.Context, cond Cond, f Func, k int, b Budget, m *Metrics) ([]Result, error) {
-	return g.Query(ctx, cond, f, k, WithBudget(b), WithMetrics(m))
-}
-
-// TopKCtx is Query with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.Query with WithBudget / WithMetrics.
-func (s *SignatureCube) TopKCtx(ctx context.Context, cond Cond, f Func, k int, b Budget, m *Metrics) ([]Result, error) {
-	return s.Query(ctx, cond, f, k, WithBudget(b), WithMetrics(m))
-}
-
-// MergeTopKCtx is MergeQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use MergeQuery with WithBudget / WithMetrics.
-func MergeTopKCtx(ctx context.Context, rel *Relation, indices []Index, f Func, k int, opts MergeOptions, b Budget, m *Metrics) ([]Result, error) {
-	return MergeQuery(ctx, rel, indices, f, k, opts, WithBudget(b), WithMetrics(m))
-}
-
-// JoinCtx is JoinQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use JoinQuery with WithBudget / WithMetrics.
-func JoinCtx(ctx context.Context, parts []JoinPart, k int, b Budget, m *Metrics) ([]JoinResult, error) {
-	return JoinQuery(ctx, parts, k, WithBudget(b), WithMetrics(m))
-}
-
-// skyOut bundles the skyline result pair through the governed runner.
-type skyOut struct {
-	res  []SkylineResult
-	snap *SkylineSnapshot
-}
-
-// SkylineCtx is Query with an explicit Budget and Metrics.
-//
-// Deprecated: use SkylineEngine.Query with WithBudget / WithMetrics.
-func (s *SkylineEngine) SkylineCtx(ctx context.Context, cond Cond, dims []int, target []float64, b Budget, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.Query(ctx, cond, dims, target, WithBudget(b), WithMetrics(m))
-}
-
-// DrillDownCtx is DrillDownQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use SkylineEngine.DrillDownQuery with WithBudget /
-// WithMetrics.
-func (s *SkylineEngine) DrillDownCtx(ctx context.Context, prev *SkylineSnapshot, extra Cond, b Budget, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.DrillDownQuery(ctx, prev, extra, WithBudget(b), WithMetrics(m))
-}
-
-// RollUpCtx is RollUpQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use SkylineEngine.RollUpQuery with WithBudget /
-// WithMetrics.
-func (s *SkylineEngine) RollUpCtx(ctx context.Context, prev *SkylineSnapshot, removeDims []int, b Budget, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.RollUpQuery(ctx, prev, removeDims, WithBudget(b), WithMetrics(m))
-}
-
-// InsertCtx is InsertTuple with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.InsertTuple with WithBudget /
-// WithMetrics.
-func (s *SignatureCube) InsertCtx(ctx context.Context, sel []int32, rank []float64, b Budget, m *Metrics) (TID, error) {
-	return s.InsertTuple(ctx, sel, rank, WithBudget(b), WithMetrics(m))
-}
-
-// DeleteCtx is DeleteTuple with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.DeleteTuple with WithBudget /
-// WithMetrics.
-func (s *SignatureCube) DeleteCtx(ctx context.Context, tid TID, b Budget, m *Metrics) (bool, error) {
-	return s.DeleteTuple(ctx, tid, WithBudget(b), WithMetrics(m))
+// runGoverned executes fn contained, with a query governor attached to m
+// for the call. Detachment is ownership-guarded: only the governor this
+// call attached is removed, so nested or stale runners cannot strip a
+// successor's.
+func runGoverned[T any](ctx context.Context, lim governor.Limits, m *Metrics, fn func() (T, error)) (T, error) {
+	gov := governor.New(ctx, lim)
+	m.SetGovernor(gov)
+	defer m.DetachGovernor(gov)
+	return contained(func() (T, error) {
+		gov.OnCheckpoint() // fail fast on an already-canceled context
+		return fn()
+	})
 }
 
 // GovernedScanner is a panic-contained, budget-governed score-ascending
-// iterator. Unlike the batch entry points it cannot transparently degrade —
-// a stream cannot restart without re-emitting — so faults surface as typed
-// errors from Next.
+// iterator (SignatureCube.OpenScan). Unlike the batch entry points it
+// cannot transparently degrade — a stream cannot restart without
+// re-emitting — so faults surface as typed errors from Next.
 type GovernedScanner struct {
-	s  *Scanner
-	m  *Metrics
-	g  *governor.Governor
-	tr *obs.Trace
-	// unlock releases the cube's shared serving lock and admission slot the
-	// scanner has held since OpenScan; nil after Close has run once.
-	unlock func()
-}
-
-// ScanCtx is OpenScan with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.OpenScan with WithBudget / WithMetrics.
-func (s *SignatureCube) ScanCtx(ctx context.Context, cond Cond, f Func, b Budget, m *Metrics) (*GovernedScanner, error) {
-	return s.OpenScan(ctx, cond, f, WithBudget(b), WithMetrics(m))
+	s *sigcube.Scanner
+	g *governor.Governor
+	// op is the open half of the boundary the scan has held since OpenScan:
+	// the cube's shared serving lock and admission slot, the attached trace,
+	// the root span. Close runs the other half.
+	op          operation
+	readsBefore map[Structure]int64
+	err         error // the error Next last returned: the outcome Close records
+	closed      bool
 }
 
 // Next returns the next matching tuple in ascending score order. ok is
@@ -228,28 +124,28 @@ func (s *SignatureCube) ScanCtx(ctx context.Context, cond Cond, f Func, b Budget
 func (g *GovernedScanner) Next() (res Result, ok bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = errs.FromPanic(r)
-			ok = false
+			res, ok, err = Result{}, false, errs.FromPanic(r)
+			g.err = err
 		}
 	}()
 	res, ok = g.s.Next()
 	return res, ok, nil
 }
 
-// Close releases the scan's governor (and trace, if any) from its metrics
-// collector, and releases the cube's shared serving lock and admission
-// slot held since OpenScan — maintenance blocked behind the scan may then
-// proceed. Close is idempotent, and detachment is ownership-guarded: if
-// the shared Metrics has since been attached to another query or scanner,
-// a late Close does not strip the successor's governor.
+// Close ends the scan: it detaches the scan's governor (and trace, if any)
+// from its metrics collector, records the scan — outcome, latency from
+// OpenScan to Close, block reads — into the registry and, past the
+// threshold, the slow-query log, and releases the cube's shared serving
+// lock and admission slot held since OpenScan, so maintenance blocked behind
+// the scan may proceed. Close is idempotent, and detachment is
+// ownership-guarded: if the shared Metrics has since been attached to
+// another query or scanner, a late Close does not strip the successor's
+// governor.
 func (g *GovernedScanner) Close() {
-	g.m.DetachGovernor(g.g)
-	if g.tr != nil {
-		g.m.DetachObserver(g.tr)
-		g.tr.Finish()
+	if g.closed {
+		return
 	}
-	if g.unlock != nil {
-		g.unlock()
-		g.unlock = nil
-	}
+	g.closed = true
+	g.op.m.DetachGovernor(g.g)
+	g.op.finish(g.err, g.readsBefore)
 }

@@ -3,7 +3,7 @@ package rankcube_test
 // Fault-injection tests of the robustness layer: corruption, transient read
 // faults, cancellation, budgets, and panic containment, all exercised
 // through the public API. The driving invariants: no panic ever escapes the
-// context-aware API, degraded answers are exactly the baseline answers, and
+// package, degraded answers are exactly the baseline answers, and
 // partial statistics survive aborts.
 
 import (
@@ -33,7 +33,7 @@ func TestSignatureCorruptionDegradesToExactScan(t *testing.T) {
 
 	corruptAll(cube.Stores())
 	m := rankcube.NewMetrics()
-	got, err := cube.TopKCtx(context.Background(), cond, f, 10, rankcube.Budget{}, m)
+	got, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestSignatureCorruptionDegradesToExactScan(t *testing.T) {
 		t.Fatal("signature store not quarantined after corruption")
 	}
 	m2 := rankcube.NewMetrics()
-	got, err = cube.TopKCtx(context.Background(), cond, f, 10, rankcube.Budget{}, m2)
+	got, err = cube.Query(context.Background(), cond, f, 10, rankcube.WithMetrics(m2))
 	if err != nil {
 		t.Fatalf("post-quarantine query failed: %v", err)
 	}
@@ -57,11 +57,11 @@ func TestSignatureCorruptionDegradesToExactScan(t *testing.T) {
 		t.Fatalf("post-quarantine downgrades = %d, want 1", m2.Downgrades)
 	}
 
-	// The legacy non-context method inherits the same degradation.
-	m3 := rankcube.NewMetrics()
-	got, err = cube.TopK(cond, f, 10, m3)
-	if err != nil || m3.Downgrades != 1 {
-		t.Fatalf("legacy TopK: err=%v downgrades=%d, want nil/1", err, m3.Downgrades)
+	// A query with nothing attached (nil context, no options) degrades the
+	// same way: the boundary supplies the context and the collector.
+	got, err = cube.Query(nil, cond, f, 10)
+	if err != nil {
+		t.Fatalf("bare query: %v", err)
 	}
 	checkScores(t, got, want)
 }
@@ -72,14 +72,14 @@ func TestDisableFallbackSurfacesTypedErrors(t *testing.T) {
 	corruptAll(cube.Stores())
 	b := rankcube.Budget{DisableFallback: true}
 
-	res, err := cube.TopKCtx(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, b, nil)
+	res, err := cube.Query(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.WithBudget(b))
 	if !errors.Is(err, rankcube.ErrPageCorrupt) {
 		t.Fatalf("err = %v, want ErrPageCorrupt", err)
 	}
 	if res != nil {
 		t.Fatalf("got %d results alongside the error", len(res))
 	}
-	_, err = cube.TopKCtx(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, b, nil)
+	_, err = cube.Query(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.WithBudget(b))
 	if !errors.Is(err, rankcube.ErrStructureUnavailable) {
 		t.Fatalf("second query err = %v, want ErrStructureUnavailable", err)
 	}
@@ -87,7 +87,7 @@ func TestDisableFallbackSurfacesTypedErrors(t *testing.T) {
 	// Repair restores service.
 	cube.Stores()[0].ClearQuarantine()
 	cube.Stores()[0].SetFaultInjector(nil)
-	got, err := cube.TopKCtx(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, b, nil)
+	got, err := cube.Query(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.WithBudget(b))
 	if err != nil {
 		t.Fatalf("repaired cube failed: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestGridCorruptionDegradesToExactScan(t *testing.T) {
 
 	corruptAll(cube.Stores())
 	m := rankcube.NewMetrics()
-	got, err := cube.TopKCtx(context.Background(), cond, f, 8, rankcube.Budget{}, m)
+	got, err := cube.Query(context.Background(), cond, f, 8, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("degraded grid query failed: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestTransientFaultsRetryWithoutDegrading(t *testing.T) {
 	cond := rankcube.Cond{0: 1}
 	f := rankcube.Sum(0, 1)
 	m := rankcube.NewMetrics()
-	got, err := cube.TopKCtx(context.Background(), cond, f, 10, rankcube.Budget{}, m)
+	got, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("query failed despite recoverable faults: %v", err)
 	}
@@ -157,13 +157,13 @@ func TestPersistentReadFailure(t *testing.T) {
 	cond := rankcube.Cond{0: 1}
 	f := rankcube.Sum(0, 1)
 
-	_, err := cube.TopKCtx(context.Background(), cond, f, 10, rankcube.Budget{DisableFallback: true}, nil)
+	_, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithBudget(rankcube.Budget{DisableFallback: true}))
 	if !errors.Is(err, rankcube.ErrReadFailed) {
 		t.Fatalf("err = %v, want ErrReadFailed", err)
 	}
 
 	m := rankcube.NewMetrics()
-	got, err := cube.TopKCtx(context.Background(), cond, f, 10, rankcube.Budget{}, m)
+	got, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := rankcube.NewMetrics()
-	res, err := cube.TopKCtx(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.Budget{}, m)
+	res, err := cube.Query(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.WithMetrics(m))
 	if !errors.Is(err, rankcube.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -202,7 +202,7 @@ func TestCancellationBoundedInBlockReads(t *testing.T) {
 
 	// Reference: how many blocks an unhindered query reads.
 	clean := rankcube.NewMetrics()
-	if _, err := cube.TopKCtx(context.Background(), cond, f, 10, rankcube.Budget{}, clean); err != nil {
+	if _, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithMetrics(clean)); err != nil {
 		t.Fatalf("clean query failed: %v", err)
 	}
 	if clean.TotalReads() < 20 {
@@ -222,7 +222,7 @@ func TestCancellationBoundedInBlockReads(t *testing.T) {
 		},
 	})
 	m := rankcube.NewMetrics()
-	_, err := cube.TopKCtx(ctx, cond, f, 10, rankcube.Budget{}, m)
+	_, err := cube.Query(ctx, cond, f, 10, rankcube.WithMetrics(m))
 	if !errors.Is(err, rankcube.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -242,7 +242,7 @@ func TestBudgetExceededKeepsPartialStats(t *testing.T) {
 	f := rankcube.Sum(0, 1)
 	b := rankcube.Budget{MaxBlockReads: 2, DisableFallback: true}
 	m := rankcube.NewMetrics()
-	res, err := cube.TopKCtx(context.Background(), cond, f, 10, b, m)
+	res, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithBudget(b), rankcube.WithMetrics(m))
 	if !errors.Is(err, rankcube.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -261,7 +261,7 @@ func TestFallbackOnBudget(t *testing.T) {
 	f := rankcube.Sum(0, 1)
 	b := rankcube.Budget{MaxBlockReads: 2, FallbackOnBudget: true}
 	m := rankcube.NewMetrics()
-	got, err := cube.TopKCtx(context.Background(), cond, f, 10, b, m)
+	got, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithBudget(b), rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("budget fallback failed: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestCandidateBudget(t *testing.T) {
 	rel := buildDemo(t, 8000)
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
 	b := rankcube.Budget{MaxCandidates: 2, DisableFallback: true}
-	_, err := cube.TopKCtx(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, b, nil)
+	_, err := cube.Query(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.WithBudget(b))
 	if !errors.Is(err, rankcube.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -291,15 +291,14 @@ func TestPanicContainedAsErrInternal(t *testing.T) {
 	rel := buildDemo(t, 2000)
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
 	f := panicFunc{rankcube.Sum(0, 1)}
-	_, err := cube.TopKCtx(context.Background(), rankcube.Cond{0: 1}, f, 5,
-		rankcube.Budget{DisableFallback: true}, nil)
+	_, err := cube.Query(context.Background(), rankcube.Cond{0: 1}, f, 5, rankcube.WithBudget(rankcube.Budget{DisableFallback: true}))
 	if !errors.Is(err, rankcube.ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
 	// With fallback enabled the scan re-evaluates the same broken function;
 	// the second panic must be contained too (no escape), still ErrInternal.
 	m := rankcube.NewMetrics()
-	_, err = cube.TopKCtx(context.Background(), rankcube.Cond{0: 1}, f, 5, rankcube.Budget{}, m)
+	_, err = cube.Query(context.Background(), rankcube.Cond{0: 1}, f, 5, rankcube.WithMetrics(m))
 	if !errors.Is(err, rankcube.ErrInternal) {
 		t.Fatalf("fallback err = %v, want ErrInternal", err)
 	}
@@ -331,13 +330,12 @@ func TestStoragePanicRecoveredAsError(t *testing.T) {
 	}
 	cond := rankcube.Cond{0: 1}
 	f := rankcube.Sum(0, 1)
-	_, err := cube.TopKCtx(context.Background(), cond, f, 5,
-		rankcube.Budget{DisableFallback: true}, nil)
+	_, err := cube.Query(context.Background(), cond, f, 5, rankcube.WithBudget(rankcube.Budget{DisableFallback: true}))
 	if !errors.Is(err, rankcube.ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
 	m := rankcube.NewMetrics()
-	got, err := cube.TopKCtx(context.Background(), cond, f, 5, rankcube.Budget{}, m)
+	got, err := cube.Query(context.Background(), cond, f, 5, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
@@ -354,7 +352,10 @@ func TestMergeFaultDegradesToTableScan(t *testing.T) {
 		rankcube.BuildBTree(rel, 1),
 	}
 	f := rankcube.Sum(0, 1)
-	want := rankcube.TableScanTopK(rel, rankcube.Cond{}, f, 10, nil)
+	want, err := rankcube.TableScanQuery(context.Background(), rel, rankcube.Cond{}, f, 10)
+	if err != nil {
+		t.Fatalf("table scan failed: %v", err)
+	}
 
 	// Every index page permanently unreadable.
 	for _, idx := range indices {
@@ -367,15 +368,14 @@ func TestMergeFaultDegradesToTableScan(t *testing.T) {
 		st.SetFaultInjector(&pager.ScriptedFaults{FailFirst: fails})
 	}
 
-	_, err := rankcube.MergeTopKCtx(context.Background(), rel, indices, f, 10,
-		rankcube.MergeOptions{}, rankcube.Budget{DisableFallback: true}, nil)
+	_, err = rankcube.MergeQuery(context.Background(), rel, indices, f, 10, rankcube.MergeOptions{},
+		rankcube.WithBudget(rankcube.Budget{DisableFallback: true}))
 	if !errors.Is(err, rankcube.ErrReadFailed) {
 		t.Fatalf("err = %v, want ErrReadFailed", err)
 	}
 
 	m := rankcube.NewMetrics()
-	got, err := rankcube.MergeTopKCtx(context.Background(), rel, indices, f, 10,
-		rankcube.MergeOptions{}, rankcube.Budget{}, m)
+	got, err := rankcube.MergeQuery(context.Background(), rel, indices, f, 10, rankcube.MergeOptions{}, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("degraded merge failed: %v", err)
 	}
@@ -412,7 +412,7 @@ func faultJoinFixture(t *testing.T, faulty bool) []rankcube.JoinPart {
 }
 
 func TestJoinFaultDegradesToBruteForce(t *testing.T) {
-	want, err := rankcube.JoinCtx(context.Background(), faultJoinFixture(t, false), 8, rankcube.Budget{}, nil)
+	want, err := rankcube.JoinQuery(context.Background(), faultJoinFixture(t, false), 8)
 	if err != nil {
 		t.Fatalf("clean join failed: %v", err)
 	}
@@ -421,7 +421,7 @@ func TestJoinFaultDegradesToBruteForce(t *testing.T) {
 	}
 
 	m := rankcube.NewMetrics()
-	got, err := rankcube.JoinCtx(context.Background(), faultJoinFixture(t, true), 8, rankcube.Budget{}, m)
+	got, err := rankcube.JoinQuery(context.Background(), faultJoinFixture(t, true), 8, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("degraded join failed: %v", err)
 	}
@@ -443,7 +443,7 @@ func TestSkylineFaultDegradesAndNavigationRestarts(t *testing.T) {
 	clean := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
 	cleanEng := rankcube.NewSkylineEngine(clean)
 	cond := rankcube.Cond{0: 1}
-	want, _, err := cleanEng.Skyline(cond, []int{0, 1}, nil, nil)
+	want, _, err := cleanEng.Query(context.Background(), cond, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatalf("clean skyline failed: %v", err)
 	}
@@ -452,7 +452,7 @@ func TestSkylineFaultDegradesAndNavigationRestarts(t *testing.T) {
 	eng := rankcube.NewSkylineEngine(faulty)
 	corruptAll(faulty.Stores())
 	m := rankcube.NewMetrics()
-	got, snap, err := eng.SkylineCtx(context.Background(), cond, []int{0, 1}, nil, rankcube.Budget{}, m)
+	got, snap, err := eng.Query(context.Background(), cond, []int{0, 1}, nil, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("degraded skyline failed: %v", err)
 	}
@@ -468,12 +468,12 @@ func TestSkylineFaultDegradesAndNavigationRestarts(t *testing.T) {
 
 	// Navigating from a degraded snapshot restarts from scratch; the store
 	// is quarantined, so the restart itself degrades again — still exact.
-	wantDrill, _, err := cleanEng.DrillDown(mustSnap(t, cleanEng, cond), rankcube.Cond{1: 3}, nil)
+	wantDrill, _, err := cleanEng.DrillDownQuery(context.Background(), mustSnap(t, cleanEng, cond), rankcube.Cond{1: 3})
 	if err != nil {
 		t.Fatalf("clean drill-down failed: %v", err)
 	}
 	m2 := rankcube.NewMetrics()
-	gotDrill, snap2, err := eng.DrillDownCtx(context.Background(), snap, rankcube.Cond{1: 3}, rankcube.Budget{}, m2)
+	gotDrill, snap2, err := eng.DrillDownQuery(context.Background(), snap, rankcube.Cond{1: 3}, rankcube.WithMetrics(m2))
 	if err != nil {
 		t.Fatalf("degraded drill-down failed: %v", err)
 	}
@@ -487,7 +487,7 @@ func TestSkylineFaultDegradesAndNavigationRestarts(t *testing.T) {
 
 func mustSnap(t *testing.T, eng *rankcube.SkylineEngine, cond rankcube.Cond) *rankcube.SkylineSnapshot {
 	t.Helper()
-	_, snap, err := eng.Skyline(cond, []int{0, 1}, nil, nil)
+	_, snap, err := eng.Query(context.Background(), cond, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatalf("snapshot query failed: %v", err)
 	}
@@ -525,7 +525,7 @@ func TestGovernedScanner(t *testing.T) {
 	f := rankcube.Sum(0, 1)
 
 	// Clean streaming matches the baseline prefix.
-	sc, err := cube.ScanCtx(context.Background(), cond, f, rankcube.Budget{}, nil)
+	sc, err := cube.OpenScan(context.Background(), cond, f)
 	if err != nil {
 		t.Fatalf("ScanCtx failed: %v", err)
 	}
@@ -546,7 +546,7 @@ func TestGovernedScanner(t *testing.T) {
 	// Mid-stream cancellation surfaces as a typed error, not a panic.
 	ctx, cancel := context.WithCancel(context.Background())
 	m := rankcube.NewMetrics()
-	sc, err = cube.ScanCtx(ctx, cond, f, rankcube.Budget{}, m)
+	sc, err = cube.OpenScan(ctx, cond, f, rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatalf("ScanCtx failed: %v", err)
 	}
@@ -562,7 +562,7 @@ func TestGovernedScanner(t *testing.T) {
 
 	// A corrupt store fails the stream with a typed error.
 	corruptAll(cube.Stores())
-	sc2, err := cube.ScanCtx(context.Background(), cond, f, rankcube.Budget{}, nil)
+	sc2, err := cube.OpenScan(context.Background(), cond, f)
 	if err == nil {
 		defer sc2.Close()
 		for i := 0; i < rel.Len()+1; i++ {
@@ -596,7 +596,7 @@ func TestConcurrentQueriesUnderCorruption(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			m := rankcube.NewMetrics()
-			got, err := cube.TopKCtx(context.Background(), cond, f, 10, rankcube.Budget{}, m)
+			got, err := cube.Query(context.Background(), cond, f, 10, rankcube.WithMetrics(m))
 			if err != nil {
 				errCh <- err
 				return
@@ -618,7 +618,7 @@ func TestDeadlineExpiresAsCanceled(t *testing.T) {
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := cube.TopKCtx(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.Budget{}, nil)
+	_, err := cube.Query(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10)
 	if !errors.Is(err, rankcube.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}

@@ -12,9 +12,9 @@ import (
 
 	"rankcube/internal/admission"
 	"rankcube/internal/errs"
+	"rankcube/internal/guard"
 	"rankcube/internal/obs"
 	"rankcube/internal/pager"
-	"rankcube/internal/stats"
 )
 
 // ---------------------------------------------------------------------------
@@ -40,15 +40,29 @@ type AdmissionConfig struct {
 	Name string
 }
 
-func (c AdmissionConfig) gate(defaultName string) *admission.Gate {
-	name := c.Name
-	if name == "" {
-		name = defaultName
+// serving is the serving shell both cubes embed: the admission gate, the
+// health view and the repair lifecycle over a cube's serving control and
+// page stores.
+type serving struct {
+	ctl      *guard.RW
+	gateName string              // default AdmissionConfig.Name
+	stores   func() []*PageStore // the cube's Stores method
+	// targets lists the cube's stores with what Repair needs to know of each;
+	// it is called with ctl held exclusively.
+	targets func() []repairTarget
+}
+
+// SetAdmission installs (or with a zero MaxInFlight removes) the cube's
+// serving gate. Safe to call while queries run: already-admitted queries
+// release against the gate that admitted them.
+func (s *serving) SetAdmission(cfg AdmissionConfig) {
+	if cfg.Name == "" {
+		cfg.Name = s.gateName
 	}
-	return admission.NewGate(name, admission.Config{
-		MaxInFlight: c.MaxInFlight,
-		MaxWaiting:  c.MaxWaiting,
-	}, nil)
+	s.ctl.SetGate(admission.NewGate(cfg.Name, admission.Config{
+		MaxInFlight: cfg.MaxInFlight,
+		MaxWaiting:  cfg.MaxWaiting,
+	}, nil))
 }
 
 // AdmissionStats is a point-in-time view of a cube's serving gate.
@@ -63,45 +77,45 @@ type AdmissionStats struct {
 	Draining bool
 }
 
-func gateStats(g *admission.Gate) AdmissionStats {
+// AdmissionStats reports the gate's current occupancy.
+func (s *serving) AdmissionStats() AdmissionStats {
+	g := s.ctl.Gate()
 	if g == nil {
 		return AdmissionStats{}
 	}
 	return AdmissionStats{Gated: true, InFlight: g.InFlight(), Waiting: g.Waiting(), Draining: g.Draining()}
 }
 
-// SetAdmission installs (or with a zero MaxInFlight removes) the cube's
-// serving gate. Safe to call while queries run: already-admitted queries
-// release against the gate that admitted them.
-func (g *GridCube) SetAdmission(cfg AdmissionConfig) {
-	g.c.Ctl().SetGate(cfg.gate("grid"))
-}
-
-// SetAdmission installs (or with a zero MaxInFlight removes) the cube's
-// serving gate, as GridCube.SetAdmission does.
-func (s *SignatureCube) SetAdmission(cfg AdmissionConfig) {
-	s.c.Ctl().SetGate(cfg.gate("sig"))
-}
-
-// AdmissionStats reports the gate's current occupancy.
-func (g *GridCube) AdmissionStats() AdmissionStats { return gateStats(g.c.Ctl().Gate()) }
-
-// AdmissionStats reports the gate's current occupancy.
-func (s *SignatureCube) AdmissionStats() AdmissionStats { return gateStats(s.c.Ctl().Gate()) }
-
 // Drain gracefully shuts down the cube's serving gate: new queries and
 // parked waiters are refused with ErrOverloaded, and Drain blocks until
 // every in-flight query finishes or ctx expires. A cube without a gate has
 // nothing to drain and returns nil immediately.
-func (g *GridCube) Drain(ctx context.Context) error { return g.c.Ctl().Gate().Drain(ctx) }
-
-// Drain gracefully shuts down the cube's serving gate, as GridCube.Drain
-// does.
-func (s *SignatureCube) Drain(ctx context.Context) error { return s.c.Ctl().Gate().Drain(ctx) }
+func (s *serving) Drain(ctx context.Context) error { return s.ctl.Gate().Drain(ctx) }
 
 // ---------------------------------------------------------------------------
 // Health & repair
 // ---------------------------------------------------------------------------
+
+// PageStore is a block-granular page store backing a cube structure. It is
+// the attachment point for fault injection (SetFaultInjector, with e.g.
+// pager.ScriptedFaults), retry-policy tuning, and quarantine inspection.
+type PageStore = pager.Store
+
+// Stores returns the cube's page stores (one per materialized cuboid, plus
+// the base block table) for fault injection and quarantine management.
+func (g *GridCube) Stores() []*PageStore {
+	g.ctl.RLock()
+	defer g.ctl.RUnlock()
+	var out []*PageStore
+	for _, cb := range g.c.Cuboids() {
+		out = append(out, cb.Store())
+	}
+	return append(out, g.c.Blocks().Store())
+}
+
+// Stores returns the cube's page stores (the signature store) for fault
+// injection and quarantine management.
+func (s *SignatureCube) Stores() []*PageStore { return []*PageStore{s.c.Store()} }
 
 // StoreHealth is one page store's position in the quarantine lifecycle.
 type StoreHealth struct {
@@ -110,19 +124,14 @@ type StoreHealth struct {
 	Pages int
 }
 
-func healthOf(stores []*PageStore) []StoreHealth {
-	out := make([]StoreHealth, 0, len(stores))
-	for _, st := range stores {
+// Health reports the lifecycle state of every store backing the cube.
+func (s *serving) Health() []StoreHealth {
+	var out []StoreHealth
+	for _, st := range s.stores() {
 		out = append(out, StoreHealth{Kind: st.Kind(), State: st.State().String(), Pages: st.NumPages()})
 	}
 	return out
 }
-
-// Health reports the lifecycle state of every store backing the cube.
-func (g *GridCube) Health() []StoreHealth { return healthOf(g.Stores()) }
-
-// Health reports the lifecycle state of every store backing the cube.
-func (s *SignatureCube) Health() []StoreHealth { return healthOf(s.Stores()) }
 
 // StoreRepair describes what one Repair pass did to one store.
 type StoreRepair struct {
@@ -142,6 +151,78 @@ type StoreRepair struct {
 	State string
 }
 
+// repairTarget is one store as Repair sees it: how to re-materialize it
+// from the cube's maintained base data (the rebuilt page count is returned)
+// and how to make the public query path read it. A nil rebuild marks a
+// store that is reported only: the grid cube's base block table holds
+// logical page sizes, no payload to corrupt.
+type repairTarget struct {
+	store   *PageStore
+	rebuild func() int
+	probe   func(ctx context.Context) error
+}
+
+// Repair runs the quarantine repair lifecycle over every store of the cube
+// (the signature store; each cuboid store of a grid cube, where it matters
+// for CompressLists cubes — uncompressed cuboids store logical page sizes
+// only and verify trivially): page-by-page checksum re-verification, a
+// rebuild of the store from the cube's maintained state when pages fail (or
+// the store is already quarantined), half-open re-admission, and a probe
+// query that must actually read the repaired store before the circuit
+// closes. Verification and rebuild hold the cube's control exclusively; the
+// probes run through the public query path (admission gate and shared lock
+// included). The returned error is the last probe failure, if any; an error
+// leaves its store quarantined (storage fault) or half-open (inconclusive
+// probe).
+func (s *serving) Repair(ctx context.Context) ([]StoreRepair, error) {
+	var targets []repairTarget
+	var reports []StoreRepair
+	var halfOpen []int
+	// The verification/rebuild span runs in its own frame so the release is
+	// deferred: VerifyPages and the rebuilds read through the pager and can
+	// abort on a storage fault, and a panic escaping a held lock would wedge
+	// the cube.
+	func() {
+		s.ctl.Lock()
+		defer s.ctl.Unlock()
+		targets = s.targets()
+		for i, t := range targets {
+			st := t.store
+			rep := StoreRepair{Kind: st.Kind()}
+			if t.rebuild != nil {
+				bad := st.VerifyPages()
+				rep.CorruptPages = len(bad)
+				if len(bad) > 0 || st.Quarantined() {
+					rep.Rebuilt = true
+					rep.RebuiltPages = t.rebuild()
+					obs.Default().RecordRepair(st.Kind(), rep.RebuiltPages)
+				}
+				if st.Quarantined() && len(st.VerifyPages()) == 0 {
+					st.EnterHalfOpen()
+				}
+				if st.State() == pager.StateHalfOpen {
+					halfOpen = append(halfOpen, i)
+				}
+			}
+			rep.State = st.State().String()
+			reports = append(reports, rep)
+		}
+	}()
+
+	var probeErr error
+	for _, i := range halfOpen {
+		st := targets[i].store
+		err := targets[i].probe(ctx)
+		reports[i].Probed = true
+		reports[i].Readmitted = probeOutcome(st, err)
+		reports[i].State = st.State().String()
+		if err != nil {
+			probeErr = err
+		}
+	}
+	return reports, probeErr
+}
+
 // probeOutcome applies the circuit-breaker decision for one half-open
 // store after its probe query: success closes the circuit, a storage fault
 // trips it back to quarantined, anything else (cancellation, overload) is
@@ -154,171 +235,73 @@ func probeOutcome(st *PageStore, err error) (readmitted bool) {
 	case errs.Degradable(err):
 		obs.Default().RecordProbe(st.Kind(), false)
 		st.Requarantine()
-		return false
-	default:
-		return false
 	}
+	return false
 }
 
-// probeBudget disables degradation: a probe must prove the repaired store
-// itself serves reads, not that the baseline can stand in for it.
-func probeBudget() Option { return WithBudget(Budget{DisableFallback: true}) }
-
-// Repair runs the quarantine repair lifecycle over the signature store:
-// page-by-page checksum re-verification, a rebuild of the store from the
-// cube's maintained state when pages fail (or the store is already
-// quarantined), half-open re-admission, and a probe query that must
-// actually read signature pages before the circuit closes. The verification
-// and rebuild hold the cube's control exclusively; the probe runs through
-// the public query path (admission gate and shared lock included). The
-// returned error is the probe's failure, if any; an error leaves the store
-// quarantined (storage fault) or half-open (inconclusive probe).
-func (s *SignatureCube) Repair(ctx context.Context) ([]StoreRepair, error) {
-	st := s.c.Store()
-	rep := StoreRepair{Kind: st.Kind()}
-
-	// The verification/rebuild span runs in its own frame so the release is
-	// deferred: VerifyPages and RebuildStore read through the pager and can
-	// abort on a storage fault, and a panic escaping a held lock would wedge
-	// the cube.
-	ctl := s.c.Ctl()
-	var needProbe bool
-	func() {
-		ctl.Lock()
-		defer ctl.Unlock()
-		bad := st.VerifyPages()
-		rep.CorruptPages = len(bad)
-		if len(bad) > 0 || st.Quarantined() {
-			rep.Rebuilt = true
-			rep.RebuiltPages = s.c.RebuildStore()
-			obs.Default().RecordRepair(st.Kind(), rep.RebuiltPages)
-		}
-		if st.Quarantined() && len(st.VerifyPages()) == 0 {
-			st.EnterHalfOpen()
-		}
-		needProbe = st.State() == pager.StateHalfOpen
-	}()
-
-	var probeErr error
-	if needProbe {
-		rep.Probed = true
-		probeErr = s.probeSignatureStore(ctx)
-		rep.Readmitted = probeOutcome(st, probeErr)
+// probe issues top-1 queries through a cube's public Query until one
+// actually charges a read of the repaired structure (an empty cuboid cell
+// reads nothing and proves nothing): the condition fixes dims to 0 and
+// sweeps the first of them over its values, so the planner reads the cells
+// of exactly the cuboid over dims. Degradation is off — a probe must prove
+// the repaired store itself serves reads, not that the baseline can stand
+// in for it. It returns the first query error, or nil when every probed
+// cell was empty: a store no query can reach is trivially serviceable.
+func probe(ctx context.Context, query func(context.Context, Cond, Func, int, ...Option) ([]Result, error),
+	schema Schema, dims []int, kind Structure) error {
+	ranks := make([]int, schema.R())
+	for i := range ranks {
+		ranks[i] = i
 	}
-	rep.State = st.State().String()
-	return []StoreRepair{rep}, probeErr
-}
-
-// probeSignatureStore issues probe queries until one actually charges a
-// signature-store read (an empty cuboid cell reads nothing and proves
-// nothing), sweeping the first selection dimension's values. It returns the
-// first query error, or nil when every probed cell was empty — a store no
-// query can reach is trivially serviceable.
-func (s *SignatureCube) probeSignatureStore(ctx context.Context) error {
-	schema := s.c.Table().Schema()
-	f := sumAllRanks(schema.R())
-	for v := 0; v < schema.SelCard[0]; v++ {
+	f := Sum(ranks...)
+	for v := 0; v < schema.SelCard[dims[0]]; v++ {
+		cond := Cond{}
+		for _, d := range dims {
+			cond[d] = 0
+		}
+		cond[dims[0]] = int32(v)
 		m := NewMetrics()
-		if _, err := s.Query(ctx, Cond{0: int32(v)}, f, 1, WithMetrics(m), probeBudget()); err != nil {
+		if _, err := query(ctx, cond, f, 1, WithMetrics(m), WithBudget(Budget{DisableFallback: true})); err != nil {
 			return err
 		}
-		if m.ReadsSnapshot()[stats.StructSignature] > 0 {
+		if m.Reads(kind) > 0 {
 			return nil
 		}
 	}
 	return nil
 }
 
-// Repair runs the quarantine repair lifecycle over every cuboid store:
-// checksum re-verification, rebuild of failing cuboids from the base
-// relation into their reset stores, half-open re-admission, and a probe
-// query per repaired cuboid through the public query path. Uncompressed
-// cuboids and the base block table store only logical page sizes (no
-// payload to corrupt), so they verify trivially; the repair path matters
-// for CompressLists cubes. The returned error is the last probe failure,
-// if any.
-func (g *GridCube) Repair(ctx context.Context) ([]StoreRepair, error) {
-	type probe struct {
-		st   *PageStore
-		dims []int
-		idx  int
-	}
-	var reports []StoreRepair
-	var probes []probe
-	// The schema outlives a Repartition; the table pointer it is read
-	// through does not, so take it under the control.
-	var schema Schema
-
-	// As in (*SignatureCube).Repair: the rebuild span gets its own frame so
-	// the release is deferred against aborts inside VerifyPages/RebuildCuboid.
-	ctl := g.c.Ctl()
-	func() {
-		ctl.Lock()
-		defer ctl.Unlock()
-		schema = g.c.Table().Schema()
-		for _, cb := range g.c.Cuboids() {
-			st := cb.Store()
-			rep := StoreRepair{Kind: st.Kind()}
-			bad := st.VerifyPages()
-			rep.CorruptPages = len(bad)
-			if len(bad) > 0 || st.Quarantined() {
-				rep.Rebuilt = true
-				rep.RebuiltPages = g.c.RebuildCuboid(cb)
-				obs.Default().RecordRepair(st.Kind(), rep.RebuiltPages)
-			}
-			if st.Quarantined() && len(st.VerifyPages()) == 0 {
-				st.EnterHalfOpen()
-			}
-			if st.State() == pager.StateHalfOpen {
-				probes = append(probes, probe{st: st, dims: cb.Dims(), idx: len(reports)})
-			}
-			rep.State = st.State().String()
-			reports = append(reports, rep)
-		}
-		bt := g.c.Blocks().Store()
-		reports = append(reports, StoreRepair{Kind: bt.Kind(), State: bt.State().String()})
-	}()
-
-	var probeErr error
-	f := sumAllRanks(schema.R())
-	for _, p := range probes {
-		// Target the repaired cuboid: a condition over exactly its
-		// dimensions makes the planner read its cells. Sweep the first
-		// dimension's values until a cube-store read is charged.
-		card := schema.SelCard[p.dims[0]]
-		var err error
-		for v := 0; v < card; v++ {
-			cond := Cond{}
-			for _, d := range p.dims {
-				cond[d] = 0
-			}
-			cond[p.dims[0]] = int32(v)
-			m := NewMetrics()
-			if _, err = g.Query(ctx, cond, f, 1, WithMetrics(m), probeBudget()); err != nil {
-				break
-			}
-			if m.ReadsSnapshot()[stats.StructCube] > 0 {
-				break
-			}
-		}
-		reports[p.idx].Probed = true
-		reports[p.idx].Readmitted = probeOutcome(p.st, err)
-		reports[p.idx].State = p.st.State().String()
-		if err != nil {
-			probeErr = err
-		}
-	}
-	return reports, probeErr
+// repairTargets lists the signature store, rebuilt from the cube's path map
+// and probed through the first selection dimension's cells.
+func (s *SignatureCube) repairTargets() []repairTarget {
+	schema := s.c.Table().Schema()
+	return []repairTarget{{
+		store:   s.c.Store(),
+		rebuild: s.c.RebuildStore,
+		probe: func(ctx context.Context) error {
+			return probe(ctx, s.Query, schema, []int{0}, StructSignature)
+		},
+	}}
 }
 
-// sumAllRanks is the probe ranking function: the unweighted sum over every
-// ranking dimension.
-func sumAllRanks(r int) Func {
-	dims := make([]int, r)
-	for i := range dims {
-		dims[i] = i
+// repairTargets lists every cuboid store, rebuilt from the base relation
+// into its reset store and probed through its own dimensions, then the base
+// block table, reported only. The schema outlives a Repartition; the table
+// pointer it is read through does not, which is why Repair asks under the
+// control.
+func (g *GridCube) repairTargets() []repairTarget {
+	schema := g.c.Table().Schema()
+	var out []repairTarget
+	for _, cb := range g.c.Cuboids() {
+		out = append(out, repairTarget{
+			store:   cb.Store(),
+			rebuild: func() int { return g.c.RebuildCuboid(cb) },
+			probe: func(ctx context.Context) error {
+				return probe(ctx, g.Query, schema, cb.Dims(), StructCube)
+			},
+		})
 	}
-	return Sum(dims...)
+	return append(out, repairTarget{store: g.c.Blocks().Store()})
 }
 
 // RepairError reports whether err came out of a repair probe as a definite
