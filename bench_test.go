@@ -1,6 +1,6 @@
 // Benchmarks: one testing.B target per table/figure of the thesis'
-// evaluation, named after the figure id the harness registers it under
-// (internal/bench.Registry; TestHarnessRegistryComplete pins the list). Each
+// evaluation, named after the figure id the harness lists it under
+// (internal/bench.IDs; TestHarnessRegistryComplete pins the list). Each
 // benchmark exercises the figure's query configuration against shared
 // fixtures of moderate size; the full parameter sweeps with all competitor
 // series are produced by cmd/rankbench (`rankbench -all`).
@@ -9,6 +9,8 @@ package rankcube_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -432,12 +434,7 @@ func BenchmarkFig5_13_RealData(b *testing.B) {
 	var idx []hindex.Index
 	once.Do(func() {
 		tb := dataset.ForestCoverWide(50_000, 1)
-		lo := make([]float64, 6)
-		hi := make([]float64, 6)
-		for d := 0; d < 6; d++ {
-			lo[d], hi[d] = tb.RankDomain(d)
-		}
-		dom := ranking.NewBox(lo, hi)
+		dom := ranking.NewBox(tb.RankBounds())
 		idx = []hindex.Index{
 			rtree.Bulk(tb, []int{0, 1, 2}, dom, rtree.Config{}),
 			rtree.Bulk(tb, []int{3, 4, 5}, dom, rtree.Config{}),
@@ -841,25 +838,17 @@ func BenchmarkPublicAPI_SkylineSession(b *testing.B) {
 }
 
 // TestHarnessRegistryComplete pins the experiment inventory: every thesis
-// table/figure id must be registered.
+// table/figure id is listed, in thesis order, then the ablations.
 func TestHarnessRegistryComplete(t *testing.T) {
-	want := []string{"tbl5.1", "ext.idlist", "ext.bloom", "ext.onion", "ext.gridpart"}
-	for _, f := range []string{"3.4", "3.5", "3.6", "3.7", "3.8", "3.9", "3.10",
-		"3.11", "3.12", "3.13", "3.14", "3.15",
-		"4.8", "4.9", "4.10", "4.11", "4.12", "4.13",
-		"5.7", "5.8", "5.9", "5.10", "5.11", "5.12", "5.13", "5.14", "5.15",
-		"5.16", "5.17", "5.18", "5.19", "5.20", "5.21", "5.22",
-		"6.3", "6.4",
-		"7.3", "7.4", "7.5", "7.6", "7.7", "7.8", "7.9", "7.10", "7.11",
-		"7.12", "7.13", "7.14"} {
-		want = append(want, "fig"+f)
-	}
-	for _, id := range want {
-		if _, ok := bench.Registry[id]; !ok {
-			t.Errorf("experiment %s not registered", id)
-		}
-	}
-	if len(bench.Registry) != len(want) {
-		t.Errorf("registry has %d experiments, inventory lists %d", len(bench.Registry), len(want))
+	want := strings.Fields(`
+		fig3.4 fig3.5 fig3.6 fig3.7 fig3.8 fig3.9 fig3.10 fig3.11 fig3.12 fig3.13 fig3.14 fig3.15
+		fig4.8 fig4.9 fig4.10 fig4.11 fig4.12 fig4.13
+		tbl5.1 fig5.7 fig5.8 fig5.9 fig5.10 fig5.11 fig5.12 fig5.13 fig5.14 fig5.15 fig5.16 fig5.17
+		fig5.18 fig5.19 fig5.20 fig5.21 fig5.22
+		fig6.3 fig6.4
+		fig7.3 fig7.4 fig7.5 fig7.6 fig7.7 fig7.8 fig7.9 fig7.10 fig7.11 fig7.12 fig7.13 fig7.14
+		ext.idlist ext.bloom ext.gridpart`)
+	if got := bench.IDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("inventory is\n%v\nwant\n%v", got, want)
 	}
 }

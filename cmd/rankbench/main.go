@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	rankbench -list                 # enumerate experiments
+//	rankbench -list                 # enumerate experiments, in thesis order
 //	rankbench -exp fig3.4           # run one experiment
 //	rankbench -exp fig3.4,fig4.12   # run several
 //	rankbench -all                  # run everything
@@ -16,9 +16,13 @@
 // text), /debug/vars (expvar JSON, registry included), and /debug/pprof/*
 // for CPU and heap profiling while experiments run.
 //
-// Output is one aligned table per experiment, with the same series the
-// thesis plots. Absolute numbers depend on hardware and scale; the shapes
-// are the reproduction target.
+// Output per experiment is the table the thesis plots — one column per
+// series, in the metric the header names — and under it one row per measured
+// point with the whole triple: CPU ms, governed block reads (total and per
+// structure) and the modelled ms that combines them at 0.1 ms per read, plus
+// states generated and peak heap. Build-time and size figures print the one
+// table. Absolute numbers depend on hardware and scale; the shapes are the
+// reproduction target, and internal/bench's TestPaperVerdicts asserts them.
 package main
 
 import (
@@ -117,7 +121,7 @@ func main() {
 	cfg := bench.Config{Scale: *scale, Queries: *queries, Seed: *seed}
 	for _, id := range ids {
 		start := time.Now()
-		rep, err := bench.RunCtx(ctx, id, cfg)
+		rep, err := bench.Run(ctx, id, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rankbench: %v\n", err)
 			os.Exit(1)

@@ -181,57 +181,3 @@ func TestHeapFilePaging(t *testing.T) {
 		t.Fatal("PageOf mapping wrong")
 	}
 }
-
-func TestOnionMatchesBrute(t *testing.T) {
-	tb := table.Generate(table.GenSpec{T: 3000, S: 2, R: 2, Card: 4, Seed: 106})
-	onion := NewOnion(tb, 0, 1, 0)
-	if onion.NumLayers() < 5 {
-		t.Fatalf("only %d layers peeled", onion.NumLayers())
-	}
-	rng := rand.New(rand.NewSource(107))
-	for trial := 0; trial < 10; trial++ {
-		f := ranking.Linear([]int{0, 1}, []float64{rng.Float64()*4 - 2, rng.Float64()*4 - 2})
-		k := 1 + rng.Intn(10)
-		var cond core.Cond
-		if trial%2 == 0 {
-			cond = core.Cond{0: int32(rng.Intn(4))}
-		} else {
-			cond = core.Cond{}
-		}
-		got := onion.TopK(cond, f, k, stats.New())
-		sameScores(t, got, brute(tb, cond, f, k))
-	}
-}
-
-func TestOnionStopsEarlyWithoutSelections(t *testing.T) {
-	tb := table.Generate(table.GenSpec{T: 5000, S: 1, R: 2, Card: 40, Seed: 108})
-	onion := NewOnion(tb, 0, 1, 0)
-	f := ranking.Sum(0, 1)
-	free := stats.New()
-	onion.TopK(core.Cond{}, f, 5, free)
-	selective := stats.New()
-	onion.TopK(core.Cond{0: 3}, f, 5, selective)
-	if free.TotalReads() >= selective.TotalReads() {
-		t.Fatalf("unselective scan read %d layers, selective read %d: selections should force deeper scans",
-			free.TotalReads(), selective.TotalReads())
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	// All-collinear points must still peel to completion.
-	tb := table.MustNew(table.Schema{SelNames: []string{"a"}, SelCard: []int{2}, RankNames: []string{"x", "y"}})
-	for i := 0; i < 50; i++ {
-		v := float64(i) / 50
-		tb.Append([]int32{0}, []float64{v, v})
-	}
-	onion := NewOnion(tb, 0, 1, 0)
-	total := 0
-	for _, l := range onion.layers {
-		total += len(l)
-	}
-	if total != 50 {
-		t.Fatalf("peeled %d of 50 tuples", total)
-	}
-	got := onion.TopK(core.Cond{}, ranking.Sum(0, 1), 3, stats.New())
-	sameScores(t, got, brute(tb, core.Cond{}, ranking.Sum(0, 1), 3))
-}

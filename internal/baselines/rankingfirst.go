@@ -29,22 +29,11 @@ func NewRankingFirst(h *HeapFile, rt *rtree.Tree) *RankingFirst {
 
 // BuildRankingFirst bulk-loads a fresh R-tree for the baseline.
 func BuildRankingFirst(h *HeapFile, cfg rtree.Config) *RankingFirst {
-	t := h.t
-	r := t.Schema().R()
-	dims := make([]int, r)
+	dims := make([]int, h.t.Schema().R())
 	for i := range dims {
 		dims[i] = i
 	}
-	lo := make([]float64, r)
-	hi := make([]float64, r)
-	for d := 0; d < r; d++ {
-		lo[d], hi[d] = t.RankDomain(d)
-		if hi[d] <= lo[d] {
-			hi[d] = lo[d] + 1
-		}
-	}
-	rt := rtree.Bulk(t, dims, ranking.NewBox(lo, hi), cfg)
-	return NewRankingFirst(h, rt)
+	return NewRankingFirst(h, rtree.Bulk(h.t, dims, ranking.NewBox(h.t.RankBounds()), cfg))
 }
 
 // Tree exposes the baseline's R-tree (shared with other engines in some

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"fmt"
+	"context"
 	"sort"
 
 	"rankcube/internal/core"
@@ -13,11 +13,6 @@ import (
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
-
-func init() {
-	register("fig6.3", fig6_3)
-	register("fig6.4", fig6_4)
-}
 
 // ch6Env is a pair of relations with ranking cubes and join keys.
 type ch6Env struct {
@@ -68,50 +63,28 @@ func joinThenRank(q joinquery.Query, ctr *stats.Counters) []joinquery.Result {
 	return all
 }
 
-// fig6_3: execution time w.r.t. join-key cardinalities.
-func fig6_3(cfg Config) *Report {
-	rep := &Report{ID: "fig6.3", Title: "Execution Time w.r.t. Cardinalities",
-		XLabel: "join-key cardinality", Metric: "ms/query"}
-	var rc, base Series
-	rc.Name, base.Name = "ranking-cube", "join-then-rank"
-	for _, keyCard := range []int{10, 100, 1000, 10000} {
-		env := newCh6Env(cfg, 300_000, keyCard)
-		x := fmt.Sprintf("%d", keyCard)
-		m := run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			if _, err := joinquery.Execute(env.query(cfg, qi, 10), joinquery.Options{}, ctr); err != nil {
-				must(err)
-			}
-		})
-		rc.Points = append(rc.Points, Point{X: x, Value: m.ms()})
-		m = run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			joinThenRank(env.query(cfg, qi, 10), ctr)
-		})
-		base.Points = append(base.Points, Point{X: x, Value: m.ms()})
+// methods returns the chapter's two plans for the top-10 join: the rank-aware
+// SPJR executor over the cubes and join-then-rank.
+func (e *ch6Env) methods(cfg Config) []method {
+	return []method{
+		{"ranking-cube", func(qi int, ctr *stats.Counters) {
+			_, err := joinquery.Execute(e.query(cfg, qi, 10), joinquery.Options{}, ctr)
+			must(err)
+		}},
+		{"join-then-rank", func(qi int, ctr *stats.Counters) { joinThenRank(e.query(cfg, qi, 10), ctr) }},
 	}
-	rep.Series = []Series{rc, base}
-	return rep
+}
+
+// fig6_3: execution time w.r.t. join-key cardinalities.
+func fig6_3(ctx context.Context, cfg Config, rep *Report) {
+	sweep(ctx, rep, cfg.Queries, "join-key cardinality", "%d", []int{10, 100, 1000, 10000}, func(keyCard int) []method {
+		return newCh6Env(cfg, 300_000, keyCard).methods(cfg)
+	})
 }
 
 // fig6_4: execution time w.r.t. database size.
-func fig6_4(cfg Config) *Report {
-	rep := &Report{ID: "fig6.4", Title: "Query Execution w.r.t. Database Size",
-		XLabel: "T per relation (thesis rows)", Metric: "ms/query"}
-	var rc, base Series
-	rc.Name, base.Name = "ranking-cube", "join-then-rank"
-	for _, thousands := range []int{100, 200, 500, 1000} {
-		env := newCh6Env(cfg, thousands*1000*10, 1000)
-		x := fmt.Sprintf("%dk", thousands)
-		m := run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			if _, err := joinquery.Execute(env.query(cfg, qi, 10), joinquery.Options{}, ctr); err != nil {
-				must(err)
-			}
-		})
-		rc.Points = append(rc.Points, Point{X: x, Value: m.ms()})
-		m = run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			joinThenRank(env.query(cfg, qi, 10), ctr)
-		})
-		base.Points = append(base.Points, Point{X: x, Value: m.ms()})
-	}
-	rep.Series = []Series{rc, base}
-	return rep
+func fig6_4(ctx context.Context, cfg Config, rep *Report) {
+	sweep(ctx, rep, cfg.Queries, "T per relation (thesis rows)", "%dk", []int{100, 200, 500, 1000}, func(thousands int) []method {
+		return newCh6Env(cfg, thousands*1000*10, 1000).methods(cfg)
+	})
 }

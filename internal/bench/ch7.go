@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"fmt"
-
+	"context"
 	"time"
 
 	"rankcube/internal/baselines"
+	"rankcube/internal/bitvec"
 	"rankcube/internal/core"
 	"rankcube/internal/dataset"
 	"rankcube/internal/rtree"
@@ -15,21 +15,6 @@ import (
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
-
-func init() {
-	register("fig7.3", func(c Config) *Report { return fig7_sizeSweep(c, "fig7.3", metricTime) })
-	register("fig7.4", func(c Config) *Report { return fig7_sizeSweep(c, "fig7.4", metricDisk) })
-	register("fig7.5", func(c Config) *Report { return fig7_sizeSweep(c, "fig7.5", metricHeap) })
-	register("fig7.6", fig7_6)
-	register("fig7.7", fig7_7)
-	register("fig7.8", fig7_8)
-	register("fig7.9", fig7_9)
-	register("fig7.10", fig7_10)
-	register("fig7.11", fig7_11)
-	register("fig7.12", fig7_12)
-	register("fig7.13", fig7_13)
-	register("fig7.14", fig7_14)
-}
 
 // ch7Env is a signature cube plus skyline engine and the two baselines:
 // boolean-first (filter + block-nested-loop skyline) and ranking-first
@@ -49,6 +34,12 @@ func newCh7Env(tb *table.Table, fanout int) *ch7Env {
 		engine: skyline.NewEngine(cube),
 		heap:   baselines.NewHeapFile(tb, 0),
 	}
+}
+
+// ch7Data is the chapter's default synthetic relation (3 boolean and 3
+// preference dimensions, uniform) at the given size and cardinality.
+func ch7Data(cfg Config, thesisRows, card int) *table.Table {
+	return dataset.Synthetic(cfg.T(thesisRows), 3, 3, card, table.Uniform, cfg.Seed)
 }
 
 // booleanSkyline: scan + filter + BNL skyline (the Boolean baseline).
@@ -145,148 +136,68 @@ func ch7Query(cfg Config, tb *table.Table, qi, nPred, dims int) skyline.Query {
 	return skyline.Query{Cond: cond, Dims: sdims}
 }
 
-// fig7_sizeSweep: time / disk / heap w.r.t. T for the three methods.
-func fig7_sizeSweep(cfg Config, id string, kind metricKind) *Report {
-	titles := map[metricKind]string{
-		metricTime: "Execution Time w.r.t. T",
-		metricDisk: "Number of Disk Access w.r.t. T",
-		metricHeap: "Peak Candidate Heap Size w.r.t. T",
+// methods returns the chapter's three competitors — Boolean, Ranking,
+// Signature — over the workload of nPred-predicate skylines on dims
+// preference dimensions.
+func (e *ch7Env) methods(cfg Config, nPred, dims int) []method {
+	q := func(qi int) skyline.Query { return ch7Query(cfg, e.tb, qi, nPred, dims) }
+	return []method{
+		{"Boolean", func(qi int, ctr *stats.Counters) { e.booleanSkyline(q(qi), ctr) }},
+		{"Ranking", func(qi int, ctr *stats.Counters) { e.rankingSkyline(q(qi), ctr) }},
+		{"Signature", func(qi int, ctr *stats.Counters) { e.signatureSkyline(q(qi), ctr) }},
 	}
-	metrics := map[metricKind]string{
-		metricTime: "ms/query", metricDisk: "block reads/query", metricHeap: "max heap entries",
-	}
-	rep := &Report{ID: id, Title: titles[kind], XLabel: "T (thesis rows)", Metric: metrics[kind]}
-	var bS, rS, sS Series
-	bS.Name, rS.Name, sS.Name = "Boolean", "Ranking", "Signature"
-	for _, millions := range []int{1, 2, 5} {
-		tb := dataset.Synthetic(cfg.T(millions*1_000_000), 3, 3, 100, table.Uniform, cfg.Seed)
-		env := newCh7Env(tb, 0)
-		x := fmt.Sprintf("%dM", millions)
-		addPoint := func(s *Series, exec func(qi int, ctr *stats.Counters)) {
-			m := run(cfg, cfg.Queries, exec)
-			var v float64
-			switch kind {
-			case metricTime:
-				v = m.ms()
-			case metricDisk:
-				v = m.avgReads()
-			case metricHeap:
-				v = float64(m.counters.PeakHeap)
-			}
-			s.Points = append(s.Points, Point{X: x, Value: v})
-		}
-		addPoint(&bS, func(qi int, ctr *stats.Counters) {
-			env.booleanSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		})
-		addPoint(&rS, func(qi int, ctr *stats.Counters) {
-			env.rankingSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		})
-		addPoint(&sS, func(qi int, ctr *stats.Counters) {
-			env.signatureSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		})
-	}
-	rep.Series = []Series{bS, rS, sS}
-	return rep
+}
+
+// ch7OverT is figs. 7.3–7.5: execution time, disk accesses and peak
+// candidate heap w.r.t. T for the three methods.
+func ch7OverT(ctx context.Context, cfg Config, rep *Report) {
+	sweep(ctx, rep, cfg.Queries, "T (thesis rows)", "%dM", []int{1, 2, 5}, func(millions int) []method {
+		return newCh7Env(ch7Data(cfg, millions*1_000_000, 100), 0).methods(cfg, 1, 2)
+	})
 }
 
 // fig7_6: execution time w.r.t. boolean cardinality C.
-func fig7_6(cfg Config) *Report {
-	rep := &Report{ID: "fig7.6", Title: "Execution Time w.r.t. C",
-		XLabel: "cardinality", Metric: "ms/query"}
-	var bS, rS, sS Series
-	bS.Name, rS.Name, sS.Name = "Boolean", "Ranking", "Signature"
-	for _, c := range []int{10, 100, 1000} {
-		tb := dataset.Synthetic(cfg.T(1_000_000), 3, 3, c, table.Uniform, cfg.Seed)
-		env := newCh7Env(tb, 0)
-		x := fmt.Sprintf("C=%d", c)
-		bS.Points = append(bS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.booleanSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		}).ms()})
-		rS.Points = append(rS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.rankingSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		}).ms()})
-		sS.Points = append(sS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.signatureSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		}).ms()})
-	}
-	rep.Series = []Series{bS, rS, sS}
-	return rep
+func fig7_6(ctx context.Context, cfg Config, rep *Report) {
+	sweep(ctx, rep, cfg.Queries, "cardinality", "C=%d", []int{10, 100, 1000}, func(c int) []method {
+		return newCh7Env(ch7Data(cfg, 1_000_000, c), 0).methods(cfg, 1, 2)
+	})
 }
 
 // fig7_7: execution time w.r.t. data distribution S ∈ {E, C, A}.
-func fig7_7(cfg Config) *Report {
-	rep := &Report{ID: "fig7.7", Title: "Execution Time w.r.t. S",
-		XLabel: "distribution", Metric: "ms/query"}
-	var bS, rS, sS Series
-	bS.Name, rS.Name, sS.Name = "Boolean", "Ranking", "Signature"
-	for _, dist := range []table.Distribution{table.Uniform, table.Correlated, table.AntiCorrelated} {
+func fig7_7(ctx context.Context, cfg Config, rep *Report) {
+	dists := []table.Distribution{table.Uniform, table.Correlated, table.AntiCorrelated}
+	sweep(ctx, rep, cfg.Queries, "distribution", "%v", dists, func(dist table.Distribution) []method {
 		tb := dataset.Synthetic(cfg.T(1_000_000), 3, 3, 100, dist, cfg.Seed)
-		env := newCh7Env(tb, 0)
-		x := dist.String()
-		bS.Points = append(bS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.booleanSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		}).ms()})
-		rS.Points = append(rS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.rankingSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		}).ms()})
-		sS.Points = append(sS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.signatureSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		}).ms()})
-	}
-	rep.Series = []Series{bS, rS, sS}
-	return rep
+		return newCh7Env(tb, 0).methods(cfg, 1, 2)
+	})
 }
 
 // fig7_8: execution time w.r.t. the number of preference dimensions Dp.
-func fig7_8(cfg Config) *Report {
-	tb := dataset.Synthetic(cfg.T(1_000_000), 3, 4, 100, table.Uniform, cfg.Seed)
-	env := newCh7Env(tb, 0)
-	rep := &Report{ID: "fig7.8", Title: "Execution Time w.r.t. Dp",
-		XLabel: "preference dims", Metric: "ms/query"}
-	var sS Series
-	sS.Name = "Signature"
-	for _, dp := range []int{2, 3, 4} {
-		m := run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.signatureSkyline(ch7Query(cfg, tb, qi, 1, dp), ctr)
-		})
-		sS.Points = append(sS.Points, Point{X: fmt.Sprintf("Dp=%d", dp), Value: m.ms()})
-	}
-	rep.Series = []Series{sS}
-	return rep
+func fig7_8(ctx context.Context, cfg Config, rep *Report) {
+	env := newCh7Env(dataset.Synthetic(cfg.T(1_000_000), 3, 4, 100, table.Uniform, cfg.Seed), 0)
+	sweep(ctx, rep, cfg.Queries, "preference dims", "Dp=%d", []int{2, 3, 4}, func(dp int) []method {
+		return env.methods(cfg, 1, dp)[2:]
+	})
 }
 
 // fig7_9: execution time w.r.t. R-tree fanout m.
-func fig7_9(cfg Config) *Report {
-	tb := dataset.Synthetic(cfg.T(1_000_000), 3, 3, 100, table.Uniform, cfg.Seed)
-	rep := &Report{ID: "fig7.9", Title: "Execution Time w.r.t. m",
-		XLabel: "fanout", Metric: "ms/query"}
-	var sS Series
-	sS.Name = "Signature"
-	for _, m := range []int{32, 64, 128, 204} {
-		env := newCh7Env(tb, m)
-		meas := run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.signatureSkyline(ch7Query(cfg, tb, qi, 1, 2), ctr)
-		})
-		sS.Points = append(sS.Points, Point{X: fmt.Sprintf("m=%d", m), Value: meas.ms()})
-	}
-	rep.Series = []Series{sS}
-	return rep
+func fig7_9(ctx context.Context, cfg Config, rep *Report) {
+	tb := ch7Data(cfg, 1_000_000, 100)
+	sweep(ctx, rep, cfg.Queries, "fanout", "m=%d", []int{32, 64, 128, 204}, func(m int) []method {
+		return newCh7Env(tb, m).methods(cfg, 1, 2)[2:]
+	})
 }
 
 // fig7_10: execution time w.r.t. hardness: the number of preference
 // dimensions drawn anti-correlated (larger skylines are harder).
-func fig7_10(cfg Config) *Report {
-	rep := &Report{ID: "fig7.10", Title: "Execution Time w.r.t. Hardness",
-		XLabel: "anti-correlated dims", Metric: "ms/query",
-		Notes: []string{"hardness h = number of preference dimensions drawn anti-correlated"}}
-	var sS Series
-	sS.Name = "Signature"
+func fig7_10(ctx context.Context, cfg Config, rep *Report) {
+	rep.Notes = []string{"hardness h = number of preference dimensions drawn anti-correlated"}
 	n := cfg.T(1_000_000)
-	for _, h := range []int{0, 1, 2, 3} {
-		// Blend: h dims from an anti-correlated draw, the rest uniform.
-		anti := dataset.Synthetic(n, 3, 3, 100, table.AntiCorrelated, cfg.Seed)
+	anti := dataset.Synthetic(n, 3, 3, 100, table.AntiCorrelated, cfg.Seed)
+	uni := dataset.Synthetic(n, 3, 3, 100, table.Uniform, cfg.Seed+1)
+	sweep(ctx, rep, cfg.Queries, "anti-correlated dims", "h=%d", []int{0, 1, 2, 3}, func(h int) []method {
+		// Blend: h dims from the anti-correlated draw, the rest uniform.
 		tb := table.MustNew(anti.Schema())
-		uni := dataset.Synthetic(n, 3, 3, 100, table.Uniform, cfg.Seed+1)
 		sel := make([]int32, 3)
 		rank := make([]float64, 3)
 		for i := 0; i < n; i++ {
@@ -301,149 +212,138 @@ func fig7_10(cfg Config) *Report {
 			}
 			tb.Append(sel, rank)
 		}
-		env := newCh7Env(tb, 0)
-		m := run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.signatureSkyline(ch7Query(cfg, tb, qi, 1, 3), ctr)
-		})
-		sS.Points = append(sS.Points, Point{X: fmt.Sprintf("h=%d", h), Value: m.ms()})
-	}
-	rep.Series = []Series{sS}
-	return rep
+		return newCh7Env(tb, 0).methods(cfg, 1, 3)[2:]
+	})
 }
 
 // fig7_11: execution time w.r.t. the number of boolean predicates.
-func fig7_11(cfg Config) *Report {
-	tb := dataset.Synthetic(cfg.T(1_000_000), 4, 3, 20, table.Uniform, cfg.Seed)
-	env := newCh7Env(tb, 0)
-	rep := &Report{ID: "fig7.11", Title: "Execution Time w.r.t. Boolean Predicates",
-		XLabel: "#predicates", Metric: "ms/query"}
-	var bS, sS Series
-	bS.Name, sS.Name = "Boolean", "Signature"
-	for _, np := range []int{0, 1, 2, 3} {
-		x := fmt.Sprintf("%d", np)
-		bS.Points = append(bS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.booleanSkyline(ch7Query(cfg, tb, qi, np, 2), ctr)
-		}).ms()})
-		sS.Points = append(sS.Points, Point{X: x, Value: run(cfg, cfg.Queries, func(qi int, ctr *stats.Counters) {
-			env.signatureSkyline(ch7Query(cfg, tb, qi, np, 2), ctr)
-		}).ms()})
-	}
-	rep.Series = []Series{bS, sS}
-	return rep
+func fig7_11(ctx context.Context, cfg Config, rep *Report) {
+	env := newCh7Env(dataset.Synthetic(cfg.T(1_000_000), 4, 3, 20, table.Uniform, cfg.Seed), 0)
+	sweep(ctx, rep, cfg.Queries, "#predicates", "%d", []int{0, 1, 2, 3}, func(np int) []method {
+		m := env.methods(cfg, np, 2)
+		return []method{m[0], m[2]} // the thesis plots no Ranking series here
+	})
 }
 
-// timedTester wraps a tester, accumulating wall-clock time spent in
-// signature probes (fig. 7.12's load-vs-query breakdown).
+// timedTester charges the wall clock of every boolean test to *elapsed
+// (fig. 7.12's loading-vs-query breakdown).
 type timedTester struct {
-	inner signature.Tester
-	ctr   *stats.Counters
+	signature.Tester
+	elapsed *time.Duration
 }
 
-func (t *timedTester) Test(path []int) bool {
+func (t timedTester) Test(path []int) bool {
 	start := time.Now()
-	ok := t.inner.Test(path)
-	t.ctr.AddPhase("signature", time.Since(start))
+	ok := t.Tester.Test(path)
+	*t.elapsed += time.Since(start)
 	return ok
 }
 
-// fig7_12: signature loading time vs query time.
-func fig7_12(cfg Config) *Report {
-	tb := dataset.Synthetic(cfg.T(1_000_000), 3, 3, 100, table.Uniform, cfg.Seed)
-	env := newCh7Env(tb, 0)
-	rep := &Report{ID: "fig7.12", Title: "Signature Loading Time vs. Query Time",
-		XLabel: "#predicates", Metric: "ms/query"}
-	var sig, total Series
-	sig.Name, total.Name = "signature-time", "total-time"
-	for _, np := range []int{1, 2, 3} {
-		agg := stats.New()
-		start := time.Now()
-		for qi := 0; qi < cfg.Queries; qi++ {
-			q := ch7Query(cfg, tb, qi, np, 2)
-			inner, any, err := env.cube.TesterFor(q.Cond, agg)
+// timedProber is a timedTester over a stage of the cube's own tester: it
+// forwards Probe as well, timed the same way, so the search it is handed to
+// qualifies children a node at a time exactly as Engine.Skyline does.
+type timedProber struct {
+	timedTester
+	stage signature.Prober
+}
+
+func (t timedProber) Probe(parent []int, live *bitvec.Bits) {
+	start := time.Now()
+	t.stage.Probe(parent, live)
+	*t.elapsed += time.Since(start)
+}
+
+// timeTester wraps the cube's tester for one query so that the time spent in
+// signature probes accumulates in *elapsed without changing the path the
+// search takes: each stage of a probing tester is wrapped on its own and the
+// stages are conjoined again; a tester with a Test-only part (a lossy cell)
+// stays opaque, as it is to the engine.
+func timeTester(inner signature.Tester, elapsed *time.Duration) signature.Tester {
+	stages, ok := signature.Stages(inner)
+	if !ok {
+		return timedTester{inner, elapsed}
+	}
+	and := make(signature.And, len(stages))
+	for i, s := range stages {
+		and[i] = timedProber{timedTester{s, elapsed}, s}
+	}
+	return and
+}
+
+// fig7_12: signature loading time vs query time. One instrumented run per
+// position yields both series: total-time is the whole query, signature-time
+// the wall clock inside the tester's assembly and probes together with the
+// signature reads they charged.
+func fig7_12(ctx context.Context, cfg Config, rep *Report) {
+	env := newCh7Env(ch7Data(cfg, 1_000_000, 100), 0)
+	type spent struct {
+		time  time.Duration
+		reads *stats.Counters
+	}
+	var onSignatures []*spent // per position
+	sweep(ctx, rep, cfg.Queries, "#predicates", "%d", []int{1, 2, 3}, func(np int) []method {
+		sig := &spent{reads: stats.New()}
+		onSignatures = append(onSignatures, sig)
+		return []method{{"total-time", func(qi int, ctr *stats.Counters) {
+			q := ch7Query(cfg, env.tb, qi, np, 2)
+			// The tester charges its loads to a collector of its own, merged
+			// into the query's once the search is over.
+			loads := stats.New()
+			start := time.Now()
+			inner, any, err := env.cube.TesterFor(q.Cond, loads)
+			sig.time += time.Since(start)
 			must(err)
-			if !any {
-				continue
-			}
-			tt := &timedTester{inner: inner, ctr: agg}
-			if _, _, err := env.engine.SkylineWithTester(q, tt, agg); err != nil {
+			if any {
+				_, _, err = env.engine.SkylineWithTester(q, timeTester(inner, &sig.time), ctr)
 				must(err)
 			}
-		}
-		elapsed := time.Since(start)
-		x := fmt.Sprintf("%d", np)
-		sig.Points = append(sig.Points, Point{X: x,
-			Value: ms(agg.Phase("signature")) / float64(cfg.Queries)})
-		total.Points = append(total.Points, Point{X: x,
-			Value: ms(elapsed) / float64(cfg.Queries)})
+			ctr.Merge(loads)
+			sig.reads.Merge(loads)
+		}}}
+	})
+	for i, sig := range onSignatures {
+		total := rep.Series[0].Points[i]
+		got := measure(total.Queries, sig.time, sig.reads)
+		rep.add("signature-time", Point{X: total.X, Value: rep.plot(got), Measured: got})
 	}
-	rep.Series = []Series{sig, total}
-	return rep
 }
 
-// fig7_13: drill-down reuse vs a fresh query.
-func fig7_13(cfg Config) *Report {
-	tb := dataset.Synthetic(cfg.T(1_000_000), 3, 3, 20, table.Uniform, cfg.Seed)
-	env := newCh7Env(tb, 0)
-	rep := &Report{ID: "fig7.13", Title: "Drill-Down Query vs. New Query",
-		XLabel: "query", Metric: "ms/query"}
-	var drill, fresh Series
-	drill.Name, fresh.Name = "drill-down", "new-query"
-	for qi := 0; qi < cfg.Queries; qi++ {
-		rng := cfg.rng(int64(qi) * 83)
-		base := skyline.Query{Cond: core.Cond{0: int32(rng.Intn(20))}, Dims: []int{0, 1}}
-		extra := core.Cond{1: int32(rng.Intn(20))}
-		_, snap, err := env.engine.Skyline(base, stats.New())
-		must(err)
-		start := time.Now()
-		if _, _, err := env.engine.DrillDown(snap, extra, stats.New()); err != nil {
-			must(err)
+// ch7Navigate is figs. 7.13 and 7.14: answering a drill-down, or a roll-up,
+// from the previous query's snapshot vs as a new query, one point per query.
+// The wide query has one predicate and the tight one a second on top of it; a
+// drill-down goes from wide to tight, a roll-up back.
+func ch7Navigate(rollUp bool) func(context.Context, Config, *Report) {
+	return func(ctx context.Context, cfg Config, rep *Report) {
+		env := newCh7Env(ch7Data(cfg, 1_000_000, 20), 0)
+		queries := make([]int, cfg.Queries)
+		for i := range queries {
+			queries[i] = i + 1
 		}
-		dTime := time.Since(start)
-		tight := skyline.Query{Cond: core.Cond{0: base.Cond[0], 1: extra[1]}, Dims: []int{0, 1}}
-		start = time.Now()
-		if _, _, err := env.engine.Skyline(tight, stats.New()); err != nil {
+		sweep(ctx, rep, 1, "query", "q%d", queries, func(q int) []method {
+			seed, name := int64(83), "drill-down"
+			if rollUp {
+				seed, name = 89, "roll-up"
+			}
+			rng := cfg.rng(int64(q-1) * seed)
+			a, b := int32(rng.Intn(20)), int32(rng.Intn(20))
+			from := skyline.Query{Cond: core.Cond{0: a}, Dims: []int{0, 1}}
+			to := skyline.Query{Cond: core.Cond{0: a, 1: b}, Dims: []int{0, 1}}
+			if rollUp {
+				from, to = to, from
+			}
+			_, snap, err := env.engine.Skyline(from, stats.New())
 			must(err)
-		}
-		fTime := time.Since(start)
-		x := fmt.Sprintf("q%d", qi+1)
-		drill.Points = append(drill.Points, Point{X: x, Value: ms(dTime)})
-		fresh.Points = append(fresh.Points, Point{X: x, Value: ms(fTime)})
+			return []method{
+				{name, func(_ int, ctr *stats.Counters) {
+					if rollUp {
+						_, _, err = env.engine.RollUp(snap, []int{1}, ctr)
+					} else {
+						_, _, err = env.engine.DrillDown(snap, core.Cond{1: b}, ctr)
+					}
+					must(err)
+				}},
+				{"new-query", func(_ int, ctr *stats.Counters) { env.signatureSkyline(to, ctr) }},
+			}
+		})
 	}
-	rep.Series = []Series{drill, fresh}
-	return rep
-}
-
-// fig7_14: roll-up reuse vs a fresh query.
-func fig7_14(cfg Config) *Report {
-	tb := dataset.Synthetic(cfg.T(1_000_000), 3, 3, 20, table.Uniform, cfg.Seed)
-	env := newCh7Env(tb, 0)
-	rep := &Report{ID: "fig7.14", Title: "Roll-Up Query vs. New Query",
-		XLabel: "query", Metric: "ms/query"}
-	var roll, fresh Series
-	roll.Name, fresh.Name = "roll-up", "new-query"
-	for qi := 0; qi < cfg.Queries; qi++ {
-		rng := cfg.rng(int64(qi) * 89)
-		base := skyline.Query{
-			Cond: core.Cond{0: int32(rng.Intn(20)), 1: int32(rng.Intn(20))},
-			Dims: []int{0, 1},
-		}
-		_, snap, err := env.engine.Skyline(base, stats.New())
-		must(err)
-		start := time.Now()
-		if _, _, err := env.engine.RollUp(snap, []int{1}, stats.New()); err != nil {
-			must(err)
-		}
-		rTime := time.Since(start)
-		relaxed := skyline.Query{Cond: core.Cond{0: base.Cond[0]}, Dims: []int{0, 1}}
-		start = time.Now()
-		if _, _, err := env.engine.Skyline(relaxed, stats.New()); err != nil {
-			must(err)
-		}
-		fTime := time.Since(start)
-		x := fmt.Sprintf("q%d", qi+1)
-		roll.Points = append(roll.Points, Point{X: x, Value: ms(rTime)})
-		fresh.Points = append(fresh.Points, Point{X: x, Value: ms(fTime)})
-	}
-	rep.Series = []Series{roll, fresh}
-	return rep
 }

@@ -1,10 +1,15 @@
 // Package bench is the experiment harness reproducing every table and
 // figure of the thesis' evaluation sections. Each experiment function
 // regenerates one figure's series: the same sweep axis, the same competing
-// methods, the same metric (wall-clock time, block reads, states, heap
+// methods, the same metric (execution time, block reads, states, heap
 // peaks, or bytes). Absolute values differ from the 2007 testbed; the
 // reproduction target is the shape — who wins, by what order of magnitude,
 // and where trends bend.
+//
+// A query-time point is a measurement, not a number: wall-clock CPU, governed
+// block reads and the modelled time that combines them, never one without
+// the other two. A Report names the column its thesis figure plots, and
+// prints that table first and every measurement in full under it.
 //
 // Experiments accept a Config whose Scale multiplies the thesis' row
 // counts; the default of 0.1 keeps the full suite in laptop territory while
@@ -36,19 +41,15 @@ type Config struct {
 	Queries int
 	// Seed drives workload generation.
 	Seed int64
-	// ReadCostMS is the simulated cost of one block read in milliseconds,
-	// folded into every time metric. The thesis' execution times are
-	// disk-bound; pure in-memory wall clock would invert several of its
-	// verdicts. Default 0.1 ms (a fast 2005-era sequential 4 KB read; the
-	// relative shapes are insensitive to the constant). Set negative for
-	// raw wall clock.
-	ReadCostMS float64
-	// Context, when non-nil, bounds the run: cancellation stops a workload
-	// between queries and, through the query governor, within a query at
-	// block-read granularity. Partial aggregates are kept.
-	//lint:ctxfield options-struct carrier: Config is consumed once at Run entry, not retained past it
-	Context context.Context
 }
+
+// readCostMS is the modelled cost of one governed block read in
+// milliseconds — the value of the repo benchmark's report.ReadCostMS, and
+// like it a constant. The thesis' execution times are disk-bound; in-memory
+// wall clock alone would invert several of its verdicts, so an
+// execution-time figure plots CPU + readCostMS × reads and prints both terms
+// beside it. The relative shapes are insensitive to the constant.
+const readCostMS = 0.1
 
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
@@ -60,12 +61,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ReadCostMS == 0 {
-		c.ReadCostMS = 0.1
-	}
-	if c.ReadCostMS < 0 {
-		c.ReadCostMS = 0
 	}
 	return c
 }
@@ -79,10 +74,73 @@ func (c Config) T(thesisRows int) int {
 	return n
 }
 
-// Point is one measurement at one sweep position for one method.
+// rng returns the harness RNG for query generation.
+func (c Config) rng(offset int64) *rand.Rand {
+	return rand.New(rand.NewSource(c.Seed + offset))
+}
+
+// Measured is what one method cost per query at one sweep position: the
+// triple — wall-clock CPU, governed block reads, and the modelled time that
+// combines them — and the two search-size counts the thesis also plots.
+type Measured struct {
+	Queries    int                         // queries averaged; 0 on a build-time or size point
+	CPUms      float64                     // wall clock per query
+	Reads      float64                     // governed block reads per query, all structures
+	ReadsBy    map[stats.Structure]float64 // the same, per structure
+	ModelledMS float64                     // CPUms + readCostMS × Reads
+	States     float64                     // states generated per query (fig. 5.11)
+	PeakHeap   int                         // largest heap any one query held (figs. 5.12, 7.5)
+}
+
+// measure is the per-query average of a workload of the given number of
+// queries that took elapsed of wall clock and recorded c.
+func measure(queries int, elapsed time.Duration, c *stats.Counters) Measured {
+	if queries == 0 {
+		return Measured{} // canceled before the first query
+	}
+	n := float64(queries)
+	m := Measured{
+		Queries:  queries,
+		CPUms:    millis(elapsed) / n,
+		Reads:    float64(c.TotalReads()) / n,
+		ReadsBy:  map[stats.Structure]float64{},
+		States:   float64(c.StatesGenerated) / n,
+		PeakHeap: c.PeakHeap,
+	}
+	for s, v := range c.ReadsSnapshot() {
+		m.ReadsBy[s] = float64(v) / n
+	}
+	m.ModelledMS = m.CPUms + readCostMS*m.Reads
+	return m
+}
+
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func mb(bytes int64) float64 { return float64(bytes) / (1 << 20) }
+
+// column is one view of a measurement: the unit a Report names as its Metric
+// and the number a Point carries as its Value. A build-time or size figure
+// has no measurement to view (of is nil) and sets Value itself.
+type column struct {
+	metric string
+	of     func(Measured) float64
+}
+
+var (
+	modelled   = column{"modelled ms/query (CPU + 0.1 ms × block reads)", func(m Measured) float64 { return m.ModelledMS }}
+	reads      = column{"block reads/query", func(m Measured) float64 { return m.Reads }}
+	rtreeReads = column{"R-tree blocks/query", func(m Measured) float64 { return m.ReadsBy[stats.StructRTree] }}
+	states     = column{"states generated/query", func(m Measured) float64 { return m.States }}
+	peakHeap   = column{"max heap entries", func(m Measured) float64 { return float64(m.PeakHeap) }}
+	buildMS    = column{metric: "ms"}
+	sizeMB     = column{metric: "MB"}
+)
+
+// Point is one method at one sweep position.
 type Point struct {
-	X     string  // sweep label, e.g. "k=10"
-	Value float64 // primary metric value
+	X        string  // sweep label, e.g. "k=10"
+	Value    float64 // what the figure plots at X, in the Report's Metric
+	Measured         // the whole measurement, when X is a query workload
 }
 
 // Series is one method's curve.
@@ -96,13 +154,28 @@ type Report struct {
 	ID     string // e.g. "fig3.4"
 	Title  string // the thesis caption
 	XLabel string
-	Metric string // what Value means, e.g. "ms", "block reads"
+	Metric string // what Value means, e.g. "block reads/query", "MB"
 	Series []Series
 	// Notes records deviations or scale information.
 	Notes []string
+
+	plot func(Measured) float64 // the column Metric names
 }
 
-// String renders the report as an aligned text table, series as columns.
+// add appends a point to the named series, which it creates on first use.
+func (r *Report) add(series string, p Point) {
+	for i := range r.Series {
+		if r.Series[i].Name == series {
+			r.Series[i].Points = append(r.Series[i].Points, p)
+			return
+		}
+	}
+	r.Series = append(r.Series, Series{Name: series, Points: []Point{p}})
+}
+
+// String renders the report as aligned text: the table the thesis plots,
+// series as columns, and under it one row per measured point with the whole
+// triple, the search-size counts and the reads per structure.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", r.ID, r.Title)
@@ -113,22 +186,32 @@ func (r *Report) String() string {
 	if len(r.Series) == 0 {
 		return b.String()
 	}
-	// Header.
 	fmt.Fprintf(&b, "%-18s", r.XLabel)
 	for _, s := range r.Series {
 		fmt.Fprintf(&b, "%16s", s.Name)
 	}
 	b.WriteByte('\n')
+	var detail strings.Builder
 	for i := range r.Series[0].Points {
 		fmt.Fprintf(&b, "%-18s", r.Series[0].Points[i].X)
 		for _, s := range r.Series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&b, "%16s", formatValue(s.Points[i].Value))
-			} else {
+			if i >= len(s.Points) {
 				fmt.Fprintf(&b, "%16s", "-")
+				continue
+			}
+			p := s.Points[i]
+			fmt.Fprintf(&b, "%16s", formatValue(p.Value))
+			if p.Queries > 0 {
+				fmt.Fprintf(&detail, "%-18s%16s%12s%12s%12s%12s%10d  %s\n", p.X, s.Name,
+					formatValue(p.CPUms), formatValue(p.Reads), formatValue(p.ModelledMS),
+					formatValue(p.States), p.PeakHeap, formatReads(p.ReadsBy))
 			}
 		}
 		b.WriteByte('\n')
+	}
+	if detail.Len() > 0 {
+		fmt.Fprintf(&b, "per query:\n%-18s%16s%12s%12s%12s%12s%10s  %s\n%s", r.XLabel, "series",
+			"cpu ms", "reads", "modelled ms", "states", "peak heap", "reads by structure", detail.String())
 	}
 	return b.String()
 }
@@ -144,56 +227,48 @@ func formatValue(v float64) string {
 	}
 }
 
-// runner measures one method over a workload of queries.
-type runner struct {
+func formatReads(by map[stats.Structure]float64) string {
+	parts := make([]string, 0, len(by))
+	for s, v := range by {
+		parts = append(parts, fmt.Sprintf("%s=%s", s, formatValue(v)))
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
+}
+
+// method is one competitor at one sweep position: its legend name and the
+// function that runs query qi of the position's workload.
+type method struct {
 	name string
-	// exec runs one query and returns optional auxiliary metrics.
 	exec func(qi int, ctr *stats.Counters)
 }
 
-// measurement aggregates a workload run.
-type measurement struct {
-	avgTime  time.Duration
-	counters *stats.Counters
-	queries  int
-	readCost float64 // ms charged per block read
-}
-
-// ms reports the per-query time metric: wall clock plus simulated I/O.
-func (m measurement) ms() float64 {
-	wall := float64(m.avgTime.Microseconds()) / 1000
-	return wall + m.avgReads()*m.readCost
-}
-
-// avgReads reports mean block reads per query for the given structures
-// (all structures when none given).
-func (m measurement) avgReads(structs ...stats.Structure) float64 {
-	var total int64
-	if len(structs) == 0 {
-		total = m.counters.TotalReads()
-	} else {
-		for _, s := range structs {
-			total += m.counters.Reads(s)
+// sweep is the body of every query-time figure. At each position of the axis
+// it asks at for the competitors there — over whatever dataset and
+// structures the position calls for — runs each over a workload of queries
+// queries, and appends the measurement to the method's series, with the
+// column the figure plots as the point's Value.
+func sweep[X any](ctx context.Context, rep *Report, queries int, xlabel, format string, axis []X, at func(x X) []method) {
+	rep.XLabel = xlabel
+	for _, x := range axis {
+		if ctx.Err() != nil {
+			return // the positions measured so far are the partial report
+		}
+		for _, m := range at(x) {
+			got := run(ctx, queries, m.exec)
+			rep.add(m.name, Point{X: fmt.Sprintf(format, x), Value: rep.plot(got), Measured: got})
 		}
 	}
-	return float64(total) / float64(m.queries)
 }
 
-// run executes the workload and aggregates time and counters. A canceled
-// Config.Context stops the loop — mid-query via the governor's block-read
-// checks — and the partial aggregate over the completed queries is kept.
-func run(cfg Config, queries int, exec func(qi int, ctr *stats.Counters)) measurement {
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// run executes the workload and aggregates time and counters. A canceled ctx
+// stops the loop — mid-query via the governor's block-read checks — and the
+// partial aggregate over the completed queries is kept.
+func run(ctx context.Context, queries int, exec func(qi int, ctr *stats.Counters)) Measured {
 	agg := stats.New()
 	start := time.Now()
 	done := 0
-	for qi := 0; qi < queries; qi++ {
-		if ctx.Err() != nil {
-			break
-		}
+	for qi := 0; qi < queries && ctx.Err() == nil; qi++ {
 		ctr := stats.New()
 		ctr.SetGovernor(governor.New(ctx, governor.Limits{}))
 		qStart := time.Now()
@@ -213,16 +288,7 @@ func run(cfg Config, queries int, exec func(qi int, ctr *stats.Counters)) measur
 			break
 		}
 	}
-	if done == 0 {
-		done = 1 // canceled before the first query; avoid dividing by zero
-	}
-	elapsed := time.Since(start)
-	return measurement{
-		avgTime:  elapsed / time.Duration(done),
-		counters: agg,
-		queries:  done,
-		readCost: cfg.ReadCostMS,
-	}
+	return measure(done, time.Since(start), agg)
 }
 
 // runOne executes one query under its governor, absorbing a cancellation
@@ -253,42 +319,92 @@ func must(err error) {
 	}
 }
 
-// workloadRand returns the harness RNG for query generation.
-func (c Config) rng(offset int64) *rand.Rand {
-	return rand.New(rand.NewSource(c.Seed + offset))
+// experiment is one entry of the inventory: the id rankbench takes, the
+// thesis caption, the column the thesis plots, and the function that fills
+// the report's series.
+type experiment struct {
+	id, title string
+	plot      column
+	run       func(ctx context.Context, cfg Config, rep *Report)
 }
 
-// Registry lists every experiment by id.
-var Registry = map[string]func(Config) *Report{}
-
-// register wires an experiment into the registry (called from init funcs).
-func register(id string, fn func(Config) *Report) {
-	Registry[id] = fn
+// experiments is the inventory, in thesis order. A figure family that the
+// thesis shows from several sides (time, disk, heap) is one function under
+// each of its ids, plotting a different column of the same measurements.
+var experiments = []experiment{
+	{"fig3.4", "Query Execution Time w.r.t. k", modelled, fig3_4},
+	{"fig3.5", "Query Execution Time w.r.t. u", modelled, fig3_5},
+	{"fig3.6", "Query Execution Times w.r.t. r", modelled, fig3_6},
+	{"fig3.7", "Query Execution Time w.r.t. T", modelled, fig3_7},
+	{"fig3.8", "Query Execution Time w.r.t. C", modelled, fig3_8},
+	{"fig3.9", "Query Execution Time w.r.t. s", modelled, fig3_9},
+	{"fig3.10", "Query Execution Time w.r.t. Block Size", modelled, fig3_10},
+	{"fig3.11", "Space Usage w.r.t. Number of Selection Dimensions", sizeMB, fig3_11},
+	{"fig3.12", "Query Execution Time w.r.t. Number of Covering Fragments", modelled, fig3_12},
+	{"fig3.13", "Query Execution Time w.r.t. Fragment Size", modelled, fig3_13},
+	{"fig3.14", "Query Execution Time w.r.t. S", modelled, fig3_14},
+	{"fig3.15", "Query Execution Time on Real Data", modelled, fig3_15},
+	{"fig4.8", "Construction Time w.r.t. T", buildMS, ch4Build(false)},
+	{"fig4.9", "Materialized Size w.r.t. T", sizeMB, ch4Build(true)},
+	{"fig4.10", "Signature Compression w.r.t. C", sizeMB, fig4_10},
+	{"fig4.11", "Cost of Incremental Updates", column{metric: "ms (batch total)"}, fig4_11},
+	{"fig4.12", "Execution Time w.r.t. k", modelled, fig4_12},
+	{"fig4.13", "Disk Access w.r.t. Functions", rtreeReads, fig4_13},
+	{"tbl5.1", "Significance of the two challenges (basic vs improved merge)", states, tbl5_1},
+	{"fig5.7", "Execution Time w.r.t. K, f = fs", modelled, ch5OverK("fs")},
+	{"fig5.8", "Execution Time w.r.t. K, f = fg", modelled, ch5OverK("fg")},
+	{"fig5.9", "Execution Time w.r.t. K, f = fc", modelled, ch5OverK("fc")},
+	{"fig5.10", "Disk Access w.r.t. f, k = 100", reads, ch5OverF},
+	{"fig5.11", "States Generated w.r.t. f, k = 100", states, ch5OverF},
+	{"fig5.12", "Peak Heap Size w.r.t. f, k = 100", peakHeap, ch5OverF},
+	{"fig5.13", "Execution Time w.r.t. K, Real Data", modelled, fig5_13},
+	{"fig5.14", "Execution Time w.r.t. R-Tree", modelled, fig5_14},
+	{"fig5.15", "Execution Time w.r.t. K, 3 Indices", modelled, ch5ThreeWay},
+	{"fig5.16", "Peak Heap Size w.r.t. K, 3 Indices", peakHeap, ch5ThreeWay},
+	{"fig5.17", "Disk Access w.r.t. K, 3 Indices", reads, ch5ThreeWay},
+	{"fig5.18", "Partial Attributes in Ranking", modelled, fig5_18},
+	{"fig5.19", "Execution Time w.r.t. Node Size", modelled, fig5_19},
+	{"fig5.20", "Execution Time w.r.t. T", modelled, fig5_20},
+	{"fig5.21", "Construction Time w.r.t. T", buildMS, ch5JoinSig(false)},
+	{"fig5.22", "Size of Join-signatures w.r.t. T", sizeMB, ch5JoinSig(true)},
+	{"fig6.3", "Execution Time w.r.t. Cardinalities", modelled, fig6_3},
+	{"fig6.4", "Query Execution w.r.t. Database Size", modelled, fig6_4},
+	{"fig7.3", "Execution Time w.r.t. T", modelled, ch7OverT},
+	{"fig7.4", "Number of Disk Access w.r.t. T", reads, ch7OverT},
+	{"fig7.5", "Peak Candidate Heap Size w.r.t. T", peakHeap, ch7OverT},
+	{"fig7.6", "Execution Time w.r.t. C", modelled, fig7_6},
+	{"fig7.7", "Execution Time w.r.t. S", modelled, fig7_7},
+	{"fig7.8", "Execution Time w.r.t. Dp", modelled, fig7_8},
+	{"fig7.9", "Execution Time w.r.t. m", modelled, fig7_9},
+	{"fig7.10", "Execution Time w.r.t. Hardness", modelled, fig7_10},
+	{"fig7.11", "Execution Time w.r.t. Boolean Predicates", modelled, fig7_11},
+	{"fig7.12", "Signature Loading Time vs. Query Time", modelled, fig7_12},
+	{"fig7.13", "Drill-Down Query vs. New Query", modelled, ch7Navigate(false)},
+	{"fig7.14", "Roll-Up Query vs. New Query", modelled, ch7Navigate(true)},
+	{"ext.idlist", "ID List Compression (§3.6.3 ablation)", modelled, extIDList},
+	{"ext.bloom", "Lossy Bloom Signatures (§4.5 ablation)", modelled, extBloom},
+	{"ext.gridpart", "Grid vs Hierarchical Partition (§4.1.2)", modelled, extGridPart},
 }
 
-// IDs returns the registered experiment ids in order.
+// IDs returns the experiment ids in thesis order.
 func IDs() []string {
-	out := make([]string, 0, len(Registry))
-	for id := range Registry {
-		out = append(out, id)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.id
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Run executes one experiment by id.
-func Run(id string, cfg Config) (*Report, error) {
-	fn, ok := Registry[id]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown experiment %q (known: %v): %w", id, IDs(), errs.ErrInvalidArgument)
-	}
-	return fn(cfg.Defaults()), nil
-}
-
-// RunCtx executes one experiment by id under ctx: cancellation (e.g. a
+// Run executes one experiment by id under ctx: cancellation (e.g. a
 // propagated SIGINT) stops each workload between queries and within a query
 // at block-read granularity, returning the partially filled report.
-func RunCtx(ctx context.Context, id string, cfg Config) (*Report, error) {
-	cfg.Context = ctx
-	return Run(id, cfg)
+func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
+	for _, e := range experiments {
+		if e.id == id {
+			rep := &Report{ID: id, Title: e.title, Metric: e.plot.metric, plot: e.plot.of}
+			e.run(ctx, cfg.Defaults(), rep)
+			return rep, nil
+		}
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (known: %v): %w", id, IDs(), errs.ErrInvalidArgument)
 }

@@ -91,9 +91,10 @@ func TestTraceAttributionSumsToCounters(t *testing.T) {
 	if root.Children[0].HeapHW != 9 {
 		t.Errorf("search heap high-water = %d, want 9", root.Children[0].HeapHW)
 	}
-	// Phase table compatibility: StartSpan keeps feeding Phase().
-	if c.Phase("search") <= 0 {
-		t.Errorf("Phase(search) not accumulated")
+	// The span tree is the per-phase clock: the closer credits the span the
+	// wall time since StartSpan.
+	if root.Children[0].Name != "search" || root.Children[0].Dur <= 0 {
+		t.Errorf("search span = %q, %v: no duration credited", root.Children[0].Name, root.Children[0].Dur)
 	}
 }
 

@@ -333,7 +333,7 @@ func TestScannerMatchesReference(t *testing.T) {
 
 		tb := table.Generate(spec)
 		conds := refConds(tb, rng)
-		grid := gridtree.Build(tb, []int{0, 1, 2}, dataDomain(tb), gridtree.Config{Fanout: 9, BlockSize: 40})
+		grid := gridtree.Build(tb, []int{0, 1, 2}, ranking.NewBox(tb.RankBounds()), gridtree.Config{Fanout: 9, BlockSize: 40})
 		for _, rc := range []refCase{
 			{"exact/atomic", Build(tb, Config{PageSize: pageSize, RTree: fanout, Cuboids: atomic}), conds},
 			{"exact/cell", Build(tb, Config{PageSize: pageSize, RTree: fanout, Cuboids: withCell}), conds},

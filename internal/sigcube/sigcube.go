@@ -98,7 +98,7 @@ func Build(t *table.Table, cfg Config) *Cube {
 	for i := range dims {
 		dims[i] = i
 	}
-	return BuildOnTree(t, rtree.Bulk(t, dims, dataDomain(t), cfg.RTree), cfg)
+	return BuildOnTree(t, rtree.Bulk(t, dims, ranking.NewBox(t.RankBounds()), cfg.RTree), cfg)
 }
 
 // BuildOnTree builds the cube over an existing partition tree — the R-tree
@@ -140,19 +140,6 @@ func BuildOnTree(t *table.Table, rt hindex.PartitionTree, cfg Config) *Cube {
 	sort.Slice(c.order, func(a, b int) bool { return dimsKey(c.order[a].dims) < dimsKey(c.order[b].dims) })
 	c.RebuildStore()
 	return c
-}
-
-func dataDomain(t *table.Table) ranking.Box {
-	r := t.Schema().R()
-	lo := make([]float64, r)
-	hi := make([]float64, r)
-	for d := 0; d < r; d++ {
-		lo[d], hi[d] = t.RankDomain(d)
-		if hi[d] <= lo[d] {
-			hi[d] = lo[d] + 1
-		}
-	}
-	return ranking.NewBox(lo, hi)
 }
 
 func dimsKey(dims []int) string {

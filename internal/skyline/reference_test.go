@@ -373,15 +373,6 @@ func refConds(tb *table.Table, rng *rand.Rand) []core.Cond {
 	return conds
 }
 
-func rankDomain(tb *table.Table) ranking.Box {
-	r := tb.Schema().R()
-	lo, hi := make([]float64, r), make([]float64, r)
-	for d := 0; d < r; d++ {
-		lo[d], hi[d] = tb.RankDomain(d)
-	}
-	return ranking.NewBox(lo, hi)
-}
-
 // untied generates a relation of 3 selection and 3 ranking dimensions whose
 // out-of-range draws are rejected, not clamped as table.Generate clamps them:
 // tuples piled up on the domain's corner tie exactly on mindist, and which of
@@ -445,7 +436,7 @@ func TestSearchMatchesReference(t *testing.T) {
 
 		tb := untied(2500, dist, seed)
 		conds := refConds(tb, rng)
-		grid := gridtree.Build(tb, []int{0, 1, 2}, rankDomain(tb), gridtree.Config{Fanout: 9, BlockSize: 40})
+		grid := gridtree.Build(tb, []int{0, 1, 2}, ranking.NewBox(tb.RankBounds()), gridtree.Config{Fanout: 9, BlockSize: 40})
 		for _, rc := range []refCase{
 			{"exact/atomic", NewEngine(sigcube.Build(tb, sigcube.Config{PageSize: pageSize, RTree: fanout, Cuboids: atomic})), conds},
 			{"exact/cell", NewEngine(sigcube.Build(tb, sigcube.Config{PageSize: pageSize, RTree: fanout, Cuboids: withCell})), conds},

@@ -1,6 +1,7 @@
 // Package stats collects the execution metrics the thesis reports in its
 // evaluation chapters: block reads per storage structure, joint states
-// generated and examined, peak heap sizes, and wall-clock phase timings.
+// generated and examined, and peak heap sizes. Wall-clock time per phase is
+// the attached Observer's business (StartSpan).
 //
 // A Counters value is threaded through query execution; all structures that
 // simulate disk access report into it. Counters are not safe for concurrent
@@ -72,10 +73,9 @@ type Observer interface {
 
 // Counters accumulates metrics during one query or one build.
 type Counters struct {
-	reads  map[Structure]int64
-	phases map[string]time.Duration
-	gov    Governor
-	obs    Observer
+	reads map[Structure]int64
+	gov   Governor
+	obs   Observer
 
 	// StatesGenerated counts entries pushed onto a search heap (thesis
 	// fig. 5.11). In the signature cube's search that is every tuple and
@@ -111,10 +111,7 @@ type Counters struct {
 
 // New returns an empty metrics collector.
 func New() *Counters {
-	return &Counters{
-		reads:  make(map[Structure]int64),
-		phases: make(map[string]time.Duration),
-	}
+	return &Counters{reads: make(map[Structure]int64)}
 }
 
 // SetGovernor attaches (or, with nil, detaches) a query governor. The
@@ -253,51 +250,24 @@ func (c *Counters) ObserveHeap(size int) {
 	}
 }
 
-// AddPhase accumulates wall-clock time attributed to a named phase (e.g.
-// "signature-load" vs "search" for thesis fig. 7.12). StartSpan is the
-// structured form: it additionally opens a span in the attached observer's
-// trace, so prefer it for phases with clear enter/exit boundaries.
-func (c *Counters) AddPhase(name string, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.phases[name] += d
-}
-
-// StartSpan opens a named execution span and returns its closer. The span
-// accumulates into the phase table (so Phase(name) keeps reporting) and,
-// when an observer is attached, into its span tree. Use with defer:
+// StartSpan opens a named execution span in the attached observer's span
+// tree — the one per-phase clock — and returns its closer; without an
+// observer it does nothing. Use with defer:
 //
 //	defer ctr.StartSpan("search")()
 //
 // Spans nest by call order; the closer must run in LIFO order (defer
 // guarantees this even when a governed abort unwinds the stack).
 func (c *Counters) StartSpan(name string) func() {
-	if c == nil {
+	if c == nil || c.obs == nil {
 		return func() {}
 	}
-	if c.obs != nil {
-		c.obs.SpanStart(name)
-	}
+	// End against the observer that opened the span: a boundary may detach
+	// the trace before a deferred closer runs.
 	obs := c.obs
+	obs.SpanStart(name)
 	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		c.phases[name] += d
-		// End against the observer that opened the span: a boundary may
-		// detach the trace before a deferred closer runs.
-		if obs != nil {
-			obs.SpanEnd(d)
-		}
-	}
-}
-
-// Phase reports accumulated time for the named phase.
-func (c *Counters) Phase(name string) time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.phases[name]
+	return func() { obs.SpanEnd(time.Since(start)) }
 }
 
 // Merge adds other's metrics into c.
@@ -307,9 +277,6 @@ func (c *Counters) Merge(other *Counters) {
 	}
 	for s, v := range other.reads {
 		c.reads[s] += v
-	}
-	for p, d := range other.phases {
-		c.phases[p] += d
 	}
 	c.StatesGenerated += other.StatesGenerated
 	c.StatesExamined += other.StatesExamined

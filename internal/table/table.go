@@ -173,6 +173,21 @@ func (t *Table) RankDomain(d int) (lo, hi float64) {
 	return lo, hi
 }
 
+// RankBounds reports the observed domain of every ranking dimension, widened
+// by 1 where a dimension is constant, so that ranking.NewBox(t.RankBounds())
+// is the box every partition tree over the relation is built on.
+func (t *Table) RankBounds() (lo, hi []float64) {
+	lo = make([]float64, len(t.rank))
+	hi = make([]float64, len(t.rank))
+	for d := range t.rank {
+		lo[d], hi[d] = t.RankDomain(d)
+		if hi[d] <= lo[d] {
+			hi[d] = lo[d] + 1
+		}
+	}
+	return lo, hi
+}
+
 // RowBytes estimates the stored width of one tuple: 4 bytes per selection
 // dimension, 8 per ranking dimension, plus a 4-byte tid. Table-scan block
 // costs in the baselines derive from this.

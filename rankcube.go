@@ -335,12 +335,12 @@ type Index = hindex.Index
 
 // BuildBTree bulk-loads a B+-tree over one ranking dimension of rel.
 func BuildBTree(rel *Relation, dim int) Index {
-	return btree.Build(rel, dim, relationDomain(rel), btree.Config{})
+	return btree.Build(rel, dim, ranking.NewBox(rel.RankBounds()), btree.Config{})
 }
 
 // BuildRTree bulk-loads an R-tree over the given ranking dimensions.
 func BuildRTree(rel *Relation, dims []int) Index {
-	return rtree.Bulk(rel, dims, relationDomain(rel), rtree.Config{})
+	return rtree.Bulk(rel, dims, ranking.NewBox(rel.RankBounds()), rtree.Config{})
 }
 
 // MergeOptions configures MergeQuery.
@@ -390,19 +390,4 @@ type SkylineSnapshot = skyline.Snapshot
 // NewSkylineEngine wraps a signature cube.
 func NewSkylineEngine(cube *SignatureCube) *SkylineEngine {
 	return &SkylineEngine{e: skyline.NewEngine(cube.c)}
-}
-
-// relationDomain is the observed ranking domain the index builders
-// partition, widened where a dimension is constant.
-func relationDomain(rel *Relation) ranking.Box {
-	r := rel.Schema().R()
-	lo := make([]float64, r)
-	hi := make([]float64, r)
-	for d := 0; d < r; d++ {
-		lo[d], hi[d] = rel.RankDomain(d)
-		if hi[d] <= lo[d] {
-			hi[d] = lo[d] + 1
-		}
-	}
-	return ranking.NewBox(lo, hi)
 }
