@@ -113,7 +113,8 @@ bench:
 # skyline rows also carry reads/op, states-generated/op and peak-heap, the
 # churn row the signature pages read per write and the store's pages, the
 # grid row its cuboid and base-block-table reads per query, the merge row its
-# reads, states generated and peak heap.
+# reads, states generated and peak heap, the signature rows their reads (the
+# conjunction row the partition's and the signatures' apart).
 BENCH_PATTERN ?= Fig3_04|Fig3_10|Fig4_11|Fig4_12|Table5_1|Fig5_07|Fig5_10|Fig5_14|Fig7_03|Fig7_05|PublicAPI
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \

@@ -319,12 +319,16 @@ func BenchmarkFig4_11_IncrementalInsert(b *testing.B) {
 
 func BenchmarkFig4_12_Signature_K10(b *testing.B) {
 	sigFixture()
+	total := stats.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sigCube.TopK(sigCond, sigFuncs["linear"], 10, stats.New()); err != nil {
+		ctr := stats.New()
+		if _, err := sigCube.TopK(sigCond, sigFuncs["linear"], 10, ctr); err != nil {
 			b.Fatal(err)
 		}
+		total.Merge(ctr)
 	}
+	b.ReportMetric(float64(total.TotalReads())/float64(b.N), "reads/op")
 }
 
 func BenchmarkFig4_12_Ranking_K10(b *testing.B) {
@@ -780,6 +784,54 @@ func BenchmarkPublicAPI_GridTopK(b *testing.B) {
 	}
 	b.ReportMetric(float64(total.Reads(stats.StructCube))/float64(b.N), "cubereads/op")
 	b.ReportMetric(float64(total.Reads(stats.StructBlockTab))/float64(b.N), "blocktabreads/op")
+}
+
+// BenchmarkPublicAPI_SigConjunctionTopK is the request the signature search's
+// look-ahead is for, through the public boundary under the repo benchmark's
+// sig-topk shape: 200k rows, three Zipf-1.2 selection dimensions of
+// cardinality 100, three uniform ranking dimensions, and top-10 queries whose
+// predicate names two dimensions with Zipf-drawn values — a conjunction
+// assembled online from atomic cuboids. Beside time and allocations it
+// reports block reads per query, in total and for the partition and the
+// signatures apart, and the states generated.
+func BenchmarkPublicAPI_SigConjunctionTopK(b *testing.B) {
+	rel := table.Generate(table.GenSpec{T: 200_000, S: 3, R: 3, Card: 100, SelZipf: 1.2, Seed: 9})
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	rng := rand.New(rand.NewSource(9))
+	zipf := rand.NewZipf(rng, 1.2, 1, 99)
+	type query struct {
+		cond rankcube.Cond
+		f    rankcube.Func
+	}
+	queries := make([]query, 1000)
+	for i := range queries {
+		q := query{cond: rankcube.Cond{}}
+		for _, d := range rng.Perm(3)[:2] {
+			q.cond[d] = int32(zipf.Uint64())
+		}
+		p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		if i%2 == 0 {
+			q.f = rankcube.Linear([]int{0, 1, 2}, p)
+		} else {
+			q.f = rankcube.SqDist([]int{0, 1, 2}, p)
+		}
+		queries[i] = q
+	}
+	ctx := context.Background()
+	total := stats.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		m := rankcube.NewMetrics()
+		if _, err := cube.Query(ctx, q.cond, q.f, 10, rankcube.WithMetrics(m)); err != nil {
+			b.Fatal(err)
+		}
+		total.Merge(m)
+	}
+	b.ReportMetric(float64(total.TotalReads())/float64(b.N), "reads/op")
+	b.ReportMetric(float64(total.Reads(stats.StructRTree))/float64(b.N), "rtree-reads/op")
+	b.ReportMetric(float64(total.Reads(stats.StructSignature))/float64(b.N), "signature-reads/op")
+	b.ReportMetric(float64(total.StatesGenerated)/float64(b.N), "states-generated/op")
 }
 
 // BenchmarkPublicAPI_MergeTopK is the index-merge request of the repo

@@ -452,42 +452,59 @@ func (s *Store) blocksOfLocked(id PageID) int64 {
 // Buffer is a per-query buffer pool: the first access to a page is charged,
 // repeats are free. The thesis' query algorithms buffer retrieved blocks for
 // the duration of one query. A Buffer belongs to one query on one goroutine,
-// like the stats.Counters it charges.
+// like the stats.Counters it charges. A page is either read or touched through
+// one buffer, not both: only Read keeps a payload to serve again.
 type Buffer struct {
 	store *Store
-	seen  map[PageID][]byte
+	// touched has one bit per page id that was only touched, ntouched the
+	// number set; sized on the first Touch.
+	touched  []uint64
+	ntouched int
+	// data holds the payloads of pages that were Read; nil until the first.
+	data map[PageID][]byte
 }
 
 // NewBuffer wraps store with a fresh (empty) per-query buffer.
-func NewBuffer(store *Store) *Buffer {
-	return &Buffer{store: store, seen: make(map[PageID][]byte)}
-}
+func NewBuffer(store *Store) *Buffer { return &Buffer{store: store} }
 
 // Read fetches a page, charging only the first access to c. Repeat reads
 // serve the buffered payload, so a page the query already verified cannot
 // change under it mid-query even if maintenance overwrites the store.
 func (b *Buffer) Read(id PageID, c *stats.Counters) []byte {
-	if data, ok := b.seen[id]; ok {
+	if data, ok := b.data[id]; ok {
 		return data
 	}
 	data := b.store.Read(id, c)
-	b.seen[id] = data
+	if b.data == nil {
+		b.data = make(map[PageID][]byte)
+	}
+	b.data[id] = data
 	return data
 }
 
 // Touch charges the first access of page id to c.
 func (b *Buffer) Touch(id PageID, c *stats.Counters) {
-	if _, ok := b.seen[id]; !ok {
-		b.seen[id] = nil
+	w, bit := int(id>>6), uint64(1)<<(uint(id)&63)
+	if w >= len(b.touched) {
+		// Room for every page the store holds now, so a query grows it once.
+		n := max(w+1, (b.store.NumPages()+63)/64)
+		b.touched = append(b.touched, make([]uint64, n-len(b.touched))...)
+	}
+	if b.touched[w]&bit == 0 {
+		b.touched[w] |= bit
+		b.ntouched++
 		b.store.Touch(id, c)
 	}
 }
 
 // Hits reports how many distinct pages have been accessed through the buffer.
-func (b *Buffer) Hits() int { return len(b.seen) }
+func (b *Buffer) Hits() int { return b.ntouched + len(b.data) }
 
 // Seen reports whether page id has already been accessed through the buffer.
 func (b *Buffer) Seen(id PageID) bool {
-	_, ok := b.seen[id]
-	return ok
+	if _, ok := b.data[id]; ok {
+		return true
+	}
+	w := int(id >> 6)
+	return w < len(b.touched) && b.touched[w]&(1<<(uint(id)&63)) != 0
 }

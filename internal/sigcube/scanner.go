@@ -2,7 +2,6 @@ package sigcube
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"rankcube/internal/bitvec"
@@ -21,33 +20,33 @@ import (
 // selection operator of thesis §6.3.1 — the source a rank join pulls from —
 // is the same scanner left open.
 //
-// The candidate heap only ever holds states that already passed the boolean
-// test. Where the letter of Alg. 3 pushes every child of an expanded node
-// and tests each when it is popped, the scanner pushes one pending entry for
-// the node, scored at the best of its children — the score at which the
-// first of them would have been popped, and the signature node holding their
-// bits loaded. When the pending entry is popped that signature node is
-// fetched, through the same load path, and only the children whose bit is
-// set are scored and pushed. A conjunction of cells is a sequence of such
-// stages (signature.Stages), each re-pending the node at the best of the
-// children that survived so far, which is when the short-circuiting per-path
-// test would first have consulted the next cell. Signature loads therefore
-// happen at the scores, and so in the number, they did before; what shrinks
-// is the heap and the work spent on entries that never qualify.
+// One rule sets it apart from the letter of Alg. 3: a partition node's page
+// is charged only after the boolean test has shown that one of its children
+// qualifies. The letter pushes every child of a node it has read and tests
+// each when it is popped; under a conjunction assembled online from atomic
+// cells (§4.3.3) nearly every leaf then passes at its parent — it holds some
+// tuple of each cell — is read, and turns out to hold no tuple of both. The
+// bits that say so are the node's own signature node in each cell, which is
+// found from the path alone. So when a qualified node is popped, its
+// children's bits are consulted first, a stage (signature.Stages) at a time
+// over the survivors of the stages before and no further than the stage that
+// leaves none — where the short-circuit of And.Test stops loading — and the
+// node is skipped unread when nothing survives. Otherwise its page is charged
+// and one deferred entry is pushed at the best survivor's score; when that is
+// popped the survivors are derived again from the stages, resident by then,
+// and pushed qualified. The candidate heap therefore only ever holds states
+// that passed the boolean test, and a node's survivors only once the search
+// has reached the first of them.
 //
 // A tester that offers only Test — a wrapper around one, a bloom measure, a
-// disjunction — cannot say what it would load for which child, so the pending
-// entry of an expanded node then hands over its children one at a time, in
-// score order: each is tested at the score Alg. 3 would have popped it, never
-// sooner, and pushed only if it passes.
+// disjunction — goes the same way behind perSlot, which asks it about the
+// live children one path at a time.
 type Scanner struct {
-	idx    hindex.Index
-	acc    *hindex.Accessor
-	tester signature.Tester
-	// stages qualify a node's children from bit vectors; opaque is set when
-	// the tester has none to offer.
+	idx hindex.Index
+	acc *hindex.Accessor
+	// stages qualify a node's children in sequence; none when there is no
+	// predicate.
 	stages []signature.Prober
-	opaque bool
 	// fanout is the index's M: SIDs are radix M+1.
 	fanout int
 	// verify re-checks a tuple against the relation when it is popped (lossy
@@ -63,16 +62,25 @@ type Scanner struct {
 	// slots still live.
 	path []int
 	live bitvec.Bits
-	// ranked holds, for each node expanded under an opaque tester, its
-	// children in ascending score order, closed by a record with ref < 0.
-	ranked []rankedChild
 }
 
-// rankedChild is one child of a node awaiting its turn at an opaque tester.
-type rankedChild struct {
-	score float64
-	ref   int32
-	slot  int32
+// perSlot stands a tester that offers only Test in for a stage: each live
+// child is put to it in slot order, so it loads what testing those paths one
+// by one loads.
+type perSlot struct {
+	signature.Tester
+	path []int
+}
+
+// Probe implements signature.Prober.
+func (p *perSlot) Probe(parent []int, live *bitvec.Bits) {
+	p.path = append(append(p.path[:0], parent...), 0)
+	for slot := live.NextOne(0); slot >= 0; slot = live.NextOne(slot + 1) {
+		p.path[len(parent)] = slot + 1
+		if !p.Test(p.path) {
+			live.Set(slot, false)
+		}
+	}
 }
 
 // scanEntry is one state of the candidate heap.
@@ -80,20 +88,17 @@ type scanEntry struct {
 	score float64
 	// sid is the SID of the node's partition path (unused for tuples).
 	sid uint64
-	// ref is the tuple of a tuple entry, the node of a node or pending entry;
-	// under an opaque tester a pending entry's ref is the position in ranked
-	// of the child to test next.
+	// ref is the tuple of a tuple entry, the node of a node or deferred entry.
 	ref int32
-	// stage is qualified for a tuple or node that passed the boolean test,
-	// else the stage node ref's children go through next (0 when opaque).
-	stage int16
-	// tupleLevel is set for tuples and for pending leaves, which stand for
+	// deferred marks the entry standing for the qualifying children of a node
+	// already read; a node entry that is not deferred has passed the boolean
+	// test and not been read.
+	deferred bool
+	// tupleLevel is set for tuples and for deferred leaves, which stand for
 	// tuples: at equal score they go ahead of nodes so exact results settle
 	// first.
 	tupleLevel bool
 }
-
-const qualified = -1
 
 func lessScanEntry(a, b scanEntry) bool {
 	if a.score != b.score {
@@ -107,7 +112,6 @@ func lessScanEntry(a, b scanEntry) bool {
 func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, ctr *stats.Counters) *Scanner {
 	s := &Scanner{
 		idx:    idx,
-		tester: tester,
 		fanout: idx.MaxFanout(),
 		verify: verify,
 		f:      f,
@@ -120,9 +124,12 @@ func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID
 		return s
 	}
 	stages, ok := signature.Stages(tester)
-	s.stages, s.opaque = stages, !ok
+	if !ok {
+		stages = []signature.Prober{&perSlot{Tester: tester}}
+	}
+	s.stages = stages
 	s.acc = hindex.NewAccessor(idx, ctr)
-	s.cheap.Push(scanEntry{score: f.LowerBound(idx.NodeBox(root)), ref: int32(root), stage: qualified})
+	s.cheap.Push(scanEntry{score: f.LowerBound(idx.NodeBox(root)), ref: int32(root)})
 	return s
 }
 
@@ -151,10 +158,9 @@ func (s *Scanner) Next() (res core.Result, ok bool) {
 		e := s.cheap.Pop()
 		s.ctr.StatesExamined++
 		switch {
-		case e.stage != qualified && s.opaque:
-			s.testNext(e)
-		case e.stage != qualified:
+		case e.deferred:
 			s.qualify(e)
+			s.pushLive(e)
 		case e.tupleLevel:
 			tid := table.TID(e.ref)
 			if s.verify != nil && !s.verify(tid) {
@@ -170,60 +176,45 @@ func (s *Scanner) Next() (res core.Result, ok bool) {
 	return core.Result{}, false
 }
 
-// expand reads a qualified node and, when there is a boolean test to run,
-// defers its children to a pending entry at the best of their scores.
+// expand reads a qualified node if one of its children qualifies, and defers
+// those that do to one entry at the best of their scores.
 func (s *Scanner) expand(e scanEntry) {
-	n := s.acc.Visit(hindex.NodeID(e.ref))
-	if s.opaque {
-		s.rank(e, n)
+	s.qualify(e)
+	survivors := s.live.Ones()
+	s.ctr.Pruned += int64(s.live.Len() - survivors)
+	if survivors == 0 {
 		return
 	}
-	s.live.SetAll(n)
+	node := hindex.NodeID(e.ref)
+	s.acc.Visit(node)
 	if len(s.stages) == 0 {
 		s.pushLive(e)
 		return
 	}
-	s.pend(e, 0)
-}
-
-// qualify runs the pending entry's stage over the children that survived
-// the stages before it, then pushes the survivors or defers them again.
-func (s *Scanner) qualify(e scanEntry) {
-	node := hindex.NodeID(e.ref)
-	s.path = hindex.PathOf(s.path, e.sid, s.fanout)
-	s.live.SetAll(s.idx.NumChildren(node))
-	stage := int(e.stage)
-	// Earlier stages are resident by now: re-probing them costs no reads,
-	// and saves carrying a survivor set in every pending entry.
-	for _, earlier := range s.stages[:stage] {
-		earlier.Probe(s.path, &s.live)
-	}
-	before := s.live.Ones()
-	s.stages[stage].Probe(s.path, &s.live)
-	s.ctr.Pruned += int64(before - s.live.Ones())
-	if stage+1 < len(s.stages) {
-		s.pend(e, stage+1)
-		return
-	}
-	s.pushLive(e)
-}
-
-// pend pushes one entry standing for the live children of e's node, scored
-// at their minimum, to be qualified by the given stage.
-func (s *Scanner) pend(e scanEntry, stage int) {
-	node := hindex.NodeID(e.ref)
 	leaf := s.idx.IsLeaf(node)
-	best, any := math.Inf(1), false
+	best := math.Inf(1)
 	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
-		if _, score := s.child(node, leaf, slot); score <= best {
-			best, any = score, true
+		if _, score := s.child(node, leaf, slot); score < best {
+			best = score
 		}
 	}
-	if !any {
-		return
-	}
-	s.cheap.Push(scanEntry{score: best, sid: e.sid, ref: e.ref, stage: int16(stage), tupleLevel: leaf})
+	s.cheap.Push(scanEntry{score: best, sid: e.sid, ref: e.ref, deferred: true, tupleLevel: leaf})
 	s.ctr.StatesGenerated++
+}
+
+// qualify leaves in live the children of e's node that pass the boolean test.
+// It needs no page of the index: the path is in the entry's SID and the width
+// is index metadata. The stages load what they have to the first time round,
+// and nothing when a deferred entry asks again.
+func (s *Scanner) qualify(e scanEntry) {
+	s.path = hindex.PathOf(s.path, e.sid, s.fanout)
+	s.live.SetAll(s.idx.NumChildren(hindex.NodeID(e.ref)))
+	for _, stage := range s.stages {
+		if !s.live.Any() {
+			return
+		}
+		stage.Probe(s.path, &s.live)
+	}
 }
 
 // pushLive pushes the live children of e's node as qualified entries.
@@ -233,54 +224,7 @@ func (s *Scanner) pushLive(e scanEntry) {
 	base := e.sid * uint64(s.fanout+1)
 	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
 		ref, score := s.child(node, leaf, slot)
-		s.cheap.Push(scanEntry{score: score, sid: base + uint64(slot+1), ref: ref, stage: qualified, tupleLevel: leaf})
-		s.ctr.StatesGenerated++
-	}
-}
-
-// rank scores the n children of e's node, an opaque tester's turn at each
-// still to come, and pushes one pending entry at the best of them.
-func (s *Scanner) rank(e scanEntry, n int) {
-	if n == 0 {
-		return
-	}
-	node := hindex.NodeID(e.ref)
-	leaf := s.idx.IsLeaf(node)
-	first := len(s.ranked)
-	for slot := 0; slot < n; slot++ {
-		ref, score := s.child(node, leaf, slot)
-		s.ranked = append(s.ranked, rankedChild{score: score, ref: ref, slot: int32(slot)})
-	}
-	slices.SortFunc(s.ranked[first:], func(a, b rankedChild) int {
-		switch {
-		case a.score < b.score:
-			return -1
-		case a.score > b.score:
-			return 1
-		}
-		return int(a.slot - b.slot)
-	})
-	s.ranked = append(s.ranked, rankedChild{ref: -1})
-	s.cheap.Push(scanEntry{score: s.ranked[first].score, sid: e.sid, ref: int32(first), tupleLevel: leaf})
-	s.ctr.StatesGenerated++
-}
-
-// testNext puts the pending entry's next child to the opaque tester, pushes
-// it if it passes, and defers the rest of the node to the score of the child
-// after it.
-func (s *Scanner) testNext(e scanEntry) {
-	c, next := s.ranked[e.ref], s.ranked[e.ref+1]
-	s.path = append(hindex.PathOf(s.path, e.sid, s.fanout), int(c.slot)+1)
-	if s.tester.Test(s.path) {
-		sid := e.sid*uint64(s.fanout+1) + uint64(c.slot+1)
-		s.cheap.Push(scanEntry{score: c.score, sid: sid, ref: c.ref, stage: qualified, tupleLevel: e.tupleLevel})
-		s.ctr.StatesGenerated++
-	} else {
-		s.ctr.Pruned++
-	}
-	if next.ref >= 0 {
-		e.score, e.ref = next.score, e.ref+1
-		s.cheap.Push(e)
+		s.cheap.Push(scanEntry{score: score, sid: base + uint64(slot+1), ref: ref, tupleLevel: leaf})
 		s.ctr.StatesGenerated++
 	}
 }

@@ -280,9 +280,10 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 
 // SearchTopK is Alg. 3 over any hierarchical index: progressive best-first
 // retrieval with ranking pruning (node lower bounds vs. the current kth
-// score) and boolean pruning (the tester's bits for the children of each
-// expanded node). It is exposed package-level so chapter 7's skyline
-// processing and the baselines can share it.
+// score) and boolean pruning (the tester's answers for the children of each
+// qualified node, consulted before the node is read). It is exposed
+// package-level so chapter 7's skyline processing and the baselines can share
+// it.
 func SearchTopK(idx hindex.Index, tester signature.Tester, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
 	return newScanner(idx, tester, nil, f, ctr).take(k)
 }

@@ -129,44 +129,40 @@ func TestMaterializedMultiDimCuboid(t *testing.T) {
 	}
 }
 
+// TestSignaturePruningReducesIO orders the three searches by what they read of
+// the partition. The thesis' "Ranking" baseline has no tester: it checks the
+// predicate on each tuple it reaches. Alg. 3 tests a node's bit when it pops
+// it; the scanner, before it reads a node, the bits of its children — which on
+// one cell is the same thing, and on a conjunction of atomic cells is not.
 func TestSignaturePruningReducesIO(t *testing.T) {
-	tb := table.Generate(table.GenSpec{T: 20000, S: 1, R: 2, Card: 50, Seed: 65})
+	tb := table.Generate(table.GenSpec{T: 20000, S: 2, R: 2, Card: 50, Seed: 65})
 	cube := Build(tb, Config{RTree: rtree.Config{Fanout: 32}})
 	f := ranking.Sum(0, 1)
+	for _, cond := range []core.Cond{{0: 7}, {0: tb.Sel(0, 0), 1: tb.Sel(0, 1)}} {
+		want := bruteTopK(tb, cond, f, 10, nil)
+		withSig := stats.New()
+		res, err := cube.TopK(cond, f, 10, withSig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameScores(t, res, want)
 
-	withSig := stats.New()
-	if _, err := cube.TopK(core.Cond{0: 7}, f, 10, withSig); err != nil {
-		t.Fatal(err)
-	}
-	// The ranking-first equivalent: same search without boolean pruning,
-	// verifying the predicate on tuples only (random-access verification).
-	noSig := stats.New()
-	res := SearchTopK(cube.Tree(), verifyOnly{tb, cube.Tree(), core.Cond{0: 7}, cube.Tree().Height()}, f, 10, noSig)
-	if len(res) == 0 {
-		t.Fatal("verification search returned nothing")
-	}
-	sameScores(t, res, bruteTopK(tb, core.Cond{0: 7}, f, 10, nil))
-	if withSig.Reads(stats.StructRTree) >= noSig.Reads(stats.StructRTree) {
-		t.Fatalf("signature pruning read %d R-tree blocks, no-pruning search read %d",
-			withSig.Reads(stats.StructRTree), noSig.Reads(stats.StructRTree))
-	}
-}
+		rankingFirst := stats.New()
+		matches := func(tid table.TID) bool { return tb.Matches(tid, cond) }
+		sameScores(t, newScanner(cube.Tree(), signature.True{}, matches, f, rankingFirst).take(10), want)
 
-// verifyOnly is a tester that checks the predicate only at the tuple level
-// by probing the relation (the thesis' "Ranking" baseline shape).
-type verifyOnly struct {
-	t      *table.Table
-	rt     hindex.PartitionTree
-	cond   core.Cond
-	height int
-}
+		letter := stats.New()
+		tester, _, err := cube.TesterFor(cond, letter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameScores(t, newRefScanner(cube.Tree(), tester, nil, f, false, letter).topK(10), want)
 
-func (v verifyOnly) Test(path []int) bool {
-	if len(path) < v.height {
-		return true
+		sig, alg3, ranked := withSig.Reads(stats.StructRTree), letter.Reads(stats.StructRTree), rankingFirst.Reads(stats.StructRTree)
+		if sig > alg3 || len(cond) > 1 && sig == alg3 || alg3 >= ranked {
+			t.Fatalf("%v: the scanner read %d R-tree blocks, Alg. 3 %d, ranking-first %d", cond, sig, alg3, ranked)
+		}
 	}
-	tid, ok := v.rt.TIDAt(path)
-	return ok && v.t.Matches(tid, v.cond)
 }
 
 func TestInsertMaintainsSignatures(t *testing.T) {
@@ -321,8 +317,6 @@ func TestConstrainedFunctionPrunesToInf(t *testing.T) {
 	}
 }
 
-var _ signature.Tester = verifyOnly{}
-
 func TestLossySignaturesMatchExact(t *testing.T) {
 	tb := table.Generate(table.GenSpec{T: 8000, S: 3, R: 2, Card: 6, Seed: 73})
 	exact := Build(tb, Config{RTree: rtree.Config{Fanout: 16}})
@@ -452,8 +446,8 @@ func TestMaintenanceFreesRewrittenPages(t *testing.T) {
 }
 
 // TestBloomCellChargesItsPageOnce: a filter has no per-node bit vector, so a
-// lossy cube's tester is opaque and asked about one path at a time; however
-// many paths a search puts to it, each cell's filter page is read once.
+// lossy cube's tester offers no stages and is asked about one path at a time;
+// however many paths a search puts to it, each cell's filter page is read once.
 func TestBloomCellChargesItsPageOnce(t *testing.T) {
 	tb := table.Generate(table.GenSpec{T: 3000, S: 2, R: 2, Card: 5, Seed: 79})
 	lossy := Build(tb, Config{RTree: rtree.Config{Fanout: 8}, LossySignatures: true})

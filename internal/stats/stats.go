@@ -79,25 +79,26 @@ type Counters struct {
 
 	// StatesGenerated counts entries pushed onto a search heap (thesis
 	// fig. 5.11). In the signature cube's search that is every tuple and
-	// node that passed the boolean test plus every pending entry — the one
-	// entry that stands for an expanded node's children until their
-	// signature bits are fetched, pushed again per stage of a conjunction
-	// and per child under a Test-only tester — and never a child that
-	// fails the test.
+	// node that passed the boolean test plus one deferred entry per node
+	// read — the entry that stands for the node's qualifying children until
+	// the search reaches the best of them — and never a child that fails the
+	// test.
 	StatesGenerated int64
 	// StatesExamined counts entries popped from a search heap: tuples
-	// emitted or verified, nodes expanded, pending entries qualified.
+	// emitted or verified, nodes qualified (and read, or skipped unread),
+	// deferred entries unfolded.
 	StatesExamined int64
 	// PeakHeap records the maximum combined heap occupancy observed, taken
 	// at each pop (thesis figs. 5.12, 7.5). It is what Budget.MaxCandidates
 	// bounds.
 	PeakHeap int
 	// Pruned counts candidates discarded by boolean pruning. The signature
-	// cube's search counts child slots — each slot of an expanded node that
-	// a signature stage cleared or a Test-only tester refused, without the
-	// child ever becoming a heap entry — plus popped tuples that failed a
-	// lossy measure's re-verification; the skyline and index-merge loops
-	// count popped entries whose test failed.
+	// cube's search counts child slots — each slot of a popped node that a
+	// signature stage cleared or a Test-only tester refused before the node
+	// was read, all of them when the node is skipped unread; the child never
+	// becomes a heap entry — plus popped tuples that failed a lossy measure's
+	// re-verification; the skyline and index-merge loops count popped
+	// entries whose test failed.
 	Pruned int64
 	// DominationPruned counts candidates discarded by domination checks
 	// in skyline processing.

@@ -507,3 +507,79 @@ func TestGovernorBoundsOnSignatureScan(t *testing.T) {
 		t.Fatalf("registry is missing the scans: latency.sig.scan %v", reg.Histogram("latency.sig.scan"))
 	}
 }
+
+// TestGovernorBoundsOnSignatureConjunction holds the governor to the same
+// bounds on the top-k query of a conjunction assembled from atomic cuboids,
+// where the search consults a node's children bits before it pays for the
+// node: the access a bound trips on is as often a signature page as the
+// partition page it decides about, and the decision must not be acted on.
+func TestGovernorBoundsOnSignatureConjunction(t *testing.T) {
+	// Cells big enough to be cut into several partials, a conjunction selective
+	// enough that most leaves holding a tuple of each cell hold none of both.
+	rel := rankcube.GenerateRelation(60000, 2, 2, 6, rankcube.Uniform, 62)
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 8})
+	st := cube.Stores()[0]
+	cond, f, k := rankcube.Cond{0: 3, 1: 5}, rankcube.Sum(0, 1), 300
+	strict := func(limit int64) rankcube.Option {
+		return rankcube.WithBudget(rankcube.Budget{MaxBlockReads: limit, DisableFallback: true})
+	}
+
+	clean := rankcube.NewMetrics()
+	want, err := cube.Query(bg, cond, f, k, rankcube.WithMetrics(clean))
+	if err != nil || len(want) != k {
+		t.Fatalf("clean query: %d results, %v", len(want), err)
+	}
+	sigReads, total := clean.Reads(rankcube.StructSignature), clean.TotalReads()
+	if sigReads < 4 || total-sigReads < 20 {
+		t.Fatalf("query reads %d signature and %d partition blocks, too few to show a bound", sigReads, total-sigReads)
+	}
+
+	// Cancel from inside each of the first accesses to the signature store in
+	// turn: whichever node that page was consulted about stays unread.
+	for nth := 1; nth <= int(sigReads); nth++ {
+		ctx, cancel := context.WithCancel(bg)
+		m := rankcube.NewMetrics()
+		accesses, atCancel := 0, int64(-1)
+		st.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
+			if accesses++; accesses == nth {
+				atCancel = m.TotalReads()
+				cancel()
+			}
+		}})
+		_, err := cube.Query(ctx, cond, f, k, rankcube.WithMetrics(m))
+		st.SetFaultInjector(nil)
+		cancel()
+		if !errors.Is(err, rankcube.ErrCanceled) {
+			t.Fatalf("canceled in signature access %d: err = %v, want ErrCanceled", nth, err)
+		}
+		if over := m.TotalReads() - atCancel; atCancel < 0 || over != 1 {
+			t.Fatalf("canceled in signature access %d at %d reads, stopped at %d: want the one access in flight and nothing after", nth, atCancel, m.TotalReads())
+		}
+	}
+
+	for _, limit := range []int64{1, 3, total / 2, total - 1} {
+		m := rankcube.NewMetrics()
+		res, err := cube.Query(bg, cond, f, k, rankcube.WithMetrics(m), strict(limit))
+		if !errors.Is(err, rankcube.ErrBudgetExceeded) || res != nil {
+			t.Fatalf("limit %d: %d results, err = %v, want ErrBudgetExceeded", limit, len(res), err)
+		}
+		if over := m.TotalReads() - limit; over != 1 {
+			t.Fatalf("limit %d overshot by %d blocks, want the one page that tripped it", limit, over)
+		}
+	}
+	m := rankcube.NewMetrics()
+	if got, err := cube.Query(bg, cond, f, k, rankcube.WithMetrics(m), strict(total)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a budget of exactly the query's %d reads: %v, %v", total, got, err)
+	}
+
+	baseline, err := cube.BaselineQuery(bg, cond, f, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = rankcube.NewMetrics()
+	got, err := cube.Query(bg, cond, f, k, rankcube.WithMetrics(m),
+		rankcube.WithBudget(rankcube.Budget{MaxBlockReads: total - 1, FallbackOnBudget: true}))
+	if err != nil || !reflect.DeepEqual(got, baseline) || m.Downgrades != 1 {
+		t.Fatalf("fallback on budget: %v (%v, %d downgrades), baseline %v", got, err, m.Downgrades, baseline)
+	}
+}
