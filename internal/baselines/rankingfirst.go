@@ -82,22 +82,19 @@ func (rf *RankingFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.C
 			}
 			continue
 		}
-		if rf.rt.IsLeaf(e.node) {
-			for _, le := range acc.LeafEntries(e.node) {
-				score := f.Eval(le.Point)
-				if math.IsInf(score, 1) {
-					continue
+		leaf := rf.rt.IsLeaf(e.node)
+		for slot, n := 0, acc.Visit(e.node); slot < n; slot++ {
+			if leaf {
+				tid, pt := acc.Tuple(e.node, slot)
+				if score := f.Eval(pt); !math.IsInf(score, 1) {
+					h.Push(entry{score: score, isTuple: true, tid: tid})
 				}
-				h.Push(entry{score: score, isTuple: true, tid: le.TID})
-			}
-			continue
-		}
-		for _, ch := range acc.Children(e.node) {
-			bound := f.LowerBound(ch.Box)
-			if math.IsInf(bound, 1) {
 				continue
 			}
-			h.Push(entry{score: bound, node: ch.ID})
+			kid, box := acc.Child(e.node, slot)
+			if bound := f.LowerBound(box); !math.IsInf(bound, 1) {
+				h.Push(entry{score: bound, node: kid})
+			}
 		}
 	}
 	return topk.Sorted()

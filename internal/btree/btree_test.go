@@ -33,7 +33,7 @@ func collect(t *testing.T, tr *Tree, id hindex.NodeID, box ranking.Box, out map[
 				t.Fatalf("tid %d appears twice", e.TID)
 			}
 			out[e.TID] = true
-			if e.Point[tr.Dim()] < nb.Lo[tr.Dim()] || e.Point[tr.Dim()] > nb.Hi[tr.Dim()] {
+			if dim := tr.Dims()[0]; e.Point[dim] < nb.Lo[dim] || e.Point[dim] > nb.Hi[dim] {
 				t.Fatalf("leaf entry %v outside node box", e.Point)
 			}
 		}
@@ -77,35 +77,6 @@ func TestLeavesSortedByValue(t *testing.T) {
 	}
 	if !sort.Float64sAreSorted(vals) {
 		t.Fatal("leaf values not globally sorted")
-	}
-}
-
-func TestPaths(t *testing.T) {
-	_, tr := buildTree(t, 2000, Config{Fanout: 8})
-	var walk func(id hindex.NodeID, path []int)
-	walk = func(id hindex.NodeID, path []int) {
-		got := tr.Path(id)
-		if len(got) != len(path) {
-			t.Fatalf("path len %d want %d", len(got), len(path))
-		}
-		for i := range path {
-			if got[i] != path[i] {
-				t.Fatalf("path %v want %v", got, path)
-			}
-		}
-		if tr.IsLeaf(id) {
-			return
-		}
-		for i, ch := range tr.Children(id) {
-			walk(ch.ID, append(append([]int(nil), path...), i+1))
-		}
-	}
-	walk(tr.Root(), nil)
-	if got := hindex.SID(nil, tr.MaxFanout()); got != 0 {
-		t.Fatalf("root SID = %d", got)
-	}
-	if a, b := hindex.SID([]int{1, 2}, 8), hindex.SID([]int{2, 1}, 8); a == b {
-		t.Fatal("SID collision between distinct paths")
 	}
 }
 

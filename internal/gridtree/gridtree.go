@@ -36,50 +36,9 @@ type Config struct {
 	BlockSize int
 }
 
-func (c Config) pageSize() int {
-	if c.PageSize > 0 {
-		return c.PageSize
-	}
-	return pager.PageSize
-}
-
-func (c Config) fanoutFor(d int) int {
-	if c.Fanout > 0 {
-		return c.Fanout
-	}
-	f := c.pageSize() / (8*d + 4)
-	if f < 4 {
-		f = 4
-	}
-	return f
-}
-
-type node struct {
-	leaf        bool
-	parent      hindex.NodeID
-	posInParent int
-	// coords of the cell in its level's grid, and the level's bins count.
-	box  ranking.Box
-	kids []hindex.NodeID
-	tids []table.TID
-	pts  [][]float64
-	page pager.PageID
-}
-
-// Tree is the merged-grid hierarchy.
+// Tree is the merged-grid hierarchy: the shared node store as Build fills it.
 type Tree struct {
-	dims   []int
-	rdims  int
-	domain ranking.Box
-	center []float64 // domain midpoint: what a point holds in uncovered dimensions
-	fanout int
-	group  int // bins merged per dimension per level: ⌊M^(1/n)⌋
-
-	nodes  []*node
-	root   hindex.NodeID
-	height int
-	store  *pager.Store
-	leafOf map[table.TID]hindex.NodeID
+	hindex.Nodes
 }
 
 // Build partitions t's tuples over the given ranking dimensions.
@@ -89,22 +48,17 @@ func Build(t *table.Table, dims []int, domain ranking.Box, cfg Config) *Tree {
 		//lint:invariant cuboid construction never requests a 0-dimensional grid
 		panic("gridtree: no dimensions")
 	}
-	fanout := cfg.fanoutFor(d)
+	store := pager.NewStore(stats.StructRTree, cfg.PageSize)
+	fanout := cfg.Fanout
+	if fanout <= 0 {
+		fanout = hindex.RectFanout(store.PageSize(), d)
+	}
+	// Bins merged per dimension per level: ⌊M^(1/n)⌋.
 	group := int(math.Floor(math.Pow(float64(fanout), 1/float64(d))))
 	if group < 2 {
 		group = 2
 	}
-	tr := &Tree{
-		dims:   append([]int(nil), dims...),
-		rdims:  t.Schema().R(),
-		domain: domain,
-		center: domain.Center(),
-		fanout: fanout,
-		group:  group,
-		root:   hindex.InvalidNode,
-		store:  pager.NewStore(stats.StructRTree, cfg.pageSize()),
-		leafOf: make(map[table.TID]hindex.NodeID, t.Len()),
-	}
+	tr := &Tree{hindex.NewNodes(dims, domain, fanout, store, t.Len())}
 	if t.Len() == 0 {
 		return tr
 	}
@@ -120,76 +74,61 @@ func Build(t *table.Table, dims []int, domain ranking.Box, cfg Config) *Tree {
 
 	// Base cells: bucket tuples by block id.
 	cells := make(map[gridcube.BID][]table.TID)
-	buf := make([]float64, d)
+	pt := make([]float64, d)
 	for i := 0; i < t.Len(); i++ {
-		tid := table.TID(i)
-		for j, dim := range dims {
-			buf[j] = t.Rank(tid, dim)
-		}
-		cells[meta.BlockOf(buf)] = append(cells[meta.BlockOf(buf)], tid)
+		bid := meta.BlockOf(proj.RankRow(table.TID(i), pt))
+		cells[bid] = append(cells[bid], table.TID(i))
 	}
 
-	// Build leaf nodes per non-empty cell, tracked by cell coordinates.
+	// Build leaf nodes per non-empty cell, tracked by cell coordinates. A
+	// node's cell, not the tuples in it, bounds its entry in its parent.
 	var level []levelCell
 	for bid, tids := range cells {
-		nd := &node{leaf: true, parent: hindex.InvalidNode, box: cellBox(tr, meta, bid)}
+		id := tr.AddNode(true, store.PageSize(), len(tids))
 		for _, tid := range tids {
-			nd.tids = append(nd.tids, tid)
-			pt := make([]float64, d)
-			for j, dim := range dims {
-				pt[j] = t.Rank(tid, dim)
-			}
-			nd.pts = append(nd.pts, pt)
+			tr.AppendTuple(id, tid, proj.RankRow(tid, pt))
 		}
-		id := tr.addNode(nd)
-		level = append(level, levelCell{coords: meta.Coords(bid, nil), id: id})
+		level = append(level, levelCell{coords: meta.Coords(bid, nil), id: id, box: meta.BlockBox(bid)})
 	}
-	sortLevel(level)
-	tr.height = 1
+	height := 1
 
 	// Merge upward: every `group` bins per dimension collapse into one
 	// parent cell; empty parents never materialize because children come
 	// only from non-empty cells.
 	for len(level) > 1 {
 		sortLevel(level)
-		parents := make(map[string]*node)
-		coordsOf := make(map[string][]int)
+		kids := make(map[string][]levelCell)
 		for _, lc := range level {
-			up := make([]int, d)
-			for j := range up {
-				up[j] = lc.coords[j] / tr.group
+			for j := range lc.coords {
+				lc.coords[j] /= group
 			}
-			key := fmt.Sprint(up)
-			p, ok := parents[key]
-			if !ok {
-				p = &node{parent: hindex.InvalidNode, box: tr.emptyBox()}
-				parents[key] = p
-				coordsOf[key] = up
-			}
-			p.kids = append(p.kids, lc.id)
-			growBox(&p.box, tr.nodes[lc.id].box)
+			key := fmt.Sprint(lc.coords)
+			kids[key] = append(kids[key], lc)
 		}
-		keys := make([]string, 0, len(parents))
-		for key := range parents {
+		keys := make([]string, 0, len(kids))
+		for key := range kids {
 			keys = append(keys, key)
 		}
 		sort.Strings(keys)
-		next := make([]levelCell, 0, len(parents))
+		level = level[:0]
 		for _, key := range keys {
-			id := tr.addNode(parents[key])
-			next = append(next, levelCell{coords: coordsOf[key], id: id})
+			id := tr.AddNode(false, store.PageSize(), len(kids[key]))
+			for _, lc := range kids[key] {
+				tr.AppendChild(id, lc.id, lc.box.Lo, lc.box.Hi)
+			}
+			box := ranking.NewBox(make([]float64, d), make([]float64, d))
+			tr.MBR(id, box.Lo, box.Hi)
+			level = append(level, levelCell{coords: kids[key][0].coords, id: id, box: box})
 		}
-		level = next
-		tr.height++
+		height++
 	}
-	tr.root = level[0].id
-	tr.wireParents()
+	tr.SetRoot(level[0].id, height)
 	// Signature codecs size node bit-arrays by MaxFanout; leaf occupancy
 	// under equi-depth partitioning can exceed the page-derived fanout, so
 	// report the widest node.
-	for id := range tr.nodes {
-		if w := tr.NumChildren(hindex.NodeID(id)); w > tr.fanout {
-			tr.fanout = w
+	for id := 0; id < tr.NumNodes(); id++ {
+		if w := tr.NumChildren(hindex.NodeID(id)); w > tr.MaxFanout() {
+			tr.SetMaxFanout(w)
 		}
 	}
 	return tr
@@ -215,207 +154,17 @@ func projectTable(t *table.Table, dims []int) *table.Table {
 	return out
 }
 
-func cellBox(tr *Tree, meta gridcube.Meta, bid gridcube.BID) ranking.Box {
-	low := meta.BlockBox(bid) // box over projected dims (positions 0..d-1)
-	box := tr.domain.Clone()
-	for j, dim := range tr.dims {
-		box.Lo[dim] = low.Lo[j]
-		box.Hi[dim] = low.Hi[j]
-	}
-	return box
-}
-
-func (tr *Tree) emptyBox() ranking.Box {
-	box := tr.domain.Clone()
-	for _, dim := range tr.dims {
-		box.Lo[dim] = math.Inf(1)
-		box.Hi[dim] = math.Inf(-1)
-	}
-	return box
-}
-
-func growBox(dst *ranking.Box, src ranking.Box) {
-	for i := range dst.Lo {
-		if src.Lo[i] < dst.Lo[i] {
-			dst.Lo[i] = src.Lo[i]
-		}
-		if src.Hi[i] > dst.Hi[i] {
-			dst.Hi[i] = src.Hi[i]
-		}
-	}
-}
-
-func (tr *Tree) addNode(nd *node) hindex.NodeID {
-	nd.page = tr.store.AppendLogical(tr.store.PageSize())
-	tr.nodes = append(tr.nodes, nd)
-	return hindex.NodeID(len(tr.nodes) - 1)
-}
-
-func (tr *Tree) wireParents() {
-	for id, nd := range tr.nodes {
-		if nd.leaf {
-			for _, tid := range nd.tids {
-				tr.leafOf[tid] = hindex.NodeID(id)
-			}
-			continue
-		}
-		for pos, kid := range nd.kids {
-			tr.nodes[kid].parent = hindex.NodeID(id)
-			tr.nodes[kid].posInParent = pos
-		}
-	}
-}
-
-// --- hindex.PartitionTree -------------------------------------------------
-
-// Dims implements hindex.Index.
-func (tr *Tree) Dims() []int { return tr.dims }
-
-// Domain implements hindex.Index.
-func (tr *Tree) Domain() ranking.Box { return tr.domain }
-
-// Root implements hindex.Index.
-func (tr *Tree) Root() hindex.NodeID { return tr.root }
-
-// Height implements hindex.Index.
-func (tr *Tree) Height() int { return tr.height }
-
-// MaxFanout implements hindex.Index.
-func (tr *Tree) MaxFanout() int { return tr.fanout }
-
-// IsLeaf implements hindex.Index.
-func (tr *Tree) IsLeaf(id hindex.NodeID) bool { return tr.nodes[id].leaf }
-
-// NumChildren implements hindex.Index.
-func (tr *Tree) NumChildren(id hindex.NodeID) int {
-	nd := tr.nodes[id]
-	if nd.leaf {
-		return len(nd.tids)
-	}
-	return len(nd.kids)
-}
-
-// Children implements hindex.Index.
-func (tr *Tree) Children(id hindex.NodeID) []hindex.ChildRef {
-	if tr.nodes[id].leaf {
-		return nil
-	}
-	return hindex.ChildrenOf(tr, id)
-}
-
-// EntryBox implements hindex.Index.
-func (tr *Tree) EntryBox(id hindex.NodeID, slot int, box ranking.Box) hindex.NodeID {
-	kid := tr.nodes[id].kids[slot]
-	copy(box.Lo, tr.nodes[kid].box.Lo)
-	copy(box.Hi, tr.nodes[kid].box.Hi)
-	return kid
-}
-
-// EntryPoint implements hindex.Index. Uncovered dimensions hold the domain
-// midpoint.
-func (tr *Tree) EntryPoint(id hindex.NodeID, slot int, pt []float64) table.TID {
-	nd := tr.nodes[id]
-	copy(pt, tr.center)
-	for j, dim := range tr.dims {
-		pt[dim] = nd.pts[slot][j]
-	}
-	return nd.tids[slot]
-}
-
-// ChildAt implements hindex.Index.
-func (tr *Tree) ChildAt(id hindex.NodeID, slot int) hindex.NodeID {
-	return tr.nodes[id].kids[slot]
-}
-
-// LeafEntries implements hindex.Index.
-func (tr *Tree) LeafEntries(id hindex.NodeID) []hindex.LeafEntry {
-	if !tr.nodes[id].leaf {
-		return nil
-	}
-	return hindex.LeafEntriesOf(tr, id)
-}
-
-// NodeBox implements hindex.Index.
-func (tr *Tree) NodeBox(id hindex.NodeID) ranking.Box { return tr.nodes[id].box.Clone() }
-
-// Page implements hindex.Index.
-func (tr *Tree) Page(id hindex.NodeID) pager.PageID { return tr.nodes[id].page }
-
-// Store implements hindex.Index.
-func (tr *Tree) Store() *pager.Store { return tr.store }
-
-// Path implements hindex.Index.
-func (tr *Tree) Path(id hindex.NodeID) []int {
-	var rev []int
-	for id != tr.root {
-		nd := tr.nodes[id]
-		rev = append(rev, nd.posInParent+1)
-		id = nd.parent
-	}
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// LeafPath implements hindex.TupleLocator.
-func (tr *Tree) LeafPath(tid table.TID) []int {
-	id, ok := tr.leafOf[tid]
-	if !ok {
-		return nil
-	}
-	return tr.Path(id)
-}
-
-// TuplePath implements hindex.PartitionTree.
-func (tr *Tree) TuplePath(tid table.TID) []int {
-	leaf, ok := tr.leafOf[tid]
-	if !ok {
-		return nil
-	}
-	nd := tr.nodes[leaf]
-	for slot, t := range nd.tids {
-		if t == tid {
-			return append(tr.Path(leaf), slot+1)
-		}
-	}
-	return nil
-}
-
-// TIDAt implements hindex.PartitionTree.
-func (tr *Tree) TIDAt(path []int) (table.TID, bool) {
-	if tr.root == hindex.InvalidNode || len(path) == 0 {
-		return 0, false
-	}
-	id := tr.root
-	for _, p := range path[:len(path)-1] {
-		nd := tr.nodes[id]
-		if nd.leaf || p < 1 || p > len(nd.kids) {
-			return 0, false
-		}
-		id = nd.kids[p-1]
-	}
-	nd := tr.nodes[id]
-	slot := path[len(path)-1] - 1
-	if !nd.leaf || slot < 0 || slot >= len(nd.tids) {
-		return 0, false
-	}
-	return nd.tids[slot], true
-}
-
 // ValueOrdered implements hindex.ValueOrdered.
 func (tr *Tree) ValueOrdered() bool { return false }
 
-// NumNodes reports the node count.
-func (tr *Tree) NumNodes() int { return len(tr.nodes) }
-
 var _ hindex.PartitionTree = (*Tree)(nil)
 
-// levelCell pairs a node with its cell coordinates at some merge level.
+// levelCell is a node at some merge level: its cell coordinates there and its
+// bounds over the covered dimensions.
 type levelCell struct {
 	coords []int
 	id     hindex.NodeID
+	box    ranking.Box
 }
 
 // sortLevel orders cells lexicographically by coordinates so construction

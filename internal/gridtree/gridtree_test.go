@@ -2,6 +2,7 @@ package gridtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rankcube/internal/core"
@@ -56,7 +57,7 @@ func TestBuildCoversAllTuples(t *testing.T) {
 
 func TestNodeWidthsWithinFanout(t *testing.T) {
 	_, tr := build(t, 8000, 162, 16)
-	for id := range tr.nodes {
+	for id := 0; id < tr.NumNodes(); id++ {
 		if w := tr.NumChildren(hindex.NodeID(id)); w > tr.MaxFanout() {
 			t.Fatalf("node %d width %d exceeds reported fanout %d", id, w, tr.MaxFanout())
 		}
@@ -66,30 +67,12 @@ func TestNodeWidthsWithinFanout(t *testing.T) {
 	}
 }
 
-func TestTuplePathRoundtrip(t *testing.T) {
-	tb, tr := build(t, 3000, 163, 16)
-	for i := 0; i < tb.Len(); i += 71 {
-		tid := table.TID(i)
-		path := tr.TuplePath(tid)
-		if len(path) != tr.Height() {
-			t.Fatalf("path length %d, want height %d", len(path), tr.Height())
-		}
-		got, ok := tr.TIDAt(path)
-		if !ok || got != tid {
-			t.Fatalf("TIDAt(%v) = %d/%v, want %d", path, got, ok, tid)
-		}
-		if hindex.PathKey(tr.LeafPath(tid)) != hindex.PathKey(path[:len(path)-1]) {
-			t.Fatal("LeafPath disagrees with TuplePath prefix")
-		}
-	}
-}
-
 func TestDeterministicConstruction(t *testing.T) {
 	_, a := build(t, 2000, 164, 16)
 	_, b := build(t, 2000, 164, 16)
 	for i := 0; i < 2000; i += 13 {
 		tid := table.TID(i)
-		if hindex.PathKey(a.TuplePath(tid)) != hindex.PathKey(b.TuplePath(tid)) {
+		if !slices.Equal(a.TuplePath(tid), b.TuplePath(tid)) {
 			t.Fatalf("construction not deterministic at tuple %d", tid)
 		}
 	}

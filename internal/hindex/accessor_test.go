@@ -2,6 +2,7 @@ package hindex_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rankcube/internal/btree"
@@ -25,20 +26,39 @@ func TestPathOfInvertsSID(t *testing.T) {
 	}
 }
 
-// TestSlotAccessorsMatchMaterializedEntries holds, for each index, the
-// one-slot-at-a-time accessors a search scores through to the materialized
-// lists, entry by entry; checks that the lists' entries do not share storage
-// with each other or with the accessor's scratch; that dimensions the index
-// does not cover carry the domain (boxes) or its midpoint (points); and that
+// TestSlotAccessorsMatchMaterializedEntries is the conformance table of the
+// node store under each builder, and under the R-tree's maintenance. The
+// entry half holds the one-slot-at-a-time accessors a search scores through
+// to the materialized lists, entry by entry; checks that the lists' entries
+// do not share storage with each other or with the accessor's scratch; that
+// dimensions the index does not cover carry the domain (boxes) or its midpoint
+// (points); that an entry lies inside its node's entry in the parent; and that
 // a visit is charged once and scoring through the scratch allocates nothing.
+// The path half holds Path to the positions walked from the root and NodeAt
+// to its inverse for every node; TuplePath to Height positions that TIDAt
+// resolves back, and LeafPath to TuplePath less the slot and to the leaf's
+// Path, for every tuple; and has positions no entry holds, paths that go on
+// below a leaf and tuples the tree does not hold rejected.
 func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 	tb := table.Generate(table.GenSpec{T: 3000, S: 1, R: 3, Card: 4, Seed: 5})
 	domain := ranking.NewBox([]float64{0, 0, -2}, []float64{1, 1, 4})
-	for name, idx := range map[string]hindex.Index{
-		"rtree":    rtree.Bulk(tb, []int{0, 1}, domain, rtree.Config{Fanout: 9}),
-		"gridtree": gridtree.Build(tb, []int{0, 1}, domain, gridtree.Config{Fanout: 9, BlockSize: 30}),
-		"btree":    btree.Build(tb, 1, domain, btree.Config{Fanout: 9}),
+	churned := rtree.New([]int{0, 1}, 3, domain, rtree.Config{Fanout: 5})
+	for i := 0; i < 400; i++ {
+		churned.Insert(table.TID(i), tb.RankRow(table.TID(i), nil))
+	}
+	for i := 0; i < 400; i += 3 {
+		churned.Delete(table.TID(i))
+	}
+	for name, idx := range map[string]hindex.PartitionTree{
+		"rtree":       rtree.Bulk(tb, []int{0, 1}, domain, rtree.Config{Fanout: 9}),
+		"rtree/churn": churned,
+		"gridtree":    gridtree.Build(tb, []int{0, 1}, domain, gridtree.Config{Fanout: 9, BlockSize: 30}),
+		"btree":       btree.Build(tb, 1, domain, btree.Config{Fanout: 9}),
 	} {
+		tuples := tb.Len()
+		if idx == churned {
+			tuples = 400 - 134
+		}
 		covered := make(map[int]bool)
 		for _, d := range idx.Dims() {
 			covered[d] = true
@@ -46,8 +66,32 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 		ctr := stats.New()
 		acc := hindex.NewAccessor(idx, ctr)
 		visited := int64(0)
-		var walk func(id hindex.NodeID)
-		walk = func(id hindex.NodeID) {
+		inside := func(lo, hi []float64, within ranking.Box) bool {
+			for d := range lo {
+				if lo[d] < within.Lo[d] || hi[d] > within.Hi[d] {
+					return false
+				}
+			}
+			return true
+		}
+		seen := 0
+		var walk func(id hindex.NodeID, path []int, within ranking.Box)
+		walk = func(id hindex.NodeID, path []int, within ranking.Box) {
+			if got := idx.Path(id); !slices.Equal(got, path) {
+				t.Fatalf("%s: node %d reached by %v has Path %v", name, id, path, got)
+			}
+			if got, ok := idx.NodeAt(path); !ok || got != id {
+				t.Fatalf("%s: NodeAt(%v) = %d/%v, want node %d", name, path, got, ok, id)
+			}
+			for _, p := range []int{0, idx.NumChildren(id) + 1} {
+				bad := append(slices.Clone(path), p)
+				if _, ok := idx.TIDAt(bad); ok {
+					t.Fatalf("%s: TIDAt(%v) resolves a slot node %d does not have", name, bad, id)
+				}
+				if _, ok := idx.NodeAt(bad); ok {
+					t.Fatalf("%s: NodeAt(%v) resolves a slot node %d does not have", name, bad, id)
+				}
+			}
 			n := acc.Visit(id)
 			acc.Visit(id)
 			visited++
@@ -63,6 +107,26 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 					}
 					if !covered[2] && pt[2] != 1 {
 						t.Fatalf("%s: uncovered dimension holds %v, want the domain midpoint 1", name, pt[2])
+					}
+					if !inside(pt, pt, within) {
+						t.Fatalf("%s: leaf %d slot %d: point %v outside the leaf's entry %v", name, id, slot, pt, within)
+					}
+					seen++
+					full := append(slices.Clone(path), slot+1)
+					if got := idx.TuplePath(tid); !slices.Equal(got, full) || len(got) != idx.Height() {
+						t.Fatalf("%s: TuplePath(%d) = %v, want %v of height %d", name, tid, got, full, idx.Height())
+					}
+					if got, ok := idx.TIDAt(full); !ok || got != tid {
+						t.Fatalf("%s: TIDAt(%v) = %d/%v, want %d", name, full, got, ok, tid)
+					}
+					if got := idx.LeafPath(tid); !slices.Equal(got, path) {
+						t.Fatalf("%s: LeafPath(%d) = %v, want the leaf's path %v", name, tid, got, path)
+					}
+					if _, ok := idx.TIDAt(append(full, 1)); ok {
+						t.Fatalf("%s: TIDAt resolves a path below tuple %d", name, tid)
+					}
+					if _, ok := idx.NodeAt(full); ok {
+						t.Fatalf("%s: NodeAt resolves tuple %d's path to a node", name, tid)
 					}
 				}
 				if len(entries) > 1 {
@@ -82,16 +146,26 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 				if !covered[2] && (box.Lo[2] != -2 || box.Hi[2] != 4) {
 					t.Fatalf("%s: uncovered dimension spans %v..%v, want the domain", name, box.Lo[2], box.Hi[2])
 				}
+				if !inside(box.Lo, box.Hi, within) {
+					t.Fatalf("%s: node %d slot %d: box %v outside the node's entry %v", name, id, slot, box, within)
+				}
 			}
 			children[0].Box.Lo[0] = -99
 			if len(children) > 1 && children[1].Box.Lo[0] == -99 || idx.Children(id)[0].Box.Lo[0] == -99 {
 				t.Fatalf("%s: child boxes share storage", name)
 			}
-			for _, ch := range children {
-				walk(ch.ID)
+			children = idx.Children(id)
+			for slot, ch := range children {
+				walk(ch.ID, append(slices.Clone(path), slot+1), ch.Box)
 			}
 		}
-		walk(idx.Root())
+		walk(idx.Root(), []int{}, idx.NodeBox(idx.Root()))
+		if seen != tuples {
+			t.Fatalf("%s: %d tuples under the root, want %d", name, seen, tuples)
+		}
+		if _, ok := idx.TIDAt(nil); ok || idx.TuplePath(table.TID(tb.Len())) != nil || idx.LeafPath(table.TID(tb.Len())) != nil {
+			t.Fatalf("%s: the empty path or a tuple the tree does not hold resolves", name)
+		}
 		if got := ctr.TotalReads(); got < visited {
 			t.Fatalf("%s: %d nodes visited, %d reads charged", name, visited, got)
 		}

@@ -3,7 +3,9 @@
 // index-merge framework (ch. 5) are defined over any index in which "a
 // subspace occupied by a tree node is always contained in the subspace of
 // its parent node" (§5.1.1); this package captures exactly that contract,
-// plus the node-path and SID machinery signatures are keyed by (§4.2.1).
+// plus the node-path and SID machinery signatures are keyed by (§4.2.1), and
+// holds the one node store (Nodes) that implements its read side for all
+// three trees.
 package hindex
 
 import (
@@ -79,36 +81,9 @@ type Index interface {
 	// §4.2.1): the root has an empty path; a level-l node has l positions,
 	// 1-based as in the thesis.
 	Path(id NodeID) []int
-}
-
-// ChildrenOf materializes the entries of internal node id through EntryBox —
-// the Children every Index serves to callers that keep the whole list. All
-// boxes share one backing array, so a caller holding one box past the call
-// pins the others.
-func ChildrenOf(idx Index, id NodeID) []ChildRef {
-	n, w := idx.NumChildren(id), idx.Domain().Dims()
-	out := make([]ChildRef, n)
-	backing := make([]float64, 2*w*n)
-	for i := range out {
-		lo, hi := backing[:w:w], backing[w:2*w:2*w]
-		backing = backing[2*w:]
-		out[i].Box = ranking.NewBox(lo, hi)
-		out[i].ID = idx.EntryBox(id, i, out[i].Box)
-	}
-	return out
-}
-
-// LeafEntriesOf is ChildrenOf for the tuples of leaf node id, through
-// EntryPoint.
-func LeafEntriesOf(idx Index, id NodeID) []LeafEntry {
-	n, w := idx.NumChildren(id), idx.Domain().Dims()
-	out := make([]LeafEntry, n)
-	backing := make([]float64, w*n)
-	for i := range out {
-		out[i].Point = backing[i*w : (i+1)*w : (i+1)*w]
-		out[i].TID = idx.EntryPoint(id, i, out[i].Point)
-	}
-	return out
+	// AppendPath appends Path(id) to dst: a loop that asks for one path
+	// after another keeps one buffer.
+	AppendPath(dst []int, id NodeID) []int
 }
 
 // TupleLocator is implemented by indexes that can resolve a tuple to the
@@ -139,6 +114,8 @@ type PartitionTree interface {
 	TuplePath(tid table.TID) []int
 	// TIDAt resolves a full tuple path back to the tuple.
 	TIDAt(path []int) (table.TID, bool)
+	// NodeAt resolves a node path back to the node.
+	NodeAt(path []int) (NodeID, bool)
 }
 
 // MaintainableTree is implemented by partition trees supporting incremental
@@ -191,7 +168,10 @@ func (a *Accessor) Tuple(id NodeID, slot int) (table.TID, []float64) {
 	return a.Idx.EntryPoint(id, slot, a.pt), a.pt
 }
 
-// Children fetches internal node entries, charging the node's page.
+// Children fetches internal node entries, charging the node's page. Like
+// LeafEntries, and like the materializing pair of Nodes under them, it has no
+// caller left but benchmark/layertrace and the reference oracles: every search
+// loop goes through Visit, Child and Tuple.
 func (a *Accessor) Children(id NodeID) []ChildRef {
 	a.buf.Touch(a.Idx.Page(id), a.c)
 	return a.Idx.Children(id)

@@ -83,12 +83,11 @@ type Merger struct {
 var mergers = sync.Pool{New: func() any { return &Merger{gheap: heap.New[entry](lessEntry)} }}
 
 // release empties the Merger and hands it back. Nothing a result holds points
-// into it, and nothing of the query — its indices and their paths, its
-// pruner's testers, its counters — stays referenced from it.
+// into it, and nothing of the query — its indices, its pruner's testers, its
+// counters — stays referenced from it; the path buffers are its own.
 func (m *Merger) release() {
 	m.gheap.Reset()
 	clear(m.exps)
-	clear(m.paths)
 	t := &m.tuples
 	clear(t.index)
 	*m = Merger{

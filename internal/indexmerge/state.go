@@ -85,7 +85,7 @@ func (m *Merger) initExpansion(st int32, bound float64) bool {
 	var x expansion
 	if m.opts.Pruner != nil {
 		for i, idx := range m.indices {
-			m.paths[i] = idx.Path(nodes[i])
+			m.paths[i] = idx.AppendPath(m.paths[i][:0], nodes[i])
 		}
 		known := false
 		if x.combos, known = m.opts.Pruner.Load(m.paths, m.ctr); !known {

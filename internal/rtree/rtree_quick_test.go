@@ -52,19 +52,18 @@ func TestQuickMixedOperations(t *testing.T) {
 		// Invariants: every live tuple reachable exactly once, inside boxes.
 		seen := map[table.TID]bool{}
 		ok := true
-		var walk func(id int32)
-		walk = func(id int32) {
-			nd := tr.nodes[id]
-			if nd.leaf {
-				for i, tid := range nd.tids {
+		var walk func(id hindex.NodeID)
+		walk = func(id hindex.NodeID) {
+			if tr.IsLeaf(id) {
+				for slot := 0; slot < tr.NumChildren(id); slot++ {
+					tid, e := tr.TupleAt(id, slot), tr.entry(id, slot)
 					if seen[tid] || !alive[tid] {
 						ok = false
 						return
 					}
 					seen[tid] = true
 					for d := 0; d < 2; d++ {
-						v := tb.Rank(tid, d)
-						if v < nd.rects[i].lo[d]-1e-12 || v > nd.rects[i].hi[d]+1e-12 {
+						if v := tb.Rank(tid, d); v < e.lo[d]-1e-12 || v > e.hi[d]+1e-12 {
 							ok = false
 							return
 						}
@@ -72,24 +71,25 @@ func TestQuickMixedOperations(t *testing.T) {
 				}
 				return
 			}
-			for pos, kid := range nd.kids {
-				child := tr.nodes[kid]
-				if child.parent != hindex.NodeID(id) || child.posInParent != pos {
+			for pos := 0; pos < tr.NumChildren(id); pos++ {
+				kid := tr.ChildAt(id, pos)
+				if parent, at := tr.Parent(kid); parent != id || at != pos {
 					ok = false
 					return
 				}
-				cm := child.mbr()
+				cm, e := newRect(2), tr.entry(id, pos)
+				tr.MBR(kid, cm.lo, cm.hi)
 				for d := 0; d < 2; d++ {
-					if cm.lo[d] < nd.rects[pos].lo[d]-1e-12 || cm.hi[d] > nd.rects[pos].hi[d]+1e-12 {
+					if cm.lo[d] < e.lo[d]-1e-12 || cm.hi[d] > e.hi[d]+1e-12 {
 						ok = false
 						return
 					}
 				}
-				walk(int32(kid))
+				walk(kid)
 			}
 		}
-		if tr.Root() >= 0 {
-			walk(int32(tr.Root()))
+		if tr.Root() != hindex.InvalidNode {
+			walk(tr.Root())
 		}
 		return ok && len(seen) == len(alive)
 	}

@@ -24,34 +24,35 @@ func checkInvariants(t *testing.T, tr *Tree, want int) {
 		return
 	}
 	seen := make(map[table.TID]bool)
+	d := len(tr.Dims())
 	var walk func(id hindex.NodeID, depth int)
 	walk = func(id hindex.NodeID, depth int) {
-		nd := tr.nodes[id]
 		if tr.IsLeaf(id) {
 			if depth != tr.Height() {
 				t.Fatalf("leaf %d at depth %d, height %d", id, depth, tr.Height())
 			}
-			for _, tid := range nd.tids {
+			for slot := 0; slot < tr.NumChildren(id); slot++ {
+				tid := tr.TupleAt(id, slot)
 				if seen[tid] {
 					t.Fatalf("tid %d duplicated", tid)
 				}
 				seen[tid] = true
-				if tr.leafOf[tid] != id {
-					t.Fatalf("leafOf[%d] = %d, want %d", tid, tr.leafOf[tid], id)
+				if leaf, at, ok := tr.Locate(tid); !ok || leaf != id || at != slot {
+					t.Fatalf("Locate(%d) = %d/%d/%v, want %d/%d", tid, leaf, at, ok, id, slot)
 				}
 			}
 			return
 		}
-		for pos, kid := range nd.kids {
-			child := tr.nodes[kid]
-			if child.parent != id || child.posInParent != pos {
+		for pos := 0; pos < tr.NumChildren(id); pos++ {
+			kid := tr.ChildAt(id, pos)
+			if parent, at := tr.Parent(kid); parent != id || at != pos {
 				t.Fatalf("back-link broken: node %d pos %d", kid, pos)
 			}
 			// Parent entry rect must cover the child's MBR.
-			cm := child.mbr()
-			pr := nd.rects[pos]
-			for d := 0; d < tr.d; d++ {
-				if cm.lo[d] < pr.lo[d]-1e-12 || cm.hi[d] > pr.hi[d]+1e-12 {
+			cm, pr := newRect(d), tr.entry(id, pos)
+			tr.MBR(kid, cm.lo, cm.hi)
+			for j := 0; j < d; j++ {
+				if cm.lo[j] < pr.lo[j]-1e-12 || cm.hi[j] > pr.hi[j]+1e-12 {
 					t.Fatalf("entry rect does not cover child %d", kid)
 				}
 			}
@@ -213,9 +214,8 @@ func TestDeleteRootCollapseReportsSurvivors(t *testing.T) {
 		t.Fatalf("height %d, want a root above internal nodes", height)
 	}
 	for tr.Height() == height {
-		root := tr.nodes[tr.root]
 		under := map[table.TID]struct{}{}
-		tr.collectSubtree(root.kids[len(root.kids)-1], under)
+		tr.collectSubtree(tr.ChildAt(tr.Root(), tr.NumChildren(tr.Root())-1), under)
 		for _, tid := range keys(under) {
 			deleteSound(t, tr, paths, tid)
 		}
@@ -224,30 +224,6 @@ func TestDeleteRootCollapseReportsSurvivors(t *testing.T) {
 		t.Fatalf("height %d → %d with %d tuples left, want one level less over some", height, tr.Height(), len(paths))
 	}
 	checkInvariants(t, tr, len(paths))
-}
-
-func TestTuplePathResolves(t *testing.T) {
-	tb := genTable(1000, 26)
-	tr := Bulk(tb, []int{0, 1}, ranking.UnitBox(3), Config{Fanout: 8})
-	for i := 0; i < tb.Len(); i += 37 {
-		tid := table.TID(i)
-		path := tr.TuplePath(tid)
-		// A leaf's node path has Height−1 positions; the tuple adds its
-		// leaf slot, giving Height positions total (thesis fig. 4.1:
-		// 3-level tree, tuple paths ⟨p0,p1,p2⟩).
-		if len(path) != tr.Height() {
-			t.Fatalf("tuple path len %d, want height = %d", len(path), tr.Height())
-		}
-		// Follow the path down to the leaf slot and verify the tid.
-		id := tr.Root()
-		for _, p := range path[:len(path)-1] {
-			id = tr.nodes[id].kids[p-1]
-		}
-		slot := path[len(path)-1] - 1
-		if tr.nodes[id].tids[slot] != tid {
-			t.Fatalf("path %v resolves to tid %d, want %d", path, tr.nodes[id].tids[slot], tid)
-		}
-	}
 }
 
 func TestNodeBoxContainsPoints(t *testing.T) {

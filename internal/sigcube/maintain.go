@@ -1,6 +1,7 @@
 package sigcube
 
 import (
+	"slices"
 	"sort"
 
 	"rankcube/internal/errs"
@@ -51,7 +52,7 @@ func (c *Cube) Delete(tid table.TID, ctr *stats.Counters) bool {
 func (c *Cube) moved(updates []pathUpdate, affected []table.TID) []pathUpdate {
 	for _, a := range affected {
 		old, cur := c.paths[a], c.rt.TuplePath(a)
-		if cur != nil && hindex.PathKey(old) != hindex.PathKey(cur) {
+		if cur != nil && !slices.Equal(old, cur) {
 			updates = append(updates, pathUpdate{tid: a, old: old, new: cur})
 		}
 	}
@@ -169,9 +170,6 @@ func (c *Cube) maintainable() hindex.MaintainableTree {
 // nodeWidth reports the current entry count of the partition node at the
 // given path prefix (signature nodes must match index node widths).
 func (c *Cube) nodeWidth(prefix []int) int {
-	id := c.rt.Root()
-	for _, p := range prefix {
-		id = c.rt.ChildAt(id, p-1)
-	}
+	id, _ := c.rt.NodeAt(prefix)
 	return c.rt.NumChildren(id)
 }
