@@ -8,6 +8,7 @@ import (
 	"rankcube/internal/bitvec"
 	"rankcube/internal/core"
 	"rankcube/internal/dataset"
+	"rankcube/internal/pager"
 	"rankcube/internal/rtree"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/signature"
@@ -82,36 +83,19 @@ func dominatesCoord(a, b []float64) bool {
 	return strict
 }
 
-// verifyTester verifies the predicate only at the tuple level through
-// random accesses (the Ranking baseline).
-type verifyTester struct {
-	env    *ch7Env
-	cond   core.Cond
-	buf    *stats.Counters
-	height int
-	pages  map[int32]bool
-}
-
-func (v *verifyTester) Test(path []int) bool {
-	if len(path) < v.height {
-		return true
-	}
-	tid, ok := v.env.cube.Tree().TIDAt(path)
-	if !ok {
-		return false
-	}
-	page := int32(v.env.heap.PageOf(tid))
-	if !v.pages[page] {
-		v.pages[page] = true
-		v.buf.Read(stats.StructTable, 1)
-	}
-	return v.env.tb.Matches(tid, v.cond)
-}
-
+// rankingSkyline: the search with no boolean pruning at all, the predicate
+// verified by a random access for each tuple about to enter the skyline, a
+// page charged the first time it is touched (the Ranking baseline).
 func (e *ch7Env) rankingSkyline(q skyline.Query, ctr *stats.Counters) int {
-	vt := &verifyTester{env: e, cond: q.Cond, buf: ctr,
-		height: e.cube.Tree().Height(), pages: map[int32]bool{}}
-	res, _, err := e.engine.SkylineWithTester(q, vt, ctr)
+	pages := map[pager.PageID]bool{}
+	verify := func(tid table.TID) bool {
+		if page := e.heap.PageOf(tid); !pages[page] {
+			pages[page] = true
+			ctr.Read(stats.StructTable, 1)
+		}
+		return e.tb.Matches(tid, q.Cond)
+	}
+	res, _, err := e.engine.SkylineWithTester(q, signature.True{}, verify, ctr)
 	must(err)
 	return len(res)
 }
@@ -294,7 +278,7 @@ func fig7_12(ctx context.Context, cfg Config, rep *Report) {
 			sig.time += time.Since(start)
 			must(err)
 			if any {
-				_, _, err = env.engine.SkylineWithTester(q, timeTester(inner, &sig.time), ctr)
+				_, _, err = env.engine.SkylineWithTester(q, timeTester(inner, &sig.time), nil, ctr)
 				must(err)
 			}
 			ctr.Merge(loads)

@@ -89,17 +89,18 @@ func (c *Cube) addToBloomCell(cb *Cuboid, us []pathUpdate) {
 	}
 }
 
-// lossyTesterFor assembles the bloom tester for a conjunctive condition.
-// The bool result is false when a required cell is absent (no tuple can
-// match).
-func (c *Cube) lossyTesterFor(cond map[int]int32, ctr *stats.Counters) (signature.Tester, bool) {
+// lossyTesterFor assembles the bloom tester for a conjunctive condition, its
+// members in ascending dimension order: which filter pages a search charges
+// depends on where the conjunction stops. The bool result is false when a
+// required cell is absent (no tuple can match).
+func (c *Cube) lossyTesterFor(cond core.Cond, ctr *stats.Counters) (signature.Tester, bool) {
 	var testers signature.And
-	for d, v := range cond {
+	for _, d := range cond.Dims() {
 		cb := c.Cuboid([]int{d})
 		if cb == nil {
 			return nil, false
 		}
-		bc, ok := cb.blooms[cb.cellKey([]int32{v})]
+		bc, ok := cb.blooms[cb.cellKey([]int32{cond[d]})]
 		if !ok {
 			return nil, false
 		}

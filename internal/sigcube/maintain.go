@@ -27,6 +27,7 @@ type pathUpdate struct {
 func (c *Cube) Insert(sel []int32, rank []float64, ctr *stats.Counters) table.TID {
 	mt := c.maintainable()
 	tid := c.t.Append(sel, rank)
+	c.epoch++
 	affected := mt.Insert(tid, rank)
 	defer c.quarantineOnAbort()
 	c.applyUpdates(c.moved(nil, affected), ctr)
@@ -41,6 +42,7 @@ func (c *Cube) Delete(tid table.TID, ctr *stats.Counters) bool {
 	if !ok {
 		return false
 	}
+	c.epoch++
 	defer c.quarantineOnAbort()
 	c.applyUpdates(c.moved([]pathUpdate{{tid: tid, old: c.paths[tid]}}, affected), ctr)
 	return true

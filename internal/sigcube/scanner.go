@@ -39,8 +39,8 @@ import (
 // has reached the first of them.
 //
 // A tester that offers only Test — a wrapper around one, a bloom measure, a
-// disjunction — goes the same way behind perSlot, which asks it about the
-// live children one path at a time.
+// disjunction — goes the same way behind the stand-in of signature.Probers,
+// which asks it about the live children one path at a time.
 type Scanner struct {
 	idx hindex.Index
 	acc *hindex.Accessor
@@ -62,25 +62,6 @@ type Scanner struct {
 	// slots still live.
 	path []int
 	live bitvec.Bits
-}
-
-// perSlot stands a tester that offers only Test in for a stage: each live
-// child is put to it in slot order, so it loads what testing those paths one
-// by one loads.
-type perSlot struct {
-	signature.Tester
-	path []int
-}
-
-// Probe implements signature.Prober.
-func (p *perSlot) Probe(parent []int, live *bitvec.Bits) {
-	p.path = append(append(p.path[:0], parent...), 0)
-	for slot := live.NextOne(0); slot >= 0; slot = live.NextOne(slot + 1) {
-		p.path[len(parent)] = slot + 1
-		if !p.Test(p.path) {
-			live.Set(slot, false)
-		}
-	}
 }
 
 // scanEntry is one state of the candidate heap.
@@ -123,11 +104,7 @@ func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID
 		s.done = true
 		return s
 	}
-	stages, ok := signature.Stages(tester)
-	if !ok {
-		stages = []signature.Prober{&perSlot{Tester: tester}}
-	}
-	s.stages = stages
+	s.stages = signature.Probers(tester)
 	s.acc = hindex.NewAccessor(idx, ctr)
 	s.cheap.Push(scanEntry{score: f.LowerBound(idx.NodeBox(root)), ref: int32(root)})
 	return s
@@ -204,17 +181,11 @@ func (s *Scanner) expand(e scanEntry) {
 
 // qualify leaves in live the children of e's node that pass the boolean test.
 // It needs no page of the index: the path is in the entry's SID and the width
-// is index metadata. The stages load what they have to the first time round,
-// and nothing when a deferred entry asks again.
+// is index metadata.
 func (s *Scanner) qualify(e scanEntry) {
 	s.path = hindex.PathOf(s.path, e.sid, s.fanout)
 	s.live.SetAll(s.idx.NumChildren(hindex.NodeID(e.ref)))
-	for _, stage := range s.stages {
-		if !s.live.Any() {
-			return
-		}
-		stage.Probe(s.path, &s.live)
-	}
+	signature.Qualify(s.stages, s.path, &s.live)
 }
 
 // pushLive pushes the live children of e's node as qualified entries.

@@ -82,6 +82,10 @@ type Cube struct {
 	// paths tracks each tuple's current partition path, the bookkeeping
 	// incremental maintenance diffs against.
 	paths map[table.TID][]int
+	// epoch counts the writes applied to the partition. What a reader kept of
+	// it — a skyline snapshot's SIDs and pruned nodes — holds only while the
+	// count stands.
+	epoch uint64
 	cfg   Config
 	// ctl is the serving control block: queries hold it shared, maintenance
 	// and repair exclusive.
@@ -162,6 +166,9 @@ func (c *Cube) Tree() hindex.PartitionTree { return c.rt }
 
 // Table exposes the underlying relation.
 func (c *Cube) Table() *table.Table { return c.t }
+
+// Epoch reports how many writes the partition has taken.
+func (c *Cube) Epoch() uint64 { return c.epoch }
 
 // Store exposes the signature page store (space accounting).
 func (c *Cube) Store() *pager.Store { return c.store }

@@ -77,7 +77,8 @@ func TestProbeMatchesTestOnEveryTester(t *testing.T) {
 type testOnly struct{ Tester }
 
 // TestStages: a conjunction contributes its members' stages in order; a
-// tester with a part that offers only Test has none and is reported opaque.
+// tester with a part that offers only Test has none and is reported opaque,
+// and Probers stands one per-slot stage in for it.
 func TestStages(t *testing.T) {
 	n := &Node{Bits: bitvec.NewBits(4)}
 	for _, c := range []struct {
@@ -99,6 +100,9 @@ func TestStages(t *testing.T) {
 		stages, ok := Stages(c.t)
 		if len(stages) != c.want || ok == c.opaque {
 			t.Errorf("%T%v: %d stages, ok=%v; want %d, opaque=%v", c.t, c.t, len(stages), ok, c.want, c.opaque)
+		}
+		if probers := Probers(c.t); c.opaque && len(probers) != 1 || !c.opaque && len(probers) != c.want {
+			t.Errorf("%T%v: %d probers; want %d, or the one stand-in when opaque=%v", c.t, c.t, len(probers), c.want, c.opaque)
 		}
 	}
 }

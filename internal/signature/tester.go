@@ -49,6 +49,50 @@ func Stages(t Tester) (stages []Prober, ok bool) {
 	return nil, false
 }
 
+// Probers is what a branch-and-bound search qualifies a node's children with:
+// t's stages, or — when a part of t offers only Test: a wrapper around a
+// tester, a bloom measure, a disjunction — one stand-in stage that asks t
+// about the live children one path at a time.
+func Probers(t Tester) []Prober {
+	if stages, ok := Stages(t); ok {
+		return stages
+	}
+	return []Prober{&perSlot{Tester: t}}
+}
+
+// Qualify leaves in live the children of the node at parent that pass the
+// boolean test: a stage at a time over the survivors of the stages before, and
+// no further than the stage that leaves none — where the short-circuit of
+// And.Test stops loading. The stages load what they have to the first time
+// round, and nothing when asked about the node again.
+func Qualify(stages []Prober, parent []int, live *bitvec.Bits) {
+	for _, stage := range stages {
+		if !live.Any() {
+			return
+		}
+		stage.Probe(parent, live)
+	}
+}
+
+// perSlot stands a tester that offers only Test in for a stage: each live
+// child is put to it in slot order, so it loads what testing those paths one
+// by one loads.
+type perSlot struct {
+	Tester
+	path []int
+}
+
+// Probe implements Prober.
+func (p *perSlot) Probe(parent []int, live *bitvec.Bits) {
+	p.path = append(append(p.path[:0], parent...), 0)
+	for slot := live.NextOne(0); slot >= 0; slot = live.NextOne(slot + 1) {
+		p.path[len(parent)] = slot + 1
+		if !p.Test(p.path) {
+			live.Set(slot, false)
+		}
+	}
+}
+
 // True is the no-predicate tester: everything passes.
 type True struct{}
 

@@ -16,35 +16,42 @@ import (
 // search is one run of the branch-and-bound skyline search (fig. 7.1): fresh
 // from the root, or from a candidate heap re-constructed out of a snapshot.
 //
-// Where the letter of fig. 7.1 pushes every child of an expanded node and
-// puts each, when it is popped, to the domination test and then to the
-// signature, the search pushes one pending entry for the node. The entry
-// stands at the node's children in ascending mindist order and is keyed by
-// the mindist of the child it stands at — the moment fig. 7.1 would pop that
-// child, with exactly the skyline it would find. When the entry is popped the
-// child gets its turn: dominated, it is pruned without touching the
-// signature; otherwise the stages of the boolean test (signature.Stages) are
-// probed one by one for as long as the child survives them, each probe
-// settling that stage for all of the node's remaining children at once; a
-// child that survives is emitted or expanded on the spot. The entry then
-// moves to the node's next child that no probe has cleared and that was not
-// found dominated along with an earlier one (the skyline only grows, so it
-// would be at its own turn). Signature nodes and index nodes are therefore
-// loaded for exactly the children fig. 7.1 loads them for; what shrinks is
-// the heap — an entry per expanded node instead of one per child — and the
-// work spent on children that never qualify.
+// One rule sets its reads apart from the letter of fig. 7.1, the rule
+// sigcube.Scanner has: a partition node's page is charged only after the
+// boolean test has shown that one of its children qualifies. The letter reads
+// every node that passes both tests and puts each child, when it is popped, to
+// the domination test and then to the signature; under a conjunction assembled
+// from atomic cells — every drill-down is one — nearly every leaf then passes
+// at its parent, is read, and holds no tuple of both cells. The bits that say
+// so are the node's own signature node in each cell, found from its path
+// alone. So expand consults them first (signature.Qualify: a stage at a time
+// over the survivors of the stages before and no further than the stage that
+// leaves none) and skips the node unread, unrecorded in the snapshot, when
+// nothing survives. What the rule can cost is a signature partial: the letter
+// loads a node's bits when the first of its children that is not dominated
+// gets its turn, and never when all of them are.
 //
-// A tester that offers only Test cannot settle a stage for the siblings, so
-// each child is put to it at its own turn.
+// Where the letter pushes every child of an expanded node, the search pushes
+// one pending entry for the node. The entry stands at the node's qualifying
+// children in ascending mindist order and is keyed by the mindist of the child
+// it stands at — the moment fig. 7.1 would pop that child, with exactly the
+// skyline it would find. When the entry is popped the child gets its turn:
+// dominated, it is pruned, and with it the siblings dominated by now (the
+// skyline only grows, so each would be at its own turn); otherwise it is
+// emitted or expanded on the spot. The heap holds an entry per expanded node
+// instead of one per child.
+//
+// Candidates that re-enter from a snapshot, and the root, were never put to
+// this query's tester: each is, path by path, at its own turn and after the
+// domination test, as the letter has it.
 type search struct {
 	q      Query
 	idx    hindex.Index
 	acc    *hindex.Accessor
 	tester signature.Tester
-	// stages qualify a node's children from bit vectors; opaque is set when
-	// the tester has none to offer.
+	// stages qualify a node's children from bit vectors, or a path at a time
+	// when the tester has none to offer.
 	stages []signature.Prober
-	opaque bool
 	// fanout is the index's M: SIDs are radix M+1.
 	fanout int
 	// verify re-checks a tuple against the relation before it enters the
@@ -54,9 +61,10 @@ type search struct {
 	verify func(table.TID) bool
 	ctr    *stats.Counters
 	cheap  *heap.Heap[entry]
-	sky    []Result
-	snap   *Snapshot
-	home   *sync.Pool
+	// snap takes the run's skyline, seeds included, and what it prunes by
+	// domination.
+	snap *Snapshot
+	home *sync.Pool
 
 	// The candidates of this run, on loan from the engine until run returns.
 	*arena
@@ -78,20 +86,20 @@ type arena struct {
 // candidate is one node or tuple of the partition awaiting its turn.
 type candidate struct {
 	mindist float64
-	// ref is the tuple or the node; endOfNode closes a node's children, and
-	// settled replaces the ref of a child with no turn to come: it had it, or
-	// a probe found its bit clear.
-	ref  int32
+	// ref is the tuple or the node; endOfNode closes a node's children.
+	ref int32
+	// slot is the child's position in its node; the root, no node's child,
+	// has rootSlot, which makes its SID 0 under a parent SID of 0.
 	slot int32
 	at   int32
 	// dominated is set when the child is found dominated, at its turn or
-	// ahead of it; unless a probe settles it first, the snapshot keeps it.
+	// ahead of it: the snapshot keeps it.
 	dominated bool
 }
 
 const (
 	endOfNode = -1
-	settled   = -2
+	rootSlot  = -1
 )
 
 // entry is one element of the candidate heap.
@@ -102,9 +110,9 @@ type entry struct {
 	// at is the position in kids of the candidate whose turn comes when the
 	// entry is popped.
 	at int32
-	// stage is the first stage the node's children have not been probed for;
-	// untested marks the entry of the root, which is no node's child.
-	stage int16
+	// qualified is set when the candidates passed the boolean test before
+	// their node was read; the others are put to it at their turns.
+	qualified bool
 	// tupleLevel is set when the candidates are tuples: at equal mindist they
 	// go ahead of nodes.
 	tupleLevel bool
@@ -113,8 +121,6 @@ type entry struct {
 	ranked bool
 }
 
-const untested = -1
-
 func lessEntry(a, b entry) bool {
 	if a.mindist != b.mindist {
 		return a.mindist < b.mindist
@@ -122,11 +128,11 @@ func lessEntry(a, b entry) bool {
 	return a.tupleLevel && !b.tupleLevel
 }
 
-// newSearch prepares a run over the engine's partition with sky as the
-// skyline so far; the caller pushes what the run starts from.
-func (e *Engine) newSearch(q Query, tester signature.Tester, sky []Result, snap *Snapshot, ctr *stats.Counters) *search {
+// newSearch prepares a run over the engine's partition that grows snap's
+// skyline — from the seeds the caller put there, if any — and records in snap
+// what it prunes by domination; the caller pushes what the run starts from.
+func (e *Engine) newSearch(q Query, tester signature.Tester, snap *Snapshot, ctr *stats.Counters) *search {
 	idx := e.cube.Tree()
-	stages, ok := signature.Stages(tester)
 	a, _ := e.arenas.Get().(*arena)
 	if a == nil {
 		a = new(arena)
@@ -138,18 +144,18 @@ func (e *Engine) newSearch(q Query, tester signature.Tester, sky []Result, snap 
 		idx:    idx,
 		acc:    hindex.NewAccessor(idx, ctr),
 		tester: tester,
-		stages: stages,
-		opaque: !ok,
+		stages: signature.Probers(tester),
 		fanout: idx.MaxFanout(),
 		verify: e.cube.Verifier(q.Cond, ctr),
 		ctr:    ctr,
 		cheap:  heap.New[entry](lessEntry),
-		sky:    sky,
 		snap:   snap,
 	}
 }
 
-// pushRoot starts a run from the root of the partition, if it has one.
+// pushRoot starts a run from the root of the partition, if it has one. No
+// signature node holds a bit for it, but fig. 7.1 puts its empty path to the
+// tester, and so does the search.
 func (s *search) pushRoot() {
 	root := s.idx.Root()
 	if root == hindex.InvalidNode {
@@ -157,14 +163,15 @@ func (s *search) pushRoot() {
 	}
 	at := len(s.corners)
 	s.corners = s.q.appendCorner(s.corners, s.idx.NodeBox(root))
-	s.kids = append(s.kids, candidate{mindist: sum(s.corners[at:]), ref: int32(root), at: int32(at)})
-	s.push(entry{at: int32(len(s.kids) - 1), stage: untested})
+	s.kids = append(s.kids,
+		candidate{mindist: sum(s.corners[at:]), ref: int32(root), slot: rootSlot, at: int32(at)},
+		candidate{ref: endOfNode})
+	s.push(entry{at: int32(len(s.kids) - 2), ranked: true})
 }
 
 // reenter pushes back the candidates at the given positions of prev.pruned, as
 // children of the nodes they are children of: an entry per node walks them as
-// it walks the children of a node this run expands, so the first of them to
-// reach the tightened predicate's signature settles it for its siblings.
+// it walks the children of a node this run expands.
 func (s *search) reenter(prev *Snapshot, back []int) {
 	d, base := len(s.q.Dims), uint64(s.fanout+1)
 	slices.SortFunc(back, func(a, b int) int {
@@ -201,7 +208,7 @@ func (s *search) push(e entry) {
 }
 
 // run is the BBS loop shared by fresh queries and heap re-construction.
-func (s *search) run() []Result {
+func (s *search) run() {
 	defer s.ctr.StartSpan("search")()
 	defer func() {
 		s.kids, s.corners = s.kids[:0], s.corners[:0]
@@ -214,50 +221,31 @@ func (s *search) run() []Result {
 		s.ctr.StatesExamined++
 		c := s.kids[e.at]
 		corner := s.corners[c.at : int(c.at)+d]
-		if e.stage == untested {
-			s.visitRoot(c, corner)
-			continue
-		}
+		sid := e.sid*uint64(s.fanout+1) + uint64(c.slot+1)
 		switch {
 		case s.dominated(corner, e.tupleLevel):
-			// Domination pruning (fig. 7.1) comes first: a dominated
-			// candidate costs no signature load. Nor will its siblings that
-			// are dominated by now: the skyline only grows, so each would be
-			// found dominated at its own turn, and a turn saved is a pop and a
-			// push saved.
+			// Domination pruning (fig. 7.1) comes first. Nor will the siblings
+			// that are dominated by now get a turn: the skyline only grows, so
+			// each would be found dominated at its own, and a turn saved is a
+			// pop and a push saved.
 			s.kids[e.at].dominated = true
 			for i := e.at + 1; s.kids[i].ref != endOfNode; i++ {
-				if k := &s.kids[i]; k.ref != settled && !k.dominated {
+				if k := &s.kids[i]; !k.dominated {
 					k.dominated = s.dominated(s.corners[k.at:int(k.at)+d], e.tupleLevel)
 				}
 			}
-		case !s.passes(&e, c):
+		case !e.qualified && !s.matches(sid):
+			s.ctr.Pruned++
+		case !e.tupleLevel:
+			s.expand(hindex.NodeID(c.ref), sid)
 		default:
-			s.kids[e.at].ref = settled
-			if !e.tupleLevel {
-				s.expand(hindex.NodeID(c.ref), e.sid*uint64(s.fanout+1)+uint64(c.slot+1))
-			} else if tid := table.TID(c.ref); s.verify != nil && !s.verify(tid) {
+			if tid := table.TID(c.ref); s.verify != nil && !s.verify(tid) {
 				s.ctr.Pruned++
 			} else {
-				s.sky = append(s.sky, Result{TID: tid, Coord: slices.Clone(corner)})
+				s.snap.admit(Result{TID: tid, Coord: slices.Clone(corner)}, sid)
 			}
 		}
 		s.moveOn(e)
-	}
-	return s.sky
-}
-
-// visitRoot is the root's turn. No signature node holds a bit for it, but
-// fig. 7.1 puts its empty path to the tester, and so does the search.
-func (s *search) visitRoot(c candidate, corner []float64) {
-	switch {
-	case s.dominated(corner, false):
-		s.ctr.DominationPruned++
-		s.snap.keep(prunedEntry{mindist: c.mindist, ref: c.ref}, corner)
-	case !s.tester.Test(nil):
-		s.ctr.Pruned++
-	default:
-		s.expand(hindex.NodeID(c.ref), 0)
 	}
 }
 
@@ -265,61 +253,43 @@ func (s *search) visitRoot(c candidate, corner []float64) {
 // domination for tuples, weak domination of the best corner for nodes (any
 // tuple in the box is then dominated or equal).
 func (s *search) dominated(corner []float64, isTuple bool) bool {
-	for i := range s.sky {
+	sky := s.snap.skyline
+	for i := range sky {
 		if isTuple {
-			if dominates(s.sky[i].Coord, corner) {
+			if dominates(sky[i].Coord, corner) {
 				return true
 			}
-		} else if weaklyDominates(s.sky[i].Coord, corner) {
+		} else if weaklyDominates(sky[i].Coord, corner) {
 			return true
 		}
 	}
 	return false
 }
 
-// passes puts the child e stands at to the boolean test, loading what
-// fig. 7.1's Test of its path would load: the stages not yet probed for the
-// node, in order, until one clears the child; e.stage moves past the stages
-// probed. A child that fails is settled.
-func (s *search) passes(e *entry, c candidate) bool {
-	s.path = hindex.PathOf(s.path, e.sid, s.fanout)
-	if s.opaque {
-		if s.tester.Test(append(s.path, int(c.slot)+1)) {
-			return true
-		}
-		s.kids[e.at].ref = settled
-		s.ctr.Pruned++
-		return false
-	}
-	for int(e.stage) < len(s.stages) {
-		s.live.SetAll(s.fanout)
-		s.stages[e.stage].Probe(s.path, &s.live)
-		e.stage++
-		// The verdict holds for the siblings still to come as well, those
-		// marked dominated among them: the snapshot is spared them.
-		for i := e.at; s.kids[i].ref != endOfNode; i++ {
-			if k := &s.kids[i]; k.ref != settled && !s.live.Get(int(k.slot)) {
-				k.ref = settled
-				s.ctr.Pruned++
-			}
-		}
-		if s.kids[e.at].ref == settled {
-			return false
-		}
-	}
-	return true
+// matches puts the node or tuple at sid to the tester, loading what fig. 7.1's
+// Test of its path loads. The signature is exact at the tuple level.
+func (s *search) matches(sid uint64) bool {
+	s.path = hindex.PathOf(s.path, sid, s.fanout)
+	return s.tester.Test(s.path)
 }
 
-// expand reads a node that passed both tests, ranks its children and pushes
-// the entry that will walk them.
+// expand qualifies the children of a node that passed both tests — from its
+// path and its width, no page of the index — reads the node if any does, and
+// pushes the entry that will walk those that do.
 func (s *search) expand(node hindex.NodeID, sid uint64) {
-	n := s.acc.Visit(node)
-	if n == 0 {
+	s.path = hindex.PathOf(s.path, sid, s.fanout)
+	n := s.idx.NumChildren(node)
+	s.live.SetAll(n)
+	signature.Qualify(s.stages, s.path, &s.live)
+	survivors := s.live.Ones()
+	s.ctr.Pruned += int64(n - survivors)
+	if survivors == 0 {
 		return
 	}
+	s.acc.Visit(node)
 	leaf := s.idx.IsLeaf(node)
 	first := len(s.kids)
-	for slot := 0; slot < n; slot++ {
+	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
 		at := len(s.corners)
 		var ref int32
 		if leaf {
@@ -331,8 +301,8 @@ func (s *search) expand(node hindex.NodeID, sid uint64) {
 		}
 		s.kids = append(s.kids, candidate{mindist: sum(s.corners[at:]), ref: ref, slot: int32(slot), at: int32(at)})
 	}
-	// Only the first turn is certain to come, and for most nodes it ends in a
-	// probe that clears most of the children: rank the others after it.
+	// Only the first turn is certain to come, and many a sibling is dominated
+	// by the time it is over: rank the others after it.
 	best := first
 	for i := first + 1; i < len(s.kids); i++ {
 		if before(s.kids[i], s.kids[best]) {
@@ -341,7 +311,7 @@ func (s *search) expand(node hindex.NodeID, sid uint64) {
 	}
 	s.kids[first], s.kids[best] = s.kids[best], s.kids[first]
 	s.kids = append(s.kids, candidate{ref: endOfNode})
-	s.push(entry{sid: sid, at: int32(first), tupleLevel: leaf})
+	s.push(entry{sid: sid, at: int32(first), tupleLevel: leaf, qualified: true})
 }
 
 // before is the order in which a node's children get their turns.
@@ -352,26 +322,20 @@ func before(a, b candidate) bool {
 	return a.slot < b.slot
 }
 
-// moveOn re-pends e at the node's next child with a turn to come.
+// moveOn takes e past the child that has had its turn, to the node's next
+// child with one to come.
 func (s *search) moveOn(e entry) {
 	if !e.ranked {
-		// After the node's first turn: drop the settled children, set those
-		// marked dominated behind the others, and rank the others.
-		rest := s.kids[e.at:]
-		n, live := 0, 0
+		// After the node's first turn: set the children marked dominated
+		// behind the others, and rank the others.
+		rest := s.kids[e.at+1:]
+		live := 0
 		for i := 0; rest[i].ref != endOfNode; i++ {
-			k := rest[i]
-			if k.ref == settled {
-				continue
-			}
-			rest[n] = k
-			if !k.dominated {
-				rest[n], rest[live] = rest[live], rest[n]
+			if !rest[i].dominated {
+				rest[i], rest[live] = rest[live], rest[i]
 				live++
 			}
-			n++
 		}
-		rest[n] = candidate{ref: endOfNode}
 		slices.SortFunc(rest[:live], func(a, b candidate) int {
 			if before(a, b) {
 				return -1
@@ -380,12 +344,11 @@ func (s *search) moveOn(e entry) {
 		})
 		e.ranked = true
 	}
-	// Pass over the children with no turn to come. Those marked dominated that
-	// no probe has settled since are domination-pruned for good: the snapshot
-	// keeps them.
+	// The children marked dominated are domination-pruned for good: the
+	// snapshot keeps them.
 	d := len(s.q.Dims)
-	for ; s.kids[e.at].ref == settled || s.kids[e.at].dominated; e.at++ {
-		if k := s.kids[e.at]; k.ref != settled {
+	for first := e.at; e.at == first || s.kids[e.at].dominated; e.at++ {
+		if k := s.kids[e.at]; k.dominated {
 			s.ctr.DominationPruned++
 			sid := e.sid*uint64(s.fanout+1) + uint64(k.slot+1)
 			s.snap.keep(prunedEntry{mindist: k.mindist, sid: sid, ref: k.ref, isTuple: e.tupleLevel}, s.corners[k.at:int(k.at)+d])

@@ -128,15 +128,22 @@ func (e *Engine) Cube() *sigcube.Cube { return e.cube }
 type Snapshot struct {
 	query   Query
 	skyline []Result
+	// sids holds the SID each member was emitted under, in step with skyline:
+	// the path a drill-down puts to the tightened predicate's signature.
+	sids []uint64
 	// pruned holds the nodes and tuples the search discarded because a skyline
-	// member dominated them and that it did not know to fail the boolean
-	// test: under a tightened predicate their dominators may vanish. Some were
-	// never put to the signature at all; a child whose bit the search had seen
-	// clear is not here, since no tighter predicate can revive it. The i-th
-	// entry's corner is corners[i*len(query.Dims):][:len(query.Dims)] — the
-	// snapshot's own storage, not the finished search's.
+	// member dominated them: under a tightened predicate their dominators may
+	// vanish. Each passed the boolean test of this query or was never put to
+	// it; a child whose bit the search had seen clear is not here, since no
+	// tighter predicate can revive it. The i-th entry's corner is
+	// corners[i*len(query.Dims):][:len(query.Dims)] — the snapshot's own
+	// storage, not the finished search's.
 	pruned  []prunedEntry
 	corners []float64
+	// epoch is the cube's write count when the query ran. SIDs and pruned
+	// nodes describe the partition as it stood then: after a write navigation
+	// restarts from scratch.
+	epoch uint64
 	// degraded marks snapshots produced by the fallback scan: they carry
 	// no pruned-candidate basis, so navigation restarts from scratch
 	// instead of re-constructing the heap.
@@ -156,6 +163,12 @@ type prunedEntry struct {
 func (s *Snapshot) keep(en prunedEntry, corner []float64) {
 	s.pruned = append(s.pruned, en)
 	s.corners = append(s.corners, corner...)
+}
+
+// admit takes a member into the skyline.
+func (s *Snapshot) admit(r Result, sid uint64) {
+	s.skyline = append(s.skyline, r)
+	s.sids = append(s.sids, sid)
 }
 
 // Degraded reports whether this snapshot came from the fallback scan
@@ -198,16 +211,20 @@ func (s *Snapshot) RollQuery(removeDims []int) Query {
 
 // SkylineWithTester answers q using an explicit boolean-pruning tester
 // instead of the cube's signatures — the hook the evaluation harness uses
-// for the no-signature ("Ranking") baseline series and for instrumented
-// testers.
-func (e *Engine) SkylineWithTester(q Query, tester signature.Tester, ctr *stats.Counters) ([]Result, *Snapshot, error) {
+// for instrumented testers and for the no-signature ("Ranking") baseline
+// series: no tester at all, and a verify that pays a random access for each
+// tuple about to enter the skyline. A nil verify is the cube's own.
+func (e *Engine) SkylineWithTester(q Query, tester signature.Tester, verify func(table.TID) bool, ctr *stats.Counters) ([]Result, *Snapshot, error) {
 	if err := e.validate(q); err != nil {
 		return nil, nil, err
 	}
-	snap := &Snapshot{query: q}
-	s := e.newSearch(q, tester, nil, snap, ctr)
+	snap := &Snapshot{query: q, epoch: e.cube.Epoch()}
+	s := e.newSearch(q, tester, snap, ctr)
+	if verify != nil {
+		s.verify = verify
+	}
 	s.pushRoot()
-	snap.skyline = s.run()
+	s.run()
 	return snap.skyline, snap, nil
 }
 
@@ -221,9 +238,9 @@ func (e *Engine) Skyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot, err
 		return nil, nil, err
 	}
 	if !any {
-		return nil, &Snapshot{query: q}, nil
+		return nil, &Snapshot{query: q, epoch: e.cube.Epoch()}, nil
 	}
-	return e.SkylineWithTester(q, tester, ctr)
+	return e.SkylineWithTester(q, tester, nil, ctr)
 }
 
 // testerFor assembles the cube's tester for q's predicate under a span of its
@@ -242,44 +259,62 @@ func (e *Engine) DrillDown(prev *Snapshot, extra core.Cond, ctr *stats.Counters)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A degraded snapshot has no pruned-candidate basis to rebuild from;
-	// answer the tightened query from scratch.
-	if prev.degraded {
+	return e.navigate(prev, q, (*search).drillDown, ctr)
+}
+
+// RollUp answers the previous query with the predicates on the given
+// dimensions removed. The universe grows, so a full search is required, but
+// the previous skyline restricted to the relaxed predicate seeds the
+// skyline list, making domination pruning effective from the start.
+func (e *Engine) RollUp(prev *Snapshot, removeDims []int, ctr *stats.Counters) ([]Result, *Snapshot, error) {
+	return e.navigate(prev, prev.RollQuery(removeDims), (*search).rollUp, ctr)
+}
+
+// navigate answers q, a step away from prev's query, by taking that step from
+// prev. Not from a degraded snapshot, which has no candidate basis, nor from a
+// stale one, whose SIDs and nodes describe a partition that has moved and whose
+// members may have been deleted or overtaken: those restart from scratch.
+func (e *Engine) navigate(prev *Snapshot, q Query, step func(*search, *Snapshot), ctr *stats.Counters) ([]Result, *Snapshot, error) {
+	if prev.degraded || prev.epoch != e.cube.Epoch() {
 		return e.Skyline(q, ctr)
 	}
 	tester, any, err := e.testerFor(q, ctr)
 	if err != nil {
 		return nil, nil, err
 	}
-	snap := &Snapshot{query: q}
-	if !any {
-		return nil, snap, nil
+	snap := &Snapshot{query: q, epoch: e.cube.Epoch()}
+	if any {
+		step(e.newSearch(q, tester, snap, ctr), prev)
 	}
-	endReheap := ctr.StartSpan("reheap")
-	// Re-construct the candidate heap (fig. 7.2). Previous skyline members
-	// matching the tightened predicate remain skyline (non-domination over a
-	// subset is preserved), so they seed the result directly; their
-	// verification is one random access each.
-	t := e.cube.Table()
-	var survivors []Result
-	for _, r := range prev.skyline {
-		ctr.Read(stats.StructTable, 1)
-		if t.Matches(r.TID, extra) {
-			survivors = append(survivors, r)
+	return snap.skyline, snap, nil
+}
+
+// drillDown re-constructs the candidate heap from prev (fig. 7.2) and runs.
+func (s *search) drillDown(prev *Snapshot) {
+	endReheap := s.ctr.StartSpan("reheap")
+	// Previous skyline members matching the tightened predicate remain skyline
+	// (non-domination over a subset is preserved), so they seed the result
+	// directly. Whether one matches is read off the signature, under the SID it
+	// was emitted at: exact at the tuple level, and the partials it loads are
+	// those the search is about to ask for. A lossy cube has no such bit and
+	// pays one random access to the relation for each.
+	for i, r := range prev.skyline {
+		sid := prev.sids[i]
+		if s.verify == nil && s.matches(sid) || s.verify != nil && s.verify(r.TID) {
+			s.snap.admit(r, sid)
 		}
 	}
 	// Domination-pruned entries re-enter only when every dominator they had
 	// may have vanished: entries still dominated by a survivor stay pruned
 	// (and stay recorded for further drill-downs). The others are put to the
 	// tightened predicate's signature when their turn comes.
-	s := e.newSearch(q, tester, survivors, snap, ctr)
-	d := len(q.Dims)
+	d := len(s.q.Dims)
 	var back []int
 	for i, en := range prev.pruned {
 		switch corner := prev.corners[i*d : (i+1)*d]; {
 		case s.dominated(corner, en.isTuple):
-			ctr.DominationPruned++
-			snap.keep(en, corner)
+			s.ctr.DominationPruned++
+			s.snap.keep(en, corner)
 		case en.sid == 0:
 			s.pushRoot()
 		default:
@@ -288,69 +323,43 @@ func (e *Engine) DrillDown(prev *Snapshot, extra core.Cond, ctr *stats.Counters)
 	}
 	s.reenter(prev, back)
 	endReheap()
-	snap.skyline = s.run()
-	return snap.skyline, snap, nil
+	s.run()
 }
 
-// RollUp answers the previous query with the predicates on the given
-// dimensions removed. The universe grows, so a full search is required, but
-// the previous skyline restricted to the relaxed predicate seeds the
-// skyline list, making domination pruning effective from the start.
-func (e *Engine) RollUp(prev *Snapshot, removeDims []int, ctr *stats.Counters) ([]Result, *Snapshot, error) {
-	q := prev.RollQuery(removeDims)
-	// Degraded snapshots carry no reusable seeds worth trusting; restart.
-	if prev.degraded {
-		return e.Skyline(q, ctr)
-	}
-	tester, any, err := e.testerFor(q, ctr)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap := &Snapshot{query: q}
-	if !any {
-		return nil, snap, nil
-	}
-	// Seeding: the previous skyline members all satisfy the relaxed
-	// predicate, so they are legitimate pruners from the first pop — the
-	// payoff of heap/skyline reuse. They may themselves be dominated by
-	// newly admitted tuples, so the result is cleaned afterwards.
-	seeds := append([]Result(nil), prev.skyline...)
-	s := e.newSearch(q, tester, seeds, snap, ctr)
+// rollUp searches from the root with prev's skyline for seeds: its members all
+// satisfy the relaxed predicate, so they are legitimate pruners from the first
+// pop — the payoff of heap/skyline reuse. They may themselves be dominated by
+// newly admitted tuples, and the search finds each again, so the result is
+// cleaned afterwards.
+func (s *search) rollUp(prev *Snapshot) {
+	s.snap.skyline = append(s.snap.skyline, prev.skyline...)
+	s.snap.sids = append(s.snap.sids, prev.sids...)
 	s.pushRoot()
-	snap.skyline = cleanDominated(dedupe(s.run()))
-	return snap.skyline, snap, nil
+	s.run()
+	s.snap.clean()
 }
 
-// cleanDominated removes members strictly dominated by another member —
-// provisional roll-up seeds can be overtaken by newly admitted tuples.
-func cleanDominated(sky []Result) []Result {
-	out := sky[:0]
-	for i := range sky {
-		dominated := false
+// clean removes from a roll-up's skyline the seeds the search found again and
+// the members another member strictly dominates — provisional seeds can be
+// overtaken by newly admitted tuples — in place, sids in step. Behind the
+// members kept so far the slice still holds members as they were, and what
+// made one of those go makes its copy and what it dominates go too.
+func (s *Snapshot) clean() {
+	sky, n := s.skyline, 0
+	for i, r := range sky {
+		keep := true
 		for j := range sky {
-			if i != j && dominates(sky[j].Coord, sky[i].Coord) {
-				dominated = true
+			if j < i && sky[j].TID == r.TID || dominates(sky[j].Coord, r.Coord) {
+				keep = false
 				break
 			}
 		}
-		if !dominated {
-			out = append(out, sky[i])
+		if keep {
+			sky[n], s.sids[n] = r, s.sids[i]
+			n++
 		}
 	}
-	return out
-}
-
-func dedupe(sky []Result) []Result {
-	seen := make(map[table.TID]bool, len(sky))
-	out := sky[:0]
-	for _, r := range sky {
-		if seen[r.TID] {
-			continue
-		}
-		seen[r.TID] = true
-		out = append(out, r)
-	}
-	return out
+	s.skyline, s.sids = sky[:n], s.sids[:n]
 }
 
 func (e *Engine) validate(q Query) error {

@@ -294,6 +294,76 @@ func TestSkylineNavigationChains(t *testing.T) {
 	}
 }
 
+// TestSkylineNavigationAfterWrites: a snapshot taken before a write describes
+// a partition, and a skyline, that may no longer be. A deleted member must not
+// seed a drill-down, nor keep pruned what only it dominated; an inserted tuple
+// must be found though nothing in the snapshot leads to it. Navigation after a
+// delete and after an insert equals the fresh query of the same predicate.
+func TestSkylineNavigationAfterWrites(t *testing.T) {
+	ctx := context.Background()
+	rel := rankcube.GenerateRelation(8000, 3, 3, 4, rankcube.AntiCorrelated, 131)
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 12})
+	eng := rankcube.NewSkylineEngine(cube)
+	dims := []int{0, 1, 2}
+	from, extra := rankcube.Cond{0: 1}, rankcube.Cond{1: 2}
+	ids := func(step string, res []rankcube.SkylineResult, err error) []rankcube.TID {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		out := make([]rankcube.TID, len(res))
+		for i, r := range res {
+			out[i] = r.TID
+		}
+		slices.Sort(out)
+		return out
+	}
+	// navigate drills down and rolls up from snap, taken before the write, and
+	// holds both to fresh queries after it.
+	navigate := func(write string, snap *rankcube.SkylineSnapshot) (drilled []rankcube.TID) {
+		t.Helper()
+		res, _, err := eng.DrillDownQuery(ctx, snap, extra)
+		drilled = ids("drill-down after "+write, res, err)
+		res, _, err = eng.Query(ctx, unionCond(from, extra), dims, nil)
+		if want := ids("query", res, err); !slices.Equal(drilled, want) {
+			t.Fatalf("drill-down after %s gives %v, the fresh query %v", write, drilled, want)
+		}
+		res, _, err = eng.RollUpQuery(ctx, snap, condDims(from))
+		rolled := ids("roll-up after "+write, res, err)
+		res, _, err = eng.Query(ctx, rankcube.Cond{}, dims, nil)
+		if want := ids("query", res, err); !slices.Equal(rolled, want) {
+			t.Fatalf("roll-up after %s gives %v, the fresh query %v", write, rolled, want)
+		}
+		return drilled
+	}
+
+	base, snap, err := eng.Query(ctx, from, dims, nil)
+	members := ids("query", base, err)
+	at := slices.IndexFunc(members, func(tid rankcube.TID) bool { return rel.Matches(tid, extra) })
+	if at < 0 {
+		t.Fatalf("no member of %v matches %v: nothing to delete", members, extra)
+	}
+	if ok, err := cube.DeleteTuple(ctx, members[at]); err != nil || !ok {
+		t.Fatalf("delete of %d: %v, %v", members[at], ok, err)
+	}
+	if drilled := navigate("a delete", snap); slices.Contains(drilled, members[at]) {
+		t.Fatalf("drill-down returns the deleted tuple %d", members[at])
+	}
+
+	_, snap, err = eng.Query(ctx, from, dims, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Near the origin on the first dimension: it enters both skylines.
+	tid, err := cube.InsertTuple(ctx, []int32{1, 2, 0}, []float64{0.001, 0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drilled := navigate("an insert", snap); !slices.Contains(drilled, tid) {
+		t.Fatalf("drill-down misses the inserted tuple %d", tid)
+	}
+}
+
 // TestLossyCubeMaintenance: a cube of bloom-filter cells takes writes like an
 // exact one. Inserts add the new path's SIDs to the cells' filters (a value no
 // tuple had at build time gets its filter then), deletes leave the filters
