@@ -2,7 +2,7 @@
 //
 // Budget and cancellation enforcement live in the pager: Store.Read /
 // Store.Touch (and the Buffer wrappers) charge each access to the query's
-// stats.Counters, whose attached governor aborts on a tripped budget or a
+// stats.Counters, whose governor aborts on a tripped budget or a
 // canceled context. Two shapes silently erode that enforcement:
 //
 //   - Store.ReadRaw, which returns a payload without charging any read —

@@ -28,6 +28,6 @@ func NewAccessor(idx Index, c *stats.Counters) *Accessor {
 
 // Children fetches internal node entries, charging the node's page.
 func (a *Accessor) Children(id NodeID) []NodeID {
-	a.c.Read("rtree", 1)
+	a.c.Read(stats.StructRTree, 1)
 	return a.Idx.Children(id)
 }

@@ -14,13 +14,13 @@ type Store struct{ pages [][]byte }
 
 // Read fetches a page, charging the read to c.
 func (s *Store) Read(id PageID, c *stats.Counters) []byte {
-	c.Read("store", 1)
+	c.Read(stats.StructSignature, 1)
 	return s.pages[id]
 }
 
 // Touch charges a read without returning a payload.
 func (s *Store) Touch(id PageID, c *stats.Counters) {
-	c.Read("store", 1)
+	c.Read(stats.StructSignature, 1)
 }
 
 // ReadRaw returns a payload without charging any read.

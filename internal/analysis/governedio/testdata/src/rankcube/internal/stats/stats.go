@@ -3,20 +3,24 @@
 package stats
 
 // Structure identifies a storage structure for read accounting.
-type Structure string
+type Structure uint8
+
+// The structures the fixtures read.
+const (
+	StructRTree Structure = iota
+	StructSignature
+	numStructures
+)
 
 // Counters accumulates per-query metrics. Methods are nil-safe, which is
 // exactly why passing nil must be justified: it silently disables the
 // governor.
-type Counters struct{ reads map[Structure]int64 }
+type Counters struct{ reads [numStructures]int64 }
 
 // Read records n block reads against s.
 func (c *Counters) Read(s Structure, n int64) {
 	if c == nil {
 		return
-	}
-	if c.reads == nil {
-		c.reads = make(map[Structure]int64)
 	}
 	c.reads[s] += n
 }

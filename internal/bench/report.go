@@ -107,8 +107,10 @@ func measure(queries int, elapsed time.Duration, c *stats.Counters) Measured {
 		States:   float64(c.StatesGenerated) / n,
 		PeakHeap: c.PeakHeap,
 	}
-	for s, v := range c.ReadsSnapshot() {
-		m.ReadsBy[s] = float64(v) / n
+	for s, v := range c.ReadCounts() {
+		if v > 0 {
+			m.ReadsBy[stats.Structure(s)] = float64(v) / n
+		}
 	}
 	m.ModelledMS = m.CPUms + readCostMS*m.Reads
 	return m
@@ -269,19 +271,20 @@ func run(ctx context.Context, queries int, exec func(qi int, ctr *stats.Counters
 	start := time.Now()
 	done := 0
 	for qi := 0; qi < queries && ctx.Err() == nil; qi++ {
-		ctr := stats.New()
-		ctr.SetGovernor(governor.New(ctx, governor.Limits{}))
+		ctr := governor.Counters(ctx, governor.Limits{}, nil)
 		qStart := time.Now()
 		canceled := runOne(exec, qi, ctr)
-		ctr.SetGovernor(nil)
 		outcome := obs.OutcomeOK
 		if canceled {
 			outcome = obs.OutcomeCanceled
 		}
 		// Feed the live registry so rankbench's -http endpoint shows
 		// harness traffic, not just public-API queries.
-		obs.Default().RecordQuery("bench", outcome, time.Since(qStart),
-			ctr.ReadsSnapshot(), ctr.Retries, ctr.Downgrades)
+		reads := map[stats.Structure]int64{}
+		for s, n := range ctr.ReadCounts() {
+			reads[stats.Structure(s)] = n
+		}
+		obs.Default().RecordQuery("bench", outcome, time.Since(qStart), reads, ctr.Retries, ctr.Downgrades)
 		agg.Merge(ctr)
 		done++
 		if canceled {

@@ -33,27 +33,18 @@ type Config struct {
 	// Fanout overrides the page-derived fanout when > 0 (node-size
 	// experiments, thesis fig. 5.19).
 	Fanout int
-	// FillFactor is the bulk-load node occupancy in (0, 1]; defaults to 1.
-	FillFactor float64
 }
 
-// Build bulk-loads a B+-tree over ranking dimension dim of t. The domain box
-// must be the relation-wide full-width domain so cross-index joint boxes
-// compose correctly.
+// Build bulk-loads a B+-tree over ranking dimension dim of t, every node
+// full (a fill factor of 1). The domain box must be the relation-wide
+// full-width domain so cross-index joint boxes compose correctly.
 func Build(t *table.Table, dim int, domain ranking.Box, cfg Config) *Tree {
 	store := pager.NewStore(stats.StructBTree, cfg.PageSize)
 	fanout := cfg.Fanout
 	if fanout <= 0 {
 		fanout = max(2, store.PageSize()/entryBytes)
 	}
-	fill := cfg.FillFactor
-	if fill <= 0 || fill > 1 {
-		fill = 1
-	}
-	perNode := int(float64(fanout) * fill)
-	if perNode < 2 {
-		perNode = 2
-	}
+	perNode := max(2, fanout)
 
 	n := t.Len()
 	tr := &Tree{hindex.NewNodes([]int{dim}, domain, fanout, store, n)}

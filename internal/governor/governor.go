@@ -1,10 +1,10 @@
 // Package governor enforces per-query execution limits: context
 // cancellation, a block-read budget, and a candidate-buffer budget. A
-// Governor is attached to the query's stats.Counters, so every structure
-// that charges block reads through the pager — grid cuboids, base block
-// tables, B+-trees, R-trees, signatures — is governed at block-access
-// granularity without threading an extra parameter through the engines.
-// Cancellation latency is therefore bounded in pages, not tuples.
+// Governor is fixed into the stats.Counters a query runs against (Counters),
+// so every structure that charges block reads through the pager — grid
+// cuboids, base block tables, B+-trees, R-trees, signatures — is governed at
+// block-access granularity without threading an extra parameter through the
+// engines. Cancellation latency is therefore bounded in pages, not tuples.
 //
 // A tripped limit unwinds the query with a typed abort (internal/errs);
 // the public API boundary converts it into ErrCanceled or
@@ -49,6 +49,18 @@ func New(ctx context.Context, lim Limits) *Governor {
 		ctx = context.Background()
 	}
 	return &Governor{ctx: ctx, done: ctx.Done(), lim: lim}
+}
+
+// Counters returns the execution context of one governed query: an empty
+// collector that ctx and lim govern and obs (nil for none) observes,
+// allocated together with its governor.
+func Counters(ctx context.Context, lim Limits, obs stats.Observer) *stats.Counters {
+	x := &struct {
+		ctr stats.Counters
+		gov Governor
+	}{gov: *New(ctx, lim)}
+	x.ctr = stats.Governed(&x.gov, obs)
+	return &x.ctr
 }
 
 // Blocks reports the block reads charged so far.

@@ -12,10 +12,9 @@ import (
 	"rankcube/internal/stats"
 )
 
-// governedTopK runs q under a governor over ctx and lim, returning the typed
-// abort that stopped it, if any.
-func governedTopK(ctx context.Context, c *Cube, q Query, lim governor.Limits, ctr *stats.Counters) (res []Result, err error) {
-	ctr.SetGovernor(governor.New(ctx, lim))
+// governedTopK runs q against ctr, returning the typed abort that stopped it,
+// if any.
+func governedTopK(c *Cube, q Query, ctr *stats.Counters) (res []Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			abort, ok := errs.IsAbort(r)
@@ -63,8 +62,8 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 	}
 
 	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
-		ctr := stats.New()
-		got, err := governedTopK(ctx, cube, q, governor.Limits{}, ctr)
+		ctr := governor.Counters(ctx, governor.Limits{}, nil)
+		got, err := governedTopK(cube, q, ctr)
 		if err != nil {
 			t.Fatalf("%s context: %v", name, err)
 		}
@@ -79,7 +78,7 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 	// when it is.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctr := stats.New()
+	ctr := governor.Counters(ctx, governor.Limits{}, nil)
 	accesses, atCancel := 0, int64(-1)
 	cube.blocks.store.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 		if accesses++; accesses == 5 {
@@ -87,7 +86,7 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 			cancel()
 		}
 	}})
-	_, err = governedTopK(ctx, cube, q, governor.Limits{}, ctr)
+	_, err = governedTopK(cube, q, ctr)
 	cube.blocks.store.SetFaultInjector(nil)
 	if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
@@ -98,8 +97,8 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 	}
 
 	for _, limit := range []int64{1, 3, clean.TotalReads() / 2, clean.TotalReads() - 1} {
-		ctr := stats.New()
-		_, err := governedTopK(context.Background(), cube, q, governor.Limits{MaxBlockReads: limit}, ctr)
+		ctr := governor.Counters(context.Background(), governor.Limits{MaxBlockReads: limit}, nil)
+		_, err := governedTopK(cube, q, ctr)
 		if !errors.Is(err, errs.ErrBudgetExceeded) {
 			t.Fatalf("limit %d: err = %v, want ErrBudgetExceeded", limit, err)
 		}
@@ -107,8 +106,8 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 			t.Fatalf("limit %d overshot by %d blocks, want at most one page run (%d)", limit, over, widest)
 		}
 	}
-	ctr = stats.New()
-	if _, err := governedTopK(context.Background(), cube, q, governor.Limits{MaxBlockReads: clean.TotalReads()}, ctr); err != nil {
+	ctr = governor.Counters(context.Background(), governor.Limits{MaxBlockReads: clean.TotalReads()}, nil)
+	if _, err := governedTopK(cube, q, ctr); err != nil {
 		t.Fatalf("a budget of exactly the query's reads tripped: %v", err)
 	}
 }

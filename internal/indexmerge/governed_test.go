@@ -16,10 +16,9 @@ import (
 	"rankcube/internal/stats"
 )
 
-// governedTopK runs a merge under a governor over ctx and lim, returning the
-// typed abort that stopped it, if any.
-func governedTopK(ctx context.Context, idx []hindex.Index, f ranking.Func, k int, lim governor.Limits, ctr *stats.Counters) (res []core.Result, err error) {
-	ctr.SetGovernor(governor.New(ctx, lim))
+// governedTopK runs a merge against ctr, returning the typed abort that
+// stopped it, if any.
+func governedTopK(idx []hindex.Index, f ranking.Func, k int, ctr *stats.Counters) (res []core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			abort, ok := errs.IsAbort(r)
@@ -73,10 +72,10 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 	}
 
 	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
-		ctr := stats.New()
+		ctr := governor.Counters(ctx, governor.Limits{}, nil)
 		var trail []pager.PageID
 		stop := pageTrail(idx, &trail)
-		got, err := governedTopK(ctx, idx, f, k, governor.Limits{}, ctr)
+		got, err := governedTopK(idx, f, k, ctr)
 		stop()
 		if err != nil {
 			t.Fatalf("%s context: %v", name, err)
@@ -92,7 +91,7 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 	// it is.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctr := stats.New()
+	ctr := governor.Counters(ctx, governor.Limits{}, nil)
 	accesses, atCancel := 0, int64(-1)
 	idx[0].Store().SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 		if accesses++; accesses == 5 {
@@ -100,7 +99,7 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 			cancel()
 		}
 	}})
-	_, err = governedTopK(ctx, idx, f, k, governor.Limits{}, ctr)
+	_, err = governedTopK(idx, f, k, ctr)
 	idx[0].Store().SetFaultInjector(nil)
 	if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
@@ -111,8 +110,8 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 	}
 
 	for _, limit := range []int64{1, 3, clean.TotalReads() / 2, clean.TotalReads() - 1} {
-		ctr := stats.New()
-		_, err := governedTopK(context.Background(), idx, f, k, governor.Limits{MaxBlockReads: limit}, ctr)
+		ctr := governor.Counters(context.Background(), governor.Limits{MaxBlockReads: limit}, nil)
+		_, err := governedTopK(idx, f, k, ctr)
 		if !errors.Is(err, errs.ErrBudgetExceeded) {
 			t.Fatalf("limit %d: err = %v, want ErrBudgetExceeded", limit, err)
 		}
@@ -120,8 +119,8 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 			t.Fatalf("limit %d: stopped at %d reads, want the one page that crossed it", limit, ctr.TotalReads())
 		}
 	}
-	ctr = stats.New()
-	if _, err := governedTopK(context.Background(), idx, f, k, governor.Limits{MaxBlockReads: clean.TotalReads()}, ctr); err != nil {
+	ctr = governor.Counters(context.Background(), governor.Limits{MaxBlockReads: clean.TotalReads()}, nil)
+	if _, err := governedTopK(idx, f, k, ctr); err != nil {
 		t.Fatalf("a budget of exactly the query's reads tripped: %v", err)
 	}
 	// The aborted runs gave their scratch back mid-search; the next one starts

@@ -99,18 +99,12 @@ func worseJoined(a, b Result) bool {
 type Options struct {
 	// DisableListPruning turns off join-key pruning (ablation).
 	DisableListPruning bool
-	// ScanThreshold is the estimated matching-tuple count below which the
-	// optimizer prefers materializing a relation's matches outright over a
-	// progressive cube scan (§6.2.1). Default 64.
-	ScanThreshold int
 }
 
-func (o Options) scanThreshold() int {
-	if o.ScanThreshold > 0 {
-		return o.ScanThreshold
-	}
-	return 64
-}
+// scanThreshold is the estimated matching-tuple count up to which the
+// optimizer prefers materializing a relation's matches outright over a
+// progressive cube scan (§6.2.1).
+const scanThreshold = 64
 
 // Execute runs the query: the optimizer plans per-relation access
 // (§6.2.1-6.2.2), the executor pulls from the rank-aware selections and
@@ -239,7 +233,7 @@ func (e *executor) plan(p Part) (source, error) {
 	for d := range p.Cond {
 		est /= float64(t.Schema().SelCard[d])
 	}
-	if int(est) <= e.opts.scanThreshold() {
+	if int(est) <= scanThreshold {
 		items := materialize(p, e.ctr)
 		return &materializedSource{items: items}, nil
 	}

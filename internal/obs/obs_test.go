@@ -58,13 +58,12 @@ func TestTraceGoldenTree(t *testing.T) {
 }
 
 // TestTraceAttributionSumsToCounters drives events through a real
-// Counters with the trace attached as observer and checks the invariant
+// Counters built with the trace as its observer and checks the invariant
 // the acceptance criteria pin: per-span read totals sum to the counters'
 // TotalReads.
 func TestTraceAttributionSumsToCounters(t *testing.T) {
-	c := stats.New()
 	tr := NewTrace()
-	c.SetObserver(tr)
+	c := stats.Governed(nil, tr)
 
 	end := c.StartSpan("query")
 	c.Read(stats.StructCube, 5)
@@ -75,7 +74,6 @@ func TestTraceAttributionSumsToCounters(t *testing.T) {
 	inner()
 	c.Read(stats.StructCube, 1)
 	end()
-	c.DetachObserver(tr)
 	tr.Finish()
 
 	if got, want := tr.TotalReads(), c.TotalReads(); got != want {

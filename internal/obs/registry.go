@@ -191,7 +191,7 @@ func (r *Registry) RecordQuery(kind string, o Outcome, d time.Duration, reads ma
 	r.Histogram("latency." + kind).Observe(d)
 	for s, n := range reads {
 		if n > 0 {
-			r.Counter("blockreads." + string(s)).Add(n)
+			r.Counter("blockreads." + s.String()).Add(n)
 		}
 	}
 	if retries > 0 {
@@ -205,7 +205,7 @@ func (r *Registry) RecordQuery(kind string, o Outcome, d time.Duration, reads ma
 // RecordQuarantine counts one store quarantine (first detected page
 // corruption taking a structure out of service).
 func (r *Registry) RecordQuarantine(kind stats.Structure) {
-	r.Counter("quarantines." + string(kind)).Add(1)
+	r.Counter("quarantines." + kind.String()).Add(1)
 }
 
 // RecordQuarantineClear counts one store returning to full service, the
@@ -213,14 +213,14 @@ func (r *Registry) RecordQuarantine(kind stats.Structure) {
 // structure, quarantines.<kind> − quarantines.cleared.<kind> is the number
 // of stores currently out of full service.
 func (r *Registry) RecordQuarantineClear(kind stats.Structure) {
-	r.Counter("quarantines.cleared." + string(kind)).Add(1)
+	r.Counter("quarantines.cleared." + kind.String()).Add(1)
 }
 
 // RecordRepair counts one quarantine repair pass over a store:
 // checksum re-verification plus (when pages failed it) a rebuild from the
 // base data. rebuiltPages is how many pages the repair re-materialized.
 func (r *Registry) RecordRepair(kind stats.Structure, rebuiltPages int) {
-	r.Counter("repairs." + string(kind)).Add(1)
+	r.Counter("repairs." + kind.String()).Add(1)
 	if rebuiltPages > 0 {
 		r.Counter("repairs.pages_rebuilt").Add(int64(rebuiltPages))
 	}
@@ -230,9 +230,9 @@ func (r *Registry) RecordRepair(kind stats.Structure, rebuiltPages int) {
 // repaired store: ok decides between re-admission and re-quarantine.
 func (r *Registry) RecordProbe(kind stats.Structure, ok bool) {
 	if ok {
-		r.Counter("probes." + string(kind) + ".ok").Add(1)
+		r.Counter("probes." + kind.String() + ".ok").Add(1)
 	} else {
-		r.Counter("probes." + string(kind) + ".failed").Add(1)
+		r.Counter("probes." + kind.String() + ".failed").Add(1)
 	}
 }
 

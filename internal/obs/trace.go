@@ -4,10 +4,10 @@
 //
 // The ranking-cube methodology's central claim is I/O economy — block
 // accesses saved by progressive cuboid-guided search — so the unit of
-// observability here is the governed block read. A Trace attaches to a
-// query's stats.Counters as its Observer and attributes every read,
-// retry, heap observation, and downgrade to the innermost open span; the
-// per-span read totals therefore sum exactly to the counters' total. The
+// observability here is the governed block read. A Trace is the Observer
+// of the counters a query runs against (stats.Governed) and attributes every
+// read, retry, heap observation, and downgrade to the innermost open span;
+// the per-span read totals therefore sum exactly to the counters' total. The
 // Registry aggregates across queries with atomic counters, gauges, and
 // bounded log2-bucket latency histograms, published via expvar and a
 // plain-text HTTP endpoint. The SlowLog keeps the rendered span trees of
@@ -19,7 +19,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -38,7 +37,7 @@ type Span struct {
 	Dur time.Duration
 	// Reads counts governed block reads per storage structure attributed
 	// to this span (exclusive of children).
-	Reads map[stats.Structure]int64
+	Reads stats.ReadCounts
 	// Retries counts transient-fault retries ridden out in this span.
 	Retries int64
 	// Downgrades counts baseline-fallback downgrades recorded here.
@@ -55,10 +54,7 @@ type Span struct {
 
 // TotalReads sums block reads over the span and all descendants.
 func (s *Span) TotalReads() int64 {
-	var t int64
-	for _, v := range s.Reads {
-		t += v
-	}
+	t := s.Reads.Total()
 	for _, c := range s.Children {
 		t += c.TotalReads()
 	}
@@ -66,10 +62,9 @@ func (s *Span) TotalReads() int64 {
 }
 
 // Trace is a per-query execution trace. It implements stats.Observer, so
-// attaching it to the query's counters (Counters.SetObserver) routes
-// every governed event into the span tree. A Trace is single-goroutine,
-// matching the stats.Counters contract: one query, one goroutine, one
-// trace.
+// counters built to report to it (stats.Governed) route every governed event
+// into the span tree. A Trace is single-goroutine, matching the
+// stats.Counters contract: one query, one goroutine, one trace.
 type Trace struct {
 	// Clock supplies span timestamps; tests may pin it. Nil means
 	// time.Now.
@@ -168,11 +163,7 @@ func (t *Trace) SpanEnd(d time.Duration) { t.endCur(d) }
 
 // ObserveRead implements stats.Observer.
 func (t *Trace) ObserveRead(s stats.Structure, n int64) {
-	sp := t.target()
-	if sp.Reads == nil {
-		sp.Reads = make(map[stats.Structure]int64, 4)
-	}
-	sp.Reads[s] += n
+	t.target().Reads[s] += n
 }
 
 // ObserveRetry implements stats.Observer.
@@ -205,8 +196,8 @@ func (t *Trace) Render() string {
 func renderSpan(b *strings.Builder, sp *Span, lead, branch, childLead string) {
 	label := lead + branch + sp.Name
 	fmt.Fprintf(b, "%-28s %8s", label, sp.Dur.Round(time.Microsecond))
-	if total := sumReads(sp.Reads); total > 0 {
-		fmt.Fprintf(b, " reads=%d[%s]", total, readsList(sp.Reads))
+	if total := sp.Reads.Total(); total > 0 {
+		fmt.Fprintf(b, " reads=%d[%s]", total, sp.Reads)
 	}
 	if sp.Retries > 0 {
 		fmt.Fprintf(b, " retries=%d", sp.Retries)
@@ -225,25 +216,4 @@ func renderSpan(b *strings.Builder, sp *Span, lead, branch, childLead string) {
 			renderSpan(b, c, lead+childLead, "├─ ", "│  ")
 		}
 	}
-}
-
-func sumReads(m map[stats.Structure]int64) int64 {
-	var t int64
-	for _, v := range m {
-		t += v
-	}
-	return t
-}
-
-func readsList(m map[stats.Structure]int64) string {
-	keys := make([]string, 0, len(m))
-	for s := range m {
-		keys = append(keys, string(s))
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, m[stats.Structure(k)])
-	}
-	return strings.Join(parts, " ")
 }

@@ -75,11 +75,14 @@ type Config struct {
 	PageSize int
 	// Fanout overrides the page-derived fanout when > 0.
 	Fanout int
-	// MinFillRatio is m/M in (0, 0.5]; defaults to 0.4.
-	MinFillRatio float64
-	// FillFactor is the bulk-load occupancy in (0, 1]; defaults to 0.85.
-	FillFactor float64
 }
+
+const (
+	// minFillRatio is m/M, the least occupancy of a node but the root.
+	minFillRatio = 0.4
+	// fillFactor is the occupancy Bulk packs nodes to.
+	fillFactor = 0.85
+)
 
 // New returns an empty tree over the given global ranking dimensions of a
 // relation with rdims of them, which is domain's width.
@@ -99,14 +102,7 @@ func newTree(dims []int, domain ranking.Box, cfg Config, tuples int) *Tree {
 	if fanout <= 0 {
 		fanout = hindex.RectFanout(store.PageSize(), d)
 	}
-	ratio := cfg.MinFillRatio
-	if ratio <= 0 || ratio > 0.5 {
-		ratio = 0.4
-	}
-	minFill := int(float64(fanout) * ratio)
-	if minFill < 1 {
-		minFill = 1
-	}
+	minFill := max(1, int(float64(fanout)*minFillRatio))
 	return &Tree{
 		Nodes:   hindex.NewNodes(dims, domain, fanout, store, tuples),
 		minFill: minFill,
@@ -133,14 +129,7 @@ func Bulk(t *table.Table, dims []int, domain ranking.Box, cfg Config) *Tree {
 		return tr
 	}
 	d := len(dims)
-	fill := cfg.FillFactor
-	if fill <= 0 || fill > 1 {
-		fill = 0.85
-	}
-	perNode := int(float64(tr.MaxFanout()) * fill)
-	if perNode < 2 {
-		perNode = 2
-	}
+	perNode := max(2, int(float64(tr.MaxFanout())*fillFactor))
 
 	// An item is a tuple at its point or, above the leaves, a node at the
 	// centre of its MBR.

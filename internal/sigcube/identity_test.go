@@ -160,7 +160,7 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 				t.Helper()
 				what := fmt.Sprintf("cuboid %v cell %d", cb.dims, key)
 				scratch := pager.NewStore(stats.StructSignature, cfg.PageSize)
-				enc := signature.NewEncoder(cube.rt.MaxFanout(), cube.rt.Height(), scratch, cfg.Alpha)
+				enc := signature.NewEncoder(cube.rt.MaxFanout(), cube.rt.Height(), scratch)
 				enc.SetBaselineOnly(cfg.BaselineCoding)
 				got := pagesOf(cb.cells[key], cube.store)
 				samePages(t, what+" against the model's whole-cell encode", got, pagesOf(enc.Encode(model[cb][key]), scratch))

@@ -26,9 +26,6 @@ import (
 type Config struct {
 	// PageSize in bytes; defaults to pager.PageSize.
 	PageSize int
-	// Alpha is the partial-signature fill target; defaults to
-	// signature.DefaultAlpha.
-	Alpha float64
 	// RTree configures the partition tree.
 	RTree rtree.Config
 	// Cuboids selects which cuboids to materialize (sets of selection
@@ -187,7 +184,7 @@ func (c *Cube) Ctl() *guard.RW { return c.ctl }
 // It returns the number of pages the rebuild materialized.
 func (c *Cube) RebuildStore() int {
 	c.store.Reset()
-	c.enc = signature.NewEncoder(c.rt.MaxFanout(), c.rt.Height(), c.store, c.cfg.Alpha)
+	c.enc = signature.NewEncoder(c.rt.MaxFanout(), c.rt.Height(), c.store)
 	c.enc.SetBaselineOnly(c.cfg.BaselineCoding)
 
 	for _, cb := range c.order {

@@ -11,10 +11,10 @@ import (
 	"rankcube/internal/stats"
 )
 
-// DefaultAlpha is the target fill ratio α of partial signatures relative to
-// the page size (§4.2.3: "we control the size of each partial signature
-// around αP (α < 1)").
-const DefaultAlpha = 0.75
+// Alpha is the target fill ratio α of partial signatures relative to the
+// page size (§4.2.3: "we control the size of each partial signature around
+// αP (α < 1)").
+const Alpha = 0.75
 
 // Stored is one cell's signature in compressed, decomposed form: a set of
 // partial signatures, each a BFS-encoded subtree referenced by the SID of
@@ -54,18 +54,14 @@ func (e *Encoder) SetBaselineOnly(v bool) { e.baselineOnly = v }
 func (e *Encoder) SetHeight(h int) { e.height = h }
 
 // NewEncoder returns an encoder for signatures over an index of the given
-// fanout and height, decomposing at alpha×pageSize bytes (alpha ≤ 0 selects
-// DefaultAlpha).
-func NewEncoder(fanout, height int, store *pager.Store, alpha float64) *Encoder {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultAlpha
-	}
+// fanout and height, decomposing at Alpha×pageSize bytes.
+func NewEncoder(fanout, height int, store *pager.Store) *Encoder {
 	return &Encoder{
 		codec:      bitvec.NewCodec(fanout),
 		store:      store,
 		height:     height,
 		fanout:     fanout,
-		targetBits: int(alpha * float64(store.PageSize()) * 8),
+		targetBits: int(Alpha * float64(store.PageSize()) * 8),
 	}
 }
 

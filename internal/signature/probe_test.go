@@ -56,7 +56,7 @@ func TestProbeMatchesTestOnEveryTester(t *testing.T) {
 	a, b := Generate(rt, pathsA), Generate(rt, pathsB)
 
 	store := pager.NewStore(stats.StructSignature, 128)
-	enc := NewEncoder(rt.MaxFanout(), rt.Height(), store, 0)
+	enc := NewEncoder(rt.MaxFanout(), rt.Height(), store)
 	sa, sb := enc.Encode(a), enc.Encode(b)
 	view := func(s *Stored) *View { return NewView(s, enc.Codec(), store, stats.New()) }
 
@@ -277,7 +277,7 @@ func fuzzSeeds() (seeds [][]byte, rootOnly []byte) {
 
 	for _, baseline := range []bool{false, true} {
 		store := pager.NewStore(stats.StructSignature, 256)
-		enc := NewEncoder(fuzzFanout, fuzzHeight, store, 0)
+		enc := NewEncoder(fuzzFanout, fuzzHeight, store)
 		enc.SetBaselineOnly(baseline)
 		for _, page := range enc.Encode(root).refs {
 			seeds = append(seeds, store.ReadRaw(page))

@@ -39,7 +39,7 @@ func TestQuickMembershipEquivalence(t *testing.T) {
 
 		pageSize := 64 << (pageRaw % 6) // 64B … 2KB forces varied decomposition
 		store := pager.NewStore(stats.StructSignature, pageSize)
-		enc := NewEncoder(rt.MaxFanout(), rt.Height(), store, 0)
+		enc := NewEncoder(rt.MaxFanout(), rt.Height(), store)
 		stored := enc.Encode(sig)
 		view := NewView(stored, enc.Codec(), store, stats.New())
 

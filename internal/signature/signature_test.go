@@ -176,7 +176,7 @@ func encodeFixture(t *testing.T, n int, pick func(table.TID) bool, pageSize int)
 	rt, paths, _ := fixture(t, n, pick)
 	sig := Generate(rt, paths)
 	store := pager.NewStore(stats.StructSignature, pageSize)
-	enc := NewEncoder(rt.MaxFanout(), rt.Height(), store, 0)
+	enc := NewEncoder(rt.MaxFanout(), rt.Height(), store)
 	stored := enc.Encode(sig)
 	return rt, sig, stored, enc, store
 }
@@ -263,7 +263,7 @@ func TestTesterCombinators(t *testing.T) {
 
 func TestEncodeNilSignature(t *testing.T) {
 	store := pager.NewStore(stats.StructSignature, 4096)
-	enc := NewEncoder(16, 3, store, 0)
+	enc := NewEncoder(16, 3, store)
 	stored := enc.Encode(nil)
 	if stored.NumPartials() != 0 {
 		t.Fatalf("nil signature stored %d partials", stored.NumPartials())
@@ -279,10 +279,10 @@ func TestBaselineOnlyLarger(t *testing.T) {
 
 	sig := Generate(rt, paths)
 	storeA := pager.NewStore(stats.StructSignature, 4096)
-	encA := NewEncoder(rt.MaxFanout(), rt.Height(), storeA, 0)
+	encA := NewEncoder(rt.MaxFanout(), rt.Height(), storeA)
 	a := encA.Encode(sig)
 	storeB := pager.NewStore(stats.StructSignature, 4096)
-	encB := NewEncoder(rt.MaxFanout(), rt.Height(), storeB, 0)
+	encB := NewEncoder(rt.MaxFanout(), rt.Height(), storeB)
 	encB.SetBaselineOnly(true)
 	b := encB.Encode(sig)
 	if a.EncodedBytes(storeA) > b.EncodedBytes(storeB) {

@@ -50,7 +50,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 	for _, baseline := range []bool{false, true} {
 		rt, paths, _ := fixture(t, 900, func(tid table.TID) bool { return tid%3 != 0 })
 		store := pager.NewStore(stats.StructSignature, 48)
-		enc := NewEncoder(rt.MaxFanout(), rt.Height(), store, 0)
+		enc := NewEncoder(rt.MaxFanout(), rt.Height(), store)
 		enc.SetBaselineOnly(baseline)
 		stored := enc.Encode(Generate(rt, paths))
 		if stored.NumPartials() < 8 {
@@ -66,7 +66,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 		check := func(what string, tree *Node) {
 			t.Helper()
 			scratch := pager.NewStore(stats.StructSignature, 48)
-			fresh := NewEncoder(rt.MaxFanout(), rt.Height(), scratch, 0)
+			fresh := NewEncoder(rt.MaxFanout(), rt.Height(), scratch)
 			fresh.SetBaselineOnly(baseline)
 			want := fresh.Encode(cloneNode(tree)) // a clone has no spans: every node is coded
 			samePartials(t, what, enc.Encode(tree), store, want, scratch)

@@ -14,10 +14,9 @@ import (
 	"rankcube/internal/table"
 )
 
-// governedSkyline runs q under a governor over ctx and lim, returning the
-// typed abort that stopped it, if any.
-func governedSkyline(ctx context.Context, e *Engine, q Query, lim governor.Limits, ctr *stats.Counters) (res []Result, err error) {
-	ctr.SetGovernor(governor.New(ctx, lim))
+// governedSkyline runs q against ctr, returning the typed abort that
+// stopped it, if any.
+func governedSkyline(e *Engine, q Query, ctr *stats.Counters) (res []Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			abort, ok := errs.IsAbort(r)
@@ -56,8 +55,8 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 	}
 
 	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
-		ctr := stats.New()
-		got, err := governedSkyline(ctx, e, q, governor.Limits{}, ctr)
+		ctr := governor.Counters(ctx, governor.Limits{}, nil)
+		got, err := governedSkyline(e, q, ctr)
 		if err != nil {
 			t.Fatalf("%s context: %v", name, err)
 		}
@@ -71,7 +70,7 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 	// access is charged, the governor sees the cancellation when it is.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctr := stats.New()
+	ctr := governor.Counters(ctx, governor.Limits{}, nil)
 	accesses, atCancel := 0, int64(-1)
 	tree.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 		if accesses++; accesses == 5 {
@@ -79,7 +78,7 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 			cancel()
 		}
 	}})
-	_, err = governedSkyline(ctx, e, q, governor.Limits{}, ctr)
+	_, err = governedSkyline(e, q, ctr)
 	tree.SetFaultInjector(nil)
 	if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
@@ -89,8 +88,8 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 	}
 
 	for _, limit := range []int64{1, 3, clean.TotalReads() / 2, clean.TotalReads() - 1} {
-		ctr := stats.New()
-		_, err := governedSkyline(context.Background(), e, q, governor.Limits{MaxBlockReads: limit}, ctr)
+		ctr := governor.Counters(context.Background(), governor.Limits{MaxBlockReads: limit}, nil)
+		_, err := governedSkyline(e, q, ctr)
 		if !errors.Is(err, errs.ErrBudgetExceeded) {
 			t.Fatalf("limit %d: err = %v, want ErrBudgetExceeded", limit, err)
 		}
@@ -98,8 +97,8 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 			t.Fatalf("limit %d overshot by %d blocks, want the one page that tripped it", limit, over)
 		}
 	}
-	ctr = stats.New()
-	if _, err := governedSkyline(context.Background(), e, q, governor.Limits{MaxBlockReads: clean.TotalReads()}, ctr); err != nil {
+	ctr = governor.Counters(context.Background(), governor.Limits{MaxBlockReads: clean.TotalReads()}, nil)
+	if _, err := governedSkyline(e, q, ctr); err != nil {
 		t.Fatalf("a budget of exactly the query's reads tripped: %v", err)
 	}
 }

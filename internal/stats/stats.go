@@ -1,17 +1,19 @@
 // Package stats collects the execution metrics the thesis reports in its
 // evaluation chapters: block reads per storage structure, joint states
 // generated and examined, and peak heap sizes. Wall-clock time per phase is
-// the attached Observer's business (StartSpan).
+// the Observer's business (StartSpan).
 //
 // A Counters value is threaded through query execution; all structures that
-// simulate disk access report into it. Counters are not safe for concurrent
-// use — each query runs on one goroutine, and benchmarks aggregate across
-// runs themselves.
+// simulate disk access report into it. The governor and the observer a
+// collector answers to are fixed when it is built (Governed): the public
+// boundary builds one per operation, and one more for a fallback, and merges
+// them into the caller's collector when the operation ends. Counters are not
+// safe for concurrent use — each query runs on one goroutine, and benchmarks
+// aggregate across runs themselves.
 package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -19,18 +21,59 @@ import (
 // Structure identifies which storage structure a block read touched.
 // The thesis distinguishes these when reporting I/O (e.g. fig. 5.10 plots
 // index-node reads and signature reads separately).
-type Structure string
+type Structure uint8
 
-// Storage structures instrumented by the engines in this repository.
+// Storage structures instrumented by the engines in this repository, declared
+// in the order of their names, so anything indexed by Structure lists them as
+// a sort by name would.
 const (
-	StructTable     Structure = "table"     // base relation blocks
-	StructCube      Structure = "cube"      // ranking-cube cuboid cells
-	StructBlockTab  Structure = "blocktab"  // grid-cube base block table
-	StructBTree     Structure = "btree"     // B+-tree nodes
-	StructRTree     Structure = "rtree"     // R-tree nodes
-	StructSignature Structure = "signature" // partial signatures
-	StructJoinSig   Structure = "joinsig"   // join-signature state signatures
+	StructBlockTab  Structure = iota // grid-cube base block table
+	StructBTree                      // B+-tree nodes
+	StructCube                       // ranking-cube cuboid cells
+	StructJoinSig                    // join-signature state signatures
+	StructRTree                      // R-tree nodes
+	StructSignature                  // partial signatures
+	StructTable                      // base relation blocks
+	numStructures
 )
+
+var structureNames = [numStructures]string{"blocktab", "btree", "cube", "joinsig", "rtree", "signature", "table"}
+
+// String returns the structure's name, the one the registry and every
+// rendering print.
+func (s Structure) String() string {
+	if s < numStructures {
+		return structureNames[s]
+	}
+	return fmt.Sprintf("Structure(%d)", uint8(s))
+}
+
+// ReadCounts holds block reads per storage structure, indexed by Structure.
+type ReadCounts [numStructures]int64
+
+// Total sums the reads over all structures.
+func (r ReadCounts) Total() int64 {
+	var t int64
+	for _, n := range r {
+		t += n
+	}
+	return t
+}
+
+// String renders the structures read, in name order: "rtree=80 signature=41".
+func (r ReadCounts) String() string {
+	var b strings.Builder
+	for s, n := range r {
+		if n == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", Structure(s), n)
+	}
+	return b.String()
+}
 
 // Governor is an optional per-query execution governor consulted as
 // metrics are recorded. The concrete implementation (internal/governor)
@@ -73,7 +116,7 @@ type Observer interface {
 
 // Counters accumulates metrics during one query or one build.
 type Counters struct {
-	reads map[Structure]int64
+	reads ReadCounts
 	gov   Governor
 	obs   Observer
 
@@ -110,48 +153,15 @@ type Counters struct {
 	Downgrades int64
 }
 
-// New returns an empty metrics collector.
-func New() *Counters {
-	return &Counters{reads: make(map[Structure]int64)}
-}
+// New returns an empty metrics collector answering to no governor and no
+// observer.
+func New() *Counters { return &Counters{} }
 
-// SetGovernor attaches (or, with nil, detaches) a query governor. The
-// governor sees every read and heap observation recorded afterwards.
-func (c *Counters) SetGovernor(g Governor) {
-	if c == nil {
-		return
-	}
-	c.gov = g
-}
-
-// DetachGovernor detaches g, but only if g is the governor currently
-// attached — so the owner of a stale attachment (a closed scanner whose
-// Metrics was since reattached elsewhere) cannot strip a successor's
-// governor. It reports whether a detach happened.
-func (c *Counters) DetachGovernor(g Governor) bool {
-	if c == nil || c.gov == nil || c.gov != g {
-		return false
-	}
-	c.gov = nil
-	return true
-}
-
-// SetObserver attaches (or, with nil, detaches) an execution observer.
-func (c *Counters) SetObserver(o Observer) {
-	if c == nil {
-		return
-	}
-	c.obs = o
-}
-
-// DetachObserver detaches o under the same ownership guard as
-// DetachGovernor.
-func (c *Counters) DetachObserver(o Observer) bool {
-	if c == nil || c.obs == nil || c.obs != o {
-		return false
-	}
-	c.obs = nil
-	return true
+// Governed returns an empty collector whose every recorded event goes to obs
+// and then to gov; either may be nil. It returns a value, so the collector can
+// share one allocation with its governor (governor.Counters).
+func Governed(gov Governor, obs Observer) Counters {
+	return Counters{gov: gov, obs: obs}
 }
 
 // Read records n block reads against the given structure. A nil receiver is
@@ -192,9 +202,9 @@ func (c *Counters) AddDowngrade() {
 	}
 }
 
-// Checkpoint gives the attached governor an abort opportunity between
-// block reads; engines call it once per search-loop iteration so
-// cancellation latency stays bounded even when every page hit is buffered.
+// Checkpoint gives the governor an abort opportunity between block reads;
+// engines call it once per search-loop iteration so cancellation latency
+// stays bounded even when every page hit is buffered.
 func (c *Counters) Checkpoint() {
 	if c == nil || c.gov == nil {
 		return
@@ -210,29 +220,20 @@ func (c *Counters) Reads(s Structure) int64 {
 	return c.reads[s]
 }
 
+// ReadCounts reports the block reads recorded per structure.
+func (c *Counters) ReadCounts() ReadCounts {
+	if c == nil {
+		return ReadCounts{}
+	}
+	return c.reads
+}
+
 // TotalReads reports block reads across all structures.
 func (c *Counters) TotalReads() int64 {
 	if c == nil {
 		return 0
 	}
-	var t int64
-	for _, v := range c.reads {
-		t += v
-	}
-	return t
-}
-
-// ReadsSnapshot copies the per-structure read counts, so a boundary can
-// diff the state before and after a query that reuses a shared collector.
-func (c *Counters) ReadsSnapshot() map[Structure]int64 {
-	if c == nil || len(c.reads) == 0 {
-		return nil
-	}
-	out := make(map[Structure]int64, len(c.reads))
-	for s, v := range c.reads {
-		out[s] = v
-	}
-	return out
+	return c.reads.Total()
 }
 
 // ObserveHeap folds a current combined heap size into the peak tracker.
@@ -251,9 +252,9 @@ func (c *Counters) ObserveHeap(size int) {
 	}
 }
 
-// StartSpan opens a named execution span in the attached observer's span
-// tree — the one per-phase clock — and returns its closer; without an
-// observer it does nothing. Use with defer:
+// StartSpan opens a named execution span in the observer's span tree — the
+// one per-phase clock — and returns its closer; without an observer it does
+// nothing. Use with defer:
 //
 //	defer ctr.StartSpan("search")()
 //
@@ -263,8 +264,6 @@ func (c *Counters) StartSpan(name string) func() {
 	if c == nil || c.obs == nil {
 		return func() {}
 	}
-	// End against the observer that opened the span: a boundary may detach
-	// the trace before a deferred closer runs.
 	obs := c.obs
 	obs.SpanStart(name)
 	start := time.Now()
@@ -276,8 +275,8 @@ func (c *Counters) Merge(other *Counters) {
 	if c == nil || other == nil {
 		return
 	}
-	for s, v := range other.reads {
-		c.reads[s] += v
+	for s, n := range other.reads {
+		c.reads[s] += n
 	}
 	c.StatesGenerated += other.StatesGenerated
 	c.StatesExamined += other.StatesExamined
@@ -296,13 +295,9 @@ func (c *Counters) String() string {
 		return "<nil counters>"
 	}
 	var b strings.Builder
-	keys := make([]string, 0, len(c.reads))
-	for s := range c.reads {
-		keys = append(keys, string(s))
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d ", k, c.reads[Structure(k)])
+	if reads := c.reads.String(); reads != "" {
+		b.WriteString(reads)
+		b.WriteByte(' ')
 	}
 	fmt.Fprintf(&b, "states=%d/%d peakHeap=%d pruned=%d",
 		c.StatesExamined, c.StatesGenerated, c.PeakHeap, c.Pruned)

@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -136,11 +136,24 @@ func TestStringStable(t *testing.T) {
 	c := New()
 	c.Read(StructRTree, 1)
 	c.Read(StructCube, 2)
-	s1, s2 := c.String(), c.String()
-	if s1 != s2 {
-		t.Fatal("String not deterministic")
+	c.Retries = 3
+	if got, want := c.String(), "cube=2 rtree=1 states=0/0 peakHeap=0 pruned=0 retries=3"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
-	if !strings.Contains(s1, "rtree=1") || !strings.Contains(s1, "cube=2") {
-		t.Fatalf("String = %q", s1)
+}
+
+// TestStructureNames pins the names every rendering and registry counter
+// prints, and that the enum's order is their sorted order.
+func TestStructureNames(t *testing.T) {
+	var names []string
+	for s := range numStructures {
+		names = append(names, s.String())
+	}
+	want := []string{"blocktab", "btree", "cube", "joinsig", "rtree", "signature", "table"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("names %v, want %v", names, want)
+	}
+	if got := numStructures.String(); got != "Structure(7)" {
+		t.Fatalf("out-of-range name %q", got)
 	}
 }

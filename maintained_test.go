@@ -466,18 +466,19 @@ func TestGovernorBoundsOnSignatureScan(t *testing.T) {
 
 	// Cancel from inside the fifth access to the signature store: the hook
 	// runs before that access is charged, the governor sees the cancellation
-	// when it is.
+	// when it is. The Metrics is filled at Close; the trace counts each read
+	// as it is charged.
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
-	m := rankcube.NewMetrics()
+	m, tr := rankcube.NewMetrics(), rankcube.NewTrace()
 	accesses, atCancel := 0, int64(-1)
 	st.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 		if accesses++; accesses == 5 {
-			atCancel = m.TotalReads()
+			atCancel = tr.TotalReads()
 			cancel()
 		}
 	}})
-	_, err = drain(ctx, n, m)
+	_, err = drain(ctx, n, m, rankcube.WithTrace(tr))
 	st.SetFaultInjector(nil)
 	if !errors.Is(err, rankcube.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
@@ -535,18 +536,20 @@ func TestGovernorBoundsOnSignatureConjunction(t *testing.T) {
 	}
 
 	// Cancel from inside each of the first accesses to the signature store in
-	// turn: whichever node that page was consulted about stays unread.
+	// turn: whichever node that page was consulted about stays unread. The
+	// trace counts reads as they are charged, the Metrics once the query is
+	// over.
 	for nth := 1; nth <= int(sigReads); nth++ {
 		ctx, cancel := context.WithCancel(bg)
-		m := rankcube.NewMetrics()
+		m, tr := rankcube.NewMetrics(), rankcube.NewTrace()
 		accesses, atCancel := 0, int64(-1)
 		st.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 			if accesses++; accesses == nth {
-				atCancel = m.TotalReads()
+				atCancel = tr.TotalReads()
 				cancel()
 			}
 		}})
-		_, err := cube.Query(ctx, cond, f, k, rankcube.WithMetrics(m))
+		_, err := cube.Query(ctx, cond, f, k, rankcube.WithMetrics(m), rankcube.WithTrace(tr))
 		st.SetFaultInjector(nil)
 		cancel()
 		if !errors.Is(err, rankcube.ErrCanceled) {

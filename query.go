@@ -3,9 +3,11 @@ package rankcube
 // The ctx-first API. Every operation of every engine is one entry point
 // taking a context and variadic Options, and every one of them crosses the
 // same boundary — begin / finish, with runQuery between them for the batch
-// forms — which admits and locks, attaches tracing, enforces the budget,
-// applies the degradation policy, records the operation into the
-// process-wide metrics registry, and feeds the slow-query log.
+// forms — which admits and locks, builds the execution context the engines
+// run against (governor and trace fixed in it), enforces the budget, applies
+// the degradation policy, copies the statistics out into the caller's
+// Metrics, records the operation into the process-wide metrics registry, and
+// feeds the slow-query log.
 
 import (
 	"context"
@@ -23,6 +25,7 @@ import (
 	"rankcube/internal/obs"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/skyline"
+	"rankcube/internal/stats"
 )
 
 // Option configures one query. Options compose left to right:
@@ -65,8 +68,11 @@ func WithBudget(b Budget) Option {
 	return func(c *queryConfig) { c.budget = b }
 }
 
-// WithMetrics collects the query's execution statistics into m. Without
-// it the query runs against a throwaway collector.
+// WithMetrics adds the query's execution statistics to m once the query is
+// over — when the entry point returns; for OpenScan, at Close — partial
+// statistics of an aborted query included. The query itself runs against a
+// collector of its own, so m never carries a governor or a trace and may be
+// reused across queries; a trace (WithTrace) is the live view.
 func WithMetrics(m *Metrics) Option {
 	return func(c *queryConfig) { c.metrics = m }
 }
@@ -107,40 +113,33 @@ func classifyOutcome(err error, degraded bool) obs.Outcome {
 	}
 }
 
-// readsDelta diffs two read snapshots, yielding what one query charged.
-func readsDelta(before, after map[Structure]int64) map[Structure]int64 {
-	delta := make(map[Structure]int64, len(after))
-	for s, v := range after {
-		if d := v - before[s]; d > 0 {
-			delta[s] = d
-		}
-	}
-	return delta
-}
-
 // operation is the open half of the boundary: what an admitted operation
 // holds from begin until finish. Batch entry points hold it for one
 // runQuery call; a GovernedScanner holds it until Close.
 type operation struct {
 	kind    string
-	m       *Metrics
-	tr      *Trace // the caller's, or a private one the slow log dumps
+	m       *Metrics // the caller's (WithMetrics), or nil
+	tr      *Trace   // the caller's, or a private one the slow log dumps
+	obs     stats.Observer
 	slow    time.Duration
 	release func() // the serving locks and admission slots; nil when none
 
-	start               time.Time
-	retries, downgrades int64
-	endRoot             func()
+	// ctr is the operation's execution context: what the attempt or the scan
+	// runs against, under the budget's governor, observed by tr. It holds
+	// exactly what the operation did — a fallback's context is merged into
+	// it — and finish records it and merges it into m.
+	ctr     *Metrics
+	start   time.Time
+	endRoot func()
 }
 
 // begin admits the operation and opens its books. Admission and locking
 // come first: a shed query must cost nothing but its rejection, and the
 // locks must span the attempt and the fallback alike so a degraded answer
-// reads the same consistent structures. Then it resolves the metrics
-// collector, attaches the trace (creating a private one when only the slow
-// log needs it), snapshots the collector and opens the root span. The
-// returned context carries the trace.
-func begin(ctx context.Context, kind string, cfg queryConfig) (operation, context.Context, error) {
+// reads the same consistent structures. Then it resolves the trace (creating
+// a private one when only the slow log needs it), builds the operation's
+// execution context and opens the root span.
+func begin(ctx context.Context, kind string, cfg queryConfig) (operation, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -152,14 +151,11 @@ func begin(ctx context.Context, kind string, cfg queryConfig) (operation, contex
 			var err error
 			if release, err = guard.AcquireShared(ctx, cfg.ctls); err != nil {
 				obs.Default().RecordQuery(kind, classifyOutcome(err, false), 0, nil, 0, 0)
-				return operation{}, ctx, err
+				return operation{}, err
 			}
 		}
 	}
 	op := operation{kind: kind, m: cfg.metrics, tr: cfg.trace, slow: cfg.slow, release: release}
-	if op.m == nil {
-		op.m = NewMetrics() // the engines require a collector: a throwaway
-	}
 	if op.slow < 0 {
 		op.slow = obs.DefaultSlowLog().Threshold()
 	}
@@ -167,33 +163,35 @@ func begin(ctx context.Context, kind string, cfg queryConfig) (operation, contex
 		op.tr = obs.NewTrace()
 	}
 	if op.tr != nil {
-		op.m.SetObserver(op.tr)
-		ctx = obs.ContextWithTrace(ctx, op.tr)
+		op.obs = op.tr
 	}
-	op.retries, op.downgrades = op.m.Retries, op.m.Downgrades
+	op.ctr = governor.Counters(ctx, cfg.budget.limits(), op.obs)
 	op.start = time.Now()
-	op.endRoot = op.m.StartSpan(kind)
-	return op, ctx, nil
+	op.endRoot = op.ctr.StartSpan(kind)
+	return op, nil
 }
 
-// finish is the closing half: it seals the root span and the trace, records
-// the operation — kind, outcome, latency, what it read — into the default
+// finish is the closing half: it seals the root span and the trace, copies
+// the operation's statistics out into the caller's Metrics, records the
+// operation — kind, outcome, latency, what it read — into the default
 // registry, admits an offender into the slow-query log, and lets go of the
-// trace, the locks and the admission slots.
-func (op *operation) finish(err error, readsBefore map[Structure]int64) {
+// locks and the admission slots.
+func (op *operation) finish(err error) {
 	if op.release != nil {
 		defer op.release()
 	}
 	op.endRoot()
 	if op.tr != nil {
-		defer op.m.DetachObserver(op.tr)
 		op.tr.Finish()
 	}
+	op.m.Merge(op.ctr)
 	dur := time.Since(op.start)
-	downgrades := op.m.Downgrades - op.downgrades
-	outcome := classifyOutcome(err, downgrades > 0)
-	obs.Default().RecordQuery(op.kind, outcome, dur,
-		readsDelta(readsBefore, op.m.ReadsSnapshot()), op.m.Retries-op.retries, downgrades)
+	outcome := classifyOutcome(err, op.ctr.Downgrades > 0)
+	reads := map[Structure]int64{} // on the stack: RecordQuery does not keep it
+	for s, n := range op.ctr.ReadCounts() {
+		reads[Structure(s)] = n
+	}
+	obs.Default().RecordQuery(op.kind, outcome, dur, reads, op.ctr.Retries, op.ctr.Downgrades)
 
 	if op.slow > 0 && dur >= op.slow {
 		var errText string
@@ -211,28 +209,26 @@ func (op *operation) finish(err error, readsBefore map[Structure]int64) {
 // runQuery is the one boundary every batch entry point passes through:
 // begin, attempt under the budget's governor, degrade to fallback per the
 // Budget policy, finish. fallback may be nil for operations that never
-// degrade (maintenance, baselines).
+// degrade (maintenance, baselines); it runs against a context of its own,
+// which no budget limits — a full scan is the floor cost of an exact answer —
+// merged into the operation's when it ends.
 func runQuery[T any](ctx context.Context, kind string, cfg queryConfig,
 	attempt func(m *Metrics) (T, error),
 	fallback func(m *Metrics) (T, error),
 ) (out T, err error) {
-	op, ctx, err := begin(ctx, kind, cfg)
+	op, err := begin(ctx, kind, cfg)
 	if err != nil {
 		return out, err
 	}
-	m := op.m
-	readsBefore := m.ReadsSnapshot() // here, not in begin: it stays on this frame's stack
-	defer func() { op.finish(err, readsBefore) }()
+	defer func() { op.finish(err) }()
 
-	out, err = runGoverned(ctx, cfg.budget.limits(), m, func() (T, error) {
-		return attempt(m)
-	})
+	out, err = runGoverned(op.ctr, attempt)
 	if fallback != nil && cfg.budget.shouldDegrade(err) {
-		defer m.StartSpan("fallback")()
-		m.AddDowngrade()
-		out, err = runGoverned(ctx, governor.Limits{}, m, func() (T, error) {
-			return fallback(m)
-		})
+		defer op.ctr.StartSpan("fallback")()
+		op.ctr.AddDowngrade()
+		m := governor.Counters(ctx, governor.Limits{}, op.obs)
+		defer op.ctr.Merge(m)
+		out, err = runGoverned(m, fallback)
 	}
 	return out, err
 }
@@ -338,25 +334,22 @@ func (s *SignatureCube) DeleteTuple(ctx context.Context, tid TID, opts ...Option
 // faults surface as typed errors from Next. The scanner reads the cube
 // progressively until Close, so it holds the open half of the boundary for
 // its whole lifetime: admitted through the gate, the shared lock held —
-// maintenance waits for open scans to finish — and the budget's governor
-// and the trace attached to the metrics. Close runs the closing half, so
-// open a fresh Metrics per scan when running scans concurrently.
+// maintenance waits for open scans to finish — and one execution context
+// under the budget's governor and the trace. Close runs the closing half: the
+// scan's statistics reach the WithMetrics collector at Close, not during the
+// scan.
 func (s *SignatureCube) OpenScan(ctx context.Context, cond Cond, f Func, opts ...Option) (*GovernedScanner, error) {
 	cfg := applyOptions(opts, s.ctl)
-	op, ctx, err := begin(ctx, "sig.scan", cfg)
+	op, err := begin(ctx, "sig.scan", cfg)
 	if err != nil {
 		return nil, err
 	}
-	readsBefore := op.m.ReadsSnapshot()
-	gov := governor.New(ctx, cfg.budget.limits())
-	op.m.SetGovernor(gov)
-	sc, err := contained(func() (*sigcube.Scanner, error) { return s.c.Scan(cond, f, op.m) })
+	sc, err := contained(func() (*sigcube.Scanner, error) { return s.c.Scan(cond, f, op.ctr) })
 	if err != nil {
-		op.m.DetachGovernor(gov)
-		op.finish(err, readsBefore)
+		op.finish(err)
 		return nil, err
 	}
-	return &GovernedScanner{s: sc, g: gov, op: op, readsBefore: readsBefore}, nil
+	return &GovernedScanner{s: sc, op: op}, nil
 }
 
 // MergeQuery answers a top-k query whose function spans several

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rankcube"
+	"rankcube/internal/pager"
 )
 
 // traceReads sums block reads over a rendered trace's whole span tree.
@@ -140,44 +141,163 @@ func TestSpanTreeReconcilesThroughFallback(t *testing.T) {
 	}
 }
 
-// TestGovernedScannerCloseIdempotent covers the Close bugfix: closing
-// twice must be harmless, and closing one scanner must not detach another
-// scanner's governor from a shared Metrics.
+// TestGovernedScannerCloseIdempotent: closing a scanner twice is harmless —
+// the second Close neither records the scan again nor adds its reads to the
+// Metrics again. (A scanner runs against an execution context of its own, so
+// closing one cannot reach into another's.)
 func TestGovernedScannerCloseIdempotent(t *testing.T) {
 	ctx := context.Background()
 	rel := buildDemo(t, 2000)
 	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
 	m := rankcube.NewMetrics()
+	scans := rankcube.DefaultRegistry().Histogram("latency.sig.scan")
 
-	a, err := sig.OpenScan(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), rankcube.WithMetrics(m))
+	sc, err := sig.OpenScan(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sig.OpenScan(ctx, rankcube.Cond{0: 2}, rankcube.Sum(0, 1), rankcube.WithMetrics(m))
+	for range 25 {
+		if _, ok, err := sc.Next(); !ok || err != nil {
+			t.Fatalf("scan ended early: %v", err)
+		}
+	}
+	recorded := scans.Count()
+	sc.Close()
+	reads := m.TotalReads()
+	sc.Close()
+	if reads == 0 || m.TotalReads() != reads || scans.Count() != recorded+1 {
+		t.Fatalf("two Closes: %d then %d reads, %d scans recorded, want one scan recorded once",
+			reads, m.TotalReads(), scans.Count()-recorded)
+	}
+}
+
+// TestScannerNextAfterCloseReadsNothing: Close lets go of the cube's shared
+// lock and admission slot, so a writer may be running by the time a late Next
+// comes; the scanner must not read the cube again, and ends the stream.
+func TestScannerNextAfterCloseReadsNothing(t *testing.T) {
+	ctx := context.Background()
+	rel := buildDemo(t, 2000)
+	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	m := rankcube.NewMetrics()
+	sc, err := sig.OpenScan(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), rankcube.WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Closing a (and closing it again) must leave b fully operational.
-	a.Close()
-	a.Close()
-	seen := 0
-	for {
-		_, ok, err := b.Next()
+	if _, ok, err := sc.Next(); !ok || err != nil {
+		t.Fatalf("first Next: ok=%v err=%v", ok, err)
+	}
+	sc.Close()
+	reads := m.TotalReads()
+	for range 3 {
+		if res, ok, err := sc.Next(); ok || err != nil {
+			t.Fatalf("Next after Close: %v, ok=%v, err=%v; want the end of the stream", res, ok, err)
+		}
+	}
+	if m.TotalReads() != reads {
+		t.Fatalf("Next after Close charged %d reads", m.TotalReads()-reads)
+	}
+}
+
+// TestRegistryRecordsEachOperationsOwnReads reuses one Metrics across a
+// query, a degraded query and a progressive scan. After each, the registry's
+// blockreads.<structure> counters have grown by exactly what that operation
+// read — the failed attempt's and the fallback's reads alike — and not by the
+// Metrics' running total; a scan's reads reach the Metrics at Close.
+func TestRegistryRecordsEachOperationsOwnReads(t *testing.T) {
+	ctx := context.Background()
+	rel := buildDemo(t, 4000)
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	cond, f := rankcube.Cond{0: 1}, rankcube.Sum(0, 1)
+	reg := rankcube.DefaultRegistry()
+	structures := []rankcube.Structure{rankcube.StructRTree, rankcube.StructSignature, rankcube.StructTable}
+	m := rankcube.NewMetrics()
+
+	// step runs one operation and holds each structure's registry counter to
+	// the operation's reads, which it returns.
+	step := func(name string, run func()) map[rankcube.Structure]int64 {
+		t.Helper()
+		regBefore, mBefore := map[rankcube.Structure]int64{}, map[rankcube.Structure]int64{}
+		for _, s := range structures {
+			regBefore[s], mBefore[s] = reg.Counter("blockreads."+s.String()).Value(), m.Reads(s)
+		}
+		run()
+		own := map[rankcube.Structure]int64{}
+		for _, s := range structures {
+			own[s] = m.Reads(s) - mBefore[s]
+			if got := reg.Counter("blockreads."+s.String()).Value() - regBefore[s]; got != own[s] {
+				t.Fatalf("%s: blockreads.%s grew by %d, the operation read %d", name, s, got, own[s])
+			}
+		}
+		return own
+	}
+
+	if own := step("query", func() {
+		if _, err := cube.Query(ctx, cond, f, 10, rankcube.WithMetrics(m)); err != nil {
+			t.Fatal(err)
+		}
+	}); own[rankcube.StructRTree] == 0 || own[rankcube.StructSignature] == 0 {
+		t.Fatalf("query read %v: nothing for the next steps to tell apart", own)
+	}
+
+	st := cube.Stores()[0]
+	st.SetFaultInjector(&pager.ScriptedFaults{CorruptAll: true})
+	downgrades := m.Downgrades
+	if own := step("degraded query", func() {
+		if _, err := cube.Query(ctx, cond, f, 10, rankcube.WithMetrics(m)); err != nil {
+			t.Fatal(err)
+		}
+	}); own[rankcube.StructTable] == 0 || m.Downgrades != downgrades+1 {
+		t.Fatalf("degraded query read %v with %d downgrades: the fallback did not run", own, m.Downgrades-downgrades)
+	}
+	st.SetFaultInjector(nil)
+	st.ClearQuarantine()
+
+	if own := step("scan", func() {
+		sc, err := cube.OpenScan(ctx, cond, f, rankcube.WithMetrics(m))
 		if err != nil {
-			t.Fatalf("scanner b after closing a: %v", err)
+			t.Fatal(err)
 		}
-		if !ok {
-			break
+		defer sc.Close()
+		before := m.TotalReads()
+		for range 25 {
+			if _, ok, err := sc.Next(); !ok || err != nil {
+				t.Fatalf("scan ended early: %v", err)
+			}
 		}
-		if seen++; seen == 25 {
-			break
+		if m.TotalReads() != before {
+			t.Fatalf("an open scan's Metrics moved by %d reads: it is filled at Close", m.TotalReads()-before)
+		}
+	}); own[rankcube.StructRTree] == 0 {
+		t.Fatalf("scan read %v", own)
+	}
+}
+
+// TestNoopQueryAllocs pins the allocations of the boundary alone, on the
+// repository benchmark's boundary.noop request — a public Query with no
+// predicate and k = 0 — with and without WithMetrics: an operation's
+// execution context is one allocation together with its governor, and no
+// per-query map reaches the heap. (The rest is the shared lock, the
+// registry's metric names and the options.)
+func TestNoopQueryAllocs(t *testing.T) {
+	ctx := context.Background()
+	rel := buildDemo(t, 2000)
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	f := rankcube.Sum(0)
+	m := rankcube.NewMetrics()
+	if _, err := cube.Query(ctx, rankcube.Cond{0: 1}, f, 10, rankcube.WithMetrics(m)); err != nil || m.TotalReads() == 0 {
+		t.Fatalf("warm-up query: %v, %d reads", err, m.TotalReads())
+	}
+	const want = 9
+	for name, opts := range map[string][]rankcube.Option{"bare": nil, "WithMetrics": {rankcube.WithMetrics(m)}} {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := cube.Query(ctx, nil, f, 0, opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("%s: a no-op query makes %v allocations, want %d", name, got, want)
 		}
 	}
-	if seen == 0 {
-		t.Fatal("scanner b returned nothing")
-	}
-	b.Close()
-	b.Close()
 }
 
 // TestSlowQueryLogEndToEnd arms the per-query threshold and checks the

@@ -7,7 +7,6 @@ package rankcube
 // entry point passes through is in query.go.
 
 import (
-	"context"
 	"errors"
 
 	"rankcube/internal/errs"
@@ -89,17 +88,11 @@ func contained[T any](fn func() (T, error)) (out T, err error) {
 	return fn()
 }
 
-// runGoverned executes fn contained, with a query governor attached to m
-// for the call. Detachment is ownership-guarded: only the governor this
-// call attached is removed, so nested or stale runners cannot strip a
-// successor's.
-func runGoverned[T any](ctx context.Context, lim governor.Limits, m *Metrics, fn func() (T, error)) (T, error) {
-	gov := governor.New(ctx, lim)
-	m.SetGovernor(gov)
-	defer m.DetachGovernor(gov)
+// runGoverned executes fn contained against the governed collector m.
+func runGoverned[T any](m *Metrics, fn func(m *Metrics) (T, error)) (T, error) {
 	return contained(func() (T, error) {
-		gov.OnCheckpoint() // fail fast on an already-canceled context
-		return fn()
+		m.Checkpoint() // fail fast on an already-canceled context
+		return fn(m)
 	})
 }
 
@@ -109,19 +102,22 @@ func runGoverned[T any](ctx context.Context, lim governor.Limits, m *Metrics, fn
 // re-emitting — so faults surface as typed errors from Next.
 type GovernedScanner struct {
 	s *sigcube.Scanner
-	g *governor.Governor
 	// op is the open half of the boundary the scan has held since OpenScan:
-	// the cube's shared serving lock and admission slot, the attached trace,
-	// the root span. Close runs the other half.
-	op          operation
-	readsBefore map[Structure]int64
-	err         error // the error Next last returned: the outcome Close records
-	closed      bool
+	// the cube's shared serving lock and admission slot, the execution
+	// context the scanner charges, the root span. Close runs the other half.
+	op     operation
+	err    error // the error Next last returned: the outcome Close records
+	closed bool
 }
 
 // Next returns the next matching tuple in ascending score order. ok is
-// false when the stream ends — exhausted (err nil) or failed (typed err).
+// false when the stream ends — exhausted (err nil) or failed (typed err) —
+// and on a closed scanner, which reads nothing more: Close let go of the
+// lock that kept the cube still under it.
 func (g *GovernedScanner) Next() (res Result, ok bool, err error) {
+	if g.closed {
+		return Result{}, false, nil
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			res, ok, err = Result{}, false, errs.FromPanic(r)
@@ -132,20 +128,16 @@ func (g *GovernedScanner) Next() (res Result, ok bool, err error) {
 	return res, ok, nil
 }
 
-// Close ends the scan: it detaches the scan's governor (and trace, if any)
-// from its metrics collector, records the scan — outcome, latency from
-// OpenScan to Close, block reads — into the registry and, past the
-// threshold, the slow-query log, and releases the cube's shared serving
-// lock and admission slot held since OpenScan, so maintenance blocked behind
-// the scan may proceed. Close is idempotent, and detachment is
-// ownership-guarded: if the shared Metrics has since been attached to
-// another query or scanner, a late Close does not strip the successor's
-// governor.
+// Close ends the scan: it adds the scan's statistics to the Metrics it was
+// opened with, records the scan — outcome, latency from OpenScan to Close,
+// block reads — into the registry and, past the threshold, the slow-query
+// log, and releases the cube's shared serving lock and admission slot held
+// since OpenScan, so maintenance blocked behind the scan may proceed. Close
+// is idempotent.
 func (g *GovernedScanner) Close() {
 	if g.closed {
 		return
 	}
 	g.closed = true
-	g.op.m.DetachGovernor(g.g)
-	g.op.finish(g.err, g.readsBefore)
+	g.op.finish(g.err)
 }
