@@ -38,10 +38,10 @@ loc:
 # rankvet (cmd/rankvet, analyzers in internal/analysis) mechanically
 # enforces the engine safety invariants: no raw panics, threaded contexts
 # (struct stashes included), governed page reads, typed errors at the
-# public boundary, guard lock discipline, closed scans, and unmixed
-# atomics. -stats surfaces per-analyzer wall clock and the loader's
-# export-data cache hit/miss counts, so a cache regression (stdlib
-# re-type-checks creeping back) is visible in CI logs.
+# public boundary, guard lock discipline, and typed atomics. -stats
+# surfaces per-analyzer wall clock and the loader's export-data cache
+# hit/miss counts, so a cache regression (stdlib re-type-checks creeping
+# back) is visible in CI logs.
 lint:
 	$(GO) run ./cmd/rankvet -stats ./...
 

@@ -49,35 +49,25 @@ func TestData() string {
 // Run loads each fixture package from <testdata>/src/<path>, applies the
 // analyzer, and checks its diagnostics against the fixtures' want
 // comments.
-//
-// One fact store spans all listed paths, mirroring the driver: list a
-// fixture's dependency before its dependent and facts the analyzer exports
-// on the dependency are visible when the dependent is analyzed.
 func Run(t *testing.T, testdata string, a *framework.Analyzer, paths ...string) {
 	t.Helper()
 	srcRoot := filepath.Join(testdata, "src")
 	mu.Lock()
 	defer mu.Unlock()
-	facts := framework.NewFactStore()
 	for _, path := range paths {
 		pkg, err := shared.LoadOverlay(srcRoot, path)
 		if err != nil {
 			t.Errorf("loading fixture %s: %v", path, err)
 			continue
 		}
-		diags, err := runOne(pkg, a, facts)
-		if err != nil {
+		var diags []framework.Diagnostic
+		pass := framework.NewPass(a, pkg, func(d framework.Diagnostic) { diags = append(diags, d) })
+		if err := a.Run(pass); err != nil {
 			t.Errorf("%s on %s: %v", a.Name, path, err)
 			continue
 		}
 		checkWants(t, pkg, diags)
 	}
-}
-
-func runOne(pkg *framework.Package, a *framework.Analyzer, facts *framework.FactStore) ([]framework.Diagnostic, error) {
-	var diags []framework.Diagnostic
-	pass := framework.NewPass(a, pkg, facts, func(d framework.Diagnostic) { diags = append(diags, d) })
-	return diags, a.Run(pass)
 }
 
 // want is one expectation: a regexp on a file line.

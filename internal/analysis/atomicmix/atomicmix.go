@@ -1,125 +1,54 @@
-// Package atomicmix forbids mixing sync/atomic and plain accesses to one
-// struct field.
+// Package atomicmix flags calls to the package-level functions of
+// sync/atomic (AddInt64, LoadUint32, CompareAndSwapPointer, …).
 //
-// The serving path counts in-flight queries, admission waiters, and chaos
-// outcomes in counters that concurrent goroutines update through
-// sync/atomic. A single plain read or write of such a field elsewhere is a
-// data race the race detector only catches if a test happens to schedule
-// the two accesses together under load — exactly the class of bug that
-// should be caught structurally. The analyzer therefore records every
-// field whose address is taken by a sync/atomic call and flags every plain
-// read, write, or escaped address of that field anywhere else.
-//
-// "Anywhere else" crosses package boundaries: the atomic access and the
-// plain access are usually in different files, often in different
-// packages. The field's atomic use is exported as an object fact when the
-// defining side is analyzed, and every later package (the driver runs in
-// dependency order) checks its accesses against the imported facts.
-//
-// Composite-literal initialization is exempt — a value that has not been
-// published yet cannot race. Post-join reads and other justified accesses
-// carry a `//lint:atomicmix <reason>` marker; converting the field to one
-// of the typed atomics (atomic.Int64 and friends), which cannot be
-// accessed non-atomically at all, is the better fix.
+// A field handed to those functions is still an ordinary field: one plain
+// read or write of it elsewhere races with the atomic updates, and the race
+// detector only sees it if a test schedules the two together. The typed
+// atomics (atomic.Int64 and friends) cannot be accessed plainly at all, so
+// requiring them makes "no field is accessed both atomically and plainly"
+// hold by construction, in every package, with nothing to track across
+// package boundaries. A justified call carries a `//lint:atomicmix <reason>`
+// marker.
 package atomicmix
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"rankcube/internal/analysis/framework"
 )
 
-// Marker is the justification marker accepted on mixed accesses.
+// Marker is the justification marker accepted on package-level atomic calls.
 const Marker = "atomicmix"
 
-// atomicField is the object fact recorded on every struct field some
-// package accesses through sync/atomic.
-type atomicField struct{}
-
-func (*atomicField) AFact() {}
-
-// Analyzer flags plain accesses to atomically-updated struct fields.
+// Analyzer flags calls to sync/atomic's package-level functions.
 var Analyzer = &framework.Analyzer{
 	Name: "atomicmix",
-	Doc: "a struct field updated via sync/atomic anywhere may not be read or " +
-		"written non-atomically elsewhere (cross-package, via facts): use the " +
-		"typed atomics, or mark //lint:atomicmix <reason>",
+	Doc: "flags calls to sync/atomic's package-level functions: use atomic.Int64 and friends, " +
+		"which cannot be mixed with plain accesses, or mark //lint:atomicmix <reason>",
 	Run: run,
 }
 
 func run(pass *framework.Pass) error {
-	// First pass: find every &x.f handed to a sync/atomic call; record the
-	// field and remember the operand so the second pass skips it.
-	local := make(map[*types.Var]bool)
-	operands := make(map[ast.Expr]bool)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) {
+			if !ok || !isAtomicFunc(pass, call.Fun) || pass.Marked(call, Marker) {
 				return true
 			}
-			for _, arg := range call.Args {
-				unary, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || unary.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(unary.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if field := fieldOf(pass, sel); field != nil {
-					local[field] = true
-					operands[sel] = true
-					pass.ExportObjectFact(field, &atomicField{})
-				}
-			}
-			return true
-		})
-	}
-
-	// Second pass: every other selector touching an atomic field — locally
-	// recorded or imported as a fact from a dependency — is a race.
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || operands[sel] {
-				return true
-			}
-			field := fieldOf(pass, sel)
-			if field == nil || !isAtomic(pass, local, field) {
-				return true
-			}
-			if pass.Marked(sel, Marker) {
-				return true
-			}
-			pass.Reportf(sel.Pos(),
-				"field %s.%s is updated via sync/atomic elsewhere; this plain access races with it: "+
-					"use sync/atomic here too, make the field a typed atomic, or mark //lint:atomicmix <reason>",
-				fieldOwner(field), field.Name())
+			pass.Reportf(call.Pos(),
+				"call to a sync/atomic package-level function: use atomic.Int64 and friends, or mark //lint:atomicmix <reason>")
 			return true
 		})
 	}
 	return nil
 }
 
-// isAtomic reports whether field is atomically accessed: in this package
-// (local) or per a fact exported by an already-analyzed package.
-func isAtomic(pass *framework.Pass, local map[*types.Var]bool, field *types.Var) bool {
-	if local[field] {
-		return true
-	}
-	var fact atomicField
-	return pass.ImportObjectFact(field, &fact)
-}
-
-// isAtomicCall reports whether call invokes a sync/atomic package-level
-// function (AddInt64, LoadUint32, StorePointer, CompareAndSwapInt32, …).
-func isAtomicCall(pass *framework.Pass, call *ast.CallExpr) bool {
+// isAtomicFunc reports whether fun names a package-level function of
+// sync/atomic, qualified or dot-imported.
+func isAtomicFunc(pass *framework.Pass, fun ast.Expr) bool {
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	case *ast.Ident:
@@ -130,34 +59,4 @@ func isAtomicCall(pass *framework.Pass, call *ast.CallExpr) bool {
 	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
 		fn.Type().(*types.Signature).Recv() == nil
-}
-
-// fieldOf resolves sel to the struct field it selects, or nil. Composite
-// literal keys are idents, not selectors, so initialization never lands
-// here.
-func fieldOf(pass *framework.Pass, sel *ast.SelectorExpr) *types.Var {
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return nil
-	}
-	v, ok := selection.Obj().(*types.Var)
-	if !ok || !v.IsField() {
-		return nil
-	}
-	return v
-}
-
-// fieldOwner renders the defining struct's name for diagnostics, falling
-// back to the package path.
-func fieldOwner(field *types.Var) string {
-	if field.Pkg() == nil {
-		return "?"
-	}
-	// The owner type is not directly reachable from a field var; the
-	// package-qualified field name is unambiguous enough for a diagnostic.
-	path := field.Pkg().Path()
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		path = path[i+1:]
-	}
-	return path
 }

@@ -7,12 +7,6 @@ import (
 	"rankcube/internal/analysis/atomicmix"
 )
 
-// TestAtomicMix lists atoma before atomb on purpose: the harness shares
-// one fact store across the listed paths, so atomb's findings prove the
-// field's atomic use propagated across the package boundary as a fact.
 func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), atomicmix.Analyzer,
-		"atoma",
-		"atomb",
-	)
+	analysistest.Run(t, analysistest.TestData(), atomicmix.Analyzer, "atoms")
 }

@@ -31,15 +31,10 @@
 //     operations go through guard.AcquireShared/LockExclusive, which
 //     enforce the global ID order), and the release closures those
 //     helpers return must be consumed. Marker: //lint:lockorder.
-//   - scanleak: every *rankcube.GovernedScanner must reach Close on all
-//     paths, or escape to a party that will close it — an open scan holds
-//     a serving slot, and a leaked one starves Drain and maintenance.
-//     Marker: //lint:scanleak.
-//   - atomicmix: a struct field accessed via sync/atomic anywhere may not
-//     be read or written plainly anywhere else. The atomic use is recorded
-//     as a fact on the field's object, so the plain access is caught even
-//     in a different package. Marker: //lint:atomicmix (typed atomics are
-//     the better fix).
+//   - atomicmix: no call to a package-level function of sync/atomic.
+//     Shared counters are typed atomics (atomic.Int64 and friends), which
+//     cannot be read or written plainly, so no field is ever accessed both
+//     atomically and plainly. Marker: //lint:atomicmix.
 //
 // Markers are ordinary //lint:<name> <reason> comments attached to the
 // statement (or struct field, or declaration spec) they document, via the
@@ -50,11 +45,10 @@
 // justification for the exemption.
 //
 // The suite is self-hosted: subpackage framework reimplements the minimal
-// Analyzer/Pass/Diagnostic/facts surface of golang.org/x/tools/go/analysis
-// (unvendorable in this environment). Packages under analysis are
-// type-checked from source in dependency order — so each analyzer's
-// in-memory object facts flow strictly forward, dependency to dependent —
-// while the dependency cone (the stdlib closure above all) is imported
+// Analyzer/Pass/Diagnostic surface of golang.org/x/tools/go/analysis
+// (unvendorable in this environment). Every analyzer looks at one package
+// at a time. Packages under analysis are type-checked from source, while
+// the dependency cone (the stdlib closure above all) is imported
 // from compiler export data materialized by `go list -deps -export` in the
 // go build cache. That cache is keyed per toolchain, which makes it
 // rankvet's type-information cache too: a warm run skips stdlib
@@ -63,8 +57,7 @@
 // under testdata/src and checks diagnostics against `// want "regexp"`
 // comments, mirroring the upstream analysistest contract — including
 // failing on unmatched want comments, so every fixture proves its analyzer
-// actually fires; one fact store spans the listed fixture packages so
-// cross-package propagation is testable.
+// actually fires.
 //
 // cmd/rankvet is the driver; `make lint` (folded into `make check`) runs
 // it over ./... with -stats and fails the build on any finding, and

@@ -4,11 +4,10 @@
 //
 // The build environment of this repository is hermetic — no module proxy —
 // so x/tools cannot be vendored; this package mirrors its API shape
-// (Analyzer, Pass, Reportf, object facts) closely enough that the
-// analyzers in the sibling packages can be ported to the real framework
-// mechanically if the dependency ever becomes available. Beyond the
-// original subset, the framework now carries in-memory facts (facts.go)
-// for cross-package propagation and loads dependency type information
+// (Analyzer, Pass, Reportf) closely enough that the analyzers in the
+// sibling packages can be ported to the real framework mechanically if the
+// dependency ever becomes available. Every analyzer looks at one package
+// at a time, so there are no facts. Dependency type information is loaded
 // from compiler export data (loader.go) instead of re-type-checking the
 // standard library from source on every run.
 package framework
@@ -37,11 +36,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the analyzer's private cross-package fact store, shared by
-	// every pass of the same analyzer within one driver run. Nil disables
-	// fact propagation (the Import/Export methods become no-ops).
-	Facts *FactStore
-
 	// Report delivers one diagnostic. The driver fills in the Analyzer
 	// field and aggregates across packages.
 	Report func(Diagnostic)
@@ -51,16 +45,15 @@ type Pass struct {
 }
 
 // NewPass assembles a pass over pkg for a. The driver and the analysistest
-// harness both construct passes through here so the fact store and report
-// sink are wired uniformly.
-func NewPass(a *Analyzer, pkg *Package, facts *FactStore, report func(Diagnostic)) *Pass {
+// harness both construct passes through here so the report sink is wired
+// uniformly.
+func NewPass(a *Analyzer, pkg *Package, report func(Diagnostic)) *Pass {
 	return &Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
-		Facts:     facts,
 		Report:    report,
 	}
 }

@@ -115,10 +115,8 @@ func (l *Loader) Stats() LoadStats { return l.stats }
 
 // Load lists patterns with the go tool and returns the matched
 // (non-dependency-only) packages with full syntax and type information, in
-// dependency order — a package always follows its matched dependencies, so
-// a driver iterating in order sees facts flow forward. Dependencies
-// outside the match are imported from export data on demand and never
-// parsed.
+// dependency order. Dependencies outside the match are imported from
+// export data on demand and never parsed.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	listed, err := l.goList(patterns)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"rankcube/internal/analysis/governedio"
 	"rankcube/internal/analysis/lockorder"
 	"rankcube/internal/analysis/rawpanic"
-	"rankcube/internal/analysis/scanleak"
 )
 
 // Suite returns the rankvet analyzers in reporting order.
@@ -22,7 +21,6 @@ func Suite() []*framework.Analyzer {
 		governedio.Analyzer,
 		errwrap.Analyzer,
 		lockorder.Analyzer,
-		scanleak.Analyzer,
 		atomicmix.Analyzer,
 	}
 }
@@ -36,20 +34,16 @@ type Timing struct {
 
 // Run applies every analyzer in the suite to each package and returns the
 // aggregated diagnostics sorted by source position, plus per-analyzer
-// timings. pkgs must be in dependency order (as Loader.Load returns them):
-// each analyzer gets a private fact store and visits the packages in that
-// order, so facts it exports while analyzing a dependency are visible when
-// it reaches the dependents.
+// timings. Every analyzer looks at one package at a time.
 func Run(pkgs []*framework.Package, analyzers []*framework.Analyzer) ([]framework.Diagnostic, []Timing, error) {
 	var diags []framework.Diagnostic
 	timings := make([]Timing, len(analyzers))
 	for i, a := range analyzers {
 		timings[i].Analyzer = a.Name
-		facts := framework.NewFactStore()
 		start := time.Now()
 		for _, pkg := range pkgs {
 			n := len(diags)
-			pass := framework.NewPass(a, pkg, facts, func(d framework.Diagnostic) { diags = append(diags, d) })
+			pass := framework.NewPass(a, pkg, func(d framework.Diagnostic) { diags = append(diags, d) })
 			if err := a.Run(pass); err != nil {
 				return nil, nil, err
 			}

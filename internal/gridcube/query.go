@@ -328,13 +328,16 @@ func (e *gridExec) processBlock(bid BID) {
 	}
 }
 
-// offer scores the i-th tuple of blk unless it is tombstoned.
+// offer scores the i-th tuple of blk unless it is tombstoned. A +Inf score
+// (outside a constrained function's band) is no answer.
 func (e *gridExec) offer(blk *block, i int) {
 	tid, r := blk.tids[i], e.cube.meta.R
 	if len(e.cube.tombstones) > 0 && e.cube.tombstones[tid] {
 		return
 	}
-	e.topk.Offer(Result{TID: tid, Score: e.f.Eval(blk.ranks[i*r : (i+1)*r])})
+	if score := e.f.Eval(blk.ranks[i*r : (i+1)*r]); !math.IsInf(score, 1) {
+		e.topk.Offer(Result{TID: tid, Score: score})
+	}
 }
 
 func intersectSorted(a, b []table.TID) []table.TID {

@@ -209,10 +209,9 @@ func (e *refExec) exhaustiveSearch() {
 func (e *refExec) processBlock(bid BID) {
 	if len(e.cover) == 0 {
 		for _, be := range e.rc.getBlock(e.cube.blocks, bid, e.blockBuf, e.ctr) {
-			if e.cube.tombstones[be.tid] {
-				continue
+			if !e.cube.tombstones[be.tid] {
+				e.offer(be)
 			}
-			e.topk.Offer(Result{TID: be.tid, Score: e.f.Eval(be.rank)})
 		}
 		return
 	}
@@ -240,10 +239,16 @@ func (e *refExec) processBlock(bid BID) {
 		want[tid] = true
 	}
 	for _, be := range e.rc.getBlock(e.cube.blocks, bid, e.blockBuf, e.ctr) {
-		if !want[be.tid] || e.cube.tombstones[be.tid] {
-			continue
+		if want[be.tid] && !e.cube.tombstones[be.tid] {
+			e.offer(be)
 		}
-		e.topk.Offer(Result{TID: be.tid, Score: e.f.Eval(be.rank)})
+	}
+}
+
+// offer scores one tuple of a base block; +Inf is no answer.
+func (e *refExec) offer(be refBlockEntry) {
+	if score := e.f.Eval(be.rank); !math.IsInf(score, 1) {
+		e.topk.Offer(Result{TID: be.tid, Score: score})
 	}
 }
 
@@ -264,6 +269,7 @@ func refFuncs(rng *rand.Rand, r int) map[string]ranking.Func {
 		"sqdist": ranking.SqDist(attrs, p),
 		"general": ranking.General(ranking.Sqr(ranking.Sub(
 			ranking.Scale(0.5+rng.Float64(), ranking.Var(0)), ranking.Add(rest...)))),
+		"constrained": ranking.Constrained(ranking.Linear(attrs, w), 0, 0.3, 0.45),
 	}
 }
 

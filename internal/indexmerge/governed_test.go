@@ -143,7 +143,7 @@ func TestConcurrentMergesShareNoScratch(t *testing.T) {
 	}
 	queries := []query{
 		{ranking.SqDist([]int{0, 1}, []float64{0.2, 0.9}), 40, Options{}},
-		{ranking.Linear([]int{0, 1}, []float64{2, 1}), 7, Options{DisableNeighborhood: true}},
+		{thresholdOnly{ranking.Linear([]int{0, 1}, []float64{2, 1})}, 7, Options{}},
 	}
 	var wg sync.WaitGroup
 	for _, q := range queries {

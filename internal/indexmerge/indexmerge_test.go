@@ -112,6 +112,10 @@ func TestMonotoneLinear(t *testing.T) {
 	sameScores(t, got2, brute(tb, f2, 20))
 }
 
+// thresholdOnly hides a function's (semi-)monotonicity, so the merge takes
+// threshold expansion where it would take neighborhood expansion.
+type thresholdOnly struct{ ranking.Func }
+
 func TestNeighborhoodVsThresholdAgree(t *testing.T) {
 	tb, idx := fixture(t, 4000, 86, 8)
 	f := ranking.SqDist([]int{0, 1}, []float64{0.31, 0.77})
@@ -119,7 +123,7 @@ func TestNeighborhoodVsThresholdAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TopK(idx, f, 25, Options{DisableNeighborhood: true}, stats.New())
+	b, err := TopK(idx, thresholdOnly{f}, 25, Options{}, stats.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +304,7 @@ func TestNeighborhoodExpansionEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := stats.New()
-	b, err := TopK(idx, f, 50, Options{DisableNeighborhood: true}, th)
+	b, err := TopK(idx, thresholdOnly{f}, 50, Options{}, th)
 	if err != nil {
 		t.Fatal(err)
 	}

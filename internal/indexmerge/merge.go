@@ -32,9 +32,6 @@ type Options struct {
 	Strategy Strategy
 	// Pruner prunes empty states by join-signature (PE+SIG); nil disables.
 	Pruner Pruner
-	// DisableNeighborhood forces threshold expansion even for (semi-)
-	// monotone functions (ablation).
-	DisableNeighborhood bool
 }
 
 // Merger executes one top-k query over n merged indices of ranking width r.
@@ -257,7 +254,8 @@ func (m *Merger) run() {
 
 // processLeafState retrieves the member leaves of a leaf state and merges
 // their tuples through the partial-tuple table. Members already retrieved are
-// skipped — redundant states (§5.1.3) thereby cost nothing.
+// skipped — redundant states (§5.1.3) thereby cost nothing. A complete tuple
+// scoring +Inf (outside a constrained function's band) is no answer.
 func (m *Merger) processLeafState(st int32) {
 	t, full := &m.tuples, uint64(1)<<uint(m.n)-1
 	for i, nid := range m.nodes[int(st)*m.n:][:m.n] {
@@ -272,8 +270,11 @@ func (m *Merger) processLeafState(st int32) {
 				point[d] = pt[d]
 			}
 			t.got[at] |= 1 << uint(i)
-			if t.got[at] == full {
-				m.topk.Offer(core.Result{TID: tid, Score: m.f.Eval(point)})
+			if t.got[at] != full {
+				continue
+			}
+			if score := m.f.Eval(point); !math.IsInf(score, 1) {
+				m.topk.Offer(core.Result{TID: tid, Score: score})
 			}
 		}
 	}

@@ -220,7 +220,9 @@ func (m *refMerger) processLeafState(s *refState) {
 			}
 			pt.got |= 1 << uint(i)
 			if pt.got == 1<<uint(len(m.indices))-1 {
-				m.topk.Offer(core.Result{TID: le.TID, Score: m.f.Eval(pt.point)})
+				if score := m.f.Eval(pt.point); !math.IsInf(score, 1) {
+					m.topk.Offer(core.Result{TID: le.TID, Score: score})
+				}
 				delete(m.partial, le.TID)
 			}
 		}
@@ -367,9 +369,6 @@ func (m *refMerger) initExpansion(s *refState) {
 // function must be monotone or semi-monotone and every non-leaf member must
 // come from a value-ordered (B+-tree) index (§5.2.2).
 func (m *refMerger) useNeighborhood(s *refState) bool {
-	if m.opts.DisableNeighborhood {
-		return false
-	}
 	_, mono := m.f.(ranking.Monotone)
 	_, semi := m.f.(ranking.SemiMonotone)
 	if !mono && !semi {
@@ -701,8 +700,7 @@ func TestMergeMatchesReference(t *testing.T) {
 	dead := 0
 	strategies := []strategy{
 		{"BL", func([]hindex.Index, int) Options { return Options{Strategy: StrategyBL} }},
-		{"PE-threshold", func([]hindex.Index, int) Options { return Options{DisableNeighborhood: true} }},
-		{"PE-neighborhood", func([]hindex.Index, int) Options { return Options{} }},
+		{"PE", func([]hindex.Index, int) Options { return Options{} }},
 		{"PE+SIG-exact", func(idx []hindex.Index, rows int) Options {
 			return Options{Pruner: joinSig(idx, rows, JoinSigConfig{})}
 		}},

@@ -146,9 +146,6 @@ func (m *Merger) initExpansion(st int32, bound float64) bool {
 // function must be monotone or semi-monotone and every non-leaf member must
 // come from a value-ordered (B+-tree) index (§5.2.2).
 func (m *Merger) useNeighborhood(nodes []hindex.NodeID) bool {
-	if m.opts.DisableNeighborhood {
-		return false
-	}
 	_, mono := m.f.(ranking.Monotone)
 	_, semi := m.f.(ranking.SemiMonotone)
 	if !mono && !semi {

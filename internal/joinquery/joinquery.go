@@ -171,11 +171,10 @@ type executor struct {
 	sources []source
 	// seen[i] maps join key → tuples of relation i pulled so far.
 	seen []map[int32][]core.Result
-	// first[i] is relation i's best score; last[i] the score of the most
-	// recent pull (both drive the HRJN threshold).
-	first, last []float64
-	exhausted   []bool
-	topk        *heap.Bounded[Result]
+	// first[i] is relation i's best score, which drives the HRJN threshold.
+	first     []float64
+	exhausted []bool
+	topk      *heap.Bounded[Result]
 	// seenCount totals buffered tuples across all seen tables — the rank
 	// join's candidate buffer, reported through ObserveHeap so the peak
 	// metric and the governor's candidate budget cover joins too.
@@ -191,7 +190,6 @@ func (e *executor) open() error {
 	e.sources = make([]source, n)
 	e.seen = make([]map[int32][]core.Result, n)
 	e.first = make([]float64, n)
-	e.last = make([]float64, n)
 	e.exhausted = make([]bool, n)
 	e.topk = heap.NewBounded[Result](e.q.K, worseJoined)
 
@@ -218,7 +216,6 @@ func (e *executor) open() error {
 		e.sources[i] = src
 		e.seen[i] = make(map[int32][]core.Result)
 		e.first[i] = math.NaN()
-		e.last[i] = math.Inf(-1)
 	}
 	return nil
 }
@@ -303,7 +300,6 @@ func (e *executor) run() ([]Result, error) {
 		if math.IsNaN(e.first[pick]) {
 			e.first[pick] = r.Score
 		}
-		e.last[pick] = r.Score
 
 		key := e.q.Parts[pick].Rel.Keys[r.TID]
 		if !e.opts.DisableListPruning && !e.keyAllowed[key] {

@@ -135,8 +135,14 @@ func (s *refScanner) stepRule() (core.Result, bool) {
 	return core.Result{}, false
 }
 
+// live reports whether the search has an entry left that can be an answer: a
+// +Inf entry is outside a constrained function's band, and so is all behind it.
+func (s *refScanner) live() bool {
+	return s.cheap.Len() > 0 && !math.IsInf(s.cheap.Min().score, 1)
+}
+
 func (s *refScanner) Next() (core.Result, bool) {
-	for s.cheap.Len() > 0 {
+	for s.live() {
 		if res, ok := s.step(); ok {
 			return res, true
 		}
@@ -155,7 +161,7 @@ func (s *refScanner) Bound() float64 {
 // already beats.
 func (s *refScanner) topK(k int) []core.Result {
 	topk := heap.NewBounded[core.Result](k, core.WorseResult)
-	for s.cheap.Len() > 0 {
+	for s.live() {
 		if topk.Full() && topk.Worst().Score <= s.cheap.Min().score {
 			break
 		}
@@ -282,10 +288,13 @@ func (rc refCase) oneExactCell(cond core.Cond) bool {
 	return !rc.cube.cfg.LossySignatures && (len(cond) <= 1 || rc.cube.Cuboid(cond.Dims()) != nil)
 }
 
-func (rc refCase) matches(cond core.Cond) int {
-	n := 0
-	for i := 0; i < rc.cube.Table().Len(); i++ {
-		if tid := table.TID(i); rc.cube.Alive(tid) && rc.cube.Table().Matches(tid, cond) {
+// matches counts the live tuples matching cond that f, if given, scores
+// finitely: the answers a search drained to the end returns.
+func (rc refCase) matches(cond core.Cond, f ranking.Func) int {
+	n, tb := 0, rc.cube.Table()
+	for i := 0; i < tb.Len(); i++ {
+		tid := table.TID(i)
+		if rc.cube.Alive(tid) && tb.Matches(tid, cond) && (f == nil || !math.IsInf(f.Eval(tb.RankRow(tid, nil)), 1)) {
 			n++
 		}
 	}
@@ -297,6 +306,8 @@ func refFuncs(rng *rand.Rand) map[string]ranking.Func {
 		"linear":  ranking.Linear([]int{0, 1, 2}, []float64{0.2 + rng.Float64(), 0.2 + rng.Float64(), 0.2 + rng.Float64()}),
 		"sqdist":  ranking.SqDist([]int{0, 1, 2}, []float64{rng.Float64(), rng.Float64(), rng.Float64()}),
 		"general": ranking.General(ranking.Sqr(ranking.Sub(ranking.Scale(0.5+rng.Float64(), ranking.Var(0)), ranking.Add(ranking.Var(1), ranking.Var(2))))),
+		// The fc class: a tuple outside the band scores +Inf and is no answer.
+		"constrained": ranking.Constrained(ranking.Sum(0, 1, 2), 0, 0.3, 0.5),
 	}
 }
 
@@ -314,12 +325,13 @@ func checkAgainstReference(t *testing.T, rc refCase, rng *rand.Rand) {
 	t.Helper()
 	rt := rc.cube.Tree()
 	for ci, cond := range rc.conds {
-		matches, req, equal := rc.matches(cond), rc.cell(t, cond), rc.oneExactCell(cond)
+		matches, req, equal := rc.matches(cond, nil), rc.cell(t, cond), rc.oneExactCell(cond)
 		for fname, f := range refFuncs(rng) {
+			answers := rc.matches(cond, f)
 			for _, k := range []int{1, 10, matches + 5} {
 				what := fmt.Sprintf("%s cond#%d %v %s k=%d", rc.name, ci, cond, fname, k)
-				if res := checkTopK(t, what, rt, req, f, k, equal); k > matches && len(res) != matches {
-					t.Fatalf("%s: %d results for %d matching tuples", what, len(res), matches)
+				if res := checkTopK(t, what, rt, req, f, k, equal); k > matches && len(res) != answers {
+					t.Fatalf("%s: %d results for %d matching tuples in f's range", what, len(res), answers)
 				}
 			}
 			what := fmt.Sprintf("%s cond#%d %v %s scan", rc.name, ci, cond, fname)

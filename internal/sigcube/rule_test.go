@@ -40,7 +40,7 @@ func TestTestOnlyTesterChargesStagedReads(t *testing.T) {
 // reads.
 func checkHidden(t *testing.T, what string, rc refCase, cond core.Cond, f ranking.Func, rng *rand.Rand) {
 	t.Helper()
-	rt, matches, hidden := rc.cube.Tree(), rc.matches(cond), wrapped(rc.cell(t, cond))
+	rt, matches, hidden := rc.cube.Tree(), rc.matches(cond, nil), wrapped(rc.cell(t, cond))
 	if tester, _ := hidden(stats.New()); tester == nil {
 		if res, err := rc.cube.TopK(cond, f, 1, stats.New()); err != nil || len(res) != 0 {
 			t.Fatalf("%s: %d results from an empty cell (%v)", what, len(res), err)

@@ -125,7 +125,9 @@ func (c *Cube) Scan(cond core.Cond, f ranking.Func, ctr *stats.Counters) (*Scann
 }
 
 // Next returns the next matching tuple in ascending score order; ok is
-// false when the source is exhausted.
+// false when the source is exhausted. The stream ends at the first entry
+// scored +Inf: everything behind it is +Inf too, outside a constrained
+// function's band, and no answer.
 func (s *Scanner) Next() (res core.Result, ok bool) {
 	if s.done {
 		return core.Result{}, false
@@ -133,6 +135,9 @@ func (s *Scanner) Next() (res core.Result, ok bool) {
 	for s.cheap.Len() > 0 {
 		s.ctr.ObserveHeap(s.cheap.Len())
 		e := s.cheap.Pop()
+		if math.IsInf(e.score, 1) {
+			break
+		}
 		s.ctr.StatesExamined++
 		switch {
 		case e.deferred:

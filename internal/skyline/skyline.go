@@ -365,15 +365,15 @@ func (s *Snapshot) clean() {
 func (e *Engine) validate(q Query) error {
 	r := e.cube.Table().Schema().R()
 	if len(q.Dims) == 0 {
-		return fmt.Errorf("skyline: no preference dimensions")
+		return fmt.Errorf("skyline: no preference dimensions: %w", errs.ErrInvalidArgument)
 	}
 	for _, d := range q.Dims {
 		if d < 0 || d >= r {
-			return fmt.Errorf("skyline: preference dimension %d out of range", d)
+			return fmt.Errorf("skyline: preference dimension %d out of range: %w", d, errs.ErrInvalidArgument)
 		}
 	}
 	if q.Target != nil && len(q.Target) != len(q.Dims) {
-		return fmt.Errorf("skyline: target arity %d != dims %d", len(q.Target), len(q.Dims))
+		return fmt.Errorf("skyline: target arity %d != dims %d: %w", len(q.Target), len(q.Dims), errs.ErrInvalidArgument)
 	}
 	return nil
 }
