@@ -65,12 +65,12 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos$$' ./internal/chaos -v
 
 # A few seconds of each native fuzz target over a page decoder — the
-# partial-signature ones (View.loadPartial / Stored.Decode), the grid
-# cube's compressed cell lists (decodeEntries / decodeBlock) and the node
-# array codec under them all (bitvec.Codec.Decode / DecodeIn) — on arbitrary
-# page bytes: a typed ErrPageCorrupt or a value, never a raw panic. The seed
-# corpora (internal/signature/testdata/fuzz, f.Add in the other two targets)
-# run with the ordinary tests as well.
+# partial-signature ones (a View's load and its deferred leaf-level decodes,
+# Stored.Decode), the grid cube's compressed cell lists (decodeEntries /
+# decodeBlock) and the node array codec under them all (bitvec.Codec.Decode /
+# DecodeIn / Skip) — on arbitrary page bytes: a typed ErrPageCorrupt or a
+# value, never a raw panic. The seed corpora (internal/signature/testdata/fuzz,
+# f.Add in the other two targets) run with the ordinary tests as well.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzViewDecode$$' -fuzztime $(FUZZTIME) ./internal/signature

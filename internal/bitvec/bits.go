@@ -318,23 +318,26 @@ func (r *Reader) ReadUnary(limit int) int {
 // Pos reports the current bit offset.
 func (r *Reader) Pos() int { return r.pos }
 
+// Seek moves the reader to bit offset pos, one Pos returned.
+func (r *Reader) Seek(pos int) { r.pos = pos }
+
 // Remaining reports how many bits remain.
 func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }
 
 // Arena hands out bit arrays carved from shared slabs, so decoding the
-// hundreds of nodes of a partial signature costs a few allocations instead
-// of two per node. Arrays stay valid for the arena's lifetime; nothing is
-// ever handed out twice. A nil *Arena allocates each array on its own.
+// nodes of a signature costs a few allocations instead of two per node.
+// Arrays stay valid for the arena's lifetime; nothing is ever handed out
+// twice. A nil *Arena allocates each array on its own.
 type Arena struct {
 	vals  []Bits
 	words []uint64
 }
 
-// Slab sizes: 256 headers and 1024 words are 8 KB each, about what one
-// partial signature (one page) decodes into.
+// Slab sizes: 64 headers and 256 words are 2 KB each. A view decodes only the
+// nodes its query reaches, often fewer than one slab holds.
 const (
-	arenaVals  = 256
-	arenaWords = 1024
+	arenaVals  = 64
+	arenaWords = 256
 )
 
 // New returns a zeroed bit array of length n.

@@ -219,6 +219,17 @@ func (c *Codec) DecodeIn(r *Reader, a *Arena) *Bits {
 	return out
 }
 
+// Skip steps r over one node encoding without decoding it, by the region
+// length in its header. Only a region that runs past the page aborts (with a
+// typed errs.ErrPageCorrupt); what the region holds is DecodeIn's to check.
+func (c *Codec) Skip(r *Reader) {
+	region := int(r.ReadBits(3+c.lenBits)>>3) + 1 // past the 3-bit CS field
+	if region > r.Remaining() {
+		r.overrun(region)
+	}
+	r.pos += region
+}
+
 func badPosition(scheme, pos, blen int) {
 	errs.Abortf(errs.ErrPageCorrupt, "bitvec: %s position %d past a %d-slot node", SchemeName(scheme), pos, blen)
 }

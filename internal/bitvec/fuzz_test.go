@@ -28,9 +28,12 @@ func corruptOr(decode func()) (err error) {
 // FuzzCodecDecode feeds arbitrary bytes to the node-array decoder under
 // arbitrary fanouts: a value or a typed ErrPageCorrupt, never a raw panic, the
 // same verdict and the same array whether storage comes from an arena or not,
-// an array no longer than the fanout, and one the encoder takes back. The seed
-// corpus is TestCodecGoldenBytes': the hand-picked arrays under every scheme
-// that fits them, and random ones at three fanouts as the encoder chooses.
+// an array no longer than the fanout, and one the encoder takes back. Skip, on
+// the same bytes, returns or aborts with ErrPageCorrupt without leaving the
+// page, and where the decoder takes the bytes it ends on the decoder's bit.
+// The seed corpus is TestCodecGoldenBytes': the hand-picked arrays under every
+// scheme that fits them, and random ones at three fanouts as the encoder
+// chooses.
 func FuzzCodecDecode(f *testing.F) {
 	c32 := NewCodec(32)
 	for _, b := range handPicked() {
@@ -56,12 +59,20 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, m int, data []byte) {
 		c := NewCodec(2 + int(uint(m)%1023))
 		var own, lent *Bits
-		err := corruptOr(func() { own = c.Decode(NewReader(data)) })
+		decoded, skipped := NewReader(data), NewReader(data)
+		err := corruptOr(func() { own = c.Decode(decoded) })
 		if lentErr := corruptOr(func() { lent = c.DecodeIn(NewReader(data), new(Arena)) }); (err == nil) != (lentErr == nil) {
 			t.Fatalf("Decode: %v, DecodeIn an arena: %v", err, lentErr)
 		}
+		skipErr := corruptOr(func() { c.Skip(skipped) })
+		if skipped.Remaining() < 0 {
+			t.Fatalf("Skip ran %d bits past the page", -skipped.Remaining())
+		}
 		if err != nil {
 			return
+		}
+		if skipErr != nil || skipped.Pos() != decoded.Pos() {
+			t.Fatalf("Skip ends at bit %d (%v), Decode at %d", skipped.Pos(), skipErr, decoded.Pos())
 		}
 		if own.Len() < 1 || own.Len() > c.M() || !own.Equal(lent) {
 			t.Fatalf("decoded %s and, in an arena, %s under fanout %d", own, lent, c.M())

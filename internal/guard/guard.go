@@ -108,8 +108,19 @@ func Order(gs ...*RW) []*RW {
 // AcquireShared admits the calling query through every control's gate and
 // read-locks every control, in Order. On gate rejection it undoes what it
 // acquired and returns the gate's typed error. The returned release undoes
-// everything in reverse and must be called exactly once.
+// everything in reverse and must be called exactly once. One control — every
+// operation but the rank join — has nothing to order and allocates only the
+// release.
 func AcquireShared(ctx context.Context, gs []*RW) (release func(), err error) {
+	if len(gs) == 1 {
+		g := gs[0]
+		r, err := g.Gate().Acquire(ctx)
+		if err != nil {
+			return nil, err
+		}
+		g.RLock()
+		return func() { g.RUnlock(); r() }, nil
+	}
 	gs = Order(gs...)
 	releases := make([]func(), 0, len(gs))
 	for _, g := range gs {

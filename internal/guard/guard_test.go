@@ -221,6 +221,33 @@ func TestOppositeArgumentOrdersNeverDeadlock(t *testing.T) {
 	}
 }
 
+// TestSingleControlAcquire: one control is admitted and read-locked like a
+// pair, refused like a pair by a full gate with nothing held, and costs one
+// allocation, the release.
+func TestSingleControlAcquire(t *testing.T) {
+	g, gt := New(), gate(t, 1)
+	g.SetGate(gt)
+	release, err := AcquireShared(context.Background(), []*RW{g})
+	if err != nil || gt.InFlight() != 1 || free(g) {
+		t.Fatalf("admitted: err %v, gate holds %d, free %v", err, gt.InFlight(), free(g))
+	}
+	if again, err := AcquireShared(context.Background(), []*RW{g}); !errors.Is(err, errs.ErrOverloaded) || again != nil {
+		t.Fatalf("against a full gate: release %v, err %v, want ErrOverloaded and no release", again != nil, err)
+	}
+	release()
+	if gt.InFlight() != 0 || !free(g) {
+		t.Fatalf("released: gate holds %d, free %v", gt.InFlight(), free(g))
+	}
+	g.SetGate(nil)
+	ctls := []*RW{g}
+	if n := testing.AllocsPerRun(100, func() {
+		release, _ := AcquireShared(context.Background(), ctls)
+		release()
+	}); n != 1 {
+		t.Fatalf("AcquireShared of one control makes %v allocations, want 1", n)
+	}
+}
+
 // TestGateRejectionLeavesNothingHeld fills the second control's gate: the
 // query is refused with the gate's typed error, the slot it had taken in the
 // first control's gate is given back, and no lock was taken — a writer has

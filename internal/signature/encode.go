@@ -2,6 +2,7 @@ package signature
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"rankcube/internal/bitvec"
@@ -187,22 +188,35 @@ func (s *Stored) sids() []uint64 {
 	return sids
 }
 
-// View is a per-query lazy decoder over a stored signature: partial
-// signatures are loaded (and charged as block reads) only when the query
-// requests a node they encode (§4.2.3).
+// View is a per-query lazy decoder over a stored signature: a partial
+// signature is loaded (and charged as a block read) only when the query
+// requests a node it encodes (§4.2.3), and a node is decoded only when the
+// query reaches it, except that loading decodes the internal nodes it walks.
 type View struct {
 	stored *Stored
 	codec  *bitvec.Codec
-	buf    *pager.Buffer
+	store  *pager.Store
 	ctr    *stats.Counters
 	// base is the SID radix M+1: a child's SID is parent·base + position.
 	base uint64
-	// nodes holds the decoded signature nodes by SID, their storage in arena.
-	nodes  map[uint64]*bitvec.Bits
-	arena  bitvec.Arena
-	loaded map[uint64]bool
+	// runs are the loaded partials in load order. Node i of the view has SID
+	// sids[i], its encoding at bit offs[i] of its run's page, and bits[i] once
+	// decoded (storage from arena). A run's nodes ascend by SID (BFS order is
+	// SID order), and no node is in two runs.
+	runs  []run
+	sids  []uint64
+	offs  []int
+	bits  []*bitvec.Bits
+	arena bitvec.Arena
 	// queue is loadPartial's BFS scratch.
 	queue []bfsNode
+}
+
+// run is one loaded partial: its root's SID, its page and its nodes [lo, hi).
+type run struct {
+	sid    uint64
+	page   []byte
+	lo, hi int
 }
 
 // bfsNode is an internal signature node during a BFS replay.
@@ -214,14 +228,7 @@ type bfsNode struct {
 
 // NewView opens a view charging signature loads to ctr.
 func NewView(s *Stored, codec *bitvec.Codec, store *pager.Store, ctr *stats.Counters) *View {
-	return &View{
-		stored: s,
-		codec:  codec,
-		buf:    pager.NewBuffer(store),
-		ctr:    ctr,
-		base:   uint64(s.fanout + 1),
-		loaded: make(map[uint64]bool),
-	}
+	return &View{stored: s, codec: codec, store: store, ctr: ctr, base: uint64(s.fanout + 1)}
 }
 
 // Test reports the signature bit for the node/tuple at path, loading the
@@ -249,42 +256,62 @@ func (v *View) Probe(parent []int, live *bitvec.Bits) {
 	live.And(bits)
 }
 
-// node resolves the decoded bits of the signature node at path, loading
-// ancestor-referenced partials in root-to-leaf order.
+// node resolves the bits of the signature node at path, loading the partials
+// rooted at prefixes of path in root-to-leaf order until one holds the node.
 func (v *View) node(path []int) *bitvec.Bits {
 	sid := hindex.SID(path, v.stored.fanout)
 	for {
-		if bits, ok := v.nodes[sid]; ok {
-			return bits
+		if page, i := v.find(sid); i >= 0 {
+			return v.decode(page, i)
 		}
 		// Load the first partial not yet loaded among those rooted at a
 		// prefix of path, then look again.
-		loadedOne := false
 		prefix := uint64(0)
 		for i := 0; ; i++ {
-			if page, exists := v.stored.refs[prefix]; exists && !v.loaded[prefix] {
+			loaded := func(p run) bool { return p.sid == prefix }
+			if page, exists := v.stored.refs[prefix]; exists && !slices.ContainsFunc(v.runs, loaded) {
 				v.loadPartial(prefix, page)
-				v.loaded[prefix] = true
-				loadedOne = true
 				break
 			}
 			if i == len(path) {
-				break
+				return nil
 			}
 			prefix = prefix*v.base + uint64(path[i])
-		}
-		if !loadedOne {
-			return nil
 		}
 	}
 }
 
-// loadPartial decodes the partial signature rooted at sid into the view's
-// node map, replaying the encoder's BFS with already-known nodes skipped.
-// Everything read here came off a stored page: a header that disagrees with
-// the reference or with the nodes that follow is corruption, not a bug.
+// find locates node sid in the loaded partials: its run's page and its index,
+// or -1 when no loaded partial holds it.
+func (v *View) find(sid uint64) ([]byte, int) {
+	for _, p := range v.runs {
+		if i, ok := slices.BinarySearch(v.sids[p.lo:p.hi], sid); ok {
+			return p.page, p.lo + i
+		}
+	}
+	return nil, -1
+}
+
+// decode returns the bits of node i, decoding them off page the first time.
+func (v *View) decode(page []byte, i int) *bitvec.Bits {
+	if v.bits[i] == nil {
+		r := bitvec.NewReader(page)
+		r.Seek(v.offs[i])
+		v.bits[i] = v.codec.DecodeIn(r, &v.arena)
+	}
+	return v.bits[i]
+}
+
+// loadPartial reads the partial signature rooted at sid into a new run by
+// replaying the encoder's BFS: a node an ancestor's partial holds is passed
+// over, one of its own is stepped over by the region length in its header and
+// decoded at once only if internal, for the replay to walk its set bits.
+// Everything read here came off a stored page: a header that disagrees with the
+// reference or with the nodes that follow is corruption, not a bug, and so is
+// a leaf-level node that does not decode, found when a query first reaches it.
 func (v *View) loadPartial(sid uint64, page pager.PageID) {
-	r := bitvec.NewReader(v.buf.Read(page, v.ctr))
+	data := v.store.Read(page, v.ctr)
+	r := bitvec.NewReader(data)
 	depth := int(r.ReadBits(8))
 	root := uint64(0)
 	for i := 0; i < depth; i++ {
@@ -294,47 +321,39 @@ func (v *View) loadPartial(sid uint64, page pager.PageID) {
 		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d is headed as partial %d", sid, root)
 	}
 	count := int(r.ReadBits(32))
-	if v.nodes == nil {
-		// Size the node map for this partial. The count is an on-page field:
-		// cap it by what the page could possibly encode.
-		hint := r.Remaining() / v.codec.HeaderBits()
-		if count < hint {
-			hint = count
-		}
-		v.nodes = make(map[uint64]*bitvec.Bits, hint)
-	}
+	// The count is an on-page field: make room for no more than the page holds.
+	n, lo := min(count, r.Remaining()/v.codec.HeaderBits()), len(v.sids)
+	v.sids, v.offs, v.bits = slices.Grow(v.sids, n), slices.Grow(v.offs, n), slices.Grow(v.bits, n)
 
 	// Replay the BFS. The queue holds the internal nodes whose children are
-	// still to be visited; a visit decodes the node unless an ancestor's
-	// partial already did.
+	// still to be visited.
 	leaf := leafDepth(v.stored.height)
 	queue := v.queue[:0]
-	decoded := 0
 	visit := func(sid uint64, depth int) {
-		bits, known := v.nodes[sid]
-		if !known {
-			bits = v.codec.DecodeIn(r, &v.arena)
-			v.nodes[sid] = bits
-			decoded++
+		page, i := v.find(sid)
+		if i < 0 {
+			page, i = data, len(v.sids)
+			v.sids, v.offs, v.bits = append(v.sids, sid), append(v.offs, r.Pos()), append(v.bits, nil)
+			v.codec.Skip(r)
 		}
 		if depth < leaf {
-			queue = append(queue, bfsNode{sid, depth, bits})
+			queue = append(queue, bfsNode{sid, depth, v.decode(page, i)})
 		}
 	}
 	if count > 0 {
 		visit(sid, depth)
 	}
-	for qi := 0; qi < len(queue) && decoded < count; qi++ {
+	for qi := 0; qi < len(queue) && len(v.sids)-lo < count; qi++ {
 		p := queue[qi]
-		for i := p.bits.NextOne(0); i >= 0 && decoded < count; i = p.bits.NextOne(i + 1) {
+		for i := p.bits.NextOne(0); i >= 0 && len(v.sids)-lo < count; i = p.bits.NextOne(i + 1) {
 			visit(p.sid*v.base+uint64(i+1), p.depth+1)
 		}
 	}
 	v.queue = queue[:0]
-	if decoded != count {
-		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d decoded %d nodes, header says %d",
-			sid, decoded, count)
+	if n := len(v.sids) - lo; n != count {
+		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d replays %d nodes, header says %d", sid, n, count)
 	}
+	v.runs = append(v.runs, run{sid, data, lo, len(v.sids)})
 }
 
 // Decode fully decodes a stored signature for incremental maintenance,

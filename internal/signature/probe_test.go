@@ -183,6 +183,111 @@ func corruptAbort(fn func()) (err error) {
 	return nil
 }
 
+// TestViewReportsMalformedLeafWhenReached: a leaf-level node whose header
+// gives its region's true length but whose region holds a position past its
+// array passes the page's checksum and its partial's load. Every path that does
+// not reach the node answers as the tree does, with the reads the well-formed
+// page charges; the first Test or Probe that reaches it aborts with
+// ErrPageCorrupt.
+func TestViewReportsMalformedLeafWhenReached(t *testing.T) {
+	node := func(width int, set []int, kids ...*Node) *Node {
+		n := &Node{Bits: bitvec.NewBits(width), Kids: kids}
+		for _, i := range set {
+			n.Bits.Set(i, true)
+		}
+		return n
+	}
+	leaves := []*Node{node(8, []int{0, 7}), node(8, []int{1}), node(8, []int{2, 3}), node(8, []int{5})}
+	root := node(2, []int{0, 1},
+		node(3, []int{0, 2}, leaves[0], nil, leaves[1]),
+		node(4, []int{1, 3}, nil, leaves[2], nil, leaves[3]))
+	bad := []int{2, 2} // leaves[2]
+
+	// The root partial holds the root and both middle nodes; a child partial
+	// under each middle node holds its two leaves.
+	codec := bitvec.NewCodec(fuzzFanout)
+	open := func(malformed bool, ctr *stats.Counters) *View {
+		store := pager.NewStore(stats.StructSignature, 256)
+		partial := func(path []int, nodes ...*Node) pager.PageID {
+			var w bitvec.Writer
+			w.WriteBits(uint64(len(path)), 8)
+			for _, p := range path {
+				w.WriteBits(uint64(p), 16)
+			}
+			w.WriteBits(uint64(len(nodes)), 32)
+			for _, n := range nodes {
+				if malformed && n == leaves[2] {
+					// PI/sparse: the array's length less one (2), then the
+					// position 5, each a position wide.
+					pos := bitvec.BitsFor(fuzzFanout)
+					w.WriteBits(bitvec.SchemePISparse, 3)
+					w.WriteBits(uint64(2*pos-1), codec.HeaderBits()-3)
+					w.WriteBits(2, pos)
+					w.WriteBits(5, pos)
+					continue
+				}
+				codec.Encode(&w, n.Bits)
+			}
+			return store.Append(w.Bytes())
+		}
+		refs := map[uint64]pager.PageID{0: partial(nil, root, root.Kids[0], root.Kids[1])}
+		for slot := 1; slot <= 2; slot++ {
+			refs[hindex.SID([]int{slot}, fuzzFanout)] = partial([]int{slot}, leaves[2*slot-2:2*slot]...)
+		}
+		return NewView(&Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}, codec, store, ctr)
+	}
+	probe := func(p Prober, parent []int) string {
+		var live bitvec.Bits
+		live.SetAll(fuzzFanout)
+		p.Probe(parent, &live)
+		return live.String()
+	}
+
+	var paths [][]int // every path of one to three slots but those through the malformed node
+	for a := 1; a <= fuzzFanout; a++ {
+		paths = append(paths, []int{a})
+		for b := 1; b <= fuzzFanout; b++ {
+			paths = append(paths, []int{a, b})
+			for c := 1; c <= fuzzFanout && (a != bad[0] || b != bad[1]); c++ {
+				paths = append(paths, []int{a, b, c})
+			}
+		}
+	}
+	cGood, cBad := stats.New(), stats.New()
+	good, warm := open(false, cGood), open(true, cBad)
+	if err := corruptAbort(func() {
+		for _, path := range paths {
+			want := root.Test(path)
+			if got, ok := warm.Test(path), good.Test(path); got != want || ok != want {
+				t.Fatalf("Test(%v): malformed page %v, well-formed %v, tree %v", path, got, ok, want)
+			}
+			parent := path[:len(path)-1]
+			if got, ok, want := probe(warm, parent), probe(good, parent), probe(root, parent); got != want || ok != want {
+				t.Fatalf("Probe(%v): malformed page %s, well-formed %s, tree %s", parent, got, ok, want)
+			}
+			if cBad.TotalReads() != cGood.TotalReads() {
+				t.Fatalf("after %v: the malformed page charged %d reads, the well-formed %d", path, cBad.TotalReads(), cGood.TotalReads())
+			}
+		}
+	}); err != nil {
+		t.Fatalf("a path that does not reach the malformed node aborted: %v", err)
+	}
+	if cGood.Reads(stats.StructSignature) != 3 {
+		t.Fatalf("the paths loaded %d partials, want all 3", cGood.Reads(stats.StructSignature))
+	}
+
+	for name, reach := range map[string]func(v *View){
+		"Test":  func(v *View) { v.Test(append(bad, 3)) },
+		"Probe": func(v *View) { probe(v, bad) },
+	} {
+		for _, v := range []*View{warm, open(true, stats.New())} {
+			if err := corruptAbort(func() { reach(v) }); !errors.Is(err, errs.ErrPageCorrupt) {
+				t.Errorf("%s reaching the malformed node: %v, want ErrPageCorrupt", name, err)
+			}
+		}
+	}
+}
+
 // fuzzFanout and fuzzHeight fix the shape the fuzzed pages are read against.
 const (
 	fuzzFanout = 8
@@ -196,7 +301,8 @@ const (
 // a value or abort with a typed ErrPageCorrupt — never a raw panic, and never
 // run or allocate past what the page's own length allows — and when the lazy
 // decoder and the maintenance decoder both take the bytes, they hold the same
-// tuples.
+// tuples. viewTuples reaches every node the view holds, so a leaf-level node
+// its load only stepped over is decoded there too.
 func FuzzViewDecode(f *testing.F) {
 	seeds, rootOnly := fuzzSeeds()
 	for _, seed := range seeds {

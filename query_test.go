@@ -276,7 +276,7 @@ func TestRegistryRecordsEachOperationsOwnReads(t *testing.T) {
 // repository benchmark's boundary.noop request — a public Query with no
 // predicate and k = 0 — with and without WithMetrics: an operation's
 // execution context is one allocation together with its governor, and no
-// per-query map reaches the heap. (The rest is the shared lock, the
+// per-query map reaches the heap. (The rest is the shared lock's release, the
 // registry's metric names and the options.)
 func TestNoopQueryAllocs(t *testing.T) {
 	ctx := context.Background()
@@ -287,7 +287,7 @@ func TestNoopQueryAllocs(t *testing.T) {
 	if _, err := cube.Query(ctx, rankcube.Cond{0: 1}, f, 10, rankcube.WithMetrics(m)); err != nil || m.TotalReads() == 0 {
 		t.Fatalf("warm-up query: %v, %d reads", err, m.TotalReads())
 	}
-	const want = 9
+	const want = 6
 	for name, opts := range map[string][]rankcube.Option{"bare": nil, "WithMetrics": {rankcube.WithMetrics(m)}} {
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := cube.Query(ctx, nil, f, 0, opts...); err != nil {
