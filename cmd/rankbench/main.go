@@ -112,9 +112,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// SIGINT/SIGTERM propagate into every query's context: the governor
-	// aborts in-flight searches at block-read granularity and the partial
-	// report still prints. A second signal kills the process outright.
+	// SIGINT/SIGTERM propagate into every query's context: its execution
+	// context (stats.Governed) aborts in-flight searches at block-read
+	// granularity and the partial report still prints. A second signal
+	// kills the process outright.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -146,8 +146,8 @@ func main() {
 			}
 		default:
 			// A per-query signal context: Ctrl-C cancels the running query
-			// (the governor aborts it within a bounded number of block
-			// reads) and returns to the prompt; at an idle prompt the
+			// (its execution context aborts it within a bounded number of
+			// block reads) and returns to the prompt; at an idle prompt the
 			// default signal disposition still exits the process.
 			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 			err := execute(ctx, line, rel, cube, eng)

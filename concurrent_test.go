@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rankcube"
 )
@@ -209,16 +210,21 @@ func TestAdmissionOverloadTyped(t *testing.T) {
 	f := rankcube.Sum(0, 1)
 
 	// An open scan holds the cube's only admission slot until Close, so a
-	// concurrent query is deterministically shed.
+	// concurrent query is deterministically shed, and counted as such.
 	sc, err := cube.OpenScan(ctx, rankcube.Cond{0: 1}, f)
 	if err != nil {
 		t.Fatalf("OpenScan: %v", err)
 	}
+	shed := rankcube.DefaultRegistry().Counter("queries.sig.topk." + string(rankcube.OutcomeOverloaded))
+	before := shed.Value()
 	if _, err := cube.Query(ctx, rankcube.Cond{0: 1}, f, 10); !errors.Is(err, rankcube.ErrOverloaded) {
 		sc.Close()
 		t.Fatalf("query against a full gate err = %v, want ErrOverloaded", err)
 	}
 	sc.Close()
+	if got := shed.Value() - before; got != 1 {
+		t.Fatalf("a shed query moved queries.sig.topk.overloaded by %d, want 1", got)
+	}
 	if _, err := cube.Query(ctx, rankcube.Cond{0: 1}, f, 10); err != nil {
 		t.Fatalf("query after slot release: %v", err)
 	}
@@ -258,5 +264,29 @@ func TestAdmissionOverloadTyped(t *testing.T) {
 	}
 	if _, err := cube.Query(ctx, rankcube.Cond{0: 1}, f, 1); !errors.Is(err, rankcube.ErrOverloaded) {
 		t.Fatalf("post-drain query err = %v, want ErrOverloaded", err)
+	}
+}
+
+// TestQueuedQueryDeadlineKeepsCause: a query whose deadline passes while it
+// waits at admission fails with ErrCanceled and the context's own error, as a
+// query canceled mid-search does.
+func TestQueuedQueryDeadlineKeepsCause(t *testing.T) {
+	rel := rankcube.GenerateRelation(2000, 2, 2, 4, rankcube.Uniform, 5)
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 16})
+	// A fresh gate has no service-time estimate, so the waiter parks rather
+	// than being shed on its deadline.
+	cube.SetAdmission(rankcube.AdmissionConfig{MaxInFlight: 1, MaxWaiting: 1, Name: "sig-queue-deadline"})
+	f := rankcube.Sum(0, 1)
+	sc, err := cube.OpenScan(context.Background(), rankcube.Cond{0: 1}, f)
+	if err != nil {
+		t.Fatalf("OpenScan: %v", err)
+	}
+	defer sc.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, err = cube.Query(ctx, rankcube.Cond{0: 1}, f, 10)
+	if !errors.Is(err, rankcube.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued query err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
 }

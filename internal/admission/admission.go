@@ -132,9 +132,9 @@ func (g *Gate) EstimatedService() time.Duration {
 // Acquire admits the calling query or rejects it with a typed error:
 // errs.ErrOverloaded when capacity and queue are exhausted, the gate is
 // draining, or the caller's deadline would expire before a slot could
-// plausibly free; errs.ErrCanceled when ctx ends while waiting. On success
-// the returned release function must be called exactly once when the query
-// finishes — it frees the slot and feeds the service-time estimate.
+// plausibly free; errs.Canceled(ctx.Err()) when ctx ends while waiting. On
+// success the returned release function must be called exactly once when the
+// query finishes — it frees the slot and feeds the service-time estimate.
 func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	if g == nil {
 		return func() {}, nil
@@ -193,7 +193,7 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 		return nil, g.reject("rejected_draining", "gate %q is draining", g.name)
 	case <-ctx.Done():
 		g.counter("canceled_waiting").Add(1)
-		return nil, fmt.Errorf("admission: gate %q wait: %v: %w", g.name, ctx.Err(), errs.ErrCanceled)
+		return nil, fmt.Errorf("admission: gate %q wait: %w", g.name, errs.Canceled(ctx.Err()))
 	}
 }
 
@@ -232,8 +232,8 @@ func (g *Gate) reject(event, format string, args ...any) error {
 
 // Drain shuts the gate down gracefully: new arrivals and parked waiters are
 // rejected with ErrOverloaded, and Drain blocks until every admitted query
-// has released its slot or ctx expires (returning ctx's error wrapped in
-// ErrCanceled). Drain is idempotent; after it returns nil the gate is
+// has released its slot or ctx expires (returning errs.Canceled of ctx's
+// error). Drain is idempotent; after it returns nil the gate is
 // permanently closed.
 func (g *Gate) Drain(ctx context.Context) error {
 	if g == nil {
@@ -256,7 +256,7 @@ func (g *Gate) Drain(ctx context.Context) error {
 		select {
 		case g.slots <- struct{}{}:
 		case <-ctx.Done():
-			return fmt.Errorf("admission: drain of gate %q: %v: %w", g.name, ctx.Err(), errs.ErrCanceled)
+			return fmt.Errorf("admission: drain of gate %q: %w", g.name, errs.Canceled(ctx.Err()))
 		}
 	}
 	return nil

@@ -115,8 +115,8 @@ func TestWaiterCanceledWhileParked(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if err := <-got; !errors.Is(err, errs.ErrCanceled) {
-		t.Fatalf("canceled waiter err = %v, want ErrCanceled", err)
+	if err := <-got; !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestDrainDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := g.Drain(ctx); !errors.Is(err, errs.ErrCanceled) {
-		t.Fatalf("Drain with stuck query err = %v, want ErrCanceled", err)
+	if err := g.Drain(ctx); !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with stuck query err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
 }
 

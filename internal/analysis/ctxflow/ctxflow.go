@@ -1,7 +1,8 @@
 // Package ctxflow enforces context discipline in the query engines.
 //
-// The governor (internal/governor) is the engines' only cancellation and
-// budget mechanism, and it sees exactly the context the caller passed in.
+// The operation's execution context (stats.Governed) is the engines' only
+// cancellation and budget mechanism, and it sees exactly the context the
+// caller passed in.
 // Two bug shapes silently disconnect a query from its caller:
 //
 //   - minting a fresh context (context.Background / context.TODO) while a
@@ -23,8 +24,8 @@
 // field outlives the call that stored it, so cancellation silently follows
 // the stale stashed context instead of the live caller. Library packages
 // may not declare such fields without a `//lint:ctxfield <reason>` marker
-// naming why the stash is scoped correctly (the query governor's
-// per-query carrier is the exemplar). Reading a stashed context while a
+// naming why the stash is scoped correctly (stats.Counters, one
+// operation's carrier, is the exemplar). Reading a stashed context while a
 // caller's ctx parameter is in scope is flagged unconditionally — that is
 // the stale-context bug in the act, and the fix is to use the parameter.
 package ctxflow

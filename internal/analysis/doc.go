@@ -16,7 +16,7 @@
 //     truly unused), as is a context stashed in a struct field without a
 //     //lint:ctxfield <reason> marker, or read back from a field while a
 //     live caller ctx is in scope.
-//   - governedio: every page read is charged to the query governor.
+//   - governedio: every page read is charged to the query's stats.Counters.
 //     Store.ReadRaw, and governed accessors called with a nil counter,
 //     bypass budget/cancellation enforcement and are flagged unless marked
 //     //lint:ungoverned <reason> (legitimate for size accounting and

@@ -2,7 +2,7 @@
 //
 // Budget and cancellation enforcement live in the pager: Store.Read /
 // Store.Touch (and the Buffer wrappers) charge each access to the query's
-// stats.Counters, whose governor aborts on a tripped budget or a
+// stats.Counters, which aborts on a tripped budget or a
 // canceled context. Two shapes silently erode that enforcement:
 //
 //   - Store.ReadRaw, which returns a payload without charging any read —
@@ -33,7 +33,7 @@ const (
 // Marker is the justification marker accepted on ungoverned accesses.
 const Marker = "ungoverned"
 
-// Analyzer flags pager accesses that bypass governor accounting.
+// Analyzer flags pager accesses that bypass governed accounting.
 var Analyzer = &framework.Analyzer{
 	Name: "governedio",
 	Doc: "flags Store.ReadRaw calls, nil-Counters reads, and nil-Counters " +

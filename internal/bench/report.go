@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"rankcube/internal/errs"
-	"rankcube/internal/governor"
 	"rankcube/internal/obs"
 	"rankcube/internal/stats"
 )
@@ -264,14 +263,15 @@ func sweep[X any](ctx context.Context, rep *Report, queries int, xlabel, format 
 }
 
 // run executes the workload and aggregates time and counters. A canceled ctx
-// stops the loop — mid-query via the governor's block-read checks — and the
-// partial aggregate over the completed queries is kept.
+// stops the loop — mid-query via the block-read checks of the query's
+// execution context — and the partial aggregate over the completed queries
+// is kept.
 func run(ctx context.Context, queries int, exec func(qi int, ctr *stats.Counters)) Measured {
 	agg := stats.New()
 	start := time.Now()
 	done := 0
 	for qi := 0; qi < queries && ctx.Err() == nil; qi++ {
-		ctr := governor.Counters(ctx, governor.Limits{}, nil)
+		ctr := stats.Governed(ctx, stats.Limits{}, nil)
 		qStart := time.Now()
 		canceled := runOne(exec, qi, ctr)
 		outcome := obs.OutcomeOK
@@ -294,7 +294,7 @@ func run(ctx context.Context, queries int, exec func(qi int, ctr *stats.Counters
 	return measure(done, time.Since(start), agg)
 }
 
-// runOne executes one query under its governor, absorbing a cancellation
+// runOne executes one query under its context, absorbing a cancellation
 // abort so an interrupt mid-query still yields the partial aggregate. Any
 // other panic propagates: the harness has no business masking engine bugs.
 func runOne(exec func(qi int, ctr *stats.Counters), qi int, ctr *stats.Counters) (canceled bool) {

@@ -1,6 +1,7 @@
-// Package errs defines the typed error taxonomy of the query-execution
-// governor and the fault/degradation layer, plus the abort machinery that
-// carries those errors out of deep search loops.
+// Package errs defines the typed error taxonomy of query execution — the
+// cancellation and budgets stats.Counters enforces, the admission gate, and
+// the fault/degradation layer — plus the abort machinery that carries those
+// errors out of deep search loops.
 //
 // # Taxonomy
 //
@@ -8,7 +9,9 @@
 // can switch on errors.Is:
 //
 //   - ErrCanceled — the query's context was canceled or its deadline
-//     passed. Never triggers degradation: the caller asked to stop.
+//     passed, mid-search or while queued at admission. The error (Canceled)
+//     also matches the context's own error. Never triggers degradation: the
+//     caller asked to stop.
 //   - ErrBudgetExceeded — a per-query resource budget (block reads,
 //     candidate-buffer entries) tripped mid-search. Degrades to a baseline
 //     scan only when the caller opted in (the scan usually costs more than
@@ -61,6 +64,13 @@ var (
 	ErrInvalidArgument      = errors.New("invalid argument")
 	ErrOverloaded           = errors.New("server overloaded")
 )
+
+// Canceled returns the error of an operation its context stopped, given the
+// context's error as cause: it matches ErrCanceled and cause
+// (context.Canceled or context.DeadlineExceeded) alike.
+func Canceled(cause error) error {
+	return fmt.Errorf("%w: %w", ErrCanceled, cause)
+}
 
 // abort is the payload of a typed abort panic. It deliberately does not
 // implement error so a stray abort that escapes recovery is loud.

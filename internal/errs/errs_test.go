@@ -1,6 +1,7 @@
 package errs
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -34,6 +35,16 @@ func TestAbortfWrapsSentinel(t *testing.T) {
 		t.Fatalf("err %v does not wrap ErrPageCorrupt", err)
 	}
 	if got := err.Error(); got != "page 7 bad: page corrupt" {
+		t.Fatalf("message %q", got)
+	}
+}
+
+func TestCanceledMatchesBothSentinels(t *testing.T) {
+	err := Canceled(context.DeadlineExceeded)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err %v does not match ErrCanceled and its cause", err)
+	}
+	if got := err.Error(); got != "query canceled: context deadline exceeded" {
 		t.Fatalf("message %q", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rankcube/internal/errs"
-	"rankcube/internal/governor"
 	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
@@ -62,7 +61,7 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 	}
 
 	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
-		ctr := governor.Counters(ctx, governor.Limits{}, nil)
+		ctr := stats.Governed(ctx, stats.Limits{}, nil)
 		got, err := governedTopK(cube, q, ctr)
 		if err != nil {
 			t.Fatalf("%s context: %v", name, err)
@@ -78,7 +77,7 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 	// when it is.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctr := governor.Counters(ctx, governor.Limits{}, nil)
+	ctr := stats.Governed(ctx, stats.Limits{}, nil)
 	accesses, atCancel := 0, int64(-1)
 	cube.blocks.store.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 		if accesses++; accesses == 5 {
@@ -97,7 +96,7 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 	}
 
 	for _, limit := range []int64{1, 3, clean.TotalReads() / 2, clean.TotalReads() - 1} {
-		ctr := governor.Counters(context.Background(), governor.Limits{MaxBlockReads: limit}, nil)
+		ctr := stats.Governed(context.Background(), stats.Limits{MaxBlockReads: limit}, nil)
 		_, err := governedTopK(cube, q, ctr)
 		if !errors.Is(err, errs.ErrBudgetExceeded) {
 			t.Fatalf("limit %d: err = %v, want ErrBudgetExceeded", limit, err)
@@ -106,7 +105,7 @@ func TestGovernorBoundsOnGridQuery(t *testing.T) {
 			t.Fatalf("limit %d overshot by %d blocks, want at most one page run (%d)", limit, over, widest)
 		}
 	}
-	ctr = governor.Counters(context.Background(), governor.Limits{MaxBlockReads: clean.TotalReads()}, nil)
+	ctr = stats.Governed(context.Background(), stats.Limits{MaxBlockReads: clean.TotalReads()}, nil)
 	if _, err := governedTopK(cube, q, ctr); err != nil {
 		t.Fatalf("a budget of exactly the query's reads tripped: %v", err)
 	}

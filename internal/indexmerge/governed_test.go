@@ -9,7 +9,6 @@ import (
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
-	"rankcube/internal/governor"
 	"rankcube/internal/hindex"
 	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
@@ -72,7 +71,7 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 	}
 
 	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
-		ctr := governor.Counters(ctx, governor.Limits{}, nil)
+		ctr := stats.Governed(ctx, stats.Limits{}, nil)
 		var trail []pager.PageID
 		stop := pageTrail(idx, &trail)
 		got, err := governedTopK(idx, f, k, ctr)
@@ -91,7 +90,7 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 	// it is.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctr := governor.Counters(ctx, governor.Limits{}, nil)
+	ctr := stats.Governed(ctx, stats.Limits{}, nil)
 	accesses, atCancel := 0, int64(-1)
 	idx[0].Store().SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 		if accesses++; accesses == 5 {
@@ -110,7 +109,7 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 	}
 
 	for _, limit := range []int64{1, 3, clean.TotalReads() / 2, clean.TotalReads() - 1} {
-		ctr := governor.Counters(context.Background(), governor.Limits{MaxBlockReads: limit}, nil)
+		ctr := stats.Governed(context.Background(), stats.Limits{MaxBlockReads: limit}, nil)
 		_, err := governedTopK(idx, f, k, ctr)
 		if !errors.Is(err, errs.ErrBudgetExceeded) {
 			t.Fatalf("limit %d: err = %v, want ErrBudgetExceeded", limit, err)
@@ -119,7 +118,7 @@ func TestGovernorBoundsOnMerge(t *testing.T) {
 			t.Fatalf("limit %d: stopped at %d reads, want the one page that crossed it", limit, ctr.TotalReads())
 		}
 	}
-	ctr = governor.Counters(context.Background(), governor.Limits{MaxBlockReads: clean.TotalReads()}, nil)
+	ctr = stats.Governed(context.Background(), stats.Limits{MaxBlockReads: clean.TotalReads()}, nil)
 	if _, err := governedTopK(idx, f, k, ctr); err != nil {
 		t.Fatalf("a budget of exactly the query's reads tripped: %v", err)
 	}

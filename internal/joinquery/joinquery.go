@@ -177,7 +177,7 @@ type executor struct {
 	topk      *heap.Bounded[Result]
 	// seenCount totals buffered tuples across all seen tables — the rank
 	// join's candidate buffer, reported through ObserveHeap so the peak
-	// metric and the governor's candidate budget cover joins too.
+	// metric and the candidate budget cover joins too.
 	seenCount int
 	// keyAllowed[i][key]: list pruning — keys that can possibly join across
 	// all relations (§6.3.3).
@@ -194,8 +194,12 @@ func (e *executor) open() error {
 	e.topk = heap.NewBounded[Result](e.q.K, worseJoined)
 
 	// List pruning: a join key is viable only when present in every
-	// relation (§6.3.3). Keys use a shared domain.
-	keyCard := e.q.Parts[0].Rel.KeyCard
+	// relation (§6.3.3). Keys use a shared domain, sized by the largest
+	// relation's: a key beyond some relation's KeyCard is not viable.
+	keyCard := 0
+	for _, p := range e.q.Parts {
+		keyCard = max(keyCard, p.Rel.KeyCard)
+	}
 	e.keyAllowed = make([]bool, keyCard)
 	for k := 0; k < keyCard; k++ {
 		ok := true
@@ -269,7 +273,7 @@ func (e *executor) run() ([]Result, error) {
 	n := len(e.sources)
 	for {
 		// A pull from a materialized source costs no block read, so give
-		// the governor an explicit abort point each iteration.
+		// cancellation an explicit abort point each iteration.
 		e.ctr.Checkpoint()
 		// Threshold: any unseen combination uses an unseen tuple from some
 		// relation i, so its score is at least bound_i + Σ_{j≠i} first_j.

@@ -63,7 +63,7 @@ func TestTraceGoldenTree(t *testing.T) {
 // TotalReads.
 func TestTraceAttributionSumsToCounters(t *testing.T) {
 	tr := NewTrace()
-	c := stats.Governed(nil, tr)
+	c := stats.Governed(nil, stats.Limits{}, tr)
 
 	end := c.StartSpan("query")
 	c.Read(stats.StructCube, 5)

@@ -34,11 +34,6 @@ func TestChecksumRoundTrip(t *testing.T) {
 	if got := s.Read(id, ctr); !bytes.Equal(got, payload) {
 		t.Fatalf("read back %q, want %q", got, payload)
 	}
-	// Overwrite refreshes the checksum.
-	s.Overwrite(id, []byte("rewritten"))
-	if got := s.Read(id, ctr); !bytes.Equal(got, []byte("rewritten")) {
-		t.Fatalf("read back %q after overwrite", got)
-	}
 }
 
 func TestCorruptionDetectedAndQuarantines(t *testing.T) {
@@ -80,7 +75,6 @@ func TestCorruptionDetectedAndQuarantines(t *testing.T) {
 func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 	s := NewStore(stats.StructRTree, 0)
 	id := s.Append([]byte("flaky page"))
-	s.SetRetryPolicy(DefaultRetryLimit, 0) // no sleeping in tests
 	s.SetFaultInjector(&ScriptedFaults{FailFirst: map[PageID]int{id: 2}})
 	ctr := stats.New()
 	if err := abortOf(t, func() { s.Read(id, ctr) }); err != nil {
@@ -97,15 +91,14 @@ func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 func TestTransientFaultExhaustsRetries(t *testing.T) {
 	s := NewStore(stats.StructRTree, 0)
 	id := s.Append([]byte("dead page"))
-	s.SetRetryPolicy(2, 0)
 	s.SetFaultInjector(&ScriptedFaults{FailFirst: map[PageID]int{id: 100}})
 	ctr := stats.New()
 	err := abortOf(t, func() { s.Read(id, ctr) })
 	if !errors.Is(err, errs.ErrReadFailed) {
 		t.Fatalf("err = %v, want ErrReadFailed", err)
 	}
-	if ctr.Retries != 2 {
-		t.Fatalf("retries = %d, want 2 (the retry limit)", ctr.Retries)
+	if ctr.Retries != RetryLimit {
+		t.Fatalf("retries = %d, want %d (the retry limit)", ctr.Retries, RetryLimit)
 	}
 	if ctr.TotalReads() != 0 {
 		t.Fatalf("reads = %d, want 0 for a read that never succeeded", ctr.TotalReads())
@@ -119,7 +112,6 @@ func TestOnReadHookObservesAttempts(t *testing.T) {
 	s := NewStore(stats.StructBTree, 0)
 	id := s.Append([]byte("watched page"))
 	var seen []int
-	s.SetRetryPolicy(3, 0)
 	s.SetFaultInjector(&ScriptedFaults{
 		FailFirst: map[PageID]int{id: 1},
 		OnRead:    func(_ PageID, attempt int) { seen = append(seen, attempt) },

@@ -3,8 +3,8 @@
 // The thesis evaluates every structure (cuboids, base-block tables, B+-trees,
 // R-trees, signatures) in terms of block-level access with a 4 KB page size.
 // This package provides an in-memory page store whose reads are counted
-// through stats.Counters, plus an optional LRU buffer pool so that repeated
-// access to a hot page within one query is not double counted — matching the
+// through stats.Counters, plus a per-query buffer so that repeated access to
+// a hot page within one query is not double counted — matching the
 // buffering behaviour the thesis assumes ("we buffered the bid and tid lists
 // retrieved so far", §3.3.2).
 //
@@ -16,12 +16,18 @@
 // tentatively, and CloseCircuit returns the store to full service once a
 // probe query has succeeded (the half-open circuit-breaker lifecycle). A
 // pluggable FaultInjector makes corruption, transient read errors (retried
-// with exponential backoff), and added latency deterministically testable.
+// up to RetryLimit times with exponential backoff), and added latency
+// deterministically testable.
+//
+// Every charged page access — Read, Touch — takes the page-table lock once,
+// snapshotting the payload, its checksum, its block count and the fault
+// injector together, and then charges the blocks to the query's
+// stats.Counters, which enforces the query's cancellation and budgets.
 //
 // A Store is safe for concurrent readers; page-table changes (Append, Free,
-// Overwrite, Resize, Reset) and the mutable configuration (SetFaultInjector,
-// SetRetryPolicy) are serialized internally, so configuration may change
-// while queries run. Structure-level consistency between a store's pages and
+// Resize, Reset) and the fault injector (SetFaultInjector) are serialized
+// internally, so an injector may be swapped while queries run. Structure-level
+// consistency between a store's pages and
 // the in-memory maps that index them is the owning engine's responsibility
 // (the cubes hold a reader/writer lock across whole operations).
 package pager
@@ -87,8 +93,10 @@ type Store struct {
 	kind     stats.Structure
 	pageSize int
 
-	// mu guards the page tables: concurrent queries read pages while
-	// maintenance appends, overwrites, or resets them.
+	// mu guards the page tables and the fault injector: concurrent queries
+	// read pages while maintenance appends, frees or resets them, and the
+	// injector may be swapped while queries run (the chaos harness does
+	// exactly that).
 	mu    sync.RWMutex
 	pages [][]byte
 	sizes []int
@@ -97,27 +105,21 @@ type Store struct {
 	sums []uint32
 	// free lists the ids released by Free, which Append hands out again
 	// before growing the tables. A freed page has size freedSize.
-	free []PageID
-
-	// cfgMu guards the mutable read-path configuration so injectors and
-	// retry schedules may be swapped while queries run (the chaos harness
-	// does exactly that).
-	cfgMu       sync.RWMutex
-	injector    FaultInjector
-	retryLimit  int
-	backoffBase time.Duration
+	free     []PageID
+	injector FaultInjector
 
 	// state is the quarantine lifecycle position; atomic because every
 	// read consults it on its fail-fast path.
 	state atomic.Int32
 }
 
-// Retry/backoff defaults for transient read faults. The backoff is tiny:
-// the pager simulates storage, so the schedule's shape (bounded attempts,
-// exponential spacing) matters more than its absolute duration.
+// The transient-fault retry schedule: up to RetryLimit retries of one access,
+// sleeping retryBackoff<<attempt before each. The backoff is tiny: the pager
+// simulates storage, so the schedule's shape (bounded attempts, exponential
+// spacing) matters more than its absolute duration.
 const (
-	DefaultRetryLimit  = 3
-	DefaultBackoffBase = 50 * time.Microsecond
+	RetryLimit   = 3
+	retryBackoff = 50 * time.Microsecond
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -128,36 +130,16 @@ func NewStore(kind stats.Structure, pageSize int) *Store {
 	if pageSize <= 0 {
 		pageSize = PageSize
 	}
-	return &Store{kind: kind, pageSize: pageSize,
-		retryLimit: DefaultRetryLimit, backoffBase: DefaultBackoffBase}
+	return &Store{kind: kind, pageSize: pageSize}
 }
 
 // SetFaultInjector attaches (or, with nil, removes) a fault injector. Safe
 // to call while queries run; in-flight page accesses finish under the
 // injector they started with.
 func (s *Store) SetFaultInjector(inj FaultInjector) {
-	s.cfgMu.Lock()
+	s.mu.Lock()
 	s.injector = inj
-	s.cfgMu.Unlock()
-}
-
-// SetRetryPolicy overrides the transient-fault retry schedule: up to limit
-// retries, sleeping backoff<<attempt between them. A zero backoff disables
-// sleeping (deterministic tests); a negative limit disables retrying. Safe
-// to call while queries run.
-func (s *Store) SetRetryPolicy(limit int, backoff time.Duration) {
-	s.cfgMu.Lock()
-	s.retryLimit = limit
-	s.backoffBase = backoff
-	s.cfgMu.Unlock()
-}
-
-// readConfig snapshots the mutable read-path configuration.
-func (s *Store) readConfig() (FaultInjector, int, time.Duration) {
-	s.cfgMu.RLock()
-	inj, limit, backoff := s.injector, s.retryLimit, s.backoffBase
-	s.cfgMu.RUnlock()
-	return inj, limit, backoff
+	s.mu.Unlock()
 }
 
 // State reports the store's position in the quarantine lifecycle.
@@ -277,16 +259,6 @@ func (s *Store) AppendLogical(size int) PageID {
 	return id
 }
 
-// Overwrite replaces the payload of an existing page (incremental
-// maintenance rewrites signature pages in place).
-func (s *Store) Overwrite(id PageID, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pages[id] = data
-	s.sizes[id] = len(data)
-	s.sums[id] = crc32.Checksum(data, crcTable)
-}
-
 // Resize updates the logical size of a payload-free page (cells grow under
 // incremental maintenance).
 func (s *Store) Resize(id PageID, size int) {
@@ -296,8 +268,7 @@ func (s *Store) Resize(id PageID, size int) {
 }
 
 // Reset truncates the store to zero pages while keeping its identity —
-// kind, page size, fault injector, retry policy, and quarantine state all
-// survive. The repair path uses it: the owning structure resets the store
+// kind, page size, fault injector, and quarantine state all survive. The repair path uses it: the owning structure resets the store
 // and re-materializes its content from the base data, so every reference to
 // the store (fault injection attachments, health monitors) stays valid.
 func (s *Store) Reset() {
@@ -317,7 +288,6 @@ func (s *Store) Reset() {
 // charged and the quarantine fail-fast does not apply: this is exactly the
 // path that runs while the store is out of service.
 func (s *Store) VerifyPages() []PageID {
-	inj, _, _ := s.readConfig()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var bad []PageID
@@ -326,8 +296,8 @@ func (s *Store) VerifyPages() []PageID {
 			continue
 		}
 		id := PageID(i)
-		if inj != nil {
-			data = inj.MutatePayload(id, data)
+		if s.injector != nil {
+			data = s.injector.MutatePayload(id, data)
 		}
 		if crc32.Checksum(data, crcTable) != s.sums[i] {
 			bad = append(bad, id)
@@ -341,10 +311,7 @@ func (s *Store) VerifyPages() []PageID {
 // corruption) quarantines the store and aborts the query with a typed
 // errs.ErrPageCorrupt.
 func (s *Store) Read(id PageID, c *stats.Counters) []byte {
-	inj := s.access(id, c)
-	s.mu.RLock()
-	data, sum := s.pages[id], s.sums[id]
-	s.mu.RUnlock()
+	data, sum, inj := s.access(id, c)
 	if inj != nil && data != nil {
 		data = inj.MutatePayload(id, data)
 	}
@@ -363,34 +330,35 @@ func (s *Store) Touch(id PageID, c *stats.Counters) {
 }
 
 // access runs the physical read protocol for one page: fail fast when the
-// store is quarantined, ride out injected transient faults with bounded
-// exponential backoff, then charge the blocks to c (which consults the
-// query governor — the block-access granularity at which cancellation and
-// budgets are enforced). It returns the injector snapshot so the caller's
-// payload mutation sees the same injector the access rode out.
-func (s *Store) access(id PageID, c *stats.Counters) FaultInjector {
+// store is quarantined, snapshot the page under one page-table lock, ride out
+// injected transient faults with bounded exponential backoff, then charge the
+// blocks to c — the block-access granularity at which cancellation and budgets
+// are enforced. It returns the payload snapshot with its checksum and the
+// injector, so the caller's payload mutation sees the injector the access
+// rode out.
+func (s *Store) access(id PageID, c *stats.Counters) (data []byte, sum uint32, inj FaultInjector) {
 	if s.Quarantined() {
 		errs.Abortf(errs.ErrStructureUnavailable, "pager: %s store quarantined", s.kind)
 	}
-	inj, retryLimit, backoffBase := s.readConfig()
+	s.mu.RLock()
+	data, sum, blocks, inj := s.pages[id], s.sums[id], s.blockSpan(id), s.injector
+	s.mu.RUnlock()
 	if inj != nil {
 		for attempt := 0; ; attempt++ {
 			err := inj.ReadAttempt(id, attempt)
 			if err == nil {
 				break
 			}
-			if attempt >= retryLimit {
+			if attempt >= RetryLimit {
 				errs.Abortf(errs.ErrReadFailed, "pager: %s page %d failed after %d attempts: %v",
 					s.kind, id, attempt+1, err)
 			}
 			c.AddRetry()
-			if backoffBase > 0 {
-				time.Sleep(backoffBase << uint(attempt))
-			}
+			time.Sleep(retryBackoff << uint(attempt))
 		}
 	}
-	c.Read(s.kind, s.blocksOf(id))
-	return inj
+	c.Read(s.kind, blocks)
+	return data, sum, inj
 }
 
 // ReadRaw returns a page payload without charging any read — for size
@@ -428,20 +396,14 @@ func (s *Store) Blocks() int64 {
 	var t int64
 	for id, sz := range s.sizes {
 		if sz != freedSize {
-			t += s.blocksOfLocked(PageID(id))
+			t += s.blockSpan(PageID(id))
 		}
 	}
 	return t
 }
 
-func (s *Store) blocksOf(id PageID) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.blocksOfLocked(id)
-}
-
-// blocksOfLocked computes the block span of page id; the caller holds mu.
-func (s *Store) blocksOfLocked(id PageID) int64 {
+// blockSpan computes the block span of page id; the caller holds mu.
+func (s *Store) blockSpan(id PageID) int64 {
 	sz := s.sizes[id]
 	if sz <= 0 {
 		return 1
@@ -456,10 +418,9 @@ func (s *Store) blocksOfLocked(id PageID) int64 {
 // one buffer, not both: only Read keeps a payload to serve again.
 type Buffer struct {
 	store *Store
-	// touched has one bit per page id that was only touched, ntouched the
-	// number set; sized on the first Touch.
-	touched  []uint64
-	ntouched int
+	// touched has one bit per page id that was only touched; sized on the
+	// first Touch.
+	touched []uint64
 	// data holds the payloads of pages that were Read; nil until the first.
 	data map[PageID][]byte
 }
@@ -468,8 +429,7 @@ type Buffer struct {
 func NewBuffer(store *Store) *Buffer { return &Buffer{store: store} }
 
 // Read fetches a page, charging only the first access to c. Repeat reads
-// serve the buffered payload, so a page the query already verified cannot
-// change under it mid-query even if maintenance overwrites the store.
+// serve the buffered payload the query already verified.
 func (b *Buffer) Read(id PageID, c *stats.Counters) []byte {
 	if data, ok := b.data[id]; ok {
 		return data
@@ -492,13 +452,9 @@ func (b *Buffer) Touch(id PageID, c *stats.Counters) {
 	}
 	if b.touched[w]&bit == 0 {
 		b.touched[w] |= bit
-		b.ntouched++
 		b.store.Touch(id, c)
 	}
 }
-
-// Hits reports how many distinct pages have been accessed through the buffer.
-func (b *Buffer) Hits() int { return b.ntouched + len(b.data) }
 
 // Seen reports whether page id has already been accessed through the buffer.
 func (b *Buffer) Seen(id PageID) bool {

@@ -415,7 +415,9 @@ func TestMaintenanceFreesRewrittenPages(t *testing.T) {
 		var total int64
 		for _, cb := range cube.cuboids {
 			for _, stored := range cb.cells {
-				total += stored.EncodedBytes(cube.store)
+				for _, page := range pagesOf(stored, cube.store) {
+					total += int64(len(page))
+				}
 			}
 		}
 		return total

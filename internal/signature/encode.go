@@ -427,13 +427,3 @@ func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 	}
 	return root
 }
-
-// EncodedBytes reports the total encoded size of the cell across partials.
-func (s *Stored) EncodedBytes(store *pager.Store) int64 {
-	var total int64
-	for _, page := range s.refs {
-		//lint:ungoverned size accounting inspects stored bytes without simulating a read
-		total += int64(len(store.ReadRaw(page)))
-	}
-	return total
-}

@@ -8,7 +8,6 @@ import (
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
-	"rankcube/internal/governor"
 	"rankcube/internal/pager"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -55,7 +54,7 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 	}
 
 	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
-		ctr := governor.Counters(ctx, governor.Limits{}, nil)
+		ctr := stats.Governed(ctx, stats.Limits{}, nil)
 		got, err := governedSkyline(e, q, ctr)
 		if err != nil {
 			t.Fatalf("%s context: %v", name, err)
@@ -70,7 +69,7 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 	// access is charged, the governor sees the cancellation when it is.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctr := governor.Counters(ctx, governor.Limits{}, nil)
+	ctr := stats.Governed(ctx, stats.Limits{}, nil)
 	accesses, atCancel := 0, int64(-1)
 	tree.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
 		if accesses++; accesses == 5 {
@@ -88,7 +87,7 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 	}
 
 	for _, limit := range []int64{1, 3, clean.TotalReads() / 2, clean.TotalReads() - 1} {
-		ctr := governor.Counters(context.Background(), governor.Limits{MaxBlockReads: limit}, nil)
+		ctr := stats.Governed(context.Background(), stats.Limits{MaxBlockReads: limit}, nil)
 		_, err := governedSkyline(e, q, ctr)
 		if !errors.Is(err, errs.ErrBudgetExceeded) {
 			t.Fatalf("limit %d: err = %v, want ErrBudgetExceeded", limit, err)
@@ -97,7 +96,7 @@ func TestGovernorBoundsOnSkyline(t *testing.T) {
 			t.Fatalf("limit %d overshot by %d blocks, want the one page that tripped it", limit, over)
 		}
 	}
-	ctr = governor.Counters(context.Background(), governor.Limits{MaxBlockReads: clean.TotalReads()}, nil)
+	ctr = stats.Governed(context.Background(), stats.Limits{MaxBlockReads: clean.TotalReads()}, nil)
 	if _, err := governedSkyline(e, q, ctr); err != nil {
 		t.Fatalf("a budget of exactly the query's reads tripped: %v", err)
 	}

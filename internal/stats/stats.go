@@ -4,18 +4,28 @@
 // the Observer's business (StartSpan).
 //
 // A Counters value is threaded through query execution; all structures that
-// simulate disk access report into it. The governor and the observer a
-// collector answers to are fixed when it is built (Governed): the public
-// boundary builds one per operation, and one more for a fallback, and merges
-// them into the caller's collector when the operation ends. Counters are not
-// safe for concurrent use — each query runs on one goroutine, and benchmarks
-// aggregate across runs themselves.
+// simulate disk access report into it. It is also the operation's execution
+// context: Governed fixes a context, resource Limits and an observer into it,
+// and the collector itself enforces them. Every recorded event reaches the
+// observer first; then a canceled context, then a tripped budget, unwinds the
+// operation with a typed abort (internal/errs), which the public API boundary
+// converts into ErrCanceled or ErrBudgetExceeded. Events are recorded before
+// the checks run, so partial statistics survive the abort intact, and since
+// the pager charges every block access here, cancellation latency and budget
+// overshoot are bounded in pages. The public boundary builds one collector
+// per operation, and one more for a fallback, and merges them into the
+// caller's collector when the operation ends. Counters are not safe for
+// concurrent use — each query runs on one goroutine, and benchmarks aggregate
+// across runs themselves.
 package stats
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
+
+	"rankcube/internal/errs"
 )
 
 // Structure identifies which storage structure a block read touched.
@@ -75,30 +85,23 @@ func (r ReadCounts) String() string {
 	return b.String()
 }
 
-// Governor is an optional per-query execution governor consulted as
-// metrics are recorded. The concrete implementation (internal/governor)
-// enforces context cancellation and block-read/candidate budgets by
-// panicking with a typed abort (internal/errs) that the public API
-// boundary recovers into an error. Counters record each event before the
-// governor runs, so partial statistics survive an abort intact.
-type Governor interface {
-	// OnRead observes n block reads against structure s.
-	OnRead(s Structure, n int64)
-	// OnHeap observes the current combined candidate-heap occupancy.
-	OnHeap(size int)
-	// OnCheckpoint marks a loop iteration that neither read blocks nor
-	// grew a heap — a pure cancellation poll point.
-	OnCheckpoint()
+// Limits are the per-operation resource budgets. Zero values mean unlimited.
+type Limits struct {
+	// MaxBlockReads caps total simulated block reads across all storage
+	// structures touched by the operation.
+	MaxBlockReads int64
+	// MaxCandidates caps the combined candidate-buffer (search heap)
+	// occupancy observed at any point of the operation.
+	MaxCandidates int
 }
 
-// Observer receives the fine-grained execution events the governor's
-// enforcement view does not need: span boundaries and per-event
-// attribution of reads, retries, heap growth, and downgrades. The
-// concrete implementation (internal/obs.Trace) builds a per-query span
-// tree from them. Observers see each event after the counters record it
-// and before the governor runs, so an abort mid-span still leaves the
-// event attributed. Span events follow strict stack discipline: SpanEnd
-// closes the most recently started open span.
+// Observer receives the fine-grained execution events enforcement does not
+// need: span boundaries and per-event attribution of reads, retries, heap
+// growth, and downgrades. The concrete implementation (internal/obs.Trace)
+// builds a per-query span tree from them. Observers see each event after the
+// counters record it and before the limits are checked, so an abort mid-span
+// still leaves the event attributed. Span events follow strict stack
+// discipline: SpanEnd closes the most recently started open span.
 type Observer interface {
 	// SpanStart opens a child span of the current span.
 	SpanStart(name string)
@@ -117,8 +120,15 @@ type Observer interface {
 // Counters accumulates metrics during one query or one build.
 type Counters struct {
 	reads ReadCounts
-	gov   Governor
 	obs   Observer
+	lim   Limits
+	//lint:ctxfield per-operation carrier: a governed collector serves exactly one operation, so the stash cannot outlive its caller's ctx
+	ctx context.Context
+	// done is ctx.Done(), taken once: polling it is a lock-free receive,
+	// where ctx.Err() takes the context's mutex, which every query running
+	// under that context would contend for at every block read. Nil when
+	// nothing can cancel the operation.
+	done <-chan struct{}
 
 	// StatesGenerated counts entries pushed onto a search heap (thesis
 	// fig. 5.11). In the signature cube's search that is every tuple and
@@ -153,19 +163,23 @@ type Counters struct {
 	Downgrades int64
 }
 
-// New returns an empty metrics collector answering to no governor and no
-// observer.
+// New returns an empty metrics collector with no limits and no observer.
 func New() *Counters { return &Counters{} }
 
-// Governed returns an empty collector whose every recorded event goes to obs
-// and then to gov; either may be nil. It returns a value, so the collector can
-// share one allocation with its governor (governor.Counters).
-func Governed(gov Governor, obs Observer) Counters {
-	return Counters{gov: gov, obs: obs}
+// Governed returns the execution context of one operation: an empty collector
+// that ctx and lim govern and obs (nil for none) observes. A nil ctx never
+// cancels.
+func Governed(ctx context.Context, lim Limits, obs Observer) *Counters {
+	c := &Counters{obs: obs, lim: lim}
+	if ctx != nil {
+		c.ctx, c.done = ctx, ctx.Done()
+	}
+	return c
 }
 
-// Read records n block reads against the given structure. A nil receiver is
-// permitted so that callers can run without instrumentation.
+// Read records n block reads against the given structure, then aborts on a
+// canceled context or a tripped read budget. A nil receiver is permitted so
+// that callers can run without instrumentation.
 func (c *Counters) Read(s Structure, n int64) {
 	if c == nil {
 		return
@@ -174,8 +188,11 @@ func (c *Counters) Read(s Structure, n int64) {
 	if c.obs != nil {
 		c.obs.ObserveRead(s, n)
 	}
-	if c.gov != nil {
-		c.gov.OnRead(s, n)
+	c.checkCtx()
+	if c.lim.MaxBlockReads > 0 {
+		if t := c.reads.Total(); t > c.lim.MaxBlockReads {
+			errs.Abortf(errs.ErrBudgetExceeded, "budget: %d block reads over limit %d", t, c.lim.MaxBlockReads)
+		}
 	}
 }
 
@@ -202,14 +219,22 @@ func (c *Counters) AddDowngrade() {
 	}
 }
 
-// Checkpoint gives the governor an abort opportunity between block reads;
-// engines call it once per search-loop iteration so cancellation latency
-// stays bounded even when every page hit is buffered.
+// Checkpoint is a pure cancellation check between block reads; engines call
+// it once per search-loop iteration so cancellation latency stays bounded
+// even when every page hit is buffered.
 func (c *Counters) Checkpoint() {
-	if c == nil || c.gov == nil {
-		return
+	if c != nil {
+		c.checkCtx()
 	}
-	c.gov.OnCheckpoint()
+}
+
+// checkCtx aborts with errs.Canceled once the operation's context is done.
+func (c *Counters) checkCtx() {
+	select {
+	case <-c.done:
+		errs.Abort(errs.Canceled(c.ctx.Err()))
+	default: // still running, or nothing can cancel (nil channel)
+	}
 }
 
 // Reads reports the number of block reads recorded for s.
@@ -236,7 +261,9 @@ func (c *Counters) TotalReads() int64 {
 	return c.reads.Total()
 }
 
-// ObserveHeap folds a current combined heap size into the peak tracker.
+// ObserveHeap folds a current combined heap size into the peak tracker, then
+// aborts on a canceled context — so engines whose loop iterations hit only
+// buffered pages still stop promptly — or a candidate buffer over its budget.
 func (c *Counters) ObserveHeap(size int) {
 	if c == nil {
 		return
@@ -247,8 +274,9 @@ func (c *Counters) ObserveHeap(size int) {
 	if c.obs != nil {
 		c.obs.ObserveHeapHW(size)
 	}
-	if c.gov != nil {
-		c.gov.OnHeap(size)
+	c.checkCtx()
+	if c.lim.MaxCandidates > 0 && size > c.lim.MaxCandidates {
+		errs.Abortf(errs.ErrBudgetExceeded, "budget: %d candidate entries over limit %d", size, c.lim.MaxCandidates)
 	}
 }
 

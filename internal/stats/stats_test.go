@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
+
+	"rankcube/internal/errs"
 )
 
 func TestReadsAccumulate(t *testing.T) {
@@ -155,5 +159,103 @@ func TestStructureNames(t *testing.T) {
 	}
 	if got := numStructures.String(); got != "Structure(7)" {
 		t.Fatalf("out-of-range name %q", got)
+	}
+}
+
+// abortOf runs fn and returns the error of the typed abort it raised, nil when
+// it returned normally. Any other panic propagates.
+func abortOf(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = errs.IsAbort(r); !ok {
+				panic(r)
+			}
+		}
+	}()
+	fn()
+	return nil
+}
+
+func TestUnlimitedCollectorNeverAborts(t *testing.T) {
+	c := Governed(nil, Limits{}, nil)
+	if err := abortOf(func() {
+		for range 1000 {
+			c.Read(StructTable, 10)
+			c.ObserveHeap(1 << 20)
+			c.Checkpoint()
+		}
+	}); err != nil {
+		t.Fatalf("unexpected abort: %v", err)
+	}
+	if c.TotalReads() != 10000 {
+		t.Fatalf("reads = %d, want 10000", c.TotalReads())
+	}
+}
+
+func TestBlockBudgetTrips(t *testing.T) {
+	c := Governed(context.Background(), Limits{MaxBlockReads: 5}, nil)
+	err := abortOf(func() {
+		c.Read(StructCube, 3)
+		c.Read(StructRTree, 3) // 6 > 5, across structures
+	})
+	if !errors.Is(err, errs.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	// The read that tripped the budget is recorded before the abort.
+	if c.TotalReads() != 6 {
+		t.Fatalf("reads = %d, want 6", c.TotalReads())
+	}
+}
+
+func TestHeapBudgetTrips(t *testing.T) {
+	c := Governed(context.Background(), Limits{MaxCandidates: 100}, nil)
+	if err := abortOf(func() { c.ObserveHeap(100) }); err != nil {
+		t.Fatalf("at the limit should pass, got %v", err)
+	}
+	err := abortOf(func() { c.ObserveHeap(101) })
+	if !errors.Is(err, errs.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if c.PeakHeap != 101 {
+		t.Fatalf("PeakHeap = %d, want 101", c.PeakHeap)
+	}
+}
+
+func TestCancellationAborts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := Governed(ctx, Limits{}, nil)
+	if err := abortOf(func() { c.Read(StructTable, 1) }); err != nil {
+		t.Fatalf("live context aborted: %v", err)
+	}
+	cancel()
+	for name, fn := range map[string]func(){
+		"Read":        func() { c.Read(StructTable, 1) },
+		"ObserveHeap": func() { c.ObserveHeap(1) },
+		"Checkpoint":  c.Checkpoint,
+	} {
+		err := abortOf(fn)
+		if !errors.Is(err, errs.ErrCanceled) {
+			t.Errorf("%s: err = %v, want ErrCanceled", name, err)
+		}
+		// The concrete context cause stays reachable for callers that
+		// distinguish cancellation from deadline expiry.
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v does not unwrap to context.Canceled", name, err)
+		}
+	}
+}
+
+func TestCancellationBeatsBudget(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := Governed(ctx, Limits{MaxBlockReads: 1, MaxCandidates: 1}, nil)
+	for name, fn := range map[string]func(){
+		"Read":        func() { c.Read(StructTable, 100) },
+		"ObserveHeap": func() { c.ObserveHeap(100) },
+	} {
+		if err := abortOf(fn); !errors.Is(err, errs.ErrCanceled) {
+			t.Errorf("%s: err = %v, want ErrCanceled to win over the budget", name, err)
+		}
 	}
 }

@@ -51,16 +51,17 @@ func NewTrace() *Trace { return obs.NewTrace() }
 type Registry = obs.Registry
 
 // Outcome classifies how a query ended in registry and slow-log records
-// ("ok", "degraded", "budget_trip", "canceled", "error").
+// ("ok", "degraded", "budget_trip", "canceled", "overloaded", "error").
 type Outcome = obs.Outcome
 
 // Query outcomes.
 const (
-	OutcomeOK       = obs.OutcomeOK
-	OutcomeDegraded = obs.OutcomeDegraded
-	OutcomeBudget   = obs.OutcomeBudget
-	OutcomeCanceled = obs.OutcomeCanceled
-	OutcomeError    = obs.OutcomeError
+	OutcomeOK         = obs.OutcomeOK
+	OutcomeDegraded   = obs.OutcomeDegraded
+	OutcomeBudget     = obs.OutcomeBudget
+	OutcomeCanceled   = obs.OutcomeCanceled
+	OutcomeOverloaded = obs.OutcomeOverloaded
+	OutcomeError      = obs.OutcomeError
 )
 
 // DefaultRegistry returns the registry every canonical entry point

@@ -4,8 +4,8 @@ package rankcube
 // taking a context and variadic Options, and every one of them crosses the
 // same boundary — begin / finish, with runQuery between them for the batch
 // forms — which admits and locks, builds the execution context the engines
-// run against (governor and trace fixed in it), enforces the budget, applies
-// the degradation policy, copies the statistics out into the caller's
+// run against (context, budget and trace fixed in it), enforces the budget,
+// applies the degradation policy, copies the statistics out into the caller's
 // Metrics, records the operation into the process-wide metrics registry, and
 // feeds the slow-query log.
 
@@ -17,7 +17,6 @@ import (
 
 	"rankcube/internal/baselines"
 	"rankcube/internal/errs"
-	"rankcube/internal/governor"
 	"rankcube/internal/gridcube"
 	"rankcube/internal/guard"
 	"rankcube/internal/indexmerge"
@@ -71,8 +70,8 @@ func WithBudget(b Budget) Option {
 // WithMetrics adds the query's execution statistics to m once the query is
 // over — when the entry point returns; for OpenScan, at Close — partial
 // statistics of an aborted query included. The query itself runs against a
-// collector of its own, so m never carries a governor or a trace and may be
-// reused across queries; a trace (WithTrace) is the live view.
+// collector of its own, so m never carries a context, a budget or a trace and
+// may be reused across queries; a trace (WithTrace) is the live view.
 func WithMetrics(m *Metrics) Option {
 	return func(c *queryConfig) { c.metrics = m }
 }
@@ -125,7 +124,7 @@ type operation struct {
 	release func() // the serving locks and admission slots; nil when none
 
 	// ctr is the operation's execution context: what the attempt or the scan
-	// runs against, under the budget's governor, observed by tr. It holds
+	// runs against, governed by ctx and the budget, observed by tr. It holds
 	// exactly what the operation did — a fallback's context is merged into
 	// it — and finish records it and merges it into m.
 	ctr     *Metrics
@@ -165,7 +164,7 @@ func begin(ctx context.Context, kind string, cfg queryConfig) (operation, error)
 	if op.tr != nil {
 		op.obs = op.tr
 	}
-	op.ctr = governor.Counters(ctx, cfg.budget.limits(), op.obs)
+	op.ctr = stats.Governed(ctx, cfg.budget.limits(), op.obs)
 	op.start = time.Now()
 	op.endRoot = op.ctr.StartSpan(kind)
 	return op, nil
@@ -207,7 +206,7 @@ func (op *operation) finish(err error) {
 }
 
 // runQuery is the one boundary every batch entry point passes through:
-// begin, attempt under the budget's governor, degrade to fallback per the
+// begin, attempt under ctx and the budget, degrade to fallback per the
 // Budget policy, finish. fallback may be nil for operations that never
 // degrade (maintenance, baselines); it runs against a context of its own,
 // which no budget limits — a full scan is the floor cost of an exact answer —
@@ -226,7 +225,7 @@ func runQuery[T any](ctx context.Context, kind string, cfg queryConfig,
 	if fallback != nil && cfg.budget.shouldDegrade(err) {
 		defer op.ctr.StartSpan("fallback")()
 		op.ctr.AddDowngrade()
-		m := governor.Counters(ctx, governor.Limits{}, op.obs)
+		m := stats.Governed(ctx, stats.Limits{}, op.obs)
 		defer op.ctr.Merge(m)
 		out, err = runGoverned(m, fallback)
 	}
@@ -335,7 +334,7 @@ func (s *SignatureCube) DeleteTuple(ctx context.Context, tid TID, opts ...Option
 // progressively until Close, so it holds the open half of the boundary for
 // its whole lifetime: admitted through the gate, the shared lock held —
 // maintenance waits for open scans to finish — and one execution context
-// under the budget's governor and the trace. Close runs the closing half: the
+// under ctx, the budget and the trace. Close runs the closing half: the
 // scan's statistics reach the WithMetrics collector at Close, not during the
 // scan.
 func (s *SignatureCube) OpenScan(ctx context.Context, cond Cond, f Func, opts ...Option) (*GovernedScanner, error) {

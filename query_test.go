@@ -275,9 +275,9 @@ func TestRegistryRecordsEachOperationsOwnReads(t *testing.T) {
 // TestNoopQueryAllocs pins the allocations of the boundary alone, on the
 // repository benchmark's boundary.noop request — a public Query with no
 // predicate and k = 0 — with and without WithMetrics: an operation's
-// execution context is one allocation together with its governor, and no
-// per-query map reaches the heap. (The rest is the shared lock's release, the
-// registry's metric names and the options.)
+// execution context, budget and cancellation included, is one allocation,
+// and no per-query map reaches the heap. (The rest is the shared lock's
+// release, the registry's metric names and the options.)
 func TestNoopQueryAllocs(t *testing.T) {
 	ctx := context.Background()
 	rel := buildDemo(t, 2000)

@@ -38,7 +38,7 @@
 // WithSlowLogThreshold. All of them pass through one boundary, which admits
 // the operation through the cube's gate (SetAdmission), takes its serving
 // lock (shared for queries, exclusive for maintenance), attaches the
-// governor and trace, contains panics, applies the degradation policy, and
+// context, budget and trace, contains panics, applies the degradation policy, and
 // records kind, outcome, latency and block reads into the process-wide
 // registry (DefaultRegistry, MetricsHandler, PublishExpvar); operations
 // crossing SetSlowQueryThreshold land in the slow-query log with their span
@@ -46,7 +46,7 @@
 //
 // # Robustness & degradation policy
 //
-// Operations run under a governor enforced in the pager at block-access
+// Cancellation and budgets are enforced in the pager at block-access
 // granularity, so cancellation latency and budget overshoot are bounded in
 // pages. Storage pages carry checksums; faults can be injected for testing
 // via pager.FaultInjector. The degradation rules, in order:

@@ -10,8 +10,8 @@ import (
 	"errors"
 
 	"rankcube/internal/errs"
-	"rankcube/internal/governor"
 	"rankcube/internal/sigcube"
+	"rankcube/internal/stats"
 )
 
 // Typed errors. Every error the package returns matches exactly one of
@@ -60,8 +60,8 @@ type Budget struct {
 	FallbackOnBudget bool
 }
 
-func (b Budget) limits() governor.Limits {
-	return governor.Limits{MaxBlockReads: b.MaxBlockReads, MaxCandidates: b.MaxCandidates}
+func (b Budget) limits() stats.Limits {
+	return stats.Limits{MaxBlockReads: b.MaxBlockReads, MaxCandidates: b.MaxCandidates}
 }
 
 // shouldDegrade decides whether a failed cube-side attempt is re-answered

@@ -9,12 +9,15 @@ package rankcube_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rankcube"
+	"rankcube/internal/joinquery"
 	"rankcube/internal/pager"
 )
 
@@ -125,7 +128,6 @@ func TestTransientFaultsRetryWithoutDegrading(t *testing.T) {
 	for i := 0; i < st.NumPages(); i++ {
 		fails[pager.PageID(i)] = 1
 	}
-	st.SetRetryPolicy(pager.DefaultRetryLimit, 0)
 	st.SetFaultInjector(&pager.ScriptedFaults{FailFirst: fails})
 
 	cond := rankcube.Cond{0: 1}
@@ -152,7 +154,6 @@ func TestPersistentReadFailure(t *testing.T) {
 	for i := 0; i < st.NumPages(); i++ {
 		fails[pager.PageID(i)] = 1 << 20 // beyond any retry limit
 	}
-	st.SetRetryPolicy(2, 0)
 	st.SetFaultInjector(&pager.ScriptedFaults{FailFirst: fails})
 	cond := rankcube.Cond{0: 1}
 	f := rankcube.Sum(0, 1)
@@ -364,7 +365,6 @@ func TestMergeFaultDegradesToTableScan(t *testing.T) {
 		for i := 0; i < st.NumPages(); i++ {
 			fails[pager.PageID(i)] = 1 << 20
 		}
-		st.SetRetryPolicy(1, 0)
 		st.SetFaultInjector(&pager.ScriptedFaults{FailFirst: fails})
 	}
 
@@ -434,6 +434,43 @@ func TestJoinFaultDegradesToBruteForce(t *testing.T) {
 	for i := range want {
 		if got[i].Score != want[i].Score {
 			t.Fatalf("result %d: degraded score %v, clean score %v", i, got[i].Score, want[i].Score)
+		}
+	}
+}
+
+// TestJoinOverDifferentKeyDomains joins relations whose join-key domains
+// differ (KeyCard 10 and 20): the rank join answers it itself, exactly as the
+// brute-force join does, rather than faulting into the fallback.
+func TestJoinOverDifferentKeyDomains(t *testing.T) {
+	var parts []rankcube.JoinPart
+	for i, keyCard := range []int{10, 20} {
+		rel := rankcube.GenerateRelation(2000, 2, 2, 5, rankcube.Uniform, int64(31+i))
+		keys := make([]int32, rel.Len())
+		for tid := range keys {
+			keys[tid] = int32(tid % keyCard)
+		}
+		jr := rankcube.NewJoinRelation(fmt.Sprint("R", i), rel, rankcube.BuildSignatureCube(rel, rankcube.SigOptions{}), keys, keyCard)
+		parts = append(parts, rankcube.JoinPart{Rel: jr, Cond: rankcube.Cond{i: 1}, F: rankcube.Sum(i)})
+	}
+	want, err := joinquery.BruteForce(joinquery.Query{Parts: parts, K: 8}, nil)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("brute-force join: %d results, %v", len(want), err)
+	}
+	m := rankcube.NewMetrics()
+	got, err := rankcube.JoinQuery(context.Background(), parts, 8,
+		rankcube.WithMetrics(m), rankcube.WithBudget(rankcube.Budget{DisableFallback: true}))
+	if err != nil {
+		t.Fatalf("join over different key domains: %v", err)
+	}
+	if m.Downgrades != 0 {
+		t.Fatalf("downgrades = %d, want 0", m.Downgrades)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d results, brute force %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i].TIDs, want[i].TIDs) || got[i].Score != want[i].Score {
+			t.Fatalf("result %d: %v %v, brute force %v %v", i, got[i].TIDs, got[i].Score, want[i].TIDs, want[i].Score)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func (s *serving) Drain(ctx context.Context) error { return s.ctl.Gate().Drain(c
 
 // PageStore is a block-granular page store backing a cube structure. It is
 // the attachment point for fault injection (SetFaultInjector, with e.g.
-// pager.ScriptedFaults), retry-policy tuning, and quarantine inspection.
+// pager.ScriptedFaults) and quarantine inspection.
 type PageStore = pager.Store
 
 // Stores returns the cube's page stores (one per materialized cuboid, plus
