@@ -25,7 +25,8 @@ type Nodes struct {
 	height int
 	store  *pager.Store
 	nodes  []node
-	leafOf map[table.TID]NodeID
+	// leafOf maps a TID to the leaf holding it, InvalidNode for none.
+	leafOf []NodeID
 }
 
 type node struct {
@@ -39,7 +40,7 @@ type node struct {
 }
 
 // NewNodes returns an empty store over the given ranking dimensions, its
-// pages accounted in store; tuples sizes the tuple-to-leaf map.
+// pages accounted in store; tuples sizes the tuple-to-leaf table.
 func NewNodes(dims []int, domain ranking.Box, fanout int, store *pager.Store, tuples int) Nodes {
 	return Nodes{
 		dims:   append([]int(nil), dims...),
@@ -48,7 +49,7 @@ func NewNodes(dims []int, domain ranking.Box, fanout int, store *pager.Store, tu
 		fanout: fanout,
 		root:   InvalidNode,
 		store:  store,
-		leafOf: make(map[table.TID]NodeID, tuples),
+		leafOf: make([]NodeID, 0, tuples),
 	}
 }
 
@@ -197,10 +198,19 @@ func (s *Nodes) AppendPath(dst []int, id NodeID) []int {
 // Path implements Index.
 func (s *Nodes) Path(id NodeID) []int { return s.AppendPath(nil, id) }
 
+// leaf reports the leaf holding tid, InvalidNode for a TID the tree does not
+// hold — one out of the table's range included.
+func (s *Nodes) leaf(tid table.TID) NodeID {
+	if tid < 0 || int(tid) >= len(s.leafOf) {
+		return InvalidNode
+	}
+	return s.leafOf[tid]
+}
+
 // Locate reports the leaf holding tid and its slot there.
 func (s *Nodes) Locate(tid table.TID) (leaf NodeID, slot int, ok bool) {
-	leaf, ok = s.leafOf[tid]
-	if !ok {
+	leaf = s.leaf(tid)
+	if leaf == InvalidNode {
 		return InvalidNode, 0, false
 	}
 	for slot, t := range s.nodes[leaf].tids {
@@ -216,8 +226,8 @@ func (s *Nodes) Locate(tid table.TID) (leaf NodeID, slot int, ok bool) {
 // (join-signatures drop the leaf slot, §5.3.2), nil if the tree does not
 // hold it.
 func (s *Nodes) LeafPath(tid table.TID) []int {
-	leaf, ok := s.leafOf[tid]
-	if !ok {
+	leaf := s.leaf(tid)
+	if leaf == InvalidNode {
 		return nil
 	}
 	return s.Path(leaf)
@@ -319,6 +329,9 @@ func (s *Nodes) AppendTuple(id NodeID, tid table.TID, pt []float64) {
 	nd := &s.nodes[id]
 	nd.tids = append(nd.tids, tid)
 	nd.coords = append(nd.coords, pt...)
+	for int(tid) >= len(s.leafOf) {
+		s.leafOf = append(s.leafOf, InvalidNode)
+	}
 	s.leafOf[tid] = id
 }
 
@@ -372,7 +385,7 @@ func (s *Nodes) RemoveEntry(id NodeID, slot int) {
 	copy(nd.coords[slot*w:][:w], nd.coords[last*w:])
 	nd.coords = nd.coords[:last*w]
 	if nd.leaf {
-		delete(s.leafOf, nd.tids[slot])
+		s.leafOf[nd.tids[slot]] = InvalidNode
 		nd.tids[slot] = nd.tids[last]
 		nd.tids = nd.tids[:last]
 		return

@@ -11,8 +11,7 @@ import (
 // tuples keep their relation row (tombstoned by absence from the tree), so
 // fallback scans must consult this rather than the raw relation.
 func (c *Cube) Alive(tid table.TID) bool {
-	_, ok := c.paths[tid]
-	return ok
+	return tid >= 0 && int(tid) < len(c.paths) && c.paths[tid] != 0
 }
 
 // SeqScan makes one sequential pass over the base relation's live tuples

@@ -3,7 +3,6 @@ package sigcube
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -27,12 +26,13 @@ type cellModel map[*Cuboid]map[uint64]*signature.Node
 // returns the cells it touched and how many tuples changed path.
 func (m cellModel) apply(c *Cube, before map[table.TID][]int) (map[*Cuboid][]uint64, int) {
 	var changed []pathUpdate
+	now := livePaths(c)
 	for tid, old := range before {
-		if cur, ok := c.paths[tid]; !ok || hindex.PathKey(cur) != hindex.PathKey(old) {
+		if cur, ok := now[tid]; !ok || hindex.PathKey(cur) != hindex.PathKey(old) {
 			changed = append(changed, pathUpdate{tid: tid, old: old, new: cur})
 		}
 	}
-	for tid, cur := range c.paths {
+	for tid, cur := range now {
 		if _, ok := before[tid]; !ok {
 			changed = append(changed, pathUpdate{tid: tid, new: cur})
 		}
@@ -69,6 +69,20 @@ func (m cellModel) apply(c *Cube, before map[table.TID][]int) (map[*Cuboid][]uin
 	}
 	return touched, len(changed)
 }
+
+// livePaths is the cube's path map as paths by TID, live tuples only.
+func livePaths(c *Cube) map[table.TID][]int {
+	out := make(map[table.TID][]int)
+	for i := range c.paths {
+		if path := c.path(table.TID(i)); path != nil {
+			out[table.TID(i)] = path
+		}
+	}
+	return out
+}
+
+// wantAll has signature.Stored.Decode decode every node.
+func wantAll(uint64) bool { return true }
 
 // pagesOf returns a cell's partial pages by SID.
 func pagesOf(stored *signature.Stored, store *pager.Store) map[uint64][]byte {
@@ -148,7 +162,7 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 				model[cb] = make(map[uint64]*signature.Node)
 				for key, stored := range cb.cells {
 					// Union with nothing is a deep copy, and a copy carries no encoding.
-					model[cb][key] = signature.Union(stored.Decode(cube.enc.Codec(), cube.store, stats.New()), nil)
+					model[cb][key] = signature.Union(stored.Decode(cube.enc.Codec(), cube.store, stats.New(), wantAll), nil)
 					maxPartials = max(maxPartials, stored.NumPartials())
 				}
 			}
@@ -165,14 +179,14 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 				got := pagesOf(cb.cells[key], cube.store)
 				samePages(t, what+" against the model's whole-cell encode", got, pagesOf(enc.Encode(model[cb][key]), scratch))
 
-				decoded := cb.cells[key].Decode(cube.enc.Codec(), cube.store, stats.New())
+				decoded := cb.cells[key].Decode(cube.enc.Codec(), cube.store, stats.New(), wantAll)
 				samePages(t, what+" against its own tree coded afresh", got, pagesOf(enc.Encode(signature.Union(decoded, nil)), scratch))
 
 				if !tuples {
 					return
 				}
 				var live [][]int
-				for tid, path := range cube.paths {
+				for tid, path := range livePaths(cube) {
 					vals := make([]int32, len(cb.dims))
 					for j, d := range cb.dims {
 						vals[j] = tb.Sel(tid, d)
@@ -192,7 +206,7 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 			rare := []int32{card - 1, card - 1}
 			rareKey := cube.Cuboid([]int{0, 1}).cellKey(rare)
 			var rareTIDs []table.TID
-			for tid := range cube.paths {
+			for tid := range livePaths(cube) {
 				if tb.Sel(tid, 0) == rare[0] && tb.Sel(tid, 1) == rare[1] {
 					rareTIDs = append(rareTIDs, tid)
 				}
@@ -202,7 +216,7 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 			height, rootSplits, splits, emptied, refilled := cube.rt.Height(), 0, 0, false, false
 			const ops = 700
 			for op := 0; op < ops; op++ {
-				before := maps.Clone(cube.paths)
+				before := livePaths(cube)
 				switch {
 				case op >= 100 && len(rareTIDs) > 0:
 					cube.Delete(rareTIDs[0], stats.New())
@@ -216,15 +230,15 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 					}
 					cube.Insert(s, []float64{rng.Float64(), rng.Float64()}, stats.New())
 				default:
-					live := make([]table.TID, 0, len(cube.paths))
-					for tid := range cube.paths {
+					live := make([]table.TID, 0, len(before))
+					for tid := range before {
 						live = append(live, tid)
 					}
 					sort.Slice(live, func(a, b int) bool { return live[a] < live[b] })
 					cube.Delete(live[rng.Intn(len(live))], stats.New())
 				}
 				touched, changed := model.apply(cube, before)
-				if len(cube.paths) > len(before) && changed > 1 {
+				if len(livePaths(cube)) > len(before) && changed > 1 {
 					splits++ // the insert moved other tuples
 				}
 				if h := cube.rt.Height(); h > height {

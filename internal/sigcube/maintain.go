@@ -27,6 +27,7 @@ type pathUpdate struct {
 func (c *Cube) Insert(sel []int32, rank []float64, ctr *stats.Counters) table.TID {
 	mt := c.maintainable()
 	tid := c.t.Append(sel, rank)
+	c.paths = append(c.paths, 0)
 	c.epoch++
 	affected := mt.Insert(tid, rank)
 	defer c.quarantineOnAbort()
@@ -44,7 +45,7 @@ func (c *Cube) Delete(tid table.TID, ctr *stats.Counters) bool {
 	}
 	c.epoch++
 	defer c.quarantineOnAbort()
-	c.applyUpdates(c.moved([]pathUpdate{{tid: tid, old: c.paths[tid]}}, affected), ctr)
+	c.applyUpdates(c.moved([]pathUpdate{{tid: tid, old: c.path(tid)}}, affected), ctr)
 	return true
 }
 
@@ -53,12 +54,20 @@ func (c *Cube) Delete(tid table.TID, ctr *stats.Counters) bool {
 // split or a swap can leave a tuple in its slot: nothing to flip.
 func (c *Cube) moved(updates []pathUpdate, affected []table.TID) []pathUpdate {
 	for _, a := range affected {
-		old, cur := c.paths[a], c.rt.TuplePath(a)
-		if cur != nil && !slices.Equal(old, cur) {
-			updates = append(updates, pathUpdate{tid: a, old: old, new: cur})
+		if cur := c.rt.TuplePath(a); cur != nil && c.sid(cur) != c.paths[a] {
+			updates = append(updates, pathUpdate{tid: a, old: c.path(a), new: cur})
 		}
 	}
 	return updates
+}
+
+// sid packs a tuple path into the path map's form.
+func (c *Cube) sid(path []int) uint64 { return hindex.SID(path, c.rt.MaxFanout()) }
+
+// path is the tuple's partition path by the path map, nil for a tuple the
+// partition does not hold.
+func (c *Cube) path(tid table.TID) []int {
+	return hindex.PathOf(nil, c.paths[tid], c.rt.MaxFanout())
 }
 
 // applyUpdates routes the update set into each cuboid: group the updates by
@@ -74,11 +83,7 @@ func (c *Cube) applyUpdates(updates []pathUpdate, ctr *stats.Counters) {
 	// logical state complete — quarantineOnAbort then takes the store out of
 	// service until Repair rebuilds it from this map.
 	for _, u := range updates {
-		if u.new == nil {
-			delete(c.paths, u.tid)
-		} else {
-			c.paths[u.tid] = u.new
-		}
+		c.paths[u.tid] = c.sid(u.new)
 	}
 	// A root split deepens every path; keep the encoder's height current.
 	c.enc.SetHeight(c.rt.Height())
@@ -107,12 +112,26 @@ func (c *Cube) applyUpdates(updates []pathUpdate, ctr *stats.Counters) {
 
 // rewriteCell applies one cell's updates to its stored signature: decode,
 // flip, and encode again — the nodes no flip touched are copied as stored.
+// The flips reach no leaf-level node but the parents of the update set's old
+// and new paths, so those are the only leaf-level nodes decoded.
 func (c *Cube) rewriteCell(cb *Cuboid, us []pathUpdate, ctr *stats.Counters) {
 	key := us[0].cell
 	stored := cb.cells[key]
 	var sig *signature.Node
 	if stored != nil {
-		sig = stored.Decode(c.enc.Codec(), c.store, ctr)
+		var parents []uint64
+		for _, u := range us {
+			for _, p := range [2][]int{u.old, u.new} {
+				if p != nil {
+					parents = append(parents, c.sid(p[:len(p)-1]))
+				}
+			}
+		}
+		slices.Sort(parents)
+		sig = stored.Decode(c.enc.Codec(), c.store, ctr, func(sid uint64) bool {
+			_, ok := slices.BinarySearch(parents, sid)
+			return ok
+		})
 	}
 	// Two phases: clear every old path first, then set every new one.
 	// Interleaving would corrupt the tree when a structural change (e.g. a

@@ -76,9 +76,10 @@ type Cube struct {
 	// order lists the cuboids by ascending dimsKey: the order cells are
 	// written in, so that a store's page layout repeats from run to run.
 	order []*Cuboid
-	// paths tracks each tuple's current partition path, the bookkeeping
-	// incremental maintenance diffs against.
-	paths map[table.TID][]int
+	// paths holds, by TID, the SID of each tuple's current partition path
+	// (hindex.SID of the path with its leaf slot), 0 for a tuple the partition
+	// does not hold: the bookkeeping incremental maintenance diffs against.
+	paths []uint64
 	// epoch counts the writes applied to the partition. What a reader kept of
 	// it — a skyline snapshot's SIDs and pruned nodes — holds only while the
 	// count stands.
@@ -110,14 +111,13 @@ func BuildOnTree(t *table.Table, rt hindex.PartitionTree, cfg Config) *Cube {
 		rt:      rt,
 		store:   pager.NewStore(stats.StructSignature, cfg.pageSize()),
 		cuboids: make(map[string]*Cuboid),
-		paths:   make(map[table.TID][]int, t.Len()),
+		paths:   make([]uint64, t.Len()),
 		cfg:     cfg,
 		ctl:     guard.New(),
 	}
 	// Line 2 of Alg. 1: generate paths for all tuples.
-	for i := 0; i < t.Len(); i++ {
-		tid := table.TID(i)
-		c.paths[tid] = rt.TuplePath(tid)
+	for i := range c.paths {
+		c.paths[i] = c.sid(rt.TuplePath(table.TID(i)))
 	}
 
 	schema := t.Schema()
@@ -187,14 +187,18 @@ func (c *Cube) RebuildStore() int {
 	c.enc = signature.NewEncoder(c.rt.MaxFanout(), c.rt.Height(), c.store)
 	c.enc.SetBaselineOnly(c.cfg.BaselineCoding)
 
+	// The live tuples' paths, unpacked once for every cuboid.
+	paths := make([][]int, len(c.paths))
+	for i := range paths {
+		paths[i] = c.path(table.TID(i))
+	}
 	for _, cb := range c.order {
 		// Sort the live tuples by the cuboid dimensions (bucketing by cell
 		// key), then write one signature per cell, ascending.
 		buckets := make(map[uint64][][]int)
 		vals := make([]int32, len(cb.dims))
-		for i := 0; i < c.t.Len(); i++ {
-			path, live := c.paths[table.TID(i)]
-			if !live {
+		for i, path := range paths {
+			if path == nil {
 				continue
 			}
 			for j, d := range cb.dims {

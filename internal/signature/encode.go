@@ -76,6 +76,13 @@ type bfsItem struct {
 	n   *Node
 }
 
+// replayItem is an internal node on Decode's replay queue.
+type replayItem struct {
+	sid   uint64
+	depth int
+	n     *Node
+}
+
 // Encode compresses and decomposes sig, appending pages to the encoder's
 // store. A nil signature encodes to an empty Stored (every Test is false).
 // A node that still has the encoding Decode found it in is copied, not coded
@@ -356,40 +363,50 @@ func (v *View) loadPartial(sid uint64, page pager.PageID) {
 	v.runs = append(v.runs, run{sid, data, lo, len(v.sids)})
 }
 
-// Decode fully decodes a stored signature for incremental maintenance,
-// charging the reads to ctr. The partials are replayed, ancestors first,
-// straight into the tree — a child slot already filled is a node an
-// ancestor's partial held — and every node keeps the place of its encoding
-// for Encode to copy. A page that does not replay (a header at odds with its
-// reference, a root that hangs from no set bit, a count the nodes do not
-// bear out) is corrupt.
-func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Counters) *Node {
+// Decode decodes a stored signature for incremental maintenance, charging the
+// reads to ctr. The partials are replayed, ancestors first, straight into the
+// tree — a child slot already filled is a node an ancestor's partial held —
+// and every node keeps the place of its encoding for Encode to copy. Internal
+// nodes are decoded, since the replay walks their bits, and so is each
+// leaf-level node whose SID want accepts; any other leaf-level node is stepped
+// over by the region length in its header and keeps only its place, which is
+// all Encode needs of it. A page that does not replay (a header at odds with
+// its reference, a root that hangs from no set bit, a count the nodes do not
+// bear out, a decoded node that does not decode) is corrupt. A malformed node
+// stepped over is copied as it is, to be found when a query or a later write
+// first reaches it.
+func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Counters, want func(sid uint64) bool) *Node {
 	var (
 		root    *Node
 		arena   bitvec.Arena
-		queue   []bfsItem // internal nodes whose children are still to visit; top is their depth
+		queue   []replayItem // internal nodes whose children are still to visit
 		page    []byte
 		r       *bitvec.Reader
 		slab    []Node
 		decoded int
 	)
 	leaf, base := leafDepth(s.height), uint64(s.fanout+1)
-	// visit decodes the node for the slot at, unless it is there already.
-	visit := func(at **Node, depth int) {
+	// visit decodes the node sid for the slot at, unless it is there already.
+	visit := func(at **Node, sid uint64, depth int) {
 		n := *at
 		if n == nil {
 			slab = append(slab, Node{page: page, off: r.Pos()})
 			n = &slab[len(slab)-1]
-			n.Bits = codec.DecodeIn(r, &arena)
-			n.size = r.Pos() - n.off
-			if depth < leaf {
+			switch {
+			case depth < leaf:
+				n.Bits = codec.DecodeIn(r, &arena)
 				n.Kids = make([]*Node, n.Bits.Len())
+			case want(sid):
+				n.Bits = codec.DecodeIn(r, &arena)
+			default:
+				codec.Skip(r)
 			}
+			n.size = r.Pos() - n.off
 			*at = n
 			decoded++
 		}
 		if depth < leaf {
-			queue = append(queue, bfsItem{depth, n})
+			queue = append(queue, replayItem{sid, depth, n})
 		}
 	}
 	for _, sid := range s.sids() {
@@ -412,12 +429,12 @@ func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 		slab = make([]Node, 0, min(count, r.Remaining()/codec.HeaderBits()))
 		decoded, queue = 0, queue[:0]
 		if count > 0 {
-			visit(at, depth)
+			visit(at, sid, depth)
 		}
 		for qi := 0; qi < len(queue) && decoded < count; qi++ {
 			p := queue[qi]
 			for i := p.n.Bits.NextOne(0); i >= 0 && decoded < count; i = p.n.Bits.NextOne(i + 1) {
-				visit(&p.n.Kids[i], p.top+1)
+				visit(&p.n.Kids[i], p.sid*base+uint64(i+1), p.depth+1)
 			}
 		}
 		if decoded != count {

@@ -302,7 +302,9 @@ const (
 // run or allocate past what the page's own length allows — and when the lazy
 // decoder and the maintenance decoder both take the bytes, they hold the same
 // tuples. viewTuples reaches every node the view holds, so a leaf-level node
-// its load only stepped over is decoded there too.
+// its load only stepped over is decoded there too. A Decode that decodes no
+// leaf-level node, or those of odd SID, then Encode, gives the pages a full
+// Decode then Encode does, or both abort.
 func FuzzViewDecode(f *testing.F) {
 	seeds, rootOnly := fuzzSeeds()
 	for _, seed := range seeds {
@@ -329,7 +331,7 @@ func FuzzViewDecode(f *testing.F) {
 					v.Probe([]int{1, 2}, &live)
 					viewed = viewTuples(v, nil)
 				},
-				func() { decoded = stored.Decode(codec, store, stats.New()).Tuples(fuzzHeight) },
+				func() { decoded = stored.Decode(codec, store, stats.New(), wantAll).Tuples(fuzzHeight) },
 			}
 			accepted := 0
 			for _, run := range runs {
@@ -342,8 +344,41 @@ func FuzzViewDecode(f *testing.F) {
 			if accepted == len(runs) && fmt.Sprint(viewed) != fmt.Sprint(decoded) {
 				t.Fatalf("the view holds tuples %v, Decode %v", viewed, decoded)
 			}
+
+			full, fullErr := reencode(t, stored, store, wantAll)
+			for _, want := range []func(uint64) bool{wantNone, oddSIDs} {
+				got, err := reencode(t, stored, store, want)
+				if (err == nil) != (fullErr == nil) || fmt.Sprint(got) != fmt.Sprint(full) {
+					t.Fatalf("a filtered Decode re-encodes to %x (%v), a full one to %x (%v)", got, err, full, fullErr)
+				}
+			}
 		}
 	})
+}
+
+func wantNone(uint64) bool    { return false }
+func oddSIDs(sid uint64) bool { return sid%2 == 1 }
+
+// reencode decodes stored through want, encodes the tree into a fresh store
+// and decodes that in full, returning the fresh pages by SID. A node want let
+// go is copied as it is, so bytes a full Decode rejects make reencode abort
+// too, at the latest in the last step. Any abort but ErrPageCorrupt fails t.
+func reencode(t *testing.T, stored *Stored, store *pager.Store, want func(uint64) bool) (map[uint64][]byte, error) {
+	codec := bitvec.NewCodec(fuzzFanout)
+	scratch := pager.NewStore(stats.StructSignature, 256)
+	var pages map[uint64][]byte
+	err := corruptAbort(func() {
+		out := NewEncoder(fuzzFanout, fuzzHeight, scratch).Encode(stored.Decode(codec, store, stats.New(), want))
+		out.Decode(codec, scratch, stats.New(), wantAll)
+		pages = make(map[uint64][]byte)
+		for sid, page := range out.refs {
+			pages[sid] = scratch.ReadRaw(page)
+		}
+	})
+	if err != nil && !errors.Is(err, errs.ErrPageCorrupt) {
+		t.Fatalf("abort is not ErrPageCorrupt: %v", err)
+	}
+	return pages, err
 }
 
 // viewTuples enumerates the tuples under prefix the way a search meets them:
@@ -418,7 +453,7 @@ func TestFuzzSeedsAreWellFormed(t *testing.T) {
 		}
 		stored := &Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}
 		var tuples int
-		if err := corruptAbort(func() { tuples = len(stored.Decode(codec, store, stats.New()).Tuples(fuzzHeight)) }); err != nil {
+		if err := corruptAbort(func() { tuples = len(stored.Decode(codec, store, stats.New(), wantAll).Tuples(fuzzHeight)) }); err != nil {
 			t.Fatalf("seed %d does not decode: %v", i, err)
 		}
 		if tuples != fuzzFanout+2 {

@@ -27,6 +27,9 @@ func samePartials(t *testing.T, what string, got *Stored, gotStore *pager.Store,
 	}
 }
 
+// wantAll has Stored.Decode decode every node.
+func wantAll(uint64) bool { return true }
+
 // countSpans reports how many nodes of the tree still carry a stored encoding.
 func countSpans(n *Node) int {
 	if n == nil {
@@ -72,7 +75,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 			samePartials(t, what, enc.Encode(tree), store, want, scratch)
 		}
 
-		tree := stored.Decode(enc.Codec(), store, stats.New())
+		tree := stored.Decode(enc.Codec(), store, stats.New(), wantAll)
 		total := tree.CountNodes()
 		if got := countSpans(tree); got != total {
 			t.Fatalf("decoded tree: %d of %d nodes carry their encoding", got, total)
@@ -81,7 +84,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(5))
 		for round := 0; round < 40; round++ {
-			tree = stored.Decode(enc.Codec(), store, stats.New())
+			tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
 			for i := 0; i < 1+rng.Intn(4); i++ {
 				p := rt.TuplePath(table.TID(rng.Intn(900)))
 				if rng.Intn(2) == 0 {
@@ -100,7 +103,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 
 		// Clearing every tuple under a node cascades: the subtree goes, its
 		// parent's bit with it, and the parent has to be coded again.
-		tree = stored.Decode(enc.Codec(), store, stats.New())
+		tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
 		var leafPaths [][]int
 		for _, p := range tree.Tuples(rt.Height()) {
 			if p[0] == 1 && p[1] == 1 {
@@ -116,7 +119,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 		check("after a cascading clear", tree)
 
 		// Widening alone changes the encoding (the length field).
-		tree = stored.Decode(enc.Codec(), store, stats.New())
+		tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
 		leaf := tree.Kids[tree.Bits.NextOne(0)]
 		for leaf.Kids != nil {
 			leaf = leaf.Kids[leaf.Bits.NextOne(0)]
@@ -128,7 +131,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 		check("after grow", tree)
 
 		// Union, Intersect and clones are new bits: none may carry a span.
-		tree = stored.Decode(enc.Codec(), store, stats.New())
+		tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
 		for what, n := range map[string]*Node{"Union": Union(tree, tree), "Union/nil": Union(tree, nil), "Intersect": Intersect(tree, tree)} {
 			if got := countSpans(n); got != 0 {
 				t.Fatalf("%s: %d nodes carry an encoding they did not earn", what, got)

@@ -25,7 +25,7 @@ import (
 // place of coding the bits again. Only Decode records that, and whatever
 // changes the node's bits or width (Set, Clear and its cascade, grow) drops
 // it; a node built from new bits — Generate, Union, Intersect, a clone — has
-// none.
+// none. A leaf-level node Decode was not asked for has that place and no Bits.
 type Node struct {
 	Bits *bitvec.Bits
 	Kids []*Node
