@@ -333,10 +333,14 @@ func BenchmarkFig4_12_Signature_K10(b *testing.B) {
 
 func BenchmarkFig4_12_Ranking_K10(b *testing.B) {
 	sigFixture()
+	total := stats.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sigRF.TopK(sigCond, sigFuncs["linear"], 10, stats.New())
+		ctr := stats.New()
+		sigRF.TopK(sigCond, sigFuncs["linear"], 10, ctr)
+		total.Merge(ctr)
 	}
+	b.ReportMetric(float64(total.TotalReads())/float64(b.N), "reads/op")
 }
 
 func BenchmarkFig4_12_Boolean_K10(b *testing.B) {
