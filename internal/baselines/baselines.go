@@ -141,7 +141,7 @@ func (bf *BooleanFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.C
 			candidates = append([]table.TID(nil), list...)
 			continue
 		}
-		candidates = intersectSorted(candidates, list)
+		candidates = core.IntersectSorted(candidates, list)
 		if len(candidates) == 0 {
 			return nil
 		}
@@ -159,22 +159,4 @@ func (bf *BooleanFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.C
 		topk.Offer(core.Result{TID: tid, Score: score})
 	}
 	return topk.Sorted()
-}
-
-func intersectSorted(a, b []table.TID) []table.TID {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"sort"
 
 	"rankcube/internal/core"
 	"rankcube/internal/dataset"
@@ -11,7 +10,6 @@ import (
 	"rankcube/internal/rtree"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/stats"
-	"rankcube/internal/table"
 )
 
 // ch6Env is a pair of relations with ranking cubes and join keys.
@@ -41,37 +39,19 @@ func (e *ch6Env) query(cfg Config, qi, k int) joinquery.Query {
 	}
 }
 
-// joinThenRank is the conventional plan: filter both relations, hash-join
-// completely, then rank — the comparison shape for the SPJR executor.
-func joinThenRank(q joinquery.Query, ctr *stats.Counters) []joinquery.Result {
-	p1, p2 := q.Parts[0], q.Parts[1]
-	build := make(map[int32][]core.Result)
-	p1.Scan(ctr, func(r core.Result) {
-		key := p1.Rel.Keys[r.TID]
-		build[key] = append(build[key], r)
-	})
-	var all []joinquery.Result
-	p2.Scan(ctr, func(r core.Result) {
-		for _, m := range build[p2.Rel.Keys[r.TID]] {
-			all = append(all, joinquery.Result{TIDs: []table.TID{m.TID, r.TID}, Score: m.Score + r.Score})
-		}
-	})
-	sort.Slice(all, func(a, b int) bool { return all[a].Score < all[b].Score })
-	if len(all) > q.K {
-		all = all[:q.K]
-	}
-	return all
-}
-
 // methods returns the chapter's two plans for the top-10 join: the rank-aware
-// SPJR executor over the cubes and join-then-rank.
+// SPJR executor over the cubes and join-then-rank, the executor's own
+// exact-answer fallback.
 func (e *ch6Env) methods(cfg Config) []method {
 	return []method{
 		{"ranking-cube", func(qi int, ctr *stats.Counters) {
 			_, err := joinquery.Execute(e.query(cfg, qi, 10), joinquery.Options{}, ctr)
 			must(err)
 		}},
-		{"join-then-rank", func(qi int, ctr *stats.Counters) { joinThenRank(e.query(cfg, qi, 10), ctr) }},
+		{"join-then-rank", func(qi int, ctr *stats.Counters) {
+			_, err := joinquery.BruteForce(e.query(cfg, qi, 10), ctr)
+			must(err)
+		}},
 	}
 }
 

@@ -43,44 +43,12 @@ func ch7Data(cfg Config, thesisRows, card int) *table.Table {
 	return dataset.Synthetic(cfg.T(thesisRows), 3, 3, card, table.Uniform, cfg.Seed)
 }
 
-// booleanSkyline: scan + filter + BNL skyline (the Boolean baseline).
+// booleanSkyline: scan + filter + BNL skyline (the Boolean baseline), the
+// engine's own fallback.
 func (e *ch7Env) booleanSkyline(q skyline.Query, ctr *stats.Counters) int {
-	type pt struct{ coord []float64 }
-	var window []pt
-	scratch := make([]float64, 0, len(q.Dims))
-	core.Scan(e.tb, e.heap.NumPages(), nil, q.Cond, ctr, func(_ table.TID, row []float64) {
-		coord := append([]float64(nil), q.Point(row, scratch)...)
-		dominated := false
-		out := window[:0]
-		for _, w := range window {
-			if dominatesCoord(w.coord, coord) {
-				dominated = true
-				out = window
-				break
-			}
-			if !dominatesCoord(coord, w.coord) {
-				out = append(out, w)
-			}
-		}
-		window = out
-		if !dominated {
-			window = append(window, pt{coord})
-		}
-	})
-	return len(window)
-}
-
-func dominatesCoord(a, b []float64) bool {
-	strict := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strict = true
-		}
-	}
-	return strict
+	res, _, err := e.engine.ScanSkyline(q, ctr)
+	must(err)
+	return len(res)
 }
 
 // rankingSkyline: the search with no boolean pruning at all, the predicate

@@ -43,3 +43,33 @@ func (c Cond) Dims() []int {
 	}
 	return out
 }
+
+// IntsKey encodes a short list of small non-negative ints — a cuboid's
+// dimension set, a partition path — as a map key, two bytes each.
+func IntsKey(vs []int) string {
+	b := make([]byte, 0, len(vs)*2)
+	for _, v := range vs {
+		b = append(b, byte(v>>8), byte(v))
+	}
+	return string(b)
+}
+
+// IntersectSorted leaves in a[:0] the tids of the ascending list a that the
+// ascending list b holds too, and returns it.
+func IntersectSorted(a, b []table.TID) []table.TID {
+	out := a[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}

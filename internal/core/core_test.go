@@ -40,6 +40,23 @@ func TestWorseResultTotalOrderProperty(t *testing.T) {
 	}
 }
 
+func TestIntsKey(t *testing.T) {
+	a := IntsKey([]int{1, 2, 3})
+	if a != IntsKey([]int{1, 2, 3}) {
+		t.Fatal("IntsKey not deterministic")
+	}
+	if a == IntsKey([]int{1, 2}) || a == IntsKey([]int{3, 2, 1}) {
+		t.Fatal("IntsKey collision")
+	}
+	if IntsKey(nil) != "" {
+		t.Fatal("empty key not empty")
+	}
+	// Values above 255 take both bytes: ⟨256⟩ is {1,0}, ⟨1,0⟩ is {0,1,0,0}.
+	if IntsKey([]int{256}) == IntsKey([]int{1, 0}) || IntsKey([]int{257, 1}) == IntsKey([]int{1, 257}) {
+		t.Fatal("16-bit encoding collision")
+	}
+}
+
 func TestCondDims(t *testing.T) {
 	c := Cond{5: 1, 0: 2, 3: 3}
 	got := c.Dims()

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"rankcube/internal/core"
 	"rankcube/internal/guard"
 	"rankcube/internal/pager"
 	"rankcube/internal/stats"
@@ -155,8 +156,6 @@ type Config struct {
 	// BlockSize is the expected tuples per base block (P); default 300
 	// (§3.5.1).
 	BlockSize int
-	// PageSize in bytes; default pager.PageSize.
-	PageSize int
 	// FragmentSize F groups the selection dimensions into ⌈S/F⌉ fragments;
 	// 0 materializes the full cube (a single group of all dimensions).
 	FragmentSize int
@@ -175,20 +174,13 @@ func (c Config) blockSize() int {
 	return 300
 }
 
-func (c Config) pageSize() int {
-	if c.PageSize > 0 {
-		return c.PageSize
-	}
-	return pager.PageSize
-}
-
 // Build materializes a ranking cube (or ranking fragments) over t.
 func Build(t *table.Table, cfg Config) *Cube {
 	meta := NewMeta(t, cfg.blockSize())
 	cube := &Cube{
 		t:       t,
 		meta:    meta,
-		blocks:  NewBlockTable(t, meta, cfg.pageSize()),
+		blocks:  NewBlockTable(t, meta),
 		cuboids: make(map[string]*Cuboid),
 		cfg:     cfg,
 		ctl:     guard.New(),
@@ -237,22 +229,14 @@ func subsets(dims []int) [][]int {
 	return out
 }
 
-func dimsKey(dims []int) string {
-	b := make([]byte, 0, len(dims)*2)
-	for _, d := range dims {
-		b = append(b, byte(d>>8), byte(d))
-	}
-	return string(b)
-}
-
 func (c *Cube) buildCuboid(dims []int) {
 	sorted := append([]int(nil), dims...)
 	sort.Ints(sorted)
-	key := dimsKey(sorted)
+	key := core.IntsKey(sorted)
 	if _, ok := c.cuboids[key]; ok {
 		return
 	}
-	c.cuboids[key] = c.materializeCuboid(sorted, pager.NewStore(stats.StructCube, c.cfg.pageSize()))
+	c.cuboids[key] = c.materializeCuboid(sorted, pager.NewStore(stats.StructCube, pager.PageSize))
 }
 
 // materializeCuboid assembles the cuboid over the (sorted) selection
@@ -361,7 +345,7 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 func (c *Cube) RebuildCuboid(cb *Cuboid) int {
 	cb.store.Reset()
 	rebuilt := c.materializeCuboid(cb.dims, cb.store)
-	c.cuboids[dimsKey(cb.dims)] = rebuilt
+	c.cuboids[core.IntsKey(cb.dims)] = rebuilt
 	return cb.store.NumPages()
 }
 
@@ -372,7 +356,7 @@ func (c *Cube) Ctl() *guard.RW { return c.ctl }
 func (c *Cube) Cuboid(dims []int) *Cuboid {
 	sorted := append([]int(nil), dims...)
 	sort.Ints(sorted)
-	return c.cuboids[dimsKey(sorted)]
+	return c.cuboids[core.IntsKey(sorted)]
 }
 
 // Cuboids lists all materialized cuboids.

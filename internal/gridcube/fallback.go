@@ -2,6 +2,7 @@ package gridcube
 
 import (
 	"rankcube/internal/core"
+	"rankcube/internal/pager"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
@@ -13,5 +14,5 @@ import (
 // tombstones, and charges one sequential pass over the relation's pages.
 func (c *Cube) ScanTopK(q Query, ctr *stats.Counters) []Result {
 	alive := func(tid table.TID) bool { return !c.tombstones[tid] }
-	return core.ScanTopK(c.t, core.SeqPages(c.t, c.cfg.pageSize()), alive, q.Cond, q.F, q.K, ctr)
+	return core.ScanTopK(c.t, core.SeqPages(c.t, pager.PageSize), alive, q.Cond, q.F, q.K, ctr)
 }

@@ -29,7 +29,7 @@ func governedTopK(c *Cube, q Query, ctr *stats.Counters) (res []Result, err erro
 // maxPageSpan is the widest page run of the cube in blocks: what one governed
 // access can charge at most.
 func maxPageSpan(c *Cube) int64 {
-	span := func(bytes int) int64 { return int64((bytes + c.cfg.pageSize() - 1) / c.cfg.pageSize()) }
+	span := func(bytes int) int64 { return int64((bytes + pager.PageSize - 1) / pager.PageSize) }
 	widest := int64(1)
 	for _, b := range c.blocks.blocks {
 		widest = max(widest, span(len(b.tids)*(4+8*c.meta.R)))

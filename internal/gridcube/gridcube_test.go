@@ -79,7 +79,7 @@ func TestMetaPartition(t *testing.T) {
 func TestMetaEquiDepth(t *testing.T) {
 	tb := testTable(20000, 1, 2, 2, 32)
 	m := NewMeta(tb, 200)
-	bt := NewBlockTable(tb, m, 4096)
+	bt := NewBlockTable(tb, m)
 	// Equi-depth: block occupancies should be within a few x of the target.
 	max := 0
 	for _, b := range bt.blocks {
@@ -463,7 +463,7 @@ func TestCompressedCubeInsertAccounting(t *testing.T) {
 		t.Fatalf("300 inserts grew the cube by %d bytes, want %d", got, want)
 	}
 
-	fresh := &Cube{t: cube.t, meta: cube.meta, blocks: NewBlockTable(cube.t, cube.meta, cube.cfg.pageSize()),
+	fresh := &Cube{t: cube.t, meta: cube.meta, blocks: NewBlockTable(cube.t, cube.meta),
 		cuboids: make(map[string]*Cuboid), cfg: cube.cfg}
 	for _, cb := range cube.Cuboids() {
 		fresh.buildCuboid(cb.dims)

@@ -208,11 +208,11 @@ type BlockTable struct {
 }
 
 // NewBlockTable partitions t's tuples into base blocks.
-func NewBlockTable(t *table.Table, meta Meta, pageSize int) *BlockTable {
+func NewBlockTable(t *table.Table, meta Meta) *BlockTable {
 	bt := &BlockTable{
 		meta:   meta,
 		blocks: make([]block, meta.NumBlocks()),
-		store:  pager.NewStore(stats.StructBlockTab, pageSize),
+		store:  pager.NewStore(stats.StructBlockTab, pager.PageSize),
 	}
 	r, n := meta.R, t.Len()
 	bids := make([]BID, n)

@@ -301,7 +301,7 @@ func (e *gridExec) processBlock(bid BID) {
 			cand = e.cand
 		} else {
 			e.tids = cb.blockTIDs(e.condVals[i], bid, e.cubeBufs[i], e.ctr, e.tids[:0])
-			cand = intersectSorted(cand, e.tids)
+			cand = core.IntersectSorted(cand, e.tids)
 		}
 		if len(cand) == 0 {
 			return
@@ -338,22 +338,4 @@ func (e *gridExec) offer(blk *block, i int) {
 	if score := e.f.Eval(blk.ranks[i*r : (i+1)*r]); !math.IsInf(score, 1) {
 		e.topk.Offer(Result{TID: tid, Score: score})
 	}
-}
-
-func intersectSorted(a, b []table.TID) []table.TID {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -227,7 +227,7 @@ func (e *refExec) processBlock(bid BID) {
 		if i == 0 {
 			candidates = tids
 		} else {
-			candidates = intersectSorted(candidates, tids)
+			candidates = core.IntersectSorted(candidates, tids)
 		}
 		if len(candidates) == 0 {
 			return

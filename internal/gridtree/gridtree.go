@@ -27,8 +27,6 @@ import (
 
 // Config controls construction.
 type Config struct {
-	// PageSize in bytes; defaults to pager.PageSize.
-	PageSize int
 	// Fanout overrides the page-derived maximum node fanout M.
 	Fanout int
 	// BlockSize is the expected tuples per base grid cell; defaults to the
@@ -48,7 +46,7 @@ func Build(t *table.Table, dims []int, domain ranking.Box, cfg Config) *Tree {
 		//lint:invariant cuboid construction never requests a 0-dimensional grid
 		panic("gridtree: no dimensions")
 	}
-	store := pager.NewStore(stats.StructRTree, cfg.PageSize)
+	store := pager.NewStore(stats.StructRTree, pager.PageSize)
 	fanout := cfg.Fanout
 	if fanout <= 0 {
 		fanout = hindex.RectFanout(store.PageSize(), d)

@@ -216,12 +216,3 @@ func PathOf(dst []int, sid uint64, maxFanout int) []int {
 	}
 	return dst
 }
-
-// PathKey encodes a path for use as a map key.
-func PathKey(path []int) string {
-	b := make([]byte, 0, len(path)*2)
-	for _, p := range path {
-		b = append(b, byte(p>>8), byte(p))
-	}
-	return string(b)
-}

@@ -34,28 +34,3 @@ func TestSIDThesisFormula(t *testing.T) {
 		t.Fatalf("SID(⟨1,1⟩, M=2) = %d, want 4", got)
 	}
 }
-
-func TestPathKey(t *testing.T) {
-	a := PathKey([]int{1, 2, 3})
-	b := PathKey([]int{1, 2, 3})
-	c := PathKey([]int{1, 2})
-	d := PathKey([]int{3, 2, 1})
-	if a != b {
-		t.Fatal("PathKey not deterministic")
-	}
-	if a == c || a == d {
-		t.Fatal("PathKey collision")
-	}
-	if PathKey(nil) != "" {
-		t.Fatal("empty path key not empty")
-	}
-	// Positions above 255 must not collide (16-bit encoding).
-	if PathKey([]int{256}) == PathKey([]int{1, 0}) {
-		// ⟨256⟩ encodes to bytes {1,0}; ⟨1,0⟩ encodes to {0,1,0,0}: lengths
-		// differ, so no collision. Verify a trickier pair too.
-		t.Fatal("16-bit encoding collision")
-	}
-	if PathKey([]int{257, 1}) == PathKey([]int{1, 257}) {
-		t.Fatal("order-insensitive PathKey")
-	}
-}

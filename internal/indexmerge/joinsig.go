@@ -6,6 +6,7 @@ import (
 
 	"rankcube/internal/bitvec"
 	"rankcube/internal/bloom"
+	"rankcube/internal/core"
 	"rankcube/internal/errs"
 	"rankcube/internal/hindex"
 	"rankcube/internal/pager"
@@ -226,7 +227,7 @@ func pathsKey(paths [][]int) string {
 		if i > 0 {
 			b.WriteByte('|')
 		}
-		b.WriteString(hindex.PathKey(p))
+		b.WriteString(core.IntsKey(p))
 	}
 	return b.String()
 }

@@ -27,7 +27,7 @@ func BruteForce(q Query, ctr *stats.Counters) ([]Result, error) {
 	buckets := make([]map[int32][]core.Result, len(q.Parts))
 	for i, p := range q.Parts {
 		buckets[i] = make(map[int32][]core.Result)
-		p.Scan(ctr, func(r core.Result) {
+		p.scan(ctr, func(r core.Result) {
 			key := p.Rel.Keys[r.TID]
 			buckets[i][key] = append(buckets[i][key], r)
 		})

@@ -245,9 +245,9 @@ func (e *executor) plan(p Part) (source, error) {
 	return cubeSource{s: sc}, nil
 }
 
-// Scan makes one sequential pass over the part's relation (live tuples
+// scan makes one sequential pass over the part's relation (live tuples
 // only, charged once) and hands visit every match with a finite score.
-func (p Part) Scan(ctr *stats.Counters, visit func(core.Result)) {
+func (p Part) scan(ctr *stats.Counters, visit func(core.Result)) {
 	p.Rel.Cube.SeqScan(p.Cond, ctr, func(tid table.TID, rank []float64) {
 		if score := p.F.Eval(rank); !math.IsInf(score, 1) {
 			visit(core.Result{TID: tid, Score: score})
@@ -258,7 +258,7 @@ func (p Part) Scan(ctr *stats.Counters, visit func(core.Result)) {
 // materialize scans the relation for matches and sorts them.
 func materialize(p Part, ctr *stats.Counters) []core.Result {
 	var items []core.Result
-	p.Scan(ctr, func(r core.Result) { items = append(items, r) })
+	p.scan(ctr, func(r core.Result) { items = append(items, r) })
 	slices.SortFunc(items, func(a, b core.Result) int {
 		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.TID, b.TID))
 	})

@@ -71,8 +71,6 @@ type Tree struct {
 
 // Config controls construction.
 type Config struct {
-	// PageSize in bytes; defaults to pager.PageSize.
-	PageSize int
 	// Fanout overrides the page-derived fanout when > 0.
 	Fanout int
 }
@@ -97,7 +95,7 @@ func newTree(dims []int, domain ranking.Box, cfg Config, tuples int) *Tree {
 		//lint:invariant cuboid construction never requests a 0-dimensional tree
 		panic("rtree: no dimensions")
 	}
-	store := pager.NewStore(stats.StructRTree, cfg.PageSize)
+	store := pager.NewStore(stats.StructRTree, pager.PageSize)
 	fanout := cfg.Fanout
 	if fanout <= 0 {
 		fanout = hindex.RectFanout(store.PageSize(), d)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rankcube/internal/core"
 	"rankcube/internal/hindex"
 	"rankcube/internal/ranking"
 	"rankcube/internal/table"
@@ -115,13 +116,13 @@ func TestInsertAffectedSetSound(t *testing.T) {
 		}
 		for old, p := range paths {
 			if !aset[old] {
-				if got := hindex.PathKey(tr.TuplePath(old)); got != p {
+				if got := core.IntsKey(tr.TuplePath(old)); got != p {
 					t.Fatalf("insert %d silently moved tuple %d", tid, old)
 				}
 			}
 		}
 		for _, a := range affected {
-			paths[a] = hindex.PathKey(tr.TuplePath(a))
+			paths[a] = core.IntsKey(tr.TuplePath(a))
 		}
 	}
 }
@@ -168,14 +169,14 @@ func deleteSound(t *testing.T, tr *Tree, paths map[table.TID]string, tid table.T
 		if aset[old] {
 			continue
 		}
-		if got := hindex.PathKey(tr.TuplePath(old)); got != p {
+		if got := core.IntsKey(tr.TuplePath(old)); got != p {
 			t.Fatalf("delete %d silently moved tuple %d: path %v, was %q", tid, old, tr.TuplePath(old), p)
 		}
 	}
 	delete(paths, tid)
 	for _, a := range affected {
 		if a != tid {
-			paths[a] = hindex.PathKey(tr.TuplePath(a))
+			paths[a] = core.IntsKey(tr.TuplePath(a))
 		}
 	}
 }
@@ -187,7 +188,7 @@ func insertAll(tb *table.Table, cfg Config) (*Tree, map[table.TID]string) {
 	}
 	paths := make(map[table.TID]string)
 	for i := 0; i < tb.Len(); i++ {
-		paths[table.TID(i)] = hindex.PathKey(tr.TuplePath(table.TID(i)))
+		paths[table.TID(i)] = core.IntsKey(tr.TuplePath(table.TID(i)))
 	}
 	return tr, paths
 }

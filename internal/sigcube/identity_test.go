@@ -7,7 +7,7 @@ import (
 	"sort"
 	"testing"
 
-	"rankcube/internal/hindex"
+	"rankcube/internal/core"
 	"rankcube/internal/pager"
 	"rankcube/internal/rtree"
 	"rankcube/internal/signature"
@@ -28,7 +28,7 @@ func (m cellModel) apply(c *Cube, before map[table.TID][]int) (map[*Cuboid][]uin
 	var changed []pathUpdate
 	now := livePaths(c)
 	for tid, old := range before {
-		if cur, ok := now[tid]; !ok || hindex.PathKey(cur) != hindex.PathKey(old) {
+		if cur, ok := now[tid]; !ok || core.IntsKey(cur) != core.IntsKey(old) {
 			changed = append(changed, pathUpdate{tid: tid, old: old, new: cur})
 		}
 	}
@@ -108,7 +108,7 @@ func samePages(t *testing.T, what string, got, want map[uint64][]byte) {
 func sortedPaths(paths [][]int) []string {
 	out := make([]string, len(paths))
 	for i, p := range paths {
-		out[i] = hindex.PathKey(p)
+		out[i] = core.IntsKey(p)
 	}
 	sort.Strings(out)
 	return out
@@ -161,8 +161,8 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 			for _, cb := range cube.order {
 				model[cb] = make(map[uint64]*signature.Node)
 				for key, stored := range cb.cells {
-					// Union with nothing is a deep copy, and a copy carries no encoding.
-					model[cb][key] = signature.Union(stored.Decode(cube.enc.Codec(), cube.store, stats.New(), wantAll), nil)
+					// A copy carries no encoding.
+					model[cb][key] = stored.Decode(cube.enc.Codec(), cube.store, stats.New(), wantAll).Clone()
 					maxPartials = max(maxPartials, stored.NumPartials())
 				}
 			}
@@ -180,7 +180,7 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 				samePages(t, what+" against the model's whole-cell encode", got, pagesOf(enc.Encode(model[cb][key]), scratch))
 
 				decoded := cb.cells[key].Decode(cube.enc.Codec(), cube.store, stats.New(), wantAll)
-				samePages(t, what+" against its own tree coded afresh", got, pagesOf(enc.Encode(signature.Union(decoded, nil)), scratch))
+				samePages(t, what+" against its own tree coded afresh", got, pagesOf(enc.Encode(decoded.Clone()), scratch))
 
 				if !tuples {
 					return

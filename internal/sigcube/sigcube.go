@@ -73,7 +73,7 @@ type Cube struct {
 	enc     *signature.Encoder
 	store   *pager.Store
 	cuboids map[string]*Cuboid
-	// order lists the cuboids by ascending dimsKey: the order cells are
+	// order lists the cuboids by ascending core.IntsKey: the order cells are
 	// written in, so that a store's page layout repeats from run to run.
 	order []*Cuboid
 	// paths holds, by TID, the SID of each tuple's current partition path
@@ -130,7 +130,7 @@ func BuildOnTree(t *table.Table, rt hindex.PartitionTree, cfg Config) *Cube {
 	for _, dims := range cuboids {
 		cb := &Cuboid{dims: append([]int(nil), dims...), cards: make([]int, len(dims))}
 		sort.Ints(cb.dims)
-		if key := dimsKey(cb.dims); c.cuboids[key] == nil {
+		if key := core.IntsKey(cb.dims); c.cuboids[key] == nil {
 			for i, d := range cb.dims {
 				cb.cards[i] = schema.SelCard[d]
 			}
@@ -138,24 +138,16 @@ func BuildOnTree(t *table.Table, rt hindex.PartitionTree, cfg Config) *Cube {
 			c.order = append(c.order, cb)
 		}
 	}
-	sort.Slice(c.order, func(a, b int) bool { return dimsKey(c.order[a].dims) < dimsKey(c.order[b].dims) })
+	sort.Slice(c.order, func(a, b int) bool { return core.IntsKey(c.order[a].dims) < core.IntsKey(c.order[b].dims) })
 	c.RebuildStore()
 	return c
-}
-
-func dimsKey(dims []int) string {
-	b := make([]byte, 0, len(dims)*2)
-	for _, d := range dims {
-		b = append(b, byte(d>>8), byte(d))
-	}
-	return string(b)
 }
 
 // Cuboid returns the cuboid over exactly dims, or nil.
 func (c *Cube) Cuboid(dims []int) *Cuboid {
 	sorted := append([]int(nil), dims...)
 	sort.Ints(sorted)
-	return c.cuboids[dimsKey(sorted)]
+	return c.cuboids[core.IntsKey(sorted)]
 }
 
 // Tree exposes the partition tree.
@@ -283,15 +275,22 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 		return nil, nil
 	}
 	defer ctr.StartSpan("search")()
-	return newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr).take(k), nil
+	return Search(c.rt, tester, c.Verifier(cond, ctr), f, k, ctr), nil
 }
 
-// SearchTopK is Alg. 3 over any hierarchical index: progressive best-first
+// Search is Alg. 3 over any hierarchical index: progressive best-first
 // retrieval with ranking pruning (node lower bounds vs. the current kth
 // score) and boolean pruning (the tester's answers for the children of each
-// qualified node, consulted before the node is read). It is exposed
-// package-level so chapter 7's skyline processing and the baselines can share
-// it.
+// qualified node, consulted before the node is read). verify, when not nil,
+// re-checks each tuple the search reaches against the relation before it
+// becomes a result. It is exposed package-level so the baselines can share
+// it: §4.4.1's Ranking baseline is this search with signature.True and a
+// verify that reads the tuple's page.
+func Search(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
+	return newScanner(idx, tester, verify, f, ctr).take(k)
+}
+
+// SearchTopK is Search with nothing to verify.
 func SearchTopK(idx hindex.Index, tester signature.Tester, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	return newScanner(idx, tester, nil, f, ctr).take(k)
+	return Search(idx, tester, nil, f, k, ctr)
 }

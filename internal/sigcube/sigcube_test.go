@@ -266,7 +266,7 @@ func TestDeleteThroughRootCollapse(t *testing.T) {
 	for i := 0; i < tb.Len(); i++ {
 		if tid := table.TID(i); !deleted[tid] {
 			rebuilt.Append(tb.SelRow(tid, nil), tb.RankRow(tid, nil))
-			if got, want := hindex.PathKey(cube.path(tid)), hindex.PathKey(rt.TuplePath(tid)); got != want {
+			if got, want := core.IntsKey(cube.path(tid)), core.IntsKey(rt.TuplePath(tid)); got != want {
 				t.Fatalf("tuple %d: the cube holds path %v, the tree %v", tid, cube.path(tid), rt.TuplePath(tid))
 			}
 		}

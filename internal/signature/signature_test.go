@@ -5,7 +5,7 @@ import (
 	"sort"
 	"testing"
 
-	"rankcube/internal/hindex"
+	"rankcube/internal/core"
 	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
 	"rankcube/internal/rtree"
@@ -26,7 +26,7 @@ func fixture(t *testing.T, n int, pick func(table.TID) bool) (*rtree.Tree, [][]i
 		if pick(tid) {
 			p := rt.TuplePath(tid)
 			paths = append(paths, p)
-			want[hindex.PathKey(p)] = true
+			want[core.IntsKey(p)] = true
 		}
 	}
 	return rt, paths, want
@@ -62,7 +62,7 @@ func TestGenerateAndTest(t *testing.T) {
 		t.Fatalf("Tuples = %d paths, want %d", len(got), len(want))
 	}
 	for _, p := range got {
-		if !want[hindex.PathKey(p)] {
+		if !want[core.IntsKey(p)] {
 			t.Fatalf("unexpected tuple path %v", p)
 		}
 	}
@@ -76,51 +76,61 @@ func TestGenerateEmpty(t *testing.T) {
 	_ = rt
 }
 
+// prefixKeys marks every non-empty prefix of the given paths.
+func prefixKeys(paths [][]int) map[string]bool {
+	out := make(map[string]bool)
+	for _, p := range paths {
+		for l := 1; l <= len(p); l++ {
+			out[core.IntsKey(p[:l])] = true
+		}
+	}
+	return out
+}
+
+// TestUnionIntersect: the online assembly of §4.3.3 over stored cells. Or is
+// the union, exact on every prefix of every tuple path; And is the
+// intersection, exact on every tuple path and, above the tuples, never false
+// over a subtree that holds a tuple of both cells.
 func TestUnionIntersect(t *testing.T) {
-	rt, pathsA, _ := fixture(t, 400, func(tid table.TID) bool { return tid%2 == 0 })
-	_, pathsB, _ := fixture(t, 400, func(tid table.TID) bool { return tid%3 == 0 })
-	a := Generate(rt, pathsA)
-	b := Generate(rt, pathsB)
-
-	u := Union(a, b)
-	for i := 0; i < 400; i++ {
+	const n = 400
+	rt, pathsA, _ := fixture(t, n, func(tid table.TID) bool { return tid%2 == 0 })
+	_, pathsB, _ := fixture(t, n, func(tid table.TID) bool { return tid%3 == 0 })
+	_, pathsX, _ := fixture(t, n, func(tid table.TID) bool { return tid%6 == 0 })
+	store := pager.NewStore(stats.StructSignature, 96)
+	enc := NewEncoder(rt.MaxFanout(), rt.Height(), store)
+	view := func(paths [][]int) Tester {
+		return NewView(enc.Encode(Generate(rt, paths)), enc.Codec(), store, stats.New())
+	}
+	a, b := view(pathsA), view(pathsB)
+	and, or := And{a, b}, Or{a, b}
+	inA, inB, inX := prefixKeys(pathsA), prefixKeys(pathsB), prefixKeys(pathsX)
+	for i := 0; i < n; i++ {
 		tid := table.TID(i)
 		p := rt.TuplePath(tid)
-		wantU := tid%2 == 0 || tid%3 == 0
-		if u.Test(p) != wantU {
-			t.Fatalf("union tuple %d = %v, want %v", tid, u.Test(p), wantU)
+		if got, want := and.Test(p), tid%6 == 0; got != want {
+			t.Fatalf("And, tuple %d = %v, want %v", tid, got, want)
 		}
-	}
-
-	x := Intersect(a, b)
-	for i := 0; i < 400; i++ {
-		tid := table.TID(i)
-		p := rt.TuplePath(tid)
-		wantX := tid%6 == 0
-		got := x.Test(p)
-		if got != wantX {
-			t.Fatalf("intersect tuple %d = %v, want %v", tid, got, wantX)
-		}
-	}
-	// Intersection prunes empty subtrees bottom-up: every set internal bit
-	// must lead to at least one tuple.
-	if x != nil {
-		if got := len(x.Tuples(rt.Height())); got != countMultiples(400, 6) {
-			t.Fatalf("intersection tuples = %d, want %d", got, countMultiples(400, 6))
+		for l := 1; l <= len(p); l++ {
+			key := core.IntsKey(p[:l])
+			if got, want := or.Test(p[:l]), inA[key] || inB[key]; got != want {
+				t.Fatalf("Or at %v = %v, want %v", p[:l], got, want)
+			}
+			if inX[key] && !and.Test(p[:l]) {
+				t.Fatalf("And at %v is false over a tuple of both cells", p[:l])
+			}
 		}
 	}
 }
 
-func countMultiples(n, k int) int { return (n + k - 1) / k } // ceil(n/k) counts 0,k,2k,... below n
-
-func TestIntersectDisjointIsNil(t *testing.T) {
+// TestIntersectDisjointTestsFalse: the conjunction of two cells with no tuple
+// in common passes no tuple.
+func TestIntersectDisjointTestsFalse(t *testing.T) {
 	rt, pathsA, _ := fixture(t, 100, func(tid table.TID) bool { return tid < 10 })
 	_, pathsB, _ := fixture(t, 100, func(tid table.TID) bool { return tid >= 90 })
-	a := Generate(rt, pathsA)
-	b := Generate(rt, pathsB)
-	if x := Intersect(a, b); x != nil {
-		if len(x.Tuples(rt.Height())) != 0 {
-			t.Fatal("disjoint intersection non-empty")
+	and := And{Generate(rt, pathsA), Generate(rt, pathsB)}
+	for i := 0; i < 100; i++ {
+		if p := rt.TuplePath(table.TID(i)); and.Test(p) {
+			t.Fatalf("disjoint cells: tuple %d at %v passes their conjunction", i, p)
 		}
 	}
 }
@@ -192,7 +202,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	sortPaths(wantPaths)
 	sortPaths(gotPaths)
 	for i := range wantPaths {
-		if hindex.PathKey(wantPaths[i]) != hindex.PathKey(gotPaths[i]) {
+		if core.IntsKey(wantPaths[i]) != core.IntsKey(gotPaths[i]) {
 			t.Fatalf("path %d: %v != %v", i, gotPaths[i], wantPaths[i])
 		}
 	}

@@ -24,8 +24,8 @@ import (
 // encoding sits there, so that the encoder of the same store can copy it in
 // place of coding the bits again. Only Decode records that, and whatever
 // changes the node's bits or width (Set, Clear and its cascade, grow) drops
-// it; a node built from new bits — Generate, Union, Intersect, a clone — has
-// none. A leaf-level node Decode was not asked for has that place and no Bits.
+// it; a node built from new bits — Generate, Clone — has none. A leaf-level
+// node Decode was not asked for has that place and no Bits.
 type Node struct {
 	Bits *bitvec.Bits
 	Kids []*Node
@@ -219,86 +219,9 @@ func (n *Node) grow(w int) {
 	}
 }
 
-// Union returns the bit-or of two signatures (§4.3.3). Either argument may
-// be nil. Nodes are merged slot-wise; widths take the max.
-func Union(a, b *Node) *Node {
-	if a == nil {
-		return cloneNode(b)
-	}
-	if b == nil {
-		return cloneNode(a)
-	}
-	w := a.Bits.Len()
-	if b.Bits.Len() > w {
-		w = b.Bits.Len()
-	}
-	out := &Node{Bits: bitvec.NewBits(w)}
-	if a.Kids != nil || b.Kids != nil {
-		out.Kids = make([]*Node, w)
-	}
-	for i := 0; i < w; i++ {
-		av := i < a.Bits.Len() && a.Bits.Get(i)
-		bv := i < b.Bits.Len() && b.Bits.Get(i)
-		if !av && !bv {
-			continue
-		}
-		out.Bits.Set(i, true)
-		if out.Kids != nil {
-			var ak, bk *Node
-			if a.Kids != nil && i < len(a.Kids) {
-				ak = a.Kids[i]
-			}
-			if b.Kids != nil && i < len(b.Kids) {
-				bk = b.Kids[i]
-			}
-			if ak != nil || bk != nil {
-				out.Kids[i] = Union(ak, bk)
-			}
-		}
-	}
-	return out
-}
-
-// Intersect returns the signature of the conjunction (§4.3.3): exact at the
-// tuple level, with internal bits recomputed bottom-up so that a bit is set
-// only when its subtree still contains a surviving tuple ("if the
-// intersection causes all bits in the child nodes being 0's, we set b to
-// 0"). Returns nil when the intersection is empty.
-func Intersect(a, b *Node) *Node {
-	if a == nil || b == nil {
-		return nil
-	}
-	w := a.Bits.Len()
-	if b.Bits.Len() < w {
-		w = b.Bits.Len()
-	}
-	out := &Node{Bits: bitvec.NewBits(w)}
-	internal := a.Kids != nil && b.Kids != nil
-	if internal {
-		out.Kids = make([]*Node, w)
-	}
-	any := false
-	for i := 0; i < w; i++ {
-		if !a.Bits.Get(i) || !b.Bits.Get(i) {
-			continue
-		}
-		if internal {
-			kid := Intersect(a.Kids[i], b.Kids[i])
-			if kid == nil {
-				continue
-			}
-			out.Kids[i] = kid
-		}
-		out.Bits.Set(i, true)
-		any = true
-	}
-	if !any {
-		return nil
-	}
-	return out
-}
-
-func cloneNode(n *Node) *Node {
+// Clone returns a deep copy of the signature with no stored encoding: the
+// encoder codes every node of it afresh.
+func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
@@ -306,7 +229,7 @@ func cloneNode(n *Node) *Node {
 	if n.Kids != nil {
 		out.Kids = make([]*Node, len(n.Kids))
 		for i, k := range n.Kids {
-			out.Kids[i] = cloneNode(k)
+			out.Kids[i] = k.Clone()
 		}
 	}
 	return out

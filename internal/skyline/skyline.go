@@ -55,14 +55,8 @@ func (q Query) appendCorner(dst []float64, box ranking.Box) []float64 {
 	return dst
 }
 
-// Point extracts a tuple's preference-space coordinates (identity for
-// static skylines, |x−target| for dynamic ones) into out[:0]. Exposed for
-// reference implementations and the benchmark harness.
-func (q Query) Point(vals []float64, out []float64) []float64 {
-	return q.appendPoint(out[:0], vals)
-}
-
-// appendPoint appends a tuple's preference-space coordinates to dst.
+// appendPoint appends a tuple's preference-space coordinates to dst:
+// identity for static skylines, |x−target| for dynamic ones.
 func (q Query) appendPoint(dst, vals []float64) []float64 {
 	for i, d := range q.Dims {
 		v := vals[d]

@@ -28,9 +28,7 @@ func bruteSkyline(t *table.Table, q Query) map[table.TID]bool {
 		if !t.Matches(tid, q.Cond) {
 			continue
 		}
-		row := t.RankRow(tid, buf)
-		coord := q.Point(row, nil)
-		pts = append(pts, pt{tid, append([]float64(nil), coord...)})
+		pts = append(pts, pt{tid, q.appendPoint(nil, t.RankRow(tid, buf))})
 	}
 	out := make(map[table.TID]bool)
 	for i := range pts {
