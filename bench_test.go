@@ -170,13 +170,20 @@ func mergeFc(i int) ranking.Func {
 // Chapter 3 — grid ranking cube
 // ---------------------------------------------------------------------------
 
+// gridQuery runs one grid query b.N times and reports its cuboid and base
+// block table reads per query.
 func gridQuery(b *testing.B, cube *gridcube.Cube, cond core.Cond, f ranking.Func, k int) {
 	b.Helper()
+	total := stats.New()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.TopK(gridcube.Query{Cond: cond, F: f, K: k}, stats.New()); err != nil {
+		ctr := stats.New()
+		if _, err := cube.TopK(gridcube.Query{Cond: cond, F: f, K: k}, ctr); err != nil {
 			b.Fatal(err)
 		}
+		total.Merge(ctr)
 	}
+	b.ReportMetric(float64(total.Reads(stats.StructCube))/float64(b.N), "cubereads/op")
+	b.ReportMetric(float64(total.Reads(stats.StructBlockTab))/float64(b.N), "blocktabreads/op")
 }
 
 func BenchmarkFig3_04_RankingCube_K10(b *testing.B) {
@@ -747,7 +754,9 @@ func BenchmarkPublicAPI_SignatureChurn(b *testing.B) {
 // three dimensions with Zipf-drawn values, and the 50/40/10 mix of linear,
 // squared-distance and general (no declared convexity → exhaustive search)
 // functions. Beside time and allocations it reports the cuboid and base block
-// table reads per query, which a change to the search kernel must not move.
+// table reads per query. A change to the search kernel must not move them; a
+// change to what a step fetches — since page-granular fetch, the pages that
+// hold the rows a step needs — must say by how much, in its snapshot.
 func BenchmarkPublicAPI_GridTopK(b *testing.B) {
 	rel := table.Generate(table.GenSpec{T: 200_000, S: 3, R: 2, Card: 20, SelZipf: 1.2, Seed: 9})
 	cube := rankcube.BuildGridCube(rel, rankcube.GridOptions{})

@@ -212,7 +212,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	r := &run{cfg: cfg, stop: time.Now().Add(cfg.Duration), card: card, f: rankcube.Sum(0, 1)}
 	r.sig = rankcube.BuildSignatureCube(sigRel, rankcube.SigOptions{Fanout: 16})
-	r.grid = rankcube.BuildGridCube(gridRel, rankcube.GridOptions{BlockSize: 100, CompressLists: true})
+	// The default block size puts ~300 tuples, two pages, in a base block, so
+	// storms and maintenance reach the page-granular block fetch.
+	r.grid = rankcube.BuildGridCube(gridRel, rankcube.GridOptions{CompressLists: true})
 	r.sig.SetAdmission(rankcube.AdmissionConfig{MaxInFlight: cfg.MaxInFlight, MaxWaiting: cfg.MaxWaiting, Name: "chaos-sig"})
 	r.grid.SetAdmission(rankcube.AdmissionConfig{MaxInFlight: cfg.MaxInFlight, MaxWaiting: cfg.MaxWaiting, Name: "chaos-grid"})
 

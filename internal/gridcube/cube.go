@@ -40,18 +40,22 @@ type Cuboid struct {
 	compressed bool
 	// extra holds per-cell overflow entries appended by incremental
 	// maintenance since the last repartition, tid-ascending.
-	extra  map[uint64][]Entry
-	store  *pager.Store
-	tuples int
+	extra map[uint64][]Entry
+	store *pager.Store
 }
 
-// cellRef locates a cell's materialized run: n entries on page, at data[off:]
-// when uncompressed, taking bytes there (8 per entry, or the length of the
-// compressed payload). Overflow entries extend the page run 8 bytes each.
+// cellRef locates a cell's materialized run: n entries at data[off:] when
+// uncompressed, taking bytes on pages (entryBytes per entry, or the length of
+// the compressed payload). Overflow entries extend the run entryBytes each: an
+// uncompressed cell's positions continue on its pages after the materialized
+// ones, a compressed cell's single payload page grows.
 type cellRef struct {
 	off, n, bytes int32
-	page          pager.PageID
+	pages         []pager.PageID
 }
+
+// entryBytes is the stored width of one uncompressed cell entry: tid and bid.
+const entryBytes = 8
 
 // Dims reports the cuboid's selection dimensions.
 func (cb *Cuboid) Dims() []int { return cb.dims }
@@ -79,8 +83,8 @@ func (cb *Cuboid) cellKey(vals []int32, pid int) uint64 {
 
 // GetPseudoBlock implements the get_pseudo_block access method (§3.3.1):
 // given the cuboid cell identified by selection values and pid, it returns
-// the cell's tid/bid list (overflow entries last), charging reads through
-// buf.
+// the cell's tid/bid list (overflow entries last), charging through buf every
+// page of the cell's run.
 func (cb *Cuboid) GetPseudoBlock(vals []int32, pid int, buf *pager.Buffer, c *stats.Counters) []Entry {
 	key := cb.cellKey(vals, pid)
 	ref, ok := cb.cells[key]
@@ -89,9 +93,11 @@ func (cb *Cuboid) GetPseudoBlock(vals []int32, pid int, buf *pager.Buffer, c *st
 	}
 	var base []Entry
 	if cb.compressed {
-		base = decodeEntries(buf.Read(ref.page, c), int(ref.n), nil)
+		base = decodeEntries(buf.Read(ref.pages[0], c), int(ref.n), nil)
 	} else {
-		buf.Touch(ref.page, c)
+		for _, id := range ref.pages {
+			buf.Touch(id, c)
+		}
 		base = cb.data[ref.off : ref.off+ref.n : ref.off+ref.n]
 	}
 	return append(base, cb.extra[key]...)
@@ -99,25 +105,37 @@ func (cb *Cuboid) GetPseudoBlock(vals []int32, pid int, buf *pager.Buffer, c *st
 
 // blockTIDs is get_pseudo_block narrowed to one base block, the retrieve
 // step's unit of work: it appends to dst, ascending, the tids of bid's tuples
-// in the cell that holds them, with the same access to the same page as
-// GetPseudoBlock.
+// in the cell that holds them. A compressed cell is one payload, read whole.
+// An uncompressed cell charges the pages its bid sub-run overlaps — an empty
+// sub-run the one page where it would begin, where the search learns it is
+// empty — and the pages of its overflow entries, which are in tid order and
+// cannot be skipped by bid.
 func (cb *Cuboid) blockTIDs(vals []int32, bid BID, buf *pager.Buffer, c *stats.Counters, dst []table.TID) []table.TID {
 	key := cb.cellKey(vals, cb.PseudoOf(bid))
 	ref, ok := cb.cells[key]
 	if !ok {
 		return dst
 	}
+	extra := cb.extra[key]
 	if cb.compressed {
-		dst = decodeBlock(buf.Read(ref.page, c), int(ref.n), bid, dst)
+		dst = decodeBlock(buf.Read(ref.pages[0], c), int(ref.n), bid, dst)
 	} else {
-		buf.Touch(ref.page, c)
 		run := cb.data[ref.off : ref.off+ref.n]
-		for i := sort.Search(len(run), func(i int) bool { return run[i].BID >= bid }); i < len(run) && run[i].BID == bid; i++ {
-			dst = append(dst, run[i].TID)
+		lo := sort.Search(len(run), func(i int) bool { return run[i].BID >= bid })
+		hi := lo
+		for ; hi < len(run) && run[hi].BID == bid; hi++ {
+			dst = append(dst, run[hi].TID)
+		}
+		if len(run) > 0 {
+			at := min(lo, len(run)-1)
+			touchRows(ref.pages, entryBytes, at, max(hi, at+1), 0, buf, c)
+		}
+		if len(extra) > 0 {
+			touchRows(ref.pages, entryBytes, len(run), len(run)+len(extra), 0, buf, c)
 		}
 	}
 	// Fresh tids are larger than materialized ones, so dst stays ascending.
-	for _, en := range cb.extra[key] {
+	for _, en := range extra {
 		if en.BID == bid {
 			dst = append(dst, en.TID)
 		}
@@ -315,23 +333,20 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 			}
 			j++
 		}
-		ref := cellRef{off: int32(i), n: int32(j - i)}
+		ref := cellRef{off: int32(i), n: int32(j - i), bytes: int32(j-i) * entryBytes}
 		if cb.compressed {
 			scratch = scratch[:0]
 			for k := i; k < j; k++ {
 				scratch = append(scratch, rows[k].e)
 			}
 			payload := encodeEntries(scratch)
-			ref.bytes, ref.page = int32(len(payload)), cb.store.Append(payload)
+			ref.bytes, ref.pages = int32(len(payload)), []pager.PageID{cb.store.Append(payload)}
 		} else {
-			// Each cell occupies its own page run: 8 bytes per entry.
-			ref.bytes = ref.n * 8
-			ref.page = cb.store.AppendLogical(int(ref.bytes))
+			ref.pages = growRun(cb.store, nil, int(ref.bytes))
 		}
 		cb.cells[rows[i].key] = ref
 		i = j
 	}
-	cb.tuples = n
 	return cb
 }
 

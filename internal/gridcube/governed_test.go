@@ -26,20 +26,19 @@ func governedTopK(c *Cube, q Query, ctr *stats.Counters) (res []Result, err erro
 	return c.TopK(q, ctr)
 }
 
-// maxPageSpan is the widest page run of the cube in blocks: what one governed
-// access can charge at most.
+// maxPageSpan is the widest page of the cube in blocks: what one governed
+// access can charge at most. A base block's or an uncompressed cell's run
+// takes a block per page; a compressed cell is one payload page.
 func maxPageSpan(c *Cube) int64 {
-	span := func(bytes int) int64 { return int64((bytes + pager.PageSize - 1) / pager.PageSize) }
-	widest := int64(1)
-	for _, b := range c.blocks.blocks {
-		widest = max(widest, span(len(b.tids)*(4+8*c.meta.R)))
-	}
+	widest := 1
 	for _, cb := range c.cuboids {
-		for _, ref := range cb.cells {
-			widest = max(widest, span(int(ref.bytes)))
+		for key, ref := range cb.cells {
+			if cb.compressed {
+				widest = max(widest, runPages(int(ref.bytes)+len(cb.extra[key])*entryBytes))
+			}
 		}
 	}
-	return widest
+	return int64(widest)
 }
 
 // TestGovernorBoundsOnGridQuery holds the governor to its two bounds on the

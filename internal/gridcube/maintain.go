@@ -18,20 +18,15 @@ func (c *Cube) Insert(sel []int32, rank []float64) table.TID {
 	tid := c.t.Append(sel, rank)
 	bid := c.meta.BlockOf(rank)
 
-	// Base block table: append and grow the block's page run.
+	// Base block table: append the row at the end of the block's run.
 	bt := c.blocks
 	b := &bt.blocks[bid]
 	b.tids = append(b.tids, tid)
 	b.ranks = append(b.ranks, rank...)
-	rowBytes := 4 + 8*c.meta.R
-	if len(b.tids) > 1 {
-		bt.store.Resize(b.page, len(b.tids)*rowBytes)
-	} else {
-		b.page = bt.store.AppendLogical(rowBytes)
-	}
+	b.pages = growRun(bt.store, b.pages, len(b.tids)*c.meta.rowBytes())
 
 	// Cuboids: append to the overflow list of the affected cell, which
-	// grows its page run by one entry beyond the materialized bytes.
+	// grows its run by one entry beyond the materialized bytes.
 	for _, cb := range c.cuboids {
 		vals := make([]int32, len(cb.dims))
 		for j, d := range cb.dims {
@@ -42,11 +37,14 @@ func (c *Cube) Insert(sel []int32, rank []float64) table.TID {
 			cb.extra = make(map[uint64][]Entry)
 		}
 		cb.extra[key] = append(cb.extra[key], Entry{TID: tid, BID: bid})
-		if ref, ok := cb.cells[key]; ok {
-			cb.store.Resize(ref.page, int(ref.bytes)+len(cb.extra[key])*8)
+		ref := cb.cells[key]
+		size := int(ref.bytes) + len(cb.extra[key])*entryBytes
+		if cb.compressed && len(ref.pages) > 0 {
+			cb.store.Resize(ref.pages[0], size)
 		} else {
-			cb.cells[key] = cellRef{page: cb.store.AppendLogical(8)}
+			ref.pages = growRun(cb.store, ref.pages, size)
 		}
+		cb.cells[key] = ref
 	}
 	c.inserted++
 	return tid

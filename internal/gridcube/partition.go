@@ -189,14 +189,57 @@ func (m Meta) Neighbors(bid BID, dst []BID) []BID {
 	return dst[:last]
 }
 
+// rowBytes is the width of one base-block row: a tid (4) and R ranking
+// values (8 each).
+func (m Meta) rowBytes() int { return 4 + 8*m.R }
+
+// Every run the cube fetches — a base block, an uncompressed cell — is
+// fixed-width rows in key order laid over logical pages, one per PageSize
+// bytes, all full but the last. The row at position p lives on page
+// ⌊p·w / PageSize⌋ of its run, and on the next one too when it straddles the
+// boundary. Locating a row's page is arithmetic: each page's id and fence key
+// belong to the in-memory directory beside the run, as negligible meta
+// (§3.4.1), so a query charges only the pages holding the rows it needs.
+
+// runPages is the number of pages a run of size bytes occupies.
+func runPages(size int) int { return (size + pager.PageSize - 1) / pager.PageSize }
+
+// growRun extends run, pages of s, to hold size bytes: the last page fills up
+// before a new one opens. A run laid out from nothing gets consecutive ids.
+func growRun(s *pager.Store, run []pager.PageID, size int) []pager.PageID {
+	if n := len(run); n > 0 {
+		s.Resize(run[n-1], min(size-(n-1)*pager.PageSize, pager.PageSize))
+	}
+	for n := len(run); n*pager.PageSize < size; n++ {
+		run = append(run, s.AppendLogical(min(size-n*pager.PageSize, pager.PageSize)))
+	}
+	return run
+}
+
+// touchRows charges through buf the pages of run that hold its rows [lo, hi)
+// of w bytes each, except those before page from, which the caller charged
+// already. It returns the page after the last one it charged, so a caller
+// walking ascending rows touches a page once, when the page index changes.
+func touchRows(run []pager.PageID, w, lo, hi, from int, buf *pager.Buffer, c *stats.Counters) int {
+	if hi <= lo {
+		return from
+	}
+	last := (hi*w - 1) / pager.PageSize
+	for pg := max(lo*w/pager.PageSize, from); pg <= last; pg++ {
+		buf.Touch(run[pg], c)
+	}
+	return max(from, last+1)
+}
+
 // block is one base block of the table: its tuples' ids, ascending, their
 // ranking vectors flattened R values per tuple in the same order (§3.2.2
-// Table 3.2's right-hand decomposition), and the page run that holds them.
-// A block without tuples has no page.
+// Table 3.2's right-hand decomposition), and the pages of the run that holds
+// them, row i being tids[i] with its ranking vector. A block without tuples
+// has no page.
 type block struct {
 	tids  []table.TID
 	ranks []float64
-	page  pager.PageID
+	pages []pager.PageID
 }
 
 // BlockTable is the base block table T of the ranking cube triple ⟨T, C, M⟩,
@@ -224,8 +267,7 @@ func NewBlockTable(t *table.Table, meta Meta) *BlockTable {
 	}
 	// Every block is carved from two slabs with its capacity clipped to its
 	// own tuples, so an Insert's append moves that block alone instead of
-	// overwriting its neighbour. One page run per occupied block: tid (4) +
-	// R values (8 each) per tuple.
+	// overwriting its neighbour. One page run per occupied block.
 	tids, ranks := make([]table.TID, n), make([]float64, n*r)
 	off := 0
 	for bid, cnt := range counts {
@@ -235,7 +277,7 @@ func NewBlockTable(t *table.Table, meta Meta) *BlockTable {
 		bt.blocks[bid] = block{
 			tids:  tids[off : off : off+cnt],
 			ranks: ranks[off*r : off*r : (off+cnt)*r],
-			page:  bt.store.AppendLogical(cnt * (4 + 8*r)),
+			pages: growRun(bt.store, nil, cnt*meta.rowBytes()),
 		}
 		off += cnt
 	}
@@ -245,16 +287,6 @@ func NewBlockTable(t *table.Table, meta Meta) *BlockTable {
 		b.ranks = append(b.ranks, t.RankRow(table.TID(i), rank)...)
 	}
 	return bt
-}
-
-// get implements the get_base_block access method (§3.3.1), charging block
-// reads through the per-query buffer. An unoccupied block costs nothing.
-func (bt *BlockTable) get(bid BID, buf *pager.Buffer, c *stats.Counters) *block {
-	b := &bt.blocks[bid]
-	if len(b.tids) > 0 {
-		buf.Touch(b.page, c)
-	}
-	return b
 }
 
 // NewBuffer returns a per-query buffer over the block table's store.

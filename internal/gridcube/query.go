@@ -291,8 +291,9 @@ func (e *gridExec) exhaustiveSearch() {
 
 // processBlock runs the retrieve and evaluate steps of §3.3.2 for one base
 // block: fetch the block's tids from the covering cells, intersect, then
-// fetch the base block and score the surviving tuples. Every list involved
-// is tid-ascending, so both steps are merges.
+// score the surviving tuples, fetching from the base block (get_base_block,
+// §3.3.1) the pages that hold them. Every list involved is tid-ascending, so
+// both steps are merges.
 func (e *gridExec) processBlock(bid BID) {
 	var cand []table.TID
 	for i, cb := range e.cover {
@@ -308,34 +309,45 @@ func (e *gridExec) processBlock(bid BID) {
 		}
 	}
 
-	blk := e.cube.blocks.get(bid, e.blockBuf, e.ctr)
-	// An unconditioned query (no covering cuboids) evaluates every tuple of
-	// the block straight from the base block table.
+	blk, w := &e.cube.blocks.blocks[bid], e.cube.meta.rowBytes()
+	// An unconditioned query (no covering cuboids) needs every tuple of the
+	// block: the whole run.
 	if len(e.cover) == 0 {
-		for i := range blk.tids {
-			e.offer(blk, i)
+		touchRows(blk.pages, w, 0, len(blk.tids), 0, e.blockBuf, e.ctr)
+		for i, tid := range blk.tids {
+			if e.live(tid) {
+				e.offer(blk, i)
+			}
 		}
 		return
 	}
-	i := 0
+	// A surviving candidate that is not tombstoned is a needed row: its pages
+	// are charged, and no other page of the block is. next is the first page
+	// not charged yet; rows ascend, so only a row reaching it charges.
+	i, next := 0, 0
 	for _, tid := range cand {
 		for i < len(blk.tids) && blk.tids[i] < tid {
 			i++
 		}
-		if i < len(blk.tids) && blk.tids[i] == tid {
+		if i < len(blk.tids) && blk.tids[i] == tid && e.live(tid) {
+			if (i+1)*w > next*pager.PageSize {
+				next = touchRows(blk.pages, w, i, i+1, next, e.blockBuf, e.ctr)
+			}
 			e.offer(blk, i)
 		}
 	}
 }
 
-// offer scores the i-th tuple of blk unless it is tombstoned. A +Inf score
-// (outside a constrained function's band) is no answer.
+// live reports whether tid is not tombstoned.
+func (e *gridExec) live(tid table.TID) bool {
+	return len(e.cube.tombstones) == 0 || !e.cube.tombstones[tid]
+}
+
+// offer scores the i-th tuple of blk. A +Inf score (outside a constrained
+// function's band) is no answer.
 func (e *gridExec) offer(blk *block, i int) {
-	tid, r := blk.tids[i], e.cube.meta.R
-	if len(e.cube.tombstones) > 0 && e.cube.tombstones[tid] {
-		return
-	}
+	r := e.cube.meta.R
 	if score := e.f.Eval(blk.ranks[i*r : (i+1)*r]); !math.IsInf(score, 1) {
-		e.topk.Offer(Result{TID: tid, Score: score})
+		e.topk.Offer(Result{TID: blk.tids[i], Score: score})
 	}
 }
