@@ -37,9 +37,9 @@ loc:
 	@echo "item 9 (bench + baselines + rankbench) $$($(LOC_FILES) \( -path './internal/bench/*' -o -path './internal/baselines/*' -o -path './cmd/rankbench/*' \) | xargs cat | wc -l)"
 
 # rankvet (cmd/rankvet, analyzers in internal/analysis) mechanically
-# enforces the engine safety invariants: no raw panics, threaded contexts
-# (struct stashes included), governed page reads, typed errors at the
-# public boundary, guard lock discipline, and typed atomics. -stats
+# enforces the engine safety invariants the types cannot: no raw panics,
+# threaded contexts (struct stashes included), typed errors at the public
+# boundary, consumed guard release closures, and typed atomics. -stats
 # surfaces per-analyzer wall clock and the loader's export-data cache
 # hit/miss counts, so a cache regression (stdlib re-type-checks creeping
 # back) is visible in CI logs.
@@ -81,21 +81,24 @@ fuzz:
 # The benchmark is a nested module (benchmark/go.mod), so ./... above does
 # not descend into it and an internal change that stops it compiling would
 # go unnoticed: build both of its programs — the end-to-end runner and the
-# layer tracer, the only importer of rankcube/internal/... — then vet and
-# test all of its packages. One test is skipped by name: two sanity
-# assertions of TestTracedPassReproducesUntraced pin behaviour the engine no
-# longer has (a signature store that only grows under writes — rewritten
-# cells now free their old pages, so signature.bytes_appended_per_write is
-# ~0 and negative at the test's 1/100 scale; node access through the
-# materializing Children/LeafEntries the tracer counts — the search reads
-# entries a slot at a time, so hindex.node_calls is 0 on sig-topk), and
-# benchmark/ is not this repository's to edit outside a benchmark change.
+# layer tracer, the only importer of rankcube/internal/... — then vet, test
+# and rankvet all of its packages (the tracer's probe consumes a guard
+# release closure, which lockorder checks). One test is skipped by name: two
+# sanity assertions of TestTracedPassReproducesUntraced pin behaviour the
+# engine no longer has (a signature store that only grows under writes —
+# rewritten cells now free their old pages, so
+# signature.bytes_appended_per_write is ~0 and negative at the test's 1/100
+# scale; node access through the materializing Children/LeafEntries the
+# tracer counts — the search reads entries a slot at a time, so
+# hindex.node_calls is 0 on sig-topk), and benchmark/ is not this
+# repository's to edit outside a benchmark change.
 # What that test is for — the traced twin answers every request like the
 # public path and charges the same reads — is checked at full scale instead
 # by running the tracer itself on all four workloads.
 bench-check:
 	cd benchmark && $(GO) build -o /dev/null . && $(GO) build -o /dev/null ./layertrace
 	cd benchmark && $(GO) vet ./... && $(GO) test -skip '^TestTracedPassReproducesUntraced$$' ./...
+	cd benchmark && $(GO) run rankcube/cmd/rankvet ./...
 	@for w in sig-topk grid-serve sig-churn analytic-mix; do \
 		echo "traced pass: $$w"; \
 		bash benchmark/run.sh --workload $$w --seed 1 --trace 1 | grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,' \

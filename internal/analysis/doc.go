@@ -1,7 +1,9 @@
 // Package analysis hosts rankvet, the repository's custom static-analysis
-// suite. It mechanically enforces the safety invariants the robustness and
-// concurrent-serving layers depend on, so they hold by construction rather
-// than by review:
+// suite. It enforces the safety invariants the robustness and
+// concurrent-serving layers depend on that Go's types cannot express, so they
+// hold mechanically rather than by review. What the code can make impossible
+// is built in instead and has no rule: a governed page access refuses a nil
+// stats.Counters, and a guard hold is released by the function that took it.
 //
 //   - rawpanic: no raw panic outside internal/errs. Recoverable faults
 //     travel as typed aborts (errs.Abort/Abortf) so the public API boundary
@@ -16,21 +18,13 @@
 //     truly unused), as is a context stashed in a struct field without a
 //     //lint:ctxfield <reason> marker, or read back from a field while a
 //     live caller ctx is in scope.
-//   - governedio: every page read is charged to the query's stats.Counters.
-//     Store.ReadRaw, and governed accessors called with a nil counter,
-//     bypass budget/cancellation enforcement and are flagged unless marked
-//     //lint:ungoverned <reason> (legitimate for size accounting and
-//     rebuild bookkeeping).
 //   - errwrap: errors created in the public root package must %w-wrap a
 //     typed sentinel so callers can errors.Is them against the exported
 //     taxonomy; bare errors.New / unwrapped fmt.Errorf are flagged.
-//   - lockorder: direct (*guard.RW).Lock/RLock must be released by an
-//     immediately following defer (engine faults travel as panics — a
-//     non-deferred release is one storage fault from wedging the cube),
-//     a frame may lock at most one control directly (multi-control
-//     operations go through guard.AcquireShared/LockExclusive, which
-//     enforce the global ID order), and the release closures those
-//     helpers return must be consumed. Marker: //lint:lockorder.
+//   - lockorder: the release closures guard.AcquireShared and
+//     guard.LockExclusive return must be consumed. A single control is
+//     taken only through guard.Shared/Exclusive, which defer the release
+//     themselves, so no rule is needed there. Marker: //lint:lockorder.
 //   - atomicmix: no call to a package-level function of sync/atomic.
 //     Shared counters are typed atomics (atomic.Int64 and friends), which
 //     cannot be read or written plainly, so no field is ever accessed both

@@ -1,24 +1,17 @@
-// Package lockorder enforces the concurrent-serving lock discipline around
-// internal/guard — the deadlock-freedom and liveness argument of PR 9,
-// checked instead of asserted.
+// Package lockorder checks the one part of the concurrent-serving lock
+// discipline around internal/guard that Go's types cannot say: the release
+// closure returned by guard.AcquireShared or guard.LockExclusive must be
+// consumed — deferred, invoked, stored, returned or passed along. A dropped
+// release keeps the serving slots and locks held for the life of the process.
 //
-// Three rules, each matching one way the argument breaks:
-//
-//  1. A direct (*guard.RW).Lock or RLock must be released by an
-//     immediately following defer of the matching Unlock/RUnlock on the
-//     same control expression. Guard critical sections run engine code
-//     that faults via typed aborts (panics), so a non-deferred release is
-//     one storage fault away from wedging the cube: the lock is never
-//     released, maintenance blocks forever, and Drain starves.
-//  2. One function may lock at most one control directly. Multi-structure
-//     operations (the rank join) must go through guard.AcquireShared /
-//     guard.LockExclusive, which sort by the global ordering ID — two
-//     direct acquisitions in one frame are exactly the cycle the global
-//     order exists to prevent.
-//  3. The release closure returned by guard.AcquireShared /
-//     guard.LockExclusive must be consumed: deferred, invoked, stored, or
-//     passed along. A dropped release keeps the serving slots and shared
-//     locks held for the life of the process.
+// The rest holds by construction. A single control is only ever taken
+// through guard.Shared or guard.Exclusive, which defer the release
+// themselves, so an abort (engine faults travel as panics) cannot leave a
+// hold behind; several controls are only ever taken through the two helpers
+// above, which sort by the global ordering ID. What neither this analyzer nor
+// the types catch is nesting across frames: a function that takes a control
+// while a caller up the stack already holds another escapes the global order
+// unseen.
 //
 // Justified exceptions carry a `//lint:lockorder <reason>` marker.
 package lockorder
@@ -35,22 +28,17 @@ const guardPath = "rankcube/internal/guard"
 // Marker is the justification marker accepted on exempted acquisitions.
 const Marker = "lockorder"
 
-// Analyzer enforces guard acquisition/release discipline.
+// Analyzer checks that the guard helpers' release closures are consumed.
 var Analyzer = &framework.Analyzer{
 	Name: "lockorder",
-	Doc: "guard.RW acquisitions must defer their release immediately (panic-safe), " +
-		"multi-control locking must go through guard.AcquireShared/LockExclusive " +
-		"(global ID order), and returned release closures must be consumed",
-	Run: run,
+	Doc:  "release closures returned by guard.AcquireShared/LockExclusive must be consumed",
+	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
-	if pass.Pkg.Path() == guardPath {
-		return nil
-	}
 	for _, file := range pass.Files {
 		for _, body := range functionBodies(file) {
-			checkBody(pass, body)
+			checkReleaseClosures(pass, body)
 		}
 	}
 	return nil
@@ -58,8 +46,8 @@ func run(pass *framework.Pass) error {
 
 // functionBodies collects every function body in file — declarations and
 // literals alike. Each body is analyzed as its own frame: a deferred
-// release inside a closure runs when the closure returns, so acquisitions
-// must balance per frame, not per declaration.
+// release inside a closure runs when the closure returns, so a release must
+// be consumed in the frame that acquired it.
 func functionBodies(file *ast.File) []*ast.BlockStmt {
 	var bodies []*ast.BlockStmt
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -87,92 +75,8 @@ func inspectFrame(body *ast.BlockStmt, f func(ast.Node) bool) {
 	})
 }
 
-func checkBody(pass *framework.Pass, body *ast.BlockStmt) {
-	checkDirectAcquires(pass, body)
-	checkReleaseClosures(pass, body)
-}
-
-// guardCall resolves call to a (*guard.RW) method, returning the method
-// name and the rendered control expression ("" when call is not one).
-func guardCall(pass *framework.Pass, call *ast.CallExpr) (method, ctl string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal || !framework.IsNamed(selection.Recv(), guardPath, "RW") {
-		return "", ""
-	}
-	return sel.Sel.Name, types.ExprString(sel.X)
-}
-
-var releaseOf = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
-
-// checkDirectAcquires applies rules 1 and 2 to Lock/RLock calls appearing
-// as statements of this frame.
-func checkDirectAcquires(pass *framework.Pass, body *ast.BlockStmt) {
-	type acquire struct {
-		call *ast.CallExpr
-		ctl  string
-	}
-	var acquires []acquire
-	inspectFrame(body, func(n ast.Node) bool {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, stmt := range block.List {
-			expr, ok := stmt.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := expr.X.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			method, ctl := guardCall(pass, call)
-			release, isAcquire := releaseOf[method]
-			if !isAcquire {
-				continue
-			}
-			if pass.Marked(call, Marker) {
-				continue
-			}
-			acquires = append(acquires, acquire{call, ctl})
-			if !deferredReleaseFollows(pass, block.List[i+1:], release, ctl) {
-				pass.Reportf(call.Pos(),
-					"guard %s of %s is not released by an immediately following defer: an abort inside the critical section wedges the cube (use `defer %s.%s()`, or mark //lint:lockorder <reason>)",
-					method, ctl, ctl, release)
-			}
-		}
-		return true
-	})
-	// Rule 2: two direct acquisitions in one frame bypass the global order.
-	for i := 1; i < len(acquires); i++ {
-		if acquires[i].ctl != acquires[0].ctl {
-			pass.Reportf(acquires[i].call.Pos(),
-				"direct lock of a second guard control (%s after %s) in one function: acquire multiple controls through guard.AcquireShared/LockExclusive so the global ID order holds, or mark //lint:lockorder <reason>",
-				acquires[i].ctl, acquires[0].ctl)
-		}
-	}
-}
-
-// deferredReleaseFollows reports whether the next statement defers
-// release on the same control expression.
-func deferredReleaseFollows(pass *framework.Pass, rest []ast.Stmt, release, ctl string) bool {
-	if len(rest) == 0 {
-		return false
-	}
-	def, ok := rest[0].(*ast.DeferStmt)
-	if !ok {
-		return false
-	}
-	method, gotCtl := guardCall(pass, def.Call)
-	return method == release && gotCtl == ctl
-}
-
-// checkReleaseClosures applies rule 3 to guard.AcquireShared and
-// guard.LockExclusive calls.
+// checkReleaseClosures reports guard.AcquireShared and guard.LockExclusive
+// calls whose release closure this frame never consumes.
 func checkReleaseClosures(pass *framework.Pass, body *ast.BlockStmt) {
 	inspectFrame(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -1,25 +1,11 @@
 // Package guard stubs the repository's serving control block under its
-// real import path: just enough surface for the lockorder fixtures. The
-// analyzer is silent inside this package (it implements the discipline,
-// it does not consume it).
+// real import path: just enough surface for the lockorder fixtures.
 package guard
 
 import "context"
 
 // RW is one structure's serving control block.
 type RW struct{ id uint64 }
-
-// Lock acquires the control exclusively.
-func (g *RW) Lock() {}
-
-// Unlock releases an exclusive hold.
-func (g *RW) Unlock() {}
-
-// RLock acquires the control shared.
-func (g *RW) RLock() {}
-
-// RUnlock releases a shared hold.
-func (g *RW) RUnlock() {}
 
 // AcquireShared read-locks every control in global ID order.
 func AcquireShared(ctx context.Context, gs []*RW) (release func(), err error) {

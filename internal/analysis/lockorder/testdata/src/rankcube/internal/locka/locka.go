@@ -1,7 +1,5 @@
-// Package locka exercises the lockorder analyzer: direct guard
-// acquisitions must defer their release immediately, one frame may lock
-// one control directly, and the release closures returned by the guard
-// helpers must be consumed.
+// Package locka exercises the lockorder analyzer: the release closures
+// returned by the guard helpers must be consumed.
 package locka
 
 import (
@@ -11,71 +9,6 @@ import (
 )
 
 func work() int { return 1 }
-
-// Deferred is the blessed direct exclusive shape.
-func Deferred(ctl *guard.RW) int {
-	ctl.Lock()
-	defer ctl.Unlock()
-	return work()
-}
-
-// DeferredShared is the blessed direct shared shape.
-func DeferredShared(ctl *guard.RW) int {
-	ctl.RLock()
-	defer ctl.RUnlock()
-	return work()
-}
-
-// Manual releases by hand: an abort inside work never reaches the Unlock.
-func Manual(ctl *guard.RW) int {
-	ctl.Lock() // want `guard Lock of ctl is not released by an immediately following defer`
-	n := work()
-	ctl.Unlock()
-	return n
-}
-
-// Mismatched defers the wrong release for the acquisition.
-func Mismatched(ctl *guard.RW) {
-	ctl.RLock() // want `guard RLock of ctl is not released by an immediately following defer`
-	defer ctl.Unlock()
-}
-
-// TwoControls locks a second control directly: the global ID order cannot
-// be enforced frame-locally, so multi-control locking must go through the
-// helpers.
-func TwoControls(a, b *guard.RW) {
-	a.Lock()
-	defer a.Unlock()
-	b.Lock() // want `direct lock of a second guard control`
-	defer b.Unlock()
-}
-
-// SameControlTwice relocks the one control it already holds — not a rule-2
-// ordering violation (single control), though each acquisition still needs
-// its defer.
-func SameControlTwice(ctl *guard.RW) {
-	ctl.RLock()
-	defer ctl.RUnlock()
-	ctl.RLock()
-	defer ctl.RUnlock()
-}
-
-// Marked carries a justification and is exempt from both direct-acquire
-// rules.
-func Marked(ctl *guard.RW) {
-	//lint:lockorder fixture: released by the paired helper on every path
-	ctl.Lock()
-}
-
-// ClosureFrames hold their own discipline: the literal's acquisition
-// balances inside the literal.
-func ClosureFrames(ctl *guard.RW) {
-	func() {
-		ctl.Lock()
-		defer ctl.Unlock()
-		work()
-	}()
-}
 
 // HelperDeferred consumes the release closure through a binding and a
 // defer — the canonical runQuery shape.

@@ -32,7 +32,7 @@ func InlineMarker() {
 
 // WrongMarker carries an unrelated marker and still fires.
 func WrongMarker() {
-	//lint:ungoverned not the right marker for panics
+	//lint:lockorder not the right marker for panics
 	panic("demo: wrong marker") // want `raw panic outside internal/errs`
 }
 

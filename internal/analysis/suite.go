@@ -8,7 +8,6 @@ import (
 	"rankcube/internal/analysis/ctxflow"
 	"rankcube/internal/analysis/errwrap"
 	"rankcube/internal/analysis/framework"
-	"rankcube/internal/analysis/governedio"
 	"rankcube/internal/analysis/lockorder"
 	"rankcube/internal/analysis/rawpanic"
 )
@@ -18,7 +17,6 @@ func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		rawpanic.Analyzer,
 		ctxflow.Analyzer,
-		governedio.Analyzer,
 		errwrap.Analyzer,
 		lockorder.Analyzer,
 		atomicmix.Analyzer,

@@ -9,6 +9,15 @@
 // structures (the rank join) acquires every control in ascending ID order —
 // with a single global order, no cycle of waiters can form, even though
 // Go's RWMutex blocks new readers while a writer waits.
+//
+// The lock is taken in only two shapes. Shared and Exclusive run a function
+// under one control and release it when the function returns or aborts:
+// engine faults travel as typed aborts (panics), and a hold that outlived one
+// would wedge the structure. AcquireShared and LockExclusive take several
+// controls in the global order and return the release, which the caller must
+// consume (rankvet's lockorder rule checks that it does). A nil control
+// stands for a structure nobody shares: every entry point accepts it and
+// holds nothing.
 package guard
 
 import (
@@ -24,8 +33,7 @@ import (
 var nextID atomic.Uint64
 
 // RW is one structure's serving control block. It must only be shared by
-// pointer; New is the only constructor. All methods are nil-safe so callers
-// can thread an optional control without branching.
+// pointer; New is the only constructor.
 type RW struct {
 	id   uint64
 	mu   sync.RWMutex
@@ -43,29 +51,41 @@ func (g *RW) ID() uint64 {
 	return g.id
 }
 
-// Lock acquires the control exclusively (maintenance).
-func (g *RW) Lock() {
+// Shared runs fn with g held shared (a query) and returns its result. The
+// hold is released when fn returns or aborts.
+func Shared[T any](g *RW, fn func() T) T {
+	g.rlock()
+	defer g.runlock()
+	return fn()
+}
+
+// Exclusive runs fn with g held exclusively (maintenance). The hold is
+// released when fn returns or aborts.
+func Exclusive(g *RW, fn func()) {
+	g.lock()
+	defer g.unlock()
+	fn()
+}
+
+func (g *RW) lock() {
 	if g != nil {
 		g.mu.Lock()
 	}
 }
 
-// Unlock releases an exclusive hold.
-func (g *RW) Unlock() {
+func (g *RW) unlock() {
 	if g != nil {
 		g.mu.Unlock()
 	}
 }
 
-// RLock acquires the control shared (queries).
-func (g *RW) RLock() {
+func (g *RW) rlock() {
 	if g != nil {
 		g.mu.RLock()
 	}
 }
 
-// RUnlock releases a shared hold.
-func (g *RW) RUnlock() {
+func (g *RW) runlock() {
 	if g != nil {
 		g.mu.RUnlock()
 	}
@@ -118,8 +138,8 @@ func AcquireShared(ctx context.Context, gs []*RW) (release func(), err error) {
 		if err != nil {
 			return nil, err
 		}
-		g.RLock()
-		return func() { g.RUnlock(); r() }, nil
+		g.rlock()
+		return func() { g.runlock(); r() }, nil
 	}
 	gs = Order(gs...)
 	releases := make([]func(), 0, len(gs))
@@ -134,11 +154,11 @@ func AcquireShared(ctx context.Context, gs []*RW) (release func(), err error) {
 		releases = append(releases, r)
 	}
 	for _, g := range gs {
-		g.RLock()
+		g.rlock()
 	}
 	return func() {
 		for i := len(gs) - 1; i >= 0; i-- {
-			gs[i].RUnlock()
+			gs[i].runlock()
 		}
 		for i := len(releases) - 1; i >= 0; i-- {
 			releases[i]()
@@ -152,11 +172,11 @@ func AcquireShared(ctx context.Context, gs []*RW) (release func(), err error) {
 func LockExclusive(gs []*RW) (release func()) {
 	gs = Order(gs...)
 	for _, g := range gs {
-		g.Lock()
+		g.lock()
 	}
 	return func() {
 		for i := len(gs) - 1; i >= 0; i-- {
-			gs[i].Unlock()
+			gs[i].unlock()
 		}
 	}
 }

@@ -73,12 +73,12 @@ func TestSharedHoldersRunTogether(t *testing.T) {
 
 func TestExclusiveExcludesSharedAndBack(t *testing.T) {
 	g := New()
-	g.Lock()
+	g.lock()
 	if g.mu.TryRLock() {
 		t.Fatal("shared hold granted beside an exclusive one")
 	}
-	g.Unlock()
-	g.RLock()
+	g.unlock()
+	g.rlock()
 	if g.mu.TryLock() {
 		t.Fatal("exclusive hold granted beside a shared one")
 	}
@@ -86,19 +86,60 @@ func TestExclusiveExcludesSharedAndBack(t *testing.T) {
 		t.Fatal("second shared hold refused beside the first")
 	}
 	g.mu.RUnlock()
-	g.RUnlock()
+	g.runlock()
 	if !free(g) {
 		t.Fatal("control still held after every release")
 	}
 	// A nil control is nobody's: every method is a no-op.
 	var none *RW
-	none.Lock()
-	none.Unlock()
-	none.RLock()
-	none.RUnlock()
+	none.lock()
+	none.unlock()
+	none.rlock()
+	none.runlock()
 	none.SetGate(nil)
 	if none.ID() != 0 || none.Gate() != nil {
 		t.Fatal("nil control reports an ID or a gate")
+	}
+}
+
+// TestSharedAndExclusiveReleaseOnAbort runs a function that aborts under each
+// hold: the abort reaches the caller, and a writer on another goroutine then
+// gets the control, so the hold did not outlive the abort. Without an abort
+// the function runs under the hold and its result comes back; a nil control
+// holds nothing and runs the function all the same.
+func TestSharedAndExclusiveReleaseOnAbort(t *testing.T) {
+	g := New()
+	fault := func() { errs.Abortf(errs.ErrPageCorrupt, "fault under the hold") }
+	for name, run := range map[string]func(){
+		"Shared":    func() { Shared(g, func() int { fault(); return 0 }) },
+		"Exclusive": func() { Exclusive(g, fault) },
+	} {
+		func() {
+			defer func() {
+				if err := errs.FromPanic(recover()); !errors.Is(err, errs.ErrPageCorrupt) {
+					t.Errorf("%s: abort %v, want ErrPageCorrupt", name, err)
+				}
+			}()
+			run()
+		}()
+		finishes(t, name+": a writer after the abort", func() { LockExclusive([]*RW{g})() })
+	}
+	if got := Shared(g, func() bool { return g.mu.TryLock() }); got || !free(g) {
+		t.Fatalf("Shared: exclusive hold granted inside %v, control free after %v", got, free(g))
+	}
+	Exclusive(g, func() {
+		if g.mu.TryRLock() {
+			t.Error("Exclusive: shared hold granted inside")
+		}
+	})
+	if !free(g) {
+		t.Fatal("control still held after Exclusive returned")
+	}
+	var none *RW
+	ran := false
+	Exclusive(none, func() { ran = true })
+	if got := Shared(none, func() int { return 7 }); got != 7 || !ran {
+		t.Fatalf("nil control: Shared returned %d, Exclusive ran %v", got, ran)
 	}
 }
 
@@ -165,7 +206,7 @@ func TestAcquiresInAscendingIDOrder(t *testing.T) {
 			return release
 		},
 	} {
-		b.Lock()
+		b.lock()
 		got := make(chan func())
 		go func() { got <- acquire() }()
 		finishes(t, name+": taking the earlier control first", func() {
@@ -174,7 +215,7 @@ func TestAcquiresInAscendingIDOrder(t *testing.T) {
 				runtime.Gosched()
 			}
 		})
-		b.Unlock()
+		b.unlock()
 		var release func()
 		finishes(t, name+": taking the later control once it is free", func() { release = <-got })
 		release()

@@ -1,11 +1,13 @@
 package hindex_test
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
 
 	"rankcube/internal/btree"
+	"rankcube/internal/errs"
 	"rankcube/internal/gridtree"
 	"rankcube/internal/hindex"
 	"rankcube/internal/ranking"
@@ -13,6 +15,21 @@ import (
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
+
+// TestNilCountersAbort: an accessor charging its node visits to nobody is
+// refused at construction with a typed internal fault.
+func TestNilCountersAbort(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 50, S: 1, R: 2, Card: 4, Seed: 5})
+	idx := rtree.Bulk(tb, []int{0, 1}, ranking.NewBox([]float64{0, 0}, []float64{1, 1}), rtree.Config{Fanout: 5})
+	var err error
+	func() {
+		defer func() { err, _ = errs.IsAbort(recover()) }()
+		hindex.NewAccessor(idx, nil)
+	}()
+	if !errors.Is(err, errs.ErrInternal) {
+		t.Fatalf("NewAccessor with nil counters: abort %v, want ErrInternal", err)
+	}
+}
 
 func TestPathOfInvertsSID(t *testing.T) {
 	var buf []int

@@ -9,6 +9,7 @@
 package hindex
 
 import (
+	"rankcube/internal/errs"
 	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
@@ -137,8 +138,12 @@ type Accessor struct {
 	pt  []float64
 }
 
-// NewAccessor returns an accessor charging idx reads to c.
+// NewAccessor returns an accessor charging idx reads to c. A nil c would
+// charge every node visit to nobody, so it aborts.
 func NewAccessor(idx Index, c *stats.Counters) *Accessor {
+	if c == nil {
+		errs.Abortf(errs.ErrInternal, "hindex: accessor with nil counters")
+	}
 	r := idx.Domain().Dims()
 	scratch := make([]float64, 3*r)
 	return &Accessor{

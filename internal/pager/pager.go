@@ -22,7 +22,8 @@
 // Every charged page access — Read, Touch — takes the page-table lock once,
 // snapshotting the payload, its checksum, its block count and the fault
 // injector together, and then charges the blocks to the query's
-// stats.Counters, which enforces the query's cancellation and budgets.
+// stats.Counters, which enforces the query's cancellation and budgets. There
+// is no uncharged access: a nil Counters aborts with errs.ErrInternal.
 //
 // A Store is safe for concurrent readers; page-table changes (Append, Free,
 // Resize, Reset) and the fault injector (SetFaultInjector) are serialized
@@ -335,8 +336,11 @@ func (s *Store) Touch(id PageID, c *stats.Counters) {
 // blocks to c — the block-access granularity at which cancellation and budgets
 // are enforced. It returns the payload snapshot with its checksum and the
 // injector, so the caller's payload mutation sees the injector the access
-// rode out.
+// rode out. A nil c would charge the access to nobody, so it aborts.
 func (s *Store) access(id PageID, c *stats.Counters) (data []byte, sum uint32, inj FaultInjector) {
+	if c == nil {
+		errs.Abortf(errs.ErrInternal, "pager: %s page %d accessed with nil counters", s.kind, id)
+	}
 	if s.Quarantined() {
 		errs.Abortf(errs.ErrStructureUnavailable, "pager: %s store quarantined", s.kind)
 	}
@@ -359,14 +363,6 @@ func (s *Store) access(id PageID, c *stats.Counters) (data []byte, sum uint32, i
 	}
 	c.Read(s.kind, blocks)
 	return data, sum, inj
-}
-
-// ReadRaw returns a page payload without charging any read — for size
-// accounting and maintenance bookkeeping, not query paths.
-func (s *Store) ReadRaw(id PageID) []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pages[id]
 }
 
 // NumPages reports the size of the page table, freed pages included.

@@ -1,8 +1,10 @@
 package pager
 
 import (
+	"errors"
 	"testing"
 
+	"rankcube/internal/errs"
 	"rankcube/internal/stats"
 )
 
@@ -62,11 +64,22 @@ func TestBufferDeduplicates(t *testing.T) {
 	}
 }
 
-func TestNilCountersSafe(t *testing.T) {
+// TestNilCountersAbort: a read charged to nobody would escape the query's
+// budget and every reported count, so each charged access refuses nil
+// counters with a typed internal fault, the buffer's first access included.
+func TestNilCountersAbort(t *testing.T) {
 	s := NewStore(stats.StructTable, 64)
 	id := s.Append([]byte("x"))
-	s.Read(id, nil) // must not panic
-	s.Touch(id, nil)
+	for name, access := range map[string]func(){
+		"Store.Read":   func() { s.Read(id, nil) },
+		"Store.Touch":  func() { s.Touch(id, nil) },
+		"Buffer.Read":  func() { NewBuffer(s).Read(id, nil) },
+		"Buffer.Touch": func() { NewBuffer(s).Touch(id, nil) },
+	} {
+		if err := abortOf(t, access); !errors.Is(err, errs.ErrInternal) {
+			t.Errorf("%s with nil counters: abort %v, want ErrInternal", name, err)
+		}
+	}
 }
 
 func TestFreeReusesIDAndStopsCounting(t *testing.T) {

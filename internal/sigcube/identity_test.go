@@ -88,7 +88,7 @@ func wantAll(uint64) bool { return true }
 func pagesOf(stored *signature.Stored, store *pager.Store) map[uint64][]byte {
 	out := make(map[uint64][]byte)
 	for sid, page := range stored.Partials() {
-		out[sid] = store.ReadRaw(page)
+		out[sid] = store.Read(page, stats.New())
 	}
 	return out
 }
@@ -287,7 +287,7 @@ func TestWriteLayoutRepeats(t *testing.T) {
 		}
 		pages := make([][]byte, cube.store.NumPages())
 		for id := range pages {
-			pages[id] = cube.store.ReadRaw(pager.PageID(id))
+			pages[id] = cube.store.Read(pager.PageID(id), stats.New())
 		}
 		return pages
 	}

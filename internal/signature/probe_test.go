@@ -372,7 +372,7 @@ func reencode(t *testing.T, stored *Stored, store *pager.Store, want func(uint64
 		out.Decode(codec, scratch, stats.New(), wantAll)
 		pages = make(map[uint64][]byte)
 		for sid, page := range out.refs {
-			pages[sid] = scratch.ReadRaw(page)
+			pages[sid] = scratch.Read(page, stats.New())
 		}
 	})
 	if err != nil && !errors.Is(err, errs.ErrPageCorrupt) {
@@ -421,7 +421,7 @@ func fuzzSeeds() (seeds [][]byte, rootOnly []byte) {
 		enc := NewEncoder(fuzzFanout, fuzzHeight, store)
 		enc.SetBaselineOnly(baseline)
 		for _, page := range enc.Encode(root).refs {
-			seeds = append(seeds, store.ReadRaw(page))
+			seeds = append(seeds, store.Read(page, stats.New()))
 		}
 	}
 	codec := bitvec.NewCodec(fuzzFanout)

@@ -21,8 +21,8 @@ func samePartials(t *testing.T, what string, got *Stored, gotStore *pager.Store,
 		if !ok {
 			t.Fatalf("%s: no partial %d", what, sid)
 		}
-		if !bytes.Equal(gotStore.ReadRaw(gotPage), wantStore.ReadRaw(page)) {
-			t.Fatalf("%s: partial %d differs:\n got %x\nwant %x", what, sid, gotStore.ReadRaw(gotPage), wantStore.ReadRaw(page))
+		if !bytes.Equal(gotStore.Read(gotPage, stats.New()), wantStore.Read(page, stats.New())) {
+			t.Fatalf("%s: partial %d differs:\n got %x\nwant %x", what, sid, gotStore.Read(gotPage, stats.New()), wantStore.Read(page, stats.New()))
 		}
 	}
 }

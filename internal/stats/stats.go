@@ -117,7 +117,11 @@ type Observer interface {
 	ObserveDowngrade()
 }
 
-// Counters accumulates metrics during one query or one build.
+// Counters accumulates metrics during one query or one build. Its recording
+// helpers are nil-safe, but the governed accessors that charge page reads
+// (pager.Store and Buffer, hindex.NewAccessor) refuse a nil Counters with an
+// errs.ErrInternal abort: a read charged to nobody escapes the budget and
+// every reported count.
 type Counters struct {
 	reads ReadCounts
 	obs   Observer
@@ -178,8 +182,7 @@ func Governed(ctx context.Context, lim Limits, obs Observer) *Counters {
 }
 
 // Read records n block reads against the given structure, then aborts on a
-// canceled context or a tripped read budget. A nil receiver is permitted so
-// that callers can run without instrumentation.
+// canceled context or a tripped read budget. A nil receiver records nothing.
 func (c *Counters) Read(s Structure, n int64) {
 	if c == nil {
 		return
@@ -196,8 +199,7 @@ func (c *Counters) Read(s Structure, n int64) {
 	}
 }
 
-// AddRetry records one transient read retry (nil-safe for the pager's
-// uninstrumented callers).
+// AddRetry records one transient read retry.
 func (c *Counters) AddRetry() {
 	if c == nil {
 		return

@@ -42,7 +42,7 @@ func TestWriteCarriesMalformedLeafOffItsPaths(t *testing.T) {
 
 	// Replay the partial's BFS to find where its leaf-level nodes sit.
 	codec, height := bitvec.NewCodec(tree.MaxFanout()), tree.Height()
-	data := store.ReadRaw(page)
+	data := store.Read(page, stats.New())
 	r := bitvec.NewReader(data)
 	if depth := r.ReadBits(8); depth != 0 || height < 3 {
 		t.Fatalf("page %d heads partial depth %d, tree height %d: want the root partial of a tree of 3 levels or more", page, depth, height)

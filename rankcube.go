@@ -81,6 +81,7 @@ import (
 	"rankcube/internal/dataset"
 	"rankcube/internal/errs"
 	"rankcube/internal/gridcube"
+	"rankcube/internal/guard"
 	"rankcube/internal/hindex"
 	"rankcube/internal/joinquery"
 	"rankcube/internal/ranking"
@@ -258,11 +259,7 @@ func BuildGridCube(rel *Relation, opts GridOptions) *GridCube {
 }
 
 // PendingMaintenance reports accumulated inserts plus tombstones.
-func (g *GridCube) PendingMaintenance() int {
-	g.c.Ctl().RLock()
-	defer g.c.Ctl().RUnlock()
-	return g.c.PendingMaintenance()
-}
+func (g *GridCube) PendingMaintenance() int { return guard.Shared(g.ctl, g.c.PendingMaintenance) }
 
 // GroupsFromWorkload derives a fragment grouping from a query history
 // (thesis §3.6.2): dimensions frequently queried together share a fragment
@@ -278,11 +275,7 @@ func GroupsByCardinality(schema Schema, f, threshold int) [][]int {
 }
 
 // SizeBytes reports the materialized footprint.
-func (g *GridCube) SizeBytes() int64 {
-	g.c.Ctl().RLock()
-	defer g.c.Ctl().RUnlock()
-	return g.c.SizeBytes()
-}
+func (g *GridCube) SizeBytes() int64 { return guard.Shared(g.ctl, g.c.SizeBytes) }
 
 // ---------------------------------------------------------------------------
 // Signature ranking cube (chapter 4)

@@ -660,3 +660,116 @@ func TestDeadlineExpiresAsCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
 }
+
+// TestEveryBoundaryExitReleases drives one request out of each exit the
+// boundary has — begin and finish, batch and streaming — and checks that it
+// left nothing held: the gate has no slot taken and a write, which needs the
+// cube's lock exclusively, completes. lockorder checks only that the release
+// closure is consumed somewhere; this is the check that every path reaches it.
+func TestEveryBoundaryExitReleases(t *testing.T) {
+	rel := buildDemo(t, 2000)
+	cond, f := rankcube.Cond{0: 1}, rankcube.Sum(0, 1)
+	strict := rankcube.WithBudget(rankcube.Budget{DisableFallback: true})
+	for _, tc := range []struct {
+		name string
+		want error // nil: the request succeeds
+		exit func(cube *rankcube.SignatureCube) error
+	}{
+		{"success", nil, func(cube *rankcube.SignatureCube) error {
+			_, err := cube.Query(context.Background(), cond, f, 5)
+			return err
+		}},
+		{"degraded fallback", nil, func(cube *rankcube.SignatureCube) error {
+			corruptAll(cube.Stores())
+			m := rankcube.NewMetrics()
+			_, err := cube.Query(context.Background(), cond, f, 5, rankcube.WithMetrics(m))
+			if err == nil && m.Downgrades != 1 {
+				err = fmt.Errorf("%d downgrades, want 1", m.Downgrades)
+			}
+			return err
+		}},
+		{"storage fault without fallback", rankcube.ErrPageCorrupt, func(cube *rankcube.SignatureCube) error {
+			corruptAll(cube.Stores())
+			_, err := cube.Query(context.Background(), cond, f, 5, strict)
+			return err
+		}},
+		{"budget trip", rankcube.ErrBudgetExceeded, func(cube *rankcube.SignatureCube) error {
+			_, err := cube.Query(context.Background(), cond, f, 5,
+				rankcube.WithBudget(rankcube.Budget{MaxBlockReads: 1, DisableFallback: true}))
+			return err
+		}},
+		{"pre-canceled context", rankcube.ErrCanceled, func(cube *rankcube.SignatureCube) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := cube.Query(ctx, cond, f, 5)
+			return err
+		}},
+		{"contained engine panic", rankcube.ErrInternal, func(cube *rankcube.SignatureCube) error {
+			_, err := cube.Query(context.Background(), cond, panicFunc{f}, 5, strict)
+			return err
+		}},
+		{"admission rejection", rankcube.ErrOverloaded, func(cube *rankcube.SignatureCube) error {
+			occupier, err := cube.OpenScan(context.Background(), cond, f)
+			if err != nil {
+				return err
+			}
+			defer occupier.Close()
+			_, err = cube.Query(context.Background(), cond, f, 5)
+			return err
+		}},
+		{"OpenScan failing at open", rankcube.ErrInvalidArgument, func(cube *rankcube.SignatureCube) error {
+			// No cuboid covers dimension 7: the scan is refused after begin.
+			sc, err := cube.OpenScan(context.Background(), rankcube.Cond{7: 1}, f)
+			if sc != nil {
+				sc.Close()
+				return errors.New("OpenScan opened a scan over an uncovered dimension")
+			}
+			return err
+		}},
+		{"Close after Next failed", rankcube.ErrCanceled, func(cube *rankcube.SignatureCube) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sc, err := cube.OpenScan(ctx, cond, f)
+			if err != nil {
+				return err
+			}
+			defer sc.Close()
+			if _, _, err := sc.Next(); err != nil {
+				return err
+			}
+			cancel()
+			_, _, err = sc.Next()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+			cube.SetAdmission(rankcube.AdmissionConfig{MaxInFlight: 1})
+			stores := cube.Stores()
+			err := tc.exit(cube)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("exit: err %v, want %v", err, tc.want)
+			}
+			for _, st := range stores {
+				st.SetFaultInjector(nil)
+				st.ClearQuarantine()
+			}
+			if n := cube.AdmissionStats().InFlight; n != 0 {
+				t.Fatalf("%d admission slots still held", n)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := cube.InsertTuple(context.Background(), []int32{1, 1, 1}, []float64{0.5, 0.5})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("insert after the exit: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("insert after the exit still blocked after 5 s: the cube's lock is held")
+			}
+		})
+	}
+}

@@ -104,13 +104,13 @@ type PageStore = pager.Store
 // Stores returns the cube's page stores (one per materialized cuboid, plus
 // the base block table) for fault injection and quarantine management.
 func (g *GridCube) Stores() []*PageStore {
-	g.ctl.RLock()
-	defer g.ctl.RUnlock()
-	var out []*PageStore
-	for _, cb := range g.c.Cuboids() {
-		out = append(out, cb.Store())
-	}
-	return append(out, g.c.Blocks().Store())
+	return guard.Shared(g.ctl, func() []*PageStore {
+		var out []*PageStore
+		for _, cb := range g.c.Cuboids() {
+			out = append(out, cb.Store())
+		}
+		return append(out, g.c.Blocks().Store())
+	})
 }
 
 // Stores returns the cube's page stores (the signature store) for fault
@@ -178,13 +178,7 @@ func (s *serving) Repair(ctx context.Context) ([]StoreRepair, error) {
 	var targets []repairTarget
 	var reports []StoreRepair
 	var halfOpen []int
-	// The verification/rebuild span runs in its own frame so the release is
-	// deferred: VerifyPages and the rebuilds read through the pager and can
-	// abort on a storage fault, and a panic escaping a held lock would wedge
-	// the cube.
-	func() {
-		s.ctl.Lock()
-		defer s.ctl.Unlock()
+	guard.Exclusive(s.ctl, func() {
 		targets = s.targets()
 		for i, t := range targets {
 			st := t.store
@@ -207,7 +201,7 @@ func (s *serving) Repair(ctx context.Context) ([]StoreRepair, error) {
 			rep.State = st.State().String()
 			reports = append(reports, rep)
 		}
-	}()
+	})
 
 	var probeErr error
 	for _, i := range halfOpen {
