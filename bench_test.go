@@ -673,32 +673,38 @@ func BenchmarkFig7_12_SignatureLoading(b *testing.B) {
 
 func BenchmarkFig7_13_DrillDown(b *testing.B) {
 	sigFixture()
-	b.ResetTimer()
 	_, snap, err := skylEng.Skyline(skyline.Query{Cond: core.Cond{0: 7}, Dims: []int{0, 1}}, stats.New())
 	if err != nil {
 		b.Fatal(err)
 	}
+	total := stats.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := skylEng.DrillDown(snap, core.Cond{1: int32(i % 100)}, stats.New()); err != nil {
+		ctr := stats.New()
+		if _, _, err := skylEng.DrillDown(snap, core.Cond{1: int32(i % 100)}, ctr); err != nil {
 			b.Fatal(err)
 		}
+		total.Merge(ctr)
 	}
+	reportSearch(b, total)
 }
 
 func BenchmarkFig7_14_RollUp(b *testing.B) {
 	sigFixture()
-	b.ResetTimer()
 	_, snap, err := skylEng.Skyline(skyline.Query{Cond: core.Cond{0: 7, 1: 3}, Dims: []int{0, 1}}, stats.New())
 	if err != nil {
 		b.Fatal(err)
 	}
+	total := stats.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := skylEng.RollUp(snap, []int{1}, stats.New()); err != nil {
+		ctr := stats.New()
+		if _, _, err := skylEng.RollUp(snap, []int{1}, ctr); err != nil {
 			b.Fatal(err)
 		}
+		total.Merge(ctr)
 	}
+	reportSearch(b, total)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,6 +98,64 @@ func TestSignatureCubeConcurrentQueryMaintain(t *testing.T) {
 	if !scoresEqual(got, want) {
 		t.Fatalf("post-storm mismatch: cube %v vs baseline %v", got, want)
 	}
+}
+
+// TestConcurrentNavigationFromOneSnapshot: a snapshot is read, never written,
+// by the steps taken from it — its skyline, its pruned candidates and the pages
+// its chain holds. Two goroutines drilling down and rolling up from one
+// snapshot each get the answer and the reads of the same step taken alone.
+func TestConcurrentNavigationFromOneSnapshot(t *testing.T) {
+	ctx := context.Background()
+	rel := rankcube.GenerateRelation(5000, 3, 3, 4, rankcube.AntiCorrelated, 9)
+	eng := rankcube.NewSkylineEngine(rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 16}))
+	dims := []int{0, 1, 2}
+	_, snap, err := eng.Query(ctx, rankcube.Cond{0: 1}, dims, nil)
+	if err == nil {
+		_, snap, err = eng.DrillDownQuery(ctx, snap, rankcube.Cond{1: 2})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		res   []rankcube.SkylineResult
+		reads [3]int64
+	}
+	steps := []func(m *rankcube.Metrics) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error){
+		func(m *rankcube.Metrics) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error) {
+			return eng.RollUpQuery(ctx, snap, []int{0}, rankcube.WithMetrics(m))
+		},
+		func(m *rankcube.Metrics) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error) {
+			return eng.DrillDownQuery(ctx, snap, rankcube.Cond{2: 3}, rankcube.WithMetrics(m))
+		},
+	}
+	take := func(step int) (answer, error) {
+		m := rankcube.NewMetrics()
+		res, _, err := steps[step](m)
+		return answer{res, [3]int64{m.Reads(rankcube.StructRTree), m.Reads(rankcube.StructSignature), m.Reads(rankcube.StructTable)}}, err
+	}
+	alone := make([]answer, len(steps))
+	for i := range steps {
+		if alone[i], err = take(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				step := (w + i) % len(steps)
+				got, err := take(step)
+				if err != nil {
+					t.Errorf("step %d: %v", step, err)
+				} else if !reflect.DeepEqual(got, alone[step]) {
+					t.Errorf("step %d: %d members, reads %v; alone %d members, reads %v", step, len(got.res), got.reads, len(alone[step].res), alone[step].reads)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestGridCubeConcurrentQueryMaintain storms a grid cube with concurrent

@@ -128,7 +128,8 @@ type MaintainableTree interface {
 }
 
 // Accessor mediates node access during one query, charging block reads
-// through a per-query buffer so repeated visits to a node are billed once.
+// through a per-query buffer so repeated visits to a node are billed once —
+// or once per navigation chain, when Hold hands it what the chain retrieved.
 type Accessor struct {
 	Idx Index
 	buf *pager.Buffer
@@ -187,6 +188,15 @@ func (a *Accessor) LeafEntries(id NodeID) []LeafEntry {
 	a.buf.Touch(a.Idx.Page(id), a.c)
 	return a.Idx.LeafEntries(id)
 }
+
+// Hold starts the accessor with the pages an earlier step of the caller's
+// chain retrieved, as Held returned them: visits to their nodes are free.
+func (a *Accessor) Hold(held []uint64) { a.buf.Hold(held) }
+
+// Held hands over the pages retrieved through the accessor, held ones
+// included, for Hold at the next step. The accessor is spent: a later visit
+// aborts.
+func (a *Accessor) Held() []uint64 { return a.buf.Touched() }
 
 // Retrieved reports whether node id's page has already been read through
 // this accessor (used for redundant-state detection, thesis §5.1.3: a leaf

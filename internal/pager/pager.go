@@ -407,11 +407,13 @@ func (s *Store) blockSpan(id PageID) int64 {
 	return int64((sz + s.pageSize - 1) / s.pageSize)
 }
 
-// Buffer is a per-query buffer pool: the first access to a page is charged,
-// repeats are free. The thesis' query algorithms buffer retrieved blocks for
-// the duration of one query. A Buffer belongs to one query on one goroutine,
-// like the stats.Counters it charges. A page is either read or touched through
-// one buffer, not both: only Read keeps a payload to serve again.
+// Buffer is the retrieved-block buffer of §5.1.3: the first access to a page is
+// charged, repeats are free. The thesis' query algorithms buffer retrieved
+// blocks for the duration of one query; a buffer seeded with Hold carries them
+// on, into the next step of an OLAP navigation chain. A Buffer belongs to one
+// query on one goroutine, like the stats.Counters it charges. A page is either
+// read or touched through one buffer, not both: only Read keeps a payload to
+// serve again.
 type Buffer struct {
 	store *Store
 	// touched has one bit per page id that was only touched; sized on the
@@ -442,6 +444,9 @@ func (b *Buffer) Read(id PageID, c *stats.Counters) []byte {
 func (b *Buffer) Touch(id PageID, c *stats.Counters) {
 	w, bit := int(id>>6), uint64(1)<<(uint(id)&63)
 	if w >= len(b.touched) {
+		if b.store == nil {
+			errs.Abortf(errs.ErrInternal, "pager: page %d touched through a buffer whose pages were handed over", id)
+		}
 		// Room for every page the store holds now, so a query grows it once.
 		n := max(w+1, (b.store.NumPages()+63)/64)
 		b.touched = append(b.touched, make([]uint64, n-len(b.touched))...)
@@ -450,6 +455,21 @@ func (b *Buffer) Touch(id PageID, c *stats.Counters) {
 		b.touched[w] |= bit
 		b.store.Touch(id, c)
 	}
+}
+
+// Hold marks the pages whose bits are set in held as touched, uncharged: the
+// pages an earlier step of the caller's chain retrieved, as Touched returned
+// them, over the store as it stands. The buffer keeps a copy.
+func (b *Buffer) Hold(held []uint64) { b.touched = append(b.touched[:0], held...) }
+
+// Touched hands over the bits of the pages touched so far, held ones included,
+// one per page id: Hold's argument for the next step of a chain. The buffer is
+// spent: it lets go of the bits and its store, and a later Touch aborts instead
+// of writing into bits the caller now owns.
+func (b *Buffer) Touched() []uint64 {
+	touched := b.touched
+	b.store, b.touched = nil, nil
+	return touched
 }
 
 // Seen reports whether page id has already been accessed through the buffer.

@@ -64,6 +64,35 @@ func TestBufferDeduplicates(t *testing.T) {
 	}
 }
 
+// TestBufferHandsOverHeldPages: a buffer seeded with Hold charges nothing for
+// the pages an earlier step retrieved, and Touched hands the bits over for
+// good: the buffer is spent, so a later Touch aborts instead of changing bits
+// another step now holds.
+func TestBufferHandsOverHeldPages(t *testing.T) {
+	s := NewStore(stats.StructRTree, 64)
+	ids := []PageID{s.Append([]byte{1}), s.Append([]byte{2}), s.Append([]byte{3})}
+	first, ctr := NewBuffer(s), stats.New()
+	first.Touch(ids[0], ctr)
+	held := first.Touched()
+	next := NewBuffer(s)
+	next.Hold(held)
+	next.Touch(ids[0], ctr)
+	next.Touch(ids[1], ctr)
+	if got := ctr.Reads(stats.StructRTree); got != 2 {
+		t.Fatalf("reads = %d, want 2: the held page is free", got)
+	}
+	both := next.Touched()
+	if held[0] != 1<<ids[0] || both[0] != 1<<ids[0]|1<<ids[1] {
+		t.Fatalf("held bits %b, then %b", held[0], both[0])
+	}
+	if err := abortOf(t, func() { next.Touch(ids[2], ctr) }); !errors.Is(err, errs.ErrInternal) {
+		t.Fatalf("Touch after the hand-over: abort %v, want ErrInternal", err)
+	}
+	if both[0] != 1<<ids[0]|1<<ids[1] {
+		t.Fatalf("handed-over bits changed to %b", both[0])
+	}
+}
+
 // TestNilCountersAbort: a read charged to nobody would escape the query's
 // budget and every reported count, so each charged access refuses nil
 // counters with a typed internal fault, the buffer's first access included.

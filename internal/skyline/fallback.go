@@ -49,6 +49,7 @@ func (e *Engine) ScanSkyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot,
 		}
 		return sky[a].TID < sky[b].TID
 	})
-	snap := &Snapshot{query: q, skyline: sky, degraded: true}
+	snap := e.snapshot(q)
+	snap.skyline, snap.degraded = sky, true
 	return sky, snap, nil
 }

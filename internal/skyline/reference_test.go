@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -25,14 +26,16 @@ import (
 // members against the relation, one random access each. It was the production
 // loop once and stays verbatim; the search is held to its answers and its
 // emission order, and may read no more of the partition or the relation than
-// it does. The second (rule set) is fig. 7.1 with the search's one rule stated
-// to the letter: before a popped node is read, every child path is put to the
-// tester in slot order; the node is read only if one passes, and the children
-// that passed are pushed. With it goes the drill-down's other half: on an exact
-// cube a member of the previous skyline is checked by putting its tuple path to
-// the tightened predicate's tester. That is the specification: the search
-// charges its reads, structure by structure, request by request, a drill-down
-// from a snapshot a drill-down wrote included.
+// it does. The second (rule set) is fig. 7.1 with the search's two rules stated
+// to the letter. First: before a popped node is read, every child path is put
+// to the tester in slot order; the node is read only if one passes, and the
+// children that passed are pushed. With it goes the drill-down's other half: on
+// an exact cube a member of the previous skyline is checked by putting its
+// tuple path to the tightened predicate's tester. Second: a navigation chain
+// pays for a node's page once — the loop keeps the set of nodes its own chain
+// has read, and a node in it is read again uncharged. That is the
+// specification: the search charges its reads, structure by structure, request
+// by request, down any chain of drill-downs and roll-ups.
 
 type refEntry struct {
 	mindist float64
@@ -52,10 +55,19 @@ func lessRefEntry(a, b refEntry) bool {
 
 // refSnapshot is what the old loop kept for navigation: every entry it pruned
 // by domination, whether or not the entry would have passed the boolean test.
+// Under the rules it also keeps the nodes its chain has read; the letter keeps
+// none and pays for every node it reads.
 type refSnapshot struct {
 	query   Query
 	skyline []Result
 	pruned  []refEntry
+	held    map[hindex.NodeID]bool
+}
+
+// refNext starts the snapshot of q, a step away from prev: under the rules it
+// holds what prev's chain has read.
+func refNext(prev *refSnapshot, q Query) *refSnapshot {
+	return &refSnapshot{query: q, held: maps.Clone(prev.held)}
 }
 
 func refLowerCorner(q Query, box ranking.Box) []float64 {
@@ -120,7 +132,7 @@ func refRoot(q Query, rt hindex.Index) *heap.Heap[refEntry] {
 }
 
 // refRun is the old BBS loop; rule qualifies a node's children before reading
-// it.
+// it, and reads the nodes snap holds without charge.
 func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry], sky []Result, snap *refSnapshot, rule bool, ctr *stats.Counters) []Result {
 	rt := e.cube.Tree()
 	acc := hindex.NewAccessor(rt, ctr)
@@ -158,8 +170,14 @@ func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry],
 		if !any {
 			continue
 		}
+		if !rule || !snap.held[en.node] {
+			acc.Visit(en.node)
+		}
+		if rule {
+			snap.held[en.node] = true
+		}
 		if rt.IsLeaf(en.node) {
-			for slot, le := range acc.LeafEntries(en.node) {
+			for slot, le := range rt.LeafEntries(en.node) {
 				if passes[slot] {
 					pt := refPoint(q, le.Point)
 					h.Push(refEntry{mindist: sum(pt), isTuple: true, tid: le.TID, path: refChildPath(en.path, slot), corner: pt})
@@ -168,7 +186,7 @@ func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry],
 			}
 			continue
 		}
-		for slot, ch := range acc.Children(en.node) {
+		for slot, ch := range rt.Children(en.node) {
 			if passes[slot] {
 				corner := refLowerCorner(q, ch.Box)
 				h.Push(refEntry{mindist: sum(corner), node: ch.ID, path: refChildPath(en.path, slot), corner: corner})
@@ -181,12 +199,15 @@ func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry],
 
 func refSkyline(e *Engine, q Query, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
 	snap := &refSnapshot{query: q}
+	if rule {
+		snap.held = map[hindex.NodeID]bool{}
+	}
 	snap.skyline = refRun(e, q, tester, refRoot(q, e.cube.Tree()), nil, snap, rule, ctr)
 	return snap.skyline, snap
 }
 
 func refDrillDown(e *Engine, prev *refSnapshot, q Query, extra core.Cond, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
-	snap := &refSnapshot{query: q}
+	snap := refNext(prev, q)
 	t := e.cube.Table()
 	bySignature := rule && e.cube.Verifier(q.Cond, ctr) == nil
 	var survivors []Result
@@ -216,7 +237,7 @@ func refDrillDown(e *Engine, prev *refSnapshot, q Query, extra core.Cond, tester
 }
 
 func refRollUp(e *Engine, prev *refSnapshot, q Query, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
-	snap := &refSnapshot{query: q}
+	snap := refNext(prev, q)
 	seeds := append([]Result(nil), prev.skyline...)
 	sky := refRun(e, q, tester, refRoot(q, e.cube.Tree()), seeds, snap, rule, ctr)
 	snap.skyline = refCleanDominated(refDedupe(sky))
@@ -344,12 +365,11 @@ func (rc refCase) testerFor(t *testing.T, cond core.Cond, wrap bool, ctr *stats.
 // checkAgainstReference puts every condition, as a static and as a dynamic
 // skyline, through the search and through both reference loops, each with a
 // tester and counters of its own: the same members in the same order, the
-// rule's reads structure by structure, and within the letter's. Then it
-// navigates from all three snapshots, held the same way: a roll-up, and two
-// drill-downs in a row.
+// rules' reads structure by structure, and within the letter's. Then it
+// navigates from all three snapshots, held the same way, down chains of
+// roll-ups and drill-downs.
 func checkAgainstReference(t *testing.T, rc refCase, rng *rand.Rand, tally *refTally) {
 	t.Helper()
-	tb, height := rc.e.cube.Table(), int64(rc.e.cube.Tree().Height())
 	for ci, cond := range rc.conds {
 		for _, q := range []Query{
 			{Cond: cond, Dims: []int{0, 1, 2}},
@@ -376,7 +396,7 @@ func checkAgainstReference(t *testing.T, rc refCase, rng *rand.Rand, tally *refT
 				tester, _ = rc.testerFor(t, cond, wrap, ruleCtr)
 				rule, ruleSnap := refSkyline(rc.e, q, tester, true, ruleCtr)
 				sameResults(t, what+" (fig. 7.1)", got, letter)
-				sameResults(t, what+" (the rule)", got, rule)
+				sameResults(t, what+" (the rules)", got, rule)
 				sameReads(t, what, gotCtr, ruleCtr)
 				tally.withinLetter(t, what, gotCtr, letterCtr, int64(len(cond))*letterCtr.Reads(stats.StructRTree))
 				if !wrap {
@@ -391,64 +411,133 @@ func checkAgainstReference(t *testing.T, rc refCase, rng *rand.Rand, tally *refT
 					continue
 				}
 
-				// Roll-up: drop one predicate.
-				drop := cond.Dims()[rng.Intn(len(cond))]
-				gotCtr, letterCtr, ruleCtr = stats.New(), stats.New(), stats.New()
-				rolled, _, err := rc.e.RollUp(snap, []int{drop}, gotCtr)
-				if err != nil {
-					t.Fatalf("%s roll-up: %v", what, err)
+				chain := refChain{rc: rc, what: what, got: snap, letter: letterSnap, rule: ruleSnap}
+				sameHeld(t, what, chain)
+				chain.rollUp(t, tally, []int{cond.Dims()[rng.Intn(len(cond))]})
+				// Two drill-downs in a row: the second consumes a snapshot a
+				// drill-down wrote.
+				drilled, added, ok := chain.drillDown(t, tally, rng)
+				if !ok {
+					continue
 				}
-				rq := snap.RollQuery([]int{drop})
-				tester, _ = rc.testerFor(t, rq.Cond, false, letterCtr)
-				letterRolled, _ := refRollUp(rc.e, letterSnap, rq, tester, false, letterCtr)
-				tester, _ = rc.testerFor(t, rq.Cond, false, ruleCtr)
-				ruleRolled, _ := refRollUp(rc.e, ruleSnap, rq, tester, true, ruleCtr)
-				sameResults(t, what+" roll-up (fig. 7.1)", rolled, letterRolled)
-				sameResults(t, what+" roll-up (the rule)", rolled, ruleRolled)
-				sameReads(t, what+" roll-up", gotCtr, ruleCtr)
-				tally.withinLetter(t, what+" roll-up", gotCtr, letterCtr, int64(len(rq.Cond))*letterCtr.Reads(stats.StructRTree))
-
-				// Drill-down: add a predicate on a free dimension, twice, so the
-				// second hop consumes a snapshot a drill-down wrote.
-				prev, letterPrev, rulePrev := snap, letterSnap, ruleSnap
-				for hop := 0; hop < 2; hop++ {
-					var free []int
-					for d := 0; d < tb.Schema().S(); d++ {
-						if _, taken := prev.query.Cond[d]; !taken {
-							free = append(free, d)
-						}
-					}
-					if len(free) == 0 {
-						break
-					}
-					d := free[rng.Intn(len(free))]
-					extra := core.Cond{d: int32(rng.Intn(tb.Schema().SelCard[d]))}
-					hopWhat := fmt.Sprintf("%s drill-down#%d %v", what, hop, extra)
-					gotCtr, letterCtr, ruleCtr = stats.New(), stats.New(), stats.New()
-					drilled, next, err := rc.e.DrillDown(prev, extra, gotCtr)
-					if err != nil {
-						t.Fatalf("%s: %v", hopWhat, err)
-					}
-					dq, _ := prev.DrillQuery(extra)
-					tester, any := rc.testerFor(t, dq.Cond, false, letterCtr)
-					if !any {
-						if len(drilled) != 0 {
-							t.Fatalf("%s: empty cell answered %v", hopWhat, drilled)
-						}
-						break
-					}
-					letterDrilled, letterNext := refDrillDown(rc.e, letterPrev, dq, extra, tester, false, letterCtr)
-					tester, _ = rc.testerFor(t, dq.Cond, false, ruleCtr)
-					ruleDrilled, ruleNext := refDrillDown(rc.e, rulePrev, dq, extra, tester, true, ruleCtr)
-					sameResults(t, hopWhat+" (fig. 7.1)", drilled, letterDrilled)
-					sameResults(t, hopWhat+" (the rule)", drilled, ruleDrilled)
-					sameReads(t, hopWhat, gotCtr, ruleCtr)
-					slack := int64(len(dq.Cond)) * (letterCtr.Reads(stats.StructRTree) + height*int64(len(prev.skyline)))
-					tally.withinLetter(t, hopWhat, gotCtr, letterCtr, slack)
-					prev, letterPrev, rulePrev = next, letterNext, ruleNext
-				}
+				drilled.drillDown(t, tally, rng)
+				// analytic-mix's shape: a roll-up from a drill-down's snapshot,
+				// dropping the original predicate, and dropping the added one. And
+				// on: query → drill-down → roll-up → drill-down.
+				rolled := drilled.rollUp(t, tally, cond.Dims())
+				drilled.rollUp(t, tally, []int{added})
+				rolled.drillDown(t, tally, rng)
 			}
 		}
+	}
+}
+
+// refChain is one navigation chain taken three ways, each from snapshots of
+// its own: by the search, by fig. 7.1's letter and by the rules' letter.
+type refChain struct {
+	rc           refCase
+	what         string
+	got          *Snapshot
+	letter, rule *refSnapshot
+}
+
+// rollUp takes the chain a roll-up further, dropping the predicates on drop.
+func (c refChain) rollUp(t *testing.T, tally *refTally, drop []int) refChain {
+	t.Helper()
+	q := c.got.RollQuery(drop)
+	return c.advance(t, tally, fmt.Sprintf("%s roll-up%v", c.what, drop), q,
+		func(ctr *stats.Counters) ([]Result, *Snapshot, error) { return c.rc.e.RollUp(c.got, drop, ctr) },
+		func(prev *refSnapshot, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
+			return refRollUp(c.rc.e, prev, q, tester, rule, ctr)
+		},
+		func(letter *stats.Counters) int64 { return int64(len(q.Cond)) * letter.Reads(stats.StructRTree) })
+}
+
+// drillDown takes the chain a drill-down further, adding a predicate on a free
+// dimension. It reports the dimension, and false when none was free.
+func (c refChain) drillDown(t *testing.T, tally *refTally, rng *rand.Rand) (refChain, int, bool) {
+	t.Helper()
+	tb := c.rc.e.cube.Table()
+	var free []int
+	for d := 0; d < tb.Schema().S(); d++ {
+		if _, taken := c.got.query.Cond[d]; !taken {
+			free = append(free, d)
+		}
+	}
+	if len(free) == 0 {
+		return c, 0, false
+	}
+	d := free[rng.Intn(len(free))]
+	extra := core.Cond{d: int32(rng.Intn(tb.Schema().SelCard[d]))}
+	q, _ := c.got.DrillQuery(extra)
+	height := int64(c.rc.e.cube.Tree().Height())
+	return c.advance(t, tally, fmt.Sprintf("%s drill-down%v", c.what, extra), q,
+		func(ctr *stats.Counters) ([]Result, *Snapshot, error) { return c.rc.e.DrillDown(c.got, extra, ctr) },
+		func(prev *refSnapshot, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
+			return refDrillDown(c.rc.e, prev, q, extra, tester, rule, ctr)
+		},
+		func(letter *stats.Counters) int64 {
+			return int64(len(q.Cond)) * (letter.Reads(stats.StructRTree) + height*int64(len(c.got.skyline)))
+		}), d, true
+}
+
+// advance takes the chain one step, to q: the search by gotStep, and both
+// reference loops by refStep, each with a tester and counters of its own. It
+// requires the same members in the same order three ways, the rules' reads
+// structure by structure, reads within the letter's by the signature slack
+// the letter's counters give, and the same nodes held.
+func (c refChain) advance(t *testing.T, tally *refTally, what string, q Query,
+	gotStep func(*stats.Counters) ([]Result, *Snapshot, error),
+	refStep func(prev *refSnapshot, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot),
+	slack func(letter *stats.Counters) int64) refChain {
+	t.Helper()
+	gotCtr, letterCtr, ruleCtr := stats.New(), stats.New(), stats.New()
+	got, next, err := gotStep(gotCtr)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	prev := c
+	c = refChain{rc: c.rc, what: what, got: next, letter: refNext(prev.letter, q), rule: refNext(prev.rule, q)}
+	tester, any := c.rc.testerFor(t, q.Cond, false, letterCtr)
+	if !any {
+		if len(got) != 0 {
+			t.Fatalf("%s: empty cell answered %v", what, got)
+		}
+	} else {
+		var letter, rule []Result
+		letter, c.letter = refStep(prev.letter, tester, false, letterCtr)
+		tester, _ = c.rc.testerFor(t, q.Cond, false, ruleCtr)
+		rule, c.rule = refStep(prev.rule, tester, true, ruleCtr)
+		sameResults(t, what+" (fig. 7.1)", got, letter)
+		sameResults(t, what+" (the rules)", got, rule)
+		sameReads(t, what, gotCtr, ruleCtr)
+		tally.withinLetter(t, what, gotCtr, letterCtr, slack(letterCtr))
+	}
+	sameHeld(t, what, c)
+	return c
+}
+
+// sameHeld requires the search's snapshot to hold the pages of exactly the
+// nodes the rules' chain has read: an accessor started from it has retrieved
+// those nodes of the tree and no other.
+func sameHeld(t *testing.T, what string, c refChain) {
+	t.Helper()
+	rt := c.rc.e.cube.Tree()
+	acc := hindex.NewAccessor(rt, stats.New())
+	acc.Hold(c.got.held)
+	var walk func(node hindex.NodeID)
+	walk = func(node hindex.NodeID) {
+		if held, read := acc.Retrieved(node), c.rule.held[node]; held != read {
+			t.Fatalf("%s: node %d held %v, read by the chain %v", what, node, held, read)
+		}
+		if !rt.IsLeaf(node) {
+			for _, child := range rt.Children(node) {
+				walk(child.ID)
+			}
+		}
+	}
+	if root := rt.Root(); root != hindex.InvalidNode {
+		walk(root)
 	}
 }
 
@@ -574,8 +663,8 @@ func refCases(si int) ([]refCase, *rand.Rand) {
 // bit-vector and Test-only testers, static and dynamic skylines, before and
 // after maintenance that splits nodes, the search answers exactly as the letter
 // of fig. 7.1 does, in its order, with no more reads of the partition or the
-// relation; and it charges exactly the block reads of the rule's letter,
-// structure by structure.
+// relation; and it charges exactly the block reads of the rules' letter,
+// structure by structure, request by request down each navigation chain.
 func TestSearchMatchesReference(t *testing.T) {
 	var tally refTally
 	for si := range refDists {
@@ -587,9 +676,10 @@ func TestSearchMatchesReference(t *testing.T) {
 	t.Logf("reads (R-tree, signature, table): search %v, fig. 7.1 %v; over on signatures in %d requests, by %d at most",
 		tally.got, tally.letter, tally.over, tally.worst)
 	// At 96-byte pages nearly every signature node is a partial of its own, so
-	// this is the rule's cost at its dearest: 6 258 partials against 5 983
-	// over the matrix, for 5 496 fewer pages of the partition and 1 520 fewer
-	// of the relation. A tenth over is the tripwire for a load made at the
+	// this is the look-ahead's cost at its dearest: 10 371 partials against
+	// 9 810 over the matrix, for 28 697 fewer pages of the partition — what
+	// the look-ahead skips and what the chains held, together — and 3 335
+	// fewer of the relation. A tenth over is the tripwire for a load made at the
 	// wrong moment that the per-request slack is too loose to catch.
 	if sig := tally.got[1]; tally.got[0] > tally.letter[0] || tally.got[2] > tally.letter[2] || sig > tally.letter[1]+tally.letter[1]/10 {
 		t.Fatalf("in total the search read %v, fig. 7.1 %v", tally.got, tally.letter)

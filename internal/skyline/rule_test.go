@@ -64,7 +64,8 @@ func TestTestOnlyTesterChargesStagedReads(t *testing.T) {
 }
 
 // hidden answers q with its tester behind testOnly — from scratch, or by step
-// from prev — and holds the answer and the reads to those of the staged run.
+// from prev, holding what prev's chain has read — and holds the answer and the
+// reads to those of the staged run.
 // It returns the snapshot to navigate on from, nil when q's cell is empty.
 func (rc refCase) hidden(t *testing.T, what string, q Query, step func(*search, *Snapshot), prev *Snapshot, stagedCtr *stats.Counters, staged []Result) *Snapshot {
 	t.Helper()
@@ -76,7 +77,10 @@ func (rc refCase) hidden(t *testing.T, what string, q Query, step func(*search, 
 		}
 		return nil
 	}
-	snap := &Snapshot{query: q, epoch: rc.e.cube.Epoch()}
+	snap := rc.e.snapshot(q)
+	if step != nil {
+		snap = prev.next(q)
+	}
 	s := rc.e.newSearch(q, tester, snap, ctr)
 	if step == nil {
 		s.pushRoot()

@@ -130,19 +130,23 @@ func lessEntry(a, b entry) bool {
 
 // newSearch prepares a run over the engine's partition that grows snap's
 // skyline — from the seeds the caller put there, if any — and records in snap
-// what it prunes by domination; the caller pushes what the run starts from.
+// what it prunes by domination and the pages it retrieved, on top of those snap
+// already holds, which it does not charge; the caller pushes what the run
+// starts from.
 func (e *Engine) newSearch(q Query, tester signature.Tester, snap *Snapshot, ctr *stats.Counters) *search {
 	idx := e.cube.Tree()
 	a, _ := e.arenas.Get().(*arena)
 	if a == nil {
 		a = new(arena)
 	}
+	acc := hindex.NewAccessor(idx, ctr)
+	acc.Hold(snap.held)
 	return &search{
 		arena:  a,
 		home:   &e.arenas,
 		q:      q,
 		idx:    idx,
-		acc:    hindex.NewAccessor(idx, ctr),
+		acc:    acc,
 		tester: tester,
 		stages: signature.Probers(tester),
 		fanout: idx.MaxFanout(),
@@ -213,6 +217,7 @@ func (s *search) run() {
 	defer func() {
 		s.kids, s.corners = s.kids[:0], s.corners[:0]
 		s.home.Put(s.arena)
+		s.snap.held = s.acc.Held()
 	}()
 	d := len(s.q.Dims)
 	for s.cheap.Len() > 0 {

@@ -118,7 +118,10 @@ func (e *Engine) Cube() *sigcube.Cube { return e.cube }
 
 // Snapshot preserves a finished query's skyline and the candidates it pruned
 // by domination so OLAP navigation (drill-down/roll-up) can re-construct its
-// candidate heap instead of restarting (fig. 7.2).
+// candidate heap instead of restarting (fig. 7.2). It also holds the partition
+// pages its navigation chain — this query and the steps that led to it — has
+// retrieved: a step from it charges only the nodes none of them read. Both
+// are valid only on the cube the snapshot was taken on, at its write epoch.
 type Snapshot struct {
 	query   Query
 	skyline []Result
@@ -134,9 +137,16 @@ type Snapshot struct {
 	// storage, not the finished search's.
 	pruned  []prunedEntry
 	corners []float64
-	// epoch is the cube's write count when the query ran. SIDs and pruned
-	// nodes describe the partition as it stood then: after a write navigation
-	// restarts from scratch.
+	// held has a bit per page of the partition that the chain has retrieved:
+	// every child of such a node has been classified, so a later step walks
+	// into it again without its page. Four kilobytes a bit, modelled, pinned
+	// for as long as the snapshot is navigated from.
+	held []uint64
+	// cube is the cube the query ran on, and epoch its write count then. SIDs,
+	// pruned nodes and held pages describe that partition as it stood then:
+	// navigation on another cube is refused, and after a write it restarts
+	// from scratch.
+	cube  *sigcube.Cube
 	epoch uint64
 	// degraded marks snapshots produced by the fallback scan: they carry
 	// no pruned-candidate basis, so navigation restarts from scratch
@@ -151,6 +161,17 @@ type prunedEntry struct {
 	sid     uint64
 	ref     int32
 	isTuple bool
+}
+
+// snapshot starts the snapshot of a query answered from scratch.
+func (e *Engine) snapshot(q Query) *Snapshot {
+	return &Snapshot{query: q, cube: e.cube, epoch: e.cube.Epoch()}
+}
+
+// next starts the snapshot of q, a step away from s's query: the step holds
+// what s's chain has retrieved and adds what it reads.
+func (s *Snapshot) next(q Query) *Snapshot {
+	return &Snapshot{query: q, cube: s.cube, epoch: s.epoch, held: s.held}
 }
 
 // keep records a domination-pruned candidate.
@@ -212,7 +233,7 @@ func (e *Engine) SkylineWithTester(q Query, tester signature.Tester, verify func
 	if err := e.validate(q); err != nil {
 		return nil, nil, err
 	}
-	snap := &Snapshot{query: q, epoch: e.cube.Epoch()}
+	snap := e.snapshot(q)
 	s := e.newSearch(q, tester, snap, ctr)
 	if verify != nil {
 		s.verify = verify
@@ -232,7 +253,7 @@ func (e *Engine) Skyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot, err
 		return nil, nil, err
 	}
 	if !any {
-		return nil, &Snapshot{query: q, epoch: e.cube.Epoch()}, nil
+		return nil, e.snapshot(q), nil
 	}
 	return e.SkylineWithTester(q, tester, nil, ctr)
 }
@@ -257,18 +278,24 @@ func (e *Engine) DrillDown(prev *Snapshot, extra core.Cond, ctr *stats.Counters)
 }
 
 // RollUp answers the previous query with the predicates on the given
-// dimensions removed. The universe grows, so a full search is required, but
-// the previous skyline restricted to the relaxed predicate seeds the
+// dimensions removed. The universe grows, so the search walks again from the
+// root, but it charges no page the navigation chain has already retrieved, and
+// the previous skyline, which satisfies the relaxed predicate, seeds the
 // skyline list, making domination pruning effective from the start.
 func (e *Engine) RollUp(prev *Snapshot, removeDims []int, ctr *stats.Counters) ([]Result, *Snapshot, error) {
 	return e.navigate(prev, prev.RollQuery(removeDims), (*search).rollUp, ctr)
 }
 
 // navigate answers q, a step away from prev's query, by taking that step from
-// prev. Not from a degraded snapshot, which has no candidate basis, nor from a
-// stale one, whose SIDs and nodes describe a partition that has moved and whose
-// members may have been deleted or overtaken: those restart from scratch.
+// prev. Not from another cube's snapshot, which describes another partition:
+// that is refused. Not from a degraded snapshot, which has no candidate basis,
+// nor from a stale one, whose SIDs and nodes describe a partition that has
+// moved and whose members may have been deleted or overtaken: those restart
+// from scratch, with nothing held.
 func (e *Engine) navigate(prev *Snapshot, q Query, step func(*search, *Snapshot), ctr *stats.Counters) ([]Result, *Snapshot, error) {
+	if prev.cube != e.cube {
+		return nil, nil, fmt.Errorf("skyline: snapshot taken on another cube: %w", errs.ErrInvalidArgument)
+	}
 	if prev.degraded || prev.epoch != e.cube.Epoch() {
 		return e.Skyline(q, ctr)
 	}
@@ -276,7 +303,7 @@ func (e *Engine) navigate(prev *Snapshot, q Query, step func(*search, *Snapshot)
 	if err != nil {
 		return nil, nil, err
 	}
-	snap := &Snapshot{query: q, epoch: e.cube.Epoch()}
+	snap := prev.next(q)
 	if any {
 		step(e.newSearch(q, tester, snap, ctr), prev)
 	}

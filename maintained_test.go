@@ -255,15 +255,55 @@ func TestMaintainedCubesAgreeWithBaselineAndFallback(t *testing.T) {
 	t.Run("signature+skyline", func(t *testing.T) {
 		rel := rankcube.GenerateRelation(rows, 2, 2, card, rankcube.AntiCorrelated, 33)
 		cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 16})
+		eng := rankcube.NewSkylineEngine(cube)
+		dims := []int{0, 1}
+		// Snapshots taken before the churn are stale after it: navigation from
+		// them restarts from scratch, with no page held.
+		_, stale, err := eng.Query(bg, rankcube.Cond{0: 1}, dims, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, staleDrill, err := eng.DrillDownQuery(bg, stale, rankcube.Cond{1: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		held, dead := churn(t, 34, rows, card, 60, 90,
 			func(sel []int32, rank []float64) (rankcube.TID, error) { return cube.InsertTuple(bg, sel, rank) },
 			func(tid rankcube.TID) (bool, error) { return cube.DeleteTuple(bg, tid) })
 		if dead == 0 {
 			t.Fatal("churn deleted nothing")
 		}
+
+		// It charges what the fresh query charges, structure by structure,
+		// and answers as it does.
+		for _, nav := range []struct {
+			step string
+			run  func(o ...rankcube.Option) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error)
+			cond rankcube.Cond
+		}{
+			{"drill-down", func(o ...rankcube.Option) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error) {
+				return eng.DrillDownQuery(bg, stale, rankcube.Cond{1: 2}, o...)
+			}, rankcube.Cond{0: 1, 1: 2}},
+			{"roll-up of the drill-down", func(o ...rankcube.Option) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error) {
+				return eng.RollUpQuery(bg, staleDrill, []int{0}, o...)
+			}, rankcube.Cond{1: 2}},
+		} {
+			mNav, mFresh := rankcube.NewMetrics(), rankcube.NewMetrics()
+			got, _, err := nav.run(rankcube.WithMetrics(mNav))
+			if err != nil {
+				t.Fatalf("%s after the churn: %v", nav.step, err)
+			}
+			want, _, err := eng.Query(bg, nav.cond, dims, nil, rankcube.WithMetrics(mFresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s after the churn: %v, the fresh query %v", nav.step, got, want)
+			}
+			freshReads(t, nav.step+" after the churn", mNav, mFresh)
+		}
+
 		pages := seqPages(rel, held)
-		eng := rankcube.NewSkylineEngine(cube)
-		dims := []int{0, 1}
 		sky, snap, err := eng.Query(bg, rankcube.Cond{0: 1}, dims, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -448,7 +448,8 @@ func (s *SkylineEngine) DrillDownQuery(ctx context.Context, prev *SkylineSnapsho
 }
 
 // RollUpQuery relaxes the previous query by removing predicates on the
-// given dimensions, seeding the search with the previous skyline, with
+// given dimensions, seeding the search with the previous skyline and
+// charging no partition page the navigation chain has already read, with
 // the same degradation policy as Query.
 func (s *SkylineEngine) RollUpQuery(ctx context.Context, prev *SkylineSnapshot, removeDims []int, opts ...Option) ([]SkylineResult, *SkylineSnapshot, error) {
 	if prev == nil {

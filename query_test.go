@@ -2,6 +2,7 @@ package rankcube_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -414,6 +415,37 @@ func TestSkylineNavigationChains(t *testing.T) {
 	}
 }
 
+// TestSkylineNavigationRefusesAnotherCubesSnapshot: a snapshot's SIDs, seeds
+// and held pages describe the cube it was taken on. Navigating it on another
+// cube is a malformed request, refused before any search and not degraded to
+// the scan, which would answer a query the caller did not mean to ask there.
+func TestSkylineNavigationRefusesAnotherCubesSnapshot(t *testing.T) {
+	ctx := context.Background()
+	a := rankcube.NewSkylineEngine(rankcube.BuildSignatureCube(rankcube.GenerateRelation(20000, 3, 3, 4, rankcube.AntiCorrelated, 7), rankcube.SigOptions{}))
+	b := rankcube.NewSkylineEngine(rankcube.BuildSignatureCube(rankcube.GenerateRelation(5000, 3, 3, 4, rankcube.AntiCorrelated, 8), rankcube.SigOptions{}))
+	_, snap, err := a.Query(ctx, rankcube.Cond{0: 1}, []int{0, 1, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, navigate := range map[string]func(m *rankcube.Metrics) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error){
+		"drill-down": func(m *rankcube.Metrics) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error) {
+			return b.DrillDownQuery(ctx, snap, rankcube.Cond{1: 2}, rankcube.WithMetrics(m))
+		},
+		"roll-up": func(m *rankcube.Metrics) ([]rankcube.SkylineResult, *rankcube.SkylineSnapshot, error) {
+			return b.RollUpQuery(ctx, snap, []int{0}, rankcube.WithMetrics(m))
+		},
+	} {
+		m := rankcube.NewMetrics()
+		res, next, err := navigate(m)
+		if !errors.Is(err, rankcube.ErrInvalidArgument) || res != nil || next != nil {
+			t.Fatalf("%s on another cube: %d members, snapshot %v, err %v; want ErrInvalidArgument", step, len(res), next != nil, err)
+		}
+		if m.Downgrades != 0 || m.TotalReads() != 0 {
+			t.Fatalf("%s on another cube: %d downgrades, %d reads; want none", step, m.Downgrades, m.TotalReads())
+		}
+	}
+}
+
 // TestSkylineNavigationAfterWrites: a snapshot taken before a write describes
 // a partition, and a skyline, that may no longer be. A deleted member must not
 // seed a drill-down, nor keep pruned what only it dominated; an inserted tuple
@@ -442,18 +474,22 @@ func TestSkylineNavigationAfterWrites(t *testing.T) {
 	// holds both to fresh queries after it.
 	navigate := func(write string, snap *rankcube.SkylineSnapshot) (drilled []rankcube.TID) {
 		t.Helper()
-		res, _, err := eng.DrillDownQuery(ctx, snap, extra)
+		mNav, mFresh := rankcube.NewMetrics(), rankcube.NewMetrics()
+		res, _, err := eng.DrillDownQuery(ctx, snap, extra, rankcube.WithMetrics(mNav))
 		drilled = ids("drill-down after "+write, res, err)
-		res, _, err = eng.Query(ctx, unionCond(from, extra), dims, nil)
+		res, _, err = eng.Query(ctx, unionCond(from, extra), dims, nil, rankcube.WithMetrics(mFresh))
 		if want := ids("query", res, err); !slices.Equal(drilled, want) {
 			t.Fatalf("drill-down after %s gives %v, the fresh query %v", write, drilled, want)
 		}
-		res, _, err = eng.RollUpQuery(ctx, snap, condDims(from))
+		freshReads(t, "drill-down after "+write, mNav, mFresh)
+		mNav, mFresh = rankcube.NewMetrics(), rankcube.NewMetrics()
+		res, _, err = eng.RollUpQuery(ctx, snap, condDims(from), rankcube.WithMetrics(mNav))
 		rolled := ids("roll-up after "+write, res, err)
-		res, _, err = eng.Query(ctx, rankcube.Cond{}, dims, nil)
+		res, _, err = eng.Query(ctx, rankcube.Cond{}, dims, nil, rankcube.WithMetrics(mFresh))
 		if want := ids("query", res, err); !slices.Equal(rolled, want) {
 			t.Fatalf("roll-up after %s gives %v, the fresh query %v", write, rolled, want)
 		}
+		freshReads(t, "roll-up after "+write, mNav, mFresh)
 		return drilled
 	}
 
@@ -481,6 +517,18 @@ func TestSkylineNavigationAfterWrites(t *testing.T) {
 	}
 	if drilled := navigate("an insert", snap); !slices.Contains(drilled, tid) {
 		t.Fatalf("drill-down misses the inserted tuple %d", tid)
+	}
+}
+
+// freshReads holds a navigation step from a stale snapshot to the reads of the
+// fresh query of its predicate, structure by structure: it restarts with no
+// page held.
+func freshReads(t *testing.T, step string, nav, fresh *rankcube.Metrics) {
+	t.Helper()
+	for _, s := range []rankcube.Structure{rankcube.StructRTree, rankcube.StructSignature, rankcube.StructTable} {
+		if nav.Reads(s) != fresh.Reads(s) {
+			t.Fatalf("%s: %s reads %d, the fresh query %d", step, s, nav.Reads(s), fresh.Reads(s))
+		}
 	}
 }
 

@@ -377,7 +377,10 @@ type SkylineEngine struct {
 // coordinates.
 type SkylineResult = skyline.Result
 
-// SkylineSnapshot preserves a finished query for drill-down/roll-up reuse.
+// SkylineSnapshot preserves a finished query for drill-down/roll-up reuse:
+// its candidate basis and the partition pages its navigation chain has
+// read. It belongs to the cube it was taken on; navigating it on
+// another cube fails with ErrInvalidArgument.
 type SkylineSnapshot = skyline.Snapshot
 
 // NewSkylineEngine wraps a signature cube.
