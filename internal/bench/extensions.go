@@ -55,10 +55,10 @@ func extBloom(ctx context.Context, cfg Config, rep *Report) {
 // extGridPart: the §4.1.2 partition-scheme comparison — the signature cube
 // over a merged-grid hierarchy vs over an R-tree, on uniform and skewed
 // (correlated) data. The thesis expects the grid to suffer on skewed data
-// because of dead cells while the hierarchical partition stays robust; the
-// run says otherwise at every size tried (README, "Reproducing the thesis'
-// figures"): the grid reads fewer blocks on both, half as many on the
-// correlated data.
+// because of dead cells while the hierarchical partition stays robust, and
+// the run agrees (README, "Reproducing the thesis' figures"): the grid reads
+// more blocks on both, most on the correlated data, whose cells along the
+// diagonal hold many pages of tuples each.
 func extGridPart(ctx context.Context, cfg Config, rep *Report) {
 	dists := []table.Distribution{table.Uniform, table.Correlated}
 	sweep(ctx, rep, cfg.Queries, "data", "%v", dists, func(dist table.Distribution) []method {

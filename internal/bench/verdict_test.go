@@ -143,10 +143,12 @@ func TestPaperVerdicts(t *testing.T) {
 			}
 		}},
 		// The thesis expects the grid partition to suffer from dead cells on
-		// skewed data. It does not here: it reads no more than the R-tree on
-		// uniform data and half as much on correlated data.
+		// skewed data, and it does: with a leaf charged a page per fanout of its
+		// tuples, the grid reads more than the R-tree on uniform data (19.2 vs
+		// 16.4) and more again on correlated data (26.5 vs 16.6), where half
+		// of the leaves hold more than a page, the largest 2 190 tuples.
 		{"ext.gridpart", 0.03, func(t *testing.T, r *Report) {
-			hold(t, r, inReads, "grid-partition", notAbove, "rtree-partition")
+			hold(t, r, inReads, "rtree-partition", below, "grid-partition")
 		}},
 	} {
 		v := v

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"rankcube/internal/errs"
 	"rankcube/internal/heap"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
@@ -22,8 +23,14 @@ func SeqPages(t *table.Table, pageSize int) int {
 // (alive may be nil: every row counts) and satisfies cond, in tid order.
 // rank is reused between calls. Engines pass SeqPages at their configured
 // page size; the table-scan baseline passes its heap file's page count,
-// whose rows never straddle a page.
+// whose rows never straddle a page. A condition on a dimension outside t's
+// schema aborts ErrInvalidArgument before anything is read.
 func Scan(t *table.Table, pages int, alive func(table.TID) bool, cond Cond, ctr *stats.Counters, visit func(tid table.TID, rank []float64)) {
+	for d := range cond {
+		if d < 0 || d >= t.Schema().S() {
+			errs.Abortf(errs.ErrInvalidArgument, "scan: condition on selection dimension %d of %d", d, t.Schema().S())
+		}
+	}
 	defer ctr.StartSpan("scan")()
 	ctr.Read(stats.StructTable, int64(pages))
 	buf := make([]float64, t.Schema().R())

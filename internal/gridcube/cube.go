@@ -128,10 +128,10 @@ func (cb *Cuboid) blockTIDs(vals []int32, bid BID, buf *pager.Buffer, c *stats.C
 		}
 		if len(run) > 0 {
 			at := min(lo, len(run)-1)
-			touchRows(ref.pages, entryBytes, at, max(hi, at+1), 0, buf, c)
+			touchRows(ref.pages, entryBytes, at, max(hi, at+1), buf, c)
 		}
 		if len(extra) > 0 {
-			touchRows(ref.pages, entryBytes, len(run), len(run)+len(extra), 0, buf, c)
+			touchRows(ref.pages, entryBytes, len(run), len(run)+len(extra), buf, c)
 		}
 	}
 	// Fresh tids are larger than materialized ones, so dst stays ascending.

@@ -18,12 +18,9 @@ func (c *Cube) Insert(sel []int32, rank []float64) table.TID {
 	tid := c.t.Append(sel, rank)
 	bid := c.meta.BlockOf(rank)
 
-	// Base block table: append the row at the end of the block's run.
-	bt := c.blocks
-	b := &bt.blocks[bid]
-	b.tids = append(b.tids, tid)
-	b.ranks = append(b.ranks, rank...)
-	b.pages = growRun(bt.store, b.pages, len(b.tids)*c.meta.rowBytes())
+	// Base block table: the row goes last in its block, not in selection
+	// order; Repartition sorts it in.
+	c.blocks.insert(bid, tid, rank)
 
 	// Cuboids: append to the overflow list of the affected cell, which
 	// grows its run by one entry beyond the materialized bytes.

@@ -3,6 +3,7 @@ package gridcube
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rankcube/internal/errs"
@@ -133,6 +134,64 @@ func TestRunsFillTheirPages(t *testing.T) {
 			}
 		}
 	}
+}
+
+// requireRowLayout fails unless the row table locates every tuple's row in
+// the block its ranking vector falls in, the row carrying that vector, and
+// the rows of the first built tuples of every block follow one another in
+// selection order: by selection vector, then tid.
+func requireRowLayout(t *testing.T, what string, c *Cube, built table.TID) {
+	t.Helper()
+	bt := c.blocks
+	if len(bt.rowOf) != c.t.Len() {
+		t.Fatalf("%s: row table of %d tuples, relation of %d", what, len(bt.rowOf), c.t.Len())
+	}
+	r := c.meta.R
+	for tid := range table.TID(c.t.Len()) {
+		rank := c.t.RankRow(tid, nil)
+		b, row := bt.blocks[c.meta.BlockOf(rank)], int(bt.rowOf[tid])
+		if row >= len(b.tids) || b.tids[row] != tid {
+			t.Fatalf("%s: tuple %d is not row %d of its block", what, tid, row)
+		}
+		if got := b.ranks[row*r : (row+1)*r]; !slices.Equal(got, rank) {
+			t.Fatalf("%s: row %d of tuple %d carries %v, want %v", what, row, tid, got, rank)
+		}
+	}
+	for _, b := range bt.blocks {
+		for row := 1; row < len(b.tids) && b.tids[row] < built; row++ {
+			prev, tid := b.tids[row-1], b.tids[row]
+			order := slices.Compare(c.t.SelRow(prev, nil), c.t.SelRow(tid, nil))
+			if order > 0 || order == 0 && prev > tid {
+				t.Fatalf("%s: tuple %d is the row before tuple %d", what, prev, tid)
+			}
+		}
+	}
+}
+
+// TestBlockRowsInSelectionOrder pins the base block layout: a build lays each
+// block's rows in selection order, an insert puts its row last in its block
+// and leaves every other row where it was, and a repartition sorts the
+// inserted rows in.
+func TestBlockRowsInSelectionOrder(t *testing.T) {
+	tb := pageTable()
+	n := table.TID(tb.Len())
+	c := Build(tb, Config{})
+	requireRowLayout(t, "built", c, n)
+	rng := rand.New(rand.NewSource(74))
+	before := slices.Clone(c.blocks.rowOf)
+	for range 2000 {
+		rank := []float64{rng.Float64(), rng.Float64()}
+		tid := c.Insert(tb.SelRow(table.TID(rng.Intn(int(n))), nil), rank)
+		if b := c.blocks.blocks[c.meta.BlockOf(rank)]; int(c.blocks.rowOf[tid]) != len(b.tids)-1 {
+			t.Fatalf("inserted tuple %d is row %d of %d", tid, c.blocks.rowOf[tid], len(b.tids))
+		}
+	}
+	if !slices.Equal(c.blocks.rowOf[:n], before) {
+		t.Fatal("inserts moved built rows")
+	}
+	requireRowLayout(t, "inserted", c, n)
+	c.Repartition()
+	requireRowLayout(t, "repartitioned", c, table.TID(c.t.Len()))
 }
 
 // pageSpan counts the pages rows [lo, hi) of w bytes lie on.

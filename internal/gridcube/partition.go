@@ -7,8 +7,10 @@
 package gridcube
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rankcube/internal/pager"
@@ -36,7 +38,7 @@ type Meta struct {
 
 // NewMeta computes equi-depth bin boundaries over t's ranking dimensions so
 // that base blocks hold about blockSize tuples: bins = ceil((T/P)^(1/R))
-// (§3.2.2).
+// (§3.2.2). Over no rows there is one bin, spanning every finite value.
 func NewMeta(t *table.Table, blockSize int) Meta {
 	r := t.Schema().R()
 	n := t.Len()
@@ -49,6 +51,10 @@ func NewMeta(t *table.Table, blockSize int) Meta {
 	}
 	m := Meta{Bounds: make([][]float64, r), Bins: bins, R: r}
 	for d := 0; d < r; d++ {
+		if n == 0 {
+			m.Bounds[d] = []float64{-math.MaxFloat64, math.MaxFloat64}
+			continue
+		}
 		col := append([]float64(nil), t.RankColumn(d)...)
 		sort.Float64s(col)
 		bounds := make([]float64, bins+1)
@@ -194,12 +200,14 @@ func (m Meta) Neighbors(bid BID, dst []BID) []BID {
 func (m Meta) rowBytes() int { return 4 + 8*m.R }
 
 // Every run the cube fetches — a base block, an uncompressed cell — is
-// fixed-width rows in key order laid over logical pages, one per PageSize
-// bytes, all full but the last. The row at position p lives on page
-// ⌊p·w / PageSize⌋ of its run, and on the next one too when it straddles the
-// boundary. Locating a row's page is arithmetic: each page's id and fence key
-// belong to the in-memory directory beside the run, as negligible meta
-// (§3.4.1), so a query charges only the pages holding the rows it needs.
+// fixed-width rows laid over logical pages, one per PageSize bytes, all full
+// but the last: a cell's entries in (bid, tid) order, a block's rows in
+// selection order. The row at position p lives on page ⌊p·w / PageSize⌋ of its
+// run, and on the next one too when it straddles the boundary. Locating a
+// row's page is arithmetic: each page's id and fence key belong to the
+// in-memory directory beside the run, and a block's row of each tid to the
+// block table's row table, all negligible meta (§3.4.1), so a query charges
+// only the pages holding the rows it needs.
 
 // runPages is the number of pages a run of size bytes occupies.
 func runPages(size int) int { return (size + pager.PageSize - 1) / pager.PageSize }
@@ -217,25 +225,25 @@ func growRun(s *pager.Store, run []pager.PageID, size int) []pager.PageID {
 }
 
 // touchRows charges through buf the pages of run that hold its rows [lo, hi)
-// of w bytes each, except those before page from, which the caller charged
-// already. It returns the page after the last one it charged, so a caller
-// walking ascending rows touches a page once, when the page index changes.
-func touchRows(run []pager.PageID, w, lo, hi, from int, buf *pager.Buffer, c *stats.Counters) int {
+// of w bytes each.
+func touchRows(run []pager.PageID, w, lo, hi int, buf *pager.Buffer, c *stats.Counters) {
 	if hi <= lo {
-		return from
+		return
 	}
-	last := (hi*w - 1) / pager.PageSize
-	for pg := max(lo*w/pager.PageSize, from); pg <= last; pg++ {
+	for pg := lo * w / pager.PageSize; pg <= (hi*w-1)/pager.PageSize; pg++ {
 		buf.Touch(run[pg], c)
 	}
-	return max(from, last+1)
 }
 
-// block is one base block of the table: its tuples' ids, ascending, their
-// ranking vectors flattened R values per tuple in the same order (§3.2.2
-// Table 3.2's right-hand decomposition), and the pages of the run that holds
-// them, row i being tids[i] with its ranking vector. A block without tuples
-// has no page.
+// block is one base block of the table: its rows' tuple ids, their ranking
+// vectors flattened R values per row in the same order (§3.2.2 Table 3.2's
+// right-hand decomposition), and the pages of the run that holds them, row i
+// being tids[i] with its ranking vector. A block without tuples has no page.
+//
+// Rows are in selection order: the rows of a build sorted by selection vector
+// (lexicographic in dimension order), then by tid; a row inserted since is
+// appended at the end. The tuples a predicate on dimension 0 selects are then
+// one stretch of the block instead of being spread over all of its pages.
 type block struct {
 	tids  []table.TID
 	ranks []float64
@@ -247,17 +255,23 @@ type block struct {
 type BlockTable struct {
 	meta   Meta
 	blocks []block
-	store  *pager.Store
+	// rowOf[tid] is tuple tid's row in its block. The cuboid cells name a
+	// tuple by tid; this is its physical address, like a B-tree's rid, and as
+	// meta information it is never charged (§3.4.1).
+	rowOf []int32
+	store *pager.Store
 }
 
-// NewBlockTable partitions t's tuples into base blocks.
+// NewBlockTable partitions t's tuples into base blocks, rows in selection
+// order.
 func NewBlockTable(t *table.Table, meta Meta) *BlockTable {
+	r, n := meta.R, t.Len()
 	bt := &BlockTable{
 		meta:   meta,
 		blocks: make([]block, meta.NumBlocks()),
+		rowOf:  make([]int32, n),
 		store:  pager.NewStore(stats.StructBlockTab, pager.PageSize),
 	}
-	r, n := meta.R, t.Len()
 	bids := make([]BID, n)
 	counts := make([]int, len(bt.blocks))
 	rank := make([]float64, r)
@@ -284,9 +298,35 @@ func NewBlockTable(t *table.Table, meta Meta) *BlockTable {
 	for i, bid := range bids {
 		b := &bt.blocks[bid]
 		b.tids = append(b.tids, table.TID(i))
-		b.ranks = append(b.ranks, t.RankRow(table.TID(i), rank)...)
+	}
+	s := t.Schema().S()
+	bySelection := func(a, b table.TID) int {
+		for d := 0; d < s; d++ {
+			if c := cmp.Compare(t.Sel(a, d), t.Sel(b, d)); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(a, b)
+	}
+	for bid := range bt.blocks {
+		b := &bt.blocks[bid]
+		slices.SortFunc(b.tids, bySelection)
+		for row, tid := range b.tids {
+			bt.rowOf[tid] = int32(row)
+			b.ranks = append(b.ranks, t.RankRow(tid, rank)...)
+		}
 	}
 	return bt
+}
+
+// insert appends tuple tid, of ranking vector rank, as the last row of block
+// bid. Tuple ids are dense: tid is the table's next one.
+func (bt *BlockTable) insert(bid BID, tid table.TID, rank []float64) {
+	b := &bt.blocks[bid]
+	bt.rowOf = append(bt.rowOf, int32(len(b.tids)))
+	b.tids = append(b.tids, tid)
+	b.ranks = append(b.ranks, rank...)
+	b.pages = growRun(bt.store, b.pages, len(b.tids)*bt.meta.rowBytes())
 }
 
 // NewBuffer returns a per-query buffer over the block table's store.

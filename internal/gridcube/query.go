@@ -3,6 +3,7 @@ package gridcube
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"rankcube/internal/core"
@@ -144,12 +145,18 @@ func (c *Cube) TopK(q Query, ctr *stats.Counters) ([]Result, error) {
 		endPlan()
 		return nil, err
 	}
-	// Per-cuboid selection value vectors, aligned with each cuboid's dims.
+	// Per-cuboid selection value vectors, aligned with each cuboid's dims. A
+	// value outside its dimension's domain selects nothing, and its mixed-radix
+	// cell key would name another cell: the answer is empty, read for nothing.
 	condVals := make([][]int32, len(cover))
 	for i, cb := range cover {
 		vals := make([]int32, len(cb.dims))
 		for j, d := range cb.dims {
 			vals[j] = q.Cond[d]
+			if vals[j] < 0 || int(vals[j]) >= cb.cards[j] {
+				endPlan()
+				return nil, nil
+			}
 		}
 		condVals[i] = vals
 	}
@@ -198,6 +205,7 @@ type gridExec struct {
 
 	box        ranking.Box // the block being bounded
 	cand, tids []table.TID // a block's surviving candidates; one cuboid's list
+	marked     []uint64    // the pages of the block's run its needed rows lie on
 }
 
 type scoredBlock struct {
@@ -292,8 +300,9 @@ func (e *gridExec) exhaustiveSearch() {
 // processBlock runs the retrieve and evaluate steps of §3.3.2 for one base
 // block: fetch the block's tids from the covering cells, intersect, then
 // score the surviving tuples, fetching from the base block (get_base_block,
-// §3.3.1) the pages that hold them. Every list involved is tid-ascending, so
-// both steps are merges.
+// §3.3.1) the pages that hold them. Every cell list is tid-ascending, so the
+// intersection is a merge; the block table's row table locates a survivor's
+// row.
 func (e *gridExec) processBlock(bid BID) {
 	var cand []table.TID
 	for i, cb := range e.cover {
@@ -313,7 +322,7 @@ func (e *gridExec) processBlock(bid BID) {
 	// An unconditioned query (no covering cuboids) needs every tuple of the
 	// block: the whole run.
 	if len(e.cover) == 0 {
-		touchRows(blk.pages, w, 0, len(blk.tids), 0, e.blockBuf, e.ctr)
+		touchRows(blk.pages, w, 0, len(blk.tids), e.blockBuf, e.ctr)
 		for i, tid := range blk.tids {
 			if e.live(tid) {
 				e.offer(blk, i)
@@ -322,18 +331,32 @@ func (e *gridExec) processBlock(bid BID) {
 		return
 	}
 	// A surviving candidate that is not tombstoned is a needed row: its pages
-	// are charged, and no other page of the block is. next is the first page
-	// not charged yet; rows ascend, so only a row reaching it charges.
-	i, next := 0, 0
+	// are charged, and no other page of the block is. Candidates ascend by tid,
+	// rows by selection vector, so the pages are marked first and then charged
+	// ascending, each once.
+	words := (len(blk.pages) + 63) / 64
+	if len(e.marked) < words {
+		e.marked = make([]uint64, words)
+	}
+	rowOf := e.cube.blocks.rowOf
 	for _, tid := range cand {
-		for i < len(blk.tids) && blk.tids[i] < tid {
-			i++
+		if !e.live(tid) {
+			continue
 		}
-		if i < len(blk.tids) && blk.tids[i] == tid && e.live(tid) {
-			if (i+1)*w > next*pager.PageSize {
-				next = touchRows(blk.pages, w, i, i+1, next, e.blockBuf, e.ctr)
-			}
-			e.offer(blk, i)
+		row := int(rowOf[tid])
+		for pg := row * w / pager.PageSize; pg <= ((row+1)*w-1)/pager.PageSize; pg++ {
+			e.marked[pg>>6] |= 1 << (pg & 63)
+		}
+	}
+	for i, word := range e.marked[:words] {
+		for ; word != 0; word &= word - 1 {
+			e.blockBuf.Touch(blk.pages[i<<6|bits.TrailingZeros64(word)], e.ctr)
+		}
+		e.marked[i] = 0
+	}
+	for _, tid := range cand {
+		if e.live(tid) {
+			e.offer(blk, int(rowOf[tid]))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rankcube/internal/core"
@@ -21,7 +22,10 @@ import (
 // production loop; it stays here as the oracle the kernel's answers and peak
 // heap are held to, over structures of its own: cells tid-major and base
 // blocks as entry lists, both assembled from the relation and not from the
-// cube's (bid, tid) runs and slabs.
+// cube's (bid, tid) runs and slabs. A block's entries are its rows in
+// selection order, derived on their own: the tuples of the last build sorted
+// by selection vector, then tid, and the ones inserted since after them, in
+// insert order.
 //
 // Its reads are the letter: every run it fetches, it charges whole, and the
 // kernel may read no more. Beside them it keeps the page-granular model the
@@ -32,10 +36,14 @@ import (
 // the positions of the bid's sub-run in (bid, tid) order — or the one where
 // an empty sub-run would begin — and every overflow position after the
 // materialized ones. A compressed cell is one payload: all of its pages.
+// Beside it, the same model over blocks whose rows are in tid order, the
+// layout selection order replaced: what the kernel saves on it is counted.
 
 type refBlockEntry struct {
 	tid  table.TID
 	rank []float64
+	// tidRow is the entry's row were the block in tid order.
+	tidRow int
 }
 
 // refCube is the old layout of one cube's content at one moment of its life.
@@ -53,7 +61,7 @@ func newRefCube(c *Cube) *refCube {
 		tid := table.TID(i)
 		rank := c.t.RankRow(tid, make([]float64, c.meta.R))
 		bid := c.meta.BlockOf(rank)
-		rc.blocks[bid] = append(rc.blocks[bid], refBlockEntry{tid: tid, rank: rank})
+		rc.blocks[bid] = append(rc.blocks[bid], refBlockEntry{tid: tid, rank: rank, tidRow: len(rc.blocks[bid])})
 		for _, cb := range c.cuboids {
 			vals := make([]int32, len(cb.dims))
 			for j, d := range cb.dims {
@@ -62,6 +70,24 @@ func newRefCube(c *Cube) *refCube {
 			key := cb.cellKey(vals, refPseudoOf(cb, bid))
 			rc.cells[cb][key] = append(rc.cells[cb][key], Entry{TID: tid, BID: bid})
 		}
+	}
+	built := table.TID(c.t.Len() - c.inserted)
+	before := func(a, b table.TID) bool {
+		if (a >= built) != (b >= built) {
+			return b >= built
+		}
+		if a < built {
+			sa, sb := c.t.SelRow(a, nil), c.t.SelRow(b, nil)
+			for d := range sa {
+				if sa[d] != sb[d] {
+					return sa[d] < sb[d]
+				}
+			}
+		}
+		return a < b
+	}
+	for _, entries := range rc.blocks {
+		sort.Slice(entries, func(i, j int) bool { return before(entries[i].tid, entries[j].tid) })
 	}
 	return rc
 }
@@ -149,20 +175,32 @@ type refExec struct {
 	cubeBufs []*pager.Buffer
 	topk     *heap.Bounded[Result]
 
-	model map[refPage]bool
+	model, tidOrder map[refPage]bool
 }
 
 // need puts in the model the pages that position p of a run of w-byte rows
 // lies on.
 func (e *refExec) need(cb *Cuboid, key uint64, p, w int) {
-	e.model[refPage{cb, key, p * w / pager.PageSize}] = true
-	e.model[refPage{cb, key, ((p+1)*w - 1) / pager.PageSize}] = true
+	needIn(e.model, cb, key, p, w)
 }
 
-// modelReads counts the model's pages of one structure.
-func (e *refExec) modelReads(st stats.Structure) int64 {
+func needIn(model map[refPage]bool, cb *Cuboid, key uint64, p, w int) {
+	model[refPage{cb, key, p * w / pager.PageSize}] = true
+	model[refPage{cb, key, ((p+1)*w - 1) / pager.PageSize}] = true
+}
+
+// needRow models the evaluate step's pages of one needed row of block bid,
+// in both layouts.
+func (e *refExec) needRow(bid BID, p int, be refBlockEntry) {
+	w := e.cube.meta.rowBytes()
+	e.need(nil, uint64(bid), p, w)
+	needIn(e.tidOrder, nil, uint64(bid), be.tidRow, w)
+}
+
+// modelReads counts the pages of one structure in a model.
+func modelReads(model map[refPage]bool, st stats.Structure) int64 {
 	n := int64(0)
-	for pg := range e.model {
+	for pg := range model {
 		if pg.cb != nil && st == stats.StructCube || pg.cb == nil && st == stats.StructBlockTab {
 			n++
 		}
@@ -215,7 +253,8 @@ func refTopK(c *Cube, rc *refCube, q Query, ctr *stats.Counters) ([]Result, *ref
 	if err != nil {
 		panic(err)
 	}
-	e := &refExec{cube: c, rc: rc, cover: cover, f: q.F, ctr: ctr, model: make(map[refPage]bool),
+	e := &refExec{cube: c, rc: rc, cover: cover, f: q.F, ctr: ctr,
+		model: make(map[refPage]bool), tidOrder: make(map[refPage]bool),
 		blockBuf: c.blocks.NewBuffer(), topk: heap.NewBounded[Result](q.K, core.WorseResult)}
 	for _, cb := range cover {
 		vals := make([]int32, len(cb.dims))
@@ -285,10 +324,9 @@ func (e *refExec) exhaustiveSearch() {
 }
 
 func (e *refExec) processBlock(bid BID) {
-	w := e.cube.meta.rowBytes()
 	if len(e.cover) == 0 {
 		for p, be := range e.rc.getBlock(e.cube.blocks, bid, e.blockBuf, e.ctr) {
-			e.need(nil, uint64(bid), p, w)
+			e.needRow(bid, p, be)
 			if !e.cube.tombstones[be.tid] {
 				e.offer(be)
 			}
@@ -322,7 +360,7 @@ func (e *refExec) processBlock(bid BID) {
 	}
 	for p, be := range e.rc.getBlock(e.cube.blocks, bid, e.blockBuf, e.ctr) {
 		if want[be.tid] && !e.cube.tombstones[be.tid] {
-			e.need(nil, uint64(bid), p, w)
+			e.needRow(bid, p, be)
 			e.offer(be)
 		}
 	}
@@ -385,8 +423,9 @@ func absentCombo(t *testing.T, tb *table.Table) []int32 {
 // loop and holds the kernel, request by request, to the same results and peak
 // heap, to no more reads than the letter and to exactly the page-granular
 // model's, per structure. It returns, per structure, how many reads the
-// kernel saved on the letter over the whole mix.
-func checkAgainstReference(t *testing.T, what string, c *Cube, rng *rand.Rand) map[stats.Structure]int64 {
+// kernel saved on the letter over the whole mix, and how many block-table
+// reads it saved on the tid-ordered model.
+func checkAgainstReference(t *testing.T, what string, c *Cube, rng *rand.Rand) (map[stats.Structure]int64, int64) {
 	t.Helper()
 	rc := newRefCube(c)
 	tb := c.t
@@ -405,7 +444,7 @@ func checkAgainstReference(t *testing.T, what string, c *Cube, rng *rand.Rand) m
 		}
 		conds[fmt.Sprintf("%d-dim", n)] = cond
 	}
-	saved := make(map[stats.Structure]int64)
+	saved, onTidOrder := make(map[stats.Structure]int64), int64(0)
 	for fname, f := range refFuncs(rng, c.meta.R) {
 		for cname, cond := range conds {
 			for _, k := range []int{1, 10, 100, tb.Len() + 1} {
@@ -426,7 +465,7 @@ func checkAgainstReference(t *testing.T, what string, c *Cube, rng *rand.Rand) m
 					}
 				}
 				for _, st := range []stats.Structure{stats.StructCube, stats.StructBlockTab, stats.StructTable} {
-					g, letter, m := gotCtr.Reads(st), letterCtr.Reads(st), model.modelReads(st)
+					g, letter, m := gotCtr.Reads(st), letterCtr.Reads(st), modelReads(model.model, st)
 					if g > letter {
 						t.Fatalf("%s: %s reads = %d, more than the letter's %d", name, st, g, letter)
 					}
@@ -435,6 +474,7 @@ func checkAgainstReference(t *testing.T, what string, c *Cube, rng *rand.Rand) m
 					}
 					saved[st] += letter - g
 				}
+				onTidOrder += modelReads(model.tidOrder, stats.StructBlockTab) - gotCtr.Reads(stats.StructBlockTab)
 				if gotCtr.PeakHeap != letterCtr.PeakHeap {
 					t.Fatalf("%s: peak heap = %d, reference %d", name, gotCtr.PeakHeap, letterCtr.PeakHeap)
 				}
@@ -444,7 +484,7 @@ func checkAgainstReference(t *testing.T, what string, c *Cube, rng *rand.Rand) m
 			}
 		}
 	}
-	return saved
+	return saved, onTidOrder
 }
 
 // maintain runs 300 inserts, every tenth into the brand-new cell of values
@@ -477,7 +517,8 @@ func maintain(c *Cube, fresh []int32, rng *rand.Rand) {
 // brand-new cells beside tombstones, and after a repartition folded them in.
 // Its base blocks of 50 tuples each fit on one page, where page-granular
 // reads are the letter's; the multi-page subtests give blocks and hot cells
-// several pages each and require the kernel to save reads on the letter.
+// several pages each and require the kernel to save reads on the letter, and
+// block pages on a layout of rows in tid order.
 func TestKernelMatchesReference(t *testing.T) {
 	type config struct {
 		multi           bool
@@ -507,7 +548,7 @@ func TestKernelMatchesReference(t *testing.T) {
 							}
 							rng := rand.New(rand.NewSource(62))
 							phase := func(what string) {
-								saved := checkAgainstReference(t, what, c, rng)
+								saved, onTidOrder := checkAgainstReference(t, what, c, rng)
 								if !cfg.multi {
 									return
 								}
@@ -516,6 +557,9 @@ func TestKernelMatchesReference(t *testing.T) {
 								}
 								if !packed && saved[stats.StructCube] <= 0 {
 									t.Fatalf("%s: the kernel read every cell page the letter did", what)
+								}
+								if onTidOrder <= 0 {
+									t.Fatalf("%s: rows in selection order saved %d block pages on tid order", what, onTidOrder)
 								}
 							}
 							phase("built")

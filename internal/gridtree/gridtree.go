@@ -79,10 +79,13 @@ func Build(t *table.Table, dims []int, domain ranking.Box, cfg Config) *Tree {
 	}
 
 	// Build leaf nodes per non-empty cell, tracked by cell coordinates. A
-	// node's cell, not the tuples in it, bounds its entry in its parent.
+	// node's cell, not the tuples in it, bounds its entry in its parent. A
+	// page holds fanout entries, so a leaf of more tuples takes, and an access
+	// to it charges, ⌈tuples / fanout⌉ pages.
 	var level []levelCell
 	for bid, tids := range cells {
-		id := tr.AddNode(true, store.PageSize(), len(tids))
+		pages := (len(tids) + fanout - 1) / fanout
+		id := tr.AddNode(true, pages*store.PageSize(), len(tids))
 		for _, tid := range tids {
 			tr.AppendTuple(id, tid, proj.RankRow(tid, pt))
 		}

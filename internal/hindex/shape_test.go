@@ -183,7 +183,7 @@ func TestTreeShapesArePinned(t *testing.T) {
 	want := map[string]string{
 		"btree.Build":                     "0c14177d1a214d1b23ba356dda15d53e10619988d73928f6cd0d14bfbd735404",
 		"btree.Build/default":             "68bd26a6056200ed9af083eaedec77546fc4bb50256da0d0600f46fee3d070b3",
-		"gridtree.Build":                  "e2150f52a7909cb1e3a29841bbeb4d941e19283fe7ac0f668b5efcd2ec695795",
+		"gridtree.Build":                  "cff96f22e859a7b26e1d6240229f3f9477b7b5eba272fe53c87d3c292ccd3e50",
 		"gridtree.Build/default":          "45a51811029efcde7bcb9e7b06d39c50887899f31a6d8526a6e70be90ed860f0",
 		"rtree.Bulk+churn":                "d7ef263a3c5e8d4146613bf5a6eba009832acdbd2c2d25dde0924befdfdff830",
 		"rtree.Bulk/uniform/anti/default": "45276db2c5c51eaccc32bdce5ca7ced028d39afde5e47182f670219636c16c13",

@@ -116,3 +116,90 @@ func TestConstrainedAndMalformedRequests(t *testing.T) {
 		})
 	}
 }
+
+// TestOutOfDomainValuesSelectNothing puts selection values outside their
+// dimension's [0, card) to the grid cube, whose cells are keyed mixed-radix
+// (value 7 of a 5-value dimension would alias the next value of the
+// dimension before it). Every engine must answer what the sequential scan
+// answers, nothing, and the grid cube must read nothing to say so.
+func TestOutOfDomainValuesSelectNothing(t *testing.T) {
+	rel := rankcube.GenerateRelation(3000, 2, 2, 5, rankcube.Uniform, 9)
+	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
+	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	f := rankcube.Sum(0, 1)
+	for _, cond := range []rankcube.Cond{{0: 0, 1: 7}, {0: 1, 1: -2}, {1: 5}, {0: -1}} {
+		if want, err := grid.BaselineQuery(bg, cond, f, 10); err != nil || len(want) != 0 {
+			t.Fatalf("scan %v: %v (%v), want nothing", cond, want, err)
+		}
+		var m rankcube.Metrics
+		got, err := grid.Query(bg, cond, f, 10, rankcube.WithMetrics(&m))
+		if err != nil || len(got) != 0 || m.TotalReads() != 0 {
+			t.Fatalf("grid %v: %v (%v) in %d reads, want nothing in none", cond, got, err, m.TotalReads())
+		}
+		if got, err := sig.Query(bg, cond, f, 10); err != nil || len(got) != 0 {
+			t.Fatalf("signature %v: %v (%v), want nothing", cond, got, err)
+		}
+	}
+}
+
+// TestConditionOutsideSchemaIsInvalid puts a condition on a selection
+// dimension the schema does not have to every top-k entry point that takes
+// one: each fails with ErrInvalidArgument, and none degrades.
+func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
+	rel := rankcube.GenerateRelation(2000, 2, 2, 10, rankcube.Uniform, 5)
+	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
+	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	f := rankcube.Sum(0, 1)
+	entries := map[string]func(rankcube.Cond, *rankcube.Metrics) ([]rankcube.Result, error){
+		"grid query": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			return grid.Query(bg, c, f, 10, rankcube.WithMetrics(m))
+		},
+		"grid baseline": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			return grid.BaselineQuery(bg, c, f, 10, rankcube.WithMetrics(m))
+		},
+		"signature query": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			return sig.Query(bg, c, f, 10, rankcube.WithMetrics(m))
+		},
+		"signature baseline": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			return sig.BaselineQuery(bg, c, f, 10, rankcube.WithMetrics(m))
+		},
+		"table scan": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			return rankcube.TableScanQuery(bg, rel, c, f, 10, rankcube.WithMetrics(m))
+		},
+	}
+	for name, run := range entries {
+		for _, cond := range []rankcube.Cond{{5: 1}, {-1: 0}, {0: 1, 2: 0}} {
+			var m rankcube.Metrics
+			if _, err := run(cond, &m); !errors.Is(err, rankcube.ErrInvalidArgument) || m.Downgrades != 0 {
+				t.Errorf("%s %v: err = %v after %d downgrades, want ErrInvalidArgument and none", name, cond, err, m.Downgrades)
+			}
+		}
+	}
+}
+
+// TestGridCubeOverEmptyRelation builds a grid cube over a relation without
+// rows: it answers nothing, and after an insert the inserted tuple, as the
+// table scan does.
+func TestGridCubeOverEmptyRelation(t *testing.T) {
+	rel, err := rankcube.NewRelation([]string{"a", "b"}, []int{3, 4}, []string{"x", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
+	f := rankcube.Sum(0, 1)
+	for _, cond := range []rankcube.Cond{nil, {0: 2}, {0: 2, 1: 1}} {
+		if got, err := grid.Query(bg, cond, f, 5); err != nil || len(got) != 0 {
+			t.Fatalf("empty cube %v: %v (%v), want nothing", cond, got, err)
+		}
+	}
+	if _, err := grid.InsertTuple(bg, []int32{2, 1}, []float64{0.7, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, cond := range []rankcube.Cond{nil, {0: 2}, {0: 2, 1: 1}, {1: 0}} {
+		got, err := grid.Query(bg, cond, f, 5)
+		want, scanErr := rankcube.TableScanQuery(bg, rel, cond, f, 5)
+		if err != nil || scanErr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after an insert %v: %v (%v), scan %v (%v)", cond, got, err, want, scanErr)
+		}
+	}
+}
