@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check no-deprecated loc lint lint-json test race chaos fuzz bench-check check bench bench-json clean
+.PHONY: all build vet fmt-check no-deprecated loc lint lint-json test race chaos fuzz bench-check check bench bench-json ab clean
 
 all: check
 
@@ -124,6 +124,16 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \
 			-out "BENCH_$$(git rev-parse --short HEAD).json"
+
+# A/B evidence for a change (ab.sh): the working tree against PARENT on the
+# benchmark's end-to-end pass, runs interleaved seed by seed, judged by
+# benchmark/compare, printed as a table of at most 20 lines.
+#   make ab PARENT=<rev> [WORKLOADS="sig-topk grid-serve"] [SEEDS="1 2 3"]
+WORKLOADS ?= sig-topk grid-serve sig-churn analytic-mix
+SEEDS ?= 1 2 3
+ab:
+	@[ -n "$(PARENT)" ] || { echo "usage: make ab PARENT=<rev> [WORKLOADS=...] [SEEDS=...]"; exit 2; }
+	@WORKLOADS="$(WORKLOADS)" SEEDS="$(SEEDS)" bash ab.sh "$(PARENT)"
 
 clean:
 	$(GO) clean ./...

@@ -27,46 +27,12 @@ import (
 	"rankcube/internal/table"
 )
 
-// HeapFile models the base relation stored as a paged heap file in tid
-// order; all baselines share it for sequential scans and random accesses.
-type HeapFile struct {
-	t        *table.Table
-	store    *pager.Store
-	rowsPage int
-}
+// HeapFile is the base relation as a paged heap file (core.HeapFile); all
+// baselines share it for sequential scans and random accesses.
+type HeapFile = core.HeapFile
 
 // NewHeapFile pages the relation at the given page size (0 = default).
-func NewHeapFile(t *table.Table, pageSize int) *HeapFile {
-	store := pager.NewStore(stats.StructTable, pageSize)
-	rowBytes := t.RowBytes()
-	rowsPage := store.PageSize() / rowBytes
-	if rowsPage < 1 {
-		rowsPage = 1
-	}
-	n := (t.Len() + rowsPage - 1) / rowsPage
-	for i := 0; i < n; i++ {
-		rows := rowsPage
-		if i == n-1 {
-			rows = t.Len() - i*rowsPage
-		}
-		store.AppendLogical(rows * rowBytes)
-	}
-	return &HeapFile{t: t, store: store, rowsPage: rowsPage}
-}
-
-// Table returns the underlying relation.
-func (h *HeapFile) Table() *table.Table { return h.t }
-
-// PageOf maps a tuple to its heap page.
-func (h *HeapFile) PageOf(tid table.TID) pager.PageID {
-	return pager.PageID(int(tid) / h.rowsPage)
-}
-
-// NumPages reports the heap file's page count.
-func (h *HeapFile) NumPages() int { return h.store.NumPages() }
-
-// SizeBytes reports the heap file footprint.
-func (h *HeapFile) SizeBytes() int64 { return h.store.Bytes() }
+func NewHeapFile(t *table.Table, pageSize int) *HeapFile { return core.NewHeapFile(t, pageSize) }
 
 // TableScan is the TS baseline: read every page, keep the best k matches.
 type TableScan struct {
@@ -78,52 +44,41 @@ func NewTableScan(h *HeapFile) *TableScan { return &TableScan{heap: h} }
 
 // TopK scans the relation: one pass over the heap file's pages.
 func (ts *TableScan) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	return core.ScanTopK(ts.heap.t, ts.heap.NumPages(), nil, cond, f, k, ctr)
+	return core.ScanTopK(ts.heap, nil, cond, f, k, ctr)
 }
 
 // BooleanFirst evaluates boolean predicates through per-dimension inverted
 // indexes, then ranks the surviving tuples.
 type BooleanFirst struct {
-	heap  *HeapFile
-	store *pager.Store
-	// lists[d][v] holds the tids with value v on dimension d, ascending.
+	heap *HeapFile
+	// lists[d][v] holds the tids with value v on dimension d, ascending: 4
+	// bytes a tid, stored on as many pages as that takes, one at least.
 	lists [][][]table.TID
-	pages [][]pager.PageID
 }
 
 // NewBooleanFirst builds the inverted indexes.
 func NewBooleanFirst(h *HeapFile) *BooleanFirst {
-	t := h.t
-	bf := &BooleanFirst{
-		heap:  h,
-		store: pager.NewStore(stats.StructBTree, h.store.PageSize()),
-	}
-	s := t.Schema().S()
-	bf.lists = make([][][]table.TID, s)
-	bf.pages = make([][]pager.PageID, s)
-	for d := 0; d < s; d++ {
-		card := t.Schema().SelCard[d]
-		bf.lists[d] = make([][]table.TID, card)
-		col := t.SelColumn(d)
-		for i, v := range col {
+	t := h.Table()
+	bf := &BooleanFirst{heap: h, lists: make([][][]table.TID, t.Schema().S())}
+	for d := range bf.lists {
+		bf.lists[d] = make([][]table.TID, t.Schema().SelCard[d])
+		for i, v := range t.SelColumn(d) {
 			bf.lists[d][v] = append(bf.lists[d][v], table.TID(i))
-		}
-		bf.pages[d] = make([]pager.PageID, card)
-		for v := 0; v < card; v++ {
-			bf.pages[d][v] = bf.store.AppendLogical(len(bf.lists[d][v]) * 4)
 		}
 	}
 	return bf
 }
 
 // IndexSizeBytes reports the inverted-index footprint (fig. 3.11's BL
-// index-size series).
-func (bf *BooleanFirst) IndexSizeBytes() int64 { return bf.store.Bytes() }
+// index-size series): every tuple's tid once per dimension.
+func (bf *BooleanFirst) IndexSizeBytes() int64 {
+	return int64(4 * len(bf.lists) * bf.heap.Table().Len())
+}
 
 // TopK intersects the condition's tid lists (charging index reads), fetches
 // survivors with random accesses, and ranks them.
 func (bf *BooleanFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	t := bf.heap.t
+	t := bf.heap.Table()
 	dims := cond.Dims()
 	var candidates []table.TID
 	if len(dims) == 0 {
@@ -136,7 +91,7 @@ func (bf *BooleanFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.C
 	})
 	for i, d := range dims {
 		list := bf.lists[d][cond[d]]
-		bf.store.Touch(bf.pages[d][cond[d]], ctr)
+		ctr.Read(stats.StructBTree, int64(max(1, (4*len(list)+pager.PageSize-1)/pager.PageSize)))
 		if i == 0 {
 			candidates = append([]table.TID(nil), list...)
 			continue
@@ -146,12 +101,12 @@ func (bf *BooleanFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.C
 			return nil
 		}
 	}
-	// Fetch survivors: random accesses, buffered per page.
-	buffer := pager.NewBuffer(bf.heap.store)
+	// Fetch survivors: random accesses, each page charged once.
+	fetch := bf.heap.Verifier(nil, ctr)
 	topk := heap.NewBounded[core.Result](k, core.WorseResult)
 	buf := make([]float64, t.Schema().R())
 	for _, tid := range candidates {
-		buffer.Touch(bf.heap.PageOf(tid), ctr)
+		fetch(tid)
 		score := f.Eval(t.RankRow(tid, buf))
 		if math.IsInf(score, 1) {
 			continue

@@ -2,13 +2,11 @@ package baselines
 
 import (
 	"rankcube/internal/core"
-	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
 	"rankcube/internal/rtree"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/signature"
 	"rankcube/internal/stats"
-	"rankcube/internal/table"
 )
 
 // RankingFirst is the "Ranking" baseline of §4.4.1: branch-and-bound over
@@ -28,11 +26,12 @@ func NewRankingFirst(h *HeapFile, rt *rtree.Tree) *RankingFirst {
 
 // BuildRankingFirst bulk-loads a fresh R-tree for the baseline.
 func BuildRankingFirst(h *HeapFile, cfg rtree.Config) *RankingFirst {
-	dims := make([]int, h.t.Schema().R())
+	t := h.Table()
+	dims := make([]int, t.Schema().R())
 	for i := range dims {
 		dims[i] = i
 	}
-	return NewRankingFirst(h, rtree.Bulk(h.t, dims, ranking.NewBox(h.t.RankBounds()), cfg))
+	return NewRankingFirst(h, rtree.Bulk(t, dims, ranking.NewBox(t.RankBounds()), cfg))
 }
 
 // TopK runs the progressive search. Boolean checks are deferred to
@@ -40,10 +39,5 @@ func BuildRankingFirst(h *HeapFile, cfg rtree.Config) *RankingFirst {
 // (§4.4.1: "we only verify a tuple which has been determined as a candidate
 // result"): each charges its heap page the first time the query touches it.
 func (rf *RankingFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	pages := pager.NewBuffer(rf.heap.store)
-	verify := func(tid table.TID) bool {
-		pages.Touch(rf.heap.PageOf(tid), ctr)
-		return rf.heap.t.Matches(tid, cond)
-	}
-	return sigcube.Search(rf.rt, signature.True{}, verify, f, k, ctr)
+	return sigcube.Search(rf.rt, signature.True{}, rf.heap.Verifier(cond, ctr), f, k, ctr)
 }

@@ -6,7 +6,6 @@ import (
 
 	"rankcube/internal/core"
 	"rankcube/internal/heap"
-	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -19,21 +18,19 @@ import (
 // range bounds are oracle-optimal: derived from the true kth score, the
 // best any workload-adaptive mapping strategy could produce.
 type RankMapping struct {
-	t     *table.Table
-	store *pager.Store
-	// order is the clustered tuple order; keys are (A1..AS, N1..NR).
-	order    []table.TID
-	rowsPage int
+	t *table.Table
+	// order is the clustered tuple order; keys are (A1..AS, N1..NR). Its
+	// pages are the heap file's, whole rows to a page: position i of order
+	// is on the page tid i would be.
+	order []table.TID
+	heap  *core.HeapFile
 }
 
-// NewRankMapping builds the clustered composite index.
+// NewRankMapping builds the clustered composite index at the given page
+// size (0 = default).
 func NewRankMapping(t *table.Table, pageSize int) *RankMapping {
-	rm := &RankMapping{
-		t:     t,
-		store: pager.NewStore(stats.StructBTree, pageSize),
-	}
-	n := t.Len()
-	rm.order = make([]table.TID, n)
+	rm := &RankMapping{t: t, heap: core.NewHeapFile(t, pageSize)}
+	rm.order = make([]table.TID, t.Len())
 	for i := range rm.order {
 		rm.order[i] = table.TID(i)
 	}
@@ -55,25 +52,12 @@ func NewRankMapping(t *table.Table, pageSize int) *RankMapping {
 		}
 		return ta < tb
 	})
-	rowBytes := t.RowBytes()
-	rm.rowsPage = rm.store.PageSize() / rowBytes
-	if rm.rowsPage < 1 {
-		rm.rowsPage = 1
-	}
-	pages := (n + rm.rowsPage - 1) / rm.rowsPage
-	for i := 0; i < pages; i++ {
-		rows := rm.rowsPage
-		if i == pages-1 {
-			rows = n - i*rm.rowsPage
-		}
-		rm.store.AppendLogical(rows * rowBytes)
-	}
 	return rm
 }
 
 // IndexSizeBytes reports the clustered index footprint (fig. 3.11's RM
-// series).
-func (rm *RankMapping) IndexSizeBytes() int64 { return rm.store.Bytes() }
+// series): every row once.
+func (rm *RankMapping) IndexSizeBytes() int64 { return int64(len(rm.order) * rm.t.RowBytes()) }
 
 // OptimalBox derives the oracle range box for score threshold s*: the
 // tightest per-dimension bounds guaranteed to contain every tuple with
@@ -163,13 +147,8 @@ func (rm *RankMapping) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Co
 	lo, hi := rm.segment(cond, prefix)
 
 	// Charge the scanned index pages.
-	firstPage := lo / rm.rowsPage
-	lastPage := (hi - 1) / rm.rowsPage
 	if hi > lo {
-		buffer := pager.NewBuffer(rm.store)
-		for p := firstPage; p <= lastPage; p++ {
-			buffer.Touch(pager.PageID(p), ctr)
-		}
+		ctr.Read(stats.StructBTree, int64(rm.heap.PageOf(table.TID(hi-1))-rm.heap.PageOf(table.TID(lo))+1))
 	}
 
 	topk := heap.NewBounded[core.Result](k, core.WorseResult)

@@ -18,13 +18,13 @@ import (
 )
 
 // ch5Env holds two B+-tree indices over a 2-ranking-dimension relation plus
-// the table-scan competitor's heap file and the join-signature, with the
-// time the latter took to build (fig. 5.21).
+// the relation itself, for the table-scan competitor, and the join-signature,
+// with the time the latter took to build (fig. 5.21).
 type ch5Env struct {
 	idx     []hindex.Index
 	js      *indexmerge.JoinSignature
 	jsBuild time.Duration
-	heap    *baselines.HeapFile
+	tb      *table.Table
 }
 
 func newCh5Env(cfg Config, thesisRows int) *ch5Env {
@@ -37,7 +37,7 @@ func newCh5Env(cfg Config, thesisRows int) *ch5Env {
 	start := time.Now()
 	js, err := indexmerge.BuildJoinSignature(idx, tb.Len(), indexmerge.JoinSigConfig{})
 	must(err)
-	return &ch5Env{idx: idx, js: js, jsBuild: time.Since(start), heap: baselines.NewHeapFile(tb, 0)}
+	return &ch5Env{idx: idx, js: js, jsBuild: time.Since(start), tb: tb}
 }
 
 // ch5Func builds one of the §5.4.2 controlled functions.
@@ -66,8 +66,8 @@ func merge(name string, idx []hindex.Index, f func(qi int) ranking.Func, k int, 
 // mergeMethods returns the chapter's four competitors over one set of
 // indices: the table scan (TS), the basic merge (BL), progressive expansion
 // (PE) and PE with join-signature pruning (PE+SIG).
-func mergeMethods(idx []hindex.Index, js indexmerge.Pruner, h *baselines.HeapFile, f func(qi int) ranking.Func, k int) []method {
-	ts := baselines.NewTableScan(h)
+func mergeMethods(idx []hindex.Index, js indexmerge.Pruner, tb *table.Table, f func(qi int) ranking.Func, k int) []method {
+	ts := baselines.NewTableScan(baselines.NewHeapFile(tb, 0))
 	return []method{
 		{"TS", func(qi int, ctr *stats.Counters) { ts.TopK(core.Cond{}, f(qi), k, ctr) }},
 		merge("BL", idx, f, k, indexmerge.Options{Strategy: indexmerge.StrategyBL}),
@@ -79,7 +79,7 @@ func mergeMethods(idx []hindex.Index, js indexmerge.Pruner, h *baselines.HeapFil
 // methods is mergeMethods over the environment's B+-trees and the named
 // function family.
 func (e *ch5Env) methods(cfg Config, fname string, k int) []method {
-	return mergeMethods(e.idx, e.js, e.heap, func(qi int) ranking.Func { return ch5Func(cfg, fname, qi) }, k)
+	return mergeMethods(e.idx, e.js, e.tb, func(qi int) ranking.Func { return ch5Func(cfg, fname, qi) }, k)
 }
 
 // tbl5_1: basic vs improved index-merge on f = (A−B²)², top-100.
@@ -140,11 +140,10 @@ func fig5_13(ctx context.Context, cfg Config, rep *Report) {
 	}
 	js, err := indexmerge.BuildJoinSignature(idx, tb.Len(), indexmerge.JoinSigConfig{})
 	must(err)
-	h := baselines.NewHeapFile(tb, 0)
 	rep.Notes = []string{"synthetic CoverType clone, 6 attributes in two 3-d R-trees"}
 	f := sqDistTo(cfg, []int{0, 1, 2, 3, 4, 5}, func(qi int) int64 { return int64(qi) * 17 })
 	sweep(ctx, rep, cfg.Queries, "k", "k=%d", []int{10, 20, 50, 100}, func(k int) []method {
-		return mergeMethods(idx, js, h, f, k)
+		return mergeMethods(idx, js, tb, f, k)
 	})
 }
 
@@ -165,7 +164,7 @@ func fig5_14(ctx context.Context, cfg Config, rep *Report) {
 		js, err := indexmerge.BuildJoinSignature(idx, tb.Len(), indexmerge.JoinSigConfig{})
 		must(err)
 		f := sqDistTo(cfg, attrs, func(qi int) int64 { return int64(qi)*29 + int64(d) })
-		m := mergeMethods(idx, js, baselines.NewHeapFile(tb, 0), f, 100)
+		m := mergeMethods(idx, js, tb, f, 100)
 		return []method{m[0], m[2], m[3]} // the thesis plots no BL here
 	})
 }

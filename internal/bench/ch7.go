@@ -4,11 +4,9 @@ import (
 	"context"
 	"time"
 
-	"rankcube/internal/baselines"
 	"rankcube/internal/bitvec"
 	"rankcube/internal/core"
 	"rankcube/internal/dataset"
-	"rankcube/internal/pager"
 	"rankcube/internal/rtree"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/signature"
@@ -24,7 +22,6 @@ type ch7Env struct {
 	tb     *table.Table
 	cube   *sigcube.Cube
 	engine *skyline.Engine
-	heap   *baselines.HeapFile
 }
 
 func newCh7Env(tb *table.Table, fanout int) *ch7Env {
@@ -33,7 +30,6 @@ func newCh7Env(tb *table.Table, fanout int) *ch7Env {
 		tb:     tb,
 		cube:   cube,
 		engine: skyline.NewEngine(cube),
-		heap:   baselines.NewHeapFile(tb, 0),
 	}
 }
 
@@ -55,15 +51,7 @@ func (e *ch7Env) booleanSkyline(q skyline.Query, ctr *stats.Counters) int {
 // verified by a random access for each tuple about to enter the skyline, a
 // page charged the first time it is touched (the Ranking baseline).
 func (e *ch7Env) rankingSkyline(q skyline.Query, ctr *stats.Counters) int {
-	pages := map[pager.PageID]bool{}
-	verify := func(tid table.TID) bool {
-		if page := e.heap.PageOf(tid); !pages[page] {
-			pages[page] = true
-			ctr.Read(stats.StructTable, 1)
-		}
-		return e.tb.Matches(tid, q.Cond)
-	}
-	res, _, err := e.engine.SkylineWithTester(q, signature.True{}, verify, ctr)
+	res, _, err := e.engine.SkylineWithTester(q, signature.True{}, core.NewHeapFile(e.tb, 0).Verifier(q.Cond, ctr), ctr)
 	must(err)
 	return len(res)
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rankcube/internal/pager"
+	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
 
@@ -68,5 +70,46 @@ func TestCondDims(t *testing.T) {
 	}
 	if len((Cond{}).Dims()) != 0 {
 		t.Fatal("empty cond has dims")
+	}
+}
+
+// TestHeapFileChargeRule holds the heap file to its page model and its one
+// charge rule: whole rows to a page, a page count that follows the relation
+// as it grows, a sequential pass charging every page once, and a random
+// access charging a tuple's page the first time its query touches it.
+func TestHeapFileChargeRule(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 1000, S: 2, R: 2, Card: 3, Seed: 7})
+	h := NewHeapFile(tb, 0)
+	rows := pager.PageSize / tb.RowBytes()
+	pages := func() int { return (tb.Len() + rows - 1) / rows }
+	if h.NumPages() != pages() || h.PageOf(table.TID(rows-1)) != 0 || h.PageOf(table.TID(rows)) != 1 {
+		t.Fatalf("%d pages, tid %d on page %d: want %d pages of %d rows", h.NumPages(), rows, h.PageOf(table.TID(rows)), pages(), rows)
+	}
+
+	cond := Cond{0: 1}
+	for query := 0; query < 2; query++ {
+		ctr := stats.New()
+		verify := h.Verifier(cond, ctr)
+		touched := map[int]bool{}
+		for tid := table.TID(0); int(tid) < tb.Len(); tid += 5 {
+			if verify(tid) != tb.Matches(tid, cond) {
+				t.Fatalf("tid %d verified %v", tid, !tb.Matches(tid, cond))
+			}
+			verify(tid)
+			touched[h.PageOf(tid)] = true
+		}
+		if got := ctr.Reads(stats.StructTable); got != int64(len(touched)) || ctr.TotalReads() != got {
+			t.Fatalf("query %d: %d reads for %d pages touched", query, ctr.TotalReads(), len(touched))
+		}
+	}
+
+	for tb.Len() < 1000+3*rows {
+		tb.Append([]int32{1, 2}, []float64{0.5, 0.5})
+	}
+	ctr, visited := stats.New(), 0
+	Scan(h, nil, nil, ctr, func(table.TID, []float64) { visited++ })
+	if h.NumPages() != pages() || ctr.Reads(stats.StructTable) != int64(pages()) || visited != tb.Len() {
+		t.Fatalf("after appends: %d pages, a pass charged %d and visited %d rows; want %d pages, %d rows",
+			h.NumPages(), ctr.Reads(stats.StructTable), visited, pages(), tb.Len())
 	}
 }

@@ -2,7 +2,6 @@ package gridcube
 
 import (
 	"rankcube/internal/core"
-	"rankcube/internal/pager"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
@@ -14,5 +13,5 @@ import (
 // tombstones, and charges one sequential pass over the relation's pages.
 func (c *Cube) ScanTopK(q Query, ctr *stats.Counters) []Result {
 	alive := func(tid table.TID) bool { return !c.tombstones[tid] }
-	return core.ScanTopK(c.t, core.SeqPages(c.t, pager.PageSize), alive, q.Cond, q.F, q.K, ctr)
+	return core.ScanTopK(core.NewHeapFile(c.t, 0), alive, q.Cond, q.F, q.K, ctr)
 }

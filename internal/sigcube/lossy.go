@@ -113,16 +113,14 @@ func (c *Cube) lossyTesterFor(cond core.Cond, ctr *stats.Counters) (signature.Te
 }
 
 // Verifier returns the tuple-level re-verification hook of a lossy cube:
-// the bloom measure may pass non-matching tuples, which a charged random
-// access to the relation then rejects. Exact cubes need none. A search runs it
-// on a tuple it is about to answer with — the top-k scanner at pop, the
-// skyline search at emit.
+// the bloom measure may pass non-matching tuples, which a random access to
+// the relation then rejects, charging the tuple's heap page the first time
+// the query touches it (core.HeapFile.Verifier). Exact cubes need none. A
+// search runs it on a tuple it is about to answer with — the top-k scanner at
+// pop, the skyline search at emit.
 func (c *Cube) Verifier(cond core.Cond, ctr *stats.Counters) func(table.TID) bool {
 	if !c.cfg.LossySignatures {
 		return nil
 	}
-	return func(tid table.TID) bool {
-		ctr.Read(stats.StructTable, 1)
-		return c.t.Matches(tid, cond)
-	}
+	return c.Heap().Verifier(cond, ctr)
 }

@@ -132,11 +132,11 @@ func refRoot(q Query, rt hindex.Index) *heap.Heap[refEntry] {
 }
 
 // refRun is the old BBS loop; rule qualifies a node's children before reading
-// it, and reads the nodes snap holds without charge.
-func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry], sky []Result, snap *refSnapshot, rule bool, ctr *stats.Counters) []Result {
+// it, and reads the nodes snap holds without charge. verify is the cube's
+// (nil on an exact cube).
+func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry], sky []Result, snap *refSnapshot, rule bool, verify func(table.TID) bool, ctr *stats.Counters) []Result {
 	rt := e.cube.Tree()
 	acc := hindex.NewAccessor(rt, ctr)
-	verify := e.cube.Verifier(q.Cond, ctr)
 	for h.Len() > 0 {
 		ctr.ObserveHeap(h.Len())
 		en := h.Pop()
@@ -202,14 +202,20 @@ func refSkyline(e *Engine, q Query, tester signature.Tester, rule bool, ctr *sta
 	if rule {
 		snap.held = map[hindex.NodeID]bool{}
 	}
-	snap.skyline = refRun(e, q, tester, refRoot(q, e.cube.Tree()), nil, snap, rule, ctr)
+	snap.skyline = refRun(e, q, tester, refRoot(q, e.cube.Tree()), nil, snap, rule, e.cube.Verifier(q.Cond, ctr), ctr)
 	return snap.skyline, snap
 }
 
-func refDrillDown(e *Engine, prev *refSnapshot, q Query, extra core.Cond, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
+func refDrillDown(e *Engine, prev *refSnapshot, q Query, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
 	snap := refNext(prev, q)
-	t := e.cube.Table()
-	bySignature := rule && e.cube.Verifier(q.Cond, ctr) == nil
+	verify := e.cube.Verifier(q.Cond, ctr)
+	bySignature := rule && verify == nil
+	// A seed checked against the relation is a random access of the query's:
+	// its page is charged once, whether a seed or the run touches it first.
+	access := verify
+	if access == nil {
+		access = e.cube.Heap().Verifier(q.Cond, ctr)
+	}
 	var survivors []Result
 	for _, r := range prev.skyline {
 		if bySignature {
@@ -218,8 +224,7 @@ func refDrillDown(e *Engine, prev *refSnapshot, q Query, extra core.Cond, tester
 			}
 			continue
 		}
-		ctr.Read(stats.StructTable, 1)
-		if t.Matches(r.TID, extra) {
+		if access(r.TID) {
 			survivors = append(survivors, r)
 		}
 	}
@@ -232,14 +237,14 @@ func refDrillDown(e *Engine, prev *refSnapshot, q Query, extra core.Cond, tester
 		}
 		h.Push(en)
 	}
-	snap.skyline = refRun(e, q, tester, h, survivors, snap, rule, ctr)
+	snap.skyline = refRun(e, q, tester, h, survivors, snap, rule, verify, ctr)
 	return snap.skyline, snap
 }
 
 func refRollUp(e *Engine, prev *refSnapshot, q Query, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
 	snap := refNext(prev, q)
 	seeds := append([]Result(nil), prev.skyline...)
-	sky := refRun(e, q, tester, refRoot(q, e.cube.Tree()), seeds, snap, rule, ctr)
+	sky := refRun(e, q, tester, refRoot(q, e.cube.Tree()), seeds, snap, rule, e.cube.Verifier(q.Cond, ctr), ctr)
 	snap.skyline = refCleanDominated(refDedupe(sky))
 	return snap.skyline, snap
 }
@@ -474,7 +479,7 @@ func (c refChain) drillDown(t *testing.T, tally *refTally, rng *rand.Rand) (refC
 	return c.advance(t, tally, fmt.Sprintf("%s drill-down%v", c.what, extra), q,
 		func(ctr *stats.Counters) ([]Result, *Snapshot, error) { return c.rc.e.DrillDown(c.got, extra, ctr) },
 		func(prev *refSnapshot, tester signature.Tester, rule bool, ctr *stats.Counters) ([]Result, *refSnapshot) {
-			return refDrillDown(c.rc.e, prev, q, extra, tester, rule, ctr)
+			return refDrillDown(c.rc.e, prev, q, tester, rule, ctr)
 		},
 		func(letter *stats.Counters) int64 {
 			return int64(len(q.Cond)) * (letter.Reads(stats.StructRTree) + height*int64(len(c.got.skyline)))
@@ -678,7 +683,7 @@ func TestSearchMatchesReference(t *testing.T) {
 	// At 96-byte pages nearly every signature node is a partial of its own, so
 	// this is the look-ahead's cost at its dearest: 10 371 partials against
 	// 9 810 over the matrix, for 28 697 fewer pages of the partition — what
-	// the look-ahead skips and what the chains held, together — and 3 335
+	// the look-ahead skips and what the chains held, together — and 2 320
 	// fewer of the relation. A tenth over is the tripwire for a load made at the
 	// wrong moment that the per-request slack is too loose to catch.
 	if sig := tally.got[1]; tally.got[0] > tally.letter[0] || tally.got[2] > tally.letter[2] || sig > tally.letter[1]+tally.letter[1]/10 {

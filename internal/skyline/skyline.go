@@ -396,6 +396,11 @@ func (e *Engine) validate(q Query) error {
 	if q.Target != nil && len(q.Target) != len(q.Dims) {
 		return fmt.Errorf("skyline: target arity %d != dims %d: %w", len(q.Target), len(q.Dims), errs.ErrInvalidArgument)
 	}
+	for _, v := range q.Target {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("skyline: target %v is not finite: %w", q.Target, errs.ErrInvalidArgument)
+		}
+	}
 	return nil
 }
 

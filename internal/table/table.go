@@ -90,9 +90,10 @@ func (t *Table) Len() int { return t.n }
 
 // Append adds one tuple and returns its tid. sel and rank are copied. A row
 // that does not fit the schema — wrong arity, a selection value outside
-// [0, SelCard[d]) — is refused whole with a typed ErrInvalidArgument abort
-// before any column is touched, so a rejected row leaves the relation as
-// it was and governed callers receive the error.
+// [0, SelCard[d]), a rank that is not a finite real (NaN, ±Inf) — is refused
+// whole with a typed ErrInvalidArgument abort before any column is touched,
+// so a rejected row leaves the relation as it was and governed callers
+// receive the error.
 func (t *Table) Append(sel []int32, rank []float64) TID {
 	if len(sel) != t.schema.S() || len(rank) != t.schema.R() {
 		errs.Abortf(errs.ErrInvalidArgument, "table: Append arity mismatch: got %d/%d want %d/%d",
@@ -102,6 +103,11 @@ func (t *Table) Append(sel []int32, rank []float64) TID {
 		if v < 0 || int(v) >= t.schema.SelCard[d] {
 			errs.Abortf(errs.ErrInvalidArgument, "table: selection value %d out of range for dimension %d (card %d)",
 				v, d, t.schema.SelCard[d])
+		}
+	}
+	for d, v := range rank {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			errs.Abortf(errs.ErrInvalidArgument, "table: rank %v on dimension %d is not finite", v, d)
 		}
 	}
 	for d, v := range sel {

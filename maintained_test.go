@@ -3,12 +3,14 @@ package rankcube_test
 // Tests of the one boundary over maintained cubes: every engine's answer
 // against its baseline scan and its forced fallback after inserts and
 // deletes, rows the relation refuses, grid maintenance through runQuery, and
-// the governor's bounds on the progressive signature scan.
+// the governor's bounds on the progressive signature scan and on the
+// sequential scan every fallback runs.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,10 +20,11 @@ import (
 	"rankcube/internal/pager"
 )
 
-// seqPages is what one sequential pass over n rows of rel's schema charges
-// at the default 4 KB page size.
+// seqPages is what one sequential pass over n rows of rel's schema charges:
+// the pages of a heap file of whole rows at the default 4 KB page size.
 func seqPages(rel *rankcube.Relation, n int) int64 {
-	return int64((n*rel.RowBytes() + pager.PageSize - 1) / pager.PageSize)
+	rows := pager.PageSize / rel.RowBytes()
+	return int64((n + rows - 1) / rows)
 }
 
 // joinKeys spreads n tuples over card join keys.
@@ -100,6 +103,9 @@ func TestRejectedRowLeavesRelationIntact(t *testing.T) {
 				{[]int32{1, -1}, []float64{0.5, 0.5}},
 				{[]int32{1}, []float64{0.5, 0.5}},
 				{[]int32{1, 2}, []float64{0.5}},
+				{[]int32{1, 2}, []float64{math.NaN(), 0.5}},
+				{[]int32{1, 2}, []float64{0.5, math.Inf(1)}},
+				{[]int32{1, 2}, []float64{math.Inf(-1), 0.5}},
 			} {
 				m := rankcube.NewMetrics()
 				if _, err := cube.InsertTuple(bg, bad.sel, bad.rank, rankcube.WithMetrics(m)); !errors.Is(err, rankcube.ErrInvalidArgument) {
@@ -130,6 +136,39 @@ func TestRejectedRowLeavesRelationIntact(t *testing.T) {
 				t.Fatalf("baseline after the insert: %v %v, want %v", got, err, want)
 			}
 		})
+	}
+}
+
+// TestRanksAreFinite: ranks are finite reals. A NaN row once went in, and then
+// a cube's Query and its BaselineQuery — the path it degrades to — disagreed
+// at k = 3 on the row's cell for Sum and SqDist, the scan answering the NaN
+// tuple third. The row is refused now, and the two agree; a skyline target
+// that is not finite is refused too.
+func TestRanksAreFinite(t *testing.T) {
+	rel := rankcube.GenerateRelation(3000, 2, 2, 5, rankcube.Uniform, 13)
+	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
+	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	cond := rankcube.Cond{0: 1, 1: 2}
+	for _, cube := range []maintainedCube{grid, sig} {
+		if _, err := cube.InsertTuple(bg, []int32{1, 2}, []float64{math.NaN(), 0.1}); !errors.Is(err, rankcube.ErrInvalidArgument) {
+			t.Fatalf("%T: a NaN rank went in: %v", cube, err)
+		}
+		for _, f := range []rankcube.Func{rankcube.Sum(0, 1), rankcube.SqDist([]int{0, 1}, []float64{0.5, 0.5})} {
+			got, err := cube.Query(bg, cond, f, 3)
+			want, berr := cube.BaselineQuery(bg, cond, f, 3)
+			if err != nil || berr != nil || len(want) != 3 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T %v: query %v (%v), baseline %v (%v)", cube, f, got, err, want, berr)
+			}
+		}
+	}
+	if rel.Len() != 3000 {
+		t.Fatalf("refused rows changed the relation: Len %d", rel.Len())
+	}
+	eng := rankcube.NewSkylineEngine(sig)
+	for _, target := range [][]float64{{math.NaN(), 0.5}, {0.5, math.Inf(1)}, {math.Inf(-1), 0.5}} {
+		if _, _, err := eng.Query(bg, cond, []int{0, 1}, target); !errors.Is(err, rankcube.ErrInvalidArgument) {
+			t.Fatalf("skyline target %v: err = %v, want ErrInvalidArgument", target, err)
+		}
 	}
 }
 
@@ -624,5 +663,117 @@ func TestGovernorBoundsOnSignatureConjunction(t *testing.T) {
 		rankcube.WithBudget(rankcube.Budget{MaxBlockReads: total - 1, FallbackOnBudget: true}))
 	if err != nil || !reflect.DeepEqual(got, baseline) || m.Downgrades != 1 {
 		t.Fatalf("fallback on budget: %v (%v, %d downgrades), baseline %v", got, err, m.Downgrades, baseline)
+	}
+}
+
+// countingFunc counts the tuples a scan scores and cancels the query's context
+// at the at-th.
+type countingFunc struct {
+	rankcube.Func
+	n, at  int
+	cancel context.CancelFunc
+}
+
+func (f *countingFunc) Eval(x []float64) float64 {
+	if f.n++; f.n == f.at {
+		f.cancel()
+	}
+	return f.Func.Eval(x)
+}
+
+// TestGovernorBoundsOnTableScan holds the governor to its bounds, in pages, on
+// the sequential scan every engine falls back to: at 3M rows a 20 ms deadline
+// must stop the scan well before its 80 ms pass ends. Scaled down, the
+// deadline is a cancel from inside the scan, at a known row. The scan runs
+// through TableScanQuery, a cube's BaselineQuery and a signature cube's forced
+// fallback (corrupted stores, Budget.FallbackOnBudget unset): each charges one
+// table read per page of a heap file of whole rows, as it walks the page; a
+// cancel returns the context's typed error having walked no more than the rest
+// of its page; a read budget of n trips at read n + 1.
+func TestGovernorBoundsOnTableScan(t *testing.T) {
+	// One value per selection dimension: every row matches the condition, so
+	// a scan scores every row it walks, and the signature cube must read its
+	// (corrupted) signatures to answer.
+	rel := rankcube.GenerateRelation(30000, 2, 2, 1, rankcube.Uniform, 63)
+	cond := rankcube.Cond{0: 0}
+	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
+	broken := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	for _, st := range broken.Stores() {
+		st.SetFaultInjector(&pager.ScriptedFaults{CorruptAll: true})
+	}
+	rowsPage, pages := pager.PageSize/rel.RowBytes(), seqPages(rel, rel.Len())
+	scans := []struct {
+		name     string
+		degrades int64
+		run      func(ctx context.Context, f rankcube.Func, opts ...rankcube.Option) ([]rankcube.Result, error)
+	}{
+		{"table scan", 0, func(ctx context.Context, f rankcube.Func, opts ...rankcube.Option) ([]rankcube.Result, error) {
+			return rankcube.TableScanQuery(ctx, rel, cond, f, 10, opts...)
+		}},
+		{"signature baseline", 0, func(ctx context.Context, f rankcube.Func, opts ...rankcube.Option) ([]rankcube.Result, error) {
+			return sig.BaselineQuery(ctx, cond, f, 10, opts...)
+		}},
+		{"grid baseline", 0, func(ctx context.Context, f rankcube.Func, opts ...rankcube.Option) ([]rankcube.Result, error) {
+			return grid.BaselineQuery(ctx, cond, f, 10, opts...)
+		}},
+		{"signature fallback", 1, func(ctx context.Context, f rankcube.Func, opts ...rankcube.Option) ([]rankcube.Result, error) {
+			return broken.Query(ctx, cond, f, 10, opts...)
+		}},
+	}
+	want, err := rankcube.TableScanQuery(bg, rel, cond, rankcube.Sum(0, 1), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range scans {
+		// An uncanceled pass: one read per page, every row scored once, the
+		// answer of the table scan.
+		m := rankcube.NewMetrics()
+		f := &countingFunc{Func: rankcube.Sum(0, 1)}
+		got, err := sc.run(bg, f, rankcube.WithMetrics(m))
+		if err != nil || !reflect.DeepEqual(got, want) || m.Downgrades != sc.degrades {
+			t.Fatalf("%s: %v (%v, %d downgrades), table scan %v", sc.name, got, err, m.Downgrades, want)
+		}
+		if m.Reads(rankcube.StructTable) != pages || f.n != rel.Len() {
+			t.Fatalf("%s: %d table reads scoring %d rows, want %d pages of %d rows", sc.name, m.Reads(rankcube.StructTable), f.n, pages, rel.Len())
+		}
+
+		// Canceled in the middle of its third page: the scan finishes that page,
+		// is charged the next, and stops there.
+		ctx, cancel := context.WithCancel(bg)
+		m = rankcube.NewMetrics()
+		f = &countingFunc{Func: rankcube.Sum(0, 1), at: 2*rowsPage + rowsPage/2, cancel: cancel}
+		_, err = sc.run(ctx, f, rankcube.WithMetrics(m))
+		cancel()
+		if !errors.Is(err, rankcube.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want ErrCanceled wrapping context.Canceled", sc.name, err)
+		}
+		if after := f.n - f.at; after >= rowsPage || m.Reads(rankcube.StructTable) != 4 {
+			t.Fatalf("%s: scored %d rows after the cancel in %d table reads, want under a page (%d rows) in 4", sc.name, after, m.Reads(rankcube.StructTable), rowsPage)
+		}
+	}
+
+	// A read budget of n trips at read n + 1, having scored n pages of rows.
+	// The fallback runs without one (FallbackOnBudget is unset: the budget is
+	// not why it runs), so the degraded query answers in full.
+	for _, sc := range scans {
+		for _, limit := range []int64{1, pages / 2, pages - 1} {
+			m := rankcube.NewMetrics()
+			f := &countingFunc{Func: rankcube.Sum(0, 1)}
+			got, err := sc.run(bg, f, rankcube.WithMetrics(m), rankcube.WithBudget(rankcube.Budget{MaxBlockReads: limit}))
+			if sc.degrades > 0 {
+				if err != nil || !reflect.DeepEqual(got, want) || m.Reads(rankcube.StructTable) != pages {
+					t.Fatalf("%s, limit %d: %v (%v) in %d table reads, want the table scan's answer in %d", sc.name, limit, got, err, m.Reads(rankcube.StructTable), pages)
+				}
+				continue
+			}
+			if !errors.Is(err, rankcube.ErrBudgetExceeded) || m.TotalReads() != limit+1 || f.n != int(limit)*rowsPage {
+				t.Fatalf("%s, limit %d: err = %v after %d reads scoring %d rows, want ErrBudgetExceeded at read %d after %d rows",
+					sc.name, limit, err, m.TotalReads(), f.n, limit+1, int(limit)*rowsPage)
+			}
+		}
+		if _, err := sc.run(bg, rankcube.Sum(0, 1), rankcube.WithBudget(rankcube.Budget{MaxBlockReads: pages})); err != nil {
+			t.Fatalf("%s: a budget of exactly the pass's %d pages tripped: %v", sc.name, pages, err)
+		}
 	}
 }

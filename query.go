@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"time"
 
-	"rankcube/internal/baselines"
+	"rankcube/internal/core"
 	"rankcube/internal/errs"
 	"rankcube/internal/gridcube"
 	"rankcube/internal/guard"
@@ -251,7 +251,7 @@ func maintain[T any](ctx context.Context, kind string, ctl *guard.RW, opts []Opt
 func (g *GridCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
 	q := gridcube.Query{Cond: cond, F: f, K: k}
 	return runQuery(ctx, "grid.topk", applyOptions(opts, g.ctl),
-		func(m *Metrics) ([]Result, error) { return g.c.TopK(q, m) },
+		func(m *Metrics) ([]Result, error) { checkFunc(f, g.c.Table()); return g.c.TopK(q, m) },
 		func(m *Metrics) ([]Result, error) { return g.c.ScanTopK(q, m), nil })
 }
 
@@ -263,7 +263,7 @@ func (g *GridCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...
 func (g *GridCube) BaselineQuery(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
 	q := gridcube.Query{Cond: cond, F: f, K: k}
 	return runQuery(ctx, "grid.baseline", applyOptions(opts, g.ctl),
-		func(m *Metrics) ([]Result, error) { return g.c.ScanTopK(q, m), nil },
+		func(m *Metrics) ([]Result, error) { checkFunc(f, g.c.Table()); return g.c.ScanTopK(q, m), nil },
 		nil)
 }
 
@@ -296,7 +296,7 @@ func (g *GridCube) Repartition(ctx context.Context, opts ...Option) (map[TID]TID
 // does.
 func (s *SignatureCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
 	return runQuery(ctx, "sig.topk", applyOptions(opts, s.ctl),
-		func(m *Metrics) ([]Result, error) { return s.c.TopK(cond, f, k, m) },
+		func(m *Metrics) ([]Result, error) { checkFunc(f, s.c.Table()); return s.c.TopK(cond, f, k, m) },
 		func(m *Metrics) ([]Result, error) { return s.c.ScanTopK(cond, f, k, m), nil })
 }
 
@@ -305,7 +305,7 @@ func (s *SignatureCube) Query(ctx context.Context, cond Cond, f Func, k int, opt
 // same admission gate and shared lock. It never degrades further.
 func (s *SignatureCube) BaselineQuery(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
 	return runQuery(ctx, "sig.baseline", applyOptions(opts, s.ctl),
-		func(m *Metrics) ([]Result, error) { return s.c.ScanTopK(cond, f, k, m), nil },
+		func(m *Metrics) ([]Result, error) { checkFunc(f, s.c.Table()); return s.c.ScanTopK(cond, f, k, m), nil },
 		nil)
 }
 
@@ -343,7 +343,7 @@ func (s *SignatureCube) OpenScan(ctx context.Context, cond Cond, f Func, opts ..
 	if err != nil {
 		return nil, err
 	}
-	sc, err := contained(func() (*sigcube.Scanner, error) { return s.c.Scan(cond, f, op.ctr) })
+	sc, err := contained(func() (*sigcube.Scanner, error) { checkFunc(f, s.c.Table()); return s.c.Scan(cond, f, op.ctr) })
 	if err != nil {
 		op.finish(err)
 		return nil, err
@@ -361,6 +361,7 @@ func (s *SignatureCube) OpenScan(ctx context.Context, cond Cond, f Func, opts ..
 func MergeQuery(ctx context.Context, rel *Relation, indices []Index, f Func, k int, mopts MergeOptions, opts ...Option) ([]Result, error) {
 	return runQuery(ctx, "merge.topk", applyOptions(opts),
 		func(m *Metrics) ([]Result, error) {
+			checkFunc(f, rel)
 			var mo indexmerge.Options
 			if mopts.JoinSignature {
 				endBuild := m.StartSpan("joinsig-build")
@@ -373,7 +374,9 @@ func MergeQuery(ctx context.Context, rel *Relation, indices []Index, f Func, k i
 			}
 			return indexmerge.TopK(indices, f, k, mo, m)
 		},
-		func(m *Metrics) ([]Result, error) { return tableScan(rel, Cond{}, f, k, m) })
+		func(m *Metrics) ([]Result, error) {
+			return core.ScanTopK(core.NewHeapFile(rel, 0), nil, nil, f, k, m), nil
+		})
 }
 
 // JoinQuery answers a multi-relational top-k query under ctx: equality
@@ -394,7 +397,12 @@ func JoinQuery(ctx context.Context, parts []JoinPart, k int, opts ...Option) ([]
 	}
 	q := joinquery.Query{Parts: parts, K: k}
 	return runQuery(ctx, "join.topk", cfg,
-		func(m *Metrics) ([]JoinResult, error) { return joinquery.Execute(q, joinquery.Options{}, m) },
+		func(m *Metrics) ([]JoinResult, error) {
+			for _, p := range parts {
+				checkFunc(p.F, p.Rel.T)
+			}
+			return joinquery.Execute(q, joinquery.Options{}, m)
+		},
 		func(m *Metrics) ([]JoinResult, error) { return joinquery.BruteForce(q, m) })
 }
 
@@ -460,17 +468,32 @@ func (s *SkylineEngine) RollUpQuery(ctx context.Context, prev *SkylineSnapshot, 
 		func(m *Metrics) (skyOut, error) { return sky(s.e.ScanSkyline(prev.RollQuery(removeDims), m)) })
 }
 
-// TableScanQuery answers a query by a governed scan of rel — the
+// TableScanQuery answers a query by a governed scan of rel's heap file — the
 // thesis' baseline, and the same path the degradation policy falls back
 // to. It never degrades further (the scan is already the floor), so
 // budget trips and faults surface as typed errors.
 func TableScanQuery(ctx context.Context, rel *Relation, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
 	return runQuery(ctx, "scan.topk", applyOptions(opts),
-		func(m *Metrics) ([]Result, error) { return tableScan(rel, cond, f, k, m) },
+		func(m *Metrics) ([]Result, error) {
+			checkFunc(f, rel)
+			return core.ScanTopK(core.NewHeapFile(rel, 0), nil, cond, f, k, m), nil
+		},
 		nil)
 }
 
-// tableScan is the thesis' TS baseline over rel paged as a heap file.
-func tableScan(rel *Relation, cond Cond, f Func, k int, m *Metrics) ([]Result, error) {
-	return baselines.NewTableScan(baselines.NewHeapFile(rel, 0)).TopK(cond, f, k, m), nil
+// checkFunc is the boundary's one check of a ranking function against the
+// relation it ranks, made by every entry point that takes one before any
+// engine sees the request: a missing function, or one over a rank dimension
+// the schema does not have, aborts ErrInvalidArgument, which never degrades.
+// Entry points make it inside the attempt, where the cube's lock holds its
+// relation still (a grid cube's Repartition replaces it).
+func checkFunc(f Func, rel *Relation) {
+	if f == nil || rel == nil {
+		errs.Abortf(errs.ErrInvalidArgument, "rankcube: a ranking function needs a function and a relation")
+	}
+	for _, a := range f.Attrs() {
+		if a < 0 || a >= rel.Schema().R() {
+			errs.Abortf(errs.ErrInvalidArgument, "rankcube: %v ranks dimension %d of %d", f, a, rel.Schema().R())
+		}
+	}
 }

@@ -653,11 +653,16 @@ func TestLossySkylineVerifiesTuples(t *testing.T) {
 	m := rankcube.NewMetrics()
 	base, s0, err := eng.Query(ctx, rankcube.Cond{0: 1}, dims, nil, rankcube.WithMetrics(m))
 	check("query", base, err, rankcube.Cond{0: 1})
-	// Every tuple let in was verified by a charged access to the relation, and
-	// so was every false positive that got that far.
-	if rejected := m.Reads(rankcube.StructTable) - int64(len(base)); rejected <= 0 {
-		t.Fatalf("%d table reads for %d members: the filters passed no tuple they should not have, the test shows nothing",
-			m.Reads(rankcube.StructTable), len(base))
+	// Every tuple let in was verified by a random access to the relation, and
+	// so was every false positive that got that far: an access charges the
+	// tuple's heap page once, so the members' pages alone fall short.
+	pages := map[int]bool{}
+	for _, r := range base {
+		pages[int(r.TID)/(pager.PageSize/rel.RowBytes())] = true
+	}
+	if got := m.Reads(rankcube.StructTable); got <= int64(len(pages)) {
+		t.Fatalf("%d table reads for %d members on %d pages: the filters passed no tuple they should not have, the test shows nothing",
+			got, len(base), len(pages))
 	}
 	one, s1, err := eng.DrillDownQuery(ctx, s0, rankcube.Cond{1: 0})
 	check("drill-down", one, err, rankcube.Cond{0: 1, 1: 0})

@@ -2,6 +2,7 @@ package rankcube_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -143,36 +144,78 @@ func TestOutOfDomainValuesSelectNothing(t *testing.T) {
 }
 
 // TestConditionOutsideSchemaIsInvalid puts a condition on a selection
-// dimension the schema does not have to every top-k entry point that takes
-// one: each fails with ErrInvalidArgument, and none degrades.
+// dimension the schema does not have, and a ranking function over a rank
+// dimension it does not have, to every top-k entry point that takes one: each
+// fails with ErrInvalidArgument, and none degrades.
 func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
 	rel := rankcube.GenerateRelation(2000, 2, 2, 10, rankcube.Uniform, 5)
 	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
 	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
-	f := rankcube.Sum(0, 1)
-	entries := map[string]func(rankcube.Cond, *rankcube.Metrics) ([]rankcube.Result, error){
-		"grid query": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+	indices := []rankcube.Index{rankcube.BuildBTree(rel, 0), rankcube.BuildBTree(rel, 1)}
+	keys := joinKeys(rel.Len(), 50)
+	joinRel := rankcube.NewJoinRelation("A", rel, sig, keys, 50)
+	type entry func(rankcube.Cond, rankcube.Func, *rankcube.Metrics) ([]rankcube.Result, error)
+	// withCond marks the entry points that take a condition.
+	entries := map[string]struct {
+		withCond bool
+		run      entry
+	}{
+		"grid query": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return grid.Query(bg, c, f, 10, rankcube.WithMetrics(m))
-		},
-		"grid baseline": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		}},
+		"grid baseline": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return grid.BaselineQuery(bg, c, f, 10, rankcube.WithMetrics(m))
-		},
-		"signature query": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		}},
+		"signature query": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return sig.Query(bg, c, f, 10, rankcube.WithMetrics(m))
-		},
-		"signature baseline": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		}},
+		"signature baseline": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return sig.BaselineQuery(bg, c, f, 10, rankcube.WithMetrics(m))
-		},
-		"table scan": func(c rankcube.Cond, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		}},
+		"table scan": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return rankcube.TableScanQuery(bg, rel, c, f, 10, rankcube.WithMetrics(m))
-		},
-	}
-	for name, run := range entries {
-		for _, cond := range []rankcube.Cond{{5: 1}, {-1: 0}, {0: 1, 2: 0}} {
-			var m rankcube.Metrics
-			if _, err := run(cond, &m); !errors.Is(err, rankcube.ErrInvalidArgument) || m.Downgrades != 0 {
-				t.Errorf("%s %v: err = %v after %d downgrades, want ErrInvalidArgument and none", name, cond, err, m.Downgrades)
+		}},
+		"signature scan": {false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			sc, err := sig.OpenScan(bg, c, f, rankcube.WithMetrics(m))
+			if err == nil {
+				sc.Close()
 			}
+			return nil, err
+		}},
+		"merge": {false, func(_ rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			return rankcube.MergeQuery(bg, rel, indices, f, 10, rankcube.MergeOptions{}, rankcube.WithMetrics(m))
+		}},
+		"join part": {false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			_, err := rankcube.JoinQuery(bg, []rankcube.JoinPart{
+				{Rel: joinRel, Cond: c, F: rankcube.Sum(0)},
+				{Rel: rankcube.NewJoinRelation("B", rel, sig, keys, 50), Cond: c, F: f},
+			}, 10, rankcube.WithMetrics(m))
+			return nil, err
+		}},
+	}
+	good := rankcube.Sum(0, 1)
+	for name, e := range entries {
+		malformed := func(what string, c rankcube.Cond, f rankcube.Func) {
+			t.Helper()
+			var m rankcube.Metrics
+			if _, err := e.run(c, f, &m); !errors.Is(err, rankcube.ErrInvalidArgument) || m.Downgrades != 0 {
+				t.Errorf("%s %s: err = %v after %d downgrades, want ErrInvalidArgument and none", name, what, err, m.Downgrades)
+			}
+		}
+		if e.withCond {
+			for _, cond := range []rankcube.Cond{{5: 1}, {-1: 0}, {0: 1, 2: 0}} {
+				malformed(fmt.Sprint(cond), cond, good)
+			}
+		}
+		for _, f := range []rankcube.Func{
+			rankcube.Sum(0, 7),
+			rankcube.Sum(2),
+			rankcube.Linear([]int{-1, 0}, []float64{1, 1}),
+			rankcube.SqDist([]int{0, 5}, []float64{0.5, 0.5}),
+			rankcube.Constrained(rankcube.Sum(0, 1), 3, 0, 1),
+			nil,
+		} {
+			malformed(fmt.Sprint(f), rankcube.Cond{0: 1}, f)
 		}
 	}
 }
