@@ -27,7 +27,7 @@ func New[T any](less func(a, b T) bool) *Heap[T] {
 func From[T any](items []T, less func(a, b T) bool) *Heap[T] {
 	h := &Heap[T]{items: items, less: less, peak: len(items)}
 	for i := len(items)/2 - 1; i >= 0; i-- {
-		h.down(i)
+		h.down(i, items[i])
 	}
 	return h
 }
@@ -42,7 +42,7 @@ func (h *Heap[T]) Peak() int { return h.peak }
 // Push adds v to the heap.
 func (h *Heap[T]) Push(v T) {
 	h.items = append(h.items, v)
-	h.up(len(h.items) - 1)
+	h.up(len(h.items)-1, v)
 	if len(h.items) > h.peak {
 		h.peak = len(h.items)
 	}
@@ -52,13 +52,12 @@ func (h *Heap[T]) Push(v T) {
 // empty; callers guard with Len.
 func (h *Heap[T]) Pop() T {
 	n := len(h.items)
-	top := h.items[0]
-	h.items[0] = h.items[n-1]
+	top, last := h.items[0], h.items[n-1]
 	var zero T
 	h.items[n-1] = zero
 	h.items = h.items[:n-1]
-	if len(h.items) > 0 {
-		h.down(0)
+	if n > 1 {
+		h.down(0, last)
 	}
 	return top
 }
@@ -82,43 +81,54 @@ func (h *Heap[T]) Reset() {
 // candidate-heap reuse in drill-down/roll-up query processing (thesis §7.2.4).
 func (h *Heap[T]) Items() []T { return h.items }
 
-func (h *Heap[T]) up(i int) {
+// up moves v, the item at the hole i, toward the root past every parent it
+// orders before, shifting each such parent down a level, and writes v once
+// where it stops.
+func (h *Heap[T]) up(i int, v T) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			return
+		if !h.less(v, h.items[parent]) {
+			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		h.items[i] = h.items[parent]
 		i = parent
 	}
+	h.items[i] = v
 }
 
-func (h *Heap[T]) down(i int) {
+// down places v, the item for the hole i, toward the leaves: while a child
+// orders before it, the smaller child moves up into the hole. It compares
+// what the swapping sift compared, in the same order, so ties resolve the
+// same way.
+func (h *Heap[T]) down(i int, v T) {
 	n := len(h.items)
 	for {
-		l, r := 2*i+1, 2*i+2
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
 		small := i
-		if l < n && h.less(h.items[l], h.items[small]) {
+		if h.less(h.items[l], v) {
 			small = l
 		}
-		if r < n && h.less(h.items[r], h.items[small]) {
+		if r := l + 1; r < n && (small == i && h.less(h.items[r], v) || small == l && h.less(h.items[r], h.items[l])) {
 			small = r
 		}
 		if small == i {
-			return
+			break
 		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
+		h.items[i] = h.items[small]
 		i = small
 	}
+	h.items[i] = v
 }
 
 // Bounded is a fixed-capacity max-heap used to maintain "current best k"
 // result sets: it keeps the k smallest scores seen, with the worst of them
 // at the root so it can be evicted in O(log k).
 type Bounded[T any] struct {
-	items []T
-	k     int
-	worse func(a, b T) bool // true when a is worse (orders after) b
+	h Heap[T] // ordered by worse: the worst retained element at the root
+	k int
 }
 
 // NewBounded returns a result heap retaining the k best elements under the
@@ -128,18 +138,18 @@ func NewBounded[T any](k int, worse func(a, b T) bool) *Bounded[T] {
 	if k < 0 {
 		k = 0
 	}
-	return &Bounded[T]{k: k, worse: worse}
+	return &Bounded[T]{h: Heap[T]{less: worse}, k: k}
 }
 
 // Len reports how many elements are retained.
-func (b *Bounded[T]) Len() int { return len(b.items) }
+func (b *Bounded[T]) Len() int { return b.h.Len() }
 
 // Full reports whether k elements are retained.
-func (b *Bounded[T]) Full() bool { return len(b.items) >= b.k }
+func (b *Bounded[T]) Full() bool { return b.h.Len() >= b.k }
 
 // Worst returns the current worst retained element (the kth best so far).
 // It panics when empty.
-func (b *Bounded[T]) Worst() T { return b.items[0] }
+func (b *Bounded[T]) Worst() T { return b.h.Min() }
 
 // Offer considers v for membership. It returns true when v was retained
 // (possibly evicting the previous worst).
@@ -147,72 +157,23 @@ func (b *Bounded[T]) Offer(v T) bool {
 	if b.k == 0 {
 		return false
 	}
-	if len(b.items) < b.k {
-		b.items = append(b.items, v)
-		b.up(len(b.items) - 1)
+	if b.h.Len() < b.k {
+		b.h.Push(v)
 		return true
 	}
-	if b.worse(v, b.items[0]) {
+	if b.h.less(v, b.h.items[0]) {
 		return false
 	}
-	b.items[0] = v
-	b.down(0)
+	b.h.down(0, v)
 	return true
 }
 
 // Sorted drains the heap and returns the retained elements ordered best
 // first. The heap is empty afterwards.
 func (b *Bounded[T]) Sorted() []T {
-	out := make([]T, len(b.items))
-	for i := len(b.items) - 1; i >= 0; i-- {
-		out[i] = b.popWorst()
+	out := make([]T, b.h.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = b.h.Pop()
 	}
 	return out
-}
-
-// Items returns the retained elements in internal heap order. The slice is
-// owned by the heap; callers must not modify it.
-func (b *Bounded[T]) Items() []T { return b.items }
-
-func (b *Bounded[T]) popWorst() T {
-	n := len(b.items)
-	top := b.items[0]
-	b.items[0] = b.items[n-1]
-	var zero T
-	b.items[n-1] = zero
-	b.items = b.items[:n-1]
-	if len(b.items) > 0 {
-		b.down(0)
-	}
-	return top
-}
-
-func (b *Bounded[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !b.worse(b.items[i], b.items[parent]) {
-			return
-		}
-		b.items[i], b.items[parent] = b.items[parent], b.items[i]
-		i = parent
-	}
-}
-
-func (b *Bounded[T]) down(i int) {
-	n := len(b.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		w := i
-		if l < n && b.worse(b.items[l], b.items[w]) {
-			w = l
-		}
-		if r < n && b.worse(b.items[r], b.items[w]) {
-			w = r
-		}
-		if w == i {
-			return
-		}
-		b.items[i], b.items[w] = b.items[w], b.items[i]
-		i = w
-	}
 }

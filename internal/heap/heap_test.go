@@ -142,7 +142,7 @@ func TestBoundedWorstIsKthBest(t *testing.T) {
 	for v := 100; v > 0; v-- {
 		b.Offer(v)
 		if b.Full() {
-			all := append([]int(nil), b.Items()...)
+			all := append([]int(nil), b.h.items...)
 			sort.Ints(all)
 			if b.Worst() != all[len(all)-1] {
 				t.Fatalf("Worst = %d, want %d", b.Worst(), all[len(all)-1])

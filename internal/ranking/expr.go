@@ -2,39 +2,41 @@ package ranking
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // Expr is a scoring expression over ranking attributes. Var indices refer to
-// ranking-dimension positions, matching Box dimensions.
+// ranking-dimension positions, matching Box dimensions. Only this package's
+// constructors build one; General compiles it into the program that scores
+// and bounds it.
 type Expr interface {
-	// Eval computes the expression at point x.
-	Eval(x []float64) float64
-	// Bound computes a sound enclosure of the expression's range over box.
-	Bound(box Box) Interval
 	// String renders the expression for diagnostics.
 	String() string
+	// emit appends the expression's postfix program to ops.
+	emit(ops []op) []op
+}
+
+// op is one instruction of a compiled expression, a postfix program over a
+// stack: code is 'v' (push dimension v), 'c' (push c), '+', '-', '*' (pop
+// the right operand, combine it into the left), or 's' sqr, 'a' abs, 'n' neg
+// (replace the top).
+type op struct {
+	code byte
+	v    int32
+	c    float64
 }
 
 // Var references ranking dimension int(v).
 type Var int
 
-// Eval implements Expr.
-func (v Var) Eval(x []float64) float64 { return x[v] }
-
-// Bound implements Expr.
-func (v Var) Bound(box Box) Interval { return box.Dim(int(v)) }
+func (v Var) emit(ops []op) []op { return append(ops, op{code: 'v', v: int32(v)}) }
 
 func (v Var) String() string { return fmt.Sprintf("N%d", int(v)) }
 
 // Const is a constant expression.
 type Const float64
 
-// Eval implements Expr.
-func (c Const) Eval([]float64) float64 { return float64(c) }
-
-// Bound implements Expr.
-func (c Const) Bound(Box) Interval { return Point(float64(c)) }
+func (c Const) emit(ops []op) []op { return append(ops, op{code: 'c', c: float64(c)}) }
 
 func (c Const) String() string { return fmt.Sprintf("%g", float64(c)) }
 
@@ -43,28 +45,8 @@ type binary struct {
 	l, r Expr
 }
 
-func (b binary) Eval(x []float64) float64 {
-	lv, rv := b.l.Eval(x), b.r.Eval(x)
-	switch b.op {
-	case '+':
-		return lv + rv
-	case '-':
-		return lv - rv
-	default:
-		return lv * rv
-	}
-}
-
-func (b binary) Bound(box Box) Interval {
-	lv, rv := b.l.Bound(box), b.r.Bound(box)
-	switch b.op {
-	case '+':
-		return lv.Add(rv)
-	case '-':
-		return lv.Sub(rv)
-	default:
-		return lv.Mul(rv)
-	}
+func (b binary) emit(ops []op) []op {
+	return append(emit(emit(ops, b.l), b.r), op{code: b.op})
 }
 
 func (b binary) String() string {
@@ -76,32 +58,7 @@ type unary struct {
 	e  Expr
 }
 
-func (u unary) Eval(x []float64) float64 {
-	v := u.e.Eval(x)
-	switch u.op {
-	case 's':
-		return v * v
-	case 'a':
-		if v < 0 {
-			return -v
-		}
-		return v
-	default:
-		return -v
-	}
-}
-
-func (u unary) Bound(box Box) Interval {
-	v := u.e.Bound(box)
-	switch u.op {
-	case 's':
-		return v.Sqr()
-	case 'a':
-		return v.Abs()
-	default:
-		return v.Neg()
-	}
-}
+func (u unary) emit(ops []op) []op { return append(emit(ops, u.e), op{code: u.op}) }
 
 func (u unary) String() string {
 	switch u.op {
@@ -112,6 +69,15 @@ func (u unary) String() string {
 	default:
 		return fmt.Sprintf("-(%s)", u.e)
 	}
+}
+
+// emit appends e's program to ops. A nil expression references dimension −1,
+// which every public entry point refuses as outside the schema.
+func emit(ops []op, e Expr) []op {
+	if e == nil {
+		return append(ops, op{code: 'v', v: -1})
+	}
+	return e.emit(ops)
 }
 
 // Add returns l + r (variadic sums fold left).
@@ -144,21 +110,114 @@ func Neg(e Expr) Expr { return unary{'n', e} }
 // Scale returns c × e.
 func Scale(c float64, e Expr) Expr { return binary{'*', Const(c), e} }
 
-// vars collects the set of dimensions referenced by e into set.
-func vars(e Expr, set map[int]struct{}) {
-	switch t := e.(type) {
-	case Var:
-		set[int(t)] = struct{}{}
-	case binary:
-		vars(t.l, set)
-		vars(t.r, set)
-	case unary:
-		vars(t.e, set)
-	}
+// stackCap is the stack depth eval and bound keep in a fixed array; a deeper
+// program takes its stack from the heap.
+const stackCap = 8
+
+// program is an expression compiled to postfix: the tree's operations in the
+// tree's order, so a score or a bound is bit for bit the tree's.
+type program struct {
+	ops   []op
+	depth int // the deepest the stack gets
 }
 
-func exprString(e Expr) string {
-	var b strings.Builder
-	b.WriteString(e.String())
-	return b.String()
+func compile(e Expr) program {
+	p := program{ops: emit(nil, e)}
+	sp := 0
+	for _, o := range p.ops {
+		switch o.code {
+		case 'v', 'c':
+			sp++
+		case '+', '-', '*':
+			sp--
+		}
+		p.depth = max(p.depth, sp)
+	}
+	return p
+}
+
+// attrs lists the dimensions the program references, ascending.
+func (p *program) attrs() []int {
+	var attrs []int
+	for _, o := range p.ops {
+		if o.code == 'v' {
+			attrs = append(attrs, int(o.v))
+		}
+	}
+	slices.Sort(attrs)
+	return slices.Compact(attrs)
+}
+
+// eval computes the expression at point x.
+func (p *program) eval(x []float64) float64 {
+	var buf [stackCap]float64
+	st := buf[:]
+	if p.depth > stackCap {
+		st = make([]float64, p.depth)
+	}
+	sp := 0
+	for _, o := range p.ops {
+		switch o.code {
+		case 'v':
+			st[sp] = x[o.v]
+			sp++
+		case 'c':
+			st[sp] = o.c
+			sp++
+		case '+':
+			sp--
+			st[sp-1] += st[sp]
+		case '-':
+			sp--
+			st[sp-1] -= st[sp]
+		case '*':
+			sp--
+			st[sp-1] *= st[sp]
+		case 's':
+			st[sp-1] *= st[sp-1]
+		case 'a':
+			if v := st[sp-1]; v < 0 {
+				st[sp-1] = -v
+			}
+		default:
+			st[sp-1] = -st[sp-1]
+		}
+	}
+	return st[0]
+}
+
+// bound computes a sound enclosure of the expression's range over box.
+func (p *program) bound(box Box) Interval {
+	var buf [stackCap]Interval
+	st := buf[:]
+	if p.depth > stackCap {
+		st = make([]Interval, p.depth)
+	}
+	sp := 0
+	for _, o := range p.ops {
+		switch o.code {
+		case 'v':
+			st[sp] = box.Dim(int(o.v))
+			sp++
+		case 'c':
+			st[sp] = Point(o.c)
+			sp++
+		case '+':
+			sp--
+			st[sp-1] = st[sp-1].Add(st[sp])
+		case '-':
+			sp--
+			st[sp-1] = st[sp-1].Sub(st[sp])
+		case '*':
+			sp--
+			st[sp-1] = st[sp-1].Mul(st[sp])
+		case 's':
+			st[sp-1] = st[sp-1].Sqr()
+		case 'a':
+			st[sp-1] = st[sp-1].Abs()
+		default:
+			st[sp-1] = st[sp-1].Neg()
+		}
+	}
+	return st[0]
 }

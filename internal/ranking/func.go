@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -168,26 +169,7 @@ func (f *LinearFunc) String() string {
 	for i, a := range f.attrs {
 		terms = append(terms, Scale(f.weights[i], Var(a)))
 	}
-	return exprString(Add(terms...))
-}
-
-// Skewness reports max|w|/min|w|, the query-skewness measure u of thesis
-// Table 3.9.
-func (f *LinearFunc) Skewness() float64 {
-	lo, hi := math.Inf(1), 0.0
-	for _, w := range f.weights {
-		a := math.Abs(w)
-		if a < lo {
-			lo = a
-		}
-		if a > hi {
-			hi = a
-		}
-	}
-	if lo == 0 {
-		return math.Inf(1)
-	}
-	return hi / lo
+	return Add(terms...).String()
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +292,7 @@ func (f *DistFunc) String() string {
 			terms[i] = Sqr(d)
 		}
 	}
-	return exprString(Add(terms...))
+	return Add(terms...).String()
 }
 
 func maxAttr(attrs []int) int {
@@ -329,34 +311,31 @@ func maxAttr(attrs []int) int {
 
 // ExprFunc wraps an arbitrary expression tree; lower bounds come from
 // interval arithmetic (sound, possibly loose). It models the thesis' "general
-// query" class, e.g. fg = (A − B²)² (§5.4.2).
+// query" class, e.g. fg = (A − B²)² (§5.4.2). The tree is compiled once, and
+// Eval and LowerBound run the program.
 type ExprFunc struct {
 	expr  Expr
+	prog  program
 	attrs []int
 }
 
 // General wraps expr as a ranking function.
 func General(expr Expr) *ExprFunc {
-	set := make(map[int]struct{})
-	vars(expr, set)
-	attrs := make([]int, 0, len(set))
-	for a := range set {
-		attrs = append(attrs, a)
-	}
-	sort.Ints(attrs)
-	return &ExprFunc{expr: expr, attrs: attrs}
+	f := &ExprFunc{expr: expr, prog: compile(expr)}
+	f.attrs = f.prog.attrs()
+	return f
 }
 
 // Eval implements Func.
-func (f *ExprFunc) Eval(x []float64) float64 { return f.expr.Eval(x) }
+func (f *ExprFunc) Eval(x []float64) float64 { return f.prog.eval(x) }
 
 // LowerBound implements Func.
-func (f *ExprFunc) LowerBound(box Box) float64 { return f.expr.Bound(box).Lo }
+func (f *ExprFunc) LowerBound(box Box) float64 { return f.prog.bound(box).Lo }
 
 // Attrs implements Func.
 func (f *ExprFunc) Attrs() []int { return f.attrs }
 
-func (f *ExprFunc) String() string { return f.expr.String() }
+func (f *ExprFunc) String() string { return fmt.Sprint(f.expr) }
 
 // ---------------------------------------------------------------------------
 // Constrained functions: f = inner / η(N_a), η = 1 inside [lo,hi] else 0

@@ -28,14 +28,6 @@ func Point(v float64) Interval { return Interval{v, v} }
 // Contains reports whether v lies in the interval.
 func (iv Interval) Contains(v float64) bool { return iv.Lo <= v && v <= iv.Hi }
 
-// Empty reports whether the interval is empty (Lo > Hi).
-func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
-
-// Intersect returns the intersection of two intervals (possibly empty).
-func (iv Interval) Intersect(o Interval) Interval {
-	return Interval{math.Max(iv.Lo, o.Lo), math.Min(iv.Hi, o.Hi)}
-}
-
 // Add returns iv + o under interval arithmetic.
 func (iv Interval) Add(o Interval) Interval { return Interval{iv.Lo + o.Lo, iv.Hi + o.Hi} }
 

@@ -210,7 +210,9 @@ type View struct {
 	// sids[i], its encoding at bit offs[i] of its run's page, and bits[i] once
 	// decoded (storage from arena). A run's nodes ascend by SID (BFS order is
 	// SID order), and no node is in two runs.
-	runs  []run
+	runs []run
+	// top is the first loaded run with no loaded ancestor (-1 for none).
+	top   int32
 	sids  []uint64
 	offs  []int
 	bits  []*bitvec.Bits
@@ -220,10 +222,15 @@ type View struct {
 }
 
 // run is one loaded partial: its root's SID, its page and its nodes [lo, hi).
+// Partials load root to leaf, so when one loads, every partial rooted at an
+// ancestor of its root is loaded already and none rooted below it is: the
+// loaded partials form a tree, in which up is the run's parent, kid its first
+// child and next its next sibling (-1 for none).
 type run struct {
-	sid    uint64
-	page   []byte
-	lo, hi int
+	sid           uint64
+	page          []byte
+	lo, hi        int
+	up, kid, next int32
 }
 
 // bfsNode is an internal signature node during a BFS replay.
@@ -235,7 +242,7 @@ type bfsNode struct {
 
 // NewView opens a view charging signature loads to ctr.
 func NewView(s *Stored, codec *bitvec.Codec, store *pager.Store, ctr *stats.Counters) *View {
-	return &View{stored: s, codec: codec, store: store, ctr: ctr, base: uint64(s.fanout + 1)}
+	return &View{stored: s, codec: codec, store: store, ctr: ctr, base: uint64(s.fanout + 1), top: -1}
 }
 
 // Test reports the signature bit for the node/tuple at path, loading the
@@ -265,33 +272,61 @@ func (v *View) Probe(parent []int, live *bitvec.Bits) {
 
 // node resolves the bits of the signature node at path, loading the partials
 // rooted at prefixes of path in root-to-leaf order until one holds the node.
+// Only a partial rooted at the node or at an ancestor can hold it, so node
+// looks for it only in the loaded ones of those, which it finds along path.
 func (v *View) node(path []int) *bitvec.Bits {
-	sid := hindex.SID(path, v.stored.fanout)
 	for {
-		if page, i := v.find(sid); i >= 0 {
-			return v.decode(page, i)
-		}
-		// Load the first partial not yet loaded among those rooted at a
-		// prefix of path, then look again.
-		prefix := uint64(0)
-		for i := 0; ; i++ {
-			loaded := func(p run) bool { return p.sid == prefix }
-			if page, exists := v.stored.refs[prefix]; exists && !slices.ContainsFunc(v.runs, loaded) {
-				v.loadPartial(prefix, page)
+		// at is the deepest loaded partial rooted at a prefix of path, at depth
+		// deep; the loaded others are its ancestors.
+		at, deep, sid := int32(-1), -1, uint64(0)
+		for d := 0; ; d++ {
+			for c := v.kid(at); c >= 0; c = v.runs[c].next {
+				if v.runs[c].sid == sid {
+					at, deep = c, d
+					break
+				}
+			}
+			if d == len(path) {
 				break
 			}
-			if i == len(path) {
-				return nil
-			}
-			prefix = prefix*v.base + uint64(path[i])
+			sid = sid*v.base + uint64(path[d])
+		}
+		if page, i := v.find(at, sid); i >= 0 {
+			return v.decode(page, i)
+		}
+		if !v.loadBelow(path, at, deep) {
+			return nil
 		}
 	}
 }
 
-// find locates node sid in the loaded partials: its run's page and its index,
-// or -1 when no loaded partial holds it.
-func (v *View) find(sid uint64) ([]byte, int) {
-	for _, p := range v.runs {
+// loadBelow loads the shallowest partial rooted at a prefix of path deeper
+// than deep, the depth of run at, and reports whether there was one.
+func (v *View) loadBelow(path []int, at int32, deep int) bool {
+	for d := deep + 1; d <= len(path); d++ {
+		sid := hindex.SID(path[:d], v.stored.fanout)
+		if page, exists := v.stored.refs[sid]; exists {
+			v.loadPartial(sid, page, at)
+			return true
+		}
+	}
+	return false
+}
+
+// kid returns the first child of run at in the tree of loaded partials, or
+// with at = -1 the first loaded run with no loaded ancestor.
+func (v *View) kid(at int32) int32 {
+	if at < 0 {
+		return v.top
+	}
+	return v.runs[at].kid
+}
+
+// find locates node sid in run at and its ancestors: its run's page and its
+// index, or -1 when none of them holds it.
+func (v *View) find(at int32, sid uint64) ([]byte, int) {
+	for ; at >= 0; at = v.runs[at].up {
+		p := &v.runs[at]
 		if i, ok := slices.BinarySearch(v.sids[p.lo:p.hi], sid); ok {
 			return p.page, p.lo + i
 		}
@@ -309,14 +344,15 @@ func (v *View) decode(page []byte, i int) *bitvec.Bits {
 	return v.bits[i]
 }
 
-// loadPartial reads the partial signature rooted at sid into a new run by
+// loadPartial reads the partial signature rooted at sid into a new run under
+// run up, the deepest loaded partial rooted at an ancestor of sid, by
 // replaying the encoder's BFS: a node an ancestor's partial holds is passed
 // over, one of its own is stepped over by the region length in its header and
 // decoded at once only if internal, for the replay to walk its set bits.
 // Everything read here came off a stored page: a header that disagrees with the
 // reference or with the nodes that follow is corruption, not a bug, and so is
 // a leaf-level node that does not decode, found when a query first reaches it.
-func (v *View) loadPartial(sid uint64, page pager.PageID) {
+func (v *View) loadPartial(sid uint64, page pager.PageID, up int32) {
 	data := v.store.Read(page, v.ctr)
 	r := bitvec.NewReader(data)
 	depth := int(r.ReadBits(8))
@@ -337,7 +373,7 @@ func (v *View) loadPartial(sid uint64, page pager.PageID) {
 	leaf := leafDepth(v.stored.height)
 	queue := v.queue[:0]
 	visit := func(sid uint64, depth int) {
-		page, i := v.find(sid)
+		page, i := v.find(up, sid)
 		if i < 0 {
 			page, i = data, len(v.sids)
 			v.sids, v.offs, v.bits = append(v.sids, sid), append(v.offs, r.Pos()), append(v.bits, nil)
@@ -360,7 +396,13 @@ func (v *View) loadPartial(sid uint64, page pager.PageID) {
 	if n := len(v.sids) - lo; n != count {
 		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d replays %d nodes, header says %d", sid, n, count)
 	}
-	v.runs = append(v.runs, run{sid, data, lo, len(v.sids)})
+	at := int32(len(v.runs))
+	v.runs = append(v.runs, run{sid: sid, page: data, lo: lo, hi: len(v.sids), up: up, kid: -1, next: v.kid(up)})
+	if up < 0 {
+		v.top = at
+	} else {
+		v.runs[up].kid = at
+	}
 }
 
 // Decode decodes a stored signature for incremental maintenance, charging the

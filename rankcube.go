@@ -166,7 +166,10 @@ func NewMetrics() *Metrics { return stats.New() }
 type Func = ranking.Func
 
 // Expr is a scoring expression tree over ranking dimensions, used to define
-// ad hoc functions with automatic interval-arithmetic lower bounds.
+// ad hoc functions with automatic interval-arithmetic lower bounds. It is
+// built only through the constructors below (Var, Num, Add, Sub, Mul, Sqr,
+// AbsE, Scale); General compiles it once into the program that scores and
+// bounds it.
 type Expr = ranking.Expr
 
 // Linear builds f = Σ weights[i]·N(attrs[i]). Weights may be negative.

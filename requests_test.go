@@ -213,6 +213,7 @@ func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
 			rankcube.Linear([]int{-1, 0}, []float64{1, 1}),
 			rankcube.SqDist([]int{0, 5}, []float64{0.5, 0.5}),
 			rankcube.Constrained(rankcube.Sum(0, 1), 3, 0, 1),
+			rankcube.General(rankcube.Sub(rankcube.Var(0), nil)),
 			nil,
 		} {
 			malformed(fmt.Sprint(f), rankcube.Cond{0: 1}, f)
