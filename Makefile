@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check no-deprecated loc lint lint-json test race chaos fuzz bench-check check bench bench-json ab clean
+.PHONY: all build vet fmt-check no-deprecated loc lint lint-json test race chaos fuzz bench-check traffic check bench bench-json ab clean
 
 all: check
 
@@ -104,6 +104,27 @@ bench-check:
 		bash benchmark/run.sh --workload $$w --seed 1 --trace 1 | grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,' \
 			|| { echo "traced pass of $$w does not reproduce the public path"; exit 1; }; \
 	done
+
+# Which code the benchmark and the paper experiments reach: the end-to-end
+# runner (built with run.sh's environment) and rankbench, both built with
+# coverage of every rankcube package, run under one GOCOVERDIR (3 s of each
+# workload, every experiment at scale 0.01), then every function none of them
+# entered, commands, examples and the linter aside. One to two minutes; not part
+# of check. A function listed here is code no workload or figure exercises.
+TRAFFIC = $(CURDIR)/.bench_build/traffic
+BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOTOOLCHAIN=local GOPROXY=off GOWORK=off
+traffic:
+	rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)/cover
+	cd benchmark && $(BENCH_ENV) $(GO) build -cover -coverpkg=rankcube/... -o $(TRAFFIC)/benchmark .
+	$(BENCH_ENV) $(GO) build -cover -coverpkg=rankcube/... -o $(TRAFFIC)/rankbench ./cmd/rankbench
+	@for w in sig-topk grid-serve sig-churn analytic-mix; do \
+		echo "traffic: $$w"; \
+		GOCOVERDIR=$(TRAFFIC)/cover $(TRAFFIC)/benchmark --workload $$w --seed 1 --seconds 3 --trace 0 > /dev/null || exit 1; \
+	done
+	@echo "traffic: rankbench -all"
+	@GOCOVERDIR=$(TRAFFIC)/cover $(TRAFFIC)/rankbench -all -scale 0.01 -queries 3 > /dev/null
+	@$(GO) tool covdata func -i $(TRAFFIC)/cover | awk '$$NF == "0.0%"' \
+		| grep -v -e '^rankcube/cmd/' -e '^rankcube/examples/' -e '^rankcube/internal/analysis/' || true
 
 check: build vet fmt-check no-deprecated lint race chaos fuzz bench-check
 

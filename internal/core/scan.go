@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"rankcube/internal/errs"
@@ -61,7 +62,7 @@ func (h *HeapFile) Verifier(cond Cond, ctr *stats.Counters) func(table.TID) bool
 
 // Scan is the one sequential pass over a base relation: the floor every
 // engine's degradation policy falls back to, the table-scan baseline, and
-// the rank join's materialized access path. It opens a "scan" span and walks
+// the rank join's fallback. It opens a "scan" span and walks
 // the heap file page by page, charging each page one table read right before
 // it visits that page's rows, so a canceled context or a spent read budget
 // stops the pass within one page. visit gets every tuple that is alive (alive
@@ -102,4 +103,20 @@ func ScanTopK(h *HeapFile, alive func(table.TID) bool, cond Cond, f ranking.Func
 		}
 	})
 	return topk.Sorted()
+}
+
+// CheckFunc is the one check of a ranking function against the relation it
+// ranks, made by every entry point that takes one before any engine sees the
+// request: a missing function or relation, or a function of a rank dimension
+// the schema does not have, is ErrInvalidArgument, which never degrades.
+func CheckFunc(f ranking.Func, t *table.Table) error {
+	if f == nil || t == nil {
+		return fmt.Errorf("rankcube: a ranking function needs a function and a relation: %w", errs.ErrInvalidArgument)
+	}
+	for _, a := range f.Attrs() {
+		if a < 0 || a >= t.Schema().R() {
+			return fmt.Errorf("rankcube: %v ranks dimension %d of %d: %w", f, a, t.Schema().R(), errs.ErrInvalidArgument)
+		}
+	}
+	return nil
 }

@@ -1,11 +1,9 @@
 package joinquery
 
 import (
-	"fmt"
+	"math"
 
 	"rankcube/internal/core"
-	"rankcube/internal/errs"
-	"rankcube/internal/heap"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
@@ -18,40 +16,20 @@ import (
 // bounded top-k heap. Costly next to a converging rank join, but always
 // available and always exact.
 func BruteForce(q Query, ctr *stats.Counters) ([]Result, error) {
-	if len(q.Parts) < 2 {
-		return nil, fmt.Errorf("joinquery: need at least 2 relations, got %d: %w", len(q.Parts), errs.ErrInvalidArgument)
+	if err := q.check(); err != nil || q.K <= 0 {
+		return nil, err
 	}
-	if q.K <= 0 {
-		return nil, nil
-	}
-	buckets := make([]map[int32][]core.Result, len(q.Parts))
+	j := newJoiner(q)
 	for i, p := range q.Parts {
-		buckets[i] = make(map[int32][]core.Result)
-		p.scan(ctr, func(r core.Result) {
-			key := p.Rel.Keys[r.TID]
-			buckets[i][key] = append(buckets[i][key], r)
+		p.Rel.Cube.SeqScan(p.Cond, ctr, func(tid table.TID, rank []float64) {
+			if score := p.F.Eval(rank); !math.IsInf(score, 1) {
+				key := p.Rel.Keys[tid]
+				j.kept[i][key] = append(j.kept[i][key], core.Result{TID: tid, Score: score})
+			}
 		})
 	}
-
-	topk := heap.NewBounded[Result](q.K, worseJoined)
-	combo := make([]core.Result, len(q.Parts))
-	var rec func(i int, key int32, score float64)
-	rec = func(i int, key int32, score float64) {
-		if i == len(q.Parts) {
-			tids := make([]table.TID, len(combo))
-			for j, c := range combo {
-				tids[j] = c.TID
-			}
-			topk.Offer(Result{TIDs: tids, Score: score})
-			return
-		}
-		for _, c := range buckets[i][key] {
-			combo[i] = c
-			rec(i+1, key, score+c.Score)
-		}
+	for key := range j.kept[0] {
+		j.walk(0, -1, key, 0)
 	}
-	for key := range buckets[0] {
-		rec(0, key, 0)
-	}
-	return topk.Sorted(), nil
+	return j.topk.Sorted(), nil
 }

@@ -1,10 +1,11 @@
 // Package joinquery implements chapter 6 of the thesis: SPJR (select,
 // project, join, rank) queries over multiple relations, each carrying its
-// own ranking cube. The system follows the chapter's architecture (fig.
-// 6.1): a query optimizer chooses per-relation access paths and a pull
-// schedule, and a query executor combines rank-aware selection operators
-// (§6.3.1) through a multi-way rank join (§6.3.2) with join-key list
-// pruning (§6.3.3).
+// own ranking cube. Every part of a query has one access path, its
+// rank-aware selection operator (§6.3.1): a progressive scan of its
+// relation's cube, left open. The executor merges those score-ordered
+// streams through a multi-way rank join (§6.3.2), pulling adaptively from
+// the part whose bound is loosest (HRJN*) and dropping tuples whose join key
+// some other relation lacks (list pruning, §6.3.3).
 //
 // The source text of chapter 6 is summarized rather than fully reproduced
 // in our copy of the thesis; the executor follows the chapter's stated
@@ -14,7 +15,6 @@
 package joinquery
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -43,17 +43,22 @@ type Relation struct {
 	// keyPresent marks join-key values that occur at all — the basis of
 	// list pruning (§6.3.3).
 	keyPresent []bool
+	// err records a key outside [0, KeyCard): every query over the relation
+	// is refused with it.
+	err error
 }
 
-// NewRelation wraps a relation, building its key-presence filter.
+// NewRelation wraps a relation, building its key-presence filter. It never
+// panics: a key outside [0, keyCard) is recorded, and a query over the
+// relation fails with ErrInvalidArgument.
 func NewRelation(name string, t *table.Table, cube *sigcube.Cube, keys []int32, keyCard int) *Relation {
-	if len(keys) != t.Len() {
-		//lint:invariant documented precondition: one join key per tuple
-		panic(fmt.Sprintf("joinquery: %d keys for %d tuples", len(keys), t.Len()))
-	}
 	r := &Relation{Name: name, T: t, Cube: cube, Keys: keys, KeyCard: keyCard,
-		keyPresent: make([]bool, keyCard)}
-	for _, k := range keys {
+		keyPresent: make([]bool, max(keyCard, 0))}
+	for tid, k := range keys {
+		if k < 0 || int(k) >= keyCard {
+			r.err = fmt.Errorf("joinquery: relation %q: key %d of tuple %d is outside [0, %d): %w", name, k, tid, keyCard, errs.ErrInvalidArgument)
+			break
+		}
 		r.keyPresent[k] = true
 	}
 	return r
@@ -74,6 +79,33 @@ type Part struct {
 type Query struct {
 	Parts []Part
 	K     int
+}
+
+// check is the one check of a join request, made by Execute and BruteForce
+// before either reads anything (at the public boundary under the cubes'
+// shared locks, which hold every relation still): at least two parts, each
+// over a relation with a table, a cube and one key in range per tuple — a
+// cube's InsertTuple grows the relation past its keys — ranked by a function
+// of its own rank dimensions.
+func (q Query) check() error {
+	if len(q.Parts) < 2 {
+		return fmt.Errorf("joinquery: need at least 2 relations, got %d: %w", len(q.Parts), errs.ErrInvalidArgument)
+	}
+	for i, p := range q.Parts {
+		r := p.Rel
+		switch {
+		case r == nil || r.T == nil || r.Cube == nil:
+			return fmt.Errorf("joinquery: part %d needs a relation with a table and a cube: %w", i, errs.ErrInvalidArgument)
+		case r.err != nil:
+			return r.err
+		case len(r.Keys) != r.T.Len():
+			return fmt.Errorf("joinquery: relation %q has %d keys for %d tuples: %w", r.Name, len(r.Keys), r.T.Len(), errs.ErrInvalidArgument)
+		}
+		if err := core.CheckFunc(p.F, r.T); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Result is one joined answer: the member tuple of each relation plus the
@@ -101,293 +133,169 @@ type Options struct {
 	DisableListPruning bool
 }
 
-// scanThreshold is the estimated matching-tuple count up to which the
-// optimizer prefers materializing a relation's matches outright over a
-// progressive cube scan (§6.2.1).
-const scanThreshold = 64
+// joiner is what the rank join and BruteForce share: the tuples each part
+// has kept, bucketed by join key, the best k combinations so far, and the
+// walk that combines them.
+type joiner struct {
+	kept []map[int32][]core.Result
+	topk *heap.Bounded[Result]
+	// combo is walk's scratch: one tuple per part.
+	combo []table.TID
+}
 
-// Execute runs the query: the optimizer plans per-relation access
-// (§6.2.1-6.2.2), the executor pulls from the rank-aware selections and
-// joins with a threshold stop condition (§6.3.2).
+func newJoiner(q Query) joiner {
+	j := joiner{kept: make([]map[int32][]core.Result, len(q.Parts)),
+		topk: heap.NewBounded[Result](q.K, worseJoined), combo: make([]table.TID, len(q.Parts))}
+	for i := range j.kept {
+		j.kept[i] = make(map[int32][]core.Result)
+	}
+	return j
+}
+
+// walk offers the top k every combination of the tuples kept under key, one
+// from each part from i on, except that part fixed (-1 for none) keeps the
+// tuple already in combo; score sums the scores chosen before i.
+func (j *joiner) walk(i, fixed int, key int32, score float64) {
+	switch {
+	case i == len(j.combo):
+		j.topk.Offer(Result{TIDs: slices.Clone(j.combo), Score: score})
+	case i == fixed:
+		j.walk(i+1, fixed, key, score)
+	default:
+		for _, r := range j.kept[i][key] {
+			j.combo[i] = r.TID
+			j.walk(i+1, fixed, key, score+r.Score)
+		}
+	}
+}
+
+// Execute runs the query: it opens each part's rank-aware selection over its
+// cube (§6.3.1) and joins the streams with a threshold stop condition
+// (§6.3.2).
 func Execute(q Query, opts Options, ctr *stats.Counters) ([]Result, error) {
-	if len(q.Parts) < 2 {
-		return nil, fmt.Errorf("joinquery: need at least 2 relations, got %d: %w", len(q.Parts), errs.ErrInvalidArgument)
-	}
-	if q.K <= 0 {
-		return nil, nil
-	}
-	exec := &executor{q: q, opts: opts, ctr: ctr}
-	endPlan := ctr.StartSpan("plan")
-	err := exec.open()
-	endPlan()
-	if err != nil {
+	if err := q.check(); err != nil || q.K <= 0 {
 		return nil, err
 	}
 	defer ctr.StartSpan("rank-join")()
-	return exec.run()
-}
-
-// source is a planned per-relation input stream: score-ascending matching
-// tuples with a lower bound for the unseen remainder.
-type source interface {
-	Next() (core.Result, bool)
-	Bound() float64
-}
-
-// cubeSource adapts sigcube.Scanner.
-type cubeSource struct{ s *sigcube.Scanner }
-
-func (c cubeSource) Next() (core.Result, bool) { return c.s.Next() }
-func (c cubeSource) Bound() float64            { return c.s.Bound() }
-
-// materializedSource holds pre-computed matches sorted ascending — the
-// optimizer's choice for highly selective conditions (§6.2.1).
-type materializedSource struct {
-	items []core.Result
-	pos   int
-}
-
-func (m *materializedSource) Next() (core.Result, bool) {
-	if m.pos >= len(m.items) {
-		return core.Result{}, false
+	e := &executor{joiner: newJoiner(q), parts: q.Parts, opts: opts, ctr: ctr,
+		scanners: make([]*sigcube.Scanner, len(q.Parts)), first: make([]float64, len(q.Parts)),
+		keyAllowed: viableKeys(q.Parts)}
+	for i, p := range q.Parts {
+		sc, err := p.Rel.Cube.Scan(p.Cond, p.F, ctr)
+		if err != nil {
+			return nil, err
+		}
+		e.scanners[i] = sc
+		e.first[i] = math.NaN()
 	}
-	r := m.items[m.pos]
-	m.pos++
-	return r, true
+	return e.run(), nil
 }
 
-func (m *materializedSource) Bound() float64 {
-	if m.pos >= len(m.items) {
-		return math.Inf(1)
-	}
-	return m.items[m.pos].Score
-}
-
-type executor struct {
-	q    Query
-	opts Options
-	ctr  *stats.Counters
-
-	sources []source
-	// seen[i] maps join key → tuples of relation i pulled so far.
-	seen []map[int32][]core.Result
-	// first[i] is relation i's best score, which drives the HRJN threshold.
-	first     []float64
-	exhausted []bool
-	topk      *heap.Bounded[Result]
-	// seenCount totals buffered tuples across all seen tables — the rank
-	// join's candidate buffer, reported through ObserveHeap so the peak
-	// metric and the candidate budget cover joins too.
-	seenCount int
-	// keyAllowed[i][key]: list pruning — keys that can possibly join across
-	// all relations (§6.3.3).
-	keyAllowed []bool
-}
-
-// open plans each relation (optimizer) and prepares join state.
-func (e *executor) open() error {
-	n := len(e.q.Parts)
-	e.sources = make([]source, n)
-	e.seen = make([]map[int32][]core.Result, n)
-	e.first = make([]float64, n)
-	e.exhausted = make([]bool, n)
-	e.topk = heap.NewBounded[Result](e.q.K, worseJoined)
-
-	// List pruning: a join key is viable only when present in every
-	// relation (§6.3.3). Keys use a shared domain, sized by the largest
-	// relation's: a key beyond some relation's KeyCard is not viable.
+// viableKeys is list pruning (§6.3.3): a join key is viable only when present
+// in every relation. Keys use a shared domain, sized by the largest
+// relation's: a key beyond some relation's KeyCard is not viable.
+func viableKeys(parts []Part) []bool {
 	keyCard := 0
-	for _, p := range e.q.Parts {
+	for _, p := range parts {
 		keyCard = max(keyCard, p.Rel.KeyCard)
 	}
-	e.keyAllowed = make([]bool, keyCard)
-	for k := 0; k < keyCard; k++ {
-		ok := true
-		for _, p := range e.q.Parts {
+	viable := make([]bool, keyCard)
+	for k := range viable {
+		viable[k] = true
+		for _, p := range parts {
 			if k >= p.Rel.KeyCard || !p.Rel.keyPresent[k] {
-				ok = false
+				viable[k] = false
 				break
 			}
 		}
-		e.keyAllowed[k] = ok
 	}
-
-	for i, p := range e.q.Parts {
-		src, err := e.plan(p)
-		if err != nil {
-			return err
-		}
-		e.sources[i] = src
-		e.seen[i] = make(map[int32][]core.Result)
-		e.first[i] = math.NaN()
-	}
-	return nil
+	return viable
 }
 
-// plan implements the single-relation optimizer (§6.2.1): estimate the
-// matching cardinality from dimension selectivities; a highly selective
-// condition is answered by materializing and sorting its matches (via the
-// boolean path), everything else by a progressive cube scan.
-func (e *executor) plan(p Part) (source, error) {
-	t := p.Rel.T
-	est := float64(t.Len())
-	for d := range p.Cond {
-		est /= float64(t.Schema().SelCard[d])
-	}
-	if int(est) <= scanThreshold {
-		items := materialize(p, e.ctr)
-		return &materializedSource{items: items}, nil
-	}
-	sc, err := p.Rel.Cube.Scan(p.Cond, p.F, e.ctr)
-	if err != nil {
-		return nil, err
-	}
-	return cubeSource{s: sc}, nil
+type executor struct {
+	joiner
+	parts    []Part
+	opts     Options
+	ctr      *stats.Counters
+	scanners []*sigcube.Scanner
+	// first[i] is part i's best score, which drives the HRJN threshold; NaN
+	// until its first pull.
+	first []float64
+	// seenCount totals the tuples kept across all parts — the rank join's
+	// candidate buffer, reported through ObserveHeap so the peak metric and
+	// the candidate budget cover joins too.
+	seenCount int
+	// keyAllowed[key]: the join keys list pruning lets through.
+	keyAllowed []bool
 }
 
-// scan makes one sequential pass over the part's relation (live tuples
-// only, charged once) and hands visit every match with a finite score.
-func (p Part) scan(ctr *stats.Counters, visit func(core.Result)) {
-	p.Rel.Cube.SeqScan(p.Cond, ctr, func(tid table.TID, rank []float64) {
-		if score := p.F.Eval(rank); !math.IsInf(score, 1) {
-			visit(core.Result{TID: tid, Score: score})
-		}
-	})
-}
-
-// materialize scans the relation for matches and sorts them.
-func materialize(p Part, ctr *stats.Counters) []core.Result {
-	var items []core.Result
-	p.scan(ctr, func(r core.Result) { items = append(items, r) })
-	slices.SortFunc(items, func(a, b core.Result) int {
-		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.TID, b.TID))
-	})
-	return items
-}
-
-// run is the multi-way rank join (§6.3.2): pull adaptively from the source
-// whose threshold term is loosest, probe the other relations' seen tables
-// for join combinations, and stop when the kth combined score is at most
-// the threshold bound on all unseen combinations.
-func (e *executor) run() ([]Result, error) {
-	n := len(e.sources)
+// run is the multi-way rank join (§6.3.2): pull from the part pick names,
+// combine the tuple with the other parts' kept tuples under its key, and
+// stop when the kth combined score is at most the threshold bound on all
+// unseen combinations.
+func (e *executor) run() []Result {
 	for {
-		// A pull from a materialized source costs no block read, so give
+		// A pull the scanner answers from its heap reads nothing, so give
 		// cancellation an explicit abort point each iteration.
 		e.ctr.Checkpoint()
-		// Threshold: any unseen combination uses an unseen tuple from some
-		// relation i, so its score is at least bound_i + Σ_{j≠i} first_j.
-		if e.topk.Full() && e.topk.Worst().Score <= e.threshold() {
+		pick, threshold := e.pick()
+		if pick < 0 || e.topk.Full() && e.topk.Worst().Score <= threshold {
 			break
 		}
-		// Pick the relation whose unseen bound currently dominates the
-		// threshold (HRJN*-style adaptive pulling).
-		pick := -1
-		best := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if e.exhausted[i] {
-				continue
-			}
-			term := e.comboBound(i)
-			if term < best {
-				best, pick = term, i
-			}
-		}
-		if pick < 0 {
-			break // all sources exhausted
-		}
-		r, ok := e.sources[pick].Next()
+		r, ok := e.scanners[pick].Next()
 		if !ok {
-			e.exhausted[pick] = true
-			continue
+			continue // its Bound is +Inf from now on
 		}
 		if math.IsNaN(e.first[pick]) {
 			e.first[pick] = r.Score
 		}
-
-		key := e.q.Parts[pick].Rel.Keys[r.TID]
+		key := e.parts[pick].Rel.Keys[r.TID]
 		if !e.opts.DisableListPruning && !e.keyAllowed[key] {
 			e.ctr.Pruned++
 			continue
 		}
-		e.seen[pick][key] = append(e.seen[pick][key], r)
+		e.kept[pick][key] = append(e.kept[pick][key], r)
 		e.seenCount++
 		e.ctr.ObserveHeap(e.seenCount)
-		e.probe(pick, key, r)
+		e.combo[pick] = r.TID
+		e.walk(0, pick, key, r.Score)
 	}
-	return e.topk.Sorted(), nil
+	return e.topk.Sorted()
 }
 
-// comboBound is the lower bound of combinations completed by relation i's
-// next unseen tuple.
-func (e *executor) comboBound(i int) float64 {
-	b := e.sources[i].Bound()
-	if math.IsInf(b, 1) {
-		return b
-	}
-	for j := range e.sources {
-		if j == i {
-			continue
-		}
-		f := e.first[j]
-		if math.IsNaN(f) {
-			f = 0 // nothing pulled yet: scores are bounded below by 0 for
-			// the thesis' distance/linear-positive components; kept sound
-			// by pulling every source at least once before stopping.
-		}
-		b += f
-	}
-	return b
-}
-
-// threshold is the minimum comboBound over live sources; unseen
-// combinations cannot beat it.
-func (e *executor) threshold() float64 {
-	t := math.Inf(1)
-	allStarted := true
-	for i := range e.sources {
-		if math.IsNaN(e.first[i]) && !e.exhausted[i] {
-			allStarted = false
-		}
-	}
-	if !allStarted {
-		return math.Inf(-1) // cannot stop before every source contributed
-	}
-	for i := range e.sources {
-		if e.exhausted[i] {
-			continue
-		}
-		if b := e.comboBound(i); b < t {
-			t = b
-		}
-	}
-	return t
-}
-
-// probe joins a freshly pulled tuple with all seen combinations of the
-// other relations sharing its key.
-func (e *executor) probe(origin int, key int32, r core.Result) {
-	n := len(e.sources)
-	combo := make([]core.Result, n)
-	combo[origin] = r
-	var rec func(i int, score float64)
-	rec = func(i int, score float64) {
-		if i == n {
-			tids := make([]table.TID, n)
-			for j, c := range combo {
-				tids[j] = c.TID
+// pick names the part to pull from next, the one whose next unseen tuple
+// bounds the combinations it completes lowest (HRJN*-style adaptive
+// pulling), and returns the threshold no unseen combination can beat: the
+// lowest of those bounds, or -Inf while some part with tuples left has not
+// been pulled. It returns -1 when no further combination can form: every
+// part is exhausted, or one is exhausted having kept no tuple.
+func (e *executor) pick() (pick int, threshold float64) {
+	pick, threshold = -1, math.Inf(1)
+	started := true
+	for i, sc := range e.scanners {
+		b := sc.Bound()
+		if math.IsInf(b, 1) {
+			if len(e.kept[i]) == 0 {
+				return -1, b
 			}
-			e.topk.Offer(Result{TIDs: tids, Score: score})
-			return
+			continue
 		}
-		if i == origin {
-			rec(i+1, score)
-			return
+		started = started && !math.IsNaN(e.first[i])
+		// An unseen tuple of part i combines with at least the best score of
+		// every other part. A part not pulled yet adds 0, which bounds the
+		// thesis' distance and positive-linear components from below; the
+		// threshold stays -Inf until it has been pulled.
+		for j, f := range e.first {
+			if j != i && !math.IsNaN(f) {
+				b += f
+			}
 		}
-		for _, c := range e.seen[i][key] {
-			combo[i] = c
-			rec(i+1, score+c.Score)
+		if b < threshold {
+			pick, threshold = i, b
 		}
 	}
-	rec(0, r.Score)
+	if !started {
+		threshold = math.Inf(-1)
+	}
+	return pick, threshold
 }

@@ -17,10 +17,14 @@ import (
 // makeRelation builds a synthetic relation with a join-key column.
 func makeRelation(t *testing.T, name string, n, keyCard int, seed int64) *Relation {
 	t.Helper()
-	tb := table.Generate(table.GenSpec{T: n, S: 2, R: 2, Card: 4, Seed: seed})
+	return keyed(name, table.Generate(table.GenSpec{T: n, S: 2, R: 2, Card: 4, Seed: seed}), keyCard, seed)
+}
+
+// keyed builds tb's signature cube and gives every tuple a random join key.
+func keyed(name string, tb *table.Table, keyCard int, seed int64) *Relation {
 	cube := sigcube.Build(tb, sigcube.Config{RTree: rtree.Config{Fanout: 16}})
 	rng := rand.New(rand.NewSource(seed + 1000))
-	keys := make([]int32, n)
+	keys := make([]int32, tb.Len())
 	for i := range keys {
 		keys[i] = int32(rng.Intn(keyCard))
 	}
@@ -143,11 +147,15 @@ func TestThreeWayJoinMatchesBrute(t *testing.T) {
 	sameJoin(t, got, bruteJoin(q))
 }
 
-func TestSelectiveConditionUsesMaterializedPlan(t *testing.T) {
-	// Card 4 on 2 dims: conditioning both dims of a 400-tuple relation
-	// estimates 25 matches < threshold 64 → materialized source.
-	r1 := makeRelation(t, "R1", 400, 8, 139)
-	r2 := makeRelation(t, "R2", 400, 8, 140)
+// TestSelectivePartReadsThroughItsCube joins a selective part, about 50
+// matches out of 20k rows under two predicates of cardinality 20, with an
+// unconditioned one: the selective part is read through its cube like any
+// other, so the join charges no table read and reads less than one heap pass
+// of that relation.
+func TestSelectivePartReadsThroughItsCube(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 20000, S: 2, R: 2, Card: 20, Seed: 139})
+	r1 := keyed("R1", tb, 20, 139)
+	r2 := makeRelation(t, "R2", 2000, 20, 140)
 	q := Query{
 		Parts: []Part{
 			{Rel: r1, Cond: core.Cond{0: 1, 1: 1}, F: ranking.Sum(0, 1)},
@@ -161,8 +169,35 @@ func TestSelectiveConditionUsesMaterializedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameJoin(t, got, bruteJoin(q))
-	if ctr.Reads(stats.StructTable) == 0 {
-		t.Fatal("materialized plan did not charge a table scan")
+	pass := core.NewHeapFile(tb, 0).NumPages()
+	if ctr.Reads(stats.StructTable) != 0 || ctr.TotalReads() >= int64(pass) {
+		t.Fatalf("%d table reads, %d in all; want none and under one heap pass (%d pages)",
+			ctr.Reads(stats.StructTable), ctr.TotalReads(), pass)
+	}
+}
+
+// TestEmptyPartEndsTheJoin joins a part whose cell holds no tuple with one
+// that holds every tuple, in both orders: the answer is empty, and the join
+// reads nothing of the other part to say so. It stops as soon as a part is
+// exhausted having kept no tuple, instead of draining the others.
+func TestEmptyPartEndsTheJoin(t *testing.T) {
+	// Selection value 3 of a 4-value dimension never occurs.
+	tb := table.MustNew(table.Schema{SelNames: []string{"a"}, SelCard: []int{4}, RankNames: []string{"x", "y"}})
+	rng := rand.New(rand.NewSource(147))
+	for i := 0; i < 2000; i++ {
+		tb.Append([]int32{int32(rng.Intn(3))}, []float64{rng.Float64(), rng.Float64()})
+	}
+	empty := Part{Rel: keyed("E", tb, 10, 147), Cond: core.Cond{0: 3}, F: ranking.Sum(0, 1)}
+	full := Part{Rel: makeRelation(t, "F", 2000, 10, 148), Cond: core.Cond{}, F: ranking.Sum(0, 1)}
+	for _, parts := range [][]Part{{empty, full}, {full, empty}} {
+		ctr := stats.New()
+		got, err := Execute(Query{Parts: parts, K: 5}, Options{}, ctr)
+		if err != nil || len(got) != 0 {
+			t.Fatalf("got %v (%v), want nothing", got, err)
+		}
+		if ctr.TotalReads() != 0 || ctr.StatesExamined != 0 {
+			t.Fatalf("empty join read %d blocks and examined %d states, want none", ctr.TotalReads(), ctr.StatesExamined)
+		}
 	}
 }
 

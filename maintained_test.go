@@ -36,11 +36,10 @@ func joinKeys(n, card int) []int32 {
 	return keys
 }
 
-// TestJoinSkipsDeletedTuplesInMaterializedParts is the regression test of
-// the rank join's materialized access path: a part selective enough to be
-// materialized (est. ≤ 64 rows) used to scan the relation without asking the
-// cube which tuples are alive, so a tuple DeleteTuple had just removed came
-// back as the top join answer.
+// TestJoinSkipsDeletedTuplesInMaterializedParts deletes the top answer's
+// tuple from a selective part (about 7 matches) and joins again: the answer
+// must not bring the deleted tuple back, as a table scan of the part that
+// did not ask the cube which tuples are alive once did.
 func TestJoinSkipsDeletedTuplesInMaterializedParts(t *testing.T) {
 	relA := rankcube.GenerateRelation(3000, 2, 2, 20, rankcube.Uniform, 5)
 	relB := rankcube.GenerateRelation(3000, 2, 2, 20, rankcube.Uniform, 6)
@@ -402,8 +401,8 @@ func TestMaintainedCubesAgreeWithBaselineAndFallback(t *testing.T) {
 		}
 		ja := rankcube.NewJoinRelation("A", relA, cubeA, joinKeys(rows, 50), 50)
 		jb := rankcube.NewJoinRelation("B", relB, cubeB, joinKeys(rows, 50), 50)
-		// The first query's left part is selective enough to be materialized,
-		// the second's is a progressive cube scan.
+		// The first query's left part is selective (about 7 matches), the
+		// second's is not.
 		queries := [][]rankcube.JoinPart{
 			{{Rel: ja, Cond: rankcube.Cond{0: 3, 1: 4}, F: rankcube.Sum(0, 1)}, {Rel: jb, Cond: rankcube.Cond{}, F: rankcube.Sum(0, 1)}},
 			{{Rel: ja, Cond: rankcube.Cond{0: 3}, F: rankcube.Sum(0, 1)}, {Rel: jb, Cond: rankcube.Cond{1: 7}, F: rankcube.Sum(0)}},
@@ -417,17 +416,13 @@ func TestMaintainedCubesAgreeWithBaselineAndFallback(t *testing.T) {
 			clean = append(clean, got)
 		}
 		corruptAll(cubeA.Stores())
-		for i, parts := range queries[1:] { // the materialized plan reads no cube store: nothing to force
+		for i, parts := range queries {
 			got := degraded(t, "join", seqPages(relA, rows)+seqPages(relB, rows), func(o ...rankcube.Option) ([]rankcube.JoinResult, error) {
 				return rankcube.JoinQuery(bg, parts, 6, o...)
 			})
-			if !reflect.DeepEqual(got, clean[i+1]) {
-				t.Fatalf("join %d: fallback %v, clean %v", i+1, got, clean[i+1])
+			if !reflect.DeepEqual(got, clean[i]) {
+				t.Fatalf("join %d: fallback %v, clean %v", i, got, clean[i])
 			}
-		}
-		want, err := joinquery.BruteForce(joinquery.Query{Parts: queries[0], K: 6}, rankcube.NewMetrics())
-		if err != nil || !reflect.DeepEqual(clean[0], want) {
-			t.Fatalf("materialized join %v, brute force %v (%v)", clean[0], want, err)
 		}
 	})
 }

@@ -397,12 +397,7 @@ func JoinQuery(ctx context.Context, parts []JoinPart, k int, opts ...Option) ([]
 	}
 	q := joinquery.Query{Parts: parts, K: k}
 	return runQuery(ctx, "join.topk", cfg,
-		func(m *Metrics) ([]JoinResult, error) {
-			for _, p := range parts {
-				checkFunc(p.F, p.Rel.T)
-			}
-			return joinquery.Execute(q, joinquery.Options{}, m)
-		},
+		func(m *Metrics) ([]JoinResult, error) { return joinquery.Execute(q, joinquery.Options{}, m) },
 		func(m *Metrics) ([]JoinResult, error) { return joinquery.BruteForce(q, m) })
 }
 
@@ -481,19 +476,12 @@ func TableScanQuery(ctx context.Context, rel *Relation, cond Cond, f Func, k int
 		nil)
 }
 
-// checkFunc is the boundary's one check of a ranking function against the
-// relation it ranks, made by every entry point that takes one before any
-// engine sees the request: a missing function, or one over a rank dimension
-// the schema does not have, aborts ErrInvalidArgument, which never degrades.
-// Entry points make it inside the attempt, where the cube's lock holds its
-// relation still (a grid cube's Repartition replaces it).
+// checkFunc is the boundary's one check of a ranking function (core.CheckFunc),
+// aborting ErrInvalidArgument. Entry points make it inside the attempt, where
+// the cube's lock holds its relation still (a grid cube's Repartition
+// replaces it).
 func checkFunc(f Func, rel *Relation) {
-	if f == nil || rel == nil {
-		errs.Abortf(errs.ErrInvalidArgument, "rankcube: a ranking function needs a function and a relation")
-	}
-	for _, a := range f.Attrs() {
-		if a < 0 || a >= rel.Schema().R() {
-			errs.Abortf(errs.ErrInvalidArgument, "rankcube: %v ranks dimension %d of %d", f, a, rel.Schema().R())
-		}
+	if err := core.CheckFunc(f, rel); err != nil {
+		errs.Abort(err)
 	}
 }

@@ -355,9 +355,15 @@ type MergeOptions struct {
 type JoinRelation = joinquery.Relation
 
 // NewJoinRelation wraps a relation and its signature cube with join keys
-// (keys[tid] ∈ [0, keyCard)).
+// (keys[tid] ∈ [0, keyCard), one per tuple). It never panics: a JoinQuery
+// over a relation whose keys break that rule, or that lacks a cube, fails
+// with ErrInvalidArgument.
 func NewJoinRelation(name string, rel *Relation, cube *SignatureCube, keys []int32, keyCard int) *JoinRelation {
-	return joinquery.NewRelation(name, rel, cube.c, keys, keyCard)
+	var c *sigcube.Cube
+	if cube != nil {
+		c = cube.c
+	}
+	return joinquery.NewRelation(name, rel, c, keys, keyCard)
 }
 
 // JoinPart is one relation's role in an SPJR query.

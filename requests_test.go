@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rankcube"
@@ -145,8 +146,9 @@ func TestOutOfDomainValuesSelectNothing(t *testing.T) {
 
 // TestConditionOutsideSchemaIsInvalid puts a condition on a selection
 // dimension the schema does not have, and a ranking function over a rank
-// dimension it does not have, to every top-k entry point that takes one: each
-// fails with ErrInvalidArgument, and none degrades.
+// dimension it does not have, to every top-k entry point that takes one, and
+// joins whose shape is malformed whatever their condition and function: each
+// fails with ErrInvalidArgument, and none degrades or panics.
 func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
 	rel := rankcube.GenerateRelation(2000, 2, 2, 10, rankcube.Uniform, 5)
 	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
@@ -155,43 +157,65 @@ func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
 	keys := joinKeys(rel.Len(), 50)
 	joinRel := rankcube.NewJoinRelation("A", rel, sig, keys, 50)
 	type entry func(rankcube.Cond, rankcube.Func, *rankcube.Metrics) ([]rankcube.Result, error)
-	// withCond marks the entry points that take a condition.
+	join := func(other *rankcube.JoinRelation) entry {
+		return func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+			_, err := rankcube.JoinQuery(bg, []rankcube.JoinPart{
+				{Rel: joinRel, Cond: c, F: rankcube.Sum(0)},
+				{Rel: other, Cond: c, F: f},
+			}, 10, rankcube.WithMetrics(m))
+			return nil, err
+		}
+	}
+	keyed := func(tid int, key int32) *rankcube.JoinRelation {
+		bad := slices.Clone(keys)
+		bad[tid] = key
+		return rankcube.NewJoinRelation("K", rel, sig, bad, 50)
+	}
+	grownRel := rankcube.GenerateRelation(500, 2, 2, 10, rankcube.Uniform, 6)
+	grownSig := rankcube.BuildSignatureCube(grownRel, rankcube.SigOptions{})
+	grown := rankcube.NewJoinRelation("G", grownRel, grownSig, joinKeys(grownRel.Len(), 50), 50)
+	// The tuple past the keys scores 0: a join pulls it first.
+	if _, err := grownSig.InsertTuple(bg, []int32{1, 2}, []float64{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	// withCond marks the entry points that take a condition, malformed the
+	// requests that are malformed whatever their condition and function.
 	entries := map[string]struct {
-		withCond bool
-		run      entry
+		withCond, malformed bool
+		run                 entry
 	}{
-		"grid query": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		"grid query": {true, false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return grid.Query(bg, c, f, 10, rankcube.WithMetrics(m))
 		}},
-		"grid baseline": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		"grid baseline": {true, false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return grid.BaselineQuery(bg, c, f, 10, rankcube.WithMetrics(m))
 		}},
-		"signature query": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		"signature query": {true, false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return sig.Query(bg, c, f, 10, rankcube.WithMetrics(m))
 		}},
-		"signature baseline": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		"signature baseline": {true, false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return sig.BaselineQuery(bg, c, f, 10, rankcube.WithMetrics(m))
 		}},
-		"table scan": {true, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		"table scan": {true, false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return rankcube.TableScanQuery(bg, rel, c, f, 10, rankcube.WithMetrics(m))
 		}},
-		"signature scan": {false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		"signature scan": {false, false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			sc, err := sig.OpenScan(bg, c, f, rankcube.WithMetrics(m))
 			if err == nil {
 				sc.Close()
 			}
 			return nil, err
 		}},
-		"merge": {false, func(_ rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
+		"merge": {false, false, func(_ rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
 			return rankcube.MergeQuery(bg, rel, indices, f, 10, rankcube.MergeOptions{}, rankcube.WithMetrics(m))
 		}},
-		"join part": {false, func(c rankcube.Cond, f rankcube.Func, m *rankcube.Metrics) ([]rankcube.Result, error) {
-			_, err := rankcube.JoinQuery(bg, []rankcube.JoinPart{
-				{Rel: joinRel, Cond: c, F: rankcube.Sum(0)},
-				{Rel: rankcube.NewJoinRelation("B", rel, sig, keys, 50), Cond: c, F: f},
-			}, 10, rankcube.WithMetrics(m))
-			return nil, err
-		}},
+		"join part":                    {false, false, join(rankcube.NewJoinRelation("B", rel, sig, keys, 50))},
+		"join with a key past keyCard": {false, true, join(keyed(7, 50))},
+		"join with a negative key":     {false, true, join(keyed(1999, -3))},
+		"join with a nil relation":     {false, true, join(nil)},
+		"join without a table":         {false, true, join(rankcube.NewJoinRelation("T", nil, sig, keys, 50))},
+		"join without a cube":          {false, true, join(rankcube.NewJoinRelation("C", rel, nil, keys, 50))},
+		"join with a grown relation":   {false, true, join(grown)},
 	}
 	good := rankcube.Sum(0, 1)
 	for name, e := range entries {
@@ -201,6 +225,9 @@ func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
 			if _, err := e.run(c, f, &m); !errors.Is(err, rankcube.ErrInvalidArgument) || m.Downgrades != 0 {
 				t.Errorf("%s %s: err = %v after %d downgrades, want ErrInvalidArgument and none", name, what, err, m.Downgrades)
 			}
+		}
+		if e.malformed {
+			malformed("request", rankcube.Cond{0: 1}, good)
 		}
 		if e.withCond {
 			for _, cond := range []rankcube.Cond{{5: 1}, {-1: 0}, {0: 1, 2: 0}} {
