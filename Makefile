@@ -25,7 +25,8 @@ no-deprecated:
 # Non-test lines of Go outside the benchmark module: the number ROADMAP aim 2
 # ("the least code") is held to, in total, for the root package, and per
 # command and internal package. A PR under ROADMAP item 1, 2 or 9 quotes it
-# before and after; the last line is item 9's sum, internal/bench +
+# before and after; the last two lines are item 2's sum, internal/sigcube +
+# internal/skyline + internal/indexmerge, and item 9's, internal/bench +
 # internal/baselines + cmd/rankbench.
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*'
 loc:
@@ -34,6 +35,7 @@ loc:
 	@for d in cmd/*/ examples internal/*/; do \
 		printf '%-28s %s\n' "$${d%/}" "$$($(LOC_FILES) -path "./$${d%/}/*" | xargs cat | wc -l)"; \
 	done
+	@echo "item 2 (sigcube + skyline + indexmerge) $$($(LOC_FILES) \( -path './internal/sigcube/*' -o -path './internal/skyline/*' -o -path './internal/indexmerge/*' \) | xargs cat | wc -l)"
 	@echo "item 9 (bench + baselines + rankbench) $$($(LOC_FILES) \( -path './internal/bench/*' -o -path './internal/baselines/*' -o -path './cmd/rankbench/*' \) | xargs cat | wc -l)"
 
 # rankvet (cmd/rankvet, analyzers in internal/analysis) mechanically

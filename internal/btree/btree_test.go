@@ -91,11 +91,12 @@ func TestAccessorChargesReads(t *testing.T) {
 	_, tr := buildTree(t, 2000, Config{Fanout: 8})
 	ctr := stats.New()
 	acc := hindex.NewAccessor(tr, ctr)
-	kids := acc.Children(tr.Root())
+	acc.Visit(tr.Root())
+	kids := tr.Children(tr.Root())
 	if ctr.Reads(stats.StructBTree) != 1 {
 		t.Fatalf("reads = %d after one access", ctr.Reads(stats.StructBTree))
 	}
-	acc.Children(tr.Root()) // buffered: no extra charge
+	acc.Visit(tr.Root()) // buffered: no extra charge
 	if ctr.Reads(stats.StructBTree) != 1 {
 		t.Fatalf("reads = %d after repeat access", ctr.Reads(stats.StructBTree))
 	}

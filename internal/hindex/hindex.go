@@ -174,21 +174,6 @@ func (a *Accessor) Tuple(id NodeID, slot int) (table.TID, []float64) {
 	return a.Idx.EntryPoint(id, slot, a.pt), a.pt
 }
 
-// Children fetches internal node entries, charging the node's page. Like
-// LeafEntries, and like the materializing pair of Nodes under them, it has no
-// caller left but benchmark/layertrace and the reference oracles: every search
-// loop goes through Visit, Child and Tuple.
-func (a *Accessor) Children(id NodeID) []ChildRef {
-	a.buf.Touch(a.Idx.Page(id), a.c)
-	return a.Idx.Children(id)
-}
-
-// LeafEntries fetches leaf tuples, charging the leaf's page.
-func (a *Accessor) LeafEntries(id NodeID) []LeafEntry {
-	a.buf.Touch(a.Idx.Page(id), a.c)
-	return a.Idx.LeafEntries(id)
-}
-
 // Hold starts the accessor with the pages an earlier step of the caller's
 // chain retrieved, as Held returned them: visits to their nodes are free.
 func (a *Accessor) Hold(held []uint64) { a.buf.Hold(held) }

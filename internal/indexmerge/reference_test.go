@@ -209,7 +209,8 @@ func (m *refMerger) processLeafState(s *refState) {
 			continue
 		}
 		dims := idx.Dims()
-		for _, le := range m.acc[i].LeafEntries(s.nodes[i]) {
+		m.acc[i].Visit(s.nodes[i])
+		for _, le := range idx.LeafEntries(s.nodes[i]) {
 			pt, ok := m.partial[le.TID]
 			if !ok {
 				pt = &refPartial{point: m.indices[0].Domain().Center()}
@@ -336,7 +337,8 @@ func (m *refMerger) initExpansion(s *refState) {
 			}}
 			continue
 		}
-		children := m.acc[i].Children(nid)
+		m.acc[i].Visit(nid)
+		children := idx.Children(nid)
 		refs := make([]refChild, len(children))
 		for slot, ch := range children {
 			box := refComposeBox(s.box, ch.Box)

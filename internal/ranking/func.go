@@ -71,11 +71,12 @@ type LinearFunc struct {
 }
 
 // Linear builds f = Σ weights[i]·N_{attrs[i]}. attrs must be distinct;
-// entries are sorted (with weights permuted to match).
+// entries are sorted (with weights permuted to match). Without one weight per
+// attribute it builds a function of rank dimension −1, which every public
+// entry point refuses as outside the schema.
 func Linear(attrs []int, weights []float64) *LinearFunc {
 	if len(attrs) != len(weights) {
-		//lint:invariant documented precondition: one weight per attribute
-		panic("ranking: Linear attrs/weights length mismatch")
+		return &LinearFunc{attrs: []int{-1}, weights: []float64{1}}
 	}
 	idx := make([]int, len(attrs))
 	for i := range idx {
@@ -184,7 +185,9 @@ type DistFunc struct {
 	l1     bool
 }
 
-// SqDist builds Σ (N_{attrs[i]} − target[i])².
+// SqDist builds Σ (N_{attrs[i]} − target[i])². Like L1Dist, without one
+// coordinate per attribute it builds a function of rank dimension −1, which
+// every public entry point refuses as outside the schema.
 func SqDist(attrs []int, target []float64) *DistFunc {
 	return newDist(attrs, target, false)
 }
@@ -196,8 +199,7 @@ func L1Dist(attrs []int, target []float64) *DistFunc {
 
 func newDist(attrs []int, target []float64, l1 bool) *DistFunc {
 	if len(attrs) != len(target) {
-		//lint:invariant documented precondition: one coordinate per attribute
-		panic("ranking: distance attrs/target length mismatch")
+		return &DistFunc{attrs: []int{-1}, target: []float64{0}, l1: l1}
 	}
 	idx := make([]int, len(attrs))
 	for i := range idx {

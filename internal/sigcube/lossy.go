@@ -100,8 +100,9 @@ func (c *Cube) lossyTesterFor(cond core.Cond, ctr *stats.Counters) (signature.Te
 		if cb == nil {
 			return nil, false
 		}
-		bc, ok := cb.blooms[cb.cellKey([]int32{cond[d]})]
-		if !ok {
+		key, in := cb.cell(cond)
+		bc, ok := cb.blooms[key]
+		if !in || !ok {
 			return nil, false
 		}
 		testers = append(testers, &loadedBloomCell{cell: bc, buf: pager.NewBuffer(c.store), ctr: ctr})
@@ -115,9 +116,9 @@ func (c *Cube) lossyTesterFor(cond core.Cond, ctr *stats.Counters) (signature.Te
 // Verifier returns the tuple-level re-verification hook of a lossy cube:
 // the bloom measure may pass non-matching tuples, which a random access to
 // the relation then rejects, charging the tuple's heap page the first time
-// the query touches it (core.HeapFile.Verifier). Exact cubes need none. A
-// search runs it on a tuple it is about to answer with — the top-k scanner at
-// pop, the skyline search at emit.
+// the query touches it (core.HeapFile.Verifier). Exact cubes need none. The
+// search (BestFirst) runs it on a tuple it is about to answer with, at its
+// pop.
 func (c *Cube) Verifier(cond core.Cond, ctr *stats.Counters) func(table.TID) bool {
 	if !c.cfg.LossySignatures {
 		return nil

@@ -88,13 +88,14 @@ func (s *refScanner) step() (core.Result, bool) {
 		}
 		return core.Result{TID: e.tid, Score: e.score}, true
 	}
+	s.acc.Visit(e.node)
 	if s.idx.IsLeaf(e.node) {
-		for slot, le := range s.acc.LeafEntries(e.node) {
+		for slot, le := range s.idx.LeafEntries(e.node) {
 			s.cheap.Push(refEntry{score: s.f.Eval(le.Point), isTuple: true, tid: le.TID, path: refChildPath(e.path, slot)})
 		}
 		return core.Result{}, false
 	}
-	for slot, ch := range s.acc.Children(e.node) {
+	for slot, ch := range s.idx.Children(e.node) {
 		s.cheap.Push(refEntry{score: s.f.LowerBound(ch.Box), node: ch.ID, path: refChildPath(e.path, slot)})
 	}
 	return core.Result{}, false
@@ -119,15 +120,16 @@ func (s *refScanner) stepRule() (core.Result, bool) {
 	if !any {
 		return core.Result{}, false
 	}
+	s.acc.Visit(e.node)
 	if s.idx.IsLeaf(e.node) {
-		for slot, le := range s.acc.LeafEntries(e.node) {
+		for slot, le := range s.idx.LeafEntries(e.node) {
 			if passes[slot] {
 				s.cheap.Push(refEntry{score: s.f.Eval(le.Point), isTuple: true, tid: le.TID})
 			}
 		}
 		return core.Result{}, false
 	}
-	for slot, ch := range s.acc.Children(e.node) {
+	for slot, ch := range s.idx.Children(e.node) {
 		if passes[slot] {
 			s.cheap.Push(refEntry{score: s.f.LowerBound(ch.Box), node: ch.ID, path: refChildPath(e.path, slot)})
 		}
@@ -376,11 +378,11 @@ func checkOpaqueAgainstReference(t *testing.T, rc refCase, rng *rand.Rand) {
 	builds := map[string]opaque{
 		"or": {req: func(ctr *stats.Counters) (signature.Tester, func(table.TID) bool) {
 			a, b := pair(ctr)
-			return signature.Or{a, b}, nil
+			return Or{a, b}, nil
 		}},
 		"and-not": {req: func(ctr *stats.Counters) (signature.Tester, func(table.TID) bool) {
 			a, b := pair(ctr)
-			return signature.And{a, signature.Not{T: b, Height: rt.Height()}}, nil
+			return signature.And{a, Not{T: b, Height: rt.Height()}}, nil
 		}},
 	}
 	for ci, cond := range rc.conds {
@@ -496,4 +498,34 @@ func TestScannerMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Or is the online disjunction assembly of §4.3.3 (exact at every level).
+type Or []signature.Tester
+
+// Test implements Tester.
+func (o Or) Test(path []int) bool {
+	for _, t := range o {
+		if t.Test(path) {
+			return true
+		}
+	}
+	return false
+}
+
+// Not complements a tester at the tuple level. At internal nodes a
+// complement cannot be derived from the member signature alone (a subtree
+// can contain both matching and non-matching tuples), so Not passes all
+// internal nodes and is exact only on full tuple paths of the given height.
+type Not struct {
+	T      signature.Tester
+	Height int
+}
+
+// Test implements Tester.
+func (n Not) Test(path []int) bool {
+	if len(path) < n.Height {
+		return true
+	}
+	return !n.T.Test(path)
 }

@@ -14,36 +14,47 @@ import (
 	"rankcube/internal/table"
 )
 
-// Scanner is the branch-and-bound search of Alg. 3 run progressively: it
-// produces, one at a time and in ascending score order, the tuples matching
-// a boolean condition. A top-k query pulls k results from it; the rank-aware
-// selection operator of thesis §6.3.1 — the source a rank join pulls from —
-// is the same scanner left open.
+// BestFirst is the branch-and-bound search of Alg. 3 run progressively: it
+// produces, one at a time and in ascending score order, the tuples matching a
+// boolean condition. It is the one best-first search over the cube's
+// partition: a top-k query pulls k results from it, the rank-aware selection
+// operator of thesis §6.3.1 — the source a rank join pulls from — is the same
+// search left open, and chapter 7's skyline search is the search under a
+// Filter, ranked by mindist.
 //
-// One rule sets it apart from the letter of Alg. 3: a partition node's page
-// is charged only after the boolean test has shown that one of its children
-// qualifies. The letter pushes every child of a node it has read and tests
-// each when it is popped; under a conjunction assembled online from atomic
-// cells (§4.3.3) nearly every leaf then passes at its parent — it holds some
-// tuple of each cell — is read, and turns out to hold no tuple of both. The
-// bits that say so are the node's own signature node in each cell, which is
-// found from the path alone. So when a qualified node is popped, its
-// children's bits are consulted first, a stage (signature.Stages) at a time
-// over the survivors of the stages before and no further than the stage that
-// leaves none — where the short-circuit of And.Test stops loading — and the
-// node is skipped unread when nothing survives. Otherwise its page is charged
-// and one deferred entry is pushed at the best survivor's score; when that is
-// popped the survivors are derived again from the stages, resident by then,
-// and pushed qualified. The candidate heap therefore only ever holds states
-// that passed the boolean test, and a node's survivors only once the search
-// has reached the first of them.
+// Its reads follow one rule, the rule every request of the cube is charged
+// by: a partition node's page is charged only after the boolean test has
+// shown that one of its children qualifies. The letter of Alg. 3 (and of fig.
+// 7.1) pushes every child of a node it has read and tests each when it is
+// popped; under a conjunction assembled online from atomic cells (§4.3.3)
+// nearly every leaf then passes at its parent — it holds some tuple of each
+// cell — is read, and turns out to hold no tuple of both. The bits that say so
+// are the node's own signature node in each cell, which is found from the path
+// alone. So when a qualified node is popped, its children's bits are consulted
+// first, a stage (signature.Stages) at a time over the survivors of the stages
+// before and no further than the stage that leaves none — where the
+// short-circuit of And.Test stops loading — and the node is skipped unread
+// when nothing survives. Otherwise its page is charged, unless the caller
+// holds it (Hold), and one deferred entry is pushed at the best survivor's
+// score; when that is popped the survivors are derived again from the stages,
+// resident by then, and pushed qualified. A search under a Filter drains its
+// heap, so it pushes the survivors at once. What the rule can cost is a
+// signature partial: the letter loads a node's bits when the first of its
+// children is popped, and never when a filter prunes them all first.
 //
 // A tester that offers only Test — a wrapper around one, a bloom measure, a
 // disjunction — goes the same way behind the stand-in of signature.Probers,
 // which asks it about the live children one path at a time.
-type Scanner struct {
-	idx hindex.Index
-	acc *hindex.Accessor
+//
+// The states a caller enters (Enter, EnterRoot) were never put to the tester:
+// each is, by its path, when it is popped. The states of a BestFirst[C] carry
+// a payload C, which its Filter makes for each child; the Filter is put every
+// child at its push and every state but deferred ones at its pop, before the
+// boolean test.
+type BestFirst[C any] struct {
+	idx    hindex.Index
+	acc    *hindex.Accessor
+	tester signature.Tester
 	// stages qualify a node's children in sequence; none when there is no
 	// predicate.
 	stages []signature.Prober
@@ -54,9 +65,11 @@ type Scanner struct {
 	// tuples the search actually reaches.
 	verify func(table.TID) bool
 	f      ranking.Func
-	ctr    *stats.Counters
-	cheap  *heap.Heap[scanEntry]
-	done   bool
+	// x is the caller's filter; nil on a Scanner.
+	x     Filter[C]
+	ctr   *stats.Counters
+	cheap *heap.Heap[State[C]]
+	done  bool
 
 	// Scratch for qualifying one node's children: its decoded path and the
 	// slots still live.
@@ -64,49 +77,98 @@ type Scanner struct {
 	live bitvec.Bits
 }
 
-// scanEntry is one state of the candidate heap.
-type scanEntry struct {
-	score float64
-	// sid is the SID of the node's partition path (unused for tuples).
-	sid uint64
-	// ref is the tuple of a tuple entry, the node of a node or deferred entry.
-	ref int32
-	// deferred marks the entry standing for the qualifying children of a node
-	// already read; a node entry that is not deferred has passed the boolean
-	// test and not been read.
-	deferred bool
-	// tupleLevel is set for tuples and for deferred leaves, which stand for
-	// tuples: at equal score they go ahead of nodes so exact results settle
-	// first.
-	tupleLevel bool
+// Scanner is the search whose states carry nothing: top-k, the progressive
+// scan and the rank join's parts.
+type Scanner = BestFirst[struct{}]
+
+// Filter extends a search whose states carry a C.
+type Filter[C any] interface {
+	// Node and Tuple make the payload of the child the search is about to
+	// push: a node by its box, a tuple by its point (the accessor's scratch,
+	// valid for the call).
+	Node(box ranking.Box) C
+	Tuple(pt []float64) C
+	// Pass is put every child the search pushes and every state it pops but
+	// deferred ones, before anything else; a state it fails is dropped. Failing
+	// is for good: a state that fails at its push would fail at its pop.
+	Pass(st State[C]) bool
 }
 
-func lessScanEntry(a, b scanEntry) bool {
-	if a.score != b.score {
-		return a.score < b.score
+// State is one state of the candidate heap.
+type State[C any] struct {
+	Score float64
+	// SID is the SID of the node's or the tuple's partition path.
+	SID uint64
+	// Ref is the tuple of a tuple state, the node of a node or deferred state.
+	Ref int32
+	// C is the caller's payload; zero-sized on a Scanner.
+	C C
+	// Tuple is set for tuples and for deferred leaves, which stand for tuples:
+	// at equal score they go ahead of nodes so exact results settle first.
+	Tuple bool
+	// kind is deferred, untested or neither: a node state that is neither has
+	// passed the boolean test and not been read. One byte for both flags keeps
+	// two states passed to the heap's order in registers.
+	kind uint8
+}
+
+const (
+	// deferred marks the state standing for the qualifying children of a node
+	// already read.
+	deferred uint8 = 1 + iota
+	// untested marks a state the boolean test has not been put to.
+	untested
+)
+
+// lessState orders states by score, tuples first at equal score.
+func lessState[C any](a, b State[C]) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
 	}
-	return a.tupleLevel && !b.tupleLevel
+	return a.Tuple && !b.Tuple
 }
 
-// newScanner starts a search over idx. The root is taken as qualified: a
-// tester is only assembled for cells that hold at least one tuple.
-func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, ctr *stats.Counters) *Scanner {
-	s := &Scanner{
+// lessScan is lessState written out for a Scanner's heap, the hot path of
+// every top-k query: a generic function's value is called through a wrapper.
+func lessScan(a, b State[struct{}]) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Tuple && !b.Tuple
+}
+
+// NewHeap returns an empty candidate heap in the search's order, for a caller
+// that keeps one from search to search.
+func NewHeap[C any]() *heap.Heap[State[C]] { return heap.New(lessState[C]) }
+
+// NewBestFirst prepares a search over idx that ranks by f, carries payloads x
+// makes and puts what it pops to x, in cheap, emptied first. It starts from
+// the states the caller enters.
+func NewBestFirst[C any](idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, x Filter[C], cheap *heap.Heap[State[C]], ctr *stats.Counters) *BestFirst[C] {
+	cheap.Reset()
+	return &BestFirst[C]{
 		idx:    idx,
+		acc:    hindex.NewAccessor(idx, ctr),
+		tester: tester,
+		stages: signature.Probers(tester),
 		fanout: idx.MaxFanout(),
 		verify: verify,
 		f:      f,
+		x:      x,
 		ctr:    ctr,
-		cheap:  heap.New[scanEntry](lessScanEntry),
+		cheap:  cheap,
 	}
+}
+
+// newScanner starts a search over idx from its root, taken as qualified: a
+// tester is only assembled for cells that hold at least one tuple.
+func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, ctr *stats.Counters) *Scanner {
+	if idx.Root() == hindex.InvalidNode {
+		return &Scanner{done: true}
+	}
+	s := NewBestFirst[struct{}](idx, tester, verify, f, nil, heap.New(lessScan), ctr)
 	root := idx.Root()
-	if root == hindex.InvalidNode {
-		s.done = true
-		return s
-	}
-	s.stages = signature.Probers(tester)
-	s.acc = hindex.NewAccessor(idx, ctr)
-	s.cheap.Push(scanEntry{score: f.LowerBound(idx.NodeBox(root)), ref: int32(root)})
+	s.cheap.Push(State[struct{}]{Score: f.LowerBound(idx.NodeBox(root)), Ref: int32(root)})
 	return s
 }
 
@@ -124,102 +186,158 @@ func (c *Cube) Scan(cond core.Cond, f ranking.Func, ctr *stats.Counters) (*Scann
 	return newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr), nil
 }
 
+// Hold starts the search with the partition pages an earlier step of the
+// caller's chain retrieved (Held): visits to their nodes are free.
+func (s *BestFirst[C]) Hold(held []uint64) { s.acc.Hold(held) }
+
+// Held hands over the pages the search retrieved, held ones included. The
+// search is spent.
+func (s *BestFirst[C]) Held() []uint64 { return s.acc.Held() }
+
+// Enter pushes a state the boolean test has not been put to: the tuple or the
+// node ref at sid, scored score, with payload c.
+func (s *BestFirst[C]) Enter(score float64, sid uint64, ref int32, tuple bool, c C) {
+	s.cheap.Push(State[C]{Score: score, SID: sid, Ref: ref, C: c, Tuple: tuple, kind: untested})
+	s.ctr.StatesGenerated++
+}
+
+// EnterRoot enters the root of the partition with its payload, if it has
+// one. No signature node holds a bit for it; its empty path is put to the
+// tester at its pop.
+func (s *BestFirst[C]) EnterRoot() {
+	if root := s.idx.Root(); root != hindex.InvalidNode {
+		box := s.idx.NodeBox(root)
+		s.Enter(s.f.LowerBound(box), 0, int32(root), false, s.x.Node(box))
+	}
+}
+
+// Test puts the path of sid to the search's tester, loading what fig. 7.1's
+// Test of that path loads. The signature is exact at the tuple level.
+func (s *BestFirst[C]) Test(sid uint64) bool {
+	s.path = hindex.PathOf(s.path, sid, s.fanout)
+	return s.tester.Test(s.path)
+}
+
 // Next returns the next matching tuple in ascending score order; ok is
-// false when the source is exhausted. The stream ends at the first entry
+// false when the source is exhausted.
+func (s *BestFirst[C]) Next() (res core.Result, ok bool) {
+	st, ok := s.Pop()
+	return core.Result{TID: table.TID(st.Ref), Score: st.Score}, ok
+}
+
+// Pop returns the state of the next matching tuple in ascending score order;
+// ok is false when the source is exhausted. The stream ends at the first state
 // scored +Inf: everything behind it is +Inf too, outside a constrained
 // function's band, and no answer.
-func (s *Scanner) Next() (res core.Result, ok bool) {
+func (s *BestFirst[C]) Pop() (st State[C], ok bool) {
 	if s.done {
-		return core.Result{}, false
+		return State[C]{}, false
 	}
 	for s.cheap.Len() > 0 {
 		s.ctr.ObserveHeap(s.cheap.Len())
 		e := s.cheap.Pop()
-		if math.IsInf(e.score, 1) {
+		if math.IsInf(e.Score, 1) {
 			break
 		}
 		s.ctr.StatesExamined++
 		switch {
-		case e.deferred:
+		case e.kind == deferred:
 			s.qualify(e)
 			s.pushLive(e)
-		case e.tupleLevel:
-			tid := table.TID(e.ref)
-			if s.verify != nil && !s.verify(tid) {
-				s.ctr.Pruned++
-				continue
-			}
-			return core.Result{TID: tid, Score: e.score}, true
-		default:
+		case s.x != nil && !s.x.Pass(e):
+		case e.kind == untested && !s.Test(e.SID):
+			s.ctr.Pruned++
+		case !e.Tuple:
 			s.expand(e)
+		case s.verify != nil && !s.verify(table.TID(e.Ref)):
+			s.ctr.Pruned++
+		default:
+			return e, true
 		}
 	}
 	s.done = true
-	return core.Result{}, false
+	return State[C]{}, false
 }
 
 // expand reads a qualified node if one of its children qualifies, and defers
-// those that do to one entry at the best of their scores.
-func (s *Scanner) expand(e scanEntry) {
+// those that do to one state at the best of their scores.
+func (s *BestFirst[C]) expand(e State[C]) {
 	s.qualify(e)
 	survivors := s.live.Ones()
 	s.ctr.Pruned += int64(s.live.Len() - survivors)
 	if survivors == 0 {
 		return
 	}
-	node := hindex.NodeID(e.ref)
+	node := hindex.NodeID(e.Ref)
 	s.acc.Visit(node)
-	if len(s.stages) == 0 {
+	if len(s.stages) == 0 || s.x != nil {
 		s.pushLive(e)
 		return
 	}
 	leaf := s.idx.IsLeaf(node)
 	best := math.Inf(1)
 	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
-		if _, score := s.child(node, leaf, slot); score < best {
+		if score := s.score(node, leaf, slot); score < best {
 			best = score
 		}
 	}
-	s.cheap.Push(scanEntry{score: best, sid: e.sid, ref: e.ref, deferred: true, tupleLevel: leaf})
+	s.cheap.Push(State[C]{Score: best, SID: e.SID, Ref: e.Ref, Tuple: leaf, kind: deferred})
 	s.ctr.StatesGenerated++
 }
 
 // qualify leaves in live the children of e's node that pass the boolean test.
-// It needs no page of the index: the path is in the entry's SID and the width
+// It needs no page of the index: the path is in the state's SID and the width
 // is index metadata.
-func (s *Scanner) qualify(e scanEntry) {
-	s.path = hindex.PathOf(s.path, e.sid, s.fanout)
-	s.live.SetAll(s.idx.NumChildren(hindex.NodeID(e.ref)))
+func (s *BestFirst[C]) qualify(e State[C]) {
+	s.path = hindex.PathOf(s.path, e.SID, s.fanout)
+	s.live.SetAll(s.idx.NumChildren(hindex.NodeID(e.Ref)))
 	signature.Qualify(s.stages, s.path, &s.live)
 }
 
-// pushLive pushes the live children of e's node as qualified entries.
-func (s *Scanner) pushLive(e scanEntry) {
-	node := hindex.NodeID(e.ref)
+// pushLive pushes the live children of e's node as qualified states, with
+// their payloads, each the filter passes.
+func (s *BestFirst[C]) pushLive(e State[C]) {
+	node := hindex.NodeID(e.Ref)
 	leaf := s.idx.IsLeaf(node)
-	base := e.sid * uint64(s.fanout+1)
+	base := e.SID * uint64(s.fanout+1)
 	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
-		ref, score := s.child(node, leaf, slot)
-		s.cheap.Push(scanEntry{score: score, sid: base + uint64(slot+1), ref: ref, tupleLevel: leaf})
+		st := State[C]{SID: base + uint64(slot+1), Tuple: leaf}
+		if leaf {
+			tid, pt := s.acc.Tuple(node, slot)
+			st.Ref, st.Score = int32(tid), s.f.Eval(pt)
+			if s.x != nil {
+				st.C = s.x.Tuple(pt)
+			}
+		} else {
+			kid, box := s.acc.Child(node, slot)
+			st.Ref, st.Score = int32(kid), s.f.LowerBound(box)
+			if s.x != nil {
+				st.C = s.x.Node(box)
+			}
+		}
+		if s.x != nil && !s.x.Pass(st) {
+			continue
+		}
+		s.cheap.Push(st)
 		s.ctr.StatesGenerated++
 	}
 }
 
-// child scores the entry in one slot of a visited node: the exact score of a
+// score scores the entry in one slot of a visited node: the exact score of a
 // leaf's tuple, the lower bound of an internal node's child.
-func (s *Scanner) child(node hindex.NodeID, leaf bool, slot int) (ref int32, score float64) {
+func (s *BestFirst[C]) score(node hindex.NodeID, leaf bool, slot int) float64 {
 	if leaf {
-		tid, pt := s.acc.Tuple(node, slot)
-		return int32(tid), s.f.Eval(pt)
+		_, pt := s.acc.Tuple(node, slot)
+		return s.f.Eval(pt)
 	}
-	kid, box := s.acc.Child(node, slot)
-	return int32(kid), s.f.LowerBound(box)
+	_, box := s.acc.Child(node, slot)
+	return s.f.LowerBound(box)
 }
 
 // take pulls up to k results: the first k tuples the search reaches are the
 // top k, and the pop after the k-th is where a bounded search would stop.
 // Ties at one score come out in tuple order.
-func (s *Scanner) take(k int) []core.Result {
+func (s *BestFirst[C]) take(k int) []core.Result {
 	var out []core.Result
 	for len(out) < k {
 		res, ok := s.Next()
@@ -234,9 +352,9 @@ func (s *Scanner) take(k int) []core.Result {
 
 // Bound reports a lower bound on the scores of all tuples not yet emitted
 // (+Inf when exhausted). Rank joins use it for their stopping threshold.
-func (s *Scanner) Bound() float64 {
+func (s *BestFirst[C]) Bound() float64 {
 	if s.done || s.cheap.Len() == 0 {
 		return math.Inf(1)
 	}
-	return s.cheap.Min().score
+	return s.cheap.Min().Score
 }

@@ -66,6 +66,20 @@ func (cb *Cuboid) cellKey(vals []int32) uint64 {
 	return key
 }
 
+// cell is the key of the cell cond selects in the cuboid; in is false when a
+// value lies outside its dimension's [0, card): it selects nothing, and its
+// mixed-radix key would name another cell.
+func (cb *Cuboid) cell(cond core.Cond) (key uint64, in bool) {
+	for i, d := range cb.dims {
+		v := cond[d]
+		if v < 0 || int(v) >= cb.cards[i] {
+			return 0, false
+		}
+		key = key*uint64(cb.cards[i]) + uint64(v)
+	}
+	return key, true
+}
+
 // Cube is the signature ranking cube.
 type Cube struct {
 	t       *table.Table
@@ -226,7 +240,8 @@ func (c *Cube) SizeBytes() int64 { return c.store.Bytes() }
 // condition (§4.3.3): the exactly-matching cuboid cell when materialized,
 // otherwise the intersection of atomic cuboid cells. The bool result is
 // false when some required cell is empty — no tuple can match, so the query
-// can return immediately.
+// can return immediately, as it does when a value lies outside its
+// dimension's domain (Cuboid.cell).
 func (c *Cube) TesterFor(cond core.Cond, ctr *stats.Counters) (signature.Tester, bool, error) {
 	dims := cond.Dims()
 	if len(dims) == 0 {
@@ -237,12 +252,9 @@ func (c *Cube) TesterFor(cond core.Cond, ctr *stats.Counters) (signature.Tester,
 		return tester, any, nil
 	}
 	if cb := c.Cuboid(dims); cb != nil {
-		vals := make([]int32, len(dims))
-		for i, d := range cb.dims {
-			vals[i] = cond[d]
-		}
-		stored, ok := cb.cells[cb.cellKey(vals)]
-		if !ok || stored.NumPartials() == 0 {
+		key, in := cb.cell(cond)
+		stored, ok := cb.cells[key]
+		if !in || !ok || stored.NumPartials() == 0 {
 			return nil, false, nil
 		}
 		return signature.NewView(stored, c.enc.Codec(), c.store, ctr), true, nil
@@ -253,8 +265,9 @@ func (c *Cube) TesterFor(cond core.Cond, ctr *stats.Counters) (signature.Tester,
 		if cb == nil {
 			return nil, false, fmt.Errorf("sigcube: no cuboid covers dimension %d: %w", d, errs.ErrInvalidArgument)
 		}
-		stored, ok := cb.cells[cb.cellKey([]int32{cond[d]})]
-		if !ok || stored.NumPartials() == 0 {
+		key, in := cb.cell(cond)
+		stored, ok := cb.cells[key]
+		if !in || !ok || stored.NumPartials() == 0 {
 			return nil, false, nil
 		}
 		testers = append(testers, signature.NewView(stored, c.enc.Codec(), c.store, ctr))

@@ -461,3 +461,33 @@ func TestFuzzSeedsAreWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// Or is the online disjunction assembly of §4.3.3 (exact at every level).
+type Or []Tester
+
+// Test implements Tester.
+func (o Or) Test(path []int) bool {
+	for _, t := range o {
+		if t.Test(path) {
+			return true
+		}
+	}
+	return false
+}
+
+// Not complements a tester at the tuple level. At internal nodes a
+// complement cannot be derived from the member signature alone (a subtree
+// can contain both matching and non-matching tuples), so Not passes all
+// internal nodes and is exact only on full tuple paths of the given height.
+type Not struct {
+	T      Tester
+	Height int
+}
+
+// Test implements Tester.
+func (n Not) Test(path []int) bool {
+	if len(path) < n.Height {
+		return true
+	}
+	return !n.T.Test(path)
+}

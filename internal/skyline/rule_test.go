@@ -81,9 +81,9 @@ func (rc refCase) hidden(t *testing.T, what string, q Query, step func(*search, 
 	if step != nil {
 		snap = prev.next(q)
 	}
-	s := rc.e.newSearch(q, tester, snap, ctr)
+	s := rc.e.newSearch(q, tester, nil, snap, ctr)
 	if step == nil {
-		s.pushRoot()
+		s.sc.EnterRoot()
 		s.run()
 	} else {
 		step(s, prev)

@@ -1,14 +1,17 @@
 // Package skyline implements chapter 7 of the thesis: skyline and dynamic
-// skyline queries with multi-dimensional boolean predicates, processed with
-// a branch-and-bound search (BBS-style) over the ranking-cube's R-tree
-// partition with signature-based boolean pruning, plus candidate-heap reuse
-// for drill-down and roll-up queries (§7.2.4).
+// skyline queries with multi-dimensional boolean predicates, plus
+// candidate-heap reuse for drill-down and roll-up queries (§7.2.4).
+//
+// The search is the branch-and-bound framework of ch. 4 applied to preference
+// queries (§5.5.3, §1.3.4): sigcube.BestFirst ranked by mindist, with the
+// domination test of fig. 7.1 as its filter, charged by that search's rule. A
+// Snapshot records what navigation from a query needs: the skyline with each
+// member's SID, the candidates the filter pruned with their corners, and the
+// partition pages the navigation chain has read.
 //
 // The thesis body for chapter 7 is summarized rather than fully reproduced
 // in our source text; the algorithms here follow the chapter's section
-// structure (domination pruning fig. 7.1, heap re-construction fig. 7.2)
-// and its stated foundations: the branch-and-bound framework of ch. 4
-// applied to preference queries (§5.5.3, §1.3.4).
+// structure (domination pruning fig. 7.1, heap re-construction fig. 7.2).
 package skyline
 
 import (
@@ -102,9 +105,8 @@ type Result struct {
 // Engine runs skyline queries over a signature ranking-cube.
 type Engine struct {
 	cube *sigcube.Cube
-	// arenas recycles the candidate storage of finished searches: a query
-	// fills about a megabyte of it, and growing that from nothing every time
-	// cost as much as the search itself.
+	// arenas recycles the heap and corner storage of finished searches, so
+	// that a query does not grow them from nothing.
 	arenas sync.Pool
 }
 
@@ -180,6 +182,18 @@ func (s *Snapshot) keep(en prunedEntry, corner []float64) {
 	s.corners = append(s.corners, corner...)
 }
 
+// dominated applies the domination test against the skyline: strict
+// domination for tuples, weak domination of the best corner for nodes (any
+// tuple in the box is then dominated or equal).
+func (s *Snapshot) dominated(corner []float64, isTuple bool) bool {
+	for _, m := range s.skyline {
+		if isTuple && dominates(m.Coord, corner) || !isTuple && weaklyDominates(m.Coord, corner) {
+			return true
+		}
+	}
+	return false
+}
+
 // admit takes a member into the skyline.
 func (s *Snapshot) admit(r Result, sid uint64) {
 	s.skyline = append(s.skyline, r)
@@ -234,11 +248,8 @@ func (e *Engine) SkylineWithTester(q Query, tester signature.Tester, verify func
 		return nil, nil, err
 	}
 	snap := e.snapshot(q)
-	s := e.newSearch(q, tester, snap, ctr)
-	if verify != nil {
-		s.verify = verify
-	}
-	s.pushRoot()
+	s := e.newSearch(q, tester, verify, snap, ctr)
+	s.sc.EnterRoot()
 	s.run()
 	return snap.skyline, snap, nil
 }
@@ -305,7 +316,7 @@ func (e *Engine) navigate(prev *Snapshot, q Query, step func(*search, *Snapshot)
 	}
 	snap := prev.next(q)
 	if any {
-		step(e.newSearch(q, tester, snap, ctr), prev)
+		step(e.newSearch(q, tester, nil, snap, ctr), prev)
 	}
 	return snap.skyline, snap, nil
 }
@@ -321,28 +332,22 @@ func (s *search) drillDown(prev *Snapshot) {
 	// pays one random access to the relation for each.
 	for i, r := range prev.skyline {
 		sid := prev.sids[i]
-		if s.verify == nil && s.matches(sid) || s.verify != nil && s.verify(r.TID) {
+		if s.verify == nil && s.sc.Test(sid) || s.verify != nil && s.verify(r.TID) {
 			s.snap.admit(r, sid)
 		}
 	}
-	// Domination-pruned entries re-enter only when every dominator they had
-	// may have vanished: entries still dominated by a survivor stay pruned
-	// (and stay recorded for further drill-downs). The others are put to the
-	// tightened predicate's signature when their turn comes.
+	// Domination-pruned candidates re-enter only when every dominator they had
+	// may have vanished: those still dominated by a survivor stay pruned (and
+	// stay recorded for further drill-downs). The others are put to the
+	// tightened predicate's signature when they are popped.
 	d := len(s.q.Dims)
-	var back []int
 	for i, en := range prev.pruned {
-		switch corner := prev.corners[i*d : (i+1)*d]; {
-		case s.dominated(corner, en.isTuple):
-			s.ctr.DominationPruned++
-			s.snap.keep(en, corner)
-		case en.sid == 0:
-			s.pushRoot()
-		default:
-			back = append(back, i)
+		if corner := prev.corners[i*d : (i+1)*d]; !s.prune(en, corner) {
+			at := len(s.corners)
+			s.corners = append(s.corners, corner...)
+			s.sc.Enter(en.mindist, en.sid, en.ref, en.isTuple, int32(at))
 		}
 	}
-	s.reenter(prev, back)
 	endReheap()
 	s.run()
 }
@@ -355,7 +360,7 @@ func (s *search) drillDown(prev *Snapshot) {
 func (s *search) rollUp(prev *Snapshot) {
 	s.snap.skyline = append(s.snap.skyline, prev.skyline...)
 	s.snap.sids = append(s.snap.sids, prev.sids...)
-	s.pushRoot()
+	s.sc.EnterRoot()
 	s.run()
 	s.snap.clean()
 }

@@ -120,16 +120,21 @@ func TestConstrainedAndMalformedRequests(t *testing.T) {
 }
 
 // TestOutOfDomainValuesSelectNothing puts selection values outside their
-// dimension's [0, card) to the grid cube, whose cells are keyed mixed-radix
+// dimension's [0, card) to the grid cube and to a signature cube that
+// materializes the cuboid {0,1}, both of whose cells are keyed mixed-radix
 // (value 7 of a 5-value dimension would alias the next value of the
 // dimension before it). Every engine must answer what the sequential scan
-// answers, nothing, and the grid cube must read nothing to say so.
+// answers, nothing, and the grid cube and the {0,1} signature cube — top-k,
+// the open scan, the skyline and a join part — must read nothing to say so.
 func TestOutOfDomainValuesSelectNothing(t *testing.T) {
 	rel := rankcube.GenerateRelation(3000, 2, 2, 5, rankcube.Uniform, 9)
 	grid := rankcube.BuildGridCube(rel, rankcube.GridOptions{})
 	sig := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
+	cell := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Cuboids: [][]int{{0}, {1}, {0, 1}}})
+	sky := rankcube.NewSkylineEngine(cell)
+	keys := joinKeys(rel.Len(), 50)
 	f := rankcube.Sum(0, 1)
-	for _, cond := range []rankcube.Cond{{0: 0, 1: 7}, {0: 1, 1: -2}, {1: 5}, {0: -1}} {
+	for _, cond := range []rankcube.Cond{{0: 0, 1: 7}, {0: 1, 1: -2}, {1: 5}, {0: -1}, {0: 0, 1: 5}, {0: 1, 1: -4}} {
 		if want, err := grid.BaselineQuery(bg, cond, f, 10); err != nil || len(want) != 0 {
 			t.Fatalf("scan %v: %v (%v), want nothing", cond, want, err)
 		}
@@ -140,6 +145,44 @@ func TestOutOfDomainValuesSelectNothing(t *testing.T) {
 		}
 		if got, err := sig.Query(bg, cond, f, 10); err != nil || len(got) != 0 {
 			t.Fatalf("signature %v: %v (%v), want nothing", cond, got, err)
+		}
+		for name, run := range map[string]func(*rankcube.Metrics) (int, error){
+			"top-k": func(m *rankcube.Metrics) (int, error) {
+				res, err := cell.Query(bg, cond, f, 10, rankcube.WithMetrics(m))
+				return len(res), err
+			},
+			"scan": func(m *rankcube.Metrics) (int, error) {
+				sc, err := cell.OpenScan(bg, cond, f, rankcube.WithMetrics(m))
+				if err != nil {
+					return 0, err
+				}
+				defer sc.Close()
+				n := 0
+				for _, ok, err := sc.Next(); ok || err != nil; _, ok, err = sc.Next() {
+					if err != nil {
+						return n, err
+					}
+					n++
+				}
+				return n, nil
+			},
+			"skyline": func(m *rankcube.Metrics) (int, error) {
+				res, _, err := sky.Query(bg, cond, []int{0, 1}, nil, rankcube.WithMetrics(m))
+				return len(res), err
+			},
+			"join part": func(m *rankcube.Metrics) (int, error) {
+				res, err := rankcube.JoinQuery(bg, []rankcube.JoinPart{
+					{Rel: rankcube.NewJoinRelation("A", rel, cell, keys, 50), Cond: cond, F: f},
+					{Rel: rankcube.NewJoinRelation("B", rel, cell, keys, 50), Cond: cond, F: f},
+				}, 10, rankcube.WithMetrics(m))
+				return len(res), err
+			},
+		} {
+			m := rankcube.NewMetrics()
+			if n, err := run(m); err != nil || n != 0 || m.TotalReads() != 0 || m.Downgrades != 0 {
+				t.Errorf("{0,1} cuboid, %s %v: %d answers (%v) in %d reads after %d downgrades, want nothing in none",
+					name, cond, n, err, m.TotalReads(), m.Downgrades)
+			}
 		}
 	}
 }
@@ -239,6 +282,9 @@ func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
 			rankcube.Sum(2),
 			rankcube.Linear([]int{-1, 0}, []float64{1, 1}),
 			rankcube.SqDist([]int{0, 5}, []float64{0.5, 0.5}),
+			rankcube.Linear([]int{0, 1}, []float64{1}),
+			rankcube.SqDist([]int{0, 1}, []float64{0.5}),
+			rankcube.L1Dist([]int{0}, []float64{0.5, 0.5}),
 			rankcube.Constrained(rankcube.Sum(0, 1), 3, 0, 1),
 			rankcube.General(rankcube.Sub(rankcube.Var(0), nil)),
 			nil,

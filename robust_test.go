@@ -280,6 +280,40 @@ func TestCandidateBudget(t *testing.T) {
 	if !errors.Is(err, rankcube.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
+
+	// The skyline's pending candidates are bounded the same way, on a query and
+	// on a drill-down from its snapshot: a budget of the clean run's peak
+	// answers, one below it fails.
+	eng := rankcube.NewSkylineEngine(cube)
+	dims := []int{0, 1}
+	query := func(opts ...rankcube.Option) (*rankcube.SkylineSnapshot, error) {
+		_, snap, err := eng.Query(bg, rankcube.Cond{0: 1}, dims, nil, opts...)
+		return snap, err
+	}
+	snap, err := query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drill := func(opts ...rankcube.Option) (*rankcube.SkylineSnapshot, error) {
+		_, next, err := eng.DrillDownQuery(bg, snap, rankcube.Cond{1: 2}, opts...)
+		return next, err
+	}
+	for name, run := range map[string]func(...rankcube.Option) (*rankcube.SkylineSnapshot, error){"query": query, "drill-down": drill} {
+		clean := rankcube.NewMetrics()
+		if _, err := run(rankcube.WithMetrics(clean)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if clean.PeakHeap < 2 {
+			t.Fatalf("%s: peak heap %d, too small to show a bound", name, clean.PeakHeap)
+		}
+		for _, limit := range []int{clean.PeakHeap, clean.PeakHeap - 1} {
+			b := rankcube.Budget{MaxCandidates: limit, DisableFallback: true}
+			_, err := run(rankcube.WithBudget(b))
+			if want := limit < clean.PeakHeap; errors.Is(err, rankcube.ErrBudgetExceeded) != want || !want && err != nil {
+				t.Errorf("%s: budget %d of a peak of %d: err = %v", name, limit, clean.PeakHeap, err)
+			}
+		}
+	}
 }
 
 // panicFunc satisfies rankcube.Func but panics on evaluation — a stand-in
