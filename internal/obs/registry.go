@@ -1,3 +1,14 @@
+// Package obs is what the query layer keeps process-wide: a metrics Registry
+// that aggregates every query's kind, outcome, latency and block reads with
+// atomic counters, gauges and bounded log2-bucket latency histograms,
+// published via expvar and a plain-text HTTP endpoint, and a SlowLog that
+// keeps the rendered span trees of queries over a threshold in a bounded
+// ring. A query's own trace and counters are internal/stats's.
+//
+// The ranking-cube methodology's central claim is I/O economy, so the unit
+// counted here is the governed block read. Everything is allocation-light:
+// with no trace attached a query pays only the registry's handful of atomic
+// adds.
 package obs
 
 import (

@@ -82,17 +82,6 @@ func (l *SlowLog) Record(e SlowEntry) {
 	}
 }
 
-// Len reports how many entries are currently retained.
-func (l *SlowLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Total reports how many entries were ever admitted (including ones the
-// ring has since evicted).
-func (l *SlowLog) Total() int64 { return l.seq.Load() }
-
 // Entries returns the retained entries, oldest first.
 func (l *SlowLog) Entries() []SlowEntry {
 	l.mu.Lock()
@@ -106,14 +95,6 @@ func (l *SlowLog) Entries() []SlowEntry {
 		out = append(out, l.ring[(start+i)%len(l.ring)])
 	}
 	return out
-}
-
-// Reset drops all retained entries (threshold unchanged).
-func (l *SlowLog) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.n = 0
-	l.next = 0
 }
 
 // WriteText dumps the retained entries, oldest first, each with its span

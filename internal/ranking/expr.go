@@ -33,10 +33,16 @@ func (v Var) emit(ops []op) []op { return append(ops, op{code: 'v', v: int32(v)}
 
 func (v Var) String() string { return fmt.Sprintf("N%d", int(v)) }
 
-// Const is a constant expression.
+// Const is a constant expression. A NaN or ±Inf constant compiles, as a nil
+// expression does, to a reference to dimension −1.
 type Const float64
 
-func (c Const) emit(ops []op) []op { return append(ops, op{code: 'c', c: float64(c)}) }
+func (c Const) emit(ops []op) []op {
+	if !finite(float64(c)) {
+		return append(ops, op{code: 'v', v: -1})
+	}
+	return append(ops, op{code: 'c', c: float64(c)})
+}
 
 func (c Const) String() string { return fmt.Sprintf("%g", float64(c)) }
 

@@ -3,6 +3,7 @@ package ranking
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -71,11 +72,11 @@ type LinearFunc struct {
 }
 
 // Linear builds f = Σ weights[i]·N_{attrs[i]}. attrs must be distinct;
-// entries are sorted (with weights permuted to match). Without one weight per
-// attribute it builds a function of rank dimension −1, which every public
-// entry point refuses as outside the schema.
+// entries are sorted (with weights permuted to match). Without one finite
+// weight per attribute it builds a function of rank dimension −1, which every
+// public entry point refuses as outside the schema.
 func Linear(attrs []int, weights []float64) *LinearFunc {
-	if len(attrs) != len(weights) {
+	if len(attrs) != len(weights) || !finite(weights...) {
 		return &LinearFunc{attrs: []int{-1}, weights: []float64{1}}
 	}
 	idx := make([]int, len(attrs))
@@ -186,8 +187,8 @@ type DistFunc struct {
 }
 
 // SqDist builds Σ (N_{attrs[i]} − target[i])². Like L1Dist, without one
-// coordinate per attribute it builds a function of rank dimension −1, which
-// every public entry point refuses as outside the schema.
+// finite coordinate per attribute it builds a function of rank dimension −1,
+// which every public entry point refuses as outside the schema.
 func SqDist(attrs []int, target []float64) *DistFunc {
 	return newDist(attrs, target, false)
 }
@@ -198,7 +199,7 @@ func L1Dist(attrs []int, target []float64) *DistFunc {
 }
 
 func newDist(attrs []int, target []float64, l1 bool) *DistFunc {
-	if len(attrs) != len(target) {
+	if len(attrs) != len(target) || !finite(target...) {
 		return &DistFunc{attrs: []int{-1}, target: []float64{0}, l1: l1}
 	}
 	idx := make([]int, len(attrs))
@@ -297,6 +298,16 @@ func (f *DistFunc) String() string {
 	return Add(terms...).String()
 }
 
+// finite reports whether no v is NaN or ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 func maxAttr(attrs []int) int {
 	m := 0
 	for _, a := range attrs {
@@ -352,20 +363,22 @@ type ConstrainedFunc struct {
 	attrs  []int
 }
 
-// Constrained restricts inner to boxes intersecting attr ∈ [lo, hi].
+// Constrained restricts inner to boxes intersecting attr ∈ [lo, hi]. A bound
+// may be ±Inf, an open band; a nil inner or a NaN bound builds a function of
+// rank dimension −1, which every public entry point refuses as outside the
+// schema.
 func Constrained(inner Func, attr int, lo, hi float64) *ConstrainedFunc {
+	if inner == nil {
+		inner = General(nil)
+	}
 	attrs := append([]int(nil), inner.Attrs()...)
-	found := false
-	for _, a := range attrs {
-		if a == attr {
-			found = true
-			break
-		}
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		attrs = append(attrs, -1)
 	}
-	if !found {
+	if !slices.Contains(attrs, attr) {
 		attrs = append(attrs, attr)
-		sort.Ints(attrs)
 	}
+	sort.Ints(attrs)
 	return &ConstrainedFunc{inner: inner, attr: attr, lo: lo, hi: hi, attrs: attrs}
 }
 

@@ -199,6 +199,14 @@ func TestConstrainedBound(t *testing.T) {
 	if len(f.Attrs()) != 2 {
 		t.Fatalf("Attrs = %v", f.Attrs())
 	}
+	// A ±Inf bound is an open band, in the schema; a NaN one is not.
+	open := Constrained(inner, 1, math.Inf(-1), 0.6)
+	if got := open.Attrs(); len(got) != 2 || got[0] != 0 || open.Eval([]float64{0.1, -5, 0}) != -4.9 {
+		t.Fatalf("open band: Attrs = %v, Eval = %v", got, open.Eval([]float64{0.1, -5, 0}))
+	}
+	if got := Constrained(inner, 1, math.NaN(), 0.6).Attrs(); got[0] != -1 {
+		t.Fatalf("NaN bound: Attrs = %v, want dimension -1", got)
+	}
 }
 
 func TestMonotoneDirections(t *testing.T) {

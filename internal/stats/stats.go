@@ -1,13 +1,14 @@
-// Package stats collects the execution metrics the thesis reports in its
-// evaluation chapters: block reads per storage structure, joint states
-// generated and examined, and peak heap sizes. Wall-clock time per phase is
-// the Observer's business (StartSpan).
+// Package stats is a query's execution context: the metrics the thesis
+// reports in its evaluation chapters — block reads per storage structure,
+// joint states generated and examined, peak heap sizes — and the span tree
+// that attributes them to phases (Trace). Process-wide aggregates, the
+// metrics registry and the slow-query log, are internal/obs's.
 //
 // A Counters value is threaded through query execution; all structures that
 // simulate disk access report into it. It is also the operation's execution
-// context: Governed fixes a context, resource Limits and an observer into it,
-// and the collector itself enforces them. Every recorded event reaches the
-// observer first; then a canceled context, then a tripped budget, unwinds the
+// context: Governed fixes a context, resource Limits and a trace into it, and
+// the collector itself enforces them. Every recorded event reaches the trace
+// first; then a canceled context, then a tripped budget, unwinds the
 // operation with a typed abort (internal/errs), which the public API boundary
 // converts into ErrCanceled or ErrBudgetExceeded. Events are recorded before
 // the checks run, so partial statistics survive the abort intact, and since
@@ -23,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"rankcube/internal/errs"
 )
@@ -95,28 +95,6 @@ type Limits struct {
 	MaxCandidates int
 }
 
-// Observer receives the fine-grained execution events enforcement does not
-// need: span boundaries and per-event attribution of reads, retries, heap
-// growth, and downgrades. The concrete implementation (internal/obs.Trace)
-// builds a per-query span tree from them. Observers see each event after the
-// counters record it and before the limits are checked, so an abort mid-span
-// still leaves the event attributed. Span events follow strict stack
-// discipline: SpanEnd closes the most recently started open span.
-type Observer interface {
-	// SpanStart opens a child span of the current span.
-	SpanStart(name string)
-	// SpanEnd closes the current span, crediting it d of wall time.
-	SpanEnd(d time.Duration)
-	// ObserveRead attributes n block reads against s to the current span.
-	ObserveRead(s Structure, n int64)
-	// ObserveRetry attributes one transient-fault retry.
-	ObserveRetry()
-	// ObserveHeapHW folds a heap occupancy into the span's high-water mark.
-	ObserveHeapHW(size int)
-	// ObserveDowngrade attributes one baseline-fallback downgrade.
-	ObserveDowngrade()
-}
-
 // Counters accumulates metrics during one query or one build. Its recording
 // helpers are nil-safe, but the governed accessors that charge page reads
 // (pager.Store and Buffer, hindex.NewAccessor) refuse a nil Counters with an
@@ -124,7 +102,7 @@ type Observer interface {
 // every reported count.
 type Counters struct {
 	reads ReadCounts
-	obs   Observer
+	tr    *Trace
 	lim   Limits
 	//lint:ctxfield per-operation carrier: a governed collector serves exactly one operation, so the stash cannot outlive its caller's ctx
 	ctx context.Context
@@ -167,14 +145,14 @@ type Counters struct {
 	Downgrades int64
 }
 
-// New returns an empty metrics collector with no limits and no observer.
+// New returns an empty metrics collector with no limits and no trace.
 func New() *Counters { return &Counters{} }
 
 // Governed returns the execution context of one operation: an empty collector
-// that ctx and lim govern and obs (nil for none) observes. A nil ctx never
+// that ctx and lim govern and tr (nil for none) traces. A nil ctx never
 // cancels.
-func Governed(ctx context.Context, lim Limits, obs Observer) *Counters {
-	c := &Counters{obs: obs, lim: lim}
+func Governed(ctx context.Context, lim Limits, tr *Trace) *Counters {
+	c := &Counters{tr: tr, lim: lim}
 	if ctx != nil {
 		c.ctx, c.done = ctx, ctx.Done()
 	}
@@ -188,8 +166,8 @@ func (c *Counters) Read(s Structure, n int64) {
 		return
 	}
 	c.reads[s] += n
-	if c.obs != nil {
-		c.obs.ObserveRead(s, n)
+	if c.tr != nil {
+		c.tr.ObserveRead(s, n)
 	}
 	c.checkCtx()
 	if c.lim.MaxBlockReads > 0 {
@@ -205,8 +183,8 @@ func (c *Counters) AddRetry() {
 		return
 	}
 	c.Retries++
-	if c.obs != nil {
-		c.obs.ObserveRetry()
+	if c.tr != nil {
+		c.tr.ObserveRetry()
 	}
 }
 
@@ -216,8 +194,8 @@ func (c *Counters) AddDowngrade() {
 		return
 	}
 	c.Downgrades++
-	if c.obs != nil {
-		c.obs.ObserveDowngrade()
+	if c.tr != nil {
+		c.tr.ObserveDowngrade()
 	}
 }
 
@@ -273,8 +251,8 @@ func (c *Counters) ObserveHeap(size int) {
 	if size > c.PeakHeap {
 		c.PeakHeap = size
 	}
-	if c.obs != nil {
-		c.obs.ObserveHeapHW(size)
+	if c.tr != nil {
+		c.tr.ObserveHeapHW(size)
 	}
 	c.checkCtx()
 	if c.lim.MaxCandidates > 0 && size > c.lim.MaxCandidates {
@@ -282,22 +260,20 @@ func (c *Counters) ObserveHeap(size int) {
 	}
 }
 
-// StartSpan opens a named execution span in the observer's span tree — the
-// one per-phase clock — and returns its closer; without an observer it does
-// nothing. Use with defer:
+// StartSpan opens a named execution span in the trace's span tree, timed by
+// the trace's clock, and returns its closer; without a trace it does nothing.
+// Use with defer:
 //
 //	defer ctr.StartSpan("search")()
 //
 // Spans nest by call order; the closer must run in LIFO order (defer
 // guarantees this even when a governed abort unwinds the stack).
 func (c *Counters) StartSpan(name string) func() {
-	if c == nil || c.obs == nil {
+	if c == nil || c.tr == nil {
 		return func() {}
 	}
-	obs := c.obs
-	obs.SpanStart(name)
-	start := time.Now()
-	return func() { obs.SpanEnd(time.Since(start)) }
+	c.tr.StartSpan(name)
+	return c.tr.EndSpan
 }
 
 // Merge adds other's metrics into c.

@@ -1,28 +1,9 @@
-// Package obs is the query observability layer: per-query execution
-// traces (span trees), a process-wide metrics registry, and a slow-query
-// log.
-//
-// The ranking-cube methodology's central claim is I/O economy — block
-// accesses saved by progressive cuboid-guided search — so the unit of
-// observability here is the governed block read. A Trace is the Observer
-// of the counters a query runs against (stats.Governed) and attributes every
-// read, retry, heap observation, and downgrade to the innermost open span;
-// the per-span read totals therefore sum exactly to the counters' total. The
-// Registry aggregates across queries with atomic counters, gauges, and
-// bounded log2-bucket latency histograms, published via expvar and a
-// plain-text HTTP endpoint. The SlowLog keeps the rendered span trees of
-// queries that exceeded a threshold in a bounded ring.
-//
-// Everything here is pull-based and allocation-light: with no trace
-// attached a query pays only the registry's handful of atomic adds.
-package obs
+package stats
 
 import (
 	"fmt"
 	"strings"
 	"time"
-
-	"rankcube/internal/stats"
 )
 
 // Span is one node of a query's execution trace: a named phase with wall
@@ -33,11 +14,12 @@ import (
 type Span struct {
 	// Name labels the phase ("search", "tester", "fallback", …).
 	Name string
-	// Dur is the span's wall-clock time, including children.
+	// Dur is the span's wall-clock time, including children, measured by
+	// the trace's clock.
 	Dur time.Duration
 	// Reads counts governed block reads per storage structure attributed
 	// to this span (exclusive of children).
-	Reads stats.ReadCounts
+	Reads ReadCounts
 	// Retries counts transient-fault retries ridden out in this span.
 	Retries int64
 	// Downgrades counts baseline-fallback downgrades recorded here.
@@ -49,7 +31,6 @@ type Span struct {
 
 	parent *Span
 	start  time.Time
-	open   bool
 }
 
 // TotalReads sums block reads over the span and all descendants.
@@ -61,13 +42,13 @@ func (s *Span) TotalReads() int64 {
 	return t
 }
 
-// Trace is a per-query execution trace. It implements stats.Observer, so
-// counters built to report to it (stats.Governed) route every governed event
-// into the span tree. A Trace is single-goroutine, matching the
-// stats.Counters contract: one query, one goroutine, one trace.
+// Trace is a per-query execution trace. Counters built with one (Governed)
+// route every governed event into its span tree, and their spans open and
+// close on it. A Trace is single-goroutine, matching the Counters contract:
+// one query, one goroutine, one trace.
 type Trace struct {
-	// Clock supplies span timestamps; tests may pin it. Nil means
-	// time.Now.
+	// Clock supplies span timestamps, the one clock every span is timed
+	// by; tests may pin it. Nil means time.Now.
 	Clock func() time.Time
 
 	root *Span
@@ -91,7 +72,7 @@ func (t *Trace) now() time.Time {
 // StartSpan opens a child of the current span (or the root when none is
 // open yet) and makes it current.
 func (t *Trace) StartSpan(name string) *Span {
-	sp := &Span{Name: name, parent: t.cur, start: t.now(), open: true}
+	sp := &Span{Name: name, parent: t.cur, start: t.now()}
 	switch {
 	case t.root == nil:
 		t.root = sp
@@ -110,26 +91,18 @@ func (t *Trace) StartSpan(name string) *Span {
 // EndSpan closes the current span, measuring its duration with the
 // trace's clock. A call with no open span is a no-op (the boundary may
 // already have finished the trace when a deferred closer runs).
-func (t *Trace) EndSpan() { t.endCur(-1) }
-
-func (t *Trace) endCur(d time.Duration) {
-	sp := t.cur
-	if sp == nil {
-		return
+func (t *Trace) EndSpan() {
+	if sp := t.cur; sp != nil {
+		sp.Dur = t.now().Sub(sp.start)
+		t.cur = sp.parent
 	}
-	if d < 0 {
-		d = t.now().Sub(sp.start)
-	}
-	sp.Dur = d
-	sp.open = false
-	t.cur = sp.parent
 }
 
 // Finish closes any spans left open — an abort unwound past their
 // closers, or the boundary is sealing the trace for rendering.
 func (t *Trace) Finish() {
 	for t.cur != nil {
-		t.endCur(-1)
+		t.EndSpan()
 	}
 }
 
@@ -148,35 +121,28 @@ func (t *Trace) target() *Span {
 		return t.cur
 	}
 	if t.root == nil {
-		t.root = &Span{Name: "query", start: t.now(), open: true}
+		t.root = &Span{Name: "query", start: t.now()}
 		t.cur = t.root
 	}
 	return t.root
 }
 
-// SpanStart implements stats.Observer.
-func (t *Trace) SpanStart(name string) { t.StartSpan(name) }
+// ObserveRead attributes n block reads against s to the current span.
+func (t *Trace) ObserveRead(s Structure, n int64) { t.target().Reads[s] += n }
 
-// SpanEnd implements stats.Observer: it closes the current span with the
-// externally measured duration d.
-func (t *Trace) SpanEnd(d time.Duration) { t.endCur(d) }
-
-// ObserveRead implements stats.Observer.
-func (t *Trace) ObserveRead(s stats.Structure, n int64) {
-	t.target().Reads[s] += n
-}
-
-// ObserveRetry implements stats.Observer.
+// ObserveRetry attributes one transient-fault retry to the current span.
 func (t *Trace) ObserveRetry() { t.target().Retries++ }
 
-// ObserveHeapHW implements stats.Observer.
+// ObserveHeapHW folds a heap occupancy into the current span's high-water
+// mark.
 func (t *Trace) ObserveHeapHW(size int) {
 	if sp := t.target(); size > sp.HeapHW {
 		sp.HeapHW = size
 	}
 }
 
-// ObserveDowngrade implements stats.Observer.
+// ObserveDowngrade attributes one baseline-fallback downgrade to the current
+// span.
 func (t *Trace) ObserveDowngrade() { t.target().Downgrades++ }
 
 // Render draws the span tree as indented text, one span per line:

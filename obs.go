@@ -1,7 +1,7 @@
 package rankcube
 
-// Observability surface: per-query execution traces, the process-wide
-// metrics registry, and the slow-query log (internal/obs re-exported).
+// Observability surface: per-query execution traces (internal/stats), the
+// process-wide metrics registry and the slow-query log (internal/obs).
 //
 // Tracing is per query: pass WithTrace(rankcube.NewTrace()) and render
 // the span tree afterwards. The registry is process-wide and always on —
@@ -38,13 +38,13 @@ const (
 // time, governed block reads, retries, downgrades, and heap high-water
 // marks to engine phases. Attach one with WithTrace; render it with
 // Render. A Trace serves one query at a time.
-type Trace = obs.Trace
+type Trace = stats.Trace
 
 // Span is one node of a Trace's span tree.
-type Span = obs.Span
+type Span = stats.Span
 
 // NewTrace returns an empty execution trace for WithTrace.
-func NewTrace() *Trace { return obs.NewTrace() }
+func NewTrace() *Trace { return stats.NewTrace() }
 
 // Registry is a process-wide metrics registry: named atomic counters,
 // gauges, and bounded log2-bucket latency histograms.

@@ -119,7 +119,6 @@ type operation struct {
 	kind    string
 	m       *Metrics // the caller's (WithMetrics), or nil
 	tr      *Trace   // the caller's, or a private one the slow log dumps
-	obs     stats.Observer
 	slow    time.Duration
 	release func() // the serving locks and admission slots; nil when none
 
@@ -159,12 +158,9 @@ func begin(ctx context.Context, kind string, cfg queryConfig) (operation, error)
 		op.slow = obs.DefaultSlowLog().Threshold()
 	}
 	if op.tr == nil && op.slow > 0 {
-		op.tr = obs.NewTrace()
+		op.tr = NewTrace()
 	}
-	if op.tr != nil {
-		op.obs = op.tr
-	}
-	op.ctr = stats.Governed(ctx, cfg.budget.limits(), op.obs)
+	op.ctr = stats.Governed(ctx, cfg.budget.limits(), op.tr)
 	op.start = time.Now()
 	op.endRoot = op.ctr.StartSpan(kind)
 	return op, nil
@@ -225,7 +221,7 @@ func runQuery[T any](ctx context.Context, kind string, cfg queryConfig,
 	if fallback != nil && cfg.budget.shouldDegrade(err) {
 		defer op.ctr.StartSpan("fallback")()
 		op.ctr.AddDowngrade()
-		m := stats.Governed(ctx, stats.Limits{}, op.obs)
+		m := stats.Governed(ctx, stats.Limits{}, op.tr)
 		defer op.ctr.Merge(m)
 		out, err = runGoverned(m, fallback)
 	}

@@ -288,6 +288,21 @@ func TestConditionOutsideSchemaIsInvalid(t *testing.T) {
 			rankcube.Constrained(rankcube.Sum(0, 1), 3, 0, 1),
 			rankcube.General(rankcube.Sub(rankcube.Var(0), nil)),
 			nil,
+			// Non-finite parameters leave the domain, as do a nil inner
+			// function and a NaN band bound (a ±Inf one is an open band).
+			rankcube.Linear([]int{0, 1}, []float64{math.NaN(), 1}),
+			rankcube.Linear([]int{0, 1}, []float64{math.Inf(-1), 1}),
+			rankcube.Linear([]int{0, 1}, []float64{1, math.Inf(1)}),
+			rankcube.SqDist([]int{0, 1}, []float64{math.NaN(), 0.5}),
+			rankcube.SqDist([]int{0, 1}, []float64{0.5, math.Inf(1)}),
+			rankcube.L1Dist([]int{0, 1}, []float64{0.5, math.NaN()}),
+			rankcube.General(rankcube.Add(rankcube.Var(0), rankcube.Num(math.NaN()))),
+			rankcube.General(rankcube.Sub(rankcube.Var(0), rankcube.Num(math.Inf(-1)))),
+			rankcube.General(rankcube.Scale(math.NaN(), rankcube.Var(1))),
+			rankcube.General(rankcube.Scale(math.Inf(1), rankcube.Var(1))),
+			rankcube.Constrained(rankcube.Sum(0, 1), 0, math.NaN(), 1),
+			rankcube.Constrained(rankcube.Sum(0, 1), 1, 0, math.NaN()),
+			rankcube.Constrained(nil, 0, 0, 1),
 		} {
 			malformed(fmt.Sprint(f), rankcube.Cond{0: 1}, f)
 		}
