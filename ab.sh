@@ -9,10 +9,10 @@
 # at a time, interleaved: for every seed and workload a pair of runs, the
 # parent first on odd seeds and second on even ones. It hands the two groups
 # of --out files to benchmark/compare and prints a table of at most 20 lines:
-# per workload the pair count, reads per query, CPU per op and allocated KB per
-# op of both sides, in how many pairs B was below A on each of those three, and
-# the verdict counts, then every metric whose verdict is not ok, then the
-# verdict line.
+# per workload the pair count, reads per query, CPU per op, allocated KB per op
+# and heap MB of both sides, in how many pairs B was below A on each of those
+# four, and the verdict counts, then every metric whose verdict is not ok, then
+# the verdict line.
 # The --out files and compare's full table stay in .bench_build/ab/. An A/A
 # run (PARENT=HEAD) must report no regressed metric.
 set -euo pipefail
@@ -58,22 +58,24 @@ echo >&2
 failed="$(cat "$out"/*.json | grep -o '"failed": *[0-9]*' | grep -cv ': *0$' || true)"
 
 # Win counts: per workload, the pairs in which B came out below A on CPU per
-# op, on reads per query and on allocated KB per op, as "wins/pairs".
+# op, on reads per query, on allocated KB per op and on heap MB, as
+# "wins/pairs".
 value() { awk -v m="\"$2\":" '$1 == m { getline; sub(/,$/, "", $2); print $2; exit }' "$1"; }
 below() { awk -v a="$(value "$out/parent-$1.json" "$2")" -v b="$(value "$out/change-$1.json" "$2")" 'BEGIN { exit !(b < a) }'; }
 for w in $workloads; do
-  cpu=0 reads=0 alloc=0 pairs=0
+  cpu=0 reads=0 alloc=0 heap=0 pairs=0
   for seed in $seeds; do
     pairs=$((pairs + 1))
     if below "$seed-$w" cpu_ms_per_op; then cpu=$((cpu + 1)); fi
     if below "$seed-$w" reads_per_query; then reads=$((reads + 1)); fi
     if below "$seed-$w" alloc_kb_per_op; then alloc=$((alloc + 1)); fi
+    if below "$seed-$w" heap_mb; then heap=$((heap + 1)); fi
   done
-  echo "$w $cpu/$pairs $reads/$pairs $alloc/$pairs"
+  echo "$w $cpu/$pairs $reads/$pairs $alloc/$pairs $heap/$pairs"
 done >"$out/wins.txt"
 
 awk -v rev="$rev" -v seeds="$seeds" -v failed="$failed" '
-FNR == NR { cpuwin[$1] = $2; readwin[$1] = $3; allocwin[$1] = $4; next }
+FNR == NR { cpuwin[$1] = $2; readwin[$1] = $3; allocwin[$1] = $4; heapwin[$1] = $5; next }
 FNR == 1 { next }
 {
   w = $1; m = $2; v = $NF
@@ -82,14 +84,15 @@ FNR == 1 { next }
   if (m == "reads_per_query") reads[w] = $3 " → " $4
   if (m == "cpu_ms_per_op") cpu[w] = $3 " → " $4
   if (m == "alloc_kb_per_op") alloc[w] = $3 " → " $4
+  if (m == "heap_mb") heap[w] = $3 " → " $4
   if (v != "ok" && shown < 10) { bad[++shown] = $0 } else if (v != "ok") { more++ }
 }
 END {
   printf "ab: parent %s (A) vs working tree (B), seeds %s, full table .bench_build/ab/compare.txt\n", rev, seeds
-  printf "%-13s %5s %-22s %-22s %-22s %-7s %-7s %-7s %4s %5s %5s\n", "workload", "pairs", "reads/query A → B", "cpu ms/op A → B", "alloc KB/op A → B", "cpu B<A", "rds B<A", "kb B<A", "ok", "unres", "regr"
+  printf "%-13s %5s %-22s %-22s %-22s %-22s %-7s %-7s %-7s %-7s %4s %5s %5s\n", "workload", "pairs", "reads/query A → B", "cpu ms/op A → B", "alloc KB/op A → B", "heap MB A → B", "cpu B<A", "rds B<A", "kb B<A", "mb B<A", "ok", "unres", "regr"
   for (i = 1; i <= n; i++) {
     w = order[i]
-    printf "%-13s %5d %-22s %-22s %-22s %-7s %-7s %-7s %4d %5d %5d\n", w, split(seeds, s, " "), reads[w], cpu[w], alloc[w], cpuwin[w], readwin[w], allocwin[w], count[w, "ok"], count[w, "unresolved"], count[w, "regressed"]
+    printf "%-13s %5d %-22s %-22s %-22s %-22s %-7s %-7s %-7s %-7s %4d %5d %5d\n", w, split(seeds, s, " "), reads[w], cpu[w], alloc[w], heap[w], cpuwin[w], readwin[w], allocwin[w], heapwin[w], count[w, "ok"], count[w, "unresolved"], count[w, "regressed"]
   }
   for (i = 1; i <= shown; i++) print bad[i]
   if (more) printf "(%d more not ok in compare.txt)\n", more

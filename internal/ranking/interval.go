@@ -15,8 +15,6 @@
 // semi-monotone shape (index-merge neighborhood expansion, §5.2.2).
 package ranking
 
-import "math"
-
 // Interval is a closed real interval [Lo, Hi].
 type Interval struct {
 	Lo, Hi float64
@@ -37,30 +35,28 @@ func (iv Interval) Sub(o Interval) Interval { return Interval{iv.Lo - o.Hi, iv.H
 // Neg returns −iv.
 func (iv Interval) Neg() Interval { return Interval{-iv.Hi, -iv.Lo} }
 
-// Mul returns iv × o under interval arithmetic.
+// Mul returns iv × o under interval arithmetic. Mul, Sqr and Abs take the
+// builtin min and max, which inline; math.Min and math.Max are calls.
 func (iv Interval) Mul(o Interval) Interval {
 	p1, p2 := iv.Lo*o.Lo, iv.Lo*o.Hi
 	p3, p4 := iv.Hi*o.Lo, iv.Hi*o.Hi
-	return Interval{
-		math.Min(math.Min(p1, p2), math.Min(p3, p4)),
-		math.Max(math.Max(p1, p2), math.Max(p3, p4)),
-	}
+	return Interval{min(p1, p2, p3, p4), max(p1, p2, p3, p4)}
 }
 
 // Sqr returns iv² (tighter than iv.Mul(iv) when the interval straddles 0).
 func (iv Interval) Sqr() Interval {
 	lo2, hi2 := iv.Lo*iv.Lo, iv.Hi*iv.Hi
-	hi := math.Max(lo2, hi2)
+	hi := max(lo2, hi2)
 	if iv.Contains(0) {
 		return Interval{0, hi}
 	}
-	return Interval{math.Min(lo2, hi2), hi}
+	return Interval{min(lo2, hi2), hi}
 }
 
 // Abs returns |iv|.
 func (iv Interval) Abs() Interval {
 	if iv.Contains(0) {
-		return Interval{0, math.Max(-iv.Lo, iv.Hi)}
+		return Interval{0, max(-iv.Lo, iv.Hi)}
 	}
 	if iv.Hi < 0 {
 		return Interval{-iv.Hi, -iv.Lo}

@@ -3,6 +3,7 @@ package ranking
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +31,76 @@ func TestIntervalArithmetic(t *testing.T) {
 	}
 	if got := (Interval{-3, -1}).Abs(); got != (Interval{1, 3}) {
 		t.Fatalf("negative Abs = %v", got)
+	}
+}
+
+// mathMul, mathSqr and mathAbs are Interval's Mul, Sqr and Abs written with
+// math.Min and math.Max.
+func mathMul(iv, o Interval) Interval {
+	p1, p2 := iv.Lo*o.Lo, iv.Lo*o.Hi
+	p3, p4 := iv.Hi*o.Lo, iv.Hi*o.Hi
+	return Interval{math.Min(math.Min(p1, p2), math.Min(p3, p4)), math.Max(math.Max(p1, p2), math.Max(p3, p4))}
+}
+
+func mathSqr(iv Interval) Interval {
+	lo2, hi2 := iv.Lo*iv.Lo, iv.Hi*iv.Hi
+	hi := math.Max(lo2, hi2)
+	if iv.Contains(0) {
+		return Interval{0, hi}
+	}
+	return Interval{math.Min(lo2, hi2), hi}
+}
+
+func mathAbs(iv Interval) Interval {
+	if iv.Contains(0) {
+		return Interval{0, math.Max(-iv.Lo, iv.Hi)}
+	}
+	if iv.Hi < 0 {
+		return Interval{-iv.Hi, -iv.Lo}
+	}
+	return iv
+}
+
+// TestIntervalMinMaxBuiltins: Mul, Sqr and Abs, which take the builtin min
+// and max, give the bits math.Min and math.Max give on every pair of end
+// points drawn from ±0, ±Inf and random finite values, at magnitudes whose
+// products underflow to ±0 and overflow to ±Inf. The two part ways only when
+// a NaN reaches them — a NaN end point, or 0 × ±Inf: the builtins answer NaN
+// (the Go spec), math.Min(−Inf, NaN) is −Inf and math.Max(+Inf, NaN) is +Inf,
+// and the NaNs' bits differ. The ranking domain is finite reals, so no NaN
+// does; for those the test pins only that the builtins' bound is NaN.
+func TestIntervalMinMaxBuiltins(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	vals := []float64{0, negZero, inf, -inf, math.NaN(), 1, -1}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 24; i++ {
+		vals = append(vals, (rng.Float64()*2-1)*math.Pow(10, float64(rng.Intn(640)-320)))
+	}
+	same := func(a, b Interval) bool {
+		return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
+	}
+	isNaN := func(iv Interval) bool { return math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) }
+	for _, a := range vals {
+		for _, b := range vals {
+			iv := Interval{a, b}
+			if got, want := iv.Sqr(), mathSqr(iv); !same(got, want) && !(math.IsNaN(a) || math.IsNaN(b)) {
+				t.Fatalf("%v.Sqr() = %v, with math.Min/Max %v", iv, got, want)
+			}
+			if got, want := iv.Abs(), mathAbs(iv); !same(got, want) && !(math.IsNaN(a) || math.IsNaN(b)) {
+				t.Fatalf("%v.Abs() = %v, with math.Min/Max %v", iv, got, want)
+			}
+			for _, c := range vals {
+				for _, d := range vals {
+					o := Interval{c, d}
+					got, want := iv.Mul(o), mathMul(iv, o)
+					products := []float64{a * c, a * d, b * c, b * d}
+					nan := slices.ContainsFunc(products, math.IsNaN)
+					if nan && !isNaN(got) || !nan && !same(got, want) {
+						t.Fatalf("%v.Mul(%v) = %v, with math.Min/Max %v", iv, o, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"rankcube/internal/bitvec"
 	"rankcube/internal/errs"
@@ -19,14 +20,36 @@ const Alpha = 0.75
 
 // Stored is one cell's signature in compressed, decomposed form: a set of
 // partial signatures, each a BFS-encoded subtree referenced by the SID of
-// the subtree's root (§4.2.3).
+// the subtree's root (§4.2.3). Its pages do not change while it lives:
+// maintenance installs a new Stored for each cell it rewrites, and repair one
+// for every cell. So a partial's replay, once a view has built it, is shared
+// by every view of the cell until the Stored itself is dropped; see View.
 type Stored struct {
 	height int
 	fanout int
-	// refs maps the SID of each partial's root node to the partial's page.
-	// An ancestor's SID is smaller than its descendants', so ascending SID
-	// order is a valid load order.
-	refs map[uint64]pager.PageID
+	// refs maps the SID of each partial's root node to the partial. An
+	// ancestor's SID is smaller than its descendants', so ascending SID order
+	// is a valid load order.
+	refs map[uint64]*partial
+}
+
+// partial is one partial signature: its page, and its replay once published.
+type partial struct {
+	page   pager.PageID
+	replay atomic.Pointer[replay]
+}
+
+// replay is what a view learns from a partial's bytes by replaying the
+// encoder's BFS over them, short of its leaf-level nodes' bits: the SIDs of the
+// nodes the partial holds, ascending (BFS order is SID order), the bit offset
+// of each node's encoding on the page, and the bits of its internal nodes,
+// which are the first len(inner) of them. It is published only once the
+// header, the root SID and the node count have checked out, and never changes
+// after.
+type replay struct {
+	sids  []uint64
+	offs  []int32
+	inner []*bitvec.Bits
 }
 
 // Encoder writes cell signatures into a shared page store.
@@ -89,7 +112,7 @@ type replayItem struct {
 // again: node coding is a function of the bits alone, so the pages are the
 // same either way.
 func (e *Encoder) Encode(sig *Node) *Stored {
-	st := &Stored{height: e.height, fanout: e.fanout, refs: make(map[uint64]pager.PageID)}
+	st := &Stored{height: e.height, fanout: e.fanout, refs: make(map[uint64]*partial)}
 	if sig != nil {
 		e.partial(st, nil, sig)
 		e.queue = nil
@@ -147,7 +170,7 @@ func (e *Encoder) partial(st *Stored, path []int, root *Node) {
 		}
 	}
 	binary.LittleEndian.PutUint32(w.Bytes()[countPos/8:], uint32(count))
-	st.refs[hindex.SID(path, e.fanout)] = e.store.Append(append([]byte(nil), w.Bytes()...))
+	st.refs[hindex.SID(path, e.fanout)] = &partial{page: e.store.Append(append([]byte(nil), w.Bytes()...))}
 	e.queue = queue[:0]
 	if cut < 0 {
 		return
@@ -172,16 +195,21 @@ func (e *Encoder) partial(st *Stored, path []int, root *Node) {
 // NumPartials reports how many partial signatures the cell decomposed into.
 func (s *Stored) NumPartials() int { return len(s.refs) }
 
-// Partials maps the SID of each partial's root to its page, for inspection;
-// the map is the cell's own.
-func (s *Stored) Partials() map[uint64]pager.PageID { return s.refs }
+// Partials maps the SID of each partial's root to its page, for inspection.
+func (s *Stored) Partials() map[uint64]pager.PageID {
+	out := make(map[uint64]pager.PageID, len(s.refs))
+	for sid, p := range s.refs {
+		out[sid] = p.page
+	}
+	return out
+}
 
 // Free releases the cell's partial pages back to store — what maintenance
 // does with the encoding a rewrite has just replaced — in SID order, so that
 // the store hands them out again in the same order run after run.
 func (s *Stored) Free(store *pager.Store) {
 	for _, sid := range s.sids() {
-		store.Free(s.refs[sid])
+		store.Free(s.refs[sid].page)
 	}
 }
 
@@ -198,7 +226,13 @@ func (s *Stored) sids() []uint64 {
 // View is a per-query lazy decoder over a stored signature: a partial
 // signature is loaded (and charged as a block read) only when the query
 // requests a node it encodes (§4.2.3), and a node is decoded only when the
-// query reaches it, except that loading decodes the internal nodes it walks.
+// query reaches it. What is per query: the loads and their charges, the bytes
+// each load read, and the leaf-level nodes decoded from them into the view's
+// own arena. What is shared: each partial's replay (the SIDs and places of its
+// nodes and its internal nodes' bits), which the first load of the partial by
+// any view builds from its bytes and publishes on the Stored, and every later
+// load reads in place of replaying the BFS again — after it has read, charged
+// and verified the page all the same.
 type View struct {
 	stored *Stored
 	codec  *bitvec.Codec
@@ -206,30 +240,29 @@ type View struct {
 	ctr    *stats.Counters
 	// base is the SID radix M+1: a child's SID is parent·base + position.
 	base uint64
-	// runs are the loaded partials in load order. Node i of the view has SID
-	// sids[i], its encoding at bit offs[i] of its run's page, and bits[i] once
-	// decoded (storage from arena). A run's nodes ascend by SID (BFS order is
-	// SID order), and no node is in two runs.
+	// runs are the loaded partials in load order. No node is in two runs.
 	runs []run
 	// top is the first loaded run with no loaded ancestor (-1 for none).
-	top   int32
-	sids  []uint64
-	offs  []int
-	bits  []*bitvec.Bits
-	arena bitvec.Arena
-	// queue is loadPartial's BFS scratch.
+	top int32
+	// leaves holds the leaf-level nodes of the runs once decoded (storage from
+	// arena): run r's node i, past its internal ones, at r.lo + i − len(r.inner).
+	leaves []*bitvec.Bits
+	arena  bitvec.Arena
+	// queue is the BFS scratch of a replay this view builds.
 	queue []bfsNode
 }
 
-// run is one loaded partial: its root's SID, its page and its nodes [lo, hi).
-// Partials load root to leaf, so when one loads, every partial rooted at an
-// ancestor of its root is loaded already and none rooted below it is: the
-// loaded partials form a tree, in which up is the run's parent, kid its first
-// child and next its next sibling (-1 for none).
+// run is one loaded partial: its root's SID, its replay, the page this view
+// read, and where its leaf-level nodes start in leaves. Partials load root to
+// leaf, so when one loads, every partial rooted at an ancestor of its root is
+// loaded already and none rooted below it is: the loaded partials form a tree,
+// in which up is the run's parent, kid its first child and next its next
+// sibling (-1 for none).
 type run struct {
+	*replay
 	sid           uint64
 	page          []byte
-	lo, hi        int
+	lo            int
 	up, kid, next int32
 }
 
@@ -291,8 +324,8 @@ func (v *View) node(path []int) *bitvec.Bits {
 			}
 			sid = sid*v.base + uint64(path[d])
 		}
-		if page, i := v.find(at, sid); i >= 0 {
-			return v.decode(page, i)
+		if in, i := v.find(at, sid); i >= 0 {
+			return v.decode(in, i)
 		}
 		if !v.loadBelow(path, at, deep) {
 			return nil
@@ -305,8 +338,8 @@ func (v *View) node(path []int) *bitvec.Bits {
 func (v *View) loadBelow(path []int, at int32, deep int) bool {
 	for d := deep + 1; d <= len(path); d++ {
 		sid := hindex.SID(path[:d], v.stored.fanout)
-		if page, exists := v.stored.refs[sid]; exists {
-			v.loadPartial(sid, page, at)
+		if p, exists := v.stored.refs[sid]; exists {
+			v.loadPartial(sid, p, at)
 			return true
 		}
 	}
@@ -322,38 +355,68 @@ func (v *View) kid(at int32) int32 {
 	return v.runs[at].kid
 }
 
-// find locates node sid in run at and its ancestors: its run's page and its
-// index, or -1 when none of them holds it.
-func (v *View) find(at int32, sid uint64) ([]byte, int) {
+// find locates node sid in run at and its ancestors: the run that holds it and
+// its index there, or -1 when none of them does.
+func (v *View) find(at int32, sid uint64) (int32, int) {
 	for ; at >= 0; at = v.runs[at].up {
-		p := &v.runs[at]
-		if i, ok := slices.BinarySearch(v.sids[p.lo:p.hi], sid); ok {
-			return p.page, p.lo + i
+		if i, ok := slices.BinarySearch(v.runs[at].sids, sid); ok {
+			return at, i
 		}
 	}
-	return nil, -1
+	return -1, -1
 }
 
-// decode returns the bits of node i, decoding them off page the first time.
-func (v *View) decode(page []byte, i int) *bitvec.Bits {
-	if v.bits[i] == nil {
-		r := bitvec.NewReader(page)
-		r.Seek(v.offs[i])
-		v.bits[i] = v.codec.DecodeIn(r, &v.arena)
+// decode returns the bits of node i of run at: the replay's for an internal
+// node, and for a leaf-level one the view's, decoded off the run's page the
+// first time.
+func (v *View) decode(at int32, i int) *bitvec.Bits {
+	p := &v.runs[at]
+	if i < len(p.inner) {
+		return p.inner[i]
 	}
-	return v.bits[i]
+	leaf := &v.leaves[p.lo+i-len(p.inner)]
+	if *leaf == nil {
+		r := bitvec.NewReader(p.page)
+		r.Seek(int(p.offs[i]))
+		*leaf = v.codec.DecodeIn(r, &v.arena)
+	}
+	return *leaf
 }
 
-// loadPartial reads the partial signature rooted at sid into a new run under
-// run up, the deepest loaded partial rooted at an ancestor of sid, by
-// replaying the encoder's BFS: a node an ancestor's partial holds is passed
-// over, one of its own is stepped over by the region length in its header and
-// decoded at once only if internal, for the replay to walk its set bits.
-// Everything read here came off a stored page: a header that disagrees with the
-// reference or with the nodes that follow is corruption, not a bug, and so is
-// a leaf-level node that does not decode, found when a query first reaches it.
-func (v *View) loadPartial(sid uint64, page pager.PageID, up int32) {
-	data := v.store.Read(page, v.ctr)
+// loadPartial reads the partial signature p, rooted at sid, into a new run
+// under run up, the deepest loaded partial rooted at an ancestor of sid. The
+// read comes first, whatever the Stored holds: every load is charged, and
+// fault injection, the quarantine fail-fast and the checksum see it. The
+// partial's replay is then the one published on p, or, on the first load of p
+// by any view, the one this load builds and publishes — unless another view
+// published one first, which then serves both.
+func (v *View) loadPartial(sid uint64, p *partial, up int32) {
+	data := v.store.Read(p.page, v.ctr)
+	rp := p.replay.Load()
+	if rp == nil {
+		rp = v.replayPartial(sid, data, up)
+		if !p.replay.CompareAndSwap(nil, rp) {
+			rp = p.replay.Load()
+		}
+	}
+	at := int32(len(v.runs))
+	v.runs = append(v.runs, run{replay: rp, sid: sid, page: data, lo: len(v.leaves), up: up, kid: -1, next: v.kid(up)})
+	v.leaves = append(v.leaves, make([]*bitvec.Bits, len(rp.sids)-len(rp.inner))...)
+	if up < 0 {
+		v.top = at
+	} else {
+		v.runs[up].kid = at
+	}
+}
+
+// replayPartial replays the encoder's BFS over data, the partial rooted at
+// sid, under run up: a node an ancestor's partial holds is passed over, one of
+// its own is decoded if internal, for the replay to walk its set bits, and
+// otherwise stepped over by the region length in its header. Everything read here came
+// off a stored page: a header that disagrees with the reference or with the
+// nodes that follow is corruption, not a bug, and so is a leaf-level node that
+// does not decode, found when a query first reaches it.
+func (v *View) replayPartial(sid uint64, data []byte, up int32) *replay {
 	r := bitvec.NewReader(data)
 	depth := int(r.ReadBits(8))
 	root := uint64(0)
@@ -365,44 +428,47 @@ func (v *View) loadPartial(sid uint64, page pager.PageID, up int32) {
 	}
 	count := int(r.ReadBits(32))
 	// The count is an on-page field: make room for no more than the page holds.
-	n, lo := min(count, r.Remaining()/v.codec.HeaderBits()), len(v.sids)
-	v.sids, v.offs, v.bits = slices.Grow(v.sids, n), slices.Grow(v.offs, n), slices.Grow(v.bits, n)
+	n := min(count, r.Remaining()/v.codec.HeaderBits())
+	rp := &replay{sids: make([]uint64, 0, n), offs: make([]int32, 0, n)}
 
-	// Replay the BFS. The queue holds the internal nodes whose children are
-	// still to be visited.
+	// The queue holds the internal nodes whose children are still to be
+	// visited. BFS visits a level before the next, and the leaf level is the
+	// deepest, so the partial's internal nodes come before its leaf-level ones.
 	leaf := leafDepth(v.stored.height)
 	queue := v.queue[:0]
 	visit := func(sid uint64, depth int) {
-		page, i := v.find(up, sid)
-		if i < 0 {
-			page, i = data, len(v.sids)
-			v.sids, v.offs, v.bits = append(v.sids, sid), append(v.offs, r.Pos()), append(v.bits, nil)
-			v.codec.Skip(r)
+		var bits *bitvec.Bits
+		if at, i := v.find(up, sid); i >= 0 {
+			if depth < leaf {
+				bits = v.decode(at, i)
+			}
+		} else {
+			rp.sids, rp.offs = append(rp.sids, sid), append(rp.offs, int32(r.Pos()))
+			if depth < leaf {
+				bits = v.codec.Decode(r)
+				rp.inner = append(rp.inner, bits)
+			} else {
+				v.codec.Skip(r)
+			}
 		}
 		if depth < leaf {
-			queue = append(queue, bfsNode{sid, depth, v.decode(page, i)})
+			queue = append(queue, bfsNode{sid, depth, bits})
 		}
 	}
 	if count > 0 {
 		visit(sid, depth)
 	}
-	for qi := 0; qi < len(queue) && len(v.sids)-lo < count; qi++ {
+	for qi := 0; qi < len(queue) && len(rp.sids) < count; qi++ {
 		p := queue[qi]
-		for i := p.bits.NextOne(0); i >= 0 && len(v.sids)-lo < count; i = p.bits.NextOne(i + 1) {
+		for i := p.bits.NextOne(0); i >= 0 && len(rp.sids) < count; i = p.bits.NextOne(i + 1) {
 			visit(p.sid*v.base+uint64(i+1), p.depth+1)
 		}
 	}
 	v.queue = queue[:0]
-	if n := len(v.sids) - lo; n != count {
-		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d replays %d nodes, header says %d", sid, n, count)
+	if len(rp.sids) != count {
+		errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d replays %d nodes, header says %d", sid, len(rp.sids), count)
 	}
-	at := int32(len(v.runs))
-	v.runs = append(v.runs, run{sid: sid, page: data, lo: lo, hi: len(v.sids), up: up, kid: -1, next: v.kid(up)})
-	if up < 0 {
-		v.top = at
-	} else {
-		v.runs[up].kid = at
-	}
+	return rp
 }
 
 // Decode decodes a stored signature for incremental maintenance, charging the
@@ -452,7 +518,7 @@ func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 		}
 	}
 	for _, sid := range s.sids() {
-		page = store.Read(s.refs[sid], ctr)
+		page = store.Read(s.refs[sid].page, ctr)
 		r = bitvec.NewReader(page)
 		depth, headed, at := int(r.ReadBits(8)), uint64(0), &root
 		for i := 0; i < depth; i++ {

@@ -234,7 +234,7 @@ func TestViewReportsMalformedLeafWhenReached(t *testing.T) {
 		for slot := 1; slot <= 2; slot++ {
 			refs[hindex.SID([]int{slot}, fuzzFanout)] = partial([]int{slot}, leaves[2*slot-2:2*slot]...)
 		}
-		return NewView(&Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}, codec, store, ctr)
+		return NewView(fuzzStored(refs), codec, store, ctr)
 	}
 	probe := func(p Prober, parent []int) string {
 		var live bitvec.Bits
@@ -294,6 +294,15 @@ const (
 	fuzzHeight = 3
 )
 
+// fuzzStored is a cell of that shape whose partials are the given pages.
+func fuzzStored(pages map[uint64]pager.PageID) *Stored {
+	refs := make(map[uint64]*partial, len(pages))
+	for sid, page := range pages {
+		refs[sid] = &partial{page: page}
+	}
+	return &Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}
+}
+
 // FuzzViewDecode feeds arbitrary bytes to the partial-signature decoders as a
 // stored page (Append checksums whatever it is given, so the CRC does not
 // stand in the way): as the root partial, and as a child partial under a
@@ -301,8 +310,10 @@ const (
 // a value or abort with a typed ErrPageCorrupt — never a raw panic, and never
 // run or allocate past what the page's own length allows — and when the lazy
 // decoder and the maintenance decoder both take the bytes, they hold the same
-// tuples. viewTuples reaches every node the view holds, so a leaf-level node
-// its load only stepped over is decoded there too. A Decode that decodes no
+// tuples, and so does a second view of the cell, which loads through the
+// replays the first one published. viewTuples reaches every node the view
+// holds, so a leaf-level node its load only stepped over is decoded there too.
+// A Decode that decodes no
 // leaf-level node, or those of odd SID, then Encode, gives the pages a full
 // Decode then Encode does, or both abort.
 func FuzzViewDecode(f *testing.F) {
@@ -318,7 +329,7 @@ func FuzzViewDecode(f *testing.F) {
 			{0: page},
 			{0: rootPage, hindex.SID([]int{1}, fuzzFanout): page},
 		} {
-			stored := &Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}
+			stored := fuzzStored(refs)
 			var viewed, decoded [][]int
 			runs := []func(){
 				func() {
@@ -333,9 +344,13 @@ func FuzzViewDecode(f *testing.F) {
 				},
 				func() { decoded = stored.Decode(codec, store, stats.New(), wantAll).Tuples(fuzzHeight) },
 			}
-			accepted := 0
-			for _, run := range runs {
-				if err := corruptAbort(run); err == nil {
+			accepted, viewErr := 0, error(nil)
+			for i, run := range runs {
+				err := corruptAbort(run)
+				if i == 0 {
+					viewErr = err
+				}
+				if err == nil {
 					accepted++
 				} else if !errors.Is(err, errs.ErrPageCorrupt) {
 					t.Fatalf("abort is not ErrPageCorrupt: %v", err)
@@ -343,6 +358,13 @@ func FuzzViewDecode(f *testing.F) {
 			}
 			if accepted == len(runs) && fmt.Sprint(viewed) != fmt.Sprint(decoded) {
 				t.Fatalf("the view holds tuples %v, Decode %v", viewed, decoded)
+			}
+			// A second view of the cell loads through the replays the first one
+			// published: it holds the same tuples, or aborts as that one did.
+			var warm [][]int
+			warmErr := corruptAbort(func() { warm = viewTuples(NewView(stored, codec, store, stats.New()), nil) })
+			if (warmErr == nil) != (viewErr == nil) || fmt.Sprint(warm) != fmt.Sprint(viewed) {
+				t.Fatalf("a warm view holds tuples %v (%v), the cold one %v (%v)", warm, warmErr, viewed, viewErr)
 			}
 
 			full, fullErr := reencode(t, stored, store, wantAll)
@@ -371,7 +393,7 @@ func reencode(t *testing.T, stored *Stored, store *pager.Store, want func(uint64
 		out := NewEncoder(fuzzFanout, fuzzHeight, scratch).Encode(stored.Decode(codec, store, stats.New(), want))
 		out.Decode(codec, scratch, stats.New(), wantAll)
 		pages = make(map[uint64][]byte)
-		for sid, page := range out.refs {
+		for sid, page := range out.Partials() {
 			pages[sid] = scratch.Read(page, stats.New())
 		}
 	})
@@ -420,7 +442,7 @@ func fuzzSeeds() (seeds [][]byte, rootOnly []byte) {
 		store := pager.NewStore(stats.StructSignature, 256)
 		enc := NewEncoder(fuzzFanout, fuzzHeight, store)
 		enc.SetBaselineOnly(baseline)
-		for _, page := range enc.Encode(root).refs {
+		for _, page := range enc.Encode(root).Partials() {
 			seeds = append(seeds, store.Read(page, stats.New()))
 		}
 	}
@@ -451,7 +473,7 @@ func TestFuzzSeedsAreWellFormed(t *testing.T) {
 		if i == len(seeds)-1 {
 			refs = map[uint64]pager.PageID{0: store.Append(rootOnly), hindex.SID([]int{1}, fuzzFanout): refs[0]}
 		}
-		stored := &Stored{height: fuzzHeight, fanout: fuzzFanout, refs: refs}
+		stored := fuzzStored(refs)
 		var tuples int
 		if err := corruptAbort(func() { tuples = len(stored.Decode(codec, store, stats.New(), wantAll).Tuples(fuzzHeight)) }); err != nil {
 			t.Fatalf("seed %d does not decode: %v", i, err)

@@ -13,11 +13,12 @@ import (
 // samePartials holds two encodings to the same partial SIDs and page bytes.
 func samePartials(t *testing.T, what string, got *Stored, gotStore *pager.Store, want *Stored, wantStore *pager.Store) {
 	t.Helper()
-	if len(got.refs) != len(want.refs) {
-		t.Fatalf("%s: %d partials, want %d", what, len(got.refs), len(want.refs))
+	gotPages, wantPages := got.Partials(), want.Partials()
+	if len(gotPages) != len(wantPages) {
+		t.Fatalf("%s: %d partials, want %d", what, len(gotPages), len(wantPages))
 	}
-	for sid, page := range want.refs {
-		gotPage, ok := got.refs[sid]
+	for sid, page := range wantPages {
+		gotPage, ok := gotPages[sid]
 		if !ok {
 			t.Fatalf("%s: no partial %d", what, sid)
 		}
