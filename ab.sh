@@ -10,9 +10,11 @@
 # parent first on odd seeds and second on even ones. It hands the two groups
 # of --out files to benchmark/compare and prints a table of at most 20 lines:
 # per workload the pair count, reads per query, CPU per op, allocated KB per op
-# and heap MB of both sides, in how many pairs B was below A on each of those
-# four, and the verdict counts, then every metric whose verdict is not ok, then
-# the verdict line.
+# and heap MB of both sides, each side's CPU-per-op quartiles, in how many pairs
+# B was below A on each of those four, and the verdict counts, then every
+# metric whose verdict is not ok, then the verdict line. A claimed CPU gain is
+# read off the table: B below A in at least 9 of 10 pairs, and the gap between
+# the medians wider than A's interquartile range.
 # The --out files and compare's full table stay in .bench_build/ab/. An A/A
 # run (PARENT=HEAD) must report no regressed metric.
 set -euo pipefail
@@ -59,9 +61,22 @@ failed="$(cat "$out"/*.json | grep -o '"failed": *[0-9]*' | grep -cv ': *0$' || 
 
 # Win counts: per workload, the pairs in which B came out below A on CPU per
 # op, on reads per query, on allocated KB per op and on heap MB, as
-# "wins/pairs".
+# "wins/pairs"; then A's and B's CPU-per-op quartiles.
 value() { awk -v m="\"$2\":" '$1 == m { getline; sub(/,$/, "", $2); print $2; exit }' "$1"; }
 below() { awk -v a="$(value "$out/parent-$1.json" "$2")" -v b="$(value "$out/change-$1.json" "$2")" 'BEGIN { exit !(b < a) }'; }
+# quartiles SIDE WORKLOAD: "q1–q3" of the side's CPU per op over the seeds, by
+# the exclusive method benchmark/compare judges spread with (stat.Quartiles).
+quartiles() {
+  for seed in $seeds; do value "$out/$1-$seed-$2.json" cpu_ms_per_op; done | sort -g | awk '
+  { v[NR] = $1 }
+  function at(i,   j, d) {
+    if (NR < 2) return v[1]
+    j = int(i * (NR + 1) / 4); if (j < 1) j = 1; if (j > NR - 1) j = NR - 1
+    d = i * (NR + 1) - j * 4
+    return (v[j] * (4 - d) + v[j + 1] * d) / 4
+  }
+  END { printf "%.4g–%.4g", at(1), at(3) }'
+}
 for w in $workloads; do
   cpu=0 reads=0 alloc=0 heap=0 pairs=0
   for seed in $seeds; do
@@ -71,11 +86,11 @@ for w in $workloads; do
     if below "$seed-$w" alloc_kb_per_op; then alloc=$((alloc + 1)); fi
     if below "$seed-$w" heap_mb; then heap=$((heap + 1)); fi
   done
-  echo "$w $cpu/$pairs $reads/$pairs $alloc/$pairs $heap/$pairs"
+  echo "$w $cpu/$pairs $reads/$pairs $alloc/$pairs $heap/$pairs $(quartiles parent "$w") $(quartiles change "$w")"
 done >"$out/wins.txt"
 
 awk -v rev="$rev" -v seeds="$seeds" -v failed="$failed" '
-FNR == NR { cpuwin[$1] = $2; readwin[$1] = $3; allocwin[$1] = $4; heapwin[$1] = $5; next }
+FNR == NR { cpuwin[$1] = $2; readwin[$1] = $3; allocwin[$1] = $4; heapwin[$1] = $5; cpuq[$1] = $6 " | " $7; next }
 FNR == 1 { next }
 {
   w = $1; m = $2; v = $NF
@@ -89,10 +104,10 @@ FNR == 1 { next }
 }
 END {
   printf "ab: parent %s (A) vs working tree (B), seeds %s, full table .bench_build/ab/compare.txt\n", rev, seeds
-  printf "%-13s %5s %-22s %-22s %-22s %-22s %-7s %-7s %-7s %-7s %4s %5s %5s\n", "workload", "pairs", "reads/query A → B", "cpu ms/op A → B", "alloc KB/op A → B", "heap MB A → B", "cpu B<A", "rds B<A", "kb B<A", "mb B<A", "ok", "unres", "regr"
+  printf "%-13s %5s %-22s %-22s %-30s %-22s %-22s %-7s %-7s %-7s %-7s %4s %5s %5s\n", "workload", "pairs", "reads/query A → B", "cpu ms/op A → B", "cpu q1–q3 A | B", "alloc KB/op A → B", "heap MB A → B", "cpu B<A", "rds B<A", "kb B<A", "mb B<A", "ok", "unres", "regr"
   for (i = 1; i <= n; i++) {
     w = order[i]
-    printf "%-13s %5d %-22s %-22s %-22s %-22s %-7s %-7s %-7s %-7s %4d %5d %5d\n", w, split(seeds, s, " "), reads[w], cpu[w], alloc[w], heap[w], cpuwin[w], readwin[w], allocwin[w], heapwin[w], count[w, "ok"], count[w, "unresolved"], count[w, "regressed"]
+    printf "%-13s %5d %-22s %-22s %-30s %-22s %-22s %-7s %-7s %-7s %-7s %4d %5d %5d\n", w, split(seeds, s, " "), reads[w], cpu[w], cpuq[w], alloc[w], heap[w], cpuwin[w], readwin[w], allocwin[w], heapwin[w], count[w, "ok"], count[w, "unresolved"], count[w, "regressed"]
   }
   for (i = 1; i <= shown; i++) print bad[i]
   if (more) printf "(%d more not ok in compare.txt)\n", more

@@ -349,3 +349,134 @@ func TestQueuedQueryDeadlineKeepsCause(t *testing.T) {
 		t.Fatalf("queued query err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
 }
+
+// TestPooledSearchStorage runs, under -race, the requests that take a
+// signature search's storage from its pool and hand it back — top-k queries,
+// governed scans closed early and rank joins — concurrently on one cube: every
+// answer must equal the one the same request gave alone. A scan held open
+// across 100 top-k queries keeps its own storage and still streams its answer,
+// and a closed scan reads nothing more.
+func TestPooledSearchStorage(t *testing.T) {
+	rel := rankcube.GenerateRelation(3000, 2, 2, 4, rankcube.Uniform, 43)
+	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 12})
+	other := rankcube.GenerateRelation(1500, 2, 2, 4, rankcube.Uniform, 44)
+	otherCube := rankcube.BuildSignatureCube(other, rankcube.SigOptions{Fanout: 12})
+	ctx := context.Background()
+	conds := []rankcube.Cond{{}, {0: 1}, {0: 2, 1: 3}, {1: 0}}
+	funcs := []rankcube.Func{rankcube.Sum(0, 1), rankcube.SqDist([]int{0, 1}, []float64{0.4, 0.6})}
+
+	query := func(i int) []rankcube.Result {
+		res, err := cube.Query(ctx, conds[i%len(conds)], funcs[i%len(funcs)], 1+i%20)
+		if err != nil {
+			t.Errorf("query %d: %v", i, err)
+		}
+		return res
+	}
+	scan := func(i, pulls int) []rankcube.Result {
+		sc, err := cube.OpenScan(ctx, conds[i%len(conds)], funcs[i%len(funcs)])
+		if err != nil {
+			t.Errorf("scan %d: %v", i, err)
+			return nil
+		}
+		defer sc.Close()
+		var out []rankcube.Result
+		for len(out) < pulls {
+			r, ok, err := sc.Next()
+			if err != nil {
+				t.Errorf("scan %d: %v", i, err)
+			}
+			if !ok {
+				break
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	join := func(i int) []rankcube.JoinResult {
+		res, err := rankcube.JoinQuery(ctx, []rankcube.JoinPart{
+			{Rel: rankcube.NewJoinRelation("A", rel, cube, joinKeys(3000, 40), 40), Cond: conds[i%len(conds)], F: rankcube.Sum(0, 1)},
+			{Rel: rankcube.NewJoinRelation("B", other, otherCube, joinKeys(1500, 40), 40), Cond: rankcube.Cond{0: int32(i % 4)}, F: rankcube.Sum(0, 1)},
+		}, 5)
+		if err != nil {
+			t.Errorf("join %d: %v", i, err)
+		}
+		return res
+	}
+
+	const requests = 24
+	wantQuery := make([][]rankcube.Result, requests)
+	wantScan := make([][]rankcube.Result, requests)
+	wantJoin := make([][]rankcube.JoinResult, requests)
+	for i := 0; i < requests; i++ {
+		wantQuery[i], wantScan[i], wantJoin[i] = query(i), scan(i, 1+i%30), join(i)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 2*requests; n++ {
+				i := (n*5 + w) % requests
+				switch (n + w) % 3 {
+				case 0:
+					if got := query(i); !reflect.DeepEqual(got, wantQuery[i]) {
+						t.Errorf("query %d: %v, alone %v", i, got, wantQuery[i])
+					}
+				case 1:
+					if got := scan(i, 1+i%30); !reflect.DeepEqual(got, wantScan[i]) {
+						t.Errorf("scan %d: %v, alone %v", i, got, wantScan[i])
+					}
+				default:
+					if got := join(i); !reflect.DeepEqual(got, wantJoin[i]) {
+						t.Errorf("join %d: %v, alone %v", i, got, wantJoin[i])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// One scan held open while 100 top-k queries take and return storage.
+	const pulls = 100
+	want := scan(1, pulls)
+	sc, err := cube.OpenScan(ctx, conds[1], funcs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []rankcube.Result
+	for i := 0; i < 100; i++ {
+		if r, ok, err := sc.Next(); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			got = append(got, r)
+		}
+		if res := query(i % requests); !reflect.DeepEqual(res, wantQuery[i%requests]) {
+			t.Fatalf("query %d beside the open scan: %v, alone %v", i, res, wantQuery[i%requests])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the held scan streamed %v, alone %v", got, want)
+	}
+
+	// A closed scan reads nothing: Next ends the stream, and the Metrics Close
+	// filled do not move.
+	m := &rankcube.Metrics{}
+	sc, err = cube.OpenScan(ctx, conds[2], funcs[0], rankcube.WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := sc.Next(); !ok || err != nil {
+		t.Fatalf("first pull: ok %v, err %v", ok, err)
+	}
+	sc.Close()
+	reads := m.TotalReads()
+	for i := 0; i < 3; i++ {
+		if r, ok, err := sc.Next(); ok || err != nil {
+			t.Fatalf("Next after Close: %v, ok %v, err %v", r, ok, err)
+		}
+	}
+	if m.TotalReads() != reads || reads == 0 {
+		t.Fatalf("reads %d after Close, %d at Close", m.TotalReads(), reads)
+	}
+}

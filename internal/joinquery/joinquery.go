@@ -171,21 +171,27 @@ func (j *joiner) walk(i, fixed int, key int32, score float64) {
 
 // Execute runs the query: it opens each part's rank-aware selection over its
 // cube (§6.3.1) and joins the streams with a threshold stop condition
-// (§6.3.2).
+// (§6.3.2). Every scanner it opened is released on the way out, an error or
+// an abort included.
 func Execute(q Query, opts Options, ctr *stats.Counters) ([]Result, error) {
 	if err := q.check(); err != nil || q.K <= 0 {
 		return nil, err
 	}
 	defer ctr.StartSpan("rank-join")()
 	e := &executor{joiner: newJoiner(q), parts: q.Parts, opts: opts, ctr: ctr,
-		scanners: make([]*sigcube.Scanner, len(q.Parts)), first: make([]float64, len(q.Parts)),
+		scanners: make([]*sigcube.Scanner, 0, len(q.Parts)), first: make([]float64, len(q.Parts)),
 		keyAllowed: viableKeys(q.Parts)}
+	defer func() {
+		for _, sc := range e.scanners {
+			sc.Release()
+		}
+	}()
 	for i, p := range q.Parts {
 		sc, err := p.Rel.Cube.Scan(p.Cond, p.F, ctr)
 		if err != nil {
 			return nil, err
 		}
-		e.scanners[i] = sc
+		e.scanners = append(e.scanners, sc)
 		e.first[i] = math.NaN()
 	}
 	return e.run(), nil

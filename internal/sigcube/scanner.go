@@ -1,12 +1,13 @@
 package sigcube
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"rankcube/internal/bitvec"
 	"rankcube/internal/core"
-	"rankcube/internal/heap"
 	"rankcube/internal/hindex"
 	"rankcube/internal/ranking"
 	"rankcube/internal/signature"
@@ -35,12 +36,19 @@ import (
 // before and no further than the stage that leaves none — where the
 // short-circuit of And.Test stops loading — and the node is skipped unread
 // when nothing survives. Otherwise its page is charged, unless the caller
-// holds it (Hold), and one deferred entry is pushed at the best survivor's
-// score; when that is popped the survivors are derived again from the stages,
-// resident by then, and pushed qualified. A search under a Filter drains its
-// heap, so it pushes the survivors at once. What the rule can cost is a
-// signature partial: the letter loads a node's bits when the first of its
-// children is popped, and never when a filter prunes them all first.
+// holds it (Hold), and its survivors are scored once, in slot order, into the
+// search's record (Candidates): one deferred entry is pushed at the best of
+// their scores, and when it is popped the recorded survivors are pushed
+// qualified, in the same order, neither tested nor scored again. A search
+// under a Filter drains its heap, so it pushes the survivors at once. What the
+// rule can cost is a signature partial: the letter loads a node's bits when
+// the first of its children is popped, and never when a filter prunes them
+// all first.
+//
+// A search's states live in a Candidates its caller hands it: a Scanner's
+// comes from a pool and goes back to it at Release, the end of every top-k
+// query, rank join and governed scan, aborts included; the skyline keeps its
+// own.
 //
 // A tester that offers only Test — a wrapper around one, a bloom measure, a
 // disjunction — goes the same way behind the stand-in of signature.Probers,
@@ -68,8 +76,11 @@ type BestFirst[C any] struct {
 	// x is the caller's filter; nil on a Scanner.
 	x     Filter[C]
 	ctr   *stats.Counters
-	cheap *heap.Heap[State[C]]
-	done  bool
+	cheap *Candidates[C]
+	// home is the pool cheap goes back to at Release; nil when the caller
+	// keeps it.
+	home *sync.Pool
+	done bool
 
 	// Scratch for qualifying one node's children: its decoded path and the
 	// slots still live.
@@ -99,7 +110,9 @@ type State[C any] struct {
 	Score float64
 	// SID is the SID of the node's or the tuple's partition path.
 	SID uint64
-	// Ref is the tuple of a tuple state, the node of a node or deferred state.
+	// Ref is the tuple of a tuple state, the node of a node state. A deferred
+	// state names its survivors in the search's record instead: SID is the
+	// offset of the first, Ref their number.
 	Ref int32
 	// C is the caller's payload; zero-sized on a Scanner.
 	C C
@@ -120,32 +133,11 @@ const (
 	untested
 )
 
-// lessState orders states by score, tuples first at equal score.
-func lessState[C any](a, b State[C]) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Tuple && !b.Tuple
-}
-
-// lessScan is lessState written out for a Scanner's heap, the hot path of
-// every top-k query: a generic function's value is called through a wrapper.
-func lessScan(a, b State[struct{}]) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Tuple && !b.Tuple
-}
-
-// NewHeap returns an empty candidate heap in the search's order, for a caller
-// that keeps one from search to search.
-func NewHeap[C any]() *heap.Heap[State[C]] { return heap.New(lessState[C]) }
-
 // NewBestFirst prepares a search over idx that ranks by f, carries payloads x
 // makes and puts what it pops to x, in cheap, emptied first. It starts from
 // the states the caller enters.
-func NewBestFirst[C any](idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, x Filter[C], cheap *heap.Heap[State[C]], ctr *stats.Counters) *BestFirst[C] {
-	cheap.Reset()
+func NewBestFirst[C any](idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, x Filter[C], cheap *Candidates[C], ctr *stats.Counters) *BestFirst[C] {
+	cheap.reset()
 	return &BestFirst[C]{
 		idx:    idx,
 		acc:    hindex.NewAccessor(idx, ctr),
@@ -166,10 +158,20 @@ func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID
 	if idx.Root() == hindex.InvalidNode {
 		return &Scanner{done: true}
 	}
-	s := NewBestFirst[struct{}](idx, tester, verify, f, nil, heap.New(lessScan), ctr)
+	s := NewBestFirst[struct{}](idx, tester, verify, f, nil, scanners.Get().(*Candidates[struct{}]), ctr)
+	s.home = &scanners
 	root := idx.Root()
-	s.cheap.Push(State[struct{}]{Score: f.LowerBound(idx.NodeBox(root)), Ref: int32(root)})
+	s.cheap.push(State[struct{}]{Score: f.LowerBound(idx.NodeBox(root)), Ref: int32(root)})
 	return s
+}
+
+// Release ends the search: a Scanner's storage goes back to its pool. A
+// released search is exhausted; it reads and holds nothing more.
+func (s *BestFirst[C]) Release() {
+	if s.home != nil {
+		s.home.Put(s.cheap)
+	}
+	s.cheap, s.home, s.done = nil, nil, true
 }
 
 // Scan opens a rank-aware selection over the cube. The scanner is exhausted
@@ -197,7 +199,7 @@ func (s *BestFirst[C]) Held() []uint64 { return s.acc.Held() }
 // Enter pushes a state the boolean test has not been put to: the tuple or the
 // node ref at sid, scored score, with payload c.
 func (s *BestFirst[C]) Enter(score float64, sid uint64, ref int32, tuple bool, c C) {
-	s.cheap.Push(State[C]{Score: score, SID: sid, Ref: ref, C: c, Tuple: tuple, kind: untested})
+	s.cheap.push(State[C]{Score: score, SID: sid, Ref: ref, C: c, Tuple: tuple, kind: untested})
 	s.ctr.StatesGenerated++
 }
 
@@ -233,17 +235,19 @@ func (s *BestFirst[C]) Pop() (st State[C], ok bool) {
 	if s.done {
 		return State[C]{}, false
 	}
-	for s.cheap.Len() > 0 {
-		s.ctr.ObserveHeap(s.cheap.Len())
-		e := s.cheap.Pop()
+	for len(s.cheap.heap) > 0 {
+		s.ctr.ObserveHeap(len(s.cheap.heap))
+		e := s.cheap.pop()
 		if math.IsInf(e.Score, 1) {
 			break
 		}
 		s.ctr.StatesExamined++
 		switch {
 		case e.kind == deferred:
-			s.qualify(e)
-			s.pushLive(e)
+			for _, st := range s.cheap.kids[e.SID : e.SID+uint64(e.Ref)] {
+				s.cheap.push(st)
+			}
+			s.ctr.StatesGenerated += int64(e.Ref)
 		case s.x != nil && !s.x.Pass(e):
 		case e.kind == untested && !s.Test(e.SID):
 			s.ctr.Pruned++
@@ -259,8 +263,9 @@ func (s *BestFirst[C]) Pop() (st State[C], ok bool) {
 	return State[C]{}, false
 }
 
-// expand reads a qualified node if one of its children qualifies, and defers
-// those that do to one state at the best of their scores.
+// expand reads a qualified node if one of its children qualifies and scores
+// those that do. A search under a filter or with no predicate pushes them; the
+// others record them and defer them to one state at the best of their scores.
 func (s *BestFirst[C]) expand(e State[C]) {
 	s.qualify(e)
 	survivors := s.live.Ones()
@@ -270,36 +275,11 @@ func (s *BestFirst[C]) expand(e State[C]) {
 	}
 	node := hindex.NodeID(e.Ref)
 	s.acc.Visit(node)
-	if len(s.stages) == 0 || s.x != nil {
-		s.pushLive(e)
-		return
-	}
-	leaf := s.idx.IsLeaf(node)
-	best := math.Inf(1)
-	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
-		if score := s.score(node, leaf, slot); score < best {
-			best = score
-		}
-	}
-	s.cheap.Push(State[C]{Score: best, SID: e.SID, Ref: e.Ref, Tuple: leaf, kind: deferred})
-	s.ctr.StatesGenerated++
-}
-
-// qualify leaves in live the children of e's node that pass the boolean test.
-// It needs no page of the index: the path is in the state's SID and the width
-// is index metadata.
-func (s *BestFirst[C]) qualify(e State[C]) {
-	s.path = hindex.PathOf(s.path, e.SID, s.fanout)
-	s.live.SetAll(s.idx.NumChildren(hindex.NodeID(e.Ref)))
-	signature.Qualify(s.stages, s.path, &s.live)
-}
-
-// pushLive pushes the live children of e's node as qualified states, with
-// their payloads, each the filter passes.
-func (s *BestFirst[C]) pushLive(e State[C]) {
-	node := hindex.NodeID(e.Ref)
+	deferring := len(s.stages) > 0 && s.x == nil
 	leaf := s.idx.IsLeaf(node)
 	base := e.SID * uint64(s.fanout+1)
+	first := len(s.cheap.kids)
+	best := math.Inf(1)
 	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
 		st := State[C]{SID: base + uint64(slot+1), Tuple: leaf}
 		if leaf {
@@ -315,23 +295,31 @@ func (s *BestFirst[C]) pushLive(e State[C]) {
 				st.C = s.x.Node(box)
 			}
 		}
-		if s.x != nil && !s.x.Pass(st) {
-			continue
+		switch {
+		case deferring:
+			s.cheap.kids = append(s.cheap.kids, st)
+			if st.Score < best {
+				best = st.Score
+			}
+		case s.x != nil && !s.x.Pass(st):
+		default:
+			s.cheap.push(st)
+			s.ctr.StatesGenerated++
 		}
-		s.cheap.Push(st)
+	}
+	if deferring {
+		s.cheap.push(State[C]{Score: best, SID: uint64(first), Ref: int32(survivors), Tuple: leaf, kind: deferred})
 		s.ctr.StatesGenerated++
 	}
 }
 
-// score scores the entry in one slot of a visited node: the exact score of a
-// leaf's tuple, the lower bound of an internal node's child.
-func (s *BestFirst[C]) score(node hindex.NodeID, leaf bool, slot int) float64 {
-	if leaf {
-		_, pt := s.acc.Tuple(node, slot)
-		return s.f.Eval(pt)
-	}
-	_, box := s.acc.Child(node, slot)
-	return s.f.LowerBound(box)
+// qualify leaves in live the children of e's node that pass the boolean test.
+// It needs no page of the index: the path is in the state's SID and the width
+// is index metadata.
+func (s *BestFirst[C]) qualify(e State[C]) {
+	s.path = hindex.PathOf(s.path, e.SID, s.fanout)
+	s.live.SetAll(s.idx.NumChildren(hindex.NodeID(e.Ref)))
+	signature.Qualify(s.stages, s.path, &s.live)
 }
 
 // take pulls up to k results: the first k tuples the search reaches are the
@@ -346,15 +334,17 @@ func (s *BestFirst[C]) take(k int) []core.Result {
 		}
 		out = append(out, res)
 	}
-	sort.Slice(out, func(a, b int) bool { return core.WorseResult(out[b], out[a]) })
+	slices.SortFunc(out, func(a, b core.Result) int {
+		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.TID, b.TID))
+	})
 	return out
 }
 
 // Bound reports a lower bound on the scores of all tuples not yet emitted
 // (+Inf when exhausted). Rank joins use it for their stopping threshold.
 func (s *BestFirst[C]) Bound() float64 {
-	if s.done || s.cheap.Len() == 0 {
+	if s.done || len(s.cheap.heap) == 0 {
 		return math.Inf(1)
 	}
-	return s.cheap.Min().Score
+	return s.cheap.heap[0].Score
 }

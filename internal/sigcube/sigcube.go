@@ -300,7 +300,9 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 // it: §4.4.1's Ranking baseline is this search with signature.True and a
 // verify that reads the tuple's page.
 func Search(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	return newScanner(idx, tester, verify, f, ctr).take(k)
+	s := newScanner(idx, tester, verify, f, ctr)
+	defer s.Release()
+	return s.take(k)
 }
 
 // SearchTopK is Search with nothing to verify.

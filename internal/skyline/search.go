@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 
-	"rankcube/internal/heap"
 	"rankcube/internal/ranking"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/signature"
@@ -37,11 +36,11 @@ type search struct {
 	*arena
 }
 
-// arena is the storage of one run's states: the heap, and the corners, a
-// state's at corners[C:C+len(q.Dims)]. Nothing outlives the run in here: what
-// a result or a snapshot keeps it copies.
+// arena is the storage of one run's states: the candidates, and the corners,
+// a state's at corners[C:C+len(q.Dims)]. Nothing outlives the run in here:
+// what a result or a snapshot keeps it copies.
 type arena struct {
-	cheap   *heap.Heap[sigcube.State[int32]]
+	cheap   sigcube.Candidates[int32]
 	corners []float64
 }
 
@@ -53,7 +52,7 @@ type arena struct {
 func (e *Engine) newSearch(q Query, tester signature.Tester, verify func(table.TID) bool, snap *Snapshot, ctr *stats.Counters) *search {
 	a, _ := e.arenas.Get().(*arena)
 	if a == nil {
-		a = &arena{cheap: sigcube.NewHeap[int32]()}
+		a = &arena{}
 	}
 	if verify == nil {
 		verify = e.cube.Verifier(q.Cond, ctr)
@@ -63,7 +62,7 @@ func (e *Engine) newSearch(q Query, tester signature.Tester, verify func(table.T
 		f = ranking.L1Dist(q.Dims, q.Target)
 	}
 	s := &search{arena: a, home: &e.arenas, q: q, verify: verify, ctr: ctr, snap: snap}
-	s.sc = sigcube.NewBestFirst(e.cube.Tree(), tester, verify, f, s, a.cheap, ctr)
+	s.sc = sigcube.NewBestFirst(e.cube.Tree(), tester, verify, f, s, &a.cheap, ctr)
 	s.sc.Hold(snap.held)
 	return s
 }

@@ -132,12 +132,13 @@ func (g *GovernedScanner) Next() (res Result, ok bool, err error) {
 // opened with, records the scan — outcome, latency from OpenScan to Close,
 // block reads — into the registry and, past the threshold, the slow-query
 // log, and releases the cube's shared serving lock and admission slot held
-// since OpenScan, so maintenance blocked behind the scan may proceed. Close
-// is idempotent.
+// since OpenScan, so maintenance blocked behind the scan may proceed, and the
+// scanner's storage. Close is idempotent.
 func (g *GovernedScanner) Close() {
 	if g.closed {
 		return
 	}
 	g.closed = true
+	g.s.Release()
 	g.op.finish(g.err)
 }
