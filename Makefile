@@ -151,12 +151,12 @@ bench-json:
 # A/B evidence for a change (ab.sh): the working tree against PARENT on the
 # benchmark's end-to-end pass, runs interleaved seed by seed, judged by
 # benchmark/compare, printed as a table of at most 20 lines.
-#   make ab PARENT=<rev> [WORKLOADS="sig-topk grid-serve"] [SEEDS="1 2 3"]
+#   make ab PARENT=<rev> [WORKLOADS="sig-topk grid-serve"] [SEEDS="1 2 3"] [PARENT_DIR=<checkout of rev>]
 WORKLOADS ?= sig-topk grid-serve sig-churn analytic-mix
 SEEDS ?= 1 2 3
 ab:
-	@[ -n "$(PARENT)" ] || { echo "usage: make ab PARENT=<rev> [WORKLOADS=...] [SEEDS=...]"; exit 2; }
-	@WORKLOADS="$(WORKLOADS)" SEEDS="$(SEEDS)" bash ab.sh "$(PARENT)"
+	@[ -n "$(PARENT)" ] || { echo "usage: make ab PARENT=<rev> [WORKLOADS=...] [SEEDS=...] [PARENT_DIR=...]"; exit 2; }
+	@WORKLOADS="$(WORKLOADS)" SEEDS="$(SEEDS)" PARENT_DIR="$(PARENT_DIR)" bash ab.sh "$(PARENT)"
 
 clean:
 	$(GO) clean ./...

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"rankcube/internal/core"
 	"rankcube/internal/guard"
@@ -103,46 +104,6 @@ func (cb *Cuboid) GetPseudoBlock(vals []int32, pid int, buf *pager.Buffer, c *st
 	return append(base, cb.extra[key]...)
 }
 
-// blockTIDs is get_pseudo_block narrowed to one base block, the retrieve
-// step's unit of work: it appends to dst, ascending, the tids of bid's tuples
-// in the cell that holds them. A compressed cell is one payload, read whole.
-// An uncompressed cell charges the pages its bid sub-run overlaps — an empty
-// sub-run the one page where it would begin, where the search learns it is
-// empty — and the pages of its overflow entries, which are in tid order and
-// cannot be skipped by bid.
-func (cb *Cuboid) blockTIDs(vals []int32, bid BID, buf *pager.Buffer, c *stats.Counters, dst []table.TID) []table.TID {
-	key := cb.cellKey(vals, cb.PseudoOf(bid))
-	ref, ok := cb.cells[key]
-	if !ok {
-		return dst
-	}
-	extra := cb.extra[key]
-	if cb.compressed {
-		dst = decodeBlock(buf.Read(ref.pages[0], c), int(ref.n), bid, dst)
-	} else {
-		run := cb.data[ref.off : ref.off+ref.n]
-		lo := sort.Search(len(run), func(i int) bool { return run[i].BID >= bid })
-		hi := lo
-		for ; hi < len(run) && run[hi].BID == bid; hi++ {
-			dst = append(dst, run[hi].TID)
-		}
-		if len(run) > 0 {
-			at := min(lo, len(run)-1)
-			touchRows(ref.pages, entryBytes, at, max(hi, at+1), buf, c)
-		}
-		if len(extra) > 0 {
-			touchRows(ref.pages, entryBytes, len(run), len(run)+len(extra), buf, c)
-		}
-	}
-	// Fresh tids are larger than materialized ones, so dst stays ascending.
-	for _, en := range extra {
-		if en.BID == bid {
-			dst = append(dst, en.TID)
-		}
-	}
-	return dst
-}
-
 // Store exposes the cuboid's page store for space accounting.
 func (cb *Cuboid) Store() *pager.Store { return cb.store }
 
@@ -155,8 +116,10 @@ type Cube struct {
 	t      *table.Table
 	meta   Meta
 	blocks *BlockTable
-	// cuboids maps a dimension-set key to its cuboid.
+	// cuboids maps a dimension-set key to its cuboid; order lists them in
+	// cover preference (orderAt).
 	cuboids map[string]*Cuboid
+	order   []*Cuboid
 	groups  [][]int
 	// tombstones marks deleted tuples awaiting the next repartition;
 	// inserted counts Insert calls since the last repartition.
@@ -254,7 +217,24 @@ func (c *Cube) buildCuboid(dims []int) {
 	if _, ok := c.cuboids[key]; ok {
 		return
 	}
-	c.cuboids[key] = c.materializeCuboid(sorted, pager.NewStore(stats.StructCube, pager.PageSize))
+	cb := c.materializeCuboid(sorted, pager.NewStore(stats.StructCube, pager.PageSize))
+	c.cuboids[key] = cb
+	i, _ := c.orderAt(sorted)
+	c.order = slices.Insert(c.order, i, cb)
+}
+
+// orderAt finds where the cuboid over the sorted dims stands, or would, in
+// c.order, the order the cover selection prefers cuboids in: widest first,
+// equally wide ones by their dimensions as fmt prints them ("[1 10]" before
+// "[1 2]"). The greedy cover takes the first of the best, so this tie-break
+// decides which cuboids, and which pages, a query reads.
+func (c *Cube) orderAt(dims []int) (int, bool) {
+	return slices.BinarySearchFunc(c.order, dims, func(cb *Cuboid, dims []int) int {
+		if c := cmp.Compare(len(dims), len(cb.dims)); c != 0 {
+			return c
+		}
+		return strings.Compare(fmt.Sprint(cb.dims), fmt.Sprint(dims))
+	})
 }
 
 // materializeCuboid assembles the cuboid over the (sorted) selection
@@ -361,6 +341,9 @@ func (c *Cube) RebuildCuboid(cb *Cuboid) int {
 	cb.store.Reset()
 	rebuilt := c.materializeCuboid(cb.dims, cb.store)
 	c.cuboids[core.IntsKey(cb.dims)] = rebuilt
+	if i, ok := c.orderAt(cb.dims); ok {
+		c.order[i] = rebuilt
+	}
 	return cb.store.NumPages()
 }
 

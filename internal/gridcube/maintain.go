@@ -100,6 +100,7 @@ func (c *Cube) Repartition() map[table.TID]table.TID {
 	c.meta = rebuilt.meta
 	c.blocks = rebuilt.blocks
 	c.cuboids = rebuilt.cuboids
+	c.order = rebuilt.order
 	c.groups = rebuilt.groups
 	c.tombstones = rebuilt.tombstones
 	c.inserted = rebuilt.inserted

@@ -157,13 +157,17 @@ func (m Meta) boxInto(bid BID, box ranking.Box) {
 
 // Domain returns the full data domain box.
 func (m Meta) Domain() ranking.Box {
-	lo := make([]float64, m.R)
-	hi := make([]float64, m.R)
+	box := ranking.NewBox(make([]float64, m.R), make([]float64, m.R))
+	m.domainInto(box)
+	return box
+}
+
+// domainInto overwrites box (R wide) with the full data domain.
+func (m Meta) domainInto(box ranking.Box) {
 	for d := 0; d < m.R; d++ {
-		lo[d] = m.Bounds[d][0]
-		hi[d] = m.Bounds[d][m.Bins]
+		box.Lo[d] = m.Bounds[d][0]
+		box.Hi[d] = m.Bounds[d][m.Bins]
 	}
-	return ranking.NewBox(lo, hi)
 }
 
 // Neighbors appends the Moore neighborhood of bid (all blocks differing by

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
@@ -36,93 +37,97 @@ type Result = core.Result
 // minimal covering subset (greedy set cover). It returns an error when the
 // materialized fragments cannot cover the query.
 func (c *Cube) CoveringCuboids(dims []int) ([]*Cuboid, error) {
-	need := make(map[int]bool, len(dims))
-	for _, d := range dims {
-		need[d] = true
-	}
-	var candidates []*Cuboid
-	for _, cb := range c.cuboids {
-		inside := true
-		for _, d := range cb.dims {
-			if !need[d] {
-				inside = false
-				break
-			}
+	sorted := slices.Clone(dims)
+	slices.Sort(sorted)
+	var p coverPlan
+	return p.find(c, slices.Compact(sorted))
+}
+
+// coverPlan is the storage of one cover selection, kept by a query's
+// execution state from one query to the next.
+type coverPlan struct {
+	maximal, cover []*Cuboid
+	open           []bool // open[i]: the query's i-th dimension is not covered yet
+}
+
+// find returns the cover of the ascending, distinct dims. The cube keeps its
+// cuboids widest first (Cube.order), so a cuboid's strict supersets come
+// before it: it is maximal unless one of the maximal cuboids kept so far
+// contains it. The greedy step takes, among the maximal cuboids, the first in
+// that order that covers the most dimensions still open.
+func (p *coverPlan) find(c *Cube, dims []int) ([]*Cuboid, error) {
+	p.maximal, p.cover = p.maximal[:0], p.cover[:0]
+	for _, cb := range c.order {
+		if !subset(cb.dims, dims) {
+			continue
 		}
-		if inside {
-			candidates = append(candidates, cb)
-		}
-	}
-	// Maximum step: drop cuboids strictly contained in another candidate.
-	maximal := candidates[:0]
-	for _, cb := range candidates {
 		dominated := false
-		for _, other := range candidates {
-			if other != cb && len(other.dims) > len(cb.dims) && contains(other.dims, cb.dims) {
+		for _, m := range p.maximal {
+			if len(m.dims) > len(cb.dims) && subset(cb.dims, m.dims) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			maximal = append(maximal, cb)
+			p.maximal = append(p.maximal, cb)
 		}
 	}
-	// Minimum step: greedy set cover over the query dimensions.
-	sort.Slice(maximal, func(a, b int) bool {
-		if len(maximal[a].dims) != len(maximal[b].dims) {
-			return len(maximal[a].dims) > len(maximal[b].dims)
-		}
-		return fmt.Sprint(maximal[a].dims) < fmt.Sprint(maximal[b].dims)
-	})
-	uncovered := make(map[int]bool, len(dims))
-	for _, d := range dims {
-		uncovered[d] = true
+	p.open = p.open[:0]
+	for range dims {
+		p.open = append(p.open, true)
 	}
-	var cover []*Cuboid
-	for len(uncovered) > 0 {
+	for left := len(dims); left > 0; {
 		best, gain := -1, 0
-		for i, cb := range maximal {
-			g := 0
-			for _, d := range cb.dims {
-				if uncovered[d] {
-					g++
-				}
-			}
-			if g > gain {
+		for i, cb := range p.maximal {
+			if g := p.close(cb.dims, dims, false); g > gain {
 				best, gain = i, g
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("gridcube: dimensions %v not covered by materialized fragments: %w", remaining(uncovered), errs.ErrInvalidArgument)
+			var rest []int
+			for i, d := range dims {
+				if p.open[i] {
+					rest = append(rest, d)
+				}
+			}
+			return nil, fmt.Errorf("gridcube: dimensions %v not covered by materialized fragments: %w", rest, errs.ErrInvalidArgument)
 		}
-		cover = append(cover, maximal[best])
-		for _, d := range maximal[best].dims {
-			delete(uncovered, d)
-		}
+		p.cover = append(p.cover, p.maximal[best])
+		left -= p.close(p.maximal[best].dims, dims, true)
 	}
-	return cover, nil
+	return p.cover, nil
 }
 
-func contains(sup, sub []int) bool {
-	set := make(map[int]bool, len(sup))
-	for _, d := range sup {
-		set[d] = true
-	}
+// close counts the dimensions of sub, a subset of dims (both ascending), that
+// are still open, and with commit marks them covered.
+func (p *coverPlan) close(sub, dims []int, commit bool) int {
+	n, j := 0, 0
 	for _, d := range sub {
-		if !set[d] {
+		for dims[j] != d {
+			j++
+		}
+		if p.open[j] {
+			n++
+			p.open[j] = !commit
+		}
+	}
+	return n
+}
+
+// subset reports whether every element of the ascending sub is in the
+// ascending sup.
+func subset(sub, sup []int) bool {
+	j := 0
+	for _, d := range sub {
+		for j < len(sup) && sup[j] < d {
+			j++
+		}
+		if j == len(sup) || sup[j] != d {
 			return false
 		}
+		j++
 	}
 	return true
-}
-
-func remaining(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for d := range m {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // TopK answers q with the progressive algorithm of §3.3 (and §3.4.2 when
@@ -134,78 +139,112 @@ func (c *Cube) TopK(q Query, ctr *stats.Counters) ([]Result, error) {
 	if q.K <= 0 {
 		return nil, nil
 	}
+	e := execs.Get().(*gridExec)
+	defer e.release()
 	endPlan := ctr.StartSpan("plan")
-	condDims := make([]int, 0, len(q.Cond))
-	for d := range q.Cond {
-		condDims = append(condDims, d)
-	}
-	sort.Ints(condDims)
-	cover, err := c.CoveringCuboids(condDims)
-	if err != nil {
-		endPlan()
+	ok, err := e.reset(c, q, ctr)
+	endPlan()
+	if !ok {
 		return nil, err
 	}
-	// Per-cuboid selection value vectors, aligned with each cuboid's dims. A
-	// value outside its dimension's domain selects nothing, and its mixed-radix
-	// cell key would name another cell: the answer is empty, read for nothing.
-	condVals := make([][]int32, len(cover))
-	for i, cb := range cover {
-		vals := make([]int32, len(cb.dims))
-		for j, d := range cb.dims {
-			vals[j] = q.Cond[d]
-			if vals[j] < 0 || int(vals[j]) >= cb.cards[j] {
-				endPlan()
-				return nil, nil
-			}
-		}
-		condVals[i] = vals
-	}
-
-	exec := &gridExec{
-		cube:     c,
-		cover:    cover,
-		condVals: condVals,
-		f:        q.F,
-		ctr:      ctr,
-		blockBuf: c.blocks.NewBuffer(),
-		topk:     heap.NewBounded[Result](q.K, core.WorseResult),
-		box:      c.meta.BlockBox(0),
-	}
-	exec.cubeBufs = make([]*pager.Buffer, len(cover))
-	for i, cb := range cover {
-		exec.cubeBufs[i] = pager.NewBuffer(cb.store)
-	}
-	endPlan()
 
 	defer ctr.StartSpan("search")()
 	if ranking.IsConvexFunc(q.F) {
 		if min, ok := q.F.(ranking.Minimizer); ok {
-			exec.neighborhoodSearch(min)
-			return exec.topk.Sorted(), nil
+			e.neighborhoodSearch(min)
+			return e.topk.Sorted(), nil
 		}
 	}
-	exec.exhaustiveSearch()
-	return exec.topk.Sorted(), nil
+	e.exhaustiveSearch()
+	return e.topk.Sorted(), nil
 }
 
 // gridExec is one query's execution state. Everything the block loop needs
-// from one block to the next — the bounding box, the tid lists — is scratch
-// owned here, so processing a block allocates nothing once the lists have
-// grown to a cell's width.
+// from one block to the next — the block queue, the bounding box, the cells
+// and their buffers, the tid lists, the top k — is owned here and kept, in
+// execs, from one query to the next: once it has grown to a query's width, a
+// query allocates its answer and, under a convex function, the point ArgMin
+// returns.
 type gridExec struct {
-	cube     *Cube
-	cover    []*Cuboid
-	condVals [][]int32
-	f        ranking.Func
-	ctr      *stats.Counters
+	cube *Cube
+	f    ranking.Func
+	ctr  *stats.Counters
+	topk *heap.Bounded[Result]
 
-	blockBuf *pager.Buffer
-	cubeBufs []*pager.Buffer
-	topk     *heap.Bounded[Result]
+	plan     coverPlan
+	condDims []int
+	scans    []cellScan // one per covering cuboid, in cover order
+	blockBuf pager.Buffer
 
+	blocks     blockHeap
+	inserted   bidSet
+	neighbors  []BID
 	box        ranking.Box // the block being bounded
 	cand, tids []table.TID // a block's surviving candidates; one cuboid's list
 	marked     []uint64    // the pages of the block's run its needed rows lie on
+}
+
+// execs holds the execution states of finished queries.
+var execs = sync.Pool{New: func() any { return &gridExec{topk: heap.NewBounded[Result](0, core.WorseResult)} }}
+
+// reset readies e for q on c, whatever query it served last and however that
+// one ended: it plans the cover, rebinds the buffers and sizes the box from
+// c's current Meta, which a Repartition may have changed (neighborhoodSearch
+// sizes the pushed-block bitset from it). It reports false when the answer is
+// known to be empty (or err) without a search.
+func (e *gridExec) reset(c *Cube, q Query, ctr *stats.Counters) (bool, error) {
+	e.cube, e.f, e.ctr = c, q.F, ctr
+	e.topk.Reset(q.K)
+	e.condDims = e.condDims[:0]
+	for d := range q.Cond {
+		e.condDims = append(e.condDims, d)
+	}
+	slices.Sort(e.condDims)
+	cover, err := e.plan.find(c, e.condDims)
+	if err != nil {
+		return false, err
+	}
+	if n := len(cover); cap(e.scans) < n {
+		e.scans = append(e.scans[:cap(e.scans)], make([]cellScan, n-cap(e.scans))...)
+	}
+	e.scans = e.scans[:len(cover)]
+	// A value outside its dimension's domain selects nothing, and its
+	// mixed-radix cell key would name another cell: the answer is empty, read
+	// for nothing.
+	for i, cb := range cover {
+		s := &e.scans[i]
+		s.cb, s.pid, s.extra = cb, -1, nil
+		s.buf.Reset(cb.store)
+		s.vals = s.vals[:0]
+		for j, d := range cb.dims {
+			v := q.Cond[d]
+			if v < 0 || int(v) >= cb.cards[j] {
+				return false, nil
+			}
+			s.vals = append(s.vals, v)
+		}
+	}
+	e.blockBuf.Reset(c.blocks.store)
+	r := c.meta.R
+	e.box.Lo, e.box.Hi = slices.Grow(e.box.Lo[:0], r)[:r], slices.Grow(e.box.Hi[:0], r)[:r]
+	e.blocks = e.blocks[:0]
+	e.cand, e.tids = e.cand[:0], e.tids[:0]
+	clear(e.marked) // an aborted query may have left its block's marks
+	return true, nil
+}
+
+// release drops e's references to the query's cube and hands e back to
+// execs; TopK defers it, so it runs however the query ends.
+func (e *gridExec) release() {
+	for i := range e.scans {
+		e.scans[i].cb, e.scans[i].extra = nil, nil
+		e.scans[i].buf.Reset(nil)
+	}
+	e.blockBuf.Reset(nil)
+	clear(e.plan.maximal)
+	clear(e.plan.cover)
+	e.cube, e.f, e.ctr = nil, nil, nil
+	execs.Put(e)
 }
 
 type scoredBlock struct {
@@ -213,11 +252,74 @@ type scoredBlock struct {
 	bound float64
 }
 
-func lessBlock(a, b scoredBlock) bool {
-	if a.bound != b.bound {
-		return a.bound < b.bound
+// before is the search's order: by bound, then by bid. No bid is queued
+// twice, so no two queued blocks tie: any heap pops them in the same order.
+func (a *scoredBlock) before(b *scoredBlock) bool {
+	return a.bound < b.bound || a.bound == b.bound && a.bid < b.bid
+}
+
+// blockHeap is the search's queue of base blocks, a binary min-heap in before
+// order whose sift compares inline: a heap ordered through a function value
+// pays a call for every comparison of every push and pop. It moves blocks as
+// internal/heap's Heap does.
+type blockHeap []scoredBlock
+
+// push adds v: up from the new hole past every parent v orders before,
+// shifting each down a level, and v written once where it stops.
+func (h *blockHeap) push(v scoredBlock) {
+	items := append(*h, v)
+	*h = items
+	i := len(items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !v.before(&items[parent]) {
+			break
+		}
+		items[i] = items[parent]
+		i = parent
 	}
-	return a.bid < b.bid
+	items[i] = v
+}
+
+// pop removes and returns the first block in order. It panics on an empty
+// heap.
+func (h *blockHeap) pop() scoredBlock {
+	items := *h
+	n := len(items) - 1
+	top := items[0]
+	*h = items[:n]
+	if n > 0 {
+		h.down(0, items[n])
+	}
+	return top
+}
+
+// heapify orders the blocks the heap was filled with, in place, in O(n).
+func (h blockHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
+}
+
+// down places v, the block for the hole i, toward the leaves: while a child
+// orders before it, the smaller child moves up into the hole.
+func (h blockHeap) down(i int, v scoredBlock) {
+	n := len(h)
+	for l := 2*i + 1; l < n; l = 2*i + 1 {
+		at, small := i, &v
+		if h[l].before(small) {
+			at, small = l, &h[l]
+		}
+		if r := l + 1; r < n && h[r].before(small) {
+			at = r
+		}
+		if at == i {
+			break
+		}
+		h[i] = h[at]
+		i = at
+	}
+	h[i] = v
 }
 
 // bidSet is a bitset over the base blocks.
@@ -247,25 +349,30 @@ func (e *gridExec) bound(bid BID) scoredBlock {
 // neighbor list H ordered by block lower bounds (Lemma 1).
 func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 	meta := e.cube.meta
-	start := meta.BlockOf(min.ArgMin(meta.Domain()))
+	meta.domainInto(e.box)
+	start := meta.BlockOf(min.ArgMin(e.box))
 
-	h := heap.New[scoredBlock](lessBlock)
-	inserted := make(bidSet, (meta.NumBlocks()+63)/64)
-	inserted.add(start)
-	h.Push(e.bound(start))
+	words := (meta.NumBlocks() + 63) / 64
+	if cap(e.inserted) < words {
+		e.inserted = make(bidSet, words)
+	}
+	e.inserted = e.inserted[:words]
+	clear(e.inserted)
+	e.inserted.add(start)
+	h := &e.blocks
+	h.push(e.bound(start))
 
-	var neighbors []BID
-	for h.Len() > 0 {
-		e.ctr.ObserveHeap(h.Len())
-		top := h.Pop()
+	for len(*h) > 0 {
+		e.ctr.ObserveHeap(len(*h))
+		top := h.pop()
 		if e.done(top.bound) {
 			return
 		}
 		e.processBlock(top.bid)
-		neighbors = meta.Neighbors(top.bid, neighbors[:0])
-		for _, nb := range neighbors {
-			if inserted.add(nb) {
-				h.Push(e.bound(nb))
+		e.neighbors = meta.Neighbors(top.bid, e.neighbors[:0])
+		for _, nb := range e.neighbors {
+			if e.inserted.add(nb) {
+				h.push(e.bound(nb))
 			}
 		}
 	}
@@ -277,19 +384,19 @@ func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 // ad hoc case with one convex sub-domain).
 func (e *gridExec) exhaustiveSearch() {
 	blocks := e.cube.blocks.blocks
-	bounds := make([]scoredBlock, 0, len(blocks))
 	for bid := range blocks {
 		if len(blocks[bid].tids) == 0 {
 			continue
 		}
 		if sb := e.bound(BID(bid)); !math.IsInf(sb.bound, 1) {
-			bounds = append(bounds, sb)
+			e.blocks = append(e.blocks, sb)
 		}
 	}
-	h := heap.From(bounds, lessBlock)
-	for h.Len() > 0 {
-		e.ctr.ObserveHeap(h.Len())
-		top := h.Pop()
+	h := &e.blocks
+	h.heapify()
+	for len(*h) > 0 {
+		e.ctr.ObserveHeap(len(*h))
+		top := h.pop()
 		if e.done(top.bound) {
 			return
 		}
@@ -305,12 +412,12 @@ func (e *gridExec) exhaustiveSearch() {
 // row.
 func (e *gridExec) processBlock(bid BID) {
 	var cand []table.TID
-	for i, cb := range e.cover {
+	for i := range e.scans {
 		if i == 0 {
-			e.cand = cb.blockTIDs(e.condVals[i], bid, e.cubeBufs[i], e.ctr, e.cand[:0])
+			e.cand = e.scans[i].blockTIDs(bid, e.ctr, e.cand[:0])
 			cand = e.cand
 		} else {
-			e.tids = cb.blockTIDs(e.condVals[i], bid, e.cubeBufs[i], e.ctr, e.tids[:0])
+			e.tids = e.scans[i].blockTIDs(bid, e.ctr, e.tids[:0])
 			cand = core.IntersectSorted(cand, e.tids)
 		}
 		if len(cand) == 0 {
@@ -321,8 +428,8 @@ func (e *gridExec) processBlock(bid BID) {
 	blk, w := &e.cube.blocks.blocks[bid], e.cube.meta.rowBytes()
 	// An unconditioned query (no covering cuboids) needs every tuple of the
 	// block: the whole run.
-	if len(e.cover) == 0 {
-		touchRows(blk.pages, w, 0, len(blk.tids), e.blockBuf, e.ctr)
+	if len(e.scans) == 0 {
+		touchRows(blk.pages, w, 0, len(blk.tids), &e.blockBuf, e.ctr)
 		for i, tid := range blk.tids {
 			if e.live(tid) {
 				e.offer(blk, i)
@@ -373,4 +480,71 @@ func (e *gridExec) offer(blk *block, i int) {
 	if score := e.f.Eval(blk.ranks[i*r : (i+1)*r]); !math.IsInf(score, 1) {
 		e.topk.Offer(Result{TID: blk.tids[i], Score: score})
 	}
+}
+
+// cellScan is one covering cuboid's part of a query: the condition's values
+// on the cuboid's dimensions, the buffer its pages are charged through, and
+// the cell of the pseudo block the search is in. Neighbouring base blocks
+// mostly share a pseudo block, so the cell and its overflow list are looked
+// up again only when the pseudo block changes.
+type cellScan struct {
+	cb    *Cuboid
+	vals  []int32 // aligned with cb.dims
+	buf   pager.Buffer
+	pid   int // the pseudo block of ref and extra; -1 before the first block
+	ref   cellRef
+	found bool
+	extra []Entry
+}
+
+// blockTIDs is get_pseudo_block narrowed to one base block, the retrieve
+// step's unit of work: it appends to dst, ascending, the tids of bid's tuples
+// in the cell that holds them. A compressed cell is one payload, read whole.
+// An uncompressed cell charges the pages its bid sub-run overlaps — an empty
+// sub-run the one page where it would begin, where the search learns it is
+// empty — and the pages of its overflow entries, which are in tid order and
+// cannot be skipped by bid.
+func (s *cellScan) blockTIDs(bid BID, c *stats.Counters, dst []table.TID) []table.TID {
+	cb := s.cb
+	if pid := cb.PseudoOf(bid); pid != s.pid {
+		key := cb.cellKey(s.vals, pid)
+		s.pid = pid
+		s.ref, s.found = cb.cells[key]
+		s.extra = cb.extra[key]
+	}
+	if !s.found {
+		return dst
+	}
+	ref, extra := &s.ref, s.extra
+	if cb.compressed {
+		dst = decodeBlock(s.buf.Read(ref.pages[0], c), int(ref.n), bid, dst)
+	} else {
+		run := cb.data[ref.off : ref.off+ref.n]
+		// The bid's sub-run starts at the first entry not below bid.
+		lo, hi := 0, len(run)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); run[m].BID < bid {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		for hi = lo; hi < len(run) && run[hi].BID == bid; hi++ {
+			dst = append(dst, run[hi].TID)
+		}
+		if len(run) > 0 {
+			at := min(lo, len(run)-1)
+			touchRows(ref.pages, entryBytes, at, max(hi, at+1), &s.buf, c)
+		}
+		if len(extra) > 0 {
+			touchRows(ref.pages, entryBytes, len(run), len(run)+len(extra), &s.buf, c)
+		}
+	}
+	// Fresh tids are larger than materialized ones, so dst stays ascending.
+	for _, en := range extra {
+		if en.BID == bid {
+			dst = append(dst, en.TID)
+		}
+	}
+	return dst
 }

@@ -12,7 +12,6 @@ package heap
 type Heap[T any] struct {
 	items []T
 	less  func(a, b T) bool
-	peak  int
 }
 
 // New returns an empty heap ordered by less (a min-heap when less reports
@@ -21,31 +20,13 @@ func New[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
 
-// From returns a heap of items ordered by less, built in place in O(n) — the
-// way to start from a known set instead of n Pushes. The heap takes items
-// over; Peak starts at their number.
-func From[T any](items []T, less func(a, b T) bool) *Heap[T] {
-	h := &Heap[T]{items: items, less: less, peak: len(items)}
-	for i := len(items)/2 - 1; i >= 0; i-- {
-		h.down(i, items[i])
-	}
-	return h
-}
-
 // Len reports the number of elements currently in the heap.
 func (h *Heap[T]) Len() int { return len(h.items) }
-
-// Peak reports the maximum size the heap has reached over its lifetime.
-// The thesis reports "peak candidate heap size" for several figures.
-func (h *Heap[T]) Peak() int { return h.peak }
 
 // Push adds v to the heap.
 func (h *Heap[T]) Push(v T) {
 	h.items = append(h.items, v)
 	h.up(len(h.items)-1, v)
-	if len(h.items) > h.peak {
-		h.peak = len(h.items)
-	}
 }
 
 // Pop removes and returns the minimum element. It panics if the heap is
@@ -66,8 +47,7 @@ func (h *Heap[T]) Pop() T {
 // is empty.
 func (h *Heap[T]) Min() T { return h.items[0] }
 
-// Reset empties the heap, retaining allocated capacity. The peak counter is
-// preserved so that reuse across query phases still reports a lifetime peak.
+// Reset empties the heap, retaining allocated capacity.
 func (h *Heap[T]) Reset() {
 	var zero T
 	for i := range h.items {
@@ -139,6 +119,13 @@ func NewBounded[T any](k int, worse func(a, b T) bool) *Bounded[T] {
 		k = 0
 	}
 	return &Bounded[T]{h: Heap[T]{less: worse}, k: k}
+}
+
+// Reset empties b and sets it to retain the k best elements from now on,
+// keeping its storage for their reuse.
+func (b *Bounded[T]) Reset(k int) {
+	b.h.Reset()
+	b.k = max(k, 0)
 }
 
 // Len reports how many elements are retained.

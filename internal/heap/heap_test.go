@@ -2,6 +2,7 @@ package heap
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,9 +13,6 @@ func TestHeapPopsInOrder(t *testing.T) {
 	vals := []int{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
 	for _, v := range vals {
 		h.Push(v)
-	}
-	if h.Peak() != len(vals) {
-		t.Fatalf("Peak = %d, want %d", h.Peak(), len(vals))
 	}
 	for want := 0; want < len(vals); want++ {
 		if got := h.Pop(); got != want {
@@ -67,9 +65,6 @@ func TestHeapReset(t *testing.T) {
 	h.Reset()
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d after Reset", h.Len())
-	}
-	if h.Peak() != 2 {
-		t.Fatalf("Peak = %d after Reset, want preserved 2", h.Peak())
 	}
 	h.Push(5)
 	if h.Min() != 5 {
@@ -154,30 +149,31 @@ func TestBoundedWorstIsKthBest(t *testing.T) {
 	}
 }
 
-func TestFromMatchesPushes(t *testing.T) {
-	less := func(a, b int) bool { return a < b }
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = rng.Intn(n/2 + 1) // duplicates included
+// TestBoundedResetMatchesFresh: a Bounded reset to k — from full, from part
+// full, to a larger k, a smaller one or zero — keeps, evicts and sorts what a
+// fresh Bounded of k does.
+func TestBoundedResetMatchesFresh(t *testing.T) {
+	worse := func(a, x int) bool { return a > x }
+	rng := rand.New(rand.NewSource(3))
+	reused := NewBounded[int](5, worse)
+	for trial := 0; trial < 300; trial++ {
+		for i := rng.Intn(20); i > 0; i-- {
+			reused.Offer(rng.Intn(50))
 		}
-		pushed := New[int](less)
-		for _, v := range vals {
-			pushed.Push(v)
-		}
-		built := From(append([]int(nil), vals...), less)
-		if built.Len() != n || built.Peak() != n {
-			t.Fatalf("n=%d: From has Len %d, Peak %d", n, built.Len(), built.Peak())
-		}
-		for i := 0; i < n; i++ {
-			if got, want := built.Pop(), pushed.Pop(); got != want {
-				t.Fatalf("n=%d: pop %d = %d, want %d", n, i, got, want)
+		k := rng.Intn(12)
+		reused.Reset(k)
+		fresh := NewBounded[int](k, worse)
+		for i := rng.Intn(40); i > 0; i-- {
+			v := rng.Intn(50)
+			if got, want := reused.Offer(v), fresh.Offer(v); got != want {
+				t.Fatalf("trial %d: Offer(%d) after Reset(%d) = %v, fresh %v", trial, v, k, got, want)
+			}
+			if reused.Full() != fresh.Full() || reused.Len() > 0 && reused.Worst() != fresh.Worst() {
+				t.Fatalf("trial %d: after Reset(%d) Full %v Worst %v, fresh Full %v", trial, k, reused.Full(), reused.Worst(), fresh.Full())
 			}
 		}
-		built.Push(1)
-		if built.Peak() != max(n, 1) {
-			t.Fatalf("n=%d: Peak %d after draining and one Push", n, built.Peak())
+		if got, want := reused.Sorted(), fresh.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Sorted after Reset(%d) = %v, fresh %v", trial, k, got, want)
 		}
 	}
 }

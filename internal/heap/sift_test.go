@@ -75,9 +75,8 @@ type tagged struct{ key, id int }
 func lessKey(a, b tagged) bool  { return a.key < b.key }
 func worseKey(a, b tagged) bool { return a.key > b.key }
 
-// TestSiftOrderIsPinned: under heavy key ties, Heap (pushed or built by From)
-// pops and Bounded keeps, evicts and sorts the very items, id for id, that
-// the swapping sift did.
+// TestSiftOrderIsPinned: under heavy key ties, Heap pops and Bounded keeps,
+// evicts and sorts the very items, id for id, that the swapping sift did.
 func TestSiftOrderIsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	id := 0
@@ -87,10 +86,11 @@ func TestSiftOrderIsPinned(t *testing.T) {
 		for i := range seed {
 			seed[i] = next()
 		}
-		h := From(append([]tagged(nil), seed...), lessKey)
-		ref := &swapHeap[tagged]{items: append([]tagged(nil), seed...), less: lessKey}
-		for i := len(seed)/2 - 1; i >= 0; i-- {
-			ref.down(i)
+		h := New(lessKey)
+		ref := &swapHeap[tagged]{less: lessKey}
+		for _, v := range seed {
+			h.Push(v)
+			ref.push(v)
 		}
 		for op := 0; op < 300; op++ {
 			if h.Len() > 0 && rng.Intn(5) < 2 {

@@ -426,6 +426,15 @@ type Buffer struct {
 // NewBuffer wraps store with a fresh (empty) per-query buffer.
 func NewBuffer(store *Store) *Buffer { return &Buffer{store: store} }
 
+// Reset rebinds b to store, empty, as NewBuffer would return it, but keeping
+// the storage of its bits and payload map for the pages of the next query.
+// Reset(nil) lets go of the store.
+func (b *Buffer) Reset(store *Store) {
+	b.store = store
+	clear(b.touched)
+	clear(b.data)
+}
+
 // Read fetches a page, charging only the first access to c. Repeat reads
 // serve the buffered payload the query already verified.
 func (b *Buffer) Read(id PageID, c *stats.Counters) []byte {

@@ -64,6 +64,33 @@ func TestBufferDeduplicates(t *testing.T) {
 	}
 }
 
+// TestBufferResetStartsOver: a buffer reset, to its own store or to another,
+// charges every page again as a fresh one would, its read payloads included.
+func TestBufferResetStartsOver(t *testing.T) {
+	s, other := NewStore(stats.StructRTree, 64), NewStore(stats.StructBTree, 64)
+	a, b := s.Append([]byte{1}), s.Append([]byte{2})
+	c := other.Append([]byte{3})
+	buf, ctr := NewBuffer(s), stats.New()
+	buf.Read(a, ctr)
+	buf.Touch(b, ctr)
+	buf.Reset(s)
+	if buf.Seen(a) || buf.Seen(b) {
+		t.Fatal("Reset kept a page seen")
+	}
+	buf.Read(a, ctr)
+	buf.Touch(b, ctr)
+	buf.Touch(b, ctr)
+	if got := ctr.Reads(stats.StructRTree); got != 4 {
+		t.Fatalf("reads = %d, want 4: each page once before the reset and once after", got)
+	}
+	buf.Reset(other)
+	buf.Read(c, ctr)
+	buf.Read(c, ctr)
+	if got := ctr.Reads(stats.StructBTree); got != 1 {
+		t.Fatalf("after a reset to another store: %d reads of it, want 1", got)
+	}
+}
+
 // TestBufferHandsOverHeldPages: a buffer seeded with Hold charges nothing for
 // the pages an earlier step retrieved, and Touched hands the bits over for
 // good: the buffer is spent, so a later Touch aborts instead of changing bits
