@@ -1,9 +1,9 @@
 package skyline
 
 import (
-	"slices"
 	"sync"
 
+	"rankcube/internal/hindex"
 	"rankcube/internal/ranking"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/signature"
@@ -19,8 +19,10 @@ import (
 // the filter is the domination test. The tuples the search emits join the
 // skyline.
 type search struct {
-	q  Query
-	sc *sigcube.BestFirst[int32]
+	q    Query
+	f    ranking.Func
+	tree hindex.PartitionTree
+	sc   *sigcube.BestFirst[int32]
 	// verify re-checks a tuple against the relation before it enters the
 	// skyline (lossy measures, §4.5: a bloom cell passes tuples that do not
 	// match, and one let in would also shadow true members); nil on exact
@@ -36,12 +38,18 @@ type search struct {
 	*arena
 }
 
-// arena is the storage of one run's states: the candidates, and the corners,
-// a state's at corners[C:C+len(q.Dims)]. Nothing outlives the run in here:
-// what a result or a snapshot keeps it copies.
+// arena is the storage of one run: the candidates; the corners, a state's at
+// corners[C:C+len(q.Dims)]; the SIDs of what the run prunes by domination, in
+// pruning order; and the box, point and path resolve reads an entry into.
+// Nothing outlives the run in here: what a result or a snapshot keeps it
+// copies.
 type arena struct {
 	cheap   sigcube.Candidates[int32]
 	corners []float64
+	pruned  []uint64
+	box     ranking.Box
+	pt      []float64
+	path    []int
 }
 
 // newSearch prepares a run over the engine's partition that grows snap's
@@ -50,9 +58,12 @@ type arena struct {
 // already holds, which it does not charge; the caller enters what the run
 // starts from. A nil verify is the cube's own.
 func (e *Engine) newSearch(q Query, tester signature.Tester, verify func(table.TID) bool, snap *Snapshot, ctr *stats.Counters) *search {
+	tree := e.cube.Tree()
 	a, _ := e.arenas.Get().(*arena)
 	if a == nil {
-		a = &arena{}
+		r := tree.Domain().Dims()
+		scratch := make([]float64, 3*r)
+		a = &arena{box: ranking.NewBox(scratch[:r:r], scratch[r:2*r:2*r]), pt: scratch[2*r:]}
 	}
 	if verify == nil {
 		verify = e.cube.Verifier(q.Cond, ctr)
@@ -61,8 +72,8 @@ func (e *Engine) newSearch(q Query, tester signature.Tester, verify func(table.T
 	if q.Target != nil {
 		f = ranking.L1Dist(q.Dims, q.Target)
 	}
-	s := &search{arena: a, home: &e.arenas, q: q, verify: verify, ctr: ctr, snap: snap}
-	s.sc = sigcube.NewBestFirst(e.cube.Tree(), tester, verify, f, s, &a.cheap, ctr)
+	s := &search{arena: a, home: &e.arenas, q: q, f: f, tree: tree, verify: verify, ctr: ctr, snap: snap}
+	s.sc = sigcube.NewBestFirst(tree, tester, verify, f, s, &a.cheap, ctr)
 	s.sc.Hold(snap.held)
 	return s
 }
@@ -82,32 +93,58 @@ func (s *search) Tuple(pt []float64) int32 {
 }
 
 // Pass implements sigcube.Filter with the domination test of fig. 7.1, which
-// comes before the boolean test.
+// comes before the boolean test. A state a skyline member dominates fails, and
+// its SID is kept for the snapshot.
 func (s *search) Pass(st sigcube.State[int32]) bool {
-	return !s.prune(prunedEntry{mindist: st.Score, sid: st.SID, ref: st.Ref, isTuple: st.Tuple}, s.corner(st))
-}
-
-// prune reports whether a skyline member dominates the candidate with the
-// given corner, and keeps the candidate in the snapshot if one does.
-func (s *search) prune(en prunedEntry, corner []float64) bool {
-	if !s.snap.dominated(corner, en.isTuple) {
-		return false
+	if !s.snap.dominated(s.corner(st), st.Tuple) {
+		return true
 	}
 	s.ctr.DominationPruned++
-	s.snap.keep(en, corner)
-	return true
+	s.pruned = append(s.pruned, st.SID)
+	return false
 }
 
 func (s *search) corner(st sigcube.State[int32]) []float64 {
 	return s.corners[st.C : int(st.C)+len(s.q.Dims)]
 }
 
-// run takes the tuples the search emits into the skyline.
+// resolve reads the entry at sid back from the partition as the search scored
+// it, its corner appended to the arena's corners: the node or tuple in the
+// last slot of the path, under the parent the rest of the path names; SID 0 is
+// the root, scored on its box as EnterRoot scores it. The snapshot's epoch
+// keeps every SID valid, and the chain read every parent, so it reads no page.
+func (s *search) resolve(sid uint64) sigcube.State[int32] {
+	st, box := sigcube.State[int32]{SID: sid, C: int32(len(s.corners))}, s.box
+	if sid == 0 {
+		root := s.tree.Root()
+		st.Ref, box = int32(root), s.tree.NodeBox(root)
+	} else {
+		s.path = hindex.PathOf(s.path, sid, s.tree.MaxFanout())
+		parent, _ := s.tree.NodeAt(s.path[:len(s.path)-1])
+		slot := s.path[len(s.path)-1] - 1
+		if st.Tuple = s.tree.IsLeaf(parent); st.Tuple {
+			st.Ref, st.Score = int32(s.tree.EntryPoint(parent, slot, s.pt)), s.f.Eval(s.pt)
+			s.corners = s.q.appendPoint(s.corners, s.pt)
+			return st
+		}
+		st.Ref = int32(s.tree.EntryBox(parent, slot, box))
+	}
+	st.Score = s.f.LowerBound(box)
+	s.corners = s.q.appendCorner(s.corners, box)
+	return st
+}
+
+// run takes the tuples the search emits into the skyline. When it ends the
+// snapshot gets an exact-sized copy of the SIDs pruned and one slab for the
+// coordinates of the members this run admitted, and the arena goes back.
 func (s *search) run() {
 	defer s.ctr.StartSpan("search")()
+	first := len(s.snap.skyline)
 	defer func() {
 		s.snap.held = s.sc.Held()
-		s.corners = s.corners[:0]
+		s.snap.pruned = append(make([]uint64, 0, len(s.pruned)), s.pruned...)
+		s.snap.own(first, len(s.q.Dims))
+		s.corners, s.pruned = s.corners[:0], s.pruned[:0]
 		s.home.Put(s.arena)
 	}()
 	for {
@@ -115,6 +152,6 @@ func (s *search) run() {
 		if !ok {
 			return
 		}
-		s.snap.admit(Result{TID: table.TID(st.Ref), Coord: slices.Clone(s.corner(st))}, st.SID)
+		s.snap.admit(Result{TID: table.TID(st.Ref), Coord: s.corner(st)}, st.SID)
 	}
 }

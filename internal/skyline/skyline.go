@@ -6,7 +6,7 @@
 // queries (§5.5.3, §1.3.4): sigcube.BestFirst ranked by mindist, with the
 // domination test of fig. 7.1 as its filter, charged by that search's rule. A
 // Snapshot records what navigation from a query needs: the skyline with each
-// member's SID, the candidates the filter pruned with their corners, and the
+// member's SID, the SIDs of the candidates the filter pruned, and the
 // partition pages the navigation chain has read.
 //
 // The thesis body for chapter 7 is summarized rather than fully reproduced
@@ -105,8 +105,9 @@ type Result struct {
 // Engine runs skyline queries over a signature ranking-cube.
 type Engine struct {
 	cube *sigcube.Cube
-	// arenas recycles the heap and corner storage of finished searches, so
-	// that a query does not grow them from nothing.
+	// arenas recycles the storage of finished searches — heap, corners, pruned
+	// SIDs and resolve's scratch — so that a query does not grow them from
+	// nothing.
 	arenas sync.Pool
 }
 
@@ -118,9 +119,9 @@ func NewEngine(cube *sigcube.Cube) *Engine { return &Engine{cube: cube} }
 // lock + admission gate).
 func (e *Engine) Cube() *sigcube.Cube { return e.cube }
 
-// Snapshot preserves a finished query's skyline and the candidates it pruned
-// by domination so OLAP navigation (drill-down/roll-up) can re-construct its
-// candidate heap instead of restarting (fig. 7.2). It also holds the partition
+// Snapshot preserves a finished query's skyline and the SIDs of the candidates
+// it pruned by domination so OLAP navigation (drill-down/roll-up) can
+// re-construct its candidate heap instead of restarting (fig. 7.2). It also holds the partition
 // pages its navigation chain — this query and the steps that led to it — has
 // retrieved: a step from it charges only the nodes none of them read. Both
 // are valid only on the cube the snapshot was taken on, at its write epoch.
@@ -130,15 +131,16 @@ type Snapshot struct {
 	// sids holds the SID each member was emitted under, in step with skyline:
 	// the path a drill-down puts to the tightened predicate's signature.
 	sids []uint64
-	// pruned holds the nodes and tuples the search discarded because a skyline
-	// member dominated them: under a tightened predicate their dominators may
-	// vanish. Each passed the boolean test of this query or was never put to
-	// it; a child whose bit the search had seen clear is not here, since no
-	// tighter predicate can revive it. The i-th entry's corner is
-	// corners[i*len(query.Dims):][:len(query.Dims)] — the snapshot's own
-	// storage, not the finished search's.
-	pruned  []prunedEntry
-	corners []float64
+	// pruned holds the SIDs of the nodes and tuples the search discarded
+	// because a skyline member dominated them, in pruning order: under a
+	// tightened predicate their dominators may vanish. Each passed the boolean
+	// test of this query or was never put to it; a child whose bit the search
+	// had seen clear is not here, since no tighter predicate can revive it. A
+	// SID names its entry's slot in the partition, which cannot change while
+	// the snapshot is valid, so a drill-down reads the entry's corner and
+	// mindist back from there (search.resolve): 8 bytes an entry, exactly
+	// sized.
+	pruned []uint64
 	// held has a bit per page of the partition that the chain has retrieved:
 	// every child of such a node has been classified, so a later step walks
 	// into it again without its page. Four kilobytes a bit, modelled, pinned
@@ -156,15 +158,6 @@ type Snapshot struct {
 	degraded bool
 }
 
-// prunedEntry is one domination-pruned candidate: a node or tuple of the
-// partition, its SID and its mindist.
-type prunedEntry struct {
-	mindist float64
-	sid     uint64
-	ref     int32
-	isTuple bool
-}
-
 // snapshot starts the snapshot of a query answered from scratch.
 func (e *Engine) snapshot(q Query) *Snapshot {
 	return &Snapshot{query: q, cube: e.cube, epoch: e.cube.Epoch()}
@@ -174,12 +167,6 @@ func (e *Engine) snapshot(q Query) *Snapshot {
 // what s's chain has retrieved and adds what it reads.
 func (s *Snapshot) next(q Query) *Snapshot {
 	return &Snapshot{query: q, cube: s.cube, epoch: s.epoch, held: s.held}
-}
-
-// keep records a domination-pruned candidate.
-func (s *Snapshot) keep(en prunedEntry, corner []float64) {
-	s.pruned = append(s.pruned, en)
-	s.corners = append(s.corners, corner...)
 }
 
 // dominated applies the domination test against the skyline: strict
@@ -198,6 +185,19 @@ func (s *Snapshot) dominated(corner []float64, isTuple bool) bool {
 func (s *Snapshot) admit(r Result, sid uint64) {
 	s.skyline = append(s.skyline, r)
 	s.sids = append(s.sids, sid)
+}
+
+// own moves the coordinates of the members from the from-th on, each d wide,
+// into one slab of the snapshot's own: a run admits members whose coordinates
+// are its arena's, which goes back to the pool when the run ends.
+func (s *Snapshot) own(from, d int) {
+	members := s.skyline[from:]
+	slab := make([]float64, len(members)*d)
+	for i := range members {
+		c := slab[i*d : (i+1)*d : (i+1)*d]
+		copy(c, members[i].Coord)
+		members[i].Coord = c
+	}
 }
 
 // Degraded reports whether this snapshot came from the fallback scan
@@ -339,13 +339,13 @@ func (s *search) drillDown(prev *Snapshot) {
 	// Domination-pruned candidates re-enter only when every dominator they had
 	// may have vanished: those still dominated by a survivor stay pruned (and
 	// stay recorded for further drill-downs). The others are put to the
-	// tightened predicate's signature when they are popped.
-	d := len(s.q.Dims)
-	for i, en := range prev.pruned {
-		if corner := prev.corners[i*d : (i+1)*d]; !s.prune(en, corner) {
-			at := len(s.corners)
-			s.corners = append(s.corners, corner...)
-			s.sc.Enter(en.mindist, en.sid, en.ref, en.isTuple, int32(at))
+	// tightened predicate's signature when they are popped. Each is read back
+	// from the partition by its SID, in the order it was pruned.
+	for _, sid := range prev.pruned {
+		if st := s.resolve(sid); s.Pass(st) {
+			s.sc.Enter(st.Score, sid, st.Ref, st.Tuple, st.C)
+		} else {
+			s.corners = s.corners[:st.C]
 		}
 	}
 	endReheap()
