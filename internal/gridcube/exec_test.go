@@ -3,84 +3,14 @@ package gridcube
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
 	"rankcube/internal/errs"
-	"rankcube/internal/heap"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
 )
-
-// lessBlock is the search's block order, (bound, bid), as a function value:
-// internal/heap's Heap ordered by it is the oracle blockHeap is held to.
-func lessBlock(a, b scoredBlock) bool {
-	if a.bound != b.bound {
-		return a.bound < b.bound
-	}
-	return a.bid < b.bid
-}
-
-// TestBlockHeapPopsLikeHeap: under bounds quantized to a handful of values,
-// so that most pops are decided by the bid, blockHeap pops exactly what
-// internal/heap's Heap ordered by lessBlock pops — pushed one by one over
-// 10 000 interleaved pushes and pops, and heapified from a slice against the
-// same blocks pushed.
-func TestBlockHeapPopsLikeHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Bids reach the heap out of order, as a search's neighbours do, and
-	// none twice.
-	bids := rng.Perm(20000)
-	next := func() scoredBlock {
-		b := scoredBlock{bid: BID(bids[0]), bound: float64(rng.Intn(6)) / 4}
-		bids = bids[1:]
-		if rng.Intn(50) == 0 {
-			b.bound = math.Inf(-1)
-		}
-		return b
-	}
-	var h blockHeap
-	ref := heap.New(lessBlock)
-	for op := 0; op < 10000; op++ {
-		if ref.Len() > 0 && rng.Intn(5) < 2 {
-			if got, want := h.pop(), ref.Pop(); got != want {
-				t.Fatalf("op %d: blockHeap pops %v, Heap %v", op, got, want)
-			}
-			continue
-		}
-		v := next()
-		h.push(v)
-		ref.Push(v)
-	}
-	for ref.Len() > 0 {
-		if got, want := h.pop(), ref.Pop(); got != want {
-			t.Fatalf("drain: blockHeap pops %v, Heap %v", got, want)
-		}
-	}
-	if len(h) != 0 {
-		t.Fatalf("blockHeap holds %d blocks after the drain", len(h))
-	}
-
-	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000} {
-		blocks := make([]scoredBlock, n)
-		pushed := heap.New(lessBlock)
-		for i := range blocks {
-			blocks[i] = next()
-			pushed.Push(blocks[i])
-		}
-		rng.Shuffle(n, func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
-		built := blockHeap(blocks)
-		built.heapify()
-		for i := 0; i < n; i++ {
-			if got, want := built.pop(), pushed.Pop(); got != want {
-				t.Fatalf("n=%d: pop %d of the heapified blocks = %v, pushed %v", n, i, got, want)
-			}
-		}
-	}
-}
 
 // refCover is the cover selection as it was written before the cube kept its
 // cuboids in cover order: candidates gathered from the cuboid map, the

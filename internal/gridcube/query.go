@@ -176,7 +176,7 @@ type gridExec struct {
 	scans    []cellScan // one per covering cuboid, in cover order
 	blockBuf pager.Buffer
 
-	blocks     blockHeap
+	blocks     heap.Keyed[struct{}] // by (bound, bid)
 	inserted   bidSet
 	neighbors  []BID
 	box        ranking.Box // the block being bounded
@@ -227,7 +227,7 @@ func (e *gridExec) reset(c *Cube, q Query, ctr *stats.Counters) (bool, error) {
 	e.blockBuf.Reset(c.blocks.store)
 	r := c.meta.R
 	e.box.Lo, e.box.Hi = slices.Grow(e.box.Lo[:0], r)[:r], slices.Grow(e.box.Hi[:0], r)[:r]
-	e.blocks = e.blocks[:0]
+	e.blocks.Reset()
 	e.cand, e.tids = e.cand[:0], e.tids[:0]
 	clear(e.marked) // an aborted query may have left its block's marks
 	return true, nil
@@ -247,81 +247,6 @@ func (e *gridExec) release() {
 	execs.Put(e)
 }
 
-type scoredBlock struct {
-	bid   BID
-	bound float64
-}
-
-// before is the search's order: by bound, then by bid. No bid is queued
-// twice, so no two queued blocks tie: any heap pops them in the same order.
-func (a *scoredBlock) before(b *scoredBlock) bool {
-	return a.bound < b.bound || a.bound == b.bound && a.bid < b.bid
-}
-
-// blockHeap is the search's queue of base blocks, a binary min-heap in before
-// order whose sift compares inline: a heap ordered through a function value
-// pays a call for every comparison of every push and pop. It moves blocks as
-// internal/heap's Heap does.
-type blockHeap []scoredBlock
-
-// push adds v: up from the new hole past every parent v orders before,
-// shifting each down a level, and v written once where it stops.
-func (h *blockHeap) push(v scoredBlock) {
-	items := append(*h, v)
-	*h = items
-	i := len(items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !v.before(&items[parent]) {
-			break
-		}
-		items[i] = items[parent]
-		i = parent
-	}
-	items[i] = v
-}
-
-// pop removes and returns the first block in order. It panics on an empty
-// heap.
-func (h *blockHeap) pop() scoredBlock {
-	items := *h
-	n := len(items) - 1
-	top := items[0]
-	*h = items[:n]
-	if n > 0 {
-		h.down(0, items[n])
-	}
-	return top
-}
-
-// heapify orders the blocks the heap was filled with, in place, in O(n).
-func (h blockHeap) heapify() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, h[i])
-	}
-}
-
-// down places v, the block for the hole i, toward the leaves: while a child
-// orders before it, the smaller child moves up into the hole.
-func (h blockHeap) down(i int, v scoredBlock) {
-	n := len(h)
-	for l := 2*i + 1; l < n; l = 2*i + 1 {
-		at, small := i, &v
-		if h[l].before(small) {
-			at, small = l, &h[l]
-		}
-		if r := l + 1; r < n && h[r].before(small) {
-			at = r
-		}
-		if at == i {
-			break
-		}
-		h[i] = h[at]
-		i = at
-	}
-	h[i] = v
-}
-
 // bidSet is a bitset over the base blocks.
 type bidSet []uint64
 
@@ -339,9 +264,9 @@ func (e *gridExec) done(unseen float64) bool {
 }
 
 // bound computes f's lower bound over base block bid.
-func (e *gridExec) bound(bid BID) scoredBlock {
+func (e *gridExec) bound(bid BID) float64 {
 	e.cube.meta.boxInto(bid, e.box)
-	return scoredBlock{bid: bid, bound: e.f.LowerBound(e.box)}
+	return e.f.LowerBound(e.box)
 }
 
 // neighborhoodSearch implements the convex-function search of §3.3.2: start
@@ -360,19 +285,20 @@ func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 	clear(e.inserted)
 	e.inserted.add(start)
 	h := &e.blocks
-	h.push(e.bound(start))
+	h.Push(heap.Item[struct{}]{Key: e.bound(start), Tie: uint64(start)})
 
 	for len(*h) > 0 {
 		e.ctr.ObserveHeap(len(*h))
-		top := h.pop()
-		if e.done(top.bound) {
+		top := h.Pop()
+		if e.done(top.Key) {
 			return
 		}
-		e.processBlock(top.bid)
-		e.neighbors = meta.Neighbors(top.bid, e.neighbors[:0])
+		bid := BID(top.Tie)
+		e.processBlock(bid)
+		e.neighbors = meta.Neighbors(bid, e.neighbors[:0])
 		for _, nb := range e.neighbors {
 			if e.inserted.add(nb) {
-				h.push(e.bound(nb))
+				h.Push(heap.Item[struct{}]{Key: e.bound(nb), Tie: uint64(nb)})
 			}
 		}
 	}
@@ -388,19 +314,19 @@ func (e *gridExec) exhaustiveSearch() {
 		if len(blocks[bid].tids) == 0 {
 			continue
 		}
-		if sb := e.bound(BID(bid)); !math.IsInf(sb.bound, 1) {
-			e.blocks = append(e.blocks, sb)
+		if bound := e.bound(BID(bid)); !math.IsInf(bound, 1) {
+			e.blocks = append(e.blocks, heap.Item[struct{}]{Key: bound, Tie: uint64(bid)})
 		}
 	}
 	h := &e.blocks
-	h.heapify()
+	h.Heapify()
 	for len(*h) > 0 {
 		e.ctr.ObserveHeap(len(*h))
-		top := h.pop()
-		if e.done(top.bound) {
+		top := h.Pop()
+		if e.done(top.Key) {
 			return
 		}
-		e.processBlock(top.bid)
+		e.processBlock(BID(top.Tie))
 	}
 }
 

@@ -272,6 +272,20 @@ func refTopK(c *Cube, rc *refCube, q Query, ctr *stats.Counters) ([]Result, *ref
 	return e.topk.Sorted(), e
 }
 
+// scoredBlock is a base block queued at its lower bound.
+type scoredBlock struct {
+	bid   BID
+	bound float64
+}
+
+// lessBlock is the search's block order, (bound, bid).
+func lessBlock(a, b scoredBlock) bool {
+	if a.bound != b.bound {
+		return a.bound < b.bound
+	}
+	return a.bid < b.bid
+}
+
 func (e *refExec) done(unseen float64) bool {
 	return e.topk.Full() && e.topk.Worst().Score <= unseen
 }

@@ -1,9 +1,17 @@
-// Package heap provides a small generic binary min-heap used by the query
-// processors (top-k heaps, candidate heaps, local expansion heaps).
+// Package heap provides the binary min-heaps of the query processors.
+//
+// Keyed orders its items by two concrete fields, a float64 key and a uint64
+// tie-break, compared inline: it serves every best-first loop whose order is
+// such a key — the signature search's candidates (score, tuple before node),
+// the grid cube's blocks (bound, bid) and index-merge's joint states (bound,
+// leaf before node). Heap and Bounded take a less function instead: they serve
+// the orders that are not two fields — index-merge's local heaps (ties by
+// combo), the join's results (ties by a TID vector), every bounded top-k
+// (core.WorseResult) and the reference oracles.
 //
 // The standard library container/heap forces an interface-based API with
 // per-element boxing; the query algorithms in this repository maintain many
-// short-lived heaps on hot paths, so a concrete generic implementation is
+// short-lived heaps on hot paths, so concrete generic implementations are
 // used instead.
 package heap
 
@@ -101,6 +109,87 @@ func (h *Heap[T]) down(i int, v T) {
 		i = small
 	}
 	h.items[i] = v
+}
+
+// Item is an element of a Keyed heap: ordered by Key, then by Tie.
+type Item[T any] struct {
+	Key float64
+	Tie uint64
+	Val T
+}
+
+// before is Keyed's order. A method on pointers so that the sifts inline it.
+func (a *Item[T]) before(b *Item[T]) bool {
+	return a.Key < b.Key || a.Key == b.Key && a.Tie < b.Tie
+}
+
+// Keyed is a binary min-heap of Items in (Key, Tie) order; its zero value is
+// ready. Its sifts make Heap's comparisons in Heap's order, so under the same
+// order the two pop the same items in the same order, ties included.
+type Keyed[T any] []Item[T]
+
+// Push adds v.
+func (h *Keyed[T]) Push(v Item[T]) {
+	*h = append(*h, v)
+	h.up(len(*h)-1, v)
+}
+
+// up is Heap.up: v, the item for the hole i, moves toward the root past every
+// parent it orders before.
+func (h Keyed[T]) up(i int, v Item[T]) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !v.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = v
+}
+
+// Pop removes and returns the first item. It panics on an empty heap. The
+// sift is Heap.down's, written out here: it is every pop of every search.
+func (h *Keyed[T]) Pop() Item[T] {
+	items := *h
+	n := len(items) - 1
+	top, v := items[0], items[n]
+	items[n] = Item[T]{}
+	*h = items[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for l := 1; l < n; l = 2*i + 1 {
+		at, small := i, &v
+		if items[l].before(small) {
+			at, small = l, &items[l]
+		}
+		if r := l + 1; r < n && items[r].before(small) {
+			at = r
+		}
+		if at == i {
+			break
+		}
+		items[i] = items[at]
+		i = at
+	}
+	items[i] = v
+	return top
+}
+
+// Heapify orders the items the heap's storage was filled with as pushing them
+// one by one, in slice order, would: the same heap, ties included.
+func (h Keyed[T]) Heapify() {
+	for i := range h {
+		h.up(i, h[i])
+	}
+}
+
+// Reset empties the heap, keeping its capacity.
+func (h *Keyed[T]) Reset() {
+	clear(*h)
+	*h = (*h)[:0]
 }
 
 // Bounded is a fixed-capacity max-heap used to maintain "current best k"

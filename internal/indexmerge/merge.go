@@ -48,10 +48,13 @@ type Merger struct {
 	ctr     *stats.Counters
 	topk    *heap.Bounded[core.Result]
 
-	n, r  int // indices merged, ranking dimensions
-	gheap *heap.Heap[entry]
+	n, r int // indices merged, ranking dimensions
+	// gheap holds the joint states at the bound of their next child, leaf
+	// states (Tie 0) ahead of the others at equal bound so exact scores
+	// settle the stop condition sooner.
+	gheap heap.Keyed[int32]
 	// lsum is the occupancy of the local heaps of the states on the global
-	// heap; with gheap.Len() it makes the peak-heap metric of figs. 5.12/5.16.
+	// heap; with len(gheap) it makes the peak-heap metric of figs. 5.12/5.16.
 	lsum   int
 	states []state
 	exps   []expansion
@@ -77,7 +80,7 @@ type Merger struct {
 
 // mergers holds the Mergers between queries: TopK is a free function, with no
 // engine to own one.
-var mergers = sync.Pool{New: func() any { return &Merger{gheap: heap.New[entry](lessEntry)} }}
+var mergers = sync.Pool{New: func() any { return new(Merger) }}
 
 // release empties the Merger and hands it back. Nothing a result holds points
 // into it, and nothing of the query — its indices, its pruner's testers, its
@@ -138,30 +141,16 @@ func TopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *stat
 // holds is whatever the last use left.
 func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// entry is one joint state on the global heap, at the bound of its next child.
-type entry struct {
-	bound float64
-	state int32
-	leaf  bool // all members are leaves
-}
-
-// lessEntry leaves ties between states of one kind to the heap: the loop
-// pushes and pops in the order Alg. 4/5 state, so they fall as they always
-// have.
-func lessEntry(a, b entry) bool {
-	if a.bound != b.bound {
-		return a.bound < b.bound
-	}
-	// Leaf states first so exact scores settle the stop condition sooner.
-	return a.leaf && !b.leaf
-}
-
 // observe reports the combined global + local heap occupancy.
-func (m *Merger) observe() { m.ctr.ObserveHeap(m.gheap.Len() + m.lsum) }
+func (m *Merger) observe() { m.ctr.ObserveHeap(len(m.gheap) + m.lsum) }
 
 // pushState puts a state on the global heap at bound.
 func (m *Merger) pushState(st int32, bound float64, leaf bool) {
-	m.gheap.Push(entry{bound: bound, state: st, leaf: leaf})
+	tie := uint64(1)
+	if leaf {
+		tie = 0
+	}
+	m.gheap.Push(heap.Item[int32]{Key: bound, Tie: tie, Val: st})
 	if e := m.states[st].exp; e >= 0 {
 		m.lsum += m.exps[e].lheap.Len()
 	}
@@ -217,24 +206,25 @@ func (m *Merger) lowerBound(box []float64) float64 {
 // best child and re-enters the heap).
 func (m *Merger) run() {
 	m.pushRoot()
-	for m.gheap.Len() > 0 {
+	for len(m.gheap) > 0 {
 		m.observe()
 		e := m.gheap.Pop()
-		if x := m.states[e.state].exp; x >= 0 {
+		st, bound := e.Val, e.Key
+		if x := m.states[st].exp; x >= 0 {
 			m.lsum -= m.exps[x].lheap.Len()
 		}
 		m.ctr.StatesExamined++
-		if m.topk.Full() && m.topk.Worst().Score <= e.bound {
+		if m.topk.Full() && m.topk.Worst().Score <= bound {
 			return
 		}
-		if e.leaf {
-			m.processLeafState(e.state)
+		if e.Tie == 0 {
+			m.processLeafState(st)
 			continue
 		}
-		if m.states[e.state].exp < 0 && !m.initExpansion(e.state, e.bound) {
+		if m.states[st].exp < 0 && !m.initExpansion(st, bound) {
 			continue
 		}
-		x := &m.exps[m.states[e.state].exp]
+		x := &m.exps[m.states[st].exp]
 		if m.opts.Strategy == StrategyBL {
 			m.expandFully(x)
 			continue
@@ -247,7 +237,7 @@ func (m *Merger) run() {
 			m.nextThreshold(x)
 		}
 		if next := m.peekBound(x); !math.IsInf(next, 1) {
-			m.pushState(e.state, next, false)
+			m.pushState(st, next, false)
 		}
 	}
 }

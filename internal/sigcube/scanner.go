@@ -346,5 +346,5 @@ func (s *BestFirst[C]) Bound() float64 {
 	if s.done || len(s.cheap.heap) == 0 {
 		return math.Inf(1)
 	}
-	return s.cheap.heap[0].Score
+	return s.cheap.heap[0].Key
 }

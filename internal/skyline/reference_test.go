@@ -113,11 +113,7 @@ func refChildPath(parent []int, slot int) []int {
 
 func refPrunedBy(sky []Result, en refEntry) bool {
 	for i := range sky {
-		if en.isTuple {
-			if dominates(sky[i].Coord, en.corner) {
-				return true
-			}
-		} else if weaklyDominates(sky[i].Coord, en.corner) {
+		if dominates(sky[i].Coord, en.corner) {
 			return true
 		}
 	}

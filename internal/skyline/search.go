@@ -96,7 +96,7 @@ func (s *search) Tuple(pt []float64) int32 {
 // comes before the boolean test. A state a skyline member dominates fails, and
 // its SID is kept for the snapshot.
 func (s *search) Pass(st sigcube.State[int32]) bool {
-	if !s.snap.dominated(s.corner(st), st.Tuple) {
+	if !s.snap.dominated(s.corner(st)) {
 		return true
 	}
 	s.ctr.DominationPruned++
@@ -110,27 +110,23 @@ func (s *search) corner(st sigcube.State[int32]) []float64 {
 
 // resolve reads the entry at sid back from the partition as the search scored
 // it, its corner appended to the arena's corners: the node or tuple in the
-// last slot of the path, under the parent the rest of the path names; SID 0 is
-// the root, scored on its box as EnterRoot scores it. The snapshot's epoch
-// keeps every SID valid, and the chain read every parent, so it reads no page.
+// last slot of the path, under the parent the rest of the path names. The
+// root (SID 0) is never pruned: every member lies in its box, so none
+// strictly dominates its corner. The snapshot's epoch keeps every SID valid,
+// and the chain read every parent, so it reads no page.
 func (s *search) resolve(sid uint64) sigcube.State[int32] {
-	st, box := sigcube.State[int32]{SID: sid, C: int32(len(s.corners))}, s.box
-	if sid == 0 {
-		root := s.tree.Root()
-		st.Ref, box = int32(root), s.tree.NodeBox(root)
-	} else {
-		s.path = hindex.PathOf(s.path, sid, s.tree.MaxFanout())
-		parent, _ := s.tree.NodeAt(s.path[:len(s.path)-1])
-		slot := s.path[len(s.path)-1] - 1
-		if st.Tuple = s.tree.IsLeaf(parent); st.Tuple {
-			st.Ref, st.Score = int32(s.tree.EntryPoint(parent, slot, s.pt)), s.f.Eval(s.pt)
-			s.corners = s.q.appendPoint(s.corners, s.pt)
-			return st
-		}
-		st.Ref = int32(s.tree.EntryBox(parent, slot, box))
+	st := sigcube.State[int32]{SID: sid, C: int32(len(s.corners))}
+	s.path = hindex.PathOf(s.path, sid, s.tree.MaxFanout())
+	parent, _ := s.tree.NodeAt(s.path[:len(s.path)-1])
+	slot := s.path[len(s.path)-1] - 1
+	if st.Tuple = s.tree.IsLeaf(parent); st.Tuple {
+		st.Ref, st.Score = int32(s.tree.EntryPoint(parent, slot, s.pt)), s.f.Eval(s.pt)
+		s.corners = s.q.appendPoint(s.corners, s.pt)
+		return st
 	}
-	st.Score = s.f.LowerBound(box)
-	s.corners = s.q.appendCorner(s.corners, box)
+	st.Ref = int32(s.tree.EntryBox(parent, slot, s.box))
+	st.Score = s.f.LowerBound(s.box)
+	s.corners = s.q.appendCorner(s.corners, s.box)
 	return st
 }
 

@@ -85,17 +85,6 @@ func dominates(a, b []float64) bool {
 	return strict
 }
 
-// weaklyDominates reports a ≤ b everywhere (used against box lower corners:
-// any tuple in the box is then dominated or equal).
-func weaklyDominates(a, b []float64) bool {
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Result is one skyline member.
 type Result struct {
 	TID   table.TID
@@ -169,12 +158,13 @@ func (s *Snapshot) next(q Query) *Snapshot {
 	return &Snapshot{query: q, cube: s.cube, epoch: s.epoch, held: s.held}
 }
 
-// dominated applies the domination test against the skyline: strict
-// domination for tuples, weak domination of the best corner for nodes (any
-// tuple in the box is then dominated or equal).
-func (s *Snapshot) dominated(corner []float64, isTuple bool) bool {
+// dominated applies the domination test against the skyline: some member
+// strictly dominates the point of a tuple or the best corner of a node, and
+// then every tuple in the node. A member that only equals a corner prunes
+// nothing: the node may hold tuples equal to it, which are members too.
+func (s *Snapshot) dominated(corner []float64) bool {
 	for _, m := range s.skyline {
-		if isTuple && dominates(m.Coord, corner) || !isTuple && weaklyDominates(m.Coord, corner) {
+		if dominates(m.Coord, corner) {
 			return true
 		}
 	}

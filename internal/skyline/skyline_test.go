@@ -289,3 +289,35 @@ func TestConcurrentSearchesShareNoCandidates(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestEqualPointsAreMembers: on the tie-heavy lattice, where tuples share
+// points and a member's point is often the best corner of a node, the skyline
+// holds every matching tuple no other strictly dominates, equal points
+// included, as the scan and the pairwise check do. A node whose corner a
+// member only equals may hold such a tuple, so the search must not prune it.
+func TestEqualPointsAreMembers(t *testing.T) {
+	tb := lattice(2000, 603)
+	e := NewEngine(sigcube.Build(tb, sigcube.Config{RTree: rtree.Config{Fanout: 9}}))
+	for _, q := range []Query{
+		{Dims: []int{0, 1, 2}},
+		{Dims: []int{0, 1}},
+		{Dims: []int{0, 1, 2}, Target: []float64{0.5, 0.5, 0.5}},
+	} {
+		want := bruteSkyline(tb, q)
+		scan, _, err := e.ScanSkyline(q, stats.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := e.Skyline(q, stats.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(scan) != len(want) {
+			t.Errorf("dims %v target %v: the search finds %d members, the scan %d, the pairwise check %d",
+				q.Dims, q.Target, len(got), len(scan), len(want))
+			continue
+		}
+		sameSkyline(t, scan, want)
+		sameSkyline(t, got, want)
+	}
+}
