@@ -107,12 +107,17 @@ bench-check:
 			|| { echo "traced pass of $$w does not reproduce the public path"; exit 1; }; \
 	done
 
-# Which code the benchmark and the paper experiments reach: the end-to-end
-# runner (built with run.sh's environment) and rankbench, both built with
-# coverage of every rankcube package, run under one GOCOVERDIR (3 s of each
-# workload, every experiment at scale 0.01), then every function none of them
-# entered, commands, examples and the linter aside. One to two minutes; not part
-# of check. A function listed here is code no workload or figure exercises.
+# Which code the benchmark and the paper experiments reach, held to a
+# ratchet: the end-to-end runner (built with run.sh's environment) and
+# rankbench, both built with coverage of every rankcube package, run under one
+# GOCOVERDIR (3 s of each workload, every experiment at scale 0.01). Every
+# function none of them entered — commands, examples, the linter and the
+# benchmark module, the instrument itself, aside — must have a line in
+# traffic.allow (function, class, reason). The target prints the unreached
+# functions the list does not name, with their count, and the entries that
+# name a function now reached or no function at all, and fails on either: a
+# new unreached function needs a measured path or a reason, and the list only
+# shrinks. One to two minutes; not part of check.
 TRAFFIC = $(CURDIR)/.bench_build/traffic
 BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOTOOLCHAIN=local GOPROXY=off GOWORK=off
 traffic:
@@ -125,8 +130,18 @@ traffic:
 	done
 	@echo "traffic: rankbench -all"
 	@GOCOVERDIR=$(TRAFFIC)/cover $(TRAFFIC)/rankbench -all -scale 0.01 -queries 3 > /dev/null
-	@$(GO) tool covdata func -i $(TRAFFIC)/cover | awk '$$NF == "0.0%"' \
-		| grep -v -e '^rankcube/cmd/' -e '^rankcube/examples/' -e '^rankcube/internal/analysis/' || true
+	@$(GO) tool covdata func -i $(TRAFFIC)/cover \
+		| grep -v -e '^total' -e '^rankcube/cmd/' -e '^rankcube/examples/' -e '^rankcube/internal/analysis/' -e '^rankcube/benchmark/' \
+		| awk '{ pkg = $$1; sub(/\/[^\/]*$$/, "", pkg); print pkg "." $$2, $$NF }' | LC_ALL=C sort > $(TRAFFIC)/funcs
+	@awk '$$2 == "0.0%" { print $$1 }' $(TRAFFIC)/funcs > $(TRAFFIC)/unreached
+	@awk '!/^#/ && NF { print $$1 }' traffic.allow | LC_ALL=C sort > $(TRAFFIC)/allowed
+	@LC_ALL=C comm -23 $(TRAFFIC)/unreached $(TRAFFIC)/allowed > $(TRAFFIC)/unlisted
+	@LC_ALL=C comm -13 $(TRAFFIC)/unreached $(TRAFFIC)/allowed > $(TRAFFIC)/stale
+	@echo "traffic: $$(wc -l < $(TRAFFIC)/unreached) unreached, $$(wc -l < $(TRAFFIC)/unlisted) not in traffic.allow"
+	@sed 's/^/  /' $(TRAFFIC)/unlisted
+	@echo "traffic: $$(wc -l < $(TRAFFIC)/stale) stale traffic.allow entries"
+	@awk 'NR == FNR { known[$$1] = 1; next } { print "  " $$1, ($$1 in known ? "(now reached)" : "(no such function)") }' $(TRAFFIC)/funcs $(TRAFFIC)/stale
+	@[ ! -s $(TRAFFIC)/unlisted ] && [ ! -s $(TRAFFIC)/stale ]
 
 check: build vet fmt-check no-deprecated lint race chaos fuzz bench-check
 
@@ -141,10 +156,14 @@ bench:
 # churn row the signature pages read per write and the store's pages, the
 # grid row its cuboid and base-block-table reads per query, the merge row its
 # reads, states generated and peak heap, the signature rows their reads (the
-# conjunction row the partition's and the signatures' apart).
+# conjunction row the partition's and the signatures' apart). Every benchmark
+# runs a fixed BENCHTIME iterations (default 200x): the PublicAPI_* rows cycle
+# through a request mix, so their per-op reads depend on the iteration count,
+# and two snapshots compare reads only when both ran the same prefix.
 BENCH_PATTERN ?= Fig3_04|Fig3_10|Fig4_11|Fig4_12|Table5_1|Fig5_07|Fig5_10|Fig5_14|Fig7_03|Fig7_05|PublicAPI
+BENCHTIME ?= 200x
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \
 			-out "BENCH_$$(git rev-parse --short HEAD).json"
 

@@ -68,17 +68,6 @@ func (b *Bits) Ones() int {
 	return c
 }
 
-// OnesPositions returns the indices of all set bits, ascending.
-func (b *Bits) OnesPositions() []int {
-	out := make([]int, 0, b.Ones())
-	for i := 0; i < b.n; i++ {
-		if b.Get(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // NextOne returns the index of the first set bit at or after i, or -1 when
 // none remains — the word-at-a-time enumeration of a node's marked slots:
 //
@@ -149,13 +138,6 @@ func (b *Bits) Not() {
 	b.trim()
 }
 
-// Or sets b to b | o. Lengths must match.
-func (b *Bits) Or(o *Bits) {
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
 // And sets b to b & o, keeping b's length. Positions beyond o's length
 // count as clear, so a signature node narrower than its index node (slots
 // appended since the cell was last written) masks the extra slots out.
@@ -184,19 +166,6 @@ func (b *Bits) Clone() *Bits {
 	w := make([]uint64, len(b.words))
 	copy(w, b.words)
 	return &Bits{words: w, n: b.n}
-}
-
-// Equal reports whether two bit arrays have identical length and contents.
-func (b *Bits) Equal(o *Bits) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the bits as a 0/1 string, low index first.

@@ -22,38 +22,26 @@ func TestBitsBasics(t *testing.T) {
 	if b.Ones() != 3 {
 		t.Fatalf("Ones = %d", b.Ones())
 	}
-	pos := b.OnesPositions()
-	if len(pos) != 3 || pos[0] != 0 || pos[1] != 64 || pos[2] != 129 {
-		t.Fatalf("OnesPositions = %v", pos)
-	}
 	b.Set(64, false)
 	if b.Ones() != 2 {
 		t.Fatalf("Ones after clear = %d", b.Ones())
 	}
 }
 
-func TestBitsOrAndClone(t *testing.T) {
+func TestBitsAndClone(t *testing.T) {
 	a := NewBits(10)
 	b := NewBits(10)
 	a.Set(1, true)
 	a.Set(3, true)
 	b.Set(3, true)
 	b.Set(5, true)
-	c := a.Clone()
-	c.Or(b)
-	if c.String() != "0101010000" {
-		t.Fatalf("Or = %s", c.String())
-	}
 	d := a.Clone()
 	d.And(b)
-	if d.String() != "0001000000" {
-		t.Fatalf("And = %s", d.String())
+	if d.String() != "0001000000" || a.String() != "0101000000" {
+		t.Fatalf("And of a clone = %s, the original %s", d, a)
 	}
 	if !a.Any() || NewBits(4).Any() {
 		t.Fatal("Any mismatch")
-	}
-	if !a.Equal(a.Clone()) || a.Equal(b) {
-		t.Fatal("Equal mismatch")
 	}
 }
 
@@ -102,7 +90,7 @@ func roundtrip(t *testing.T, c *Codec, b *Bits) {
 		var w Writer
 		c.EncodeWith(&w, b, scheme)
 		got := c.Decode(NewReader(w.Bytes()))
-		if !got.Equal(b) {
+		if got.String() != b.String() {
 			t.Fatalf("%s roundtrip: got %s want %s", SchemeName(scheme), got, b)
 		}
 	}
@@ -110,7 +98,7 @@ func roundtrip(t *testing.T, c *Codec, b *Bits) {
 	var w Writer
 	c.Encode(&w, b)
 	got := c.Decode(NewReader(w.Bytes()))
-	if !got.Equal(b) {
+	if got.String() != b.String() {
 		t.Fatalf("adaptive roundtrip: got %s want %s", got, b)
 	}
 }
@@ -251,7 +239,7 @@ func TestCodecQuickProperty(t *testing.T) {
 		}
 		var w Writer
 		c.Encode(&w, b)
-		return c.Decode(NewReader(w.Bytes())).Equal(b)
+		return c.Decode(NewReader(w.Bytes())).String() == b.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -273,7 +261,7 @@ func TestCodecMultipleNodesInStream(t *testing.T) {
 	r := NewReader(w.Bytes())
 	for i, b := range arrays {
 		got := c.Decode(r)
-		if !got.Equal(b) {
+		if got.String() != b.String() {
 			t.Fatalf("node %d: got %s want %s", i, got, b)
 		}
 	}
@@ -383,13 +371,13 @@ func TestAndAcrossWidths(t *testing.T) {
 
 	w := wide.Clone()
 	w.And(narrow) // positions past narrow's end count as clear
-	if got := w.OnesPositions(); len(got) != 2 || got[0] != 1 || got[1] != 64 || w.Len() != 130 {
-		t.Fatalf("wide&narrow = %v (len %d)", got, w.Len())
+	if w.Ones() != 2 || !w.Get(1) || !w.Get(64) || w.Len() != 130 {
+		t.Fatalf("wide&narrow = %s (len %d)", w, w.Len())
 	}
 	n := narrow.Clone()
 	n.And(wide) // a longer operand cannot set bits past the receiver's end
-	if got := n.OnesPositions(); len(got) != 2 || got[0] != 1 || got[1] != 64 || n.Len() != 66 {
-		t.Fatalf("narrow&wide = %v (len %d)", got, n.Len())
+	if n.Ones() != 2 || !n.Get(1) || !n.Get(64) || n.Len() != 66 {
+		t.Fatalf("narrow&wide = %s (len %d)", n, n.Len())
 	}
 	w.And(NewBits(0))
 	if w.Any() {
@@ -534,10 +522,10 @@ func TestDecodeInMatchesDecode(t *testing.T) {
 			}
 			var w Writer
 			c.EncodeWith(&w, b, scheme)
-			if got := c.DecodeIn(NewReader(w.Bytes()), &arena); !got.Equal(b) {
+			if got := c.DecodeIn(NewReader(w.Bytes()), &arena); got.String() != b.String() {
 				t.Fatalf("%s: arena decode of %s gives %s", SchemeName(scheme), b, got)
 			}
-			if got := c.Decode(NewReader(w.Bytes())); !got.Equal(b) {
+			if got := c.Decode(NewReader(w.Bytes())); got.String() != b.String() {
 				t.Fatalf("%s: decode of %s gives %s", SchemeName(scheme), b, got)
 			}
 		}

@@ -84,9 +84,6 @@ func NewCodec(m int) *Codec {
 	return &Codec{m: m, nbits: nbits, lenBits: BitsFor(regionCap + 1), pbits: prefixBits(nbits)}
 }
 
-// M reports the maximum array length.
-func (c *Codec) M() int { return c.m }
-
 // HeaderBits reports the fixed per-node overhead (CS + Len fields).
 func (c *Codec) HeaderBits() int { return 3 + c.lenBits }
 

@@ -17,18 +17,6 @@ type Filter struct {
 	k    int
 }
 
-// New returns a filter with b bits and k hash functions (both forced to at
-// least 1).
-func New(b, k int) *Filter {
-	if b < 1 {
-		b = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	return &Filter{bits: bitvec.NewBits(b), k: k}
-}
-
 // NewOptimal sizes a filter for n expected entries within at most maxBits
 // bits, using the optimal hash count k = (b/n)·ln2 capped at maxK (thesis
 // §5.3.1: b = min(P, k̄·n/ln2)).
@@ -77,17 +65,6 @@ func (f *Filter) MayContain(key uint64) bool {
 
 // Bits reports the filter size in bits.
 func (f *Filter) Bits() int { return f.bits.Len() }
-
-// K reports the number of hash functions.
-func (f *Filter) K() int { return f.k }
-
-// FalsePositiveRate estimates the expected false-positive probability after
-// n insertions: (1 − e^(−kn/b))^k.
-func (f *Filter) FalsePositiveRate(n int) float64 {
-	b := float64(f.bits.Len())
-	k := float64(f.k)
-	return math.Pow(1-math.Exp(-k*float64(n)/b), k)
-}
 
 // hash2 derives two independent 64-bit hashes of key via FNV-1a over its
 // bytes with two different bases (double hashing: position_i = h1 + i·h2).

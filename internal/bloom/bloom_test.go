@@ -6,7 +6,7 @@ import (
 )
 
 func TestNoFalseNegatives(t *testing.T) {
-	f := New(1024, 3)
+	f := NewOptimal(100, 1024, 3)
 	rng := rand.New(rand.NewSource(11))
 	keys := make([]uint64, 100)
 	for i := range keys {
@@ -22,7 +22,7 @@ func TestNoFalseNegatives(t *testing.T) {
 
 func TestFalsePositiveRateReasonable(t *testing.T) {
 	n := 1000
-	f := New(10*n, 7) // 10 bits/key, k=7 → fp ≈ 0.8%
+	f := NewOptimal(n, 10*n, 7) // 10 bits/key, k=7 → fp ≈ 0.8%
 	rng := rand.New(rand.NewSource(12))
 	seen := make(map[uint64]bool, n)
 	for i := 0; i < n; i++ {
@@ -45,9 +45,6 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 	if rate > 0.05 {
 		t.Fatalf("false positive rate %.3f too high", rate)
 	}
-	if est := f.FalsePositiveRate(n); est > 0.05 {
-		t.Fatalf("estimated fp rate %.3f unexpectedly high", est)
-	}
 }
 
 func TestNewOptimalRespectsCap(t *testing.T) {
@@ -55,8 +52,8 @@ func TestNewOptimalRespectsCap(t *testing.T) {
 	if f.Bits() > 4096*8 {
 		t.Fatalf("Bits = %d exceeds cap", f.Bits())
 	}
-	if f.K() < 1 || f.K() > 10 {
-		t.Fatalf("K = %d out of range", f.K())
+	if f.k < 1 || f.k > 10 {
+		t.Fatalf("k = %d out of range", f.k)
 	}
 	small := NewOptimal(3, 4096*8, 10)
 	if small.Bits() > 4096*8 {
@@ -71,7 +68,7 @@ func TestNewOptimalRespectsCap(t *testing.T) {
 }
 
 func TestEmptyFilterContainsNothingMostly(t *testing.T) {
-	f := New(4096, 4)
+	f := NewOptimal(700, 4096, 4)
 	hits := 0
 	for k := uint64(0); k < 1000; k++ {
 		if f.MayContain(k) {

@@ -378,9 +378,6 @@ func (c *Cube) Blocks() *BlockTable { return c.blocks }
 // Table returns the underlying relation.
 func (c *Cube) Table() *table.Table { return c.t }
 
-// Groups returns the fragment grouping in effect.
-func (c *Cube) Groups() [][]int { return c.groups }
-
 // SizeBytes reports the materialized footprint: all cuboid cells plus the
 // base block table (meta information is negligible, §3.4.1).
 func (c *Cube) SizeBytes() int64 {

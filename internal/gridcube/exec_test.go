@@ -123,13 +123,13 @@ func TestCoverMatchesPrintedOrder(t *testing.T) {
 					dims = append(dims, d)
 				}
 			}
-			got, gotErr := c.CoveringCuboids(dims)
+			got, gotErr := new(coverPlan).find(c, dims)
 			want, wantErr := refCover(c, dims)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
 				t.Fatalf("%+v dims %v: cover %v (%v), before %v (%v)", cfg, dims, cuboidDims(got), gotErr, cuboidDims(want), wantErr)
 			}
 			c.order = numeric
-			if byNumber, _ := c.CoveringCuboids(dims); !slices.Equal(byNumber, want) {
+			if byNumber, _ := new(coverPlan).find(c, dims); !slices.Equal(byNumber, want) {
 				differs++
 			}
 			c.order = printed

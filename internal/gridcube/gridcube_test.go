@@ -209,7 +209,7 @@ func TestCoveringCuboids(t *testing.T) {
 	tb := testTable(2000, 4, 2, 4, 39)
 	cube := Build(tb, Config{BlockSize: 100, FragmentSize: 2})
 	// Dims {0,1} are one fragment: single covering cuboid.
-	cover, err := cube.CoveringCuboids([]int{0, 1})
+	cover, err := new(coverPlan).find(cube, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCoveringCuboids(t *testing.T) {
 		t.Fatalf("cover size = %d, want 1", len(cover))
 	}
 	// Dims {0,3} straddle fragments: two covering cuboids.
-	cover, err = cube.CoveringCuboids([]int{0, 3})
+	cover, err = new(coverPlan).find(cube, []int{0, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

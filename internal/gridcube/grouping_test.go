@@ -77,7 +77,7 @@ func TestWorkloadGroupingAnswersWorkloadWithOneFragment(t *testing.T) {
 	cube := Build(tb, Config{BlockSize: 100, Groups: groups})
 	// The workload's queries must now be covered by exactly one cuboid.
 	for _, dims := range [][]int{{1, 4}, {2, 5}} {
-		cover, err := cube.CoveringCuboids(dims)
+		cover, err := new(coverPlan).find(cube, dims)
 		if err != nil {
 			t.Fatal(err)
 		}

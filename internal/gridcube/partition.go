@@ -8,7 +8,6 @@ package gridcube
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -153,13 +152,6 @@ func (m Meta) boxInto(bid BID, box ranking.Box) {
 		box.Lo[d] = m.Bounds[d][c]
 		box.Hi[d] = m.Bounds[d][c+1]
 	}
-}
-
-// Domain returns the full data domain box.
-func (m Meta) Domain() ranking.Box {
-	box := ranking.NewBox(make([]float64, m.R), make([]float64, m.R))
-	m.domainInto(box)
-	return box
 }
 
 // domainInto overwrites box (R wide) with the full data domain.
@@ -333,26 +325,5 @@ func (bt *BlockTable) insert(bid BID, tid table.TID, rank []float64) {
 	b.pages = growRun(bt.store, b.pages, len(b.tids)*bt.meta.rowBytes())
 }
 
-// NewBuffer returns a per-query buffer over the block table's store.
-func (bt *BlockTable) NewBuffer() *pager.Buffer { return pager.NewBuffer(bt.store) }
-
 // Store exposes the backing store (for space accounting).
 func (bt *BlockTable) Store() *pager.Store { return bt.store }
-
-// Meta returns the partition meta information.
-func (bt *BlockTable) Meta() Meta { return bt.meta }
-
-// NumOccupied reports how many base blocks hold at least one tuple.
-func (bt *BlockTable) NumOccupied() int {
-	n := 0
-	for i := range bt.blocks {
-		if len(bt.blocks[i].tids) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func (bt *BlockTable) String() string {
-	return fmt.Sprintf("BlockTable{bins=%d occupied=%d}", bt.meta.Bins, bt.NumOccupied())
-}

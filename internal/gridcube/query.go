@@ -31,18 +31,6 @@ type Query struct {
 // Result is one scored tuple (shared with the other engines).
 type Result = core.Result
 
-// CoveringCuboids selects the cuboids answering a query over the given
-// selection dimensions with the minmax criterion of §3.4.2: candidate
-// cuboids contained in the query dimensions, maximal among those, then a
-// minimal covering subset (greedy set cover). It returns an error when the
-// materialized fragments cannot cover the query.
-func (c *Cube) CoveringCuboids(dims []int) ([]*Cuboid, error) {
-	sorted := slices.Clone(dims)
-	slices.Sort(sorted)
-	var p coverPlan
-	return p.find(c, slices.Compact(sorted))
-}
-
 // coverPlan is the storage of one cover selection, kept by a query's
 // execution state from one query to the next.
 type coverPlan struct {

@@ -249,13 +249,14 @@ func refTopK(c *Cube, rc *refCube, q Query, ctr *stats.Counters) ([]Result, *ref
 	for d := range q.Cond {
 		condDims = append(condDims, d)
 	}
-	cover, err := c.CoveringCuboids(condDims)
+	sort.Ints(condDims)
+	cover, err := new(coverPlan).find(c, condDims)
 	if err != nil {
 		panic(err)
 	}
 	e := &refExec{cube: c, rc: rc, cover: cover, f: q.F, ctr: ctr,
 		model: make(map[refPage]bool), tidOrder: make(map[refPage]bool),
-		blockBuf: c.blocks.NewBuffer(), topk: heap.NewBounded[Result](q.K, core.WorseResult)}
+		blockBuf: pager.NewBuffer(c.blocks.store), topk: heap.NewBounded[Result](q.K, core.WorseResult)}
 	for _, cb := range cover {
 		vals := make([]int32, len(cb.dims))
 		for j, d := range cb.dims {
@@ -292,7 +293,8 @@ func (e *refExec) done(unseen float64) bool {
 
 func (e *refExec) neighborhoodSearch(min ranking.Minimizer) {
 	meta := e.cube.meta
-	domain := meta.Domain()
+	domain := ranking.NewBox(make([]float64, meta.R), make([]float64, meta.R))
+	meta.domainInto(domain)
 	start := meta.BlockOf(min.ArgMin(domain))
 
 	h := heap.New[scoredBlock](lessBlock)

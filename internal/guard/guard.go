@@ -43,14 +43,6 @@ type RW struct {
 // New returns a fresh control with the next ordering ID.
 func New() *RW { return &RW{id: nextID.Add(1)} }
 
-// ID reports the control's position in the global acquisition order.
-func (g *RW) ID() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.id
-}
-
 // Shared runs fn with g held shared (a query) and returns its result. The
 // hold is released when fn returns or aborts.
 func Shared[T any](g *RW, fn func() T) T {

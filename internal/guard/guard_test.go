@@ -97,8 +97,8 @@ func TestExclusiveExcludesSharedAndBack(t *testing.T) {
 	none.rlock()
 	none.runlock()
 	none.SetGate(nil)
-	if none.ID() != 0 || none.Gate() != nil {
-		t.Fatal("nil control reports an ID or a gate")
+	if none.Gate() != nil {
+		t.Fatal("nil control reports a gate")
 	}
 }
 
@@ -145,8 +145,8 @@ func TestSharedAndExclusiveReleaseOnAbort(t *testing.T) {
 
 func TestOrderDedupsAndSortsByID(t *testing.T) {
 	a, b, c := New(), New(), New()
-	if !(a.ID() < b.ID() && b.ID() < c.ID()) {
-		t.Fatalf("IDs %d %d %d do not ascend in creation order", a.ID(), b.ID(), c.ID())
+	if !(a.id < b.id && b.id < c.id) {
+		t.Fatalf("IDs %d %d %d do not ascend in creation order", a.id, b.id, c.id)
 	}
 	if got := Order(c, a, nil, c, b, a); !slices.Equal(got, []*RW{a, b, c}) {
 		t.Fatalf("Order = %v, want each control once, ascending by ID", got)

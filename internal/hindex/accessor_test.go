@@ -52,10 +52,10 @@ func TestPathOfInvertsSID(t *testing.T) {
 // (points); that an entry lies inside its node's entry in the parent; and that
 // a visit is charged once and scoring through the scratch allocates nothing.
 // The path half holds Path to the positions walked from the root and NodeAt
-// to its inverse for every node; TuplePath to Height positions that TIDAt
-// resolves back, and LeafPath to TuplePath less the slot and to the leaf's
-// Path, for every tuple; and has positions no entry holds, paths that go on
-// below a leaf and tuples the tree does not hold rejected.
+// to its inverse for every node; TuplePath to the Height positions the walk
+// reached the tuple by, and LeafPath to TuplePath less the slot and to the
+// leaf's Path, for every tuple; and has positions no entry holds, a tuple's
+// path taken for a node's and tuples the tree does not hold rejected.
 func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 	tb := table.Generate(table.GenSpec{T: 3000, S: 1, R: 3, Card: 4, Seed: 5})
 	domain := ranking.NewBox([]float64{0, 0, -2}, []float64{1, 1, 4})
@@ -102,9 +102,6 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 			}
 			for _, p := range []int{0, idx.NumChildren(id) + 1} {
 				bad := append(slices.Clone(path), p)
-				if _, ok := idx.TIDAt(bad); ok {
-					t.Fatalf("%s: TIDAt(%v) resolves a slot node %d does not have", name, bad, id)
-				}
 				if _, ok := idx.NodeAt(bad); ok {
 					t.Fatalf("%s: NodeAt(%v) resolves a slot node %d does not have", name, bad, id)
 				}
@@ -133,14 +130,8 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 					if got := idx.TuplePath(tid); !slices.Equal(got, full) || len(got) != idx.Height() {
 						t.Fatalf("%s: TuplePath(%d) = %v, want %v of height %d", name, tid, got, full, idx.Height())
 					}
-					if got, ok := idx.TIDAt(full); !ok || got != tid {
-						t.Fatalf("%s: TIDAt(%v) = %d/%v, want %d", name, full, got, ok, tid)
-					}
 					if got := idx.LeafPath(tid); !slices.Equal(got, path) {
 						t.Fatalf("%s: LeafPath(%d) = %v, want the leaf's path %v", name, tid, got, path)
-					}
-					if _, ok := idx.TIDAt(append(full, 1)); ok {
-						t.Fatalf("%s: TIDAt resolves a path below tuple %d", name, tid)
 					}
 					if _, ok := idx.NodeAt(full); ok {
 						t.Fatalf("%s: NodeAt resolves tuple %d's path to a node", name, tid)
@@ -180,8 +171,8 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 		if seen != tuples {
 			t.Fatalf("%s: %d tuples under the root, want %d", name, seen, tuples)
 		}
-		if _, ok := idx.TIDAt(nil); ok || idx.TuplePath(table.TID(tb.Len())) != nil || idx.LeafPath(table.TID(tb.Len())) != nil {
-			t.Fatalf("%s: the empty path or a tuple the tree does not hold resolves", name)
+		if idx.TuplePath(table.TID(tb.Len())) != nil || idx.LeafPath(table.TID(tb.Len())) != nil {
+			t.Fatalf("%s: a tuple the tree does not hold resolves", name)
 		}
 		if got := ctr.TotalReads(); got < visited {
 			t.Fatalf("%s: %d nodes visited, %d reads charged", name, visited, got)

@@ -113,8 +113,6 @@ type PartitionTree interface {
 	TupleLocator
 	// TuplePath returns a tuple's full path including its leaf slot.
 	TuplePath(tid table.TID) []int
-	// TIDAt resolves a full tuple path back to the tuple.
-	TIDAt(path []int) (table.TID, bool)
 	// NodeAt resolves a node path back to the node.
 	NodeAt(path []int) (NodeID, bool)
 }

@@ -261,22 +261,6 @@ func (s *Nodes) NodeAt(path []int) (NodeID, bool) {
 	return id, true
 }
 
-// TIDAt implements PartitionTree.
-func (s *Nodes) TIDAt(path []int) (table.TID, bool) {
-	if len(path) == 0 {
-		return 0, false
-	}
-	id, ok := s.NodeAt(path[:len(path)-1])
-	if !ok {
-		return 0, false
-	}
-	tids, slot := s.nodes[id].tids, path[len(path)-1]-1
-	if slot < 0 || slot >= len(tids) {
-		return 0, false
-	}
-	return tids[slot], true
-}
-
 // --- write side: what the builders and the R-tree's maintenance use -------
 
 // AddNode adds an empty node on a new page accounted at pageBytes and returns

@@ -165,7 +165,7 @@ func TestJoinSignatureBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if js.NumStates() == 0 {
+	if len(js.states) == 0 {
 		t.Fatal("no state-signatures built")
 	}
 	// Root state must exist and accept every tuple's own combo.

@@ -245,9 +245,6 @@ func (js *JoinSignature) Load(paths [][]int, ctr *stats.Counters) (ComboTester, 
 // SizeBytes reports the total signature footprint.
 func (js *JoinSignature) SizeBytes() int64 { return js.store.Bytes() }
 
-// NumStates reports the number of materialized state-signatures.
-func (js *JoinSignature) NumStates() int { return len(js.states) }
-
 // PairwisePruner prunes an m-way merge with 2-way join-signatures
 // (§5.3.3): a child combo is empty if any pair's signature rejects it.
 type PairwisePruner struct {

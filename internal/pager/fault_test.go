@@ -65,8 +65,10 @@ func TestCorruptionDetectedAndQuarantines(t *testing.T) {
 		t.Fatalf("touch err = %v, want ErrStructureUnavailable", err)
 	}
 
-	s.ClearQuarantine()
 	s.SetFaultInjector(nil)
+	if !s.EnterHalfOpen() || !s.CloseCircuit() {
+		t.Fatalf("repair did not readmit the store: %v", s.State())
+	}
 	if err := abortOf(t, func() { s.Read(bad, ctr) }); err != nil {
 		t.Fatalf("repaired store still failing: %v", err)
 	}

@@ -189,18 +189,6 @@ func (s *Store) CloseCircuit() bool {
 // repair path calls it when a half-open store fails its probe query.
 func (s *Store) Requarantine() { s.trip() }
 
-// ClearQuarantine forces a store back to full service from any state,
-// bypassing the half-open probation — the big hammer for operators who have
-// repaired storage out of band. Repair/EnterHalfOpen/CloseCircuit is the
-// governed path. The recovery is recorded so quarantine and clear counts
-// reconcile.
-func (s *Store) ClearQuarantine() {
-	old := State(s.state.Swap(int32(StateHealthy)))
-	if old != StateHealthy {
-		obs.Default().RecordQuarantineClear(s.kind)
-	}
-}
-
 // Kind reports the structure label of this store.
 func (s *Store) Kind() stats.Structure { return s.kind }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // Func is the query-time ranking function contract. All engines in this
@@ -410,19 +411,5 @@ func (f *ConstrainedFunc) LowerBound(box Box) float64 {
 func (f *ConstrainedFunc) Attrs() []int { return f.attrs }
 
 func (f *ConstrainedFunc) String() string {
-	return "(" + f.inner.String() + ") / eta(N" + itoa(f.attr) + ")"
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
+	return "(" + f.inner.String() + ") / eta(N" + strconv.Itoa(f.attr) + ")"
 }

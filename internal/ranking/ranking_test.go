@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -277,6 +278,13 @@ func TestConstrainedBound(t *testing.T) {
 	}
 	if got := Constrained(inner, 1, math.NaN(), 0.6).Attrs(); got[0] != -1 {
 		t.Fatalf("NaN bound: Attrs = %v, want dimension -1", got)
+	}
+	// The band's dimension prints as given, out of range too: the text goes
+	// into the error that rejects it.
+	for attr, want := range map[int]string{1: "eta(N1)", -1: "eta(N-1)", 123456789: "eta(N123456789)"} {
+		if got := Constrained(inner, attr, 0.4, 0.6).String(); !strings.HasSuffix(got, want) {
+			t.Fatalf("dimension %d prints as %q, want a suffix %q", attr, got, want)
+		}
 	}
 }
 

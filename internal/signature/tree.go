@@ -235,19 +235,6 @@ func (n *Node) Clone() *Node {
 	return out
 }
 
-// CountNodes reports the number of signature nodes (diagnostics and
-// decomposition sizing).
-func (n *Node) CountNodes() int {
-	if n == nil {
-		return 0
-	}
-	c := 1
-	for _, k := range n.Kids {
-		c += k.CountNodes()
-	}
-	return c
-}
-
 // Tuples enumerates the tuple paths marked in the signature, in BFS-free
 // (depth-first, slot-ascending) order — used by tests to verify lossless
 // roundtrips.

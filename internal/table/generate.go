@@ -3,6 +3,7 @@ package table
 import (
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Distribution selects the joint distribution of the ranking dimensions in
@@ -137,23 +138,9 @@ func clamp01(v float64) float64 {
 func defaultNames(prefix string, n int) []string {
 	names := make([]string, n)
 	for i := range names {
-		names[i] = prefix + itoa(i+1)
+		names[i] = prefix + strconv.Itoa(i+1)
 	}
 	return names
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }
 
 func maxCard(cards []int) int {

@@ -251,7 +251,9 @@ func TestRegistryRecordsEachOperationsOwnReads(t *testing.T) {
 		t.Fatalf("degraded query read %v with %d downgrades: the fallback did not run", own, m.Downgrades-downgrades)
 	}
 	st.SetFaultInjector(nil)
-	st.ClearQuarantine()
+	if _, err := cube.Repair(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	if own := step("scan", func() {
 		sc, err := cube.OpenScan(ctx, cond, f, rankcube.WithMetrics(m))

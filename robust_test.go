@@ -88,8 +88,10 @@ func TestDisableFallbackSurfacesTypedErrors(t *testing.T) {
 	}
 
 	// Repair restores service.
-	cube.Stores()[0].ClearQuarantine()
 	cube.Stores()[0].SetFaultInjector(nil)
+	if _, err := cube.Repair(context.Background()); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
 	got, err := cube.Query(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, rankcube.WithBudget(b))
 	if err != nil {
 		t.Fatalf("repaired cube failed: %v", err)
@@ -784,9 +786,12 @@ func TestEveryBoundaryExitReleases(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("exit: err %v, want %v", err, tc.want)
 			}
+			// Readmit a store the exit quarantined without Repair, which
+			// would wait on the very lock and admission slot checked below.
 			for _, st := range stores {
 				st.SetFaultInjector(nil)
-				st.ClearQuarantine()
+				st.EnterHalfOpen()
+				st.CloseCircuit()
 			}
 			if n := cube.AdmissionStats().InFlight; n != 0 {
 				t.Fatalf("%d admission slots still held", n)

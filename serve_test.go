@@ -161,18 +161,16 @@ func TestHealthReportsLifecycle(t *testing.T) {
 		t.Fatalf("health after corruption = %+v", h)
 	}
 
-	// ClearQuarantine (the operator hammer) must reconcile the metrics:
-	// exercised indirectly here, asserted directly in internal/pager tests.
 	st.SetFaultInjector(nil)
-	st.ClearQuarantine()
+	if _, err := cube.Repair(ctx); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
 	if h := cube.Health(); h[0].State != "healthy" {
-		t.Fatalf("health after clear = %+v", h)
+		t.Fatalf("health after repair = %+v", h)
 	}
 	if _, err := cube.Query(ctx, rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 5,
 		rankcube.WithBudget(rankcube.Budget{DisableFallback: true})); err != nil {
-		// The store content is intact (corruption was injected, not
-		// written), so the cleared store serves immediately.
-		t.Fatalf("query after clear: %v", err)
+		t.Fatalf("query after repair: %v", err)
 	}
 
 	if err := errors.Join(); err != nil {
