@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check no-deprecated loc lint lint-json test race chaos fuzz bench-check traffic check bench bench-json ab clean
+.PHONY: all build vet fmt-check no-deprecated loc lint lint-json test race poison chaos fuzz bench-check traffic check bench bench-json ab clean
 
 all: check
 
@@ -59,6 +59,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The tests of the packages whose queries reuse pooled storage, built with the
+# poison tag (internal/poison): the storage a query takes from a pool — a
+# view's runs, leaf index, arena and replay queue, the search's candidates, the
+# grid cube's execution state — is filled with sentinels (NaN scores, SIDs and
+# TIDs out of range, all-ones bit words, garbage leaves) before it is reset, so
+# a reset that forgets a field shows as a wrong answer or count.
+poison:
+	$(GO) test -tags poison -count=1 ./internal/heap ./internal/bitvec ./internal/signature ./internal/sigcube ./internal/gridcube ./internal/skyline .
+
 # Seeded, bounded serving-chaos run (internal/chaos) under the race
 # detector: concurrent query storms + online maintenance + scripted
 # corruption/repair, asserting typed outcomes, exact crosschecks, and
@@ -113,7 +122,10 @@ bench-check:
 # GOCOVERDIR (3 s of each workload, every experiment at scale 0.01). Every
 # function none of them entered — commands, examples, the linter and the
 # benchmark module, the instrument itself, aside — must have a line in
-# traffic.allow (function, class, reason). The target prints the unreached
+# traffic.allow (function, class, reason). `go tool covdata func` names a
+# generic method without its receiver, so the receiver is read off the source
+# line it points at: heap.*Heap.Len and heap.*Bounded.Len are two functions,
+# as *GridCube.Stores and *SignatureCube.Stores are. The target prints the unreached
 # functions the list does not name, with their count, and the entries that
 # name a function now reached or no function at all, and fails on either: a
 # new unreached function needs a measured path or a reason, and the list only
@@ -132,7 +144,12 @@ traffic:
 	@GOCOVERDIR=$(TRAFFIC)/cover $(TRAFFIC)/rankbench -all -scale 0.01 -queries 3 > /dev/null
 	@$(GO) tool covdata func -i $(TRAFFIC)/cover \
 		| grep -v -e '^total' -e '^rankcube/cmd/' -e '^rankcube/examples/' -e '^rankcube/internal/analysis/' -e '^rankcube/benchmark/' \
-		| awk '{ pkg = $$1; sub(/\/[^\/]*$$/, "", pkg); print pkg "." $$2, $$NF }' | LC_ALL=C sort > $(TRAFFIC)/funcs
+		| awk '{ split($$1, at, ":"); name = $$2; pkg = at[1]; sub(/\/[^\/]*$$/, "", pkg); \
+			if (name !~ /\./) { src = at[1]; sub(/^rankcube\//, "", src); \
+				if (!(src in seen)) { seen[src] = 1; n = 0; while ((getline line < src) > 0) text[src, ++n] = line; close(src) } \
+				if (match(text[src, at[2]], /^func \([^)]*\)/)) { \
+					recv = substr(text[src, at[2]], 7, RLENGTH - 7); sub(/^[^ *[]+ /, "", recv); sub(/\[.*/, "", recv); name = recv "." name } } \
+			print pkg "." name, $$NF }' | LC_ALL=C sort > $(TRAFFIC)/funcs
 	@awk '$$2 == "0.0%" { print $$1 }' $(TRAFFIC)/funcs > $(TRAFFIC)/unreached
 	@awk '!/^#/ && NF { print $$1 }' traffic.allow | LC_ALL=C sort > $(TRAFFIC)/allowed
 	@LC_ALL=C comm -23 $(TRAFFIC)/unreached $(TRAFFIC)/allowed > $(TRAFFIC)/unlisted
@@ -143,7 +160,7 @@ traffic:
 	@awk 'NR == FNR { known[$$1] = 1; next } { print "  " $$1, ($$1 in known ? "(now reached)" : "(no such function)") }' $(TRAFFIC)/funcs $(TRAFFIC)/stale
 	@[ ! -s $(TRAFFIC)/unlisted ] && [ ! -s $(TRAFFIC)/stale ]
 
-check: build vet fmt-check no-deprecated lint race chaos fuzz bench-check
+check: build vet fmt-check no-deprecated lint race poison chaos fuzz bench-check
 
 # Quick smoke of the benchmark harness (full runs via cmd/rankbench).
 bench:

@@ -351,18 +351,19 @@ func TestQueuedQueryDeadlineKeepsCause(t *testing.T) {
 }
 
 // TestPooledSearchStorage runs, under -race, the requests that take a
-// signature search's storage from its pool and hand it back — top-k queries,
-// governed scans closed early and rank joins — concurrently on one cube: every
-// answer must equal the one the same request gave alone. A scan held open
-// across 100 top-k queries keeps its own storage and still streams its answer,
-// and a closed scan reads nothing more.
+// signature search's storage and its views' storage from their pools and hand
+// them back — top-k queries on one cell and on conjunctions of two, governed
+// scans closed early, rank joins and skyline query → drill-down → roll-up
+// chains — concurrently on one cube: every answer must equal the one the same
+// request gave alone. A scan held open across 100 top-k queries keeps its own
+// storage and still streams its answer, and a closed scan reads nothing more.
 func TestPooledSearchStorage(t *testing.T) {
 	rel := rankcube.GenerateRelation(3000, 2, 2, 4, rankcube.Uniform, 43)
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{Fanout: 12})
 	other := rankcube.GenerateRelation(1500, 2, 2, 4, rankcube.Uniform, 44)
 	otherCube := rankcube.BuildSignatureCube(other, rankcube.SigOptions{Fanout: 12})
 	ctx := context.Background()
-	conds := []rankcube.Cond{{}, {0: 1}, {0: 2, 1: 3}, {1: 0}}
+	conds := []rankcube.Cond{{}, {0: 1}, {0: 2, 1: 3}, {1: 0}, {0: 1, 1: 1}, {0: 3, 1: 0}}
 	funcs := []rankcube.Func{rankcube.Sum(0, 1), rankcube.SqDist([]int{0, 1}, []float64{0.4, 0.6})}
 
 	query := func(i int) []rankcube.Result {
@@ -403,12 +404,33 @@ func TestPooledSearchStorage(t *testing.T) {
 		return res
 	}
 
+	eng := rankcube.NewSkylineEngine(cube)
+	// A chain of three steps, each on a fresh tester: {0: a}, drilled down to
+	// {0: a, 1: b}, rolled up to {1: b}.
+	sky := func(i int) [3][]rankcube.SkylineResult {
+		var out [3][]rankcube.SkylineResult
+		res, snap, err := eng.Query(ctx, rankcube.Cond{0: int32(i % 4)}, []int{0, 1}, nil)
+		if err == nil {
+			out[0] = res
+			res, snap, err = eng.DrillDownQuery(ctx, snap, rankcube.Cond{1: int32(i / 4 % 4)})
+		}
+		if err == nil {
+			out[1] = res
+			out[2], _, err = eng.RollUpQuery(ctx, snap, []int{0})
+		}
+		if err != nil {
+			t.Errorf("skyline chain %d: %v", i, err)
+		}
+		return out
+	}
+
 	const requests = 24
 	wantQuery := make([][]rankcube.Result, requests)
 	wantScan := make([][]rankcube.Result, requests)
 	wantJoin := make([][]rankcube.JoinResult, requests)
+	wantSky := make([][3][]rankcube.SkylineResult, requests)
 	for i := 0; i < requests; i++ {
-		wantQuery[i], wantScan[i], wantJoin[i] = query(i), scan(i, 1+i%30), join(i)
+		wantQuery[i], wantScan[i], wantJoin[i], wantSky[i] = query(i), scan(i, 1+i%30), join(i), sky(i)
 	}
 
 	var wg sync.WaitGroup
@@ -418,7 +440,7 @@ func TestPooledSearchStorage(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 2*requests; n++ {
 				i := (n*5 + w) % requests
-				switch (n + w) % 3 {
+				switch (n + w) % 4 {
 				case 0:
 					if got := query(i); !reflect.DeepEqual(got, wantQuery[i]) {
 						t.Errorf("query %d: %v, alone %v", i, got, wantQuery[i])
@@ -427,9 +449,13 @@ func TestPooledSearchStorage(t *testing.T) {
 					if got := scan(i, 1+i%30); !reflect.DeepEqual(got, wantScan[i]) {
 						t.Errorf("scan %d: %v, alone %v", i, got, wantScan[i])
 					}
-				default:
+				case 2:
 					if got := join(i); !reflect.DeepEqual(got, wantJoin[i]) {
 						t.Errorf("join %d: %v, alone %v", i, got, wantJoin[i])
+					}
+				default:
+					if got := sky(i); !reflect.DeepEqual(got, wantSky[i]) {
+						t.Errorf("skyline chain %d: %v, alone %v", i, got, wantSky[i])
 					}
 				}
 			}

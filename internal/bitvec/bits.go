@@ -9,6 +9,7 @@ import (
 	"math/bits"
 
 	"rankcube/internal/errs"
+	"rankcube/internal/poison"
 )
 
 // Bits is a growable bit array.
@@ -295,11 +296,13 @@ func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }
 
 // Arena hands out bit arrays carved from shared slabs, so decoding the
 // nodes of a signature costs a few allocations instead of two per node.
-// Arrays stay valid for the arena's lifetime; nothing is ever handed out
-// twice. A nil *Arena allocates each array on its own.
+// Arrays stay valid until the arena is Reset; nothing is handed out twice in
+// between. A nil *Arena allocates each array on its own.
 type Arena struct {
 	vals  []Bits
 	words []uint64
+	// nvals and nwords count what the arena handed out since its last Reset.
+	nvals, nwords int
 }
 
 // Slab sizes: 64 headers and 256 words are 2 KB each. A view decodes only the
@@ -316,19 +319,33 @@ func (a *Arena) New(n int) *Bits {
 	}
 	nw := (n + 63) / 64
 	if len(a.words)+nw > cap(a.words) {
-		size := arenaWords
-		if nw > size {
-			size = nw
-		}
-		a.words = make([]uint64, 0, size)
+		a.words = make([]uint64, 0, max(arenaWords, nw))
 	}
 	lo := len(a.words)
 	a.words = a.words[:lo+nw]
+	clear(a.words[lo:]) // a slab Reset kept holds the arrays of before
 	if len(a.vals) == cap(a.vals) {
 		a.vals = make([]Bits, 0, arenaVals)
 	}
 	a.vals = append(a.vals, Bits{words: a.words[lo : lo+nw : lo+nw], n: n})
+	a.nvals, a.nwords = a.nvals+1, a.nwords+nw
 	return &a.vals[len(a.vals)-1]
+}
+
+// Reset takes back every array the arena handed out, which must no longer be
+// in use, and keeps one slab of each kind sized to what it handed out since
+// the last Reset, or its current slab when that is larger: an arena that
+// decodes the same nodes again takes no new slab.
+func (a *Arena) Reset() {
+	poison.Fill(a.words, ^uint64(0))
+	if a.nwords > cap(a.words) {
+		a.words = make([]uint64, 0, a.nwords)
+	}
+	if a.nvals > cap(a.vals) {
+		a.vals = make([]Bits, 0, a.nvals)
+	}
+	a.words, a.vals = a.words[:0], a.vals[:0]
+	a.nvals, a.nwords = 0, 0
 }
 
 // BitsFor returns the number of bits needed to represent values in [0, n)

@@ -410,6 +410,41 @@ func TestArenaHandsOutDistinctZeroedArrays(t *testing.T) {
 	}
 }
 
+// TestArenaResetReusesItsSlabs: after a Reset the arena hands out zeroed
+// arrays again, distinct until the next Reset, and once it has been Reset
+// after its largest round it takes no new slab for a round no larger.
+func TestArenaResetReusesItsSlabs(t *testing.T) {
+	var a Arena
+	round := func(n int) {
+		var all []*Bits
+		for i := 0; i < n; i++ {
+			b := a.New(1 + i%200)
+			if b.Len() != 1+i%200 || b.Any() {
+				t.Fatalf("array %d of %d: Len=%d Any=%v", i, n, b.Len(), b.Any())
+			}
+			b.SetAll(b.Len())
+			all = append(all, b)
+		}
+		for i, b := range all {
+			if b.Ones() != b.Len() {
+				t.Fatalf("array %d of %d was overwritten by a later one", i, n)
+			}
+		}
+		a.Reset()
+	}
+	round(3 * arenaVals)
+	round(arenaVals)
+	round(3 * arenaVals)
+	if got := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 3*arenaVals; i++ {
+			a.New(1 + i%200).SetAll(1 + i%200)
+		}
+		a.Reset()
+	}); got != 0 {
+		t.Fatalf("a round after the largest takes %v slabs", got)
+	}
+}
+
 // abortOf runs fn and returns the error of the typed abort it raised.
 func abortOf(fn func()) (err error) {
 	defer func() {

@@ -11,6 +11,7 @@ import (
 	"rankcube/internal/errs"
 	"rankcube/internal/heap"
 	"rankcube/internal/pager"
+	"rankcube/internal/poison"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -181,6 +182,9 @@ var execs = sync.Pool{New: func() any { return &gridExec{topk: heap.NewBounded[R
 // sizes the pushed-block bitset from it). It reports false when the answer is
 // known to be empty (or err) without a search.
 func (e *gridExec) reset(c *Cube, q Query, ctr *stats.Counters) (bool, error) {
+	if poison.On {
+		e.poison()
+	}
 	e.cube, e.f, e.ctr = c, q.F, ctr
 	e.topk.Reset(q.K)
 	e.condDims = e.condDims[:0]
@@ -220,6 +224,31 @@ func (e *gridExec) reset(c *Cube, q Query, ctr *stats.Counters) (bool, error) {
 	clear(e.marked) // an aborted query may have left its block's marks
 	return true, nil
 }
+
+// poison fills e's storage with sentinels in a poison build (package
+// poison): scores NaN, TIDs and BIDs out of range, every bit set, and every
+// cell scan on pseudo block 0 with a found cell of garbage.
+func (e *gridExec) poison() {
+	poison.Fill(e.condDims, poison.TID)
+	poison.Fill(e.neighbors, BID(poison.TID))
+	poison.Fill(e.cand, table.TID(poison.TID))
+	poison.Fill(e.tids, table.TID(poison.TID))
+	poison.Fill(e.marked, ^uint64(0))
+	poison.Fill(e.inserted, ^uint64(0))
+	poison.Fill(e.box.Lo, poison.Score)
+	poison.Fill(e.box.Hi, poison.Score)
+	scans := e.scans[:cap(e.scans)]
+	for i := range scans {
+		s := &scans[i]
+		poison.Fill(s.vals, poison.TID)
+		s.pid, s.found = 0, true
+		s.ref = cellRef{off: poison.TID, n: poison.TID, bytes: poison.TID}
+		s.extra = garbageEntries
+	}
+}
+
+// garbageEntries is the overflow list of a poisoned cell scan.
+var garbageEntries = []Entry{{TID: poison.TID, BID: poison.TID}}
 
 // release drops e's references to the query's cube and hands e back to
 // execs; TopK defers it, so it runs however the query ends.

@@ -15,6 +15,8 @@
 // used instead.
 package heap
 
+import "rankcube/internal/poison"
+
 // Heap is a binary min-heap ordered by the provided less function.
 // The zero value is not usable; construct with New.
 type Heap[T any] struct {
@@ -188,6 +190,7 @@ func (h Keyed[T]) Heapify() {
 
 // Reset empties the heap, keeping its capacity.
 func (h *Keyed[T]) Reset() {
+	poison.Fill(*h, Item[T]{Key: poison.Score, Tie: poison.SID})
 	clear(*h)
 	*h = (*h)[:0]
 }

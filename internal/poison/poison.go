@@ -1,0 +1,32 @@
+// Package poison is a test hook for pooled storage. Built with the poison tag
+// (go test -tags poison), On is true and the engines fill the storage a query
+// takes from a pool with sentinels before they reset it: NaN scores, SIDs and
+// TIDs out of every range, all-ones bit words and garbage where a nil is
+// expected. A reset that forgets a field then hands the query garbage, which
+// the tests see as a wrong answer or a wrong count, where a forgotten field in
+// an ordinary build could hold a plausible value from the query before. In
+// every other build On is false and Fill compiles to nothing.
+package poison
+
+import "math"
+
+// Sentinels: a SID past every SID, a TID past every table, a score that
+// compares false with everything.
+const (
+	SID = math.MaxUint64
+	TID = math.MaxInt32
+)
+
+// Score is NaN.
+var Score = math.NaN()
+
+// Fill sets every element of s, up to its capacity, to v when On.
+func Fill[T any](s []T, v T) {
+	if !On {
+		return
+	}
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}

@@ -3,7 +3,9 @@ package sigcube
 import (
 	"sync"
 
+	"rankcube/internal/core"
 	"rankcube/internal/heap"
+	"rankcube/internal/poison"
 )
 
 // Candidates is the storage of one search's states: the candidate heap, and
@@ -19,6 +21,8 @@ type Candidates[C any] struct {
 	// offset (SID) and length (Ref). It is kept until the search ends: it
 	// grows by at most the fanout per node read, so the read budget bounds it.
 	kids []State[C]
+	// out collects a top-k answer before it is copied out (take).
+	out []core.Result
 }
 
 // queued is a State on the heap less its score and tuple flag.
@@ -34,6 +38,8 @@ var scanners = sync.Pool{New: func() any { return new(Candidates[struct{}]) }}
 
 // reset empties the heap and the record, keeping their capacity.
 func (h *Candidates[C]) reset() {
+	poison.Fill(h.kids, State[C]{Score: poison.Score, SID: poison.SID, Ref: poison.TID})
+	poison.Fill(h.out, core.Result{TID: poison.TID, Score: poison.Score})
 	h.heap.Reset()
 	clear(h.kids)
 	h.kids = h.kids[:0]

@@ -1,0 +1,7 @@
+//go:build race
+
+package sigcube
+
+// raceEnabled: under the race detector sync.Pool drops a share of what is put
+// back, so a query may find no pooled state and allocate its own.
+const raceEnabled = true

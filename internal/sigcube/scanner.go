@@ -80,7 +80,10 @@ type BestFirst[C any] struct {
 	// home is the pool cheap goes back to at Release; nil when the caller
 	// keeps it.
 	home *sync.Pool
-	done bool
+	// views is the tester when the search assembled it (Cube.Scan), released
+	// with the search; nil when the caller owns the tester.
+	views signature.Tester
+	done  bool
 
 	// Scratch for qualifying one node's children: its decoded path and the
 	// slots still live.
@@ -165,13 +168,15 @@ func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID
 	return s
 }
 
-// Release ends the search: a Scanner's storage goes back to its pool. A
-// released search is exhausted; it reads and holds nothing more.
+// Release ends the search: a Scanner's storage goes back to its pool, and the
+// views of a tester it assembled to theirs. A released search is exhausted; it
+// reads and holds nothing more.
 func (s *BestFirst[C]) Release() {
 	if s.home != nil {
 		s.home.Put(s.cheap)
 	}
-	s.cheap, s.home, s.done = nil, nil, true
+	signature.Release(s.views)
+	s.cheap, s.home, s.views, s.done = nil, nil, nil, true
 }
 
 // Scan opens a rank-aware selection over the cube. The scanner is exhausted
@@ -185,7 +190,9 @@ func (c *Cube) Scan(cond core.Cond, f ranking.Func, ctr *stats.Counters) (*Scann
 	if !any {
 		return &Scanner{done: true}, nil
 	}
-	return newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr), nil
+	s := newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr)
+	s.views = tester
+	return s, nil
 }
 
 // Hold starts the search with the partition pages an earlier step of the
@@ -324,9 +331,13 @@ func (s *BestFirst[C]) qualify(e State[C]) {
 
 // take pulls up to k results: the first k tuples the search reaches are the
 // top k, and the pop after the k-th is where a bounded search would stop.
-// Ties at one score come out in tuple order.
+// Ties at one score come out in tuple order. They are collected and sorted in
+// the search's storage, and the answer is one exact-sized copy.
 func (s *BestFirst[C]) take(k int) []core.Result {
-	var out []core.Result
+	if s.done {
+		return nil
+	}
+	out := s.cheap.out[:0]
 	for len(out) < k {
 		res, ok := s.Next()
 		if !ok {
@@ -334,10 +345,14 @@ func (s *BestFirst[C]) take(k int) []core.Result {
 		}
 		out = append(out, res)
 	}
+	s.cheap.out = out
+	if len(out) == 0 {
+		return nil
+	}
 	slices.SortFunc(out, func(a, b core.Result) int {
 		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.TID, b.TID))
 	})
-	return out
+	return slices.Clone(out)
 }
 
 // Bound reports a lower bound on the scores of all tuples not yet emitted

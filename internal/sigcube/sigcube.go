@@ -241,7 +241,8 @@ func (c *Cube) SizeBytes() int64 { return c.store.Bytes() }
 // otherwise the intersection of atomic cuboid cells. The bool result is
 // false when some required cell is empty — no tuple can match, so the query
 // can return immediately, as it does when a value lies outside its
-// dimension's domain (Cuboid.cell).
+// dimension's domain (Cuboid.cell). The views of the tester are on loan:
+// the caller hands them back with signature.Release once its query is over.
 func (c *Cube) TesterFor(cond core.Cond, ctr *stats.Counters) (signature.Tester, bool, error) {
 	dims := cond.Dims()
 	if len(dims) == 0 {
@@ -252,27 +253,37 @@ func (c *Cube) TesterFor(cond core.Cond, ctr *stats.Counters) (signature.Tester,
 		return tester, any, nil
 	}
 	if cb := c.Cuboid(dims); cb != nil {
-		key, in := cb.cell(cond)
-		stored, ok := cb.cells[key]
-		if !in || !ok || stored.NumPartials() == 0 {
+		stored := cb.stored(cond)
+		if stored == nil {
 			return nil, false, nil
 		}
 		return signature.NewView(stored, c.enc.Codec(), c.store, ctr), true, nil
 	}
-	var testers signature.And
+	testers := make(signature.And, 0, len(dims))
 	for _, d := range dims {
 		cb := c.Cuboid([]int{d})
 		if cb == nil {
+			signature.Release(testers)
 			return nil, false, fmt.Errorf("sigcube: no cuboid covers dimension %d: %w", d, errs.ErrInvalidArgument)
 		}
-		key, in := cb.cell(cond)
-		stored, ok := cb.cells[key]
-		if !in || !ok || stored.NumPartials() == 0 {
+		stored := cb.stored(cond)
+		if stored == nil {
+			signature.Release(testers)
 			return nil, false, nil
 		}
 		testers = append(testers, signature.NewView(stored, c.enc.Codec(), c.store, ctr))
 	}
 	return testers, true, nil
+}
+
+// stored returns cb's cell for cond, or nil when the cell is empty.
+func (cb *Cuboid) stored(cond core.Cond) *signature.Stored {
+	key, in := cb.cell(cond)
+	stored, ok := cb.cells[key]
+	if !in || !ok || stored.NumPartials() == 0 {
+		return nil
+	}
+	return stored
 }
 
 // TopK answers a ranked query with boolean predicates using the
@@ -284,6 +295,7 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 	if err != nil {
 		return nil, err
 	}
+	defer signature.Release(tester)
 	if !any || k <= 0 {
 		return nil, nil
 	}

@@ -4,12 +4,14 @@ import (
 	"encoding/binary"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"rankcube/internal/bitvec"
 	"rankcube/internal/errs"
 	"rankcube/internal/hindex"
 	"rankcube/internal/pager"
+	"rankcube/internal/poison"
 	"rankcube/internal/stats"
 )
 
@@ -226,13 +228,23 @@ func (s *Stored) sids() []uint64 {
 // View is a per-query lazy decoder over a stored signature: a partial
 // signature is loaded (and charged as a block read) only when the query
 // requests a node it encodes (§4.2.3), and a node is decoded only when the
-// query reaches it. What is per query: the loads and their charges, the bytes
-// each load read, and the leaf-level nodes decoded from them into the view's
-// own arena. What is shared: each partial's replay (the SIDs and places of its
-// nodes and its internal nodes' bits), which the first load of the partial by
-// any view builds from its bytes and publishes on the Stored, and every later
-// load reads in place of replaying the BFS again — after it has read, charged
-// and verified the page all the same.
+// query reaches it.
+//
+// What is per query: the loads and their charges, the bytes each load read,
+// and the leaf-level nodes decoded from them. The storage that holds them —
+// the loaded runs, the leaf index, the arena the leaf decodes are carved from
+// and the replay queue — is on loan from a pool from NewView to Release, and
+// a view whose query decodes no more than an earlier one's takes no new
+// storage. Whoever assembles a view releases it once its query is over, on
+// every way out; a released view is spent, and a Test or Probe on it aborts
+// with a typed errs.ErrInternal rather than read storage another query now
+// holds. A view never released is garbage collected like any other value.
+//
+// What is shared: each partial's replay (the SIDs and places of its nodes and
+// its internal nodes' bits), which the first load of the partial by any view
+// builds from its bytes and publishes on the Stored, and every later load
+// reads in place of replaying the BFS again — after it has read, charged and
+// verified the page all the same. No decoded leaf is shared.
 type View struct {
 	stored *Stored
 	codec  *bitvec.Codec
@@ -240,6 +252,13 @@ type View struct {
 	ctr    *stats.Counters
 	// base is the SID radix M+1: a child's SID is parent·base + position.
 	base uint64
+	// viewStorage is nil once the view is released.
+	*viewStorage
+}
+
+// viewStorage is what a view loads and decodes into, kept in views from one
+// view to the next.
+type viewStorage struct {
 	// runs are the loaded partials in load order. No node is in two runs.
 	runs []run
 	// top is the first loaded run with no loaded ancestor (-1 for none).
@@ -251,6 +270,12 @@ type View struct {
 	// queue is the BFS scratch of a replay this view builds.
 	queue []bfsNode
 }
+
+// views holds the storage of released views.
+var views = sync.Pool{New: func() any { return new(viewStorage) }}
+
+// garbage is what poisoned storage holds where a nil leaf is expected.
+var garbage = bitvec.NewBits(64)
 
 // run is one loaded partial: its root's SID, its replay, the page this view
 // read, and where its leaf-level nodes start in leaves. Partials load root to
@@ -273,14 +298,56 @@ type bfsNode struct {
 	bits  *bitvec.Bits
 }
 
-// NewView opens a view charging signature loads to ctr.
+// NewView opens a view charging signature loads to ctr, on storage taken from
+// the pool and emptied.
 func NewView(s *Stored, codec *bitvec.Codec, store *pager.Store, ctr *stats.Counters) *View {
-	return &View{stored: s, codec: codec, store: store, ctr: ctr, base: uint64(s.fanout + 1), top: -1}
+	vs := views.Get().(*viewStorage)
+	poison.Fill(vs.runs, run{sid: poison.SID, lo: poison.TID, up: poison.TID, kid: poison.TID, next: poison.TID})
+	poison.Fill(vs.leaves, garbage)
+	poison.Fill(vs.queue, bfsNode{sid: poison.SID, depth: poison.TID, bits: garbage})
+	vs.runs, vs.top, vs.leaves, vs.queue = vs.runs[:0], -1, vs.leaves[:0], vs.queue[:0]
+	vs.arena.Reset()
+	return &View{stored: s, codec: codec, store: store, ctr: ctr, base: uint64(s.fanout + 1), viewStorage: vs}
+}
+
+// Release hands the view's storage back to the pool, dropping every reference
+// it held into the cube: the Stored, the replays and the pages read. The view
+// is spent. Releasing a spent view does nothing.
+func (v *View) Release() {
+	vs := v.viewStorage
+	if vs == nil {
+		return
+	}
+	clear(vs.runs)
+	clear(vs.queue[:cap(vs.queue)])
+	v.stored, v.codec, v.store, v.ctr, v.viewStorage = nil, nil, nil, nil, nil
+	views.Put(vs)
+}
+
+// Release releases the views t was assembled from: t itself, or every member
+// of an And. A tester of any other kind holds no view.
+func Release(t Tester) {
+	switch t := t.(type) {
+	case *View:
+		t.Release()
+	case And:
+		for _, m := range t {
+			Release(m)
+		}
+	}
+}
+
+// spent aborts a Test or Probe on a released view.
+func (v *View) spent() {
+	if v.viewStorage == nil {
+		errs.Abortf(errs.ErrInternal, "signature: view used after Release")
+	}
 }
 
 // Test reports the signature bit for the node/tuple at path, loading the
 // partial signatures on the path as needed.
 func (v *View) Test(path []int) bool {
+	v.spent()
 	if len(v.stored.refs) == 0 {
 		return false
 	}
@@ -296,6 +363,7 @@ func (v *View) Test(path []int) bool {
 // tuple of the cell are the set bits of its signature node, fetched through
 // the same lazy loads as Test.
 func (v *View) Probe(parent []int, live *bitvec.Bits) {
+	v.spent()
 	bits := v.node(parent)
 	if bits == nil {
 		bits = noBits

@@ -1,11 +1,14 @@
 package signature
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"rankcube/internal/bitvec"
+	"rankcube/internal/errs"
 	"rankcube/internal/hindex"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -83,8 +86,56 @@ func TestViewResolvesEveryNodeLikeDecode(t *testing.T) {
 			loaded = append(loaded, r.sid)
 		}
 		loadOrders[fmt.Sprint(loaded)] = true
+		v.Release() // the next order's view may take this storage over
 	}
 	if len(loadOrders) < 3 {
 		t.Fatalf("the partials loaded in %d orders over %d node orders", len(loadOrders), len(orders))
+	}
+}
+
+// TestReleasedViewIsSpent: once released, a view — alone or as a member of an
+// And — answers no Test and no Probe: each aborts with a typed ErrInternal,
+// whoever holds the storage it had. Releasing it again does nothing. The
+// storage it hands back holds no page and no replay of the cube.
+func TestReleasedViewIsSpent(t *testing.T) {
+	rt, sig, stored, enc, store := encodeFixture(t, 3000, func(tid table.TID) bool { return tid%5 != 0 }, 64)
+	tuple := sig.Tuples(rt.Height())[0]
+	a, b := NewView(stored, enc.Codec(), store, stats.New()), NewView(stored, enc.Codec(), store, stats.New())
+	and := And{a, b}
+	if !and.Test(tuple) {
+		t.Fatalf("tuple %v fails its own cell", tuple)
+	}
+	lent := a.viewStorage
+	if len(lent.runs) == 0 {
+		t.Fatal("the view loaded no partial")
+	}
+	Release(and)
+	Release(and)
+	for i, r := range lent.runs[:cap(lent.runs)] {
+		if r.replay != nil || r.page != nil {
+			t.Fatalf("released storage still holds run %d's replay or page", i)
+		}
+	}
+	for i, q := range lent.queue[:cap(lent.queue)] {
+		if q.bits != nil {
+			t.Fatalf("released storage still holds replay bits at queue slot %d", i)
+		}
+	}
+	// A live view on the storage one of them had.
+	if live := NewView(stored, enc.Codec(), store, stats.New()); !live.Test(tuple) {
+		t.Fatalf("a fresh view fails tuple %v", tuple)
+	}
+	for _, v := range and {
+		v := v.(*View)
+		var live bitvec.Bits
+		live.SetAll(rt.NumChildren(rt.Root()))
+		for name, use := range map[string]func(){
+			"Test":  func() { v.Test(tuple) },
+			"Probe": func() { v.Probe(nil, &live) },
+		} {
+			if err := corruptAbort(use); !errors.Is(err, errs.ErrInternal) {
+				t.Fatalf("%s on a released view: %v, want ErrInternal", name, err)
+			}
+		}
 	}
 }

@@ -253,6 +253,7 @@ func (e *Engine) Skyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot, err
 	if err != nil {
 		return nil, nil, err
 	}
+	defer signature.Release(tester)
 	if !any {
 		return nil, e.snapshot(q), nil
 	}
@@ -260,7 +261,8 @@ func (e *Engine) Skyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot, err
 }
 
 // testerFor assembles the cube's tester for q's predicate under a span of its
-// own; any is false when the predicate's cell is empty.
+// own; any is false when the predicate's cell is empty. The caller releases it
+// when its search is over (signature.Release).
 func (e *Engine) testerFor(q Query, ctr *stats.Counters) (tester signature.Tester, any bool, err error) {
 	defer ctr.StartSpan("tester")()
 	return e.cube.TesterFor(q.Cond, ctr)
@@ -304,6 +306,7 @@ func (e *Engine) navigate(prev *Snapshot, q Query, step func(*search, *Snapshot)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer signature.Release(tester)
 	snap := prev.next(q)
 	if any {
 		step(e.newSearch(q, tester, nil, snap, ctr), prev)
