@@ -61,12 +61,14 @@ race:
 
 # The tests of the packages whose queries reuse pooled storage, built with the
 # poison tag (internal/poison): the storage a query takes from a pool — a
-# view's runs, leaf index, arena and replay queue, the search's candidates, the
-# grid cube's execution state — is filled with sentinels (NaN scores, SIDs and
+# view's runs, leaf index, arena and replay queue, the signature search's
+# record and answer, the skyline search's corners, pruned SIDs and scratch, an
+# index-merge Merger's arenas and tuple table, the grid cube's execution
+# state — is filled with sentinels (NaN scores, SIDs and
 # TIDs out of range, all-ones bit words, garbage leaves) before it is reset, so
 # a reset that forgets a field shows as a wrong answer or count.
 poison:
-	$(GO) test -tags poison -count=1 ./internal/heap ./internal/bitvec ./internal/signature ./internal/sigcube ./internal/gridcube ./internal/skyline .
+	$(GO) test -tags poison -count=1 ./internal/heap ./internal/bitvec ./internal/signature ./internal/sigcube ./internal/gridcube ./internal/skyline ./internal/indexmerge .
 
 # Seeded, bounded serving-chaos run (internal/chaos) under the race
 # detector: concurrent query storms + online maintenance + scripted

@@ -90,7 +90,8 @@ func TestFanoutFromPageSize(t *testing.T) {
 func TestAccessorChargesReads(t *testing.T) {
 	_, tr := buildTree(t, 2000, Config{Fanout: 8})
 	ctr := stats.New()
-	acc := hindex.NewAccessor(tr, ctr)
+	var acc hindex.Accessor
+	acc.Reset(tr, ctr)
 	acc.Visit(tr.Root())
 	kids := tr.Children(tr.Root())
 	if ctr.Reads(stats.StructBTree) != 1 {

@@ -17,17 +17,17 @@ import (
 )
 
 // TestNilCountersAbort: an accessor charging its node visits to nobody is
-// refused at construction with a typed internal fault.
+// refused at its reset with a typed internal fault.
 func TestNilCountersAbort(t *testing.T) {
 	tb := table.Generate(table.GenSpec{T: 50, S: 1, R: 2, Card: 4, Seed: 5})
 	idx := rtree.Bulk(tb, []int{0, 1}, ranking.NewBox([]float64{0, 0}, []float64{1, 1}), rtree.Config{Fanout: 5})
 	var err error
 	func() {
 		defer func() { err, _ = errs.IsAbort(recover()) }()
-		hindex.NewAccessor(idx, nil)
+		new(hindex.Accessor).Reset(idx, nil)
 	}()
 	if !errors.Is(err, errs.ErrInternal) {
-		t.Fatalf("NewAccessor with nil counters: abort %v, want ErrInternal", err)
+		t.Fatalf("Reset with nil counters: abort %v, want ErrInternal", err)
 	}
 }
 
@@ -81,7 +81,8 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 			covered[d] = true
 		}
 		ctr := stats.New()
-		acc := hindex.NewAccessor(idx, ctr)
+		var acc hindex.Accessor
+		acc.Reset(idx, ctr)
 		visited := int64(0)
 		inside := func(lo, hi []float64, within ranking.Box) bool {
 			for d := range lo {

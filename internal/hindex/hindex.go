@@ -128,28 +128,29 @@ type MaintainableTree interface {
 // Accessor mediates node access during one query, charging block reads
 // through a per-query buffer so repeated visits to a node are billed once —
 // or once per navigation chain, when Hold hands it what the chain retrieved.
+// The zero value is ready for Reset, and an accessor kept from query to query
+// keeps its buffer's storage and its scratch.
 type Accessor struct {
 	Idx Index
-	buf *pager.Buffer
+	buf pager.Buffer
 	c   *stats.Counters
 	// box and pt are the scratch Child and Tuple decode entries into.
 	box ranking.Box
 	pt  []float64
 }
 
-// NewAccessor returns an accessor charging idx reads to c. A nil c would
-// charge every node visit to nobody, so it aborts.
-func NewAccessor(idx Index, c *stats.Counters) *Accessor {
+// Reset readies a for a query over idx charging c, with nothing retrieved. A
+// nil c would charge every node visit to nobody, so it aborts.
+func (a *Accessor) Reset(idx Index, c *stats.Counters) {
 	if c == nil {
 		errs.Abortf(errs.ErrInternal, "hindex: accessor with nil counters")
 	}
-	r := idx.Domain().Dims()
-	scratch := make([]float64, 3*r)
-	return &Accessor{
-		Idx: idx, buf: pager.NewBuffer(idx.Store()), c: c,
-		box: ranking.NewBox(scratch[:r:r], scratch[r:2*r:2*r]),
-		pt:  scratch[2*r:],
+	if r := idx.Domain().Dims(); len(a.pt) != r {
+		scratch := make([]float64, 3*r)
+		a.box, a.pt = ranking.NewBox(scratch[:r:r], scratch[r:2*r:2*r]), scratch[2*r:]
 	}
+	a.Idx, a.c = idx, c
+	a.buf.Reset(idx.Store())
 }
 
 // Visit charges node id's page and reports how many entries it holds; the

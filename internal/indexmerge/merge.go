@@ -10,6 +10,7 @@ import (
 	"rankcube/internal/errs"
 	"rankcube/internal/heap"
 	"rankcube/internal/hindex"
+	"rankcube/internal/poison"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -37,16 +38,18 @@ type Options struct {
 // Merger executes one top-k query over n merged indices of ranking width r.
 // Everything that grows with the search lives in flat arenas that states,
 // expansions and pendings point into by offset (a box is 2r floats, lows then
-// highs), and a Merger goes from one query to the next with them.
+// highs), and a Merger goes from one query to the next with them, its
+// accessors and its top-k heap.
 type Merger struct {
 	// The query, forgotten when it ends.
 	indices []hindex.Index
-	acc     []*hindex.Accessor
 	dims    [][]int // indices[i].Dims()
 	f       ranking.Func
 	opts    Options
 	ctr     *stats.Counters
-	topk    *heap.Bounded[core.Result]
+
+	acc  []hindex.Accessor // one per index
+	topk *heap.Bounded[core.Result]
 
 	n, r int // indices merged, ranking dimensions
 	// gheap holds the joint states at the bound of their next child, leaf
@@ -80,23 +83,38 @@ type Merger struct {
 
 // mergers holds the Mergers between queries: TopK is a free function, with no
 // engine to own one.
-var mergers = sync.Pool{New: func() any { return new(Merger) }}
+var mergers = sync.Pool{New: func() any { return &Merger{topk: heap.NewBounded[core.Result](0, core.WorseResult)} }}
 
-// release empties the Merger and hands it back. Nothing a result holds points
-// into it, and nothing of the query — its indices, its pruner's testers, its
-// counters — stays referenced from it; the path buffers are its own.
-func (m *Merger) release() {
-	m.gheap.Reset()
-	clear(m.exps)
+// reset empties what the last query grew in m, keeping the storage, and sets
+// its top-k heap to k. In a poison build (package poison) what a query reads
+// before it writes — the node and box arenas a state is carved from, the
+// scratch of a step, the tuple table's index — is filled with sentinels first:
+// NaN coordinates, nodes, positions and slots out of range.
+func (m *Merger) reset(k int) {
+	poison.Fill(m.nodes, hindex.NodeID(poison.TID))
+	poison.Fill(m.boxes, poison.Score)
+	poison.Fill(m.box, poison.Score)
+	poison.Fill(m.combo, poison.TID)
+	poison.Fill(m.limit, poison.TID)
+	poison.Fill(m.slots, poison.TID)
 	t := &m.tuples
+	poison.Fill(t.index, poison.TID)
 	clear(t.index)
-	*m = Merger{
-		gheap: m.gheap, lheaps: m.lheaps,
-		tuples: tupleTable{index: t.index, tids: t.tids[:0], got: t.got[:0], points: t.points[:0]},
-		states: m.states[:0], exps: m.exps[:0], nodes: m.nodes[:0], boxes: m.boxes[:0],
-		kids: m.kids[:0], spans: m.spans[:0], ints: m.ints[:0], ts: m.ts[:0],
-		box: m.box, combo: m.combo, limit: m.limit, slots: m.slots, paths: m.paths,
-	}
+	t.tids, t.got, t.points = t.tids[:0], t.got[:0], t.points[:0]
+	m.gheap.Reset()
+	m.topk.Reset(k)
+	m.lsum, m.used = 0, 0
+	m.states, m.exps, m.nodes, m.boxes = m.states[:0], m.exps[:0], m.nodes[:0], m.boxes[:0]
+	m.kids, m.spans, m.ints, m.ts = m.kids[:0], m.spans[:0], m.ints[:0], m.ts[:0]
+}
+
+// release hands m back. Nothing a result holds points into it, and nothing of
+// the query — its indices, function and counters, its pruner and the testers
+// it loaded — stays referenced from it but what its accessors last served.
+func (m *Merger) release() {
+	clear(m.exps)
+	clear(m.dims)
+	m.indices, m.f, m.opts, m.ctr = nil, nil, Options{}, nil
 	mergers.Put(m)
 }
 
@@ -111,10 +129,10 @@ func TopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *stat
 	}
 	m := mergers.Get().(*Merger)
 	defer m.release()
+	m.reset(k)
 	dom := indices[0].Domain()
 	m.indices, m.f, m.opts, m.ctr, m.n, m.r = indices, f, opts, ctr, n, dom.Dims()
-	m.acc, m.dims = make([]*hindex.Accessor, n), make([][]int, n)
-	m.topk = heap.NewBounded[core.Result](k, core.WorseResult)
+	m.acc, m.dims = sized(m.acc, n), sized(m.dims, n)
 	for i, idx := range indices {
 		m.dims[i] = idx.Dims()
 	}
@@ -127,7 +145,7 @@ func TopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *stat
 		if idx.Root() == hindex.InvalidNode {
 			return nil, nil
 		}
-		m.acc[i] = hindex.NewAccessor(idx, ctr)
+		m.acc[i].Reset(idx, ctr)
 	}
 	defer ctr.StartSpan("merge")()
 	m.combo, m.limit, m.slots, m.paths = sized(m.combo, n), sized(m.limit, n), sized(m.slots, n), sized(m.paths, n)

@@ -29,7 +29,7 @@ import (
 // Merger executes one top-k query over m merged indices.
 type refMerger struct {
 	indices []hindex.Index
-	acc     []*hindex.Accessor
+	acc     []hindex.Accessor
 	f       ranking.Func
 	k       int
 	opts    Options
@@ -69,7 +69,7 @@ func refTopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *s
 	}
 	m := &refMerger{
 		indices: indices,
-		acc:     make([]*hindex.Accessor, len(indices)),
+		acc:     make([]hindex.Accessor, len(indices)),
 		f:       f,
 		k:       k,
 		opts:    opts,
@@ -83,7 +83,7 @@ func refTopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *s
 		if idx.Root() == hindex.InvalidNode {
 			return nil, nil
 		}
-		m.acc[i] = hindex.NewAccessor(idx, ctr)
+		m.acc[i].Reset(idx, ctr)
 	}
 	defer ctr.StartSpan("merge")()
 	m.run()

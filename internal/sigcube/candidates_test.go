@@ -21,19 +21,19 @@ func lessState[C any](a, b State[C]) bool {
 	return a.Tuple && !b.Tuple
 }
 
-// TestCandidatesPopLikeHeap puts 10 000 random pushes and pops to Candidates
-// and to heap.Heap under lessState — scores drawn from a handful of values,
+// TestCandidatesPopLikeHeap puts 10 000 random pushes and pops to a search's
+// candidate heap and to heap.Heap under lessState — scores drawn from a handful of values,
 // ±0 and +Inf among them, so that nearly every comparison is a tie, tuples and
 // nodes mixed — and requires the same state from every pop, then from the
 // drain: the search's tie order is the heap's.
 func TestCandidatesPopLikeHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	scores := []float64{0, math.Copysign(0, -1), 0.5, 1, 1, 2, math.Inf(1)}
-	var got Candidates[int32]
+	var got BestFirst[int32]
 	want := heap.New(lessState[int32])
 	same := func(op int, a, b State[int32]) {
 		if a != b {
-			t.Fatalf("op %d: Candidates popped %+v, heap.Heap %+v", op, a, b)
+			t.Fatalf("op %d: the search popped %+v, heap.Heap %+v", op, a, b)
 		}
 	}
 	for op := 0; op < 10000; op++ {

@@ -30,8 +30,8 @@ func TestSignatureQueryAllocs(t *testing.T) {
 		cond core.Cond
 		want float64
 	}{
-		{"one cell", core.Cond{0: 1, 2: 3}, 17},
-		{"conjunction", core.Cond{0: 1, 1: 3}, 27},
+		{"one cell", core.Cond{0: 1, 2: 3}, 8},
+		{"conjunction", core.Cond{0: 1, 1: 3}, 18},
 	} {
 		ctr := stats.New()
 		if res, err := cube.TopK(tc.cond, f, 10, ctr); err != nil || len(res) != 10 {

@@ -54,7 +54,7 @@ func refChildPath(parent []int, slot int) []int {
 // refScanner is the progressive form of the reference loops.
 type refScanner struct {
 	idx    hindex.Index
-	acc    *hindex.Accessor
+	acc    hindex.Accessor
 	tester signature.Tester
 	verify func(table.TID) bool
 	f      ranking.Func
@@ -67,7 +67,7 @@ type refScanner struct {
 func newRefScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, rule bool, ctr *stats.Counters) *refScanner {
 	s := &refScanner{idx: idx, tester: tester, verify: verify, f: f, ctr: ctr, cheap: heap.New[refEntry](lessRefEntry), rule: rule}
 	if idx.Root() != hindex.InvalidNode {
-		s.acc = hindex.NewAccessor(idx, ctr)
+		s.acc.Reset(idx, ctr)
 		s.cheap.Push(refEntry{score: f.LowerBound(idx.NodeBox(idx.Root())), node: idx.Root()})
 	}
 	return s

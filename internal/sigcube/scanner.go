@@ -8,7 +8,9 @@ import (
 
 	"rankcube/internal/bitvec"
 	"rankcube/internal/core"
+	"rankcube/internal/heap"
 	"rankcube/internal/hindex"
+	"rankcube/internal/poison"
 	"rankcube/internal/ranking"
 	"rankcube/internal/signature"
 	"rankcube/internal/stats"
@@ -37,7 +39,7 @@ import (
 // short-circuit of And.Test stops loading — and the node is skipped unread
 // when nothing survives. Otherwise its page is charged, unless the caller
 // holds it (Hold), and its survivors are scored once, in slot order, into the
-// search's record (Candidates): one deferred entry is pushed at the best of
+// search's record: one deferred entry is pushed at the best of
 // their scores, and when it is popped the recorded survivors are pushed
 // qualified, in the same order, neither tested nor scored again. A search
 // under a Filter drains its heap, so it pushes the survivors at once. What the
@@ -45,10 +47,12 @@ import (
 // the first of its children is popped, and never when a filter prunes them
 // all first.
 //
-// A search's states live in a Candidates its caller hands it: a Scanner's
-// comes from a pool and goes back to it at Release, the end of every top-k
-// query, rank join and governed scan, aborts included; the skyline keeps its
-// own.
+// A search owns what it runs on from Start to Release: its candidate heap and
+// record, its accessor and the tester it starts with. Release hands the
+// tester's views back to their pool and, for a Scanner, the search to the
+// scanners pool — at the end of every top-k query, rank join and governed
+// scan, aborts included; the skyline's search is part of a pooled value of
+// its own.
 //
 // A tester that offers only Test — a wrapper around one, a bloom measure, a
 // disjunction — goes the same way behind the stand-in of signature.Probers,
@@ -61,7 +65,7 @@ import (
 // boolean test.
 type BestFirst[C any] struct {
 	idx    hindex.Index
-	acc    *hindex.Accessor
+	acc    hindex.Accessor
 	tester signature.Tester
 	// stages qualify a node's children in sequence; none when there is no
 	// predicate.
@@ -74,21 +78,33 @@ type BestFirst[C any] struct {
 	verify func(table.TID) bool
 	f      ranking.Func
 	// x is the caller's filter; nil on a Scanner.
-	x     Filter[C]
-	ctr   *stats.Counters
-	cheap *Candidates[C]
-	// home is the pool cheap goes back to at Release; nil when the caller
-	// keeps it.
-	home *sync.Pool
-	// views is the tester when the search assembled it (Cube.Scan), released
-	// with the search; nil when the caller owns the tester.
-	views signature.Tester
-	done  bool
+	x Filter[C]
+	// ctr is nil before Start and after Release.
+	ctr  *stats.Counters
+	done bool
 
+	// heap holds the states in the search's order: by score, a tuple ahead of
+	// a node at equal score (State.Tuple). Both are its key.
+	heap heap.Keyed[queued[C]]
+	// kids holds, in slot order, the scored survivors of every node the
+	// search deferred, one run per deferred entry, which names its run by
+	// offset (SID) and length (Ref). It is kept until the search ends: it
+	// grows by at most the fanout per node read, so the read budget bounds it.
+	kids []State[C]
+	// out collects a top-k answer before it is copied out (take).
+	out []core.Result
 	// Scratch for qualifying one node's children: its decoded path and the
 	// slots still live.
 	path []int
 	live bitvec.Bits
+}
+
+// queued is a State on the heap less its score and tuple flag.
+type queued[C any] struct {
+	sid  uint64
+	ref  int32
+	c    C
+	kind uint8
 }
 
 // Scanner is the search whose states carry nothing: top-k, the progressive
@@ -136,47 +152,49 @@ const (
 	untested
 )
 
-// NewBestFirst prepares a search over idx that ranks by f, carries payloads x
-// makes and puts what it pops to x, in cheap, emptied first. It starts from
-// the states the caller enters.
-func NewBestFirst[C any](idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, x Filter[C], cheap *Candidates[C], ctr *stats.Counters) *BestFirst[C] {
-	cheap.reset()
-	return &BestFirst[C]{
-		idx:    idx,
-		acc:    hindex.NewAccessor(idx, ctr),
-		tester: tester,
-		stages: signature.Probers(tester),
-		fanout: idx.MaxFanout(),
-		verify: verify,
-		f:      f,
-		x:      x,
-		ctr:    ctr,
-		cheap:  cheap,
-	}
+// scanners keeps finished Scanners for the next (Release).
+var scanners = sync.Pool{New: func() any { return new(Scanner) }}
+
+// Start readies s for a search over idx that ranks by f, carries payloads x
+// makes and puts what it pops to x, keeping the storage of the search it ran
+// before. The search takes tester over: Release hands its views back. It
+// starts from the states the caller enters.
+func (s *BestFirst[C]) Start(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, x Filter[C], ctr *stats.Counters) {
+	poison.Fill(s.kids, State[C]{Score: poison.Score, SID: poison.SID, Ref: poison.TID})
+	poison.Fill(s.out, core.Result{TID: poison.TID, Score: poison.Score})
+	s.heap.Reset()
+	clear(s.kids)
+	s.kids = s.kids[:0]
+	s.acc.Reset(idx, ctr)
+	s.idx, s.tester, s.stages, s.fanout = idx, tester, signature.Probers(tester), idx.MaxFanout()
+	s.verify, s.f, s.x, s.ctr, s.done = verify, f, x, ctr, false
 }
 
-// newScanner starts a search over idx from its root, taken as qualified: a
-// tester is only assembled for cells that hold at least one tuple.
+// newScanner starts a pooled search over idx from its root, taken as
+// qualified: a tester is only assembled for cells that hold at least one
+// tuple.
 func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, ctr *stats.Counters) *Scanner {
-	if idx.Root() == hindex.InvalidNode {
-		return &Scanner{done: true}
+	s := scanners.Get().(*Scanner)
+	s.Start(idx, tester, verify, f, nil, ctr)
+	if root := idx.Root(); root != hindex.InvalidNode {
+		s.push(State[struct{}]{Score: f.LowerBound(idx.NodeBox(root)), Ref: int32(root)})
 	}
-	s := NewBestFirst[struct{}](idx, tester, verify, f, nil, scanners.Get().(*Candidates[struct{}]), ctr)
-	s.home = &scanners
-	root := idx.Root()
-	s.cheap.push(State[struct{}]{Score: f.LowerBound(idx.NodeBox(root)), Ref: int32(root)})
 	return s
 }
 
-// Release ends the search: a Scanner's storage goes back to its pool, and the
-// views of a tester it assembled to theirs. A released search is exhausted; it
-// reads and holds nothing more.
+// Release ends the search: the views of its tester go back to their pool and,
+// for a Scanner, the search to the scanners pool. A released search is
+// exhausted and reads nothing more; a released Scanner is not to be used
+// again. Releasing twice is releasing once.
 func (s *BestFirst[C]) Release() {
-	if s.home != nil {
-		s.home.Put(s.cheap)
+	if s.ctr == nil {
+		return
 	}
-	signature.Release(s.views)
-	s.cheap, s.home, s.views, s.done = nil, nil, nil, true
+	signature.Release(s.tester)
+	s.idx, s.tester, s.stages, s.verify, s.f, s.x, s.ctr, s.done = nil, nil, nil, nil, nil, nil, nil, true
+	if sc, ok := any(s).(*Scanner); ok {
+		scanners.Put(sc)
+	}
 }
 
 // Scan opens a rank-aware selection over the cube. The scanner is exhausted
@@ -190,9 +208,7 @@ func (c *Cube) Scan(cond core.Cond, f ranking.Func, ctr *stats.Counters) (*Scann
 	if !any {
 		return &Scanner{done: true}, nil
 	}
-	s := newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr)
-	s.views = tester
-	return s, nil
+	return newScanner(c.rt, tester, c.Verifier(cond, ctr), f, ctr), nil
 }
 
 // Hold starts the search with the partition pages an earlier step of the
@@ -203,10 +219,26 @@ func (s *BestFirst[C]) Hold(held []uint64) { s.acc.Hold(held) }
 // search is spent.
 func (s *BestFirst[C]) Held() []uint64 { return s.acc.Held() }
 
+// push adds v to the heap.
+func (s *BestFirst[C]) push(v State[C]) {
+	tie := uint64(1)
+	if v.Tuple {
+		tie = 0
+	}
+	s.heap.Push(heap.Item[queued[C]]{Key: v.Score, Tie: tie, Val: queued[C]{v.SID, v.Ref, v.C, v.kind}})
+}
+
+// pop removes and returns the first state in order. It panics on an empty
+// heap.
+func (s *BestFirst[C]) pop() State[C] {
+	e := s.heap.Pop()
+	return State[C]{Score: e.Key, SID: e.Val.sid, Ref: e.Val.ref, C: e.Val.c, Tuple: e.Tie == 0, kind: e.Val.kind}
+}
+
 // Enter pushes a state the boolean test has not been put to: the tuple or the
 // node ref at sid, scored score, with payload c.
 func (s *BestFirst[C]) Enter(score float64, sid uint64, ref int32, tuple bool, c C) {
-	s.cheap.push(State[C]{Score: score, SID: sid, Ref: ref, C: c, Tuple: tuple, kind: untested})
+	s.push(State[C]{Score: score, SID: sid, Ref: ref, C: c, Tuple: tuple, kind: untested})
 	s.ctr.StatesGenerated++
 }
 
@@ -242,17 +274,17 @@ func (s *BestFirst[C]) Pop() (st State[C], ok bool) {
 	if s.done {
 		return State[C]{}, false
 	}
-	for len(s.cheap.heap) > 0 {
-		s.ctr.ObserveHeap(len(s.cheap.heap))
-		e := s.cheap.pop()
+	for len(s.heap) > 0 {
+		s.ctr.ObserveHeap(len(s.heap))
+		e := s.pop()
 		if math.IsInf(e.Score, 1) {
 			break
 		}
 		s.ctr.StatesExamined++
 		switch {
 		case e.kind == deferred:
-			for _, st := range s.cheap.kids[e.SID : e.SID+uint64(e.Ref)] {
-				s.cheap.push(st)
+			for _, st := range s.kids[e.SID : e.SID+uint64(e.Ref)] {
+				s.push(st)
 			}
 			s.ctr.StatesGenerated += int64(e.Ref)
 		case s.x != nil && !s.x.Pass(e):
@@ -285,39 +317,60 @@ func (s *BestFirst[C]) expand(e State[C]) {
 	deferring := len(s.stages) > 0 && s.x == nil
 	leaf := s.idx.IsLeaf(node)
 	base := e.SID * uint64(s.fanout+1)
-	first := len(s.cheap.kids)
+	first := len(s.kids)
 	best := math.Inf(1)
 	for slot := s.live.NextOne(0); slot >= 0; slot = s.live.NextOne(slot + 1) {
-		st := State[C]{SID: base + uint64(slot+1), Tuple: leaf}
-		if leaf {
-			tid, pt := s.acc.Tuple(node, slot)
-			st.Ref, st.Score = int32(tid), s.f.Eval(pt)
-			if s.x != nil {
-				st.C = s.x.Tuple(pt)
-			}
-		} else {
-			kid, box := s.acc.Child(node, slot)
-			st.Ref, st.Score = int32(kid), s.f.LowerBound(box)
-			if s.x != nil {
-				st.C = s.x.Node(box)
-			}
-		}
+		st := s.entry(node, slot, base+uint64(slot+1), leaf)
 		switch {
 		case deferring:
-			s.cheap.kids = append(s.cheap.kids, st)
+			s.kids = append(s.kids, st)
 			if st.Score < best {
 				best = st.Score
 			}
 		case s.x != nil && !s.x.Pass(st):
 		default:
-			s.cheap.push(st)
+			s.push(st)
 			s.ctr.StatesGenerated++
 		}
 	}
 	if deferring {
-		s.cheap.push(State[C]{Score: best, SID: uint64(first), Ref: int32(survivors), Tuple: leaf, kind: deferred})
+		s.push(State[C]{Score: best, SID: uint64(first), Ref: int32(survivors), Tuple: leaf, kind: deferred})
 		s.ctr.StatesGenerated++
 	}
+}
+
+// entry scores the entry in slot of a node the search has read, whose SID is
+// sid, and has the filter make its payload.
+func (s *BestFirst[C]) entry(node hindex.NodeID, slot int, sid uint64, leaf bool) State[C] {
+	st := State[C]{SID: sid, Tuple: leaf}
+	if leaf {
+		tid, pt := s.acc.Tuple(node, slot)
+		st.Ref, st.Score = int32(tid), s.f.Eval(pt)
+		if s.x != nil {
+			st.C = s.x.Tuple(pt)
+		}
+	} else {
+		kid, box := s.acc.Child(node, slot)
+		st.Ref, st.Score = int32(kid), s.f.LowerBound(box)
+		if s.x != nil {
+			st.C = s.x.Node(box)
+		}
+	}
+	return st
+}
+
+// Resolve returns the entry at sid, a SID other than the root's, as the
+// search scores it: the node or tuple in the last slot of the path, under the
+// parent the rest of the path names, with the payload the filter makes. It
+// charges no read — the caller's chain has read the parent — and puts the
+// entry to neither the filter's Pass nor the tester.
+func (s *BestFirst[C]) Resolve(sid uint64) State[C] {
+	s.path = hindex.PathOf(s.path, sid, s.fanout)
+	parent := s.idx.Root()
+	for _, p := range s.path[:len(s.path)-1] {
+		parent = s.idx.ChildAt(parent, p-1)
+	}
+	return s.entry(parent, s.path[len(s.path)-1]-1, sid, s.idx.IsLeaf(parent))
 }
 
 // qualify leaves in live the children of e's node that pass the boolean test.
@@ -337,7 +390,7 @@ func (s *BestFirst[C]) take(k int) []core.Result {
 	if s.done {
 		return nil
 	}
-	out := s.cheap.out[:0]
+	out := s.out[:0]
 	for len(out) < k {
 		res, ok := s.Next()
 		if !ok {
@@ -345,7 +398,7 @@ func (s *BestFirst[C]) take(k int) []core.Result {
 		}
 		out = append(out, res)
 	}
-	s.cheap.out = out
+	s.out = out
 	if len(out) == 0 {
 		return nil
 	}
@@ -358,8 +411,8 @@ func (s *BestFirst[C]) take(k int) []core.Result {
 // Bound reports a lower bound on the scores of all tuples not yet emitted
 // (+Inf when exhausted). Rank joins use it for their stopping threshold.
 func (s *BestFirst[C]) Bound() float64 {
-	if s.done || len(s.cheap.heap) == 0 {
+	if s.done || len(s.heap) == 0 {
 		return math.Inf(1)
 	}
-	return s.cheap.heap[0].Key
+	return s.heap[0].Key
 }

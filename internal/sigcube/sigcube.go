@@ -241,8 +241,11 @@ func (c *Cube) SizeBytes() int64 { return c.store.Bytes() }
 // otherwise the intersection of atomic cuboid cells. The bool result is
 // false when some required cell is empty — no tuple can match, so the query
 // can return immediately, as it does when a value lies outside its
-// dimension's domain (Cuboid.cell). The views of the tester are on loan:
-// the caller hands them back with signature.Release once its query is over.
+// dimension's domain (Cuboid.cell). The views of the tester are on loan: the
+// search that starts on it (BestFirst.Start) hands them back at its Release,
+// and a caller that starts none, with signature.Release. A tester the caller
+// wraps in one of its own keeps them past its search, and they go to the
+// garbage collector instead.
 func (c *Cube) TesterFor(cond core.Cond, ctr *stats.Counters) (signature.Tester, bool, error) {
 	dims := cond.Dims()
 	if len(dims) == 0 {
@@ -292,12 +295,9 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 	endTester := ctr.StartSpan("tester")
 	tester, any, err := c.TesterFor(cond, ctr)
 	endTester()
-	if err != nil {
+	if err != nil || !any || k <= 0 {
+		signature.Release(tester) // no search takes it over
 		return nil, err
-	}
-	defer signature.Release(tester)
-	if !any || k <= 0 {
-		return nil, nil
 	}
 	defer ctr.StartSpan("search")()
 	return Search(c.rt, tester, c.Verifier(cond, ctr), f, k, ctr), nil
@@ -310,7 +310,8 @@ func (c *Cube) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) 
 // re-checks each tuple the search reaches against the relation before it
 // becomes a result. It is exposed package-level so the baselines can share
 // it: §4.4.1's Ranking baseline is this search with signature.True and a
-// verify that reads the tuple's page.
+// verify that reads the tuple's page. The search hands tester's views back
+// when it ends.
 func Search(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
 	s := newScanner(idx, tester, verify, f, ctr)
 	defer s.Release()

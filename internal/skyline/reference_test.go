@@ -132,7 +132,8 @@ func refRoot(q Query, rt hindex.Index) *heap.Heap[refEntry] {
 // (nil on an exact cube).
 func refRun(e *Engine, q Query, tester signature.Tester, h *heap.Heap[refEntry], sky []Result, snap *refSnapshot, rule bool, verify func(table.TID) bool, ctr *stats.Counters) []Result {
 	rt := e.cube.Tree()
-	acc := hindex.NewAccessor(rt, ctr)
+	var acc hindex.Accessor
+	acc.Reset(rt, ctr)
 	for h.Len() > 0 {
 		ctr.ObserveHeap(h.Len())
 		en := h.Pop()
@@ -524,7 +525,8 @@ func (c refChain) advance(t *testing.T, tally *refTally, what string, q Query,
 func sameHeld(t *testing.T, what string, c refChain) {
 	t.Helper()
 	rt := c.rc.e.cube.Tree()
-	acc := hindex.NewAccessor(rt, stats.New())
+	var acc hindex.Accessor
+	acc.Reset(rt, stats.New())
 	acc.Hold(c.got.held)
 	var walk func(node hindex.NodeID)
 	walk = func(node hindex.NodeID) {

@@ -82,8 +82,9 @@ func (rc refCase) hidden(t *testing.T, what string, q Query, step func(*search, 
 		snap = prev.next(q)
 	}
 	s := rc.e.newSearch(q, tester, nil, snap, ctr)
+	defer s.Release()
 	if step == nil {
-		s.sc.EnterRoot()
+		s.EnterRoot()
 		s.run()
 	} else {
 		step(s, prev)

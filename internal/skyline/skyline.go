@@ -94,10 +94,9 @@ type Result struct {
 // Engine runs skyline queries over a signature ranking-cube.
 type Engine struct {
 	cube *sigcube.Cube
-	// arenas recycles the storage of finished searches — heap, corners, pruned
-	// SIDs and resolve's scratch — so that a query does not grow them from
-	// nothing.
-	arenas sync.Pool
+	// searches recycles finished searches — heap, accessor, corners and
+	// pruned SIDs — so that a query does not grow them from nothing.
+	searches sync.Pool
 }
 
 // NewEngine wraps a built cube.
@@ -127,8 +126,8 @@ type Snapshot struct {
 	// had seen clear is not here, since no tighter predicate can revive it. A
 	// SID names its entry's slot in the partition, which cannot change while
 	// the snapshot is valid, so a drill-down reads the entry's corner and
-	// mindist back from there (search.resolve): 8 bytes an entry, exactly
-	// sized.
+	// mindist back from there (sigcube.BestFirst.Resolve): 8 bytes an entry,
+	// exactly sized.
 	pruned []uint64
 	// held has a bit per page of the partition that the chain has retrieved:
 	// every child of such a node has been classified, so a later step walks
@@ -179,7 +178,7 @@ func (s *Snapshot) admit(r Result, sid uint64) {
 
 // own moves the coordinates of the members from the from-th on, each d wide,
 // into one slab of the snapshot's own: a run admits members whose coordinates
-// are its arena's, which goes back to the pool when the run ends.
+// are its search's, which goes back to the pool when the run ends.
 func (s *Snapshot) own(from, d int) {
 	members := s.skyline[from:]
 	slab := make([]float64, len(members)*d)
@@ -239,7 +238,8 @@ func (e *Engine) SkylineWithTester(q Query, tester signature.Tester, verify func
 	}
 	snap := e.snapshot(q)
 	s := e.newSearch(q, tester, verify, snap, ctr)
-	s.sc.EnterRoot()
+	defer s.Release()
+	s.EnterRoot()
 	s.run()
 	return snap.skyline, snap, nil
 }
@@ -253,7 +253,6 @@ func (e *Engine) Skyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot, err
 	if err != nil {
 		return nil, nil, err
 	}
-	defer signature.Release(tester)
 	if !any {
 		return nil, e.snapshot(q), nil
 	}
@@ -261,8 +260,8 @@ func (e *Engine) Skyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot, err
 }
 
 // testerFor assembles the cube's tester for q's predicate under a span of its
-// own; any is false when the predicate's cell is empty. The caller releases it
-// when its search is over (signature.Release).
+// own; any is false when the predicate's cell is empty. The search that starts
+// on it hands it back when it is released.
 func (e *Engine) testerFor(q Query, ctr *stats.Counters) (tester signature.Tester, any bool, err error) {
 	defer ctr.StartSpan("tester")()
 	return e.cube.TesterFor(q.Cond, ctr)
@@ -306,10 +305,11 @@ func (e *Engine) navigate(prev *Snapshot, q Query, step func(*search, *Snapshot)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer signature.Release(tester)
 	snap := prev.next(q)
 	if any {
-		step(e.newSearch(q, tester, nil, snap, ctr), prev)
+		s := e.newSearch(q, tester, nil, snap, ctr)
+		defer s.Release()
+		step(s, prev)
 	}
 	return snap.skyline, snap, nil
 }
@@ -325,7 +325,7 @@ func (s *search) drillDown(prev *Snapshot) {
 	// pays one random access to the relation for each.
 	for i, r := range prev.skyline {
 		sid := prev.sids[i]
-		if s.verify == nil && s.sc.Test(sid) || s.verify != nil && s.verify(r.TID) {
+		if s.verify == nil && s.Test(sid) || s.verify != nil && s.verify(r.TID) {
 			s.snap.admit(r, sid)
 		}
 	}
@@ -335,8 +335,8 @@ func (s *search) drillDown(prev *Snapshot) {
 	// tightened predicate's signature when they are popped. Each is read back
 	// from the partition by its SID, in the order it was pruned.
 	for _, sid := range prev.pruned {
-		if st := s.resolve(sid); s.Pass(st) {
-			s.sc.Enter(st.Score, sid, st.Ref, st.Tuple, st.C)
+		if st := s.Resolve(sid); s.Pass(st) {
+			s.Enter(st.Score, sid, st.Ref, st.Tuple, st.C)
 		} else {
 			s.corners = s.corners[:st.C]
 		}
@@ -353,7 +353,7 @@ func (s *search) drillDown(prev *Snapshot) {
 func (s *search) rollUp(prev *Snapshot) {
 	s.snap.skyline = append(s.snap.skyline, prev.skyline...)
 	s.snap.sids = append(s.snap.sids, prev.sids...)
-	s.sc.EnterRoot()
+	s.EnterRoot()
 	s.run()
 	s.snap.clean()
 }

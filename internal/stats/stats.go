@@ -97,7 +97,7 @@ type Limits struct {
 
 // Counters accumulates metrics during one query or one build. Its recording
 // helpers are nil-safe, but the governed accessors that charge page reads
-// (pager.Store and Buffer, hindex.NewAccessor) refuse a nil Counters with an
+// (pager.Store and Buffer, hindex.Accessor.Reset) refuse a nil Counters with an
 // errs.ErrInternal abort: a read charged to nobody escapes the budget and
 // every reported count.
 type Counters struct {
