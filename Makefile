@@ -59,16 +59,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The tests of the packages whose queries reuse pooled storage, built with the
-# poison tag (internal/poison): the storage a query takes from a pool — a
+# The tests of the packages whose queries and writes reuse storage, built with
+# the poison tag (internal/poison): the storage a query takes from a pool — a
 # view's runs, leaf index, arena and replay queue, the signature search's
 # record and answer, the skyline search's corners, pruned SIDs and scratch, an
 # index-merge Merger's arenas and tuple table, the grid cube's execution
-# state — is filled with sentinels (NaN scores, SIDs and
-# TIDs out of range, all-ones bit words, garbage leaves) before it is reset, so
-# a reset that forgets a field shows as a wrong answer or count.
+# state — and what a signature write decodes into — the encoder's nodes, Kids
+# slots, arena and replay queue — is filled with sentinels (NaN scores, SIDs
+# and TIDs out of range, all-ones bit words, garbage leaves and nodes) before it
+# is reset, and a freed page's buffer with garbage bytes, so a reset that
+# forgets a field, or a page read past its Free, shows as a wrong answer, count
+# or page.
 poison:
-	$(GO) test -tags poison -count=1 ./internal/heap ./internal/bitvec ./internal/signature ./internal/sigcube ./internal/gridcube ./internal/skyline ./internal/indexmerge .
+	$(GO) test -tags poison -count=1 ./internal/heap ./internal/bitvec ./internal/pager ./internal/signature ./internal/sigcube ./internal/gridcube ./internal/skyline ./internal/indexmerge .
 
 # Seeded, bounded serving-chaos run (internal/chaos) under the race
 # detector: concurrent query storms + online maintenance + scripted
@@ -80,7 +83,7 @@ chaos:
 
 # A few seconds of each native fuzz target over a page decoder — the
 # partial-signature ones (a View's load and its deferred leaf-level decodes,
-# Stored.Decode), the grid cube's compressed cell lists (decodeEntries /
+# Encoder.Decode), the grid cube's compressed cell lists (decodeEntries /
 # decodeBlock) and the node array codec under them all (bitvec.Codec.Decode /
 # DecodeIn / Skip) — on arbitrary page bytes: a typed ErrPageCorrupt or a
 # value, never a raw panic. The seed corpora (internal/signature/testdata/fuzz,

@@ -7,6 +7,7 @@ package bitvec
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"rankcube/internal/errs"
 	"rankcube/internal/poison"
@@ -211,14 +212,45 @@ func (w *Writer) WriteBits(v uint64, width int) {
 	}
 }
 
-// Copy appends the n bits of buf from bit offset off on: an encoding lifted
-// verbatim from the page it was read from.
+// Copy appends the n bits of buf from bit offset off on: encodings lifted
+// verbatim from the page they were read from. When off and the writer's
+// length agree modulo 8, the whole bytes between the first and the last are
+// appended as they are; otherwise the bits move 64 at a time.
 func (w *Writer) Copy(buf []byte, off, n int) {
-	r := Reader{buf: buf, pos: off}
-	for ; n > 56; n -= 56 {
-		w.WriteBits(r.ReadBits(56), 56)
+	w.buf = slices.Grow(w.buf, n/8+9)
+	if off%8 != w.nbit%8 {
+		for ; n > 64; n -= 64 {
+			w.WriteBits(bitsAt(buf, off, 64), 64)
+			off += 64
+		}
+		w.WriteBits(bitsAt(buf, off, n), n)
+		return
 	}
-	w.WriteBits(r.ReadBits(n), n)
+	// Fill the writer's open byte; both sides are then at a byte boundary.
+	head := min(n, (8-w.nbit%8)%8)
+	w.WriteBits(bitsAt(buf, off, head), head)
+	off, n = off+head, n-head
+	whole := n / 8
+	w.buf = append(w.buf, buf[off/8:off/8+whole]...)
+	w.nbit += whole * 8
+	if n %= 8; n > 0 {
+		w.WriteBits(uint64(buf[off/8+whole]), n)
+	}
+}
+
+// bitsAt returns the n ≤ 64 bits of buf from bit offset off on in its low
+// bits; the bits above them may hold what follows in buf.
+func bitsAt(buf []byte, off, n int) uint64 {
+	i, s := off/8, uint(off)%8
+	if i+9 <= len(buf) {
+		return binary.LittleEndian.Uint64(buf[i:])>>s | uint64(buf[i+8])<<(64-s)
+	}
+	r := Reader{buf: buf, pos: off}
+	lo := r.ReadBits(min(n, 32))
+	if n <= 32 {
+		return lo
+	}
+	return lo | r.ReadBits(n-32)<<32
 }
 
 // Len reports the number of bits written.
@@ -235,6 +267,9 @@ type Reader struct {
 
 // NewReader reads from buf starting at bit offset 0.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// Reset has r read buf from bit offset 0, as NewReader(buf) would.
+func (r *Reader) Reset(buf []byte) { r.buf, r.pos = buf, 0 }
 
 // ReadBits consumes width bits (at most 64) and returns them as an integer
 // (LSB-first). The buffer is a stored page: running off its end means the

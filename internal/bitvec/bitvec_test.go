@@ -566,3 +566,34 @@ func TestDecodeInMatchesDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyMatchesFieldLoop: Copy appends what reading the source a bit at a
+// time and writing each bit does, for every pair of source and destination
+// offsets modulo 8 — the byte path where they agree, the word path where they
+// do not — and every length from 0 to 300 bits, out of a source that ends
+// where the copied bits do.
+func TestCopyMatchesFieldLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for src := 0; src < 8; src++ {
+		for dst := 0; dst < 8; dst++ {
+			for n := 0; n <= 300; n++ {
+				off := 8*rng.Intn(3) + src
+				buf := make([]byte, (off+n+7)/8)
+				rng.Read(buf)
+				var got, want Writer
+				head := uint64(rng.Intn(1 << dst))
+				got.WriteBits(head, dst)
+				want.WriteBits(head, dst)
+				got.Copy(buf, off, n)
+				r := Reader{buf: buf, pos: off}
+				for i := 0; i < n; i++ {
+					want.WriteBits(r.ReadBits(1), 1)
+				}
+				if got.Len() != want.Len() || string(got.Bytes()) != string(want.Bytes()) {
+					t.Fatalf("source bit %d, destination bit %d, %d bits: Copy wrote %x (%d bits), the loop %x (%d bits)",
+						off, dst, n, got.Bytes(), got.Len(), want.Bytes(), want.Len())
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package gridcube
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"rankcube/internal/errs"
 	"rankcube/internal/table"
@@ -18,9 +19,9 @@ import (
 // ranked query) at the price of decode work; the ext.idlist experiment
 // quantifies the trade-off.
 
-// encodeEntries delta-encodes a cell's entry list.
-func encodeEntries(entries []Entry) []byte {
-	buf := make([]byte, 0, len(entries)*3)
+// appendEntries appends the delta encoding of a cell's entry list to buf.
+func appendEntries(buf []byte, entries []Entry) []byte {
+	buf = slices.Grow(buf, len(entries)*3)
 	var tmp [binary.MaxVarintLen64]byte
 	prevTID := int64(0)
 	for _, e := range entries {
@@ -33,7 +34,7 @@ func encodeEntries(entries []Entry) []byte {
 	return buf
 }
 
-// decodeEntries reverses encodeEntries into dst (reused when capacity
+// decodeEntries reverses appendEntries into dst (reused when capacity
 // allows). Bytes that do not hold n entries abort the query with a typed
 // errs.ErrPageCorrupt.
 func decodeEntries(buf []byte, n int, dst []Entry) []Entry {

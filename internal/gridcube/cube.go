@@ -305,6 +305,7 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 		cb.data = make([]Entry, n)
 	}
 	var scratch []Entry
+	var payload []byte // Append copies it into the page
 	for i := 0; i < n; {
 		j := i
 		for j < n && rows[j].key == rows[i].key {
@@ -319,7 +320,7 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 			for k := i; k < j; k++ {
 				scratch = append(scratch, rows[k].e)
 			}
-			payload := encodeEntries(scratch)
+			payload = appendEntries(payload[:0], scratch)
 			ref.bytes, ref.pages = int32(len(payload)), []pager.PageID{cb.store.Append(payload)}
 		} else {
 			ref.pages = growRun(cb.store, nil, int(ref.bytes))

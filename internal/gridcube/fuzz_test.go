@@ -33,7 +33,7 @@ func corruptOr(t *testing.T, decode func()) (err error) {
 // reproduces decodeEntries' partition of the cell.
 func FuzzDecodeEntries(f *testing.F) {
 	cell := []Entry{{TID: 3, BID: 40}, {TID: 9, BID: 41}, {TID: 10, BID: 40}, {TID: 700, BID: 52}, {TID: 1 << 20, BID: 41}}
-	enc := encodeEntries(cell)
+	enc := appendEntries(nil, cell)
 	f.Add(enc, len(cell))
 	f.Add(enc, len(cell)+1)            // one entry more than the bytes hold
 	f.Add(enc[:len(enc)-1], len(cell)) // last varint truncated

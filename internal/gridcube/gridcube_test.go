@@ -323,7 +323,7 @@ func TestEncodeDecodeEntriesRoundtrip(t *testing.T) {
 			tid += int32(rng.Intn(1000))
 			entries[i] = Entry{TID: table.TID(tid), BID: BID(rng.Intn(1 << 20))}
 		}
-		got := decodeEntries(encodeEntries(entries), n, nil)
+		got := decodeEntries(appendEntries(nil, entries), n, nil)
 		if len(got) != n {
 			t.Fatalf("decoded %d entries, want %d", len(got), n)
 		}

@@ -41,6 +41,7 @@ import (
 
 	"rankcube/internal/errs"
 	"rankcube/internal/obs"
+	"rankcube/internal/poison"
 	"rankcube/internal/stats"
 )
 
@@ -104,9 +105,10 @@ type Store struct {
 	// sums holds the crc32c checksum of each payload page (0 for
 	// payload-free logical pages, which have nothing to verify).
 	sums []uint32
-	// free lists the ids released by Free, which Append hands out again
-	// before growing the tables. A freed page has size freedSize.
-	free     []PageID
+	// free lists the pages released by Free with the buffers they held, which
+	// Append hands out again before growing the tables. A freed page has size
+	// freedSize and no payload.
+	free     []freedPage
 	injector FaultInjector
 
 	// state is the quarantine lifecycle position; atomic because every
@@ -199,40 +201,72 @@ func (s *Store) PageSize() int { return s.pageSize }
 // block until Append reuses its id.
 const freedSize = -1
 
-// Append writes data as a new page and returns its id, reusing a freed id
-// when there is one. Payloads larger than the page size are permitted; they
-// count as multiple blocks on read (ceil(len/pageSize)), modelling
-// multi-page overflow records.
+// freedPage is a page released by Free and the buffer its payload was in.
+type freedPage struct {
+	id  PageID
+	buf []byte
+}
+
+// Append writes a copy of data as a new page and returns its id; the caller
+// keeps data and may write into it again. A freed id is reused when there is
+// one, and so is a freed page's buffer: the smallest that data fits in, unless
+// data would leave more than a third of it unused. Without one, data gets a
+// buffer of its own and the smallest freed one is let go, so the buffers
+// neither go to waste on small pages nor pile up. Payloads larger than the
+// page size are permitted; they count as multiple blocks on read
+// (ceil(len/pageSize)), modelling multi-page overflow records.
 func (s *Store) Append(data []byte) PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sum := crc32.Checksum(data, crcTable)
 	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
+		fit, small := -1, n-1
+		for i, f := range s.free {
+			c := cap(f.buf)
+			if c >= len(data) && 2*c <= 3*len(data) && (fit < 0 || c < cap(s.free[fit].buf)) {
+				fit = i
+			}
+			if c < cap(s.free[small].buf) {
+				small = i
+			}
+		}
+		pick := small
+		if fit >= 0 {
+			pick = fit
+		}
+		s.free[pick].buf, s.free[n-1].buf = s.free[n-1].buf, s.free[pick].buf
+		f := s.free[n-1]
 		s.free = s.free[:n-1]
-		s.pages[id], s.sizes[id], s.sums[id] = data, len(data), sum
-		return id
+		if fit < 0 {
+			f.buf = nil
+		}
+		s.pages[f.id], s.sizes[f.id], s.sums[f.id] = append(f.buf[:0], data...), len(data), sum
+		return f.id
 	}
 	id := PageID(len(s.pages))
-	s.pages = append(s.pages, data)
+	s.pages = append(s.pages, append([]byte(nil), data...))
 	s.sizes = append(s.sizes, len(data))
 	s.sums = append(s.sums, sum)
 	return id
 }
 
 // Free releases page id: its payload and checksum are dropped, it stops
-// counting towards Bytes and Blocks, and a later Append reuses the id. The
-// owner must hold no reference to the page any more — maintenance frees a
-// cell's old pages once the rewritten cell is installed, under the exclusive
-// guard that keeps queries out.
+// counting towards Bytes and Blocks, and a later Append reuses the id and the
+// buffer the payload was in. So nothing may hold the payload past Free — a
+// payload Read returned is that buffer, not a copy: maintenance frees a cell's
+// old pages once the rewritten cell is installed and its decoded tree, which
+// points into them, is done with, under the exclusive guard that keeps queries
+// out. Under the poison tag the buffer is overwritten with poison.Byte, so a
+// reference kept past Free reads garbage.
 func (s *Store) Free(id PageID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sizes[id] == freedSize {
 		return
 	}
+	poison.Fill(s.pages[id], poison.Byte)
+	s.free = append(s.free, freedPage{id, s.pages[id]})
 	s.pages[id], s.sizes[id], s.sums[id] = nil, freedSize, 0
-	s.free = append(s.free, id)
 }
 
 // AppendLogical records a page holding size logical bytes without storing a
@@ -266,6 +300,7 @@ func (s *Store) Reset() {
 	s.pages = s.pages[:0]
 	s.sizes = s.sizes[:0]
 	s.sums = s.sums[:0]
+	clear(s.free)
 	s.free = s.free[:0]
 }
 

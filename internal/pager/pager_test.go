@@ -1,10 +1,12 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"rankcube/internal/errs"
+	"rankcube/internal/poison"
 	"rankcube/internal/stats"
 )
 
@@ -185,5 +187,38 @@ func TestResetClearsFreeList(t *testing.T) {
 	}
 	if s.NumPages() != 1 || s.Bytes() != 1 {
 		t.Fatalf("after Reset+Append: NumPages=%d Bytes=%d", s.NumPages(), s.Bytes())
+	}
+}
+
+// TestAppendCopiesAndReusesFreedBuffers: Append keeps a copy of the payload,
+// so the caller may write its buffer again. A freed page's buffer takes the
+// next payload that fits there and fills at least two thirds of it; a payload
+// too long, or too short, gets a buffer of its own. Under the poison tag a
+// payload read before Free holds poison.Byte after it.
+func TestAppendCopiesAndReusesFreedBuffers(t *testing.T) {
+	s := NewStore(stats.StructSignature, 64)
+	buf := []byte("first payload")
+	a := s.Append(buf)
+	copy(buf, "XXXXX")
+	old := s.Read(a, stats.New())
+	if string(old) != "first payload" {
+		t.Fatalf("the page reads %q after the caller wrote its buffer", old)
+	}
+	held := func(id PageID) bool { return &s.Read(id, stats.New())[0] == &old[0] }
+	s.Free(a)
+	if poison.On && !bytes.Equal(old, bytes.Repeat([]byte{poison.Byte}, len(old))) {
+		t.Fatalf("a freed page's buffer holds %x, want poison", old)
+	}
+	if b := s.Append([]byte("second payload")); b != a || !held(b) {
+		t.Fatalf("Append returned page %d, want the freed %d in the buffer it held", b, a)
+	}
+	for _, payload := range [][]byte{[]byte("short"), bytes.Repeat([]byte("y"), 200)} {
+		s.Free(a)
+		if b := s.Append(payload); !bytes.Equal(s.Read(b, stats.New()), payload) || held(b) {
+			t.Fatalf("a %d-byte payload reads %q, in the freed buffer: %v", len(payload), s.Read(b, stats.New()), held(b))
+		}
+	}
+	if bad := s.VerifyPages(); len(bad) != 0 || s.Bytes() != 200 || s.Blocks() != 4 {
+		t.Fatalf("VerifyPages %v, Bytes %d, Blocks %d", bad, s.Bytes(), s.Blocks())
 	}
 }

@@ -2,13 +2,18 @@ package sigcube
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"rankcube/internal/core"
+	"rankcube/internal/errs"
 	"rankcube/internal/pager"
+	"rankcube/internal/ranking"
 	"rankcube/internal/rtree"
 	"rankcube/internal/signature"
 	"rankcube/internal/stats"
@@ -81,7 +86,7 @@ func livePaths(c *Cube) map[table.TID][]int {
 	return out
 }
 
-// wantAll has signature.Stored.Decode decode every node.
+// wantAll has signature.Encoder.Decode decode every node.
 func wantAll(uint64) bool { return true }
 
 // pagesOf returns a cell's partial pages by SID.
@@ -162,7 +167,7 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 				model[cb] = make(map[uint64]*signature.Node)
 				for key, stored := range cb.cells {
 					// A copy carries no encoding.
-					model[cb][key] = stored.Decode(cube.enc.Codec(), cube.store, stats.New(), wantAll).Clone()
+					model[cb][key] = cube.enc.Decode(stored, stats.New(), wantAll).Clone()
 					maxPartials = max(maxPartials, stored.NumPartials())
 				}
 			}
@@ -179,7 +184,7 @@ func TestMaintainedCellsAreByteIdentical(t *testing.T) {
 				got := pagesOf(cb.cells[key], cube.store)
 				samePages(t, what+" against the model's whole-cell encode", got, pagesOf(enc.Encode(model[cb][key]), scratch))
 
-				decoded := cb.cells[key].Decode(cube.enc.Codec(), cube.store, stats.New(), wantAll)
+				decoded := cube.enc.Decode(cb.cells[key], stats.New(), wantAll)
 				samePages(t, what+" against its own tree coded afresh", got, pagesOf(enc.Encode(decoded.Clone()), scratch))
 
 				if !tuples {
@@ -302,5 +307,105 @@ func TestWriteLayoutRepeats(t *testing.T) {
 				t.Fatalf("run %d: page %d differs from the first run's", run, id)
 			}
 		}
+	}
+}
+
+// TestPooledWriteAfterAbort: a write that aborts part way through its rewrite
+// — at each partial read it makes in turn — and the repair after it leave
+// nothing stale in the encoder's storage or in the store's freed buffers for
+// the writes that follow: every cell those touch is stored byte for byte as
+// the model's whole-cell encode, and top-k queries answer as a scan of the
+// relation does.
+func TestPooledWriteAfterAbort(t *testing.T) {
+	const card = 4
+	tb := table.Generate(table.GenSpec{T: 250, S: 2, R: 2, Card: card, SelZipf: 1.2, Seed: 91})
+	cfg := Config{PageSize: 40, RTree: rtree.Config{Fanout: 6}, Cuboids: [][]int{{0}, {1}, {0, 1}}}
+	cube := Build(tb, cfg)
+	rng := rand.New(rand.NewSource(98))
+	zipf := rand.NewZipf(rng, 1.2, 1, card-1)
+	insert := func(sel []int32, ctr *stats.Counters) {
+		cube.Insert(sel, []float64{rng.Float64(), rng.Float64()}, ctr)
+	}
+
+	// The aborted write always goes to the largest cells, which span the most
+	// partials; it aborts at read at, counted from 0, and reports whether it
+	// got that far.
+	abortAt := func(at int) (aborted bool) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		reads := 0
+		cube.store.SetFaultInjector(&pager.ScriptedFaults{OnRead: func(pager.PageID, int) {
+			if reads == at {
+				cancel()
+			}
+			reads++
+		}})
+		defer cube.store.SetFaultInjector(nil)
+		defer func() {
+			if r := recover(); r != nil {
+				err, ok := errs.IsAbort(r)
+				if !ok || !errors.Is(err, errs.ErrCanceled) {
+					t.Fatalf("abort at read %d: %v, want ErrCanceled", at, r)
+				}
+				aborted = true
+			}
+		}()
+		insert([]int32{0, 0}, stats.Governed(ctx, stats.Limits{}, nil))
+		return false
+	}
+
+	aborts := 0
+	for at := 0; abortAt(at); at++ {
+		aborts++
+		if !cube.store.Quarantined() {
+			t.Fatalf("abort at read %d left the store in service", at)
+		}
+		// Repair, as the serving layer runs it.
+		cube.RebuildStore()
+		cube.store.EnterHalfOpen()
+		cube.store.CloseCircuit()
+
+		model := make(cellModel)
+		for _, cb := range cube.order {
+			model[cb] = make(map[uint64]*signature.Node)
+			for key, stored := range cb.cells {
+				model[cb][key] = cube.enc.Decode(stored, stats.New(), wantAll).Clone()
+			}
+		}
+		for op := 0; op < 12; op++ {
+			before := livePaths(cube)
+			if op%2 == 0 {
+				insert([]int32{int32(zipf.Uint64()), int32(zipf.Uint64())}, stats.New())
+			} else {
+				live := make([]table.TID, 0, len(before))
+				for tid := range before {
+					live = append(live, tid)
+				}
+				sort.Slice(live, func(a, b int) bool { return live[a] < live[b] })
+				cube.Delete(live[rng.Intn(len(live))], stats.New())
+			}
+			touched, _ := model.apply(cube, before)
+			for cb, keys := range touched {
+				for _, key := range keys {
+					scratch := pager.NewStore(stats.StructSignature, cfg.PageSize)
+					enc := signature.NewEncoder(cube.rt.MaxFanout(), cube.rt.Height(), scratch)
+					samePages(t, fmt.Sprintf("after the abort at read %d, write %d, cuboid %v cell %d", at, op, cb.dims, key),
+						pagesOf(cb.cells[key], cube.store), pagesOf(enc.Encode(model[cb][key]), scratch))
+				}
+			}
+		}
+		f := ranking.Linear([]int{0, 1}, []float64{rng.Float64(), rng.Float64()})
+		for _, cond := range []core.Cond{{0: 0}, {1: 1}, {0: 0, 1: 0}, {0: 1, 1: 2}} {
+			got, err := cube.TopK(cond, f, 10, stats.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteTopK(tb, cond, f, 10, cube.Alive); !slices.Equal(got, want) {
+				t.Fatalf("after the abort at read %d: cond %v answers %v, the scan %v", at, cond, got, want)
+			}
+		}
+	}
+	if aborts < 8 {
+		t.Fatalf("the write aborted at %d reads: too few to reach several partials of each cell", aborts)
 	}
 }

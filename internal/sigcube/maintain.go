@@ -128,7 +128,7 @@ func (c *Cube) rewriteCell(cb *Cuboid, us []pathUpdate, ctr *stats.Counters) {
 			}
 		}
 		slices.Sort(parents)
-		sig = stored.Decode(c.enc.Codec(), c.store, ctr, func(sid uint64) bool {
+		sig = c.enc.Decode(stored, ctr, func(sid uint64) bool {
 			_, ok := slices.BinarySearch(parents, sid)
 			return ok
 		})

@@ -2,6 +2,8 @@ package sigcube
 
 import (
 	"errors"
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -100,4 +102,90 @@ func governedTopK(c *Cube, cond core.Cond, f ranking.Func, k int, ctr *stats.Cou
 		}
 	}()
 	return c.TopK(cond, f, k, ctr)
+}
+
+// TestReusedSearchRecordsLikeFresh: a BestFirst started again keeps its
+// storage but not its record of deferred survivors. Over a run of queries
+// through one search, the record after each is as long as a fresh search's
+// for the same query.
+func TestReusedSearchRecordsLikeFresh(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 20000, S: 3, R: 2, Card: 5, Seed: 95})
+	cube := Build(tb, Config{RTree: rtree.Config{Fanout: 16}, Cuboids: [][]int{{0}, {1}, {2}}})
+	// run starts s on one query from the root, pulls k answers and returns the
+	// length of its record.
+	run := func(s *BestFirst[int32], cond core.Cond, f ranking.Func, k int) int {
+		ctr := stats.New()
+		tester, any, err := cube.TesterFor(cond, ctr)
+		if err != nil || !any {
+			t.Fatalf("cond %v: tester err %v, any %v", cond, err, any)
+		}
+		s.Start(cube.rt, tester, cube.Verifier(cond, ctr), f, nil, ctr)
+		defer s.Release()
+		root := cube.rt.Root()
+		s.push(State[int32]{Score: f.LowerBound(cube.rt.NodeBox(root)), Ref: int32(root)})
+		for i := 0; i < k; i++ {
+			if _, ok := s.Next(); !ok {
+				break
+			}
+		}
+		return len(s.kids)
+	}
+	rng := rand.New(rand.NewSource(96))
+	var reused BestFirst[int32]
+	deferred := 0
+	for q := 0; q < 60; q++ {
+		cond := core.Cond{rng.Intn(3): int32(rng.Intn(5))}
+		f := ranking.Linear([]int{0, 1}, []float64{rng.Float64(), rng.Float64()})
+		k := 1 + rng.Intn(50)
+		got, want := run(&reused, cond, f, k), run(new(BestFirst[int32]), cond, f, k)
+		if got != want {
+			t.Fatalf("query %d: the reused search records %d survivors, a fresh one %d", q, got, want)
+		}
+		deferred += want
+	}
+	if deferred == 0 {
+		t.Fatal("no query deferred a survivor: the record is never used")
+	}
+}
+
+// TestSignatureWriteAllocs pins what a warm insert and a warm delete allocate
+// on a Zipf-skewed cube, and bounds the bytes: the decoded cells, their Kids
+// and bits, the replay queue and the partial pages come out of the encoder's
+// storage and the freed pages' buffers. What is left is the write's own
+// bookkeeping — the path and update slices, the SID lists of the cells it
+// decodes and frees — the Stored of each rewritten cell with its partials,
+// and now and then a page no freed buffer suits: about 1.9 KB a write. An
+// encoder that took no storage back would allocate hundreds of kilobytes a
+// write.
+func TestSignatureWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled state at random")
+	}
+	tb := table.Generate(table.GenSpec{T: 20000, S: 3, R: 2, Card: 10, SelZipf: 1.1, Seed: 97})
+	cube := Build(tb, Config{RTree: rtree.Config{Fanout: 16}})
+	sel, rank := []int32{0, 0, 1}, []float64{0.4, 0.6}
+	ctr := stats.New()
+	write := func() {
+		tid := cube.Insert(sel, rank, ctr)
+		if !cube.Delete(tid, ctr) {
+			t.Fatal("the tuple just inserted is not there to delete")
+		}
+	}
+	for i := 0; i < 5; i++ {
+		write()
+	}
+	if ctr.Reads(stats.StructSignature) == 0 {
+		t.Fatal("the writes decoded no partial")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 200
+	got := testing.AllocsPerRun(runs, write)
+	runtime.ReadMemStats(&after)
+	if want := 124.0; got != want {
+		t.Fatalf("an insert and a delete allocate %v times, want %v", got, want)
+	}
+	if perWrite := (after.TotalAlloc - before.TotalAlloc) / (2 * (runs + 1)); perWrite > 4096 {
+		t.Fatalf("a write allocates %d bytes, want at most 4096", perWrite)
+	}
 }

@@ -182,16 +182,19 @@ func (c *Cube) Ctl() *guard.RW { return c.ctl }
 // RebuildStore materializes the signature store from the cube's maintained
 // state: Build's last step (lines 4–6 of Alg. 1) and the quarantine repair
 // path after page corruption. The store is reset in place (its identity,
-// fault-injection attachments, and lifecycle state survive), a fresh encoder
-// replaces the old one (whose partial-page layout referenced the discarded
-// pages), and every cuboid's cells are generated from the tuple paths
+// fault-injection attachments, and lifecycle state survive), the encoder
+// carries over, with the storage it decodes into, at the partition's current
+// height, and every cuboid's cells are generated from the tuple paths
 // incremental maintenance keeps current, so inserts and deletes applied since
 // Build are reflected. The caller must hold the cube's control exclusively.
 // It returns the number of pages the rebuild materialized.
 func (c *Cube) RebuildStore() int {
 	c.store.Reset()
-	c.enc = signature.NewEncoder(c.rt.MaxFanout(), c.rt.Height(), c.store)
-	c.enc.SetBaselineOnly(c.cfg.BaselineCoding)
+	if c.enc == nil {
+		c.enc = signature.NewEncoder(c.rt.MaxFanout(), c.rt.Height(), c.store)
+		c.enc.SetBaselineOnly(c.cfg.BaselineCoding)
+	}
+	c.enc.SetHeight(c.rt.Height())
 
 	// The live tuples' paths, unpacked once for every cuboid.
 	paths := make([][]int, len(c.paths))

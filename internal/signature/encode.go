@@ -3,7 +3,6 @@ package signature
 import (
 	"encoding/binary"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -54,7 +53,10 @@ type replay struct {
 	inner []*bitvec.Bits
 }
 
-// Encoder writes cell signatures into a shared page store.
+// Encoder writes cell signatures into a shared page store, and decodes them
+// back for maintenance to rewrite. It keeps its working storage from use to
+// use and is not safe for concurrent use: a cube has one, and writes to it
+// hold the cube exclusively.
 type Encoder struct {
 	codec  *bitvec.Codec
 	store  *pager.Store
@@ -65,10 +67,17 @@ type Encoder struct {
 	// baselineOnly disables adaptive node compression (the "Baseline"
 	// series of fig. 4.10).
 	baselineOnly bool
-	// w and queue are one partial's scratch, reused from partial to partial;
-	// the queue, which points into the tree, is let go at the end of a cell.
+	// w and queue are one partial's scratch, reused from partial to partial
+	// and from cell to cell; the queue is cleared after each partial, as it
+	// points into the tree.
 	w     bitvec.Writer
 	queue []bfsItem
+	// The storage of the tree Decode returned last, taken back by the next
+	// Decode: its nodes, their Kids slots, their bits and the replay queue.
+	nodes []Node
+	kids  []*Node
+	arena bitvec.Arena
+	items []replayItem
 }
 
 // SetBaselineOnly toggles baseline-only node coding.
@@ -117,7 +126,6 @@ func (e *Encoder) Encode(sig *Node) *Stored {
 	st := &Stored{height: e.height, fanout: e.fanout, refs: make(map[uint64]*partial)}
 	if sig != nil {
 		e.partial(st, nil, sig)
-		e.queue = nil
 	}
 	return st
 }
@@ -140,53 +148,67 @@ func (e *Encoder) partial(st *Stored, path []int, root *Node) {
 	count := 0
 	queue := append(e.queue[:0], bfsItem{n: root})
 	cut := -1
+	// The stored encodings of consecutive clean nodes that lie end to end on
+	// one page are copied as one run: size bits from bit off of page.
+	var page []byte
+	off, size := 0, 0
 	for qi := 0; qi < len(queue); qi++ {
-		item := queue[qi]
-		if item.n.coded != st {
-			if count > 0 && w.Len()-countPos > e.targetBits {
+		n := queue[qi].n
+		if n.coded != st {
+			if count > 0 && w.Len()+size-countPos > e.targetBits {
 				// Cut: everything from here on belongs to descendant
 				// partials.
 				cut = qi
 				break
 			}
 			switch {
-			case item.n.page != nil:
-				w.Copy(item.n.page, item.n.off, item.n.size)
-			case e.baselineOnly:
-				e.codec.EncodeBaseline(w, item.n.Bits)
+			case n.page != nil && size > 0 && &n.page[0] == &page[0] && n.off == off+size:
+				size += n.size
+			case n.page != nil:
+				w.Copy(page, off, size)
+				page, off, size = n.page, n.off, n.size
 			default:
-				e.codec.Encode(w, item.n.Bits)
+				w.Copy(page, off, size)
+				size = 0
+				if e.baselineOnly {
+					e.codec.EncodeBaseline(w, n.Bits)
+				} else {
+					e.codec.Encode(w, n.Bits)
+				}
 			}
-			item.n.coded = st
+			n.coded = st
 			count++
 		}
-		for i, kid := range item.n.Kids {
+		for i, kid := range n.Kids {
 			if kid == nil {
 				continue
 			}
-			top := item.top
+			top := queue[qi].top
 			if qi == 0 {
 				top = i + 1
 			}
 			queue = append(queue, bfsItem{top, kid})
 		}
 	}
+	w.Copy(page, off, size)
 	binary.LittleEndian.PutUint32(w.Bytes()[countPos/8:], uint32(count))
-	st.refs[hindex.SID(path, e.fanout)] = &partial{page: e.store.Append(append([]byte(nil), w.Bytes()...))}
-	e.queue = queue[:0]
-	if cut < 0 {
-		return
-	}
+	st.refs[hindex.SID(path, e.fanout)] = &partial{page: e.store.Append(w.Bytes())}
 	// Recurse into the children of this partial's root that still hold
 	// uncoded nodes, in slot order (§4.2.3). Every uncoded node whose parent
 	// is coded is on the queue past the cut, so those are the slots; they are
-	// noted before the recursion takes the queue over.
-	pending := make([]bool, len(root.Kids)+1)
-	for _, item := range queue[cut:] {
-		if item.n.coded != st {
-			pending[item.top] = true
+	// noted before the queue, which points into the tree, is cleared for the
+	// recursion and the next cell.
+	var pending []bool
+	if cut >= 0 {
+		pending = make([]bool, len(root.Kids)+1)
+		for _, item := range queue[cut:] {
+			if item.n.coded != st {
+				pending[item.top] = true
+			}
 		}
 	}
+	clear(queue)
+	e.queue = queue[:0]
 	for p := 1; p < len(pending); p++ {
 		if pending[p] {
 			e.partial(st, append(path[:len(path):len(path)], p), root.Kids[p-1])
@@ -221,7 +243,7 @@ func (s *Stored) sids() []uint64 {
 	for sid := range s.refs {
 		sids = append(sids, sid)
 	}
-	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
+	slices.Sort(sids)
 	return sids
 }
 
@@ -551,14 +573,18 @@ func (v *View) replayPartial(sid uint64, data []byte, up int32) *replay {
 // bear out, a decoded node that does not decode) is corrupt. A malformed node
 // stepped over is copied as it is, to be found when a query or a later write
 // first reaches it.
-func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Counters, want func(sid uint64) bool) *Node {
+//
+// The tree is built in the encoder's storage and lives until its next Decode,
+// which takes that storage back; it points into the pages it was read from,
+// which must not be freed before it is done with. Set, Clear and Encode may
+// change it in between: a slot added to a node moves its Kids and bits out of
+// the shared storage rather than overwrite a neighbour's.
+func (e *Encoder) Decode(s *Stored, ctr *stats.Counters, want func(sid uint64) bool) *Node {
+	e.take()
 	var (
 		root    *Node
-		arena   bitvec.Arena
-		queue   []replayItem // internal nodes whose children are still to visit
 		page    []byte
-		r       *bitvec.Reader
-		slab    []Node
+		r       bitvec.Reader
 		decoded int
 	)
 	leaf, base := leafDepth(s.height), uint64(s.fanout+1)
@@ -566,28 +592,28 @@ func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 	visit := func(at **Node, sid uint64, depth int) {
 		n := *at
 		if n == nil {
-			slab = append(slab, Node{page: page, off: r.Pos()})
-			n = &slab[len(slab)-1]
+			n = &carve(&e.nodes, 1)[0]
+			n.page, n.off = page, r.Pos()
 			switch {
 			case depth < leaf:
-				n.Bits = codec.DecodeIn(r, &arena)
-				n.Kids = make([]*Node, n.Bits.Len())
+				n.Bits = e.codec.DecodeIn(&r, &e.arena)
+				n.Kids = carve(&e.kids, n.Bits.Len())
 			case want(sid):
-				n.Bits = codec.DecodeIn(r, &arena)
+				n.Bits = e.codec.DecodeIn(&r, &e.arena)
 			default:
-				codec.Skip(r)
+				e.codec.Skip(&r)
 			}
 			n.size = r.Pos() - n.off
 			*at = n
 			decoded++
 		}
 		if depth < leaf {
-			queue = append(queue, replayItem{sid, depth, n})
+			e.items = append(e.items, replayItem{sid, depth, n})
 		}
 	}
 	for _, sid := range s.sids() {
-		page = store.Read(s.refs[sid].page, ctr)
-		r = bitvec.NewReader(page)
+		page = e.store.Read(s.refs[sid].page, ctr)
+		r.Reset(page)
 		depth, headed, at := int(r.ReadBits(8)), uint64(0), &root
 		for i := 0; i < depth; i++ {
 			p, n := int(r.ReadBits(16)), *at
@@ -600,15 +626,12 @@ func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 			errs.Abortf(errs.ErrPageCorrupt, "signature: partial %d is headed as partial %d", sid, headed)
 		}
 		count := int(r.ReadBits(32))
-		// The count is an on-page field: cap the slab by what the page could
-		// possibly encode (a node takes at least its header, so it never grows).
-		slab = make([]Node, 0, min(count, r.Remaining()/codec.HeaderBits()))
-		decoded, queue = 0, queue[:0]
+		decoded, e.items = 0, e.items[:0]
 		if count > 0 {
 			visit(at, sid, depth)
 		}
-		for qi := 0; qi < len(queue) && decoded < count; qi++ {
-			p := queue[qi]
+		for qi := 0; qi < len(e.items) && decoded < count; qi++ {
+			p := e.items[qi]
 			for i := p.n.Bits.NextOne(0); i >= 0 && decoded < count; i = p.n.Bits.NextOne(i + 1) {
 				visit(&p.n.Kids[i], p.sid*base+uint64(i+1), p.depth+1)
 			}
@@ -619,4 +642,34 @@ func (s *Stored) Decode(codec *bitvec.Codec, store *pager.Store, ctr *stats.Coun
 		}
 	}
 	return root
+}
+
+// garbageNode is what poisoned decode storage holds for a node and where a
+// nil child is expected.
+var garbageNode = Node{Bits: garbage, off: poison.TID, size: poison.TID}
+
+// take empties the decode storage for a new tree, keeping its slabs: the tree
+// Decode returned last is gone.
+func (e *Encoder) take() {
+	poison.Fill(e.nodes, garbageNode)
+	poison.Fill(e.kids, &garbageNode)
+	poison.Fill(e.items, replayItem{sid: poison.SID, depth: poison.TID, n: &garbageNode})
+	e.nodes, e.kids, e.items = e.nodes[:0], e.kids[:0], e.items[:0]
+	e.arena.Reset()
+}
+
+// carve hands out n zeroed elements of *slab, capped so that an append to them
+// moves them out rather than overwrite what follows. Elements once handed out
+// stay where they are: a slab short of room is left to them and replaced by
+// one twice as large, which the slab keeps from then on.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if s == nil || len(s)+n > cap(s) {
+		s = make([]T, 0, max(2*cap(s), n, 64))
+	}
+	lo := len(s)
+	s = s[:lo+n]
+	clear(s[lo:])
+	*slab = s
+	return s[lo : lo+n : lo+n]
 }

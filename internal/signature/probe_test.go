@@ -306,7 +306,7 @@ func fuzzStored(pages map[uint64]pager.PageID) *Stored {
 // FuzzViewDecode feeds arbitrary bytes to the partial-signature decoders as a
 // stored page (Append checksums whatever it is given, so the CRC does not
 // stand in the way): as the root partial, and as a child partial under a
-// well-formed root. View.Test, View.Probe and Stored.Decode must each return
+// well-formed root. View.Test, View.Probe and Encoder.Decode must each return
 // a value or abort with a typed ErrPageCorrupt — never a raw panic, and never
 // run or allocate past what the page's own length allows — and when the lazy
 // decoder and the maintenance decoder both take the bytes, they hold the same
@@ -342,7 +342,9 @@ func FuzzViewDecode(f *testing.F) {
 					v.Probe([]int{1, 2}, &live)
 					viewed = viewTuples(v, nil)
 				},
-				func() { decoded = stored.Decode(codec, store, stats.New(), wantAll).Tuples(fuzzHeight) },
+				func() {
+					decoded = NewEncoder(fuzzFanout, fuzzHeight, store).Decode(stored, stats.New(), wantAll).Tuples(fuzzHeight)
+				},
 			}
 			accepted, viewErr := 0, error(nil)
 			for i, run := range runs {
@@ -386,12 +388,12 @@ func oddSIDs(sid uint64) bool { return sid%2 == 1 }
 // go is copied as it is, so bytes a full Decode rejects make reencode abort
 // too, at the latest in the last step. Any abort but ErrPageCorrupt fails t.
 func reencode(t *testing.T, stored *Stored, store *pager.Store, want func(uint64) bool) (map[uint64][]byte, error) {
-	codec := bitvec.NewCodec(fuzzFanout)
 	scratch := pager.NewStore(stats.StructSignature, 256)
 	var pages map[uint64][]byte
 	err := corruptAbort(func() {
-		out := NewEncoder(fuzzFanout, fuzzHeight, scratch).Encode(stored.Decode(codec, store, stats.New(), want))
-		out.Decode(codec, scratch, stats.New(), wantAll)
+		enc := NewEncoder(fuzzFanout, fuzzHeight, scratch)
+		out := enc.Encode(NewEncoder(fuzzFanout, fuzzHeight, store).Decode(stored, stats.New(), want))
+		enc.Decode(out, stats.New(), wantAll)
 		pages = make(map[uint64][]byte)
 		for sid, page := range out.Partials() {
 			pages[sid] = scratch.Read(page, stats.New())
@@ -466,7 +468,6 @@ func fuzzSeeds() (seeds [][]byte, rootOnly []byte) {
 // the fuzzer mutates its way out of the valid format rather than into it.
 func TestFuzzSeedsAreWellFormed(t *testing.T) {
 	seeds, rootOnly := fuzzSeeds()
-	codec := bitvec.NewCodec(fuzzFanout)
 	for i, seed := range seeds {
 		store := pager.NewStore(stats.StructSignature, 256)
 		refs := map[uint64]pager.PageID{0: store.Append(seed)}
@@ -475,7 +476,9 @@ func TestFuzzSeedsAreWellFormed(t *testing.T) {
 		}
 		stored := fuzzStored(refs)
 		var tuples int
-		if err := corruptAbort(func() { tuples = len(stored.Decode(codec, store, stats.New(), wantAll).Tuples(fuzzHeight)) }); err != nil {
+		if err := corruptAbort(func() {
+			tuples = len(NewEncoder(fuzzFanout, fuzzHeight, store).Decode(stored, stats.New(), wantAll).Tuples(fuzzHeight))
+		}); err != nil {
 			t.Fatalf("seed %d does not decode: %v", i, err)
 		}
 		if tuples != fuzzFanout+2 {

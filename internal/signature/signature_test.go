@@ -192,8 +192,8 @@ func encodeFixture(t *testing.T, n int, pick func(table.TID) bool, pageSize int)
 }
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	rt, sig, stored, enc, store := encodeFixture(t, 600, func(tid table.TID) bool { return tid%2 == 0 }, 4096)
-	got := stored.Decode(enc.Codec(), store, stats.New(), wantAll)
+	rt, sig, stored, enc, _ := encodeFixture(t, 600, func(tid table.TID) bool { return tid%2 == 0 }, 4096)
+	got := enc.Decode(stored, stats.New(), wantAll)
 	wantPaths := sig.Tuples(rt.Height())
 	gotPaths := got.Tuples(rt.Height())
 	if len(wantPaths) != len(gotPaths) {

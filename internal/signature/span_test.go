@@ -28,7 +28,7 @@ func samePartials(t *testing.T, what string, got *Stored, gotStore *pager.Store,
 	}
 }
 
-// wantAll has Stored.Decode decode every node.
+// wantAll has Encoder.Decode decode every node.
 func wantAll(uint64) bool { return true }
 
 // countSpans reports how many nodes of the tree still carry a stored
@@ -78,7 +78,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 			samePartials(t, what, enc.Encode(tree), store, want, scratch)
 		}
 
-		tree := stored.Decode(enc.Codec(), store, stats.New(), wantAll)
+		tree := enc.Decode(stored, stats.New(), wantAll)
 		if spans, nodes := countSpans(tree); spans != nodes {
 			t.Fatalf("decoded tree: %d of %d nodes carry their encoding", spans, nodes)
 		}
@@ -86,7 +86,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(5))
 		for round := 0; round < 40; round++ {
-			tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
+			tree = enc.Decode(stored, stats.New(), wantAll)
 			for i := 0; i < 1+rng.Intn(4); i++ {
 				p := rt.TuplePath(table.TID(rng.Intn(900)))
 				if rng.Intn(2) == 0 {
@@ -104,7 +104,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 
 		// Clearing every tuple under a node cascades: the subtree goes, its
 		// parent's bit with it, and the parent has to be coded again.
-		tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
+		tree = enc.Decode(stored, stats.New(), wantAll)
 		var leafPaths [][]int
 		for _, p := range tree.Tuples(rt.Height()) {
 			if p[0] == 1 && p[1] == 1 {
@@ -120,7 +120,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 		check("after a cascading clear", tree)
 
 		// Widening alone changes the encoding (the length field).
-		tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
+		tree = enc.Decode(stored, stats.New(), wantAll)
 		leaf := tree.Kids[tree.Bits.NextOne(0)]
 		for leaf.Kids != nil {
 			leaf = leaf.Kids[leaf.Bits.NextOne(0)]
@@ -132,7 +132,7 @@ func TestEncodeCopiesOnlyWhatDidNotChange(t *testing.T) {
 		check("after grow", tree)
 
 		// A clone is new bits: none of its nodes may carry a span.
-		tree = stored.Decode(enc.Codec(), store, stats.New(), wantAll)
+		tree = enc.Decode(stored, stats.New(), wantAll)
 		if got, _ := countSpans(tree.Clone()); got != 0 {
 			t.Fatalf("clone: %d nodes carry an encoding they did not earn", got)
 		}

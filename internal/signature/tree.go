@@ -20,7 +20,7 @@ import (
 // (nil entries under 0 bits) and nil at the leaf level, where bits mark
 // tuple slots.
 //
-// A node that Stored.Decode read off a page also remembers where its
+// A node that Encoder.Decode read off a page also remembers where its
 // encoding sits there, so that the encoder of the same store can copy it in
 // place of coding the bits again. Only Decode records that, and whatever
 // changes the node's bits or width (Set, Clear and its cascade, grow) drops

@@ -37,12 +37,12 @@ func allNodes(sig *Node) []sigNode {
 }
 
 // TestViewResolvesEveryNodeLikeDecode: a view resolves every node of a cell
-// decomposed into many partials to the bits Stored.Decode gives its SID, and
+// decomposed into many partials to the bits Encoder.Decode gives its SID, and
 // every absent child to nothing, whichever path first reaches a partial — so
 // whatever order the partials load in — reading each partial once.
 func TestViewResolvesEveryNodeLikeDecode(t *testing.T) {
 	rt, _, stored, enc, store := encodeFixture(t, 3000, func(tid table.TID) bool { return tid%5 != 0 }, 64)
-	decoded := stored.Decode(enc.Codec(), store, stats.New(), wantAll)
+	decoded := enc.Decode(stored, stats.New(), wantAll)
 	nodes := allNodes(decoded)
 	if stored.NumPartials() < 10 {
 		t.Fatalf("%d partials: the fixture should decompose into many", stored.NumPartials())
