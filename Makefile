@@ -62,16 +62,17 @@ race:
 # The tests of the packages whose queries and writes reuse storage, built with
 # the poison tag (internal/poison): the storage a query takes from a pool — a
 # view's runs, leaf index, arena and replay queue, the signature search's
-# record and answer, the skyline search's corners, pruned SIDs and scratch, an
-# index-merge Merger's arenas and tuple table, the grid cube's execution
-# state — and what a signature write decodes into — the encoder's nodes, Kids
-# slots, arena and replay queue — is filled with sentinels (NaN scores, SIDs
-# and TIDs out of range, all-ones bit words, garbage leaves and nodes) before it
-# is reset, and a freed page's buffer with garbage bytes, so a reset that
+# record, answer and bound (ranking.Bound's covered positions and program),
+# the skyline search's corners, pruned SIDs and scratch, an index-merge
+# Merger's arenas and tuple table, the grid cube's execution state — and what
+# a signature write decodes into — the encoder's nodes, Kids slots, arena and
+# replay queue — is filled with sentinels (NaN scores, SIDs, TIDs and
+# positions out of range, all-ones bit words, garbage leaves and nodes) before
+# it is reset, and a freed page's buffer with garbage bytes, so a reset that
 # forgets a field, or a page read past its Free, shows as a wrong answer, count
 # or page.
 poison:
-	$(GO) test -tags poison -count=1 ./internal/heap ./internal/bitvec ./internal/pager ./internal/signature ./internal/sigcube ./internal/gridcube ./internal/skyline ./internal/indexmerge .
+	$(GO) test -tags poison -count=1 ./internal/heap ./internal/bitvec ./internal/pager ./internal/ranking ./internal/signature ./internal/sigcube ./internal/gridcube ./internal/skyline ./internal/indexmerge .
 
 # Seeded, bounded serving-chaos run (internal/chaos) under the race
 # detector: concurrent query storms + online maintenance + scripted
@@ -86,13 +87,17 @@ chaos:
 # Encoder.Decode), the grid cube's compressed cell lists (decodeEntries /
 # decodeBlock) and the node array codec under them all (bitvec.Codec.Decode /
 # DecodeIn / Skip) — on arbitrary page bytes: a typed ErrPageCorrupt or a
-# value, never a raw panic. The seed corpora (internal/signature/testdata/fuzz,
-# f.Add in the other two targets) run with the ordinary tests as well.
+# value, never a raw panic. Then the bound kernel (ranking.Bound): over a
+# function of each family drawn from the seed and an entry holding the fuzzed
+# coordinate, the bound scores bit for bit as LowerBound and Eval. The seed
+# corpora (internal/signature/testdata/fuzz, f.Add in the other targets) run
+# with the ordinary tests as well.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzViewDecode$$' -fuzztime $(FUZZTIME) ./internal/signature
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntries$$' -fuzztime $(FUZZTIME) ./internal/gridcube
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundKernel$$' -fuzztime $(FUZZTIME) ./internal/ranking
 
 # The benchmark is a nested module (benchmark/go.mod), so ./... above does
 # not descend into it and an internal change that stops it compiling would

@@ -297,6 +297,60 @@ func TestGammaRoundtrip(t *testing.T) {
 	}
 }
 
+// TestGammaOneLoadMatchesFieldReads: readGamma reads what ReadUnary and
+// ReadBits read and leaves the reader where they do — or aborts with the same
+// ErrPageCorrupt — for a code at every bit offset of a 16-byte page, so in its
+// last 8 bytes too, where the one load no longer fits; for prefixes of 27 bits
+// (the longest one load takes), 28, 29 and 31, with payloads of all zeros and
+// all ones; and for a prefix the page ends inside and one 32 ones long.
+func TestGammaOneLoadMatchesFieldReads(t *testing.T) {
+	c := NewCodec(16)
+	fieldReads := func(r *Reader) int {
+		l := r.ReadUnary(31)
+		return int(uint64(1)<<uint(l)|r.ReadBits(l)) - 1
+	}
+	read := func(buf []byte, at int, gamma func(*Reader) int) (v, pos int, err error) {
+		r := NewReader(buf)
+		r.Seek(at)
+		err = abortOf(func() { v = gamma(r) })
+		return v, r.Pos(), err
+	}
+	same := func(name string, buf []byte, at int) {
+		t.Helper()
+		v, pos, err := read(buf, at, c.readGamma)
+		wv, wpos, werr := read(buf, at, fieldReads)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || err == nil && (v != wv || pos != wpos) {
+			t.Fatalf("%s at bit %d: read %d to bit %d (%v), field reads %d to bit %d (%v)", name, at, v, pos, err, wv, wpos, werr)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	const page = 16
+	for _, v := range []int{0, 1, 6, 300, 1<<27 - 1, 1<<28 - 2, 1<<28 - 1, 1<<29 - 2, 1<<30 - 2, 1<<31 - 1} {
+		for at := 0; at+gammaBits(v) <= 8*page; at++ {
+			var w Writer
+			w.WriteBits(rng.Uint64(), at%64)
+			for w.Len() < at {
+				w.WriteBits(rng.Uint64(), min(64, at-w.Len()))
+			}
+			c.writeGamma(&w, v)
+			for w.Len() < 8*page {
+				w.WriteBits(rng.Uint64(), min(64, 8*page-w.Len()))
+			}
+			same(fmt.Sprintf("value %d", v), w.Bytes(), at)
+			if got, _, _ := read(w.Bytes(), at, c.readGamma); got != v {
+				t.Fatalf("value %d at bit %d read as %d", v, at, got)
+			}
+		}
+	}
+	ones := make([]byte, page)
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	for at := 0; at < 8*page; at++ {
+		same("a page of ones", ones, at) // 32 ones, or the page's end, first
+	}
+}
+
 func TestNextOneSetAllNot(t *testing.T) {
 	var b Bits
 	for _, n := range []int{0, 1, 63, 64, 65, 130, 200} {

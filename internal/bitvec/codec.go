@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -355,8 +356,19 @@ func (c *Codec) writeGamma(w *Writer, i int) {
 }
 
 // readGamma reads one run value. The unary prefix is capped at 31 bits — no
-// node has 2^31 slots — so corrupt bytes cannot overflow the value.
+// node has 2^31 slots — so corrupt bytes cannot overflow the value. Where the
+// eight bytes at the reader hold the whole code — a prefix of at most 27 bits
+// — it takes prefix and payload from one load; anything else, a code at the
+// page's end or a corrupt one included, goes through ReadUnary and ReadBits,
+// which abort as they always have.
 func (c *Codec) readGamma(r *Reader) int {
+	if i := r.pos / 8; i+8 <= len(r.buf) {
+		w := binary.LittleEndian.Uint64(r.buf[i:]) >> (uint(r.pos) % 8)
+		if l := bits.TrailingZeros64(^w); l <= 27 {
+			r.pos += 2*l + 1
+			return int(1<<uint(l)|w>>uint(l+1)&(1<<uint(l)-1)) - 1
+		}
+	}
 	l := r.ReadUnary(31)
 	return int(uint64(1)<<uint(l)|r.ReadBits(l)) - 1
 }

@@ -21,7 +21,7 @@ func buildTree(t *testing.T, n int, cfg Config) (*table.Table, *Tree) {
 // invariants along the way.
 func collect(t *testing.T, tr *Tree, id hindex.NodeID, box ranking.Box, out map[table.TID]bool) {
 	t.Helper()
-	nb := tr.NodeBox(id)
+	nb := tr.NodeBox(id, tr.Domain().Clone())
 	for d := range nb.Lo {
 		if nb.Lo[d] < box.Lo[d]-1e-12 || nb.Hi[d] > box.Hi[d]+1e-12 {
 			t.Fatalf("node %d box %v..%v escapes parent %v..%v", id, nb.Lo, nb.Hi, box.Lo, box.Hi)
@@ -50,7 +50,7 @@ func TestBuildInvariants(t *testing.T) {
 		t.Fatal("no root")
 	}
 	seen := make(map[table.TID]bool)
-	collect(t, tr, tr.Root(), tr.NodeBox(tr.Root()), seen)
+	collect(t, tr, tr.Root(), tr.NodeBox(tr.Root(), tr.Domain().Clone()), seen)
 	if len(seen) != tb.Len() {
 		t.Fatalf("collected %d tids, want %d", len(seen), tb.Len())
 	}
@@ -128,7 +128,7 @@ func TestChildBoxesCoverSubtrees(t *testing.T) {
 			return
 		}
 		for _, ch := range tr.Children(id) {
-			sub := tr.NodeBox(ch.ID)
+			sub := tr.NodeBox(ch.ID, tr.Domain().Clone())
 			if sub.Lo[0] < ch.Box.Lo[0]-1e-12 || sub.Hi[0] > ch.Box.Hi[0]+1e-12 {
 				t.Fatalf("child box %v..%v does not cover subtree %v..%v",
 					ch.Box.Lo, ch.Box.Hi, sub.Lo, sub.Hi)

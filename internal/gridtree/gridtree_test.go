@@ -25,7 +25,7 @@ func TestBuildCoversAllTuples(t *testing.T) {
 	seen := map[table.TID]bool{}
 	var walk func(id hindex.NodeID, box ranking.Box)
 	walk = func(id hindex.NodeID, box ranking.Box) {
-		nb := tr.NodeBox(id)
+		nb := tr.NodeBox(id, tr.Domain().Clone())
 		for d := 0; d < 2; d++ {
 			if nb.Lo[d] < box.Lo[d]-1e-9 || nb.Hi[d] > box.Hi[d]+1e-9 {
 				t.Fatalf("node %d escapes parent box", id)
@@ -49,7 +49,7 @@ func TestBuildCoversAllTuples(t *testing.T) {
 			walk(ch.ID, ch.Box)
 		}
 	}
-	walk(tr.Root(), tr.NodeBox(tr.Root()))
+	walk(tr.Root(), tr.NodeBox(tr.Root(), tr.Domain().Clone()))
 	if len(seen) != tb.Len() {
 		t.Fatalf("covered %d tuples, want %d", len(seen), tb.Len())
 	}

@@ -168,7 +168,7 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 				walk(ch.ID, append(slices.Clone(path), slot+1), ch.Box)
 			}
 		}
-		walk(idx.Root(), []int{}, idx.NodeBox(idx.Root()))
+		walk(idx.Root(), []int{}, idx.NodeBox(idx.Root(), idx.Domain().Clone()))
 		if seen != tuples {
 			t.Fatalf("%s: %d tuples under the root, want %d", name, seen, tuples)
 		}

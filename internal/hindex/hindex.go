@@ -40,7 +40,10 @@ type LeafEntry struct {
 }
 
 // Index is a hierarchical, block-resident index over a subset of the ranking
-// dimensions.
+// dimensions. An entry is stored over the covered dimensions only (Rect); the
+// signature search scores it there, and widens it to the full width (EntryBox,
+// EntryPoint) only for a filter's payload or a function ranking.Bound does not
+// take. Index-merge scores full-width joint boxes.
 type Index interface {
 	// Dims lists the ranking-dimension positions the index covers, ascending.
 	Dims() []int
@@ -62,18 +65,27 @@ type Index interface {
 	// ChildAt returns the child node in the given 0-based slot of internal
 	// node id, without materializing the full entry list.
 	ChildAt(id NodeID, slot int) NodeID
+	// TupleAt is ChildAt for the tuple in a slot of leaf node id.
+	TupleAt(id NodeID, slot int) table.TID
+	// Rect returns the bounds of the entry in the given slot of node id over
+	// the covered dimensions (Dims, in that order) as views of the index's
+	// storage — a leaf entry's point as both — valid until the node next
+	// changes. A search scores entries on them (ranking.Bound), where
+	// EntryBox and EntryPoint widen them first.
+	Rect(id NodeID, slot int) (lo, hi []float64)
 	// LeafEntries returns the tuples of leaf node id in slot order.
 	LeafEntries(id NodeID) []LeafEntry
 	// EntryBox writes the full-width bounding box of the entry in the given
 	// 0-based slot of internal node id into box, whose Lo and Hi the caller
 	// sized to the relation's ranking width, and returns the child node. It
-	// allocates nothing: a search scores a node's entries through one box.
+	// allocates nothing: a search widens a node's entries into one box.
 	EntryBox(id NodeID, slot int, box ranking.Box) NodeID
 	// EntryPoint is EntryBox for the tuple in the given slot of leaf node id:
 	// it writes the full-width point into pt and returns the tuple.
 	EntryPoint(id NodeID, slot int, pt []float64) table.TID
-	// NodeBox returns the full-width bounding box of node id.
-	NodeBox(id NodeID) ranking.Box
+	// NodeBox writes the full-width bounding box of node id into box, sized
+	// like EntryBox's, and returns it.
+	NodeBox(id NodeID, box ranking.Box) ranking.Box
 	// Page returns the storage page holding node id, for I/O accounting.
 	Page(id NodeID) pager.PageID
 	// Store returns the backing page store.
@@ -162,10 +174,14 @@ func (a *Accessor) Visit(id NodeID) int {
 
 // Child returns the child node and bounding box in one slot of a visited
 // internal node. The box is the accessor's scratch, overwritten by the next
-// Child call.
+// Child or NodeBox call.
 func (a *Accessor) Child(id NodeID, slot int) (NodeID, ranking.Box) {
 	return a.Idx.EntryBox(id, slot, a.box), a.box
 }
+
+// NodeBox returns node id's bounding box in the accessor's scratch,
+// overwritten by the next NodeBox or Child call.
+func (a *Accessor) NodeBox(id NodeID) ranking.Box { return a.Idx.NodeBox(id, a.box) }
 
 // Tuple returns the tuple and point in one slot of a visited leaf. The point
 // is the accessor's scratch, overwritten by the next Tuple call.

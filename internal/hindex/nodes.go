@@ -91,7 +91,7 @@ func (s *Nodes) NumChildren(id NodeID) int {
 // ChildAt implements Index.
 func (s *Nodes) ChildAt(id NodeID, slot int) NodeID { return s.nodes[id].kids[slot] }
 
-// TupleAt is ChildAt for the tuple in a slot of leaf node id.
+// TupleAt implements Index.
 func (s *Nodes) TupleAt(id NodeID, slot int) table.TID { return s.nodes[id].tids[slot] }
 
 // Page implements Index.
@@ -165,8 +165,9 @@ func (s *Nodes) LeafEntries(id NodeID) []LeafEntry {
 
 // NodeBox implements Index: the union of node id's entries, the domain in
 // uncovered dimensions and for a node without entries.
-func (s *Nodes) NodeBox(id NodeID) ranking.Box {
-	box := s.domain.Clone()
+func (s *Nodes) NodeBox(id NodeID, box ranking.Box) ranking.Box {
+	copy(box.Lo, s.domain.Lo)
+	copy(box.Hi, s.domain.Hi)
 	for slot, n := 0, s.NumChildren(id); slot < n; slot++ {
 		lo, hi := s.Rect(id, slot)
 		for j, dim := range s.dims {
@@ -319,9 +320,8 @@ func (s *Nodes) AppendTuple(id NodeID, tid table.TID, pt []float64) {
 	s.leafOf[tid] = id
 }
 
-// Rect returns the covered-dimension bounds of one entry of node id as views
-// of its storage — a leaf entry's point as both — which stay valid, and
-// writable, until the node's entries are next appended to, removed or dealt.
+// Rect implements Index. The views stay valid, and writable, until the
+// node's entries are next appended to, removed or dealt.
 func (s *Nodes) Rect(id NodeID, slot int) (lo, hi []float64) {
 	nd, d := &s.nodes[id], len(s.dims)
 	if nd.leaf {

@@ -95,7 +95,7 @@ func dumpShape(t *testing.T, s shapeHash, idx shapedTree, byRank bool) {
 
 	s.ints(name(idx.Root()), idx.Height(), idx.MaxFanout(), idx.NumNodes())
 	if root := idx.Root(); root != hindex.InvalidNode {
-		nb := idx.NodeBox(root)
+		nb := idx.NodeBox(root, idx.Domain().Clone())
 		s.floats(nb.Lo)
 		s.floats(nb.Hi)
 	}

@@ -183,17 +183,17 @@ func (m *Merger) newState() (int32, []hindex.NodeID, []float64) {
 	return int32(st), m.nodes[at:], m.boxes[box:]
 }
 
-// pushRoot pushes the joint root (I1.root, …, Im.root).
+// pushRoot pushes the joint root (I1.root, …, Im.root): the first root's box
+// goes straight into the state's, and each other one through the scratch box.
 func (m *Merger) pushRoot() {
 	st, nodes, box := m.newState()
 	leaf := true
 	for i, idx := range m.indices {
 		nodes[i] = idx.Root()
-		nb := idx.NodeBox(idx.Root())
 		if i == 0 {
-			copy(box, nb.Lo)
-			copy(box[m.r:], nb.Hi)
+			idx.NodeBox(idx.Root(), ranking.NewBox(box[:m.r:m.r], box[m.r:2*m.r:2*m.r]))
 		} else {
+			nb := idx.NodeBox(idx.Root(), ranking.NewBox(m.box[:m.r:m.r], m.box[m.r:2*m.r:2*m.r]))
 			m.intersect(box, nb.Lo, nb.Hi)
 		}
 		leaf = leaf && idx.IsLeaf(idx.Root())

@@ -113,12 +113,12 @@ func (m *refMerger) heapSize() int {
 // rootState builds the joint root (I1.root, …, Im.root).
 func (m *refMerger) rootState() *refState {
 	nodes := make([]hindex.NodeID, len(m.indices))
-	box := m.indices[0].NodeBox(m.indices[0].Root())
+	box := m.indices[0].NodeBox(m.indices[0].Root(), m.indices[0].Domain().Clone())
 	leaf := true
 	for i, idx := range m.indices {
 		nodes[i] = idx.Root()
 		if i > 0 {
-			box = refComposeBox(box, idx.NodeBox(idx.Root()))
+			box = refComposeBox(box, idx.NodeBox(idx.Root(), idx.Domain().Clone()))
 		}
 		if !idx.IsLeaf(idx.Root()) {
 			leaf = false

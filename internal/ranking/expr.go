@@ -192,8 +192,9 @@ func (p *program) eval(x []float64) float64 {
 	return st[0]
 }
 
-// bound computes a sound enclosure of the expression's range over box.
-func (p *program) bound(box Box) Interval {
+// bound computes a sound lower bound of the expression over the box lo..hi:
+// the low end of its interval enclosure.
+func (p *program) bound(lo, hi []float64) float64 {
 	var buf [stackCap]Interval
 	st := buf[:]
 	if p.depth > stackCap {
@@ -203,7 +204,7 @@ func (p *program) bound(box Box) Interval {
 	for _, o := range p.ops {
 		switch o.code {
 		case 'v':
-			st[sp] = box.Dim(int(o.v))
+			st[sp] = Interval{lo[o.v], hi[o.v]}
 			sp++
 		case 'c':
 			st[sp] = Point(o.c)
@@ -225,5 +226,5 @@ func (p *program) bound(box Box) Interval {
 			st[sp-1] = st[sp-1].Neg()
 		}
 	}
-	return st[0]
+	return st[0].Lo
 }

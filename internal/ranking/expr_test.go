@@ -46,7 +46,7 @@ func treeEval(e Expr, x []float64) float64 {
 func treeBound(e Expr, box Box) Interval {
 	switch t := e.(type) {
 	case Var:
-		return box.Dim(int(t))
+		return Interval{box.Lo[t], box.Hi[t]}
 	case Const:
 		return Point(float64(t))
 	case binary:

@@ -106,23 +106,30 @@ func Sum(attrs ...int) *LinearFunc {
 }
 
 // Eval implements Func.
-func (f *LinearFunc) Eval(x []float64) float64 {
+func (f *LinearFunc) Eval(x []float64) float64 { return f.eval(x, f.attrs) }
+
+// eval scores the point whose i-th referenced attribute is x[at[i]]: Eval
+// with at the attributes themselves, a Bound with their covered positions.
+func (f *LinearFunc) eval(x []float64, at []int) float64 {
 	s := f.bias
-	for i, a := range f.attrs {
+	for i, a := range at {
 		s += f.weights[i] * x[a]
 	}
 	return s
 }
 
 // LowerBound implements Func with the exact box minimum.
-func (f *LinearFunc) LowerBound(box Box) float64 {
+func (f *LinearFunc) LowerBound(box Box) float64 { return f.bound(box.Lo, box.Hi, f.attrs) }
+
+// bound is eval's twin over the rect lo..hi.
+func (f *LinearFunc) bound(lo, hi []float64, at []int) float64 {
 	s := f.bias
-	for i, a := range f.attrs {
+	for i, a := range at {
 		w := f.weights[i]
 		if w >= 0 {
-			s += w * box.Lo[a]
+			s += w * lo[a]
 		} else {
-			s += w * box.Hi[a]
+			s += w * hi[a]
 		}
 	}
 	return s
@@ -221,9 +228,12 @@ func newDist(attrs []int, target []float64, l1 bool) *DistFunc {
 }
 
 // Eval implements Func.
-func (f *DistFunc) Eval(x []float64) float64 {
+func (f *DistFunc) Eval(x []float64) float64 { return f.eval(x, f.attrs) }
+
+// eval is LinearFunc.eval for a distance.
+func (f *DistFunc) eval(x []float64, at []int) float64 {
 	var s float64
-	for i, a := range f.attrs {
+	for i, a := range at {
 		d := x[a] - f.target[i]
 		if f.l1 {
 			s += math.Abs(d)
@@ -236,15 +246,18 @@ func (f *DistFunc) Eval(x []float64) float64 {
 
 // LowerBound implements Func with the exact box minimum (per-dimension clamp
 // of the target into the box).
-func (f *DistFunc) LowerBound(box Box) float64 {
+func (f *DistFunc) LowerBound(box Box) float64 { return f.bound(box.Lo, box.Hi, f.attrs) }
+
+// bound is LinearFunc.bound for a distance.
+func (f *DistFunc) bound(lo, hi []float64, at []int) float64 {
 	var s float64
-	for i, a := range f.attrs {
+	for i, a := range at {
 		t := f.target[i]
 		var d float64
-		if t < box.Lo[a] {
-			d = box.Lo[a] - t
-		} else if t > box.Hi[a] {
-			d = t - box.Hi[a]
+		if t < lo[a] {
+			d = lo[a] - t
+		} else if t > hi[a] {
+			d = t - hi[a]
 		}
 		if f.l1 {
 			s += d
@@ -344,7 +357,7 @@ func General(expr Expr) *ExprFunc {
 func (f *ExprFunc) Eval(x []float64) float64 { return f.prog.eval(x) }
 
 // LowerBound implements Func.
-func (f *ExprFunc) LowerBound(box Box) float64 { return f.prog.bound(box).Lo }
+func (f *ExprFunc) LowerBound(box Box) float64 { return f.prog.bound(box.Lo, box.Hi) }
 
 // Attrs implements Func.
 func (f *ExprFunc) Attrs() []int { return f.attrs }

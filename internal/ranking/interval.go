@@ -88,9 +88,6 @@ func UnitBox(r int) Box {
 // Dims reports the dimensionality of the box.
 func (b Box) Dims() int { return len(b.Lo) }
 
-// Dim returns the interval of dimension i.
-func (b Box) Dim(i int) Interval { return Interval{b.Lo[i], b.Hi[i]} }
-
 // Contains reports whether point x (full-width vector) lies inside the box.
 func (b Box) Contains(x []float64) bool {
 	for i := range b.Lo {

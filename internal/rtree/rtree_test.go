@@ -232,7 +232,7 @@ func TestNodeBoxContainsPoints(t *testing.T) {
 	tr := Bulk(tb, []int{0, 2}, ranking.UnitBox(3), Config{Fanout: 12})
 	var walk func(id hindex.NodeID)
 	walk = func(id hindex.NodeID) {
-		box := tr.NodeBox(id)
+		box := tr.NodeBox(id, tr.Domain().Clone())
 		if tr.IsLeaf(id) {
 			for _, e := range tr.LeafEntries(id) {
 				for _, dim := range tr.Dims() {
@@ -253,7 +253,7 @@ func TestNodeBoxContainsPoints(t *testing.T) {
 func TestUncoveredDimsSpanDomain(t *testing.T) {
 	tb := genTable(500, 28)
 	tr := Bulk(tb, []int{1}, ranking.UnitBox(3), Config{Fanout: 8})
-	box := tr.NodeBox(tr.Root())
+	box := tr.NodeBox(tr.Root(), tr.Domain().Clone())
 	if box.Lo[0] != 0 || box.Hi[0] != 1 || box.Lo[2] != 0 || box.Hi[2] != 1 {
 		t.Fatalf("uncovered dims don't span domain: %v..%v", box.Lo, box.Hi)
 	}

@@ -17,9 +17,11 @@ import (
 
 // TestSignatureQueryAllocs pins what a warmed-up signature top-k allocates,
 // on one materialized cell and on a conjunction of two atomic cells assembled
-// online: the view handles (one per cell, and the conjunction), the scanner,
-// its accessor and the answer. The loaded runs, the leaf index, the leaf
-// decodes, the candidates and the collected answer come from pools.
+// online: the view handles (one per cell, and the conjunction), the
+// condition's dimensions and the cuboid's key (Cond.Dims, Cube.Cuboid), the
+// tester's stages and the answer. The loaded runs, the leaf index, the leaf
+// decodes, the scanner with its accessor, candidates, bound and collected
+// answer, and the root's box come from pools.
 func TestSignatureQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled state at random")
@@ -32,8 +34,8 @@ func TestSignatureQueryAllocs(t *testing.T) {
 		cond core.Cond
 		want float64
 	}{
-		{"one cell", core.Cond{0: 1, 2: 3}, 8},
-		{"conjunction", core.Cond{0: 1, 1: 3}, 18},
+		{"one cell", core.Cond{0: 1, 2: 3}, 6},
+		{"conjunction", core.Cond{0: 1, 1: 3}, 16},
 	} {
 		ctr := stats.New()
 		if res, err := cube.TopK(tc.cond, f, 10, ctr); err != nil || len(res) != 10 {
@@ -122,7 +124,7 @@ func TestReusedSearchRecordsLikeFresh(t *testing.T) {
 		s.Start(cube.rt, tester, cube.Verifier(cond, ctr), f, nil, ctr)
 		defer s.Release()
 		root := cube.rt.Root()
-		s.push(State[int32]{Score: f.LowerBound(cube.rt.NodeBox(root)), Ref: int32(root)})
+		s.push(State[int32]{Score: f.LowerBound(cube.rt.NodeBox(root, cube.rt.Domain().Clone())), Ref: int32(root)})
 		for i := 0; i < k; i++ {
 			if _, ok := s.Next(); !ok {
 				break

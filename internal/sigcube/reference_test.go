@@ -68,7 +68,7 @@ func newRefScanner(idx hindex.Index, tester signature.Tester, verify func(table.
 	s := &refScanner{idx: idx, tester: tester, verify: verify, f: f, ctr: ctr, cheap: heap.New[refEntry](lessRefEntry), rule: rule}
 	if idx.Root() != hindex.InvalidNode {
 		s.acc.Reset(idx, ctr)
-		s.cheap.Push(refEntry{score: f.LowerBound(idx.NodeBox(idx.Root())), node: idx.Root()})
+		s.cheap.Push(refEntry{score: f.LowerBound(idx.NodeBox(idx.Root(), idx.Domain().Clone())), node: idx.Root()})
 	}
 	return s
 }

@@ -48,7 +48,7 @@ import (
 // all first.
 //
 // A search owns what it runs on from Start to Release: its candidate heap and
-// record, its accessor and the tester it starts with. Release hands the
+// record, its accessor, its function's bound and the tester it starts with. Release hands the
 // tester's views back to their pool and, for a Scanner, the search to the
 // scanners pool — at the end of every top-k query, rank join and governed
 // scan, aborts included; the skyline's search is part of a pooled value of
@@ -77,6 +77,9 @@ type BestFirst[C any] struct {
 	// tuples the search actually reaches.
 	verify func(table.TID) bool
 	f      ranking.Func
+	// bound is f bound to the index's covered dimensions: it scores an entry
+	// where the index stores it when it is Direct.
+	bound ranking.Bound
 	// x is the caller's filter; nil on a Scanner.
 	x Filter[C]
 	// ctr is nil before Start and after Release.
@@ -166,6 +169,7 @@ func (s *BestFirst[C]) Start(idx hindex.Index, tester signature.Tester, verify f
 	clear(s.kids)
 	s.kids = s.kids[:0]
 	s.acc.Reset(idx, ctr)
+	s.bound.Bind(f, idx.Dims())
 	s.idx, s.tester, s.stages, s.fanout = idx, tester, signature.Probers(tester), idx.MaxFanout()
 	s.verify, s.f, s.x, s.ctr, s.done = verify, f, x, ctr, false
 }
@@ -177,7 +181,7 @@ func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID
 	s := scanners.Get().(*Scanner)
 	s.Start(idx, tester, verify, f, nil, ctr)
 	if root := idx.Root(); root != hindex.InvalidNode {
-		s.push(State[struct{}]{Score: f.LowerBound(idx.NodeBox(root)), Ref: int32(root)})
+		s.push(State[struct{}]{Score: f.LowerBound(s.acc.NodeBox(root)), Ref: int32(root)})
 	}
 	return s
 }
@@ -191,6 +195,7 @@ func (s *BestFirst[C]) Release() {
 		return
 	}
 	signature.Release(s.tester)
+	s.bound.Bind(nil, nil)
 	s.idx, s.tester, s.stages, s.verify, s.f, s.x, s.ctr, s.done = nil, nil, nil, nil, nil, nil, nil, true
 	if sc, ok := any(s).(*Scanner); ok {
 		scanners.Put(sc)
@@ -247,7 +252,7 @@ func (s *BestFirst[C]) Enter(score float64, sid uint64, ref int32, tuple bool, c
 // tester at its pop.
 func (s *BestFirst[C]) EnterRoot() {
 	if root := s.idx.Root(); root != hindex.InvalidNode {
-		box := s.idx.NodeBox(root)
+		box := s.acc.NodeBox(root)
 		s.Enter(s.f.LowerBound(box), 0, int32(root), false, s.x.Node(box))
 	}
 }
@@ -340,18 +345,36 @@ func (s *BestFirst[C]) expand(e State[C]) {
 }
 
 // entry scores the entry in slot of a node the search has read, whose SID is
-// sid, and has the filter make its payload.
+// sid, and has the filter make its payload. A Direct bound scores the entry
+// where the index stores it; the accessor widens it to a full-width box or
+// point only for a function the bound does not take, or for the filter.
 func (s *BestFirst[C]) entry(node hindex.NodeID, slot int, sid uint64, leaf bool) State[C] {
 	st := State[C]{SID: sid, Tuple: leaf}
+	direct := s.bound.Direct()
+	if direct {
+		lo, hi := s.idx.Rect(node, slot)
+		if leaf {
+			st.Ref, st.Score = int32(s.idx.TupleAt(node, slot)), s.bound.Point(lo)
+		} else {
+			st.Ref, st.Score = int32(s.idx.ChildAt(node, slot)), s.bound.Rect(lo, hi)
+		}
+		if s.x == nil {
+			return st
+		}
+	}
 	if leaf {
 		tid, pt := s.acc.Tuple(node, slot)
-		st.Ref, st.Score = int32(tid), s.f.Eval(pt)
+		if !direct {
+			st.Ref, st.Score = int32(tid), s.f.Eval(pt)
+		}
 		if s.x != nil {
 			st.C = s.x.Tuple(pt)
 		}
 	} else {
 		kid, box := s.acc.Child(node, slot)
-		st.Ref, st.Score = int32(kid), s.f.LowerBound(box)
+		if !direct {
+			st.Ref, st.Score = int32(kid), s.f.LowerBound(box)
+		}
 		if s.x != nil {
 			st.C = s.x.Node(box)
 		}

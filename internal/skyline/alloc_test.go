@@ -46,7 +46,7 @@ func TestSkylineSessionAllocs(t *testing.T) {
 			t.Fatalf("step %d holds %d bytes for %d pruned entries", i, bytes, len(snap.pruned))
 		}
 	}
-	const want = 102
+	const want = 98
 	if got := testing.AllocsPerRun(50, func() { session() }); got != want {
 		t.Fatalf("a session allocates %v times, want %v", got, want)
 	}

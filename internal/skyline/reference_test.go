@@ -122,7 +122,7 @@ func refPrunedBy(sky []Result, en refEntry) bool {
 
 func refRoot(q Query, rt hindex.Index) *heap.Heap[refEntry] {
 	h := heap.New[refEntry](lessRefEntry)
-	corner := refLowerCorner(q, rt.NodeBox(rt.Root()))
+	corner := refLowerCorner(q, rt.NodeBox(rt.Root(), rt.Domain().Clone()))
 	h.Push(refEntry{mindist: sum(corner), node: rt.Root(), corner: corner})
 	return h
 }
