@@ -62,8 +62,9 @@ race:
 # The tests of the packages whose queries and writes reuse storage, built with
 # the poison tag (internal/poison): the storage a query takes from a pool — a
 # view's runs, leaf index, arena and replay queue, the signature search's
-# record, answer and bound (ranking.Bound's covered positions and program),
-# the skyline search's corners, pruned SIDs and scratch, an index-merge
+# record, answer and bound (ranking.Bound's covered positions, program,
+# stacks, and the box and point it widens an entry into), the skyline
+# search's covered positions, corners, pruned SIDs and scratch, an index-merge
 # Merger's arenas and tuple table, the grid cube's execution state — and what
 # a signature write decodes into — the encoder's nodes, Kids slots, arena and
 # replay queue — is filled with sentinels (NaN scores, SIDs, TIDs and
@@ -88,8 +89,10 @@ chaos:
 # decodeBlock) and the node array codec under them all (bitvec.Codec.Decode /
 # DecodeIn / Skip) — on arbitrary page bytes: a typed ErrPageCorrupt or a
 # value, never a raw panic. Then the bound kernel (ranking.Bound): over a
-# function of each family drawn from the seed and an entry holding the fuzzed
-# coordinate, the bound scores bit for bit as LowerBound and Eval. The seed
+# function of each family drawn from the seed, a constrained one and a
+# wrapper, on indexes covering them or short of one attribute, and an entry
+# holding the fuzzed coordinate, the bound scores bit for bit as LowerBound
+# and Eval of the entry widened to the full width. The seed
 # corpora (internal/signature/testdata/fuzz, f.Add in the other targets) run
 # with the ordinary tests as well.
 FUZZTIME ?= 5s

@@ -21,11 +21,10 @@ func buildTree(t *testing.T, n int, cfg Config) (*table.Table, *Tree) {
 // invariants along the way.
 func collect(t *testing.T, tr *Tree, id hindex.NodeID, box ranking.Box, out map[table.TID]bool) {
 	t.Helper()
-	nb := tr.NodeBox(id, tr.Domain().Clone())
-	for d := range nb.Lo {
-		if nb.Lo[d] < box.Lo[d]-1e-12 || nb.Hi[d] > box.Hi[d]+1e-12 {
-			t.Fatalf("node %d box %v..%v escapes parent %v..%v", id, nb.Lo, nb.Hi, box.Lo, box.Hi)
-		}
+	dim, lo, hi := tr.Dims()[0], make([]float64, 1), make([]float64, 1)
+	tr.NodeRect(id, lo, hi)
+	if lo[0] < box.Lo[dim]-1e-12 || hi[0] > box.Hi[dim]+1e-12 {
+		t.Fatalf("node %d box %v..%v escapes parent %v..%v", id, lo, hi, box.Lo, box.Hi)
 	}
 	if tr.IsLeaf(id) {
 		for _, e := range tr.LeafEntries(id) {
@@ -33,7 +32,7 @@ func collect(t *testing.T, tr *Tree, id hindex.NodeID, box ranking.Box, out map[
 				t.Fatalf("tid %d appears twice", e.TID)
 			}
 			out[e.TID] = true
-			if dim := tr.Dims()[0]; e.Point[dim] < nb.Lo[dim] || e.Point[dim] > nb.Hi[dim] {
+			if e.Point[dim] < lo[0] || e.Point[dim] > hi[0] {
 				t.Fatalf("leaf entry %v outside node box", e.Point)
 			}
 		}
@@ -50,7 +49,7 @@ func TestBuildInvariants(t *testing.T) {
 		t.Fatal("no root")
 	}
 	seen := make(map[table.TID]bool)
-	collect(t, tr, tr.Root(), tr.NodeBox(tr.Root(), tr.Domain().Clone()), seen)
+	collect(t, tr, tr.Root(), tr.Domain(), seen)
 	if len(seen) != tb.Len() {
 		t.Fatalf("collected %d tids, want %d", len(seen), tb.Len())
 	}
@@ -122,16 +121,17 @@ func TestEmptyTree(t *testing.T) {
 
 func TestChildBoxesCoverSubtrees(t *testing.T) {
 	_, tr := buildTree(t, 4000, Config{Fanout: 10})
+	lo, hi := make([]float64, 1), make([]float64, 1)
 	var walk func(id hindex.NodeID)
 	walk = func(id hindex.NodeID) {
 		if tr.IsLeaf(id) {
 			return
 		}
 		for _, ch := range tr.Children(id) {
-			sub := tr.NodeBox(ch.ID, tr.Domain().Clone())
-			if sub.Lo[0] < ch.Box.Lo[0]-1e-12 || sub.Hi[0] > ch.Box.Hi[0]+1e-12 {
+			tr.NodeRect(ch.ID, lo, hi)
+			if lo[0] < ch.Box.Lo[0]-1e-12 || hi[0] > ch.Box.Hi[0]+1e-12 {
 				t.Fatalf("child box %v..%v does not cover subtree %v..%v",
-					ch.Box.Lo, ch.Box.Hi, sub.Lo, sub.Hi)
+					ch.Box.Lo, ch.Box.Hi, lo, hi)
 			}
 			walk(ch.ID)
 		}

@@ -23,9 +23,10 @@ func build(t *testing.T, n int, seed int64, fanout int) (*table.Table, *Tree) {
 func TestBuildCoversAllTuples(t *testing.T) {
 	tb, tr := build(t, 5000, 161, 16)
 	seen := map[table.TID]bool{}
+	nb := ranking.NewBox(make([]float64, 2), make([]float64, 2))
 	var walk func(id hindex.NodeID, box ranking.Box)
 	walk = func(id hindex.NodeID, box ranking.Box) {
-		nb := tr.NodeBox(id, tr.Domain().Clone())
+		tr.NodeRect(id, nb.Lo, nb.Hi)
 		for d := 0; d < 2; d++ {
 			if nb.Lo[d] < box.Lo[d]-1e-9 || nb.Hi[d] > box.Hi[d]+1e-9 {
 				t.Fatalf("node %d escapes parent box", id)
@@ -49,7 +50,7 @@ func TestBuildCoversAllTuples(t *testing.T) {
 			walk(ch.ID, ch.Box)
 		}
 	}
-	walk(tr.Root(), tr.NodeBox(tr.Root(), tr.Domain().Clone()))
+	walk(tr.Root(), tr.Domain())
 	if len(seen) != tb.Len() {
 		t.Fatalf("covered %d tuples, want %d", len(seen), tb.Len())
 	}

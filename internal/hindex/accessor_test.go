@@ -45,12 +45,13 @@ func TestPathOfInvertsSID(t *testing.T) {
 
 // TestSlotAccessorsMatchMaterializedEntries is the conformance table of the
 // node store under each builder, and under the R-tree's maintenance. The
-// entry half holds the one-slot-at-a-time accessors a search scores through
-// to the materialized lists, entry by entry; checks that the lists' entries
-// do not share storage with each other or with the accessor's scratch; that
-// dimensions the index does not cover carry the domain (boxes) or its midpoint
-// (points); that an entry lies inside its node's entry in the parent; and that
-// a visit is charged once and scoring through the scratch allocates nothing.
+// entry half holds the one-slot-at-a-time accessors a search reads through
+// (Rect, ChildAt, TupleAt), widened with ranking.Widen, to the materialized
+// lists, entry by entry; checks that the lists' entries do not share storage
+// with each other or with the index; that dimensions the index does not cover
+// carry the domain (boxes) or its midpoint (points); that an entry, and the
+// node's NodeRect, lie inside its node's entry in the parent; and that a visit
+// is charged once and reading a node's entries allocates nothing.
 // The path half holds Path to the positions walked from the root and NodeAt
 // to its inverse for every node; TuplePath to the Height positions the walk
 // reached the tuple by, and LeafPath to TuplePath less the slot and to the
@@ -80,6 +81,19 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 		for _, d := range idx.Dims() {
 			covered[d] = true
 		}
+		dims, center := idx.Dims(), domain.AppendCenter(nil)
+		lo, hi := make([]float64, len(dims)), make([]float64, len(dims))
+		// widened is the node's NodeRect, or the entry in slot ≥ 0, widened.
+		widened := func(id hindex.NodeID, slot int) ranking.Box {
+			elo, ehi := lo, hi
+			if slot < 0 {
+				idx.NodeRect(id, lo, hi)
+			} else {
+				elo, ehi = idx.Rect(id, slot)
+			}
+			box := domain.Clone()
+			return ranking.NewBox(ranking.Widen(box.Lo, dims, elo), ranking.Widen(box.Hi, dims, ehi))
+		}
 		ctr := stats.New()
 		var acc hindex.Accessor
 		acc.Reset(idx, ctr)
@@ -107,6 +121,9 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 					t.Fatalf("%s: NodeAt(%v) resolves a slot node %d does not have", name, bad, id)
 				}
 			}
+			if nb := widened(id, -1); !inside(nb.Lo, nb.Hi, within) {
+				t.Fatalf("%s: node %d: NodeRect %v outside the node's entry %v", name, id, nb, within)
+			}
 			n := acc.Visit(id)
 			acc.Visit(id)
 			visited++
@@ -116,9 +133,10 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 			if idx.IsLeaf(id) {
 				entries := idx.LeafEntries(id)
 				for slot, le := range entries {
-					tid, pt := acc.Tuple(id, slot)
-					if tid != le.TID || !reflect.DeepEqual(pt, le.Point) {
-						t.Fatalf("%s: leaf %d slot %d: Tuple gives %d %v, LeafEntries %d %v", name, id, slot, tid, pt, le.TID, le.Point)
+					elo, ehi := idx.Rect(id, slot)
+					tid, pt := idx.TupleAt(id, slot), ranking.Widen(slices.Clone(center), dims, elo)
+					if tid != le.TID || !reflect.DeepEqual(pt, le.Point) || &elo[0] != &ehi[0] {
+						t.Fatalf("%s: leaf %d slot %d: TupleAt and Rect give %d %v..%v, LeafEntries %d %v", name, id, slot, tid, elo, ehi, le.TID, le.Point)
 					}
 					if !covered[2] && pt[2] != 1 {
 						t.Fatalf("%s: uncovered dimension holds %v, want the domain midpoint 1", name, pt[2])
@@ -148,9 +166,9 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 			}
 			children := idx.Children(id)
 			for slot, ch := range children {
-				kid, box := acc.Child(id, slot)
-				if kid != ch.ID || !reflect.DeepEqual(box, ch.Box) || kid != idx.ChildAt(id, slot) {
-					t.Fatalf("%s: node %d slot %d: Child gives %d %v, Children %d %v", name, id, slot, kid, box, ch.ID, ch.Box)
+				kid, box := idx.ChildAt(id, slot), widened(id, slot)
+				if kid != ch.ID || !reflect.DeepEqual(box, ch.Box) {
+					t.Fatalf("%s: node %d slot %d: ChildAt and Rect give %d %v, Children %d %v", name, id, slot, kid, box, ch.ID, ch.Box)
 				}
 				if !covered[2] && (box.Lo[2] != -2 || box.Hi[2] != 4) {
 					t.Fatalf("%s: uncovered dimension spans %v..%v, want the domain", name, box.Lo[2], box.Hi[2])
@@ -168,7 +186,7 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 				walk(ch.ID, append(slices.Clone(path), slot+1), ch.Box)
 			}
 		}
-		walk(idx.Root(), []int{}, idx.NodeBox(idx.Root(), idx.Domain().Clone()))
+		walk(idx.Root(), []int{}, widened(idx.Root(), -1))
 		if seen != tuples {
 			t.Fatalf("%s: %d tuples under the root, want %d", name, seen, tuples)
 		}
@@ -181,16 +199,18 @@ func TestSlotAccessorsMatchMaterializedEntries(t *testing.T) {
 		before := ctr.TotalReads()
 		root := idx.Root()
 		allocs := testing.AllocsPerRun(20, func() {
+			idx.NodeRect(root, lo, hi)
 			for slot, n := 0, acc.Visit(root); slot < n; slot++ {
+				idx.Rect(root, slot)
 				if idx.IsLeaf(root) {
-					acc.Tuple(root, slot)
+					idx.TupleAt(root, slot)
 				} else {
-					acc.Child(root, slot)
+					idx.ChildAt(root, slot)
 				}
 			}
 		})
 		if allocs != 0 || ctr.TotalReads() != before {
-			t.Fatalf("%s: re-scoring a visited node made %v allocations and %d reads", name, allocs, ctr.TotalReads()-before)
+			t.Fatalf("%s: re-reading a visited node made %v allocations and %d reads", name, allocs, ctr.TotalReads()-before)
 		}
 	}
 }

@@ -5,7 +5,8 @@
 // its parent node" (§5.1.1); this package captures exactly that contract,
 // plus the node-path and SID machinery signatures are keyed by (§4.2.1), and
 // holds the one node store (Nodes) that implements its read side for all
-// three trees.
+// three trees. An entry has one stored form, its bounds over the dimensions
+// its index covers (Index.Rect), and every search reads it there.
 package hindex
 
 import (
@@ -22,32 +23,33 @@ type NodeID int32
 // InvalidNode is the "no node" sentinel.
 const InvalidNode NodeID = -1
 
-// ChildRef describes one entry of an internal node: the child node and its
-// bounding box. Boxes are full-width over the relation's ranking dimensions;
-// dimensions the index does not cover span the index's domain, so joint
-// boxes across indexes compose by per-dimension intersection.
+// ChildRef describes one entry of an internal node as Children materializes
+// it: the child node and its bounding box, full-width over the relation's
+// ranking dimensions, the index's domain in the dimensions it does not cover.
 type ChildRef struct {
 	ID  NodeID
 	Box ranking.Box
 }
 
-// LeafEntry describes one tuple entry of a leaf node. Point is full-width;
-// uncovered dimensions hold the domain midpoint and must not be consumed by
-// ranking functions that reference them.
+// LeafEntry describes one tuple entry of a leaf node as LeafEntries
+// materializes it. Point is full-width; uncovered dimensions hold the domain
+// midpoint.
 type LeafEntry struct {
 	TID   table.TID
 	Point []float64
 }
 
 // Index is a hierarchical, block-resident index over a subset of the ranking
-// dimensions. An entry is stored over the covered dimensions only (Rect); the
-// signature search scores it there, and widens it to the full width (EntryBox,
-// EntryPoint) only for a filter's payload or a function ranking.Bound does not
-// take. Index-merge scores full-width joint boxes.
+// dimensions. An entry is stored over the covered dimensions only, and read
+// there: a search takes its bounds from Rect and its child or tuple from
+// ChildAt or TupleAt. Only ranking widens an entry to the full width
+// (ranking.Widen), for a function a ranking.Bound has no loop for, and so do
+// the materializing Children and LeafEntries.
 type Index interface {
 	// Dims lists the ranking-dimension positions the index covers, ascending.
 	Dims() []int
-	// Domain is the full-width box enclosing all indexed data.
+	// Domain is the full-width box enclosing all indexed data: what an
+	// entry spans in the dimensions the index does not cover.
 	Domain() ranking.Box
 	// Root returns the root node (InvalidNode when empty).
 	Root() NodeID
@@ -60,7 +62,8 @@ type Index interface {
 	// NumChildren reports the number of entries in node id (children of an
 	// internal node, tuples of a leaf).
 	NumChildren(id NodeID) int
-	// Children returns the entries of internal node id in slot order.
+	// Children returns the entries of internal node id in slot order, each
+	// box widened to the full width. Search loops read a slot at a time.
 	Children(id NodeID) []ChildRef
 	// ChildAt returns the child node in the given 0-based slot of internal
 	// node id, without materializing the full entry list.
@@ -70,22 +73,13 @@ type Index interface {
 	// Rect returns the bounds of the entry in the given slot of node id over
 	// the covered dimensions (Dims, in that order) as views of the index's
 	// storage — a leaf entry's point as both — valid until the node next
-	// changes. A search scores entries on them (ranking.Bound), where
-	// EntryBox and EntryPoint widen them first.
+	// changes.
 	Rect(id NodeID, slot int) (lo, hi []float64)
+	// NodeRect writes the bounds of node id over the covered dimensions into
+	// lo and hi: the union of its entries, the domain for a node without any.
+	NodeRect(id NodeID, lo, hi []float64)
 	// LeafEntries returns the tuples of leaf node id in slot order.
 	LeafEntries(id NodeID) []LeafEntry
-	// EntryBox writes the full-width bounding box of the entry in the given
-	// 0-based slot of internal node id into box, whose Lo and Hi the caller
-	// sized to the relation's ranking width, and returns the child node. It
-	// allocates nothing: a search widens a node's entries into one box.
-	EntryBox(id NodeID, slot int, box ranking.Box) NodeID
-	// EntryPoint is EntryBox for the tuple in the given slot of leaf node id:
-	// it writes the full-width point into pt and returns the tuple.
-	EntryPoint(id NodeID, slot int, pt []float64) table.TID
-	// NodeBox writes the full-width bounding box of node id into box, sized
-	// like EntryBox's, and returns it.
-	NodeBox(id NodeID, box ranking.Box) ranking.Box
 	// Page returns the storage page holding node id, for I/O accounting.
 	Page(id NodeID) pager.PageID
 	// Store returns the backing page store.
@@ -141,14 +135,11 @@ type MaintainableTree interface {
 // through a per-query buffer so repeated visits to a node are billed once —
 // or once per navigation chain, when Hold hands it what the chain retrieved.
 // The zero value is ready for Reset, and an accessor kept from query to query
-// keeps its buffer's storage and its scratch.
+// keeps its buffer's storage.
 type Accessor struct {
 	Idx Index
 	buf pager.Buffer
 	c   *stats.Counters
-	// box and pt are the scratch Child and Tuple decode entries into.
-	box ranking.Box
-	pt  []float64
 }
 
 // Reset readies a for a query over idx charging c, with nothing retrieved. A
@@ -157,36 +148,16 @@ func (a *Accessor) Reset(idx Index, c *stats.Counters) {
 	if c == nil {
 		errs.Abortf(errs.ErrInternal, "hindex: accessor with nil counters")
 	}
-	if r := idx.Domain().Dims(); len(a.pt) != r {
-		scratch := make([]float64, 3*r)
-		a.box, a.pt = ranking.NewBox(scratch[:r:r], scratch[r:2*r:2*r]), scratch[2*r:]
-	}
 	a.Idx, a.c = idx, c
 	a.buf.Reset(idx.Store())
 }
 
 // Visit charges node id's page and reports how many entries it holds; the
-// entries are then read one slot at a time with Child or Tuple.
+// entries are then read one slot at a time from the index (Rect, ChildAt,
+// TupleAt).
 func (a *Accessor) Visit(id NodeID) int {
 	a.buf.Touch(a.Idx.Page(id), a.c)
 	return a.Idx.NumChildren(id)
-}
-
-// Child returns the child node and bounding box in one slot of a visited
-// internal node. The box is the accessor's scratch, overwritten by the next
-// Child or NodeBox call.
-func (a *Accessor) Child(id NodeID, slot int) (NodeID, ranking.Box) {
-	return a.Idx.EntryBox(id, slot, a.box), a.box
-}
-
-// NodeBox returns node id's bounding box in the accessor's scratch,
-// overwritten by the next NodeBox or Child call.
-func (a *Accessor) NodeBox(id NodeID) ranking.Box { return a.Idx.NodeBox(id, a.box) }
-
-// Tuple returns the tuple and point in one slot of a visited leaf. The point
-// is the accessor's scratch, overwritten by the next Tuple call.
-func (a *Accessor) Tuple(id NodeID, slot int) (table.TID, []float64) {
-	return a.Idx.EntryPoint(id, slot, a.pt), a.pt
 }
 
 // Hold starts the accessor with the pages an earlier step of the caller's

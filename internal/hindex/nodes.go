@@ -45,7 +45,7 @@ func NewNodes(dims []int, domain ranking.Box, fanout int, store *pager.Store, tu
 	return Nodes{
 		dims:   append([]int(nil), dims...),
 		domain: domain,
-		center: domain.Center(),
+		center: domain.AppendCenter(nil),
 		fanout: fanout,
 		root:   InvalidNode,
 		store:  store,
@@ -100,86 +100,54 @@ func (s *Nodes) Page(id NodeID) pager.PageID { return s.nodes[id].page }
 // Store implements Index.
 func (s *Nodes) Store() *pager.Store { return s.store }
 
-// EntryBox implements Index.
-func (s *Nodes) EntryBox(id NodeID, slot int, box ranking.Box) NodeID {
-	copy(box.Lo, s.domain.Lo)
-	copy(box.Hi, s.domain.Hi)
-	nd, d := &s.nodes[id], len(s.dims)
-	c := nd.coords[slot*2*d:][:2*d]
-	for j, dim := range s.dims {
-		box.Lo[dim] = c[j]
-		box.Hi[dim] = c[d+j]
-	}
-	return nd.kids[slot]
-}
-
-// EntryPoint implements Index. Uncovered dimensions hold the domain midpoint.
-func (s *Nodes) EntryPoint(id NodeID, slot int, pt []float64) table.TID {
-	copy(pt, s.center)
-	nd, d := &s.nodes[id], len(s.dims)
-	c := nd.coords[slot*d:][:d]
-	for j, dim := range s.dims {
-		pt[dim] = c[j]
-	}
-	return nd.tids[slot]
-}
-
-// Children implements Index by materializing the entries of internal node id
-// through EntryBox. All boxes share one backing array, so a caller holding
-// one box past the call pins the others. No search loop calls it — they read
-// a slot at a time — only the reference oracles and benchmark/layertrace,
-// whose timing wrappers count it.
+// Children implements Index by materializing the entries of internal node id,
+// each widened to the full width with the domain (ranking.Widen). All boxes
+// share one backing array, so a caller holding one box past the call pins the
+// others. No search loop calls it — they read a slot at a time — only the
+// reference oracles and benchmark/layertrace, whose timing wrappers count it.
 func (s *Nodes) Children(id NodeID) []ChildRef {
-	if s.nodes[id].leaf {
+	nd := &s.nodes[id]
+	if nd.leaf {
 		//lint:invariant hindex contract: Children is only defined on internal nodes
 		panic(fmt.Sprintf("hindex: Children on leaf node %d", id))
 	}
-	n, w := s.NumChildren(id), s.domain.Dims()
-	out := make([]ChildRef, n)
-	backing := make([]float64, 2*w*n)
+	w := s.domain.Dims()
+	out := make([]ChildRef, len(nd.kids))
+	backing := make([]float64, 2*w*len(out))
 	for i := range out {
-		lo, hi := backing[:w:w], backing[w:2*w:2*w]
-		backing = backing[2*w:]
-		out[i].Box = ranking.NewBox(lo, hi)
-		out[i].ID = s.EntryBox(id, i, out[i].Box)
+		lo, hi := s.Rect(id, i)
+		boxLo, boxHi := append(backing[2*w*i:][:0:w], s.domain.Lo...), append(backing[2*w*i+w:][:0:w], s.domain.Hi...)
+		out[i] = ChildRef{ID: nd.kids[i], Box: ranking.NewBox(ranking.Widen(boxLo, s.dims, lo), ranking.Widen(boxHi, s.dims, hi))}
 	}
 	return out
 }
 
-// LeafEntries is Children for the tuples of leaf node id, through EntryPoint,
-// with the same callers.
+// LeafEntries is Children for the tuples of leaf node id, each point widened
+// with the domain's midpoint, with the same callers.
 func (s *Nodes) LeafEntries(id NodeID) []LeafEntry {
-	if !s.nodes[id].leaf {
+	nd := &s.nodes[id]
+	if !nd.leaf {
 		//lint:invariant hindex contract: LeafEntries is only defined on leaves
 		panic(fmt.Sprintf("hindex: LeafEntries on internal node %d", id))
 	}
-	n, w := s.NumChildren(id), s.domain.Dims()
-	out := make([]LeafEntry, n)
-	backing := make([]float64, w*n)
+	w := s.domain.Dims()
+	out := make([]LeafEntry, len(nd.tids))
+	backing := make([]float64, w*len(out))
 	for i := range out {
-		out[i].Point = backing[i*w : (i+1)*w : (i+1)*w]
-		out[i].TID = s.EntryPoint(id, i, out[i].Point)
+		pt, _ := s.Rect(id, i)
+		out[i] = LeafEntry{TID: nd.tids[i], Point: ranking.Widen(append(backing[w*i:][:0:w], s.center...), s.dims, pt)}
 	}
 	return out
 }
 
-// NodeBox implements Index: the union of node id's entries, the domain in
-// uncovered dimensions and for a node without entries.
-func (s *Nodes) NodeBox(id NodeID, box ranking.Box) ranking.Box {
-	copy(box.Lo, s.domain.Lo)
-	copy(box.Hi, s.domain.Hi)
-	for slot, n := 0, s.NumChildren(id); slot < n; slot++ {
-		lo, hi := s.Rect(id, slot)
-		for j, dim := range s.dims {
-			if slot == 0 || lo[j] < box.Lo[dim] {
-				box.Lo[dim] = lo[j]
-			}
-			if slot == 0 || hi[j] > box.Hi[dim] {
-				box.Hi[dim] = hi[j]
-			}
+// NodeRect implements Index: the union of node id's entries, the domain for a
+// node without entries.
+func (s *Nodes) NodeRect(id NodeID, lo, hi []float64) {
+	if !s.MBR(id, lo, hi) {
+		for j, d := range s.dims {
+			lo[j], hi[j] = s.domain.Lo[d], s.domain.Hi[d]
 		}
 	}
-	return box
 }
 
 // AppendPath implements Index by walking parent links (1-based positions).

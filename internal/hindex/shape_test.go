@@ -55,13 +55,13 @@ func (s shapeHash) sum() string { return hex.EncodeToString(s.h.Sum(nil)) }
 // dumpShape writes the canonical dump of a tree: root, height, fanout, the
 // root's box, then per node its leaf flag, parent and slot in it (-1 for the
 // root and for nodes maintenance detached), and every entry in slot order —
-// child and full-width box, or tuple and full-width point, as IEEE bits — and
-// last the bytes its store accounts for. A node is named by its id, which is
+// child and full-width box, or tuple and full-width point, as IEEE bits, as
+// Children and LeafEntries widen them — and last the bytes its store accounts
+// for. A node is named by its id, which is
 // its page, and nodes are dumped in id order; with byRank (the grid partition,
 // whose leaf ids follow a map's iteration order and differ from build to
 // build) by its preorder rank, in preorder.
 func dumpShape(t *testing.T, s shapeHash, idx shapedTree, byRank bool) {
-	r := idx.Domain().Dims()
 	type link struct{ parent, slot int }
 	links := make(map[hindex.NodeID]link)
 	var preorder []hindex.NodeID
@@ -95,12 +95,12 @@ func dumpShape(t *testing.T, s shapeHash, idx shapedTree, byRank bool) {
 
 	s.ints(name(idx.Root()), idx.Height(), idx.MaxFanout(), idx.NumNodes())
 	if root := idx.Root(); root != hindex.InvalidNode {
-		nb := idx.NodeBox(root, idx.Domain().Clone())
-		s.floats(nb.Lo)
-		s.floats(nb.Hi)
+		box, d := idx.Domain().Clone(), len(idx.Dims())
+		lo, hi := make([]float64, d), make([]float64, d)
+		idx.NodeRect(root, lo, hi)
+		s.floats(ranking.Widen(box.Lo, idx.Dims(), lo))
+		s.floats(ranking.Widen(box.Hi, idx.Dims(), hi))
 	}
-	box := ranking.NewBox(make([]float64, r), make([]float64, r))
-	pt := make([]float64, r)
 	for _, id := range order {
 		if int(idx.Page(id)) != int(id) {
 			t.Fatalf("node %d is on page %d", id, idx.Page(id))
@@ -117,15 +117,17 @@ func dumpShape(t *testing.T, s shapeHash, idx shapedTree, byRank bool) {
 		}
 		n := idx.NumChildren(id)
 		s.ints(name(id), leaf, l.parent, l.slot, n)
-		for slot := 0; slot < n; slot++ {
-			if leaf == 1 {
-				s.ints(int(idx.EntryPoint(id, slot, pt)))
-				s.floats(pt)
-				continue
+		if leaf == 1 {
+			for _, le := range idx.LeafEntries(id) {
+				s.ints(int(le.TID))
+				s.floats(le.Point)
 			}
-			s.ints(name(idx.EntryBox(id, slot, box)))
-			s.floats(box.Lo)
-			s.floats(box.Hi)
+			continue
+		}
+		for _, ch := range idx.Children(id) {
+			s.ints(name(ch.ID))
+			s.floats(ch.Box.Lo)
+			s.floats(ch.Box.Hi)
 		}
 	}
 	s.ints(int(idx.Store().Bytes()))
@@ -148,7 +150,6 @@ func churn(t *testing.T, s shapeHash, rt *rtree.Tree, live []table.TID, points *
 		}
 	}
 	dumpShape(t, s, rt, false)
-	pt := make([]float64, rt.Domain().Dims())
 	for i := 0; i < 300; i++ {
 		var victim table.TID
 		if rng.Intn(2) == 0 {
@@ -156,7 +157,7 @@ func churn(t *testing.T, s shapeHash, rt *rtree.Tree, live []table.TID, points *
 			for !rt.IsLeaf(id) {
 				id = rt.ChildAt(id, rt.NumChildren(id)-1)
 			}
-			victim = rt.EntryPoint(id, 0, pt)
+			victim = rt.TupleAt(id, 0)
 		} else {
 			victim = live[rng.Intn(len(live))]
 		}

@@ -39,7 +39,9 @@ type Options struct {
 // Everything that grows with the search lives in flat arenas that states,
 // expansions and pendings point into by offset (a box is 2r floats, lows then
 // highs), and a Merger goes from one query to the next with them, its
-// accessors and its top-k heap.
+// accessors, its top-k heap and its tuple table. A member's entries are read
+// where its index stores them, over the dimensions it covers (Rect): a joint
+// box is narrowed by them dimension by dimension, and a tuple filled.
 type Merger struct {
 	// The query, forgotten when it ends.
 	indices []hindex.Index
@@ -62,7 +64,7 @@ type Merger struct {
 	states []state
 	exps   []expansion
 	nodes  []hindex.NodeID // n per state
-	boxes  []float64       // a box per state and per child of an expanded member
+	boxes  []float64       // a box per state
 	kids   []kid
 	spans  []span  // n per expansion
 	ints   []int32 // n per pending: its combo
@@ -150,7 +152,7 @@ func TopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *stat
 	defer ctr.StartSpan("merge")()
 	m.combo, m.limit, m.slots, m.paths = sized(m.combo, n), sized(m.limit, n), sized(m.slots, n), sized(m.paths, n)
 	m.box = sized(m.box, 2*m.r)
-	m.tuples.center = dom.Center()
+	m.tuples.center = dom.AppendCenter(m.tuples.center[:0])
 	m.run()
 	return m.topk.Sorted(), nil
 }
@@ -183,33 +185,33 @@ func (m *Merger) newState() (int32, []hindex.NodeID, []float64) {
 	return int32(st), m.nodes[at:], m.boxes[box:]
 }
 
-// pushRoot pushes the joint root (I1.root, …, Im.root): the first root's box
-// goes straight into the state's, and each other one through the scratch box.
+// pushRoot pushes the joint root (I1.root, …, Im.root): the domain narrowed
+// by each root's bounds, read through the scratch box.
 func (m *Merger) pushRoot() {
 	st, nodes, box := m.newState()
+	dom := m.indices[0].Domain()
+	copy(box, dom.Lo)
+	copy(box[m.r:], dom.Hi)
 	leaf := true
 	for i, idx := range m.indices {
 		nodes[i] = idx.Root()
-		if i == 0 {
-			idx.NodeBox(idx.Root(), ranking.NewBox(box[:m.r:m.r], box[m.r:2*m.r:2*m.r]))
-		} else {
-			nb := idx.NodeBox(idx.Root(), ranking.NewBox(m.box[:m.r:m.r], m.box[m.r:2*m.r:2*m.r]))
-			m.intersect(box, nb.Lo, nb.Hi)
-		}
-		leaf = leaf && idx.IsLeaf(idx.Root())
+		lo, hi := m.box[:len(m.dims[i])], m.box[m.r:][:len(m.dims[i])]
+		idx.NodeRect(nodes[i], lo, hi)
+		m.intersect(box, m.dims[i], lo, hi)
+		leaf = leaf && idx.IsLeaf(nodes[i])
 	}
 	m.pushState(st, m.lowerBound(box), leaf)
 	m.ctr.StatesGenerated++
 }
 
-// intersect narrows box to its intersection with [lo, hi], per dimension.
-func (m *Merger) intersect(box, lo, hi []float64) {
-	for d := 0; d < m.r; d++ {
-		if lo[d] > box[d] {
-			box[d] = lo[d]
+// intersect narrows box to its intersection with lo..hi, bounds over dims.
+func (m *Merger) intersect(box []float64, dims []int, lo, hi []float64) {
+	for j, d := range dims {
+		if lo[j] > box[d] {
+			box[d] = lo[j]
 		}
-		if hi[d] < box[m.r+d] {
-			box[m.r+d] = hi[d]
+		if hi[j] < box[m.r+d] {
+			box[m.r+d] = hi[j]
 		}
 	}
 }
@@ -271,11 +273,12 @@ func (m *Merger) processLeafState(st int32) {
 			continue
 		}
 		for slot, n := 0, m.acc[i].Visit(nid); slot < n; slot++ {
-			tid, pt := m.acc[i].Tuple(nid, slot)
+			tid := m.indices[i].TupleAt(nid, slot)
+			pt, _ := m.indices[i].Rect(nid, slot)
 			at := t.find(tid)
 			point := t.points[at*m.r:][:m.r]
-			for _, d := range m.dims[i] {
-				point[d] = pt[d]
+			for j, d := range m.dims[i] {
+				point[d] = pt[j]
 			}
 			t.got[at] |= 1 << uint(i)
 			if t.got[at] != full {

@@ -110,15 +110,24 @@ func (m *refMerger) heapSize() int {
 	return n
 }
 
+// refNodeBox is node id's bounds widened to the full width with the domain,
+// as Children widens its entries.
+func refNodeBox(idx hindex.Index, id hindex.NodeID) ranking.Box {
+	box, dims := idx.Domain().Clone(), idx.Dims()
+	lo, hi := make([]float64, len(dims)), make([]float64, len(dims))
+	idx.NodeRect(id, lo, hi)
+	return ranking.NewBox(ranking.Widen(box.Lo, dims, lo), ranking.Widen(box.Hi, dims, hi))
+}
+
 // rootState builds the joint root (I1.root, …, Im.root).
 func (m *refMerger) rootState() *refState {
 	nodes := make([]hindex.NodeID, len(m.indices))
-	box := m.indices[0].NodeBox(m.indices[0].Root(), m.indices[0].Domain().Clone())
+	box := refNodeBox(m.indices[0], m.indices[0].Root())
 	leaf := true
 	for i, idx := range m.indices {
 		nodes[i] = idx.Root()
 		if i > 0 {
-			box = refComposeBox(box, idx.NodeBox(idx.Root(), idx.Domain().Clone()))
+			box = refComposeBox(box, refNodeBox(idx, idx.Root()))
 		}
 		if !idx.IsLeaf(idx.Root()) {
 			leaf = false
@@ -213,7 +222,7 @@ func (m *refMerger) processLeafState(s *refState) {
 		for _, le := range idx.LeafEntries(s.nodes[i]) {
 			pt, ok := m.partial[le.TID]
 			if !ok {
-				pt = &refPartial{point: m.indices[0].Domain().Center()}
+				pt = &refPartial{point: m.indices[0].Domain().AppendCenter(nil)}
 				m.partial[le.TID] = pt
 			}
 			for _, d := range dims {

@@ -33,15 +33,17 @@ type kid struct {
 	slot  int32 // 0-based slot in the member node (0 for leaf-self)
 }
 
-// span is one member's candidates, kids[at:at+n] in expansion order. The box
-// of the candidate in slot s, composed with the state box, is the 2r floats at
-// boxes + s·2r.
+// span is one member's candidates, kids[at:at+n] in expansion order: the
+// entries of its node, whose bounds narrow a joint box, or, with node
+// InvalidNode, the member itself.
 type span struct {
-	at, n, boxes int32
+	at, n int32
+	node  hindex.NodeID
 }
 
 // expansion holds a state's progressive get_next machinery (§5.2).
 type expansion struct {
+	box     int32 // the state's box in the arena
 	members int32 // spans[members:members+n]
 	lheap   *heap.Heap[pending]
 	// ts[ts:ts+n] are threshold expansion's positions, one per member (next
@@ -99,23 +101,21 @@ func (m *Merger) initExpansion(st int32, bound float64) bool {
 	x.lheap.Reset()
 	m.used++
 
-	x.members = int32(len(m.spans))
+	x.box, x.members = m.states[st].box, int32(len(m.spans))
+	sbox := m.boxes[x.box:][:2*m.r]
 	for i, idx := range m.indices {
-		nid, sp := nodes[i], span{at: int32(len(m.kids)), n: 1, boxes: m.states[st].box}
+		nid, sp := nodes[i], span{at: int32(len(m.kids)), n: 1, node: hindex.InvalidNode}
 		if idx.IsLeaf(nid) {
 			m.kids = append(m.kids, kid{id: nid, bound: bound})
 			m.spans = append(m.spans, sp)
 			continue
 		}
-		sp.n, sp.boxes = int32(m.acc[i].Visit(nid)), int32(len(m.boxes))
-		m.boxes = slices.Grow(m.boxes, int(sp.n)*2*m.r)
-		sbox := m.boxes[m.states[st].box:][:2*m.r]
+		sp.n, sp.node = int32(m.acc[i].Visit(nid)), nid
 		for slot := int32(0); slot < sp.n; slot++ {
-			id, cb := m.acc[i].Child(nid, int(slot))
-			m.boxes = append(m.boxes, sbox...)
-			box := m.boxes[len(m.boxes)-2*m.r:]
-			m.intersect(box, cb.Lo, cb.Hi)
-			m.kids = append(m.kids, kid{id: id, slot: slot, bound: m.lowerBound(box)})
+			copy(m.box, sbox)
+			lo, hi := idx.Rect(nid, int(slot))
+			m.intersect(m.box, m.dims[i], lo, hi)
+			m.kids = append(m.kids, kid{id: idx.ChildAt(nid, int(slot)), slot: slot, bound: m.lowerBound(m.box)})
 		}
 		// Sorted by f' (ties by value order): threshold expansion's sorted
 		// lists (§5.2.3), and neighborhood expansion's sequence of non-decreasing
@@ -196,14 +196,14 @@ func (m *Merger) push(x *expansion, combo []int32) {
 	m.observe()
 }
 
-// joint composes the joint box of a child combo into box, and returns it.
+// joint composes the joint box of a child combo into box — the state's box
+// narrowed by the bounds of each member's entry — and returns it.
 func (m *Merger) joint(x *expansion, combo []int32, box []float64) []float64 {
+	copy(box, m.boxes[x.box:][:2*m.r])
 	for i, sp := range m.members(x) {
-		b := m.boxes[int(sp.boxes)+int(m.kid(sp, combo[i]).slot)*2*m.r:][:2*m.r]
-		if i == 0 {
-			copy(box, b)
-		} else {
-			m.intersect(box, b[:m.r], b[m.r:])
+		if sp.node != hindex.InvalidNode {
+			lo, hi := m.indices[i].Rect(sp.node, int(m.kid(sp, combo[i]).slot))
+			m.intersect(box, m.dims[i], lo, hi)
 		}
 	}
 	return box

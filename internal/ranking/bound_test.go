@@ -13,29 +13,38 @@ const boundWidth = 5
 // embedded wraps a function the way a timing wrapper does: by embedding it.
 type embedded struct{ *LinearFunc }
 
-// checkBound binds f to an index covering dims and holds the binding to
-// direct. A direct bound must score rects and points drawn from rng — and one
-// coordinate set to v, to reach ±0, ±Inf, NaN and extreme magnitudes — bit for
-// bit as f.LowerBound and f.Eval score the same entry widened to the full
-// width, the uncovered dimensions holding a domain box and its center.
-func checkBound(t *testing.T, rng *rand.Rand, f Func, dims []int, direct bool, v float64) {
+// kernel reports whether a Bound scores f over dims with a loop of its own:
+// f is of one of the three families and references covered dimensions only.
+func kernel(f Func, dims []int) bool {
+	switch f.(type) {
+	case *LinearFunc, *DistFunc, *ExprFunc:
+		return !slices.ContainsFunc(f.Attrs(), func(a int) bool { return !slices.Contains(dims, a) })
+	}
+	return false
+}
+
+// checkBound binds f to an index covering dims. The bound must score rects
+// and points drawn from rng — and one coordinate set to v, to reach ±0, ±Inf,
+// NaN and extreme magnitudes — bit for bit as f.LowerBound and f.Eval score
+// the same entry widened to the full width, the uncovered dimensions holding
+// the index's domain and its center. Binding again allocates nothing, and
+// scoring with a loop of the bound's own allocates nothing at any depth.
+func checkBound(t *testing.T, rng *rand.Rand, f Func, dims []int, v float64) {
 	t.Helper()
 	var b Bound
-	if got := b.Bind(f, dims); got != direct || b.Direct() != direct {
-		t.Fatalf("%v over %v: Bind %v, Direct %v, want %v", f, dims, got, b.Direct(), direct)
-	}
-	if !direct {
-		return
-	}
 	d := len(dims)
 	lo, hi, pt := make([]float64, d), make([]float64, d), make([]float64, d)
+	domain := NewBox(make([]float64, boundWidth), make([]float64, boundWidth))
 	box := NewBox(make([]float64, boundWidth), make([]float64, boundWidth))
 	full := make([]float64, boundWidth)
 	for trial := 0; trial < 20; trial++ {
 		for i := 0; i < boundWidth; i++ {
 			a, c := rng.Float64()*4-2, rng.Float64()*4-2
-			box.Lo[i], box.Hi[i] = min(a, c), max(a, c)
-			full[i] = (box.Lo[i] + box.Hi[i]) / 2
+			domain.Lo[i], domain.Hi[i] = min(a, c), max(a, c)
+		}
+		b.Bind(f, dims, domain)
+		if f == nil {
+			continue
 		}
 		for j := range dims {
 			a, c := rng.Float64()*4-2, rng.Float64()*4-2
@@ -55,6 +64,11 @@ func checkBound(t *testing.T, rng *rand.Rand, f Func, dims []int, direct bool, v
 			lo[j], pt[j] = v, v
 			hi[j] = max(v, hi[j])
 		}
+		copy(box.Lo, domain.Lo)
+		copy(box.Hi, domain.Hi)
+		for i := range full {
+			full[i] = (domain.Lo[i] + domain.Hi[i]) / 2
+		}
 		for j, dim := range dims {
 			box.Lo[dim], box.Hi[dim], full[dim] = lo[j], hi[j], pt[j]
 		}
@@ -65,8 +79,17 @@ func checkBound(t *testing.T, rng *rand.Rand, f Func, dims []int, direct bool, v
 			t.Fatalf("%v over %v: bound %v, Eval %v at %v", f, dims, got, want, full)
 		}
 	}
-	if n := testing.AllocsPerRun(10, func() { b.Bind(f, dims) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { b.Bind(f, dims, domain) }); n != 0 {
 		t.Fatalf("%v: binding again allocates %v times", f, n)
+	}
+	if !kernel(f, dims) {
+		return
+	}
+	if n := testing.AllocsPerRun(10, func() { b.Rect(lo, hi) }); n != 0 {
+		t.Fatalf("%v: Rect allocates %v times", f, n)
+	}
+	if n := testing.AllocsPerRun(10, func() { b.Point(pt) }); n != 0 {
+		t.Fatalf("%v: Point allocates %v times", f, n)
 	}
 }
 
@@ -87,9 +110,10 @@ func coveredBy(rng *rand.Rand, f Func, extra int) []int {
 // dimensions scores stored rects and points bit for bit as LowerBound and Eval
 // score them widened: linear functions with negative weights, SqDist and
 // L1Dist, general trees with Abs, Neg and Mul nodes and one deeper than the
-// program's fixed stack, over indexes covering exactly the function's
-// dimensions or more. A function referencing a dimension the index does not
-// cover, a ConstrainedFunc and a wrapper are not direct.
+// fixed stack of Eval and LowerBound, over indexes covering exactly the
+// function's dimensions or more, all without allocating. So do the functions
+// the bound widens the entry for: one referencing a dimension the index does
+// not cover, a ConstrainedFunc and a wrapper.
 func TestBoundMatchesFuncBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	all := []int{0, 1, 2, 3, 4}
@@ -108,9 +132,9 @@ func TestBoundMatchesFuncBitForBit(t *testing.T) {
 		direct = append(direct, General(randExpr(rng, 6, boundWidth)))
 	}
 	for _, f := range direct {
-		checkBound(t, rng, f, all, true, negZero)
-		checkBound(t, rng, f, coveredBy(rng, f, 0), true, math.Inf(-1))
-		checkBound(t, rng, f, coveredBy(rng, f, 1), true, 1e300)
+		checkBound(t, rng, f, all, negZero)
+		checkBound(t, rng, f, coveredBy(rng, f, 0), math.Inf(-1))
+		checkBound(t, rng, f, coveredBy(rng, f, 1), 1e300)
 	}
 	for _, tc := range []struct {
 		name string
@@ -124,13 +148,18 @@ func TestBoundMatchesFuncBitForBit(t *testing.T) {
 		{"a wrapper", embedded{Sum(0, 1)}, all},
 		{"no function", nil, all},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkBound(t, rng, tc.f, tc.dims, false, 0) })
+		t.Run(tc.name, func(t *testing.T) {
+			for _, v := range []float64{0, negZero, math.Inf(1), math.NaN()} {
+				checkBound(t, rng, tc.f, tc.dims, v)
+			}
+		})
 	}
 }
 
 // FuzzBoundKernel draws a function of each family and an index covering it
-// from the seed, and holds the bound to LowerBound and Eval, bit for bit, on
-// entries with one coordinate set to v.
+// from the seed — and a constrained function, a wrapper and an index short of
+// one attribute, which the bound widens the entry for — and holds the bound to
+// LowerBound and Eval, bit for bit, on entries with one coordinate set to v.
 func FuzzBoundKernel(f *testing.F) {
 	for i, v := range []float64{0, negZero, 1, -2.5, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64} {
 		f.Add(int64(i), v)
@@ -142,13 +171,21 @@ func FuzzBoundKernel(f *testing.F) {
 		for i := range coef {
 			coef[i] = rng.Float64()*8 - 4
 		}
+		lin := Linear(attrs, coef)
 		for _, fn := range []Func{
-			Linear(attrs, coef),
+			lin,
 			SqDist(attrs, coef),
 			L1Dist(attrs, coef),
 			General(randExpr(rng, 1+rng.Intn(8), boundWidth)),
+			Constrained(lin, rng.Intn(boundWidth), coef[0]-1, coef[0]+1),
+			embedded{lin},
 		} {
-			checkBound(t, rng, fn, coveredBy(rng, fn, rng.Intn(boundWidth)), true, v)
+			dims := coveredBy(rng, fn, rng.Intn(boundWidth))
+			checkBound(t, rng, fn, dims, v)
+			if len(dims) > 1 {
+				i := rng.Intn(len(dims))
+				checkBound(t, rng, fn, slices.Delete(dims, i, i+1), v)
+			}
 		}
 	})
 }

@@ -116,8 +116,8 @@ func Neg(e Expr) Expr { return unary{'n', e} }
 // Scale returns c × e.
 func Scale(c float64, e Expr) Expr { return binary{'*', Const(c), e} }
 
-// stackCap is the stack depth eval and bound keep in a fixed array; a deeper
-// program takes its stack from the heap.
+// stackCap is the stack depth Eval and LowerBound keep in a fixed array; a
+// deeper program takes its stack from the heap, where a Bound keeps one.
 const stackCap = 8
 
 // program is an expression compiled to postfix: the tree's operations in the
@@ -154,11 +154,10 @@ func (p *program) attrs() []int {
 	return slices.Compact(attrs)
 }
 
-// eval computes the expression at point x.
-func (p *program) eval(x []float64) float64 {
-	var buf [stackCap]float64
-	st := buf[:]
-	if p.depth > stackCap {
+// eval computes the expression at point x on the stack st, or on one from
+// the heap when st is shallower than the program.
+func (p *program) eval(x, st []float64) float64 {
+	if len(st) < p.depth {
 		st = make([]float64, p.depth)
 	}
 	sp := 0
@@ -193,11 +192,9 @@ func (p *program) eval(x []float64) float64 {
 }
 
 // bound computes a sound lower bound of the expression over the box lo..hi:
-// the low end of its interval enclosure.
-func (p *program) bound(lo, hi []float64) float64 {
-	var buf [stackCap]Interval
-	st := buf[:]
-	if p.depth > stackCap {
+// the low end of its interval enclosure, on the stack st as eval's.
+func (p *program) bound(lo, hi []float64, st []Interval) float64 {
+	if len(st) < p.depth {
 		st = make([]Interval, p.depth)
 	}
 	sp := 0

@@ -156,7 +156,7 @@ func (f *LinearFunc) Directions() []int {
 
 // ArgMin implements Minimizer.
 func (f *LinearFunc) ArgMin(box Box) []float64 {
-	p := box.Center()
+	p := box.AppendCenter(nil)
 	for i, a := range f.attrs {
 		if f.weights[i] >= 0 {
 			p[a] = box.Lo[a]
@@ -286,7 +286,7 @@ func (f *DistFunc) Extreme() []float64 {
 
 // ArgMin implements Minimizer.
 func (f *DistFunc) ArgMin(box Box) []float64 {
-	p := box.Center()
+	p := box.AppendCenter(nil)
 	for i, a := range f.attrs {
 		t := f.target[i]
 		if t < box.Lo[a] {
@@ -354,10 +354,16 @@ func General(expr Expr) *ExprFunc {
 }
 
 // Eval implements Func.
-func (f *ExprFunc) Eval(x []float64) float64 { return f.prog.eval(x) }
+func (f *ExprFunc) Eval(x []float64) float64 {
+	var buf [stackCap]float64
+	return f.prog.eval(x, buf[:])
+}
 
 // LowerBound implements Func.
-func (f *ExprFunc) LowerBound(box Box) float64 { return f.prog.bound(box.Lo, box.Hi) }
+func (f *ExprFunc) LowerBound(box Box) float64 {
+	var buf [stackCap]Interval
+	return f.prog.bound(box.Lo, box.Hi, buf[:])
+}
 
 // Attrs implements Func.
 func (f *ExprFunc) Attrs() []int { return f.attrs }

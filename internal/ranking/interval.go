@@ -15,6 +15,8 @@
 // semi-monotone shape (index-merge neighborhood expansion, §5.2.2).
 package ranking
 
+import "slices"
+
 // Interval is a closed real interval [Lo, Hi].
 type Interval struct {
 	Lo, Hi float64
@@ -107,11 +109,11 @@ func (b Box) Clone() Box {
 	return Box{lo, hi}
 }
 
-// Center returns the box midpoint.
-func (b Box) Center() []float64 {
-	c := make([]float64, len(b.Lo))
-	for i := range c {
-		c[i] = (b.Lo[i] + b.Hi[i]) / 2
+// AppendCenter appends the box midpoint to dst.
+func (b Box) AppendCenter(dst []float64) []float64 {
+	dst = slices.Grow(dst, len(b.Lo))
+	for i := range b.Lo {
+		dst = append(dst, (b.Lo[i]+b.Hi[i])/2)
 	}
-	return c
+	return dst
 }

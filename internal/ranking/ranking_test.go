@@ -352,7 +352,7 @@ func TestBoxBasics(t *testing.T) {
 	if b.Lo[0] != 0 {
 		t.Fatal("Clone aliases")
 	}
-	ctr := b.Center()
+	ctr := b.AppendCenter(nil)
 	if ctr[0] != 0.5 || ctr[2] != 0.5 {
 		t.Fatalf("Center = %v", ctr)
 	}

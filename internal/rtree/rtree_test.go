@@ -230,13 +230,14 @@ func TestDeleteRootCollapseReportsSurvivors(t *testing.T) {
 func TestNodeBoxContainsPoints(t *testing.T) {
 	tb := genTable(2000, 27)
 	tr := Bulk(tb, []int{0, 2}, ranking.UnitBox(3), Config{Fanout: 12})
+	lo, hi := make([]float64, 2), make([]float64, 2)
 	var walk func(id hindex.NodeID)
 	walk = func(id hindex.NodeID) {
-		box := tr.NodeBox(id, tr.Domain().Clone())
+		tr.NodeRect(id, lo, hi)
 		if tr.IsLeaf(id) {
 			for _, e := range tr.LeafEntries(id) {
-				for _, dim := range tr.Dims() {
-					if e.Point[dim] < box.Lo[dim]-1e-12 || e.Point[dim] > box.Hi[dim]+1e-12 {
+				for j, dim := range tr.Dims() {
+					if e.Point[dim] < lo[j]-1e-12 || e.Point[dim] > hi[j]+1e-12 {
 						t.Fatalf("point outside leaf box on dim %d", dim)
 					}
 				}
@@ -253,7 +254,7 @@ func TestNodeBoxContainsPoints(t *testing.T) {
 func TestUncoveredDimsSpanDomain(t *testing.T) {
 	tb := genTable(500, 28)
 	tr := Bulk(tb, []int{1}, ranking.UnitBox(3), Config{Fanout: 8})
-	box := tr.NodeBox(tr.Root(), tr.Domain().Clone())
+	box := tr.Children(tr.Root())[0].Box
 	if box.Lo[0] != 0 || box.Hi[0] != 1 || box.Lo[2] != 0 || box.Hi[2] != 1 {
 		t.Fatalf("uncovered dims don't span domain: %v..%v", box.Lo, box.Hi)
 	}

@@ -124,7 +124,7 @@ func TestReusedSearchRecordsLikeFresh(t *testing.T) {
 		s.Start(cube.rt, tester, cube.Verifier(cond, ctr), f, nil, ctr)
 		defer s.Release()
 		root := cube.rt.Root()
-		s.push(State[int32]{Score: f.LowerBound(cube.rt.NodeBox(root, cube.rt.Domain().Clone())), Ref: int32(root)})
+		s.push(State[int32]{Score: s.bound.Rect(s.rootRect(root)), Ref: int32(root)})
 		for i := 0; i < k; i++ {
 			if _, ok := s.Next(); !ok {
 				break

@@ -68,9 +68,18 @@ func newRefScanner(idx hindex.Index, tester signature.Tester, verify func(table.
 	s := &refScanner{idx: idx, tester: tester, verify: verify, f: f, ctr: ctr, cheap: heap.New[refEntry](lessRefEntry), rule: rule}
 	if idx.Root() != hindex.InvalidNode {
 		s.acc.Reset(idx, ctr)
-		s.cheap.Push(refEntry{score: f.LowerBound(idx.NodeBox(idx.Root(), idx.Domain().Clone())), node: idx.Root()})
+		s.cheap.Push(refEntry{score: f.LowerBound(refNodeBox(idx, idx.Root())), node: idx.Root()})
 	}
 	return s
+}
+
+// refNodeBox is node id's bounds widened to the full width with the domain,
+// as Children widens its entries.
+func refNodeBox(idx hindex.Index, id hindex.NodeID) ranking.Box {
+	box, dims := idx.Domain().Clone(), idx.Dims()
+	lo, hi := make([]float64, len(dims)), make([]float64, len(dims))
+	idx.NodeRect(id, lo, hi)
+	return ranking.NewBox(ranking.Widen(box.Lo, dims, lo), ranking.Widen(box.Hi, dims, hi))
 }
 
 // step pops one entry; it reports a tuple when the entry was one that passed.

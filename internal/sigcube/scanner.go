@@ -63,6 +63,10 @@ import (
 // a payload C, which its Filter makes for each child; the Filter is put every
 // child at its push and every state but deferred ones at its pop, before the
 // boolean test.
+//
+// An entry is read where the index stores it, over the dimensions the index
+// covers (hindex.Index.Rect): the function's bound scores it there, and the
+// filter makes its payload from it.
 type BestFirst[C any] struct {
 	idx    hindex.Index
 	acc    hindex.Accessor
@@ -76,9 +80,7 @@ type BestFirst[C any] struct {
 	// measures, §4.5). It charges a read per tuple, so it runs only for
 	// tuples the search actually reaches.
 	verify func(table.TID) bool
-	f      ranking.Func
-	// bound is f bound to the index's covered dimensions: it scores an entry
-	// where the index stores it when it is Direct.
+	// bound is the search's function bound to the index's covered dimensions.
 	bound ranking.Bound
 	// x is the caller's filter; nil on a Scanner.
 	x Filter[C]
@@ -97,9 +99,10 @@ type BestFirst[C any] struct {
 	// out collects a top-k answer before it is copied out (take).
 	out []core.Result
 	// Scratch for qualifying one node's children: its decoded path and the
-	// slots still live.
+	// slots still live. rect holds the root's bounds.
 	path []int
 	live bitvec.Bits
+	rect []float64
 }
 
 // queued is a State on the heap less its score and tuple flag.
@@ -116,11 +119,10 @@ type Scanner = BestFirst[struct{}]
 
 // Filter extends a search whose states carry a C.
 type Filter[C any] interface {
-	// Node and Tuple make the payload of the child the search is about to
-	// push: a node by its box, a tuple by its point (the accessor's scratch,
-	// valid for the call).
-	Node(box ranking.Box) C
-	Tuple(pt []float64) C
+	// Payload makes the payload of the entry the search is about to push from
+	// its bounds over the index's covered dimensions, valid for the call: a
+	// node's rect, a tuple's point as both lo and hi.
+	Payload(lo, hi []float64) C
 	// Pass is put every child the search pushes and every state it pops but
 	// deferred ones, before anything else; a state it fails is dropped. Failing
 	// is for good: a state that fails at its push would fail at its pop.
@@ -165,13 +167,14 @@ var scanners = sync.Pool{New: func() any { return new(Scanner) }}
 func (s *BestFirst[C]) Start(idx hindex.Index, tester signature.Tester, verify func(table.TID) bool, f ranking.Func, x Filter[C], ctr *stats.Counters) {
 	poison.Fill(s.kids, State[C]{Score: poison.Score, SID: poison.SID, Ref: poison.TID})
 	poison.Fill(s.out, core.Result{TID: poison.TID, Score: poison.Score})
+	poison.Fill(s.rect, poison.Score)
 	s.heap.Reset()
 	clear(s.kids)
 	s.kids = s.kids[:0]
 	s.acc.Reset(idx, ctr)
-	s.bound.Bind(f, idx.Dims())
+	s.bound.Bind(f, idx.Dims(), idx.Domain())
 	s.idx, s.tester, s.stages, s.fanout = idx, tester, signature.Probers(tester), idx.MaxFanout()
-	s.verify, s.f, s.x, s.ctr, s.done = verify, f, x, ctr, false
+	s.verify, s.x, s.ctr, s.done = verify, x, ctr, false
 }
 
 // newScanner starts a pooled search over idx from its root, taken as
@@ -181,7 +184,7 @@ func newScanner(idx hindex.Index, tester signature.Tester, verify func(table.TID
 	s := scanners.Get().(*Scanner)
 	s.Start(idx, tester, verify, f, nil, ctr)
 	if root := idx.Root(); root != hindex.InvalidNode {
-		s.push(State[struct{}]{Score: f.LowerBound(s.acc.NodeBox(root)), Ref: int32(root)})
+		s.push(State[struct{}]{Score: s.bound.Rect(s.rootRect(root)), Ref: int32(root)})
 	}
 	return s
 }
@@ -195,8 +198,8 @@ func (s *BestFirst[C]) Release() {
 		return
 	}
 	signature.Release(s.tester)
-	s.bound.Bind(nil, nil)
-	s.idx, s.tester, s.stages, s.verify, s.f, s.x, s.ctr, s.done = nil, nil, nil, nil, nil, nil, nil, true
+	s.bound.Bind(nil, nil, ranking.Box{})
+	s.idx, s.tester, s.stages, s.verify, s.x, s.ctr, s.done = nil, nil, nil, nil, nil, nil, true
 	if sc, ok := any(s).(*Scanner); ok {
 		scanners.Put(sc)
 	}
@@ -252,9 +255,19 @@ func (s *BestFirst[C]) Enter(score float64, sid uint64, ref int32, tuple bool, c
 // tester at its pop.
 func (s *BestFirst[C]) EnterRoot() {
 	if root := s.idx.Root(); root != hindex.InvalidNode {
-		box := s.acc.NodeBox(root)
-		s.Enter(s.f.LowerBound(box), 0, int32(root), false, s.x.Node(box))
+		lo, hi := s.rootRect(root)
+		s.Enter(s.bound.Rect(lo, hi), 0, int32(root), false, s.x.Payload(lo, hi))
 	}
+}
+
+// rootRect returns the root's bounds over the covered dimensions in the
+// search's scratch.
+func (s *BestFirst[C]) rootRect(root hindex.NodeID) (lo, hi []float64) {
+	d := len(s.idx.Dims())
+	s.rect = slices.Grow(s.rect[:0], 2*d)[:2*d]
+	lo, hi = s.rect[:d:d], s.rect[d:]
+	s.idx.NodeRect(root, lo, hi)
+	return lo, hi
 }
 
 // Test puts the path of sid to the search's tester, loading what fig. 7.1's
@@ -345,39 +358,17 @@ func (s *BestFirst[C]) expand(e State[C]) {
 }
 
 // entry scores the entry in slot of a node the search has read, whose SID is
-// sid, and has the filter make its payload. A Direct bound scores the entry
-// where the index stores it; the accessor widens it to a full-width box or
-// point only for a function the bound does not take, or for the filter.
+// sid, where the index stores it, and has the filter make its payload there.
 func (s *BestFirst[C]) entry(node hindex.NodeID, slot int, sid uint64, leaf bool) State[C] {
 	st := State[C]{SID: sid, Tuple: leaf}
-	direct := s.bound.Direct()
-	if direct {
-		lo, hi := s.idx.Rect(node, slot)
-		if leaf {
-			st.Ref, st.Score = int32(s.idx.TupleAt(node, slot)), s.bound.Point(lo)
-		} else {
-			st.Ref, st.Score = int32(s.idx.ChildAt(node, slot)), s.bound.Rect(lo, hi)
-		}
-		if s.x == nil {
-			return st
-		}
-	}
+	lo, hi := s.idx.Rect(node, slot)
 	if leaf {
-		tid, pt := s.acc.Tuple(node, slot)
-		if !direct {
-			st.Ref, st.Score = int32(tid), s.f.Eval(pt)
-		}
-		if s.x != nil {
-			st.C = s.x.Tuple(pt)
-		}
+		st.Ref, st.Score = int32(s.idx.TupleAt(node, slot)), s.bound.Point(lo)
 	} else {
-		kid, box := s.acc.Child(node, slot)
-		if !direct {
-			st.Ref, st.Score = int32(kid), s.f.LowerBound(box)
-		}
-		if s.x != nil {
-			st.C = s.x.Node(box)
-		}
+		st.Ref, st.Score = int32(s.idx.ChildAt(node, slot)), s.bound.Rect(lo, hi)
+	}
+	if s.x != nil {
+		st.C = s.x.Payload(lo, hi)
 	}
 	return st
 }

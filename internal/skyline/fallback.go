@@ -24,7 +24,7 @@ func (e *Engine) ScanSkyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot,
 	var sky []Result
 	var point []float64
 	e.cube.SeqScan(q.Cond, ctr, func(tid table.TID, rank []float64) {
-		point = q.appendPoint(point[:0], rank)
+		point = q.appendCorner(point[:0], rank, rank, q.Dims)
 		kept := sky[:0]
 		for _, w := range sky {
 			if dominates(w.Coord, point) {

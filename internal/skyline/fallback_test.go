@@ -27,7 +27,7 @@ func pairwiseSkyline(e *Engine, q Query) ([]Result, int64) {
 	for i := 0; i < tb.Len(); i++ {
 		tid := table.TID(i)
 		if cube.Alive(tid) && tb.Matches(tid, q.Cond) {
-			cands = append(cands, Result{TID: tid, Coord: q.appendPoint(nil, tb.RankRow(tid, buf))})
+			cands = append(cands, Result{TID: tid, Coord: q.appendCorner(nil, tb.RankRow(tid, buf), buf, q.Dims)})
 		}
 	}
 	var sky []Result

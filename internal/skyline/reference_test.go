@@ -122,9 +122,18 @@ func refPrunedBy(sky []Result, en refEntry) bool {
 
 func refRoot(q Query, rt hindex.Index) *heap.Heap[refEntry] {
 	h := heap.New[refEntry](lessRefEntry)
-	corner := refLowerCorner(q, rt.NodeBox(rt.Root(), rt.Domain().Clone()))
+	corner := refLowerCorner(q, refNodeBox(rt, rt.Root()))
 	h.Push(refEntry{mindist: sum(corner), node: rt.Root(), corner: corner})
 	return h
+}
+
+// refNodeBox is node id's bounds widened to the full width with the domain,
+// as Children widens its entries.
+func refNodeBox(idx hindex.Index, id hindex.NodeID) ranking.Box {
+	box, dims := idx.Domain().Clone(), idx.Dims()
+	lo, hi := make([]float64, len(dims)), make([]float64, len(dims))
+	idx.NodeRect(id, lo, hi)
+	return ranking.NewBox(ranking.Widen(box.Lo, dims, lo), ranking.Widen(box.Hi, dims, hi))
 }
 
 // refRun is the old BBS loop; rule qualifies a node's children before reading

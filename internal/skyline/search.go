@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"slices"
 	"sync"
 
 	"rankcube/internal/poison"
@@ -21,9 +22,10 @@ import (
 //
 // A search comes from its engine's pool (Engine.newSearch) and goes back at
 // Release, which whoever took it defers: it holds the candidates, the
-// accessor and the tester; the corners, a state's at corners[C:C+len(q.Dims)];
-// and the SIDs of what the run prunes by domination, in pruning order. Nothing
-// outlives the run in here: what a result or a snapshot keeps it copies.
+// accessor and the tester; the covered position of each preference dimension;
+// the corners, a state's at corners[C:C+len(q.Dims)]; and the SIDs of what the
+// run prunes by domination, in pruning order. Nothing outlives the run in
+// here: what a result or a snapshot keeps it copies.
 type search struct {
 	sigcube.BestFirst[int32]
 	q Query
@@ -37,6 +39,7 @@ type search struct {
 	// domination.
 	snap    *Snapshot
 	home    *sync.Pool
+	at      []int
 	corners []float64
 	pruned  []uint64
 }
@@ -52,6 +55,7 @@ func (e *Engine) newSearch(q Query, tester signature.Tester, verify func(table.T
 	if s == nil {
 		s = &search{home: &e.searches}
 	}
+	poison.Fill(s.at, poison.TID)
 	poison.Fill(s.corners, poison.Score)
 	poison.Fill(s.pruned, poison.SID)
 	if verify == nil {
@@ -62,7 +66,10 @@ func (e *Engine) newSearch(q Query, tester signature.Tester, verify func(table.T
 		f = ranking.L1Dist(q.Dims, q.Target)
 	}
 	s.q, s.verify, s.ctr, s.snap = q, verify, ctr, snap
-	s.corners, s.pruned = s.corners[:0], s.pruned[:0]
+	s.at, s.corners, s.pruned = s.at[:0], s.corners[:0], s.pruned[:0]
+	for _, d := range q.Dims {
+		s.at = append(s.at, slices.Index(e.cube.Tree().Dims(), d))
+	}
 	s.Start(e.cube.Tree(), tester, verify, f, s, ctr)
 	s.Hold(snap.held)
 	return s
@@ -76,17 +83,11 @@ func (s *search) Release() {
 	s.home.Put(s)
 }
 
-// Node implements sigcube.Filter: a node's payload is its best corner.
-func (s *search) Node(box ranking.Box) int32 {
+// Payload implements sigcube.Filter: a node's payload is its best corner, a
+// tuple's its point, in preference space.
+func (s *search) Payload(lo, hi []float64) int32 {
 	at := len(s.corners)
-	s.corners = s.q.appendCorner(s.corners, box)
-	return int32(at)
-}
-
-// Tuple implements sigcube.Filter: a tuple's payload is its point.
-func (s *search) Tuple(pt []float64) int32 {
-	at := len(s.corners)
-	s.corners = s.q.appendPoint(s.corners, pt)
+	s.corners = s.q.appendCorner(s.corners, lo, hi, s.at)
 	return int32(at)
 }
 

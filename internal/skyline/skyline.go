@@ -17,11 +17,11 @@ package skyline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
-	"rankcube/internal/ranking"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/signature"
 	"rankcube/internal/stats"
@@ -37,36 +37,26 @@ type Query struct {
 	Target []float64
 }
 
-// appendCorner appends to dst the per-dimension minima of a box in preference
-// space — the point BBS sorts and prunes by.
-func (q Query) appendCorner(dst []float64, box ranking.Box) []float64 {
-	for i, d := range q.Dims {
+// appendCorner appends to dst the per-dimension minima in preference space of
+// the box lo..hi, whose coordinate of Dims[i] is at position at[i] — the point
+// BBS sorts and prunes by. A tuple's point, as both lo and hi, maps to its
+// preference-space coordinates: identity for static skylines, |x−target| for
+// dynamic ones.
+func (q Query) appendCorner(dst, lo, hi []float64, at []int) []float64 {
+	for i, a := range at {
 		if q.Target == nil {
-			dst = append(dst, box.Lo[d])
+			dst = append(dst, lo[a])
 			continue
 		}
 		t := q.Target[i]
 		switch {
-		case t < box.Lo[d]:
-			dst = append(dst, box.Lo[d]-t)
-		case t > box.Hi[d]:
-			dst = append(dst, t-box.Hi[d])
+		case t < lo[a]:
+			dst = append(dst, lo[a]-t)
+		case t > hi[a]:
+			dst = append(dst, t-hi[a])
 		default:
 			dst = append(dst, 0)
 		}
-	}
-	return dst
-}
-
-// appendPoint appends a tuple's preference-space coordinates to dst:
-// identity for static skylines, |x−target| for dynamic ones.
-func (q Query) appendPoint(dst, vals []float64) []float64 {
-	for i, d := range q.Dims {
-		v := vals[d]
-		if q.Target != nil {
-			v = math.Abs(v - q.Target[i])
-		}
-		dst = append(dst, v)
 	}
 	return dst
 }
@@ -381,14 +371,16 @@ func (s *Snapshot) clean() {
 	s.skyline, s.sids = sky[:n], s.sids[:n]
 }
 
+// validate refuses a query with no preference dimension, with one the cube's
+// partition does not cover — one out of the schema's range included — and
+// with a target that does not give each a finite value.
 func (e *Engine) validate(q Query) error {
-	r := e.cube.Table().Schema().R()
 	if len(q.Dims) == 0 {
 		return fmt.Errorf("skyline: no preference dimensions: %w", errs.ErrInvalidArgument)
 	}
 	for _, d := range q.Dims {
-		if d < 0 || d >= r {
-			return fmt.Errorf("skyline: preference dimension %d out of range: %w", d, errs.ErrInvalidArgument)
+		if !slices.Contains(e.cube.Tree().Dims(), d) {
+			return fmt.Errorf("skyline: preference dimension %d not covered by the partition: %w", d, errs.ErrInvalidArgument)
 		}
 	}
 	if q.Target != nil && len(q.Target) != len(q.Dims) {

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"rankcube/internal/core"
+	"rankcube/internal/errs"
+	"rankcube/internal/ranking"
 	"rankcube/internal/rtree"
 	"rankcube/internal/sigcube"
 	"rankcube/internal/stats"
@@ -28,7 +31,7 @@ func bruteSkyline(t *table.Table, q Query) map[table.TID]bool {
 		if !t.Matches(tid, q.Cond) {
 			continue
 		}
-		pts = append(pts, pt{tid, q.appendPoint(nil, t.RankRow(tid, buf))})
+		pts = append(pts, pt{tid, q.appendCorner(nil, t.RankRow(tid, buf), buf, q.Dims)})
 	}
 	out := make(map[table.TID]bool)
 	for i := range pts {
@@ -224,6 +227,28 @@ func TestValidation(t *testing.T) {
 	}
 	if _, _, err := e.Skyline(Query{Dims: []int{0, 1}, Target: []float64{0.5}}, stats.New()); err == nil {
 		t.Fatal("accepted mismatched target")
+	}
+}
+
+// TestSkylineOnPartialPartition runs static and dynamic skylines on a
+// partition covering dimensions 0 and 2 of three, so a preference dimension's
+// covered position differs from its own, and refuses one on dimension 1.
+func TestSkylineOnPartialPartition(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 3000, S: 2, R: 3, Card: 4, Dist: table.AntiCorrelated, Seed: 120})
+	e := NewEngine(sigcube.BuildOnTree(tb, rtree.Bulk(tb, []int{0, 2}, ranking.UnitBox(3), rtree.Config{Fanout: 16}), sigcube.Config{}))
+	for _, q := range []Query{
+		{Cond: core.Cond{0: 1}, Dims: []int{2}},
+		{Cond: core.Cond{1: 2}, Dims: []int{2, 0}},
+		{Cond: core.Cond{0: 3}, Dims: []int{0, 2}, Target: []float64{0.3, 0.6}},
+	} {
+		got, _, err := e.Skyline(q, stats.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSkyline(t, got, bruteSkyline(tb, q))
+	}
+	if _, _, err := e.Skyline(Query{Dims: []int{2, 1}}, stats.New()); !errors.Is(err, errs.ErrInvalidArgument) {
+		t.Fatalf("a dimension the partition does not cover: err %v, want ErrInvalidArgument", err)
 	}
 }
 
