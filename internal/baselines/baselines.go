@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"rankcube/internal/core"
-	"rankcube/internal/heap"
 	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
@@ -103,7 +102,8 @@ func (bf *BooleanFirst) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.C
 	}
 	// Fetch survivors: random accesses, each page charged once.
 	fetch := bf.heap.Verifier(nil, ctr)
-	topk := heap.NewBounded[core.Result](k, core.WorseResult)
+	var topk core.TopK
+	topk.Reset(k)
 	buf := make([]float64, t.Schema().R())
 	for _, tid := range candidates {
 		fetch(tid)

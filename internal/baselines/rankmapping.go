@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"rankcube/internal/core"
-	"rankcube/internal/heap"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
@@ -151,7 +150,8 @@ func (rm *RankMapping) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Co
 		ctr.Read(stats.StructBTree, int64(rm.heap.PageOf(table.TID(hi-1))-rm.heap.PageOf(table.TID(lo))+1))
 	}
 
-	topk := heap.NewBounded[core.Result](k, core.WorseResult)
+	var topk core.TopK
+	topk.Reset(k)
 	buf := make([]float64, t.Schema().R())
 	for i := lo; i < hi; i++ {
 		tid := rm.order[i]
@@ -198,7 +198,8 @@ func (rm *RankMapping) segment(cond core.Cond, prefix int) (int, int) {
 // oracleKth computes the true kth score (uncharged oracle).
 func (rm *RankMapping) oracleKth(cond core.Cond, f ranking.Func, k int) float64 {
 	t := rm.t
-	topk := heap.NewBounded[core.Result](k, core.WorseResult)
+	var topk core.TopK
+	topk.Reset(k)
 	buf := make([]float64, t.Schema().R())
 	for i := 0; i < t.Len(); i++ {
 		tid := table.TID(i)

@@ -8,7 +8,10 @@
 // when it may beat the current top-k and M marks it non-empty.
 package core
 
-import "rankcube/internal/table"
+import (
+	"rankcube/internal/heap"
+	"rankcube/internal/table"
+)
 
 // Result is one scored tuple of a top-k answer, ascending scores preferred.
 type Result struct {
@@ -17,12 +20,46 @@ type Result struct {
 }
 
 // WorseResult orders results for bounded top-k heaps: higher score is worse;
-// ties break toward higher tid so results are deterministic.
+// ties break toward higher tid so results are deterministic. TopK keeps this
+// order on two keyed fields.
 func WorseResult(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
 	return a.TID > b.TID
+}
+
+// TopK keeps the k best results offered, under WorseResult's order, on a
+// heap.KeyedBounded (Reset, Len and Full are its own): a result is the item
+// of key −Score and tie ^TID, so an item orders before another exactly when
+// its result is worse, and the worst kept sits at the root. Negation and
+// complement are exact, so the item gives the result back bit for bit.
+// Scores are never NaN: the relation and the functions' constants refuse it.
+// Its zero value keeps nothing until Reset.
+type TopK struct{ heap.KeyedBounded[struct{}] }
+
+// Offer considers the result r and reports whether it was kept, possibly
+// evicting the worst.
+func (t *TopK) Offer(r Result) bool {
+	return t.KeyedBounded.Offer(heap.Item[struct{}]{Key: -r.Score, Tie: ^uint64(r.TID)})
+}
+
+// Worst returns the worst result kept, the kth best so far. It panics when
+// none is kept.
+func (t *TopK) Worst() Result { return result(t.Min()) }
+
+// Sorted drains t and returns the results it kept, best first.
+func (t *TopK) Sorted() []Result {
+	out := make([]Result, t.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = result(t.Pop())
+	}
+	return out
+}
+
+// result is the result an item of TopK keys.
+func result(it heap.Item[struct{}]) Result {
+	return Result{TID: table.TID(^it.Tie), Score: -it.Key}
 }
 
 // Cond is a conjunctive multi-dimensional selection: selection-dimension

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"rankcube/internal/errs"
-	"rankcube/internal/heap"
 	"rankcube/internal/pager"
 	"rankcube/internal/ranking"
 	"rankcube/internal/stats"
@@ -96,7 +95,8 @@ func ScanTopK(h *HeapFile, alive func(table.TID) bool, cond Cond, f ranking.Func
 	if k <= 0 {
 		return nil
 	}
-	topk := heap.NewBounded[Result](k, WorseResult)
+	var topk TopK
+	topk.Reset(k)
 	Scan(h, alive, cond, ctr, func(tid table.TID, rank []float64) {
 		if score := f.Eval(rank); !math.IsInf(score, 1) {
 			topk.Offer(Result{TID: tid, Score: score})

@@ -31,8 +31,10 @@ type Cuboid struct {
 	sf    int   // pseudo-block scale factor (§3.2.3)
 	pbins int   // pseudo bins per ranking dimension
 	numP  int   // pseudo blocks: pbins^R
-	meta  Meta
-	cells map[uint64]cellRef
+	// pseudo[bid] is the pseudo block of base block bid: its bin coordinates
+	// each divided by sf, in pbins' mixed radix.
+	pseudo []int32
+	cells  map[uint64]cellRef
 	// data holds uncompressed cell payloads, contiguous, grouped by cell and
 	// ordered by (bid, tid) inside one: a base block's tids are one
 	// ascending run of its cell. nil when lists are delta-compressed (cell
@@ -62,15 +64,7 @@ const entryBytes = 8
 func (cb *Cuboid) Dims() []int { return cb.dims }
 
 // PseudoOf maps a base block to its pseudo block id.
-func (cb *Cuboid) PseudoOf(bid BID) int {
-	pid, mul := 0, 1
-	for v, d := int(bid), 0; d < cb.meta.R; d++ {
-		pid += v % cb.meta.Bins / cb.sf * mul
-		mul *= cb.pbins
-		v /= cb.meta.Bins
-	}
-	return pid
-}
+func (cb *Cuboid) PseudoOf(bid BID) int { return int(cb.pseudo[bid]) }
 
 // cellKey packs selection values (aligned with cb.dims) and a pid into a
 // mixed-radix uint64.
@@ -263,12 +257,20 @@ func (c *Cube) materializeCuboid(sorted []int, store *pager.Store) *Cuboid {
 		sf:         sf,
 		pbins:      (c.meta.Bins + sf - 1) / sf,
 		numP:       1,
-		meta:       c.meta,
+		pseudo:     make([]int32, c.meta.NumBlocks()),
 		compressed: c.cfg.CompressLists,
 		store:      store,
 	}
 	for d := 0; d < c.meta.R; d++ {
 		cb.numP *= cb.pbins
+	}
+	r := c.meta.R
+	for bid := range cb.pseudo {
+		pid := 0
+		for _, x := range c.meta.coords[bid*r:][:r] {
+			pid = pid*cb.pbins + int(x)/sf
+		}
+		cb.pseudo[bid] = int32(pid)
 	}
 
 	// Assemble entries sorted by cell key so each cell is one contiguous

@@ -150,7 +150,9 @@ func cuboidDims(cover []*Cuboid) [][]int {
 
 // TestGridQueryAllocs pins what a warmed-up grid query allocates: the answer,
 // and for a convex function the point ArgMin returns. The block heap, the
-// bitsets, the cell lists, the buffers and the top k come from the pool.
+// bitsets, the cell lists, the buffers, the bound function and the top k come
+// from the pool, so a general function deeper than the fixed stack of Eval
+// and LowerBound, and a constrained one, allocate nothing per block or tuple.
 func TestGridQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled state at random")
@@ -165,6 +167,8 @@ func TestGridQueryAllocs(t *testing.T) {
 	}{
 		{"linear", ranking.Linear([]int{0, 1}, []float64{1, 2.5}), 2},
 		{"general", ranking.General(ranking.Sqr(ranking.Sub(ranking.Scale(1.5, ranking.Var(0)), ranking.Var(1)))), 1},
+		{"deep general", deepGeneral(16), 1},
+		{"constrained", ranking.Constrained(ranking.Sum(0, 1), 0, 0.2, 0.8), 1},
 	} {
 		q := Query{Cond: cond, F: tc.f, K: 10}
 		ctr := stats.New()
@@ -218,4 +222,14 @@ func TestPooledStateAfterAbort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// deepGeneral is a general function of dimensions 0 and 1 whose program's
+// stack reaches depth n+1.
+func deepGeneral(n int) ranking.Func {
+	e := ranking.Expr(ranking.Var(0))
+	for i := 0; i < n; i++ {
+		e = ranking.Sub(ranking.Var(i%2), e)
+	}
+	return ranking.General(ranking.Sqr(e))
 }

@@ -33,6 +33,12 @@ type Meta struct {
 	Bins int
 	// R is the number of ranking dimensions.
 	R int
+	// coords[bid·R:][:R] are block bid's bin coordinates, the bid being
+	// their row-major index, and strides[d] is what one bin on dimension d
+	// adds to a bid: a block's box and neighbours are read from them
+	// instead of divided out of the bid.
+	coords  []int32
+	strides []int
 }
 
 // NewMeta computes equi-depth bin boundaries over t's ranking dimensions so
@@ -73,6 +79,14 @@ func NewMeta(t *table.Table, blockSize int) Meta {
 		}
 		m.Bounds[d] = bounds
 	}
+	m.strides = make([]int, r)
+	for d, stride := r-1, 1; d >= 0; d-- {
+		m.strides[d], stride = stride, stride*bins
+	}
+	m.coords = make([]int32, m.NumBlocks()*r)
+	for i := range m.coords {
+		m.coords[i] = int32(i / r / m.strides[i%r] % bins)
+	}
 	return m
 }
 
@@ -112,16 +126,11 @@ func (m Meta) BlockOf(rank []float64) BID {
 	return BID(bid)
 }
 
-// Coords decomposes a bid into per-dimension bin coordinates.
+// Coords returns in buf block bid's per-dimension bin coordinates.
 func (m Meta) Coords(bid BID, buf []int) []int {
-	if cap(buf) < m.R {
-		buf = make([]int, m.R)
-	}
-	buf = buf[:m.R]
-	v := int(bid)
-	for d := m.R - 1; d >= 0; d-- {
-		buf[d] = v % m.Bins
-		v /= m.Bins
+	buf = buf[:0]
+	for _, c := range m.coords[int(bid)*m.R:][:m.R] {
+		buf = append(buf, int(c))
 	}
 	return buf
 }
@@ -143,14 +152,12 @@ func (m Meta) BlockBox(bid BID) ranking.Box {
 }
 
 // boxInto overwrites box (R wide) with the extent of block bid; the search
-// loop bounds every block through one box it owns.
-func (m Meta) boxInto(bid BID, box ranking.Box) {
-	v := int(bid)
-	for d := m.R - 1; d >= 0; d-- {
-		c := v % m.Bins
-		v /= m.Bins
-		box.Lo[d] = m.Bounds[d][c]
-		box.Hi[d] = m.Bounds[d][c+1]
+// loop bounds every block through one box it owns. It and Neighbors take m by
+// pointer: the search calls them per block, and a Meta is too big to copy
+// there.
+func (m *Meta) boxInto(bid BID, box ranking.Box) {
+	for d, c := range m.coords[int(bid)*m.R:][:m.R] {
+		box.Lo[d], box.Hi[d] = m.Bounds[d][c], m.Bounds[d][c+1]
 	}
 }
 
@@ -165,25 +172,21 @@ func (m Meta) domainInto(box ranking.Box) {
 // Neighbors appends the Moore neighborhood of bid (all blocks differing by
 // at most one bin per dimension) to dst, in no particular order. The thesis'
 // Lemma 1 drives the neighborhood search over these.
-func (m Meta) Neighbors(bid BID, dst []BID) []BID {
-	// Grown in dst itself one dimension at a time: every partial block id
-	// spawns its two moved variants at the tail and then takes the unmoved
-	// bin in place, so the slot that started the list ends as bid itself.
+func (m *Meta) Neighbors(bid BID, dst []BID) []BID {
+	// Grown in dst itself one dimension at a time from bid: every block id
+	// listed so far spawns its two moves on the dimension at the tail, so the
+	// slot that started the list stays bid itself.
 	self := len(dst)
-	dst = append(dst, 0)
-	stride := m.NumBlocks()
-	for rest, d := int(bid), 0; d < m.R; d++ {
-		stride /= m.Bins
-		c := rest / stride
-		rest -= c * stride
+	dst = append(dst, bid)
+	for d, c := range m.coords[int(bid)*m.R:][:m.R] {
+		stride := BID(m.strides[d])
 		for i, n := self, len(dst); i < n; i++ {
 			if c > 0 {
-				dst = append(dst, dst[i]+BID((c-1)*stride))
+				dst = append(dst, dst[i]-stride)
 			}
-			if c < m.Bins-1 {
-				dst = append(dst, dst[i]+BID((c+1)*stride))
+			if int(c) < m.Bins-1 {
+				dst = append(dst, dst[i]+stride)
 			}
-			dst[i] += BID(c * stride)
 		}
 	}
 	last := len(dst) - 1

@@ -149,16 +149,17 @@ func (c *Cube) TopK(q Query, ctr *stats.Counters) ([]Result, error) {
 }
 
 // gridExec is one query's execution state. Everything the block loop needs
-// from one block to the next — the block queue, the bounding box, the cells
-// and their buffers, the tid lists, the top k — is owned here and kept, in
-// execs, from one query to the next: once it has grown to a query's width, a
-// query allocates its answer and, under a convex function, the point ArgMin
-// returns.
+// from one block to the next — the block queue, the bounding box, the bound
+// function, the cells and their buffers, the tid lists, the top k — is owned
+// here and kept, in execs, from one query to the next: once it has grown to a
+// query's width, a query allocates its answer and, under a convex function,
+// the point ArgMin returns.
 type gridExec struct {
-	cube *Cube
-	f    ranking.Func
-	ctr  *stats.Counters
-	topk *heap.Bounded[Result]
+	cube  *Cube
+	ctr   *stats.Counters
+	topk  core.TopK
+	bound ranking.Bound // f over all R dimensions: blocks' boxes, rows
+	all   []int         // 0, …, R−1
 
 	plan     coverPlan
 	condDims []int
@@ -174,18 +175,18 @@ type gridExec struct {
 }
 
 // execs holds the execution states of finished queries.
-var execs = sync.Pool{New: func() any { return &gridExec{topk: heap.NewBounded[Result](0, core.WorseResult)} }}
+var execs = sync.Pool{New: func() any { return new(gridExec) }}
 
 // reset readies e for q on c, whatever query it served last and however that
-// one ended: it plans the cover, rebinds the buffers and sizes the box from
-// c's current Meta, which a Repartition may have changed (neighborhoodSearch
-// sizes the pushed-block bitset from it). It reports false when the answer is
-// known to be empty (or err) without a search.
+// one ended: it plans the cover, rebinds the buffers, sizes the box and binds
+// the function from c's current Meta, which a Repartition may have changed
+// (neighborhoodSearch sizes the pushed-block bitset from it). It reports
+// false when the answer is known to be empty (or err) without a search.
 func (e *gridExec) reset(c *Cube, q Query, ctr *stats.Counters) (bool, error) {
 	if poison.On {
 		e.poison()
 	}
-	e.cube, e.f, e.ctr = c, q.F, ctr
+	e.cube, e.ctr = c, ctr
 	e.topk.Reset(q.K)
 	e.condDims = e.condDims[:0]
 	for d := range q.Cond {
@@ -219,6 +220,12 @@ func (e *gridExec) reset(c *Cube, q Query, ctr *stats.Counters) (bool, error) {
 	e.blockBuf.Reset(c.blocks.store)
 	r := c.meta.R
 	e.box.Lo, e.box.Hi = slices.Grow(e.box.Lo[:0], r)[:r], slices.Grow(e.box.Hi[:0], r)[:r]
+	e.all = slices.Grow(e.all[:0], r)[:r]
+	for d := range e.all {
+		e.all[d] = d
+	}
+	c.meta.domainInto(e.box)
+	e.bound.Bind(q.F, e.all, e.box)
 	e.blocks.Reset()
 	e.cand, e.tids = e.cand[:0], e.tids[:0]
 	clear(e.marked) // an aborted query may have left its block's marks
@@ -260,7 +267,8 @@ func (e *gridExec) release() {
 	e.blockBuf.Reset(nil)
 	clear(e.plan.maximal)
 	clear(e.plan.cover)
-	e.cube, e.f, e.ctr = nil, nil, nil
+	e.bound.Bind(nil, nil, ranking.Box{})
+	e.cube, e.ctr = nil, nil
 	execs.Put(e)
 }
 
@@ -280,17 +288,17 @@ func (e *gridExec) done(unseen float64) bool {
 	return e.topk.Full() && e.topk.Worst().Score <= unseen
 }
 
-// bound computes f's lower bound over base block bid.
-func (e *gridExec) bound(bid BID) float64 {
+// blockBound computes f's lower bound over base block bid.
+func (e *gridExec) blockBound(bid BID) float64 {
 	e.cube.meta.boxInto(bid, e.box)
-	return e.f.LowerBound(e.box)
+	return e.bound.Rect(e.box.Lo, e.box.Hi)
 }
 
 // neighborhoodSearch implements the convex-function search of §3.3.2: start
 // at the block containing the function minimum and expand through the
 // neighbor list H ordered by block lower bounds (Lemma 1).
 func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
-	meta := e.cube.meta
+	meta := &e.cube.meta
 	meta.domainInto(e.box)
 	start := meta.BlockOf(min.ArgMin(e.box))
 
@@ -302,7 +310,7 @@ func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 	clear(e.inserted)
 	e.inserted.add(start)
 	h := &e.blocks
-	h.Push(heap.Item[struct{}]{Key: e.bound(start), Tie: uint64(start)})
+	h.Push(heap.Item[struct{}]{Key: e.blockBound(start), Tie: uint64(start)})
 
 	for len(*h) > 0 {
 		e.ctr.ObserveHeap(len(*h))
@@ -315,7 +323,7 @@ func (e *gridExec) neighborhoodSearch(min ranking.Minimizer) {
 		e.neighbors = meta.Neighbors(bid, e.neighbors[:0])
 		for _, nb := range e.neighbors {
 			if e.inserted.add(nb) {
-				h.Push(heap.Item[struct{}]{Key: e.bound(nb), Tie: uint64(nb)})
+				h.Push(heap.Item[struct{}]{Key: e.blockBound(nb), Tie: uint64(nb)})
 			}
 		}
 	}
@@ -331,7 +339,7 @@ func (e *gridExec) exhaustiveSearch() {
 		if len(blocks[bid].tids) == 0 {
 			continue
 		}
-		if bound := e.bound(BID(bid)); !math.IsInf(bound, 1) {
+		if bound := e.blockBound(BID(bid)); !math.IsInf(bound, 1) {
 			e.blocks = append(e.blocks, heap.Item[struct{}]{Key: bound, Tie: uint64(bid)})
 		}
 	}
@@ -420,7 +428,7 @@ func (e *gridExec) live(tid table.TID) bool {
 // function's band) is no answer.
 func (e *gridExec) offer(blk *block, i int) {
 	r := e.cube.meta.R
-	if score := e.f.Eval(blk.ranks[i*r : (i+1)*r]); !math.IsInf(score, 1) {
+	if score := e.bound.Point(blk.ranks[i*r : (i+1)*r]); !math.IsInf(score, 1) {
 		e.topk.Offer(Result{TID: blk.tids[i], Score: score})
 	}
 }

@@ -67,7 +67,7 @@ func newRefCube(c *Cube) *refCube {
 			for j, d := range cb.dims {
 				vals[j] = c.t.Sel(tid, d)
 			}
-			key := cb.cellKey(vals, refPseudoOf(cb, bid))
+			key := cb.cellKey(vals, refPseudoOf(c.meta, cb, bid))
 			rc.cells[cb][key] = append(rc.cells[cb][key], Entry{TID: tid, BID: bid})
 		}
 	}
@@ -92,8 +92,8 @@ func newRefCube(c *Cube) *refCube {
 	return rc
 }
 
-func refPseudoOf(cb *Cuboid, bid BID) int {
-	coords := cb.meta.Coords(bid, nil)
+func refPseudoOf(m Meta, cb *Cuboid, bid BID) int {
+	coords := divCoords(m, bid)
 	pid := 0
 	for _, c := range coords {
 		pid = pid*cb.pbins + c/cb.sf
@@ -102,7 +102,7 @@ func refPseudoOf(cb *Cuboid, bid BID) int {
 }
 
 func refNeighbors(m Meta, bid BID, dst []BID) []BID {
-	coords := m.Coords(bid, nil)
+	coords := divCoords(m, bid)
 	work := make([]int, m.R)
 	var rec func(d int, moved bool)
 	rec = func(d int, moved bool) {
@@ -351,7 +351,7 @@ func (e *refExec) processBlock(bid BID) {
 	}
 	var candidates []table.TID
 	for i, cb := range e.cover {
-		key := cb.cellKey(e.condVals[i], refPseudoOf(cb, bid))
+		key := cb.cellKey(e.condVals[i], refPseudoOf(e.cube.meta, cb, bid))
 		entries := e.rc.getPseudoBlock(cb, key, e.cubeBufs[i], e.ctr)
 		e.needCell(cb, key, entries, bid)
 		var tids []table.TID

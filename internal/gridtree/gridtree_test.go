@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rankcube/internal/core"
+	"rankcube/internal/gridcube"
 	"rankcube/internal/hindex"
 	"rankcube/internal/ranking"
 	"rankcube/internal/sigcube"
@@ -117,5 +118,84 @@ func TestEmptyTree(t *testing.T) {
 	tr := Build(tb, []int{0, 1}, ranking.UnitBox(2), Config{})
 	if tr.Root() != hindex.InvalidNode || tr.Height() != 0 {
 		t.Fatal("empty build produced structure")
+	}
+}
+
+// TestGridGeometryMatchesArithmetic: the grid partitioner's geometry tables
+// give, for every block of the grids a tree is built over — one, two and
+// three covered dimensions, one bin or many — the coordinates, box and
+// neighbours that dividing the block id gives, and every leaf of the tree is
+// bounded in its parent by the bin edges at its cell's divided coordinates.
+func TestGridGeometryMatchesArithmetic(t *testing.T) {
+	tb := table.Generate(table.GenSpec{T: 3000, S: 1, R: 3, Card: 2, Seed: 57})
+	for _, dims := range [][]int{{1}, {0, 2}, {0, 1, 2}} {
+		for _, blockSize := range []int{1 << 20, 40} {
+			meta := gridcube.NewMeta(projectTable(tb, dims), blockSize)
+			if blockSize == 1<<20 && meta.Bins != 1 {
+				t.Fatalf("%v: %d bins with one block's worth of rows", dims, meta.Bins)
+			}
+			coords := make([][]int, meta.NumBlocks())
+			for bid := range coords {
+				coords[bid] = make([]int, meta.R)
+				for v, d := bid, meta.R-1; d >= 0; d-- {
+					coords[bid][d], v = v%meta.Bins, v/meta.Bins
+				}
+			}
+			box := func(bid int) ([]float64, []float64) {
+				lo, hi := make([]float64, meta.R), make([]float64, meta.R)
+				for d, x := range coords[bid] {
+					lo[d], hi[d] = meta.Bounds[d][x], meta.Bounds[d][x+1]
+				}
+				return lo, hi
+			}
+			for bid, c := range coords {
+				if got := meta.Coords(gridcube.BID(bid), nil); !slices.Equal(got, c) {
+					t.Fatalf("%v: block %d at %v, division %v", dims, bid, got, c)
+				}
+				lo, hi := box(bid)
+				if got := meta.BlockBox(gridcube.BID(bid)); !slices.Equal(got.Lo, lo) || !slices.Equal(got.Hi, hi) {
+					t.Fatalf("%v: block %d spans %v, its bins %v..%v", dims, bid, got, lo, hi)
+				}
+				var want []gridcube.BID
+				for other, oc := range coords {
+					near := other != bid
+					for d := range oc {
+						near = near && oc[d]-c[d] <= 1 && c[d]-oc[d] <= 1
+					}
+					if near {
+						want = append(want, gridcube.BID(other))
+					}
+				}
+				got := meta.Neighbors(gridcube.BID(bid), nil)
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v: block %d has neighbours %v, want %v", dims, bid, got, want)
+				}
+			}
+
+			tr := Build(tb, dims, ranking.NewBox(tb.RankBounds()), Config{Fanout: 8, BlockSize: blockSize})
+			pt := make([]float64, len(dims))
+			var walk func(id hindex.NodeID)
+			walk = func(id hindex.NodeID) {
+				for _, ch := range tr.Children(id) {
+					if !tr.IsLeaf(ch.ID) {
+						walk(ch.ID)
+						continue
+					}
+					for j, d := range dims {
+						pt[j] = tb.Rank(tr.LeafEntries(ch.ID)[0].TID, d)
+					}
+					lo, hi := box(int(meta.BlockOf(pt)))
+					for j, d := range dims {
+						if ch.Box.Lo[d] != lo[j] || ch.Box.Hi[d] != hi[j] {
+							t.Fatalf("%v: leaf %d bounded by %v, its cell %v..%v", dims, ch.ID, ch.Box, lo, hi)
+						}
+					}
+				}
+			}
+			if !tr.IsLeaf(tr.Root()) {
+				walk(tr.Root())
+			}
+		}
 	}
 }

@@ -4,10 +4,11 @@
 // tie-break, compared inline: it serves every best-first loop whose order is
 // such a key — the signature search's candidates (score, tuple before node),
 // the grid cube's blocks (bound, bid) and index-merge's joint states (bound,
-// leaf before node). Heap and Bounded take a less function instead: they serve
-// the orders that are not two fields — index-merge's local heaps (ties by
-// combo), the join's results (ties by a TID vector), every bounded top-k
-// (core.WorseResult) and the reference oracles.
+// leaf before node) — and, bounded as KeyedBounded, every top-k of results
+// (core.TopK: score, then tuple id). Heap and Bounded take a less function
+// instead: they serve the orders that are not two fields — index-merge's
+// local heaps (ties by combo), the join's results (ties by a TID vector) —
+// and the reference oracles.
 //
 // The standard library container/heap forces an interface-based API with
 // per-element boxing; the query algorithms in this repository maintain many
@@ -150,34 +151,38 @@ func (h Keyed[T]) up(i int, v Item[T]) {
 	h[i] = v
 }
 
-// Pop removes and returns the first item. It panics on an empty heap. The
-// sift is Heap.down's, written out here: it is every pop of every search.
+// Pop removes and returns the first item. It panics on an empty heap.
 func (h *Keyed[T]) Pop() Item[T] {
 	items := *h
 	n := len(items) - 1
 	top, v := items[0], items[n]
 	items[n] = Item[T]{}
 	*h = items[:n]
-	if n == 0 {
-		return top
+	if n > 0 {
+		(*h).down(v)
 	}
-	i := 0
+	return top
+}
+
+// down is Heap.down from the root, written out for Keyed: v, the item for the
+// root's hole, moves toward the leaves while a child orders before it.
+func (h Keyed[T]) down(v Item[T]) {
+	i, n := 0, len(h)
 	for l := 1; l < n; l = 2*i + 1 {
 		at, small := i, &v
-		if items[l].before(small) {
-			at, small = l, &items[l]
+		if h[l].before(small) {
+			at, small = l, &h[l]
 		}
-		if r := l + 1; r < n && items[r].before(small) {
+		if r := l + 1; r < n && h[r].before(small) {
 			at = r
 		}
 		if at == i {
 			break
 		}
-		items[i] = items[at]
+		h[i] = h[at]
 		i = at
 	}
-	items[i] = v
-	return top
+	h[i] = v
 }
 
 // Heapify orders the items the heap's storage was filled with as pushing them
@@ -195,9 +200,53 @@ func (h *Keyed[T]) Reset() {
 	*h = (*h)[:0]
 }
 
+// KeyedBounded keeps the k greatest items offered in Keyed's order, the least
+// of them at the root so that it is evicted in O(log k): a bounded top-k whose
+// items are keyed so that the worst retained sits first. Its zero value
+// retains nothing until Reset.
+type KeyedBounded[T any] struct {
+	h Keyed[T]
+	k int
+}
+
+// Reset empties b and sets it to retain the k greatest items from now on,
+// keeping its storage.
+func (b *KeyedBounded[T]) Reset(k int) {
+	b.h.Reset()
+	b.k = max(k, 0)
+}
+
+// Len reports how many items are retained.
+func (b *KeyedBounded[T]) Len() int { return len(b.h) }
+
+// Full reports whether k items are retained.
+func (b *KeyedBounded[T]) Full() bool { return len(b.h) >= b.k }
+
+// Min returns the least retained item, the first evicted. It panics when
+// empty.
+func (b *KeyedBounded[T]) Min() Item[T] { return b.h[0] }
+
+// Offer considers v for membership and reports whether it was retained,
+// possibly evicting the least, whose place it takes before sifting down.
+func (b *KeyedBounded[T]) Offer(v Item[T]) bool {
+	switch {
+	case len(b.h) < b.k:
+		b.h.Push(v)
+	case len(b.h) == 0 || v.before(&b.h[0]):
+		return false
+	default:
+		b.h.down(v)
+	}
+	return true
+}
+
+// Pop removes and returns the least retained item. It panics when empty.
+func (b *KeyedBounded[T]) Pop() Item[T] { return b.h.Pop() }
+
 // Bounded is a fixed-capacity max-heap used to maintain "current best k"
-// result sets: it keeps the k smallest scores seen, with the worst of them
-// at the root so it can be evicted in O(log k).
+// result sets under an order that is not two fields: it keeps the k smallest
+// elements seen, with the worst of them at the root so it can be evicted in
+// O(log k).
 type Bounded[T any] struct {
 	h Heap[T] // ordered by worse: the worst retained element at the root
 	k int
@@ -212,16 +261,6 @@ func NewBounded[T any](k int, worse func(a, b T) bool) *Bounded[T] {
 	}
 	return &Bounded[T]{h: Heap[T]{less: worse}, k: k}
 }
-
-// Reset empties b and sets it to retain the k best elements from now on,
-// keeping its storage for their reuse.
-func (b *Bounded[T]) Reset(k int) {
-	b.h.Reset()
-	b.k = max(k, 0)
-}
-
-// Len reports how many elements are retained.
-func (b *Bounded[T]) Len() int { return b.h.Len() }
 
 // Full reports whether k elements are retained.
 func (b *Bounded[T]) Full() bool { return b.h.Len() >= b.k }

@@ -2,7 +2,6 @@ package heap
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -127,8 +126,8 @@ func TestBoundedZeroK(t *testing.T) {
 		// as it never retains elements.
 		t.Log("k=0 heap reports full")
 	}
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d for k=0 heap", b.Len())
+	if b.h.Len() != 0 {
+		t.Fatalf("Len = %d for k=0 heap", b.h.Len())
 	}
 }
 
@@ -149,31 +148,47 @@ func TestBoundedWorstIsKthBest(t *testing.T) {
 	}
 }
 
-// TestBoundedResetMatchesFresh: a Bounded reset to k — from full, from part
-// full, to a larger k, a smaller one or zero — keeps, evicts and sorts what a
-// fresh Bounded of k does.
-func TestBoundedResetMatchesFresh(t *testing.T) {
-	worse := func(a, x int) bool { return a > x }
+// TestKeyedBoundedResetMatchesFresh: a KeyedBounded reset to k — from full,
+// from part full, to a larger k, a smaller one or zero — keeps, evicts and
+// pops what a fresh one of k does, and, keys and ties drawn from a few values,
+// what Bounded keeps under Keyed's order reversed.
+func TestKeyedBoundedResetMatchesFresh(t *testing.T) {
+	worse := func(a, b Item[int]) bool { return a.before(&b) }
 	rng := rand.New(rand.NewSource(3))
-	reused := NewBounded[int](5, worse)
+	id := 0
+	next := func() Item[int] {
+		id++
+		return Item[int]{Key: float64(rng.Intn(6)), Tie: uint64(rng.Intn(3)), Val: id}
+	}
+	var reused KeyedBounded[int]
+	reused.Reset(5)
 	for trial := 0; trial < 300; trial++ {
 		for i := rng.Intn(20); i > 0; i-- {
-			reused.Offer(rng.Intn(50))
+			reused.Offer(next())
 		}
-		k := rng.Intn(12)
+		k := rng.Intn(12) - 1
 		reused.Reset(k)
-		fresh := NewBounded[int](k, worse)
+		var fresh KeyedBounded[int]
+		fresh.Reset(k)
+		ref := NewBounded(k, worse)
 		for i := rng.Intn(40); i > 0; i-- {
-			v := rng.Intn(50)
-			if got, want := reused.Offer(v), fresh.Offer(v); got != want {
-				t.Fatalf("trial %d: Offer(%d) after Reset(%d) = %v, fresh %v", trial, v, k, got, want)
+			v := next()
+			got, want := reused.Offer(v), fresh.Offer(v)
+			if got != want || got != ref.Offer(v) {
+				t.Fatalf("trial %d: Offer(%+v) after Reset(%d) = %v, fresh %v", trial, v, k, got, want)
 			}
-			if reused.Full() != fresh.Full() || reused.Len() > 0 && reused.Worst() != fresh.Worst() {
-				t.Fatalf("trial %d: after Reset(%d) Full %v Worst %v, fresh Full %v", trial, k, reused.Full(), reused.Worst(), fresh.Full())
+			if reused.Full() != fresh.Full() || reused.Full() != ref.Full() || reused.Len() > 0 && (reused.Min() != fresh.Min() || reused.Min() != ref.Worst()) {
+				t.Fatalf("trial %d: after Reset(%d) Full %v Min %+v, fresh Full %v", trial, k, reused.Full(), reused.Min(), fresh.Full())
 			}
 		}
-		if got, want := reused.Sorted(), fresh.Sorted(); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: Sorted after Reset(%d) = %v, fresh %v", trial, k, got, want)
+		want := ref.Sorted()
+		if reused.Len() != len(want) || fresh.Len() != len(want) {
+			t.Fatalf("trial %d: %d and %d items kept after Reset(%d), Bounded %d", trial, reused.Len(), fresh.Len(), k, len(want))
+		}
+		for i := len(want) - 1; i >= 0; i-- {
+			if a, b := reused.Pop(), fresh.Pop(); a != want[i] || b != want[i] {
+				t.Fatalf("trial %d: pop %d after Reset(%d) = %+v, fresh %+v, Bounded %+v", trial, i, k, a, b, want[i])
+			}
 		}
 	}
 }

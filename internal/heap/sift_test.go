@@ -117,7 +117,7 @@ func TestSiftOrderIsPinned(t *testing.T) {
 			if got, want := b.Offer(v), bref.offer(k, v); got != want {
 				t.Fatalf("trial %d op %d: Bounded.Offer(%v) = %v, the swapping sift %v", trial, op, v, got, want)
 			}
-			if b.Len() > 0 && b.Worst() != bref.items[0] {
+			if b.h.Len() > 0 && b.Worst() != bref.items[0] {
 				t.Fatalf("trial %d op %d: Bounded.Worst %v, the swapping sift %v", trial, op, b.Worst(), bref.items[0])
 			}
 		}

@@ -39,9 +39,11 @@ type Options struct {
 // Everything that grows with the search lives in flat arenas that states,
 // expansions and pendings point into by offset (a box is 2r floats, lows then
 // highs), and a Merger goes from one query to the next with them, its
-// accessors, its top-k heap and its tuple table. A member's entries are read
-// where its index stores them, over the dimensions it covers (Rect): a joint
-// box is narrowed by them dimension by dimension, and a tuple filled.
+// accessors, its top-k heap, its bound function and its tuple table. A
+// member's entries are read where its index stores them, over the dimensions
+// it covers (Rect): a joint box is narrowed by them dimension by dimension,
+// and a tuple filled. Joint boxes and tuples are full width, and are scored
+// through one ranking.Bound over all the ranking dimensions.
 type Merger struct {
 	// The query, forgotten when it ends.
 	indices []hindex.Index
@@ -50,8 +52,10 @@ type Merger struct {
 	opts    Options
 	ctr     *stats.Counters
 
-	acc  []hindex.Accessor // one per index
-	topk *heap.Bounded[core.Result]
+	acc   []hindex.Accessor // one per index
+	topk  core.TopK
+	bound ranking.Bound // f over all (0, …, r−1): joint boxes, tuples
+	all   []int
 
 	n, r int // indices merged, ranking dimensions
 	// gheap holds the joint states at the bound of their next child, leaf
@@ -85,7 +89,7 @@ type Merger struct {
 
 // mergers holds the Mergers between queries: TopK is a free function, with no
 // engine to own one.
-var mergers = sync.Pool{New: func() any { return &Merger{topk: heap.NewBounded[core.Result](0, core.WorseResult)} }}
+var mergers = sync.Pool{New: func() any { return new(Merger) }}
 
 // reset empties what the last query grew in m, keeping the storage, and sets
 // its top-k heap to k. In a poison build (package poison) what a query reads
@@ -116,6 +120,7 @@ func (m *Merger) reset(k int) {
 func (m *Merger) release() {
 	clear(m.exps)
 	clear(m.dims)
+	m.bound.Bind(nil, nil, ranking.Box{})
 	m.indices, m.f, m.opts, m.ctr = nil, nil, Options{}, nil
 	mergers.Put(m)
 }
@@ -152,6 +157,11 @@ func TopK(indices []hindex.Index, f ranking.Func, k int, opts Options, ctr *stat
 	defer ctr.StartSpan("merge")()
 	m.combo, m.limit, m.slots, m.paths = sized(m.combo, n), sized(m.limit, n), sized(m.slots, n), sized(m.paths, n)
 	m.box = sized(m.box, 2*m.r)
+	m.all = sized(m.all, m.r)
+	for d := range m.all {
+		m.all[d] = d
+	}
+	m.bound.Bind(f, m.all, dom)
 	m.tuples.center = dom.AppendCenter(m.tuples.center[:0])
 	m.run()
 	return m.topk.Sorted(), nil
@@ -218,7 +228,7 @@ func (m *Merger) intersect(box []float64, dims []int, lo, hi []float64) {
 
 // lowerBound is f's lower bound over a box of the arena.
 func (m *Merger) lowerBound(box []float64) float64 {
-	return m.f.LowerBound(ranking.NewBox(box[:m.r:m.r], box[m.r:2*m.r:2*m.r]))
+	return m.bound.Rect(box[:m.r], box[m.r:2*m.r])
 }
 
 // run is the query-processing loop: Alg. 4 for StrategyBL (each popped state
@@ -284,7 +294,7 @@ func (m *Merger) processLeafState(st int32) {
 			if t.got[at] != full {
 				continue
 			}
-			if score := m.f.Eval(point); !math.IsInf(score, 1) {
+			if score := m.bound.Point(point); !math.IsInf(score, 1) {
 				m.topk.Offer(core.Result{TID: tid, Score: score})
 			}
 		}

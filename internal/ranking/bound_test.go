@@ -14,9 +14,14 @@ const boundWidth = 5
 type embedded struct{ *LinearFunc }
 
 // kernel reports whether a Bound scores f over dims with a loop of its own:
-// f is of one of the three families and references covered dimensions only.
+// f is of one of the three families, or constrains one of them, and
+// references covered dimensions only.
 func kernel(f Func, dims []int) bool {
-	switch f.(type) {
+	inner := f
+	if c, ok := f.(*ConstrainedFunc); ok {
+		inner = c.inner
+	}
+	switch inner.(type) {
 	case *LinearFunc, *DistFunc, *ExprFunc:
 		return !slices.ContainsFunc(f.Attrs(), func(a int) bool { return !slices.Contains(dims, a) })
 	}
@@ -110,10 +115,14 @@ func coveredBy(rng *rand.Rand, f Func, extra int) []int {
 // dimensions scores stored rects and points bit for bit as LowerBound and Eval
 // score them widened: linear functions with negative weights, SqDist and
 // L1Dist, general trees with Abs, Neg and Mul nodes and one deeper than the
-// fixed stack of Eval and LowerBound, over indexes covering exactly the
-// function's dimensions or more, all without allocating. So do the functions
-// the bound widens the entry for: one referencing a dimension the index does
-// not cover, a ConstrainedFunc and a wrapper.
+// fixed stack of Eval and LowerBound, and ConstrainedFuncs of each family —
+// bands closed and open, on a dimension the inner function references and on
+// one it does not — over indexes covering exactly the function's dimensions
+// or more, all without allocating. So do the functions the bound widens the
+// entry for: one referencing a dimension the index does not cover, a
+// ConstrainedFunc whose band or inner function the index does not cover, one
+// of a wrapper, and a wrapper; a constrained function over every dimension is
+// tried with them at ±0, +Inf and NaN.
 func TestBoundMatchesFuncBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	all := []int{0, 1, 2, 3, 4}
@@ -127,9 +136,14 @@ func TestBoundMatchesFuncBitForBit(t *testing.T) {
 		General(Neg(Mul(Var(1), Sub(Var(4), Const(0.5))))),
 		General(Sqr(Sub(Scale(2, Var(2)), Add(Var(3), Abs(Var(4)))))),
 		General(deepExpr(2 * stackCap)),
+		Constrained(Linear([]int{0, 2}, []float64{1, -2.5}), 2, -0.5, 0.5),
+		Constrained(SqDist([]int{1, 3}, []float64{0.3, -0.7}), 4, -1, math.Inf(1)),
+		Constrained(L1Dist([]int{3}, []float64{1.25}), 3, math.Inf(-1), 0),
+		Constrained(General(deepExpr(2*stackCap)), 1, negZero, 0),
 	}
 	for i := 0; i < 200; i++ {
-		direct = append(direct, General(randExpr(rng, 6, boundWidth)))
+		e := General(randExpr(rng, 6, boundWidth))
+		direct = append(direct, e, Constrained(e, rng.Intn(boundWidth), rng.Float64()*2-2, rng.Float64()*2))
 	}
 	for _, f := range direct {
 		checkBound(t, rng, f, all, negZero)
@@ -145,6 +159,9 @@ func TestBoundMatchesFuncBitForBit(t *testing.T) {
 		{"a distance dimension uncovered", SqDist([]int{1, 4}, []float64{0, 0}), []int{1, 2, 3}},
 		{"a general dimension uncovered", General(Add(Var(0), Abs(Var(2)))), []int{0, 1}},
 		{"a constrained function", Constrained(Sum(0, 1), 2, 0, 1), all},
+		{"a constrained band uncovered", Constrained(Sum(0, 1), 2, 0, 1), []int{0, 1}},
+		{"a constrained function's dimension uncovered", Constrained(Sum(0, 3), 1, 0, 1), []int{0, 1}},
+		{"a constrained wrapper", Constrained(embedded{Sum(0, 1)}, 2, 0, 1), all},
 		{"a wrapper", embedded{Sum(0, 1)}, all},
 		{"no function", nil, all},
 	} {
@@ -156,10 +173,11 @@ func TestBoundMatchesFuncBitForBit(t *testing.T) {
 	}
 }
 
-// FuzzBoundKernel draws a function of each family and an index covering it
-// from the seed — and a constrained function, a wrapper and an index short of
-// one attribute, which the bound widens the entry for — and holds the bound to
-// LowerBound and Eval, bit for bit, on entries with one coordinate set to v.
+// FuzzBoundKernel draws a function of each family, constrained functions of
+// two, and an index covering it from the seed — and a wrapper and an index
+// short of one attribute, which the bound widens the entry for — and holds the
+// bound to LowerBound and Eval, bit for bit, on entries with one coordinate
+// set to v.
 func FuzzBoundKernel(f *testing.F) {
 	for i, v := range []float64{0, negZero, 1, -2.5, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64} {
 		f.Add(int64(i), v)
@@ -171,13 +189,14 @@ func FuzzBoundKernel(f *testing.F) {
 		for i := range coef {
 			coef[i] = rng.Float64()*8 - 4
 		}
-		lin := Linear(attrs, coef)
+		lin, gen := Linear(attrs, coef), General(randExpr(rng, 1+rng.Intn(8), boundWidth))
 		for _, fn := range []Func{
 			lin,
 			SqDist(attrs, coef),
 			L1Dist(attrs, coef),
-			General(randExpr(rng, 1+rng.Intn(8), boundWidth)),
+			gen,
 			Constrained(lin, rng.Intn(boundWidth), coef[0]-1, coef[0]+1),
+			Constrained(gen, rng.Intn(boundWidth), math.Inf(-1), coef[0]),
 			embedded{lin},
 		} {
 			dims := coveredBy(rng, fn, rng.Intn(boundWidth))
